@@ -12,13 +12,15 @@ retry budget raises :class:`~repro.errors.ReplicaNotAcknowledged`, a
 client never sees the commit succeed.  That is the zero-loss invariant
 in one sentence: *client-acknowledged implies replica-acknowledged*.
 
-The replica's :class:`LogReceiver` is a pump in the Executor's style: it
-drains its link end, validates each record into the
-:class:`~repro.dr.store.ReplicaLogStore`, and answers ``SHIP_ACK`` with
-its durably acknowledged epoch.  Damaged frames (the SEQ checksum
-catches them) are dropped silently — the shipper retries; typed errors
-(gaps, torn records) travel back as ``ERROR`` frames and are rehydrated
-into the same exception types on the primary.
+Both halves are flavours of the one exactly-once exchange
+(:mod:`repro.executor.exchange`; ``docs/networking.md``, "The
+exactly-once exchange"): :class:`LogShipper` is the client built to fail
+as ``ReplicaNotAcknowledged``, and the replica's :class:`LogReceiver`
+hands the replaying server a handler that validates each record into
+the :class:`~repro.dr.store.ReplicaLogStore` and answers ``SHIP_ACK``
+with its durably acknowledged epoch.  Typed errors (gaps, torn records)
+travel back as ``ERROR`` frames and are rehydrated into the same
+exception types on the primary.
 
 ``suspend()``/``catch_up()`` model a replica outage: while suspended,
 records accumulate in the shipper's history; ``catch_up()`` asks the
@@ -30,89 +32,39 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..errors import (
-    LinkCorruption,
-    ProtocolError,
-    ReplicaNotAcknowledged,
-    ReplicationError,
-    GemStoneError,
-)
+from ..errors import ProtocolError, ReplicaNotAcknowledged, ReplicationError
 from ..executor import protocol
-from ..executor.protocol import FrameType
+from ..executor.exchange import ExactlyOnceClient, ReplayingServer
+from ..executor.protocol import Frame, FrameType
 from .log import DeltaRecord, encode_record, snapshot_of
 from .store import ReplicaLogStore
 
-#: replay-cache entries a receiver keeps (seq -> cached response)
-_REPLAY_CACHE_SIZE = 64
 
+class LogReceiver(ReplayingServer):
+    """The replica-side pump: frames in, validated log records stored.
 
-class LogReceiver:
-    """The replica-side pump: frames in, validated log records stored."""
+    Its replay window is keyed by (channel, seq), so two logical streams
+    (say a SHIP conversation and a 2PC conversation) can share one link
+    and one receiver without their sequence spaces colliding.
+    """
 
     def __init__(self, store: ReplicaLogStore, obs=None) -> None:
+        super().__init__(self._handle)
         self.store = store
         self.obs = obs
-        self.frames_served = 0
-        self.corrupt_dropped = 0
-        #: (channel, seq) -> encoded response, for exactly-once replay of
-        #: resends.  Keying by channel lets two logical streams (say a
-        #: SHIP conversation and a 2PC conversation) share one link and
-        #: one receiver without their sequence spaces colliding.
-        self._responses: dict[tuple[int | None, int], bytes] = {}
 
-    def serve(self, link_end) -> None:
-        """Drain every pending frame on *link_end*, answering each."""
-        while True:
-            try:
-                raw = link_end.receive()
-            except ProtocolError:
-                return  # truncated tail on a dying link
-            if raw is None:
-                return
-            try:
-                frame = protocol.decode_frame(raw)
-            except LinkCorruption:
-                self.corrupt_dropped += 1
-                continue  # damaged in transit; the shipper retries
-            except ProtocolError:
-                continue
-            response = self._respond(frame)
-            if frame.seq is not None:
-                response = protocol.encode_seq(
-                    frame.seq, response, channel=frame.channel
-                )
-            link_end.send(response)
-            self.frames_served += 1
-
-    def _respond(self, frame) -> bytes:
-        key = (frame.channel, frame.seq)
-        if frame.seq is not None and key in self._responses:
-            return self._responses[key]  # resend: replay, don't re-apply
+    def _handle(self, frame: Frame) -> bytes:
         if frame.type in (FrameType.SHIP, FrameType.SNAPSHOT):
-            try:
-                acked = self.store.append(frame.fields["record"])
-            except GemStoneError as error:
-                response = protocol.encode_error(
-                    type(error).__name__, str(error)
-                )
-            else:
-                response = protocol.encode_ship_ack(acked)
-                if self.obs is not None:
-                    self.obs.registry.inc("dr.records_received")
-        elif frame.type is FrameType.SHIP_STATUS:
-            response = protocol.encode_ship_ack(self.store.acked_epoch)
-        else:
-            response = protocol.encode_error(
-                "ProtocolError", f"unexpected frame {frame.type.name}"
-            )
-        if frame.seq is not None:
-            self._responses[(frame.channel, frame.seq)] = response
-            while len(self._responses) > _REPLAY_CACHE_SIZE:
-                self._responses.pop(next(iter(self._responses)))
-        return response
+            acked = self.store.append(frame.fields["record"])
+            if self.obs is not None:
+                self.obs.registry.inc("dr.records_received")
+            return protocol.encode_ship_ack(acked)
+        if frame.type is FrameType.SHIP_STATUS:
+            return protocol.encode_ship_ack(self.store.acked_epoch)
+        raise ProtocolError(f"unexpected frame {frame.type.name}")
 
 
-class LogShipper:
+class LogShipper(ExactlyOnceClient):
     """The primary-side streamer: every commit becomes a shipped record."""
 
     def __init__(
@@ -126,22 +78,19 @@ class LogShipper:
         frame_deadline: Optional[float] = None,
         retry_delay: float = 1.0,
     ) -> None:
-        self.link = link  #: primary's link end (possibly fault-wrapped)
-        self.pump = pump  #: drains the receiver after each send
+        # *link* is the primary's link end (possibly fault-wrapped) and
+        # *pump* drains the receiver after each send.  With *clock* and
+        # *frame_deadline* both set the commit path cannot block past
+        # its time budget even when *max_attempts* would allow more.
+        super().__init__(
+            link, pump, clock,
+            deadline=frame_deadline, retry_delay=retry_delay,
+            max_attempts=max_attempts, unavailable=ReplicaNotAcknowledged,
+        )
         self.obs = obs
         #: sync: a commit is not acknowledged until its record is; async
         #: (False) buffers into history for a later :meth:`catch_up`
         self.sync = sync
-        self.max_attempts = max_attempts
-        #: deterministic clock + per-frame deadline: with both set, each
-        #: shipped frame carries ``clock.now + frame_deadline`` in its
-        #: SEQ envelope and retrying stops once that instant passes, so
-        #: the commit path cannot block past its time budget even when
-        #: the retry budget would allow more attempts
-        self.clock = clock
-        self.frame_deadline = frame_deadline
-        self.retry_delay = retry_delay  #: simulated units charged per retry
-        self.deadline_failures = 0
         self.suspended = False
         #: epoch -> encoded delta record, the catch-up source of truth
         self.history: dict[int, bytes] = {}
@@ -149,9 +98,7 @@ class LogShipper:
         self.local_epoch = 0  #: last epoch the primary published
         self.acked_epoch = 0  #: last epoch the replica acknowledged
         self.records_shipped = 0
-        self.retries = 0
         self.ship_failures = 0
-        self._seq = 0
 
     # -- the commit hook ------------------------------------------------------
 
@@ -214,60 +161,22 @@ class LogShipper:
     # -- the wire --------------------------------------------------------------
 
     def _ship(self, frame: bytes) -> int:
-        self._seq += 1
-        deadline = None
-        if self.clock is not None and self.frame_deadline is not None:
-            deadline = self.clock.now + self.frame_deadline
-        envelope = protocol.encode_seq(self._seq, frame, deadline=deadline)
-        for attempt in range(self.max_attempts):
-            if attempt:
-                self.retries += 1
-                if self.obs is not None:
-                    self.obs.registry.inc("dr.ship_retries")
-                if self.clock is not None:
-                    self.clock.advance(self.retry_delay)
-                if deadline is not None and self.clock.now > deadline:
-                    self.deadline_failures += 1
-                    raise ReplicaNotAcknowledged(
-                        f"frame seq {self._seq} missed its deadline "
-                        f"({self.frame_deadline} units) after "
-                        f"{attempt} attempt(s)"
-                    )
-            self.link.send(envelope)
-            self.pump()
-            reply = self._receive_matching(self._seq)
-            if reply is None:
-                continue  # lost or damaged somewhere: resend
-            if reply.type is FrameType.SHIP_ACK:
-                self.acked_epoch = max(self.acked_epoch, reply.fields["epoch"])
-                self.records_shipped += 1
-                if self.obs is not None:
-                    self.obs.registry.inc("dr.records_shipped")
-                return reply.fields["epoch"]
-            if reply.type is FrameType.ERROR:
-                raise protocol.rehydrate_error(
-                    reply.fields["error_class"], reply.fields["message"]
+        """One exactly-once exchange; the epoch the replica acknowledged."""
+        retries_before = self.retries
+        try:
+            reply = protocol.raise_if_error(self.request(frame))
+        finally:
+            if self.obs is not None and self.retries > retries_before:
+                self.obs.registry.inc(
+                    "dr.ship_retries", self.retries - retries_before
                 )
-        raise ReplicaNotAcknowledged(
-            f"no replica acknowledgement for frame seq {self._seq} "
-            f"after {self.max_attempts} attempts"
-        )
-
-    def _receive_matching(self, seq: int):
-        while True:
-            try:
-                raw = self.link.receive()
-            except ProtocolError:
-                return None  # truncated tail: retry the whole exchange
-            if raw is None:
-                return None
-            try:
-                frame = protocol.decode_frame(raw)
-            except ProtocolError:
-                continue  # damaged response: keep draining
-            if frame.seq is None or frame.seq == seq:
-                return frame
-            # a replayed response to an earlier seq: discard
+        if reply.type is not FrameType.SHIP_ACK:
+            raise ReplicationError(f"unexpected reply {reply.type.name}")
+        self.acked_epoch = max(self.acked_epoch, reply.fields["epoch"])
+        self.records_shipped += 1
+        if self.obs is not None:
+            self.obs.registry.inc("dr.records_shipped")
+        return reply.fields["epoch"]
 
     # -- reporting -------------------------------------------------------------
 

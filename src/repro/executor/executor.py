@@ -9,43 +9,37 @@ opens a session with its own OPAL engine (the per-user Compiler +
 Interpreter), EXECUTE compiles and runs a block of OPAL source entirely
 inside the database system, COMMIT/ABORT drive the Transaction Manager,
 and errors return as ERROR frames rather than exceptions.  The serve
-loop never dies on a bad frame: malformed requests are answered with
-ERROR frames, frames damaged in transit (failed envelope checksums) are
-dropped for the host to resend, and a duplicate of any sequenced request
-still inside the bounded ``(channel, seq)`` replay window
-(:class:`~repro.executor.replay.ReplayWindow`) replays the cached
-response instead of being applied twice — which is what makes host-side
-retry safe for EXECUTE and COMMIT even when retries are pipelined or
-arrive reordered.
+loop is :class:`~repro.executor.exchange.ReplayingServer`'s, which is
+what keeps it alive on bad frames and makes host-side retry safe for
+EXECUTE and COMMIT (``docs/networking.md``, "The exactly-once
+exchange").
 
-The request path is split into three stages so the asynchronous front
-door (:mod:`repro.frontdoor`) can drive the same machinery with a real
+The Executor adds to that server's stages, which the
+asynchronous front door (:mod:`repro.frontdoor`) drives with a real
 queue between arrival and execution: :meth:`Executor.gate` is
 arrival-time admission (deadline + leaky bucket + breaker, a returned
 frame means *refused*), :meth:`Executor.apply` executes one admitted
 frame (request-ID minting, tracing, the guarded handler), and
-:meth:`Executor.seal` wraps a response in its SEQ envelope and records
-it in the replay window.  The synchronous :meth:`serve` loop runs the
-stages back to back; the front door re-checks the deadline between
-dequeue and apply, because work can expire while it waits.
+:meth:`Executor.decode` / :meth:`Executor.lookup_replay` publish their
+counters.  The front door re-checks the deadline between dequeue and
+apply, because work can expire while it waits.
 
 :class:`HostConnection` is the host-side convenience wrapper used by
-examples and tests (the "user interface program on the host machine").
-Every request carries a sequence number; when a response fails to arrive
-(a lossy or partitioned link), the connection retries, reconnects if the
-link stays silent, and relies on the Executor's replay cache for
-idempotency.  A link that never answers surfaces as the typed
+examples and tests (the "user interface program on the host machine"):
+the host flavour of :class:`~repro.executor.exchange.ExactlyOnceClient`,
+whose link that never answers surfaces as the typed
 :class:`~repro.errors.LinkTimeout`.
 """
 
 from __future__ import annotations
 
+import time
+from functools import partial
 from typing import Any, Callable, Optional
 
 from ..errors import (
     GemStoneError,
     LinkCorruption,
-    LinkTimeout,
     OverloadedError,
     ProtocolError,
     StorageError,
@@ -53,21 +47,19 @@ from ..errors import (
 )
 from ..opal.interpreter import OpalEngine
 from . import protocol
+from .exchange import ExactlyOnceClient, ReplayingServer
 from .link import LinkEnd, make_link
 from .protocol import Frame, FrameType
-from .replay import DEFAULT_WINDOW, ReplayWindow
-
-#: responses a host connection stashes for other in-flight sequence
-#: numbers before the oldest is dropped
-_RESPONSE_STASH_LIMIT = 32
+from .replay import DEFAULT_WINDOW
 
 
-class Executor:
+class Executor(ReplayingServer):
     """Serves one host link against a database."""
 
     def __init__(
         self, database, admission=None, replay_window: int = DEFAULT_WINDOW
     ) -> None:
+        super().__init__(self._handle, replay_window)
         self.database = database
         #: shared :class:`~repro.govern.admission.AdmissionController`
         #: (None = no admission control, the embedded/trusted default)
@@ -79,74 +71,24 @@ class Executor:
             self.obs.register_admission(admission)
         self._session = None
         self._engine: Optional[OpalEngine] = None
-        #: bounded ``(channel, seq)``-keyed replay window — every
-        #: sequenced response is remembered here, so a delayed duplicate
-        #: replays instead of re-applying even after intervening requests
-        self.replay = ReplayWindow(replay_window)
-        self.corrupt_frames = 0
         self.deadline_rejections = 0
 
-    @property
-    def replays(self) -> int:
-        """Duplicates answered from the replay window."""
-        return self.replay.replays
-
-    def serve(self, gem_end: LinkEnd) -> int:
-        """Process every buffered frame; returns how many were handled.
-
-        The in-process link is synchronous: hosts write a frame, then
-        call :meth:`serve` (or use :class:`HostConnection`, which does).
-        The loop survives anything a frame can throw at it — only LOGOUT
-        (or an empty buffer) ends it.
-        """
-        handled = 0
-        while True:
-            raw = gem_end.receive()
-            if raw is None:
-                return handled
-            handled += 1
-            response, frame_type = self._respond(raw)
-            if response is None:
-                continue  # damaged in transit: dropped, the host resends
-            gem_end.send(response)
-            if frame_type is FrameType.LOGOUT:
-                return handled
-
-    def _respond(self, raw: bytes) -> tuple[Optional[bytes], Optional[FrameType]]:
-        """One request → (response bytes or None-to-drop, decoded type)."""
-        try:
-            frame = self.decode(raw)
-        except LinkCorruption:
-            return None, None  # damaged in transit: dropped, host resends
-        except Exception as error:  # malformed at the source: worth answering
-            return protocol.encode_error(type(error).__name__, str(error)), None
-        cached = self.lookup_replay(frame)
-        if cached is not None:
-            return cached, frame.type
-        response = self.gate(frame)
-        request_id = None
-        if response is None:
-            response, request_id = self.apply(frame)
-        return self.seal(frame, response, request_id), frame.type
-
-    # -- the three request stages (shared with repro.frontdoor) -------------
+    # -- the stages this server adds to (see ReplayingServer) ---------------
 
     def decode(self, raw: bytes) -> Frame:
         """Decode one wire frame, counting transit damage before raising."""
         try:
-            return protocol.decode_frame(raw)
+            return super().decode(raw)
         except LinkCorruption:
-            self.corrupt_frames += 1
             if self.obs is not None:
                 self.obs.registry.inc("executor.corrupt_frames")
             raise
 
     def lookup_replay(self, frame: Frame) -> Optional[bytes]:
         """The sealed response a duplicate should get, or None if fresh."""
-        cached = self.replay.lookup(frame.channel, frame.seq)
+        cached = super().lookup_replay(frame)
         if cached is not None and self.obs is not None:
-            obs = self.obs
-            obs.registry.inc("executor.replays")
+            self.obs.registry.inc("executor.replays")
         return cached
 
     def apply(self, frame: Frame) -> tuple[bytes, Optional[int]]:
@@ -170,26 +112,10 @@ class Executor:
                 obs.tracer.current_request = None
         return response, request_id
 
-    def seal(
-        self,
-        frame: Frame,
-        response: bytes,
-        request_id: Optional[int] = None,
-    ) -> bytes:
-        """Envelope a response for *frame* and record it for replays."""
-        if frame.seq is None:
-            return response
-        sealed = protocol.encode_seq(
-            frame.seq, response, request_id=request_id, channel=frame.channel
-        )
-        self.replay.store(frame.channel, frame.seq, sealed)
-        return sealed
-
     def _guarded_handle(self, frame: Frame) -> bytes:
+        """The handler, with *every* exception answered as an ERROR frame."""
         try:
-            return self._handle(frame)
-        except GemStoneError as error:
-            return protocol.encode_error(type(error).__name__, str(error))
+            return self.handler(frame)
         except Exception as error:  # never let a request kill the serve loop
             return protocol.encode_error(type(error).__name__, str(error))
 
@@ -209,18 +135,16 @@ class Executor:
             except TransactionConflict:
                 # contention, not system failure: the breaker stays shut
                 return protocol.encode_simple(FrameType.CONFLICT)
-            except StorageError as error:
+            except StorageError:
                 self._note_outcome(failed=True)
-                return protocol.encode_error(type(error).__name__, str(error))
+                raise
         if frame.type is FrameType.ABORT:
             self._session.abort()
             return protocol.encode_simple(FrameType.ABORTED)
         if frame.type is FrameType.LOGOUT:
             self.hangup()
             return protocol.encode_simple(FrameType.BYE)
-        return protocol.encode_error(
-            "ProtocolError", f"unexpected frame {frame.type.name}"
-        )
+        raise ProtocolError(f"unexpected frame {frame.type.name}")
 
     # -- admission ----------------------------------------------------------
 
@@ -292,21 +216,19 @@ class Executor:
                 return protocol.encode_overloaded(error.retry_after)
         try:
             self._session = self.database.login(user, password)
-        except GemStoneError as error:
+        except GemStoneError:
             if self.admission is not None:
                 self.admission.release_session()  # the slot never opened
-            return protocol.encode_error(type(error).__name__, str(error))
+            raise
         self._engine = self._session.engine
         return protocol.encode_login_ok(self._session.session.session_id)
 
     def _execute(self, source: str) -> bytes:
         try:
             value = self._session.execute(source)
-        except StorageError as error:
+        except StorageError:
             self._note_outcome(failed=True)
-            return protocol.encode_error(type(error).__name__, str(error))
-        except GemStoneError as error:
-            return protocol.encode_error(type(error).__name__, str(error))
+            raise
         self._note_outcome(failed=False)
         # the session renders its own display: a GemSession printStrings
         # through its object manager, a ShardedSession relays the wire
@@ -315,15 +237,15 @@ class Executor:
         return protocol.encode_result(value, display)
 
 
-class HostConnection:
+class HostConnection(ExactlyOnceClient):
     """Host-side client: login, execute blocks of OPAL, commit, logout.
 
-    *link_factory* builds the (host_end, gem_end) pair — pass
+    The host flavour of the exactly-once exchange: *link_factory* builds
+    the (host_end, gem_end) pair — pass
     :func:`~repro.faults.link.make_faulty_link` partials to interpose a
-    lossy link.  Requests are sequence-numbered; missing responses are
-    retried up to *max_attempts* times with a reconnect once the link
-    looks dead, and the Executor's replay cache keeps the retries
-    idempotent.
+    lossy link — so the connection can always reconnect, and exhaustion
+    is :class:`~repro.errors.LinkTimeout`.  What it adds is the session
+    verbs and the OVERLOADED resubmit loop.
     """
 
     def __init__(
@@ -335,156 +257,72 @@ class HostConnection:
         overload_attempts: int = 8,
         request_deadline: Optional[float] = None,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         if overload_attempts < 1:
             raise ValueError("overload_attempts must be at least 1")
         self._link_factory = link_factory
         self.executor = Executor(database, admission=admission)
         self.admission = admission
         self.session_id: Optional[int] = None
-        self.max_attempts = max_attempts
         #: OVERLOADED answers tolerated (each backed off) per request
         self.overload_attempts = overload_attempts
-        #: clock units after "now" each request stays worth serving
-        #: (None = no deadline attached)
-        self.request_deadline = request_deadline
-        self._seq = 0
-        #: responses that arrived for *other* sequence numbers, keyed by
-        #: seq — reordered delivery must correlate, never discard
-        self._responses: dict[int, Frame] = {}
-        self.retries = 0
-        self.reconnects = 0
         self.overload_backoffs = 0
-        self._connect()
+        super().__init__(
+            clock=admission.clock if admission is not None else None,
+            link_factory=self._dial,
+            deadline=request_deadline,
+            max_attempts=max_attempts,
+        )
 
-    # -- link lifecycle -----------------------------------------------------
+    def _dial(self) -> LinkEnd:
+        # in-memory links are half-duplex queues: pump the server side
+        # ourselves; socket links (gem_end None) have a live server on
+        # the far side of the wire
+        host_end, gem_end = self._link_factory()
+        self.pump = (
+            None if gem_end is None else partial(self.executor.serve, gem_end)
+        )
+        return host_end
 
-    def _connect(self) -> None:
-        self.host_end, self._gem_end = self._link_factory()
-
-    def reconnect(self) -> None:
-        """Replace the link with a fresh one; the Gem session survives."""
-        self.host_end.close()
-        self._connect()
-        self.reconnects += 1
-
-    # -- request/response ---------------------------------------------------
+    @property
+    def host_end(self):
+        """The host's end of the current link (replaced on reconnect)."""
+        return self.link
 
     def _request(self, frame: bytes) -> Frame:
-        """One logical request: round trips + typed overload backoff.
+        """One logical request: exchanges + typed overload backoff.
 
         An OVERLOADED answer is not a failure of the link, so it gets its
-        own (bounded) retry loop: back off for the carried retry-after on
-        the shared deterministic clock, then try again under a *new*
-        sequence number — the shed request was never applied, so replay
+        own (bounded) retry loop: back off for the carried retry-after —
+        on the shared deterministic clock when there is one, in real
+        time (1–50 ms) over a socket — then try again under a *new*
+        sequence number: the shed request was never applied, so replay
         protection is not wanted.  Exhaustion surfaces as the typed,
         retryable :class:`~repro.errors.OverloadedError`.
         """
         retry_after = 0.0
         for _attempt in range(self.overload_attempts):
-            response = self._round_trip(frame)
+            response = self.request(frame)
             if response.type is not FrameType.OVERLOADED:
                 return response
             retry_after = response.fields["retry_after"]
             self.overload_backoffs += 1
-            if self.admission is not None:
-                self.admission.clock.advance(max(retry_after, 0.5))
+            if self.clock is not None:
+                self.clock.advance(max(retry_after, 0.5))
+            else:
+                time.sleep(min(max(retry_after, 0.001), 0.05))
         raise OverloadedError(
             f"still shedding after {self.overload_attempts} backoffs",
             retry_after=retry_after,
         )
 
-    def _deadline(self) -> Optional[float]:
-        if self.request_deadline is None or self.admission is None:
-            return None
-        return self.admission.clock.now + self.request_deadline
-
-    def _round_trip(self, frame: bytes) -> Frame:
-        self._seq += 1
-        wrapped = protocol.encode_seq(self._seq, frame, deadline=self._deadline())
-        for attempt in range(self.max_attempts):
-            if attempt:
-                self.retries += 1
-                # first miss: resend on the same link (a dropped frame);
-                # repeated misses or a closed peer: the link is dead
-                if attempt > 1 or self.host_end.peer_closed:
-                    self.reconnect()
-            try:
-                self.host_end.send(wrapped)
-            except ProtocolError:
-                self.reconnect()
-                self.host_end.send(wrapped)
-            if self._gem_end is not None:
-                # in-memory links are half-duplex queues: pump the
-                # server side ourselves; socket links (gem_end None)
-                # have a live server on the far side of the wire
-                self.executor.serve(self._gem_end)
-            response = self._receive_matching(self._seq)
-            if response is not None:
-                return response
-        raise LinkTimeout(
-            f"no response to frame seq {self._seq} "
-            f"after {self.max_attempts} attempts"
-        )
-
-    def _receive_matching(self, seq: int) -> Optional[Frame]:
-        """The intact response for *seq*, correlating reordered arrivals.
-
-        Responses are matched to requests by sequence number, never by
-        arrival order: a response that belongs to a different seq —
-        a delayed replay, or (under pipelining) a shed answer overtaking
-        queued work — is *stashed* for its own requester instead of
-        being discarded, so reordered delivery under
-        :class:`~repro.faults.link.FaultyLink` cannot force a spurious
-        timeout or reconnect.
-        """
-        stashed = self._responses.pop(seq, None)
-        if stashed is not None:
-            return stashed
-        while True:
-            try:
-                raw = self.host_end.receive()
-            except ProtocolError:
-                return None  # truncated tail on a dying link: retry
-            if raw is None:
-                return None
-            try:
-                frame = protocol.decode_frame(raw)
-            except ProtocolError:
-                continue  # response damaged in transit: keep draining
-            if frame.type is FrameType.HELLO_OK:
-                continue  # unsequenced resume ack from a socket server
-            if frame.seq is None or frame.seq == seq:
-                return frame
-            # another request's response, delivered out of order:
-            # file it under its own seq (bounded; oldest forgotten)
-            self._responses.setdefault(frame.seq, frame)
-            while len(self._responses) > _RESPONSE_STASH_LIMIT:
-                self._responses.pop(next(iter(self._responses)))
-
-    @staticmethod
-    def _typed_error(error_class: str, message: str) -> GemStoneError:
-        """Rehydrate an ERROR frame into the matching typed exception.
-
-        The class name travels on the wire; when it names a
-        :class:`~repro.errors.GemStoneError` subclass constructible from
-        a bare message, the host raises exactly that type — so client
-        policy can catch :class:`~repro.errors.RetryableError` instead of
-        string-matching.  A structured constructor the wire message
-        cannot satisfy (budget/quota errors carry caps and meters) still
-        yields the right *type*, built around the message alone: the
-        taxonomy must survive the trip even when the details cannot.
-        Unknown names degrade to the base class with the name folded
-        into the message.
-        """
-        return protocol.rehydrate_error(error_class, message)
+    def _call(self, frame: bytes) -> Frame:
+        """:meth:`_request`, with an ERROR answer raised as its typed
+        exception (:func:`~repro.executor.protocol.rehydrate_error`)."""
+        return protocol.raise_if_error(self._request(frame))
 
     def login(self, user: str, password: str) -> int:
         """Authenticate; returns the session id."""
-        response = self._request(protocol.encode_login(user, password))
-        if response.type is FrameType.ERROR:
-            raise GemStoneError(response.fields["message"])
+        response = self._call(protocol.encode_login(user, password))
         self.session_id = response.fields["session_id"]
         return self.session_id
 
@@ -495,22 +333,14 @@ class HostConnection:
         :class:`~repro.core.values.Ref`; hosts dereference through
         further OPAL, as the paper's hosts did.
         """
-        response = self._request(protocol.encode_execute(source))
-        if response.type is FrameType.ERROR:
-            raise self._typed_error(
-                response.fields["error_class"], response.fields["message"]
-            )
+        response = self._call(protocol.encode_execute(source))
         return response.fields["value"], response.fields["display"]
 
     def commit(self) -> Optional[int]:
         """Commit; returns the transaction time, or None on conflict."""
-        response = self._request(protocol.encode_simple(FrameType.COMMIT))
+        response = self._call(protocol.encode_simple(FrameType.COMMIT))
         if response.type is FrameType.CONFLICT:
             return None
-        if response.type is FrameType.ERROR:
-            raise self._typed_error(
-                response.fields["error_class"], response.fields["message"]
-            )
         return response.fields["tx_time"]
 
     def abort(self) -> None:

@@ -345,6 +345,16 @@ def rehydrate_error(error_class: str, message: str) -> Exception:
     return error
 
 
+def raise_if_error(frame: Frame) -> Frame:
+    """*frame* itself — unless it is an ERROR, which raises as its typed
+    exception (:func:`rehydrate_error`)."""
+    if frame.type is FrameType.ERROR:
+        raise rehydrate_error(
+            frame.fields["error_class"], frame.fields["message"]
+        )
+    return frame
+
+
 #: SEQ flags-byte bits
 _SEQ_HAS_DEADLINE = 0x01
 _SEQ_HAS_REQUEST_ID = 0x02

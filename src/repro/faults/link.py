@@ -24,10 +24,20 @@ from ..executor.link import LinkEnd, make_link
 from .plan import FaultPlan
 
 
-class FaultyLink:
-    """Injects a :class:`FaultPlan`'s link faults on one link endpoint."""
+class LinkFaults:
+    """The fault decision for one link endpoint, made once per send.
 
-    def __init__(self, inner: LinkEnd, plan: FaultPlan) -> None:
+    Holds the plan, the partition state, the reorder hold slot and the
+    counters; :meth:`deliveries` turns one outgoing frame into the
+    frames that actually reach the wire.  The blocking
+    :class:`FaultyLink` and the awaitable
+    :class:`~repro.frontdoor.alink.FaultyAsyncLink` are each a loop over
+    that result, so both stacks face byte-identical fault schedules.
+    Everything but ``send`` (``receive``, ``close``, ``peer_closed``,
+    the traffic counters) is the wrapped end's own.
+    """
+
+    def __init__(self, inner, plan: FaultPlan) -> None:
         self.inner = inner
         self.plan = plan
         self.partitioned = False
@@ -39,54 +49,36 @@ class FaultyLink:
         #: next frame that actually reaches the wire
         self._held: bytes | None = None
 
-    # -- LinkEnd interface --------------------------------------------------
-
-    def send(self, frame: bytes) -> None:
+    def deliveries(self, frame: bytes) -> list[bytes]:
+        """The frames to put on the wire, in order, for one send."""
         if self.partitioned:
             self.dropped += 1
-            return
+            return []
         fault = self.plan.link_fault(len(frame))
         if fault == "drop":
             self.dropped += 1
-            return
+            return []
         if fault == "truncate" and len(frame) > 1:
             self.truncated += 1
-            self.inner.send(frame[: max(1, len(frame) // 2)])
-            return
+            return [frame[: max(1, len(frame) // 2)]]
         if fault == "reorder" and self._held is None:
             # hold this frame; it rides out behind the next delivery
             # (a held frame with no successor is simply a drop, which
             # the sender's retry loop already covers)
             self.reordered += 1
             self._held = frame
-            return
-        self.inner.send(frame)
+            return []
+        wire = [frame]
         if self._held is not None:
-            held, self._held = self._held, None
-            self.inner.send(held)
+            wire.append(self._held)
+            self._held = None
         if fault == "duplicate":
             self.duplicated += 1
-            self.inner.send(frame)
+            wire.append(frame)
+        return wire
 
-    def receive(self) -> bytes | None:
-        return self.inner.receive()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    @property
-    def peer_closed(self) -> bool:
-        return self.inner.peer_closed
-
-    @property
-    def frames_sent(self) -> int:
-        return self.inner.frames_sent
-
-    @property
-    def bytes_sent(self) -> int:
-        return self.inner.bytes_sent
-
-    # -- partition control --------------------------------------------------
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
 
     def partition(self) -> None:
         """Sever this direction: all sends are lost until :meth:`heal`."""
@@ -95,6 +87,14 @@ class FaultyLink:
     def heal(self) -> None:
         """Restore delivery after a partition."""
         self.partitioned = False
+
+
+class FaultyLink(LinkFaults):
+    """Injects a :class:`FaultPlan`'s link faults on one link endpoint."""
+
+    def send(self, frame: bytes) -> None:
+        for wire in self.deliveries(frame):
+            self.inner.send(wire)
 
 
 def make_faulty_link(

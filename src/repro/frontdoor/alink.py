@@ -10,8 +10,8 @@ door's overload story: a client that will not read its responses
 eventually stops being able to write requests.
 
 :class:`FaultyAsyncLink` is the async twin of
-:class:`~repro.faults.link.FaultyLink`: it consumes the same seeded
-:class:`~repro.faults.plan.FaultPlan` decisions (drop, duplicate,
+:class:`~repro.faults.link.FaultyLink`: both loop over the one
+:class:`~repro.faults.link.LinkFaults` decision (drop, duplicate,
 truncate, reorder, partition), so the pipelined exactly-once property
 tests drive the event-loop stack through precisely the fault schedules
 the synchronous stack already survives.
@@ -23,7 +23,7 @@ import asyncio
 import struct
 
 from ..errors import ProtocolError
-from ..faults.plan import FaultPlan
+from ..faults.link import LinkFaults
 
 #: default per-direction buffer (bytes) before senders block
 DEFAULT_CAPACITY = 256 * 1024
@@ -142,71 +142,9 @@ def make_async_link(
     return AsyncLinkEnd(a_to_b, b_to_a), AsyncLinkEnd(b_to_a, a_to_b)
 
 
-class FaultyAsyncLink:
+class FaultyAsyncLink(LinkFaults):
     """Seeded frame faults on one async endpoint (plan-driven)."""
 
-    def __init__(self, inner: AsyncLinkEnd, plan: FaultPlan) -> None:
-        self.inner = inner
-        self.plan = plan
-        self.partitioned = False
-        self.dropped = 0
-        self.duplicated = 0
-        self.truncated = 0
-        self.reordered = 0
-        self._held: bytes | None = None
-
-    # -- AsyncLinkEnd interface ---------------------------------------------
-
     async def send(self, frame: bytes) -> None:
-        if self.partitioned:
-            self.dropped += 1
-            return
-        fault = self.plan.link_fault(len(frame))
-        if fault == "drop":
-            self.dropped += 1
-            return
-        if fault == "truncate" and len(frame) > 1:
-            self.truncated += 1
-            await self.inner.send(frame[: max(1, len(frame) // 2)])
-            return
-        if fault == "reorder" and self._held is None:
-            self.reordered += 1
-            self._held = frame
-            return
-        await self.inner.send(frame)
-        if self._held is not None:
-            held, self._held = self._held, None
-            await self.inner.send(held)
-        if fault == "duplicate":
-            self.duplicated += 1
-            await self.inner.send(frame)
-
-    async def receive(self) -> bytes | None:
-        return await self.inner.receive()
-
-    def poll(self) -> bytes | None:
-        return self.inner.poll()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    @property
-    def peer_closed(self) -> bool:
-        return self.inner.peer_closed
-
-    @property
-    def frames_sent(self) -> int:
-        return self.inner.frames_sent
-
-    @property
-    def bytes_sent(self) -> int:
-        return self.inner.bytes_sent
-
-    # -- partition control --------------------------------------------------
-
-    def partition(self) -> None:
-        """Sever this direction until :meth:`heal`."""
-        self.partitioned = True
-
-    def heal(self) -> None:
-        self.partitioned = False
+        for wire in self.deliveries(frame):
+            await self.inner.send(wire)

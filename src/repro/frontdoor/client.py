@@ -328,21 +328,14 @@ class AsyncHostConnection:
 
     @staticmethod
     def _decode_execute(frame: Frame) -> tuple[Any, str]:
-        if frame.type is FrameType.ERROR:
-            raise protocol.rehydrate_error(
-                frame.fields["error_class"], frame.fields["message"]
-            )
+        protocol.raise_if_error(frame)
         return frame.fields["value"], frame.fields["display"]
 
     @staticmethod
     def _decode_commit(frame: Frame) -> Optional[int]:
         if frame.type is FrameType.CONFLICT:
             return None
-        if frame.type is FrameType.ERROR:
-            raise protocol.rehydrate_error(
-                frame.fields["error_class"], frame.fields["message"]
-            )
-        return frame.fields["tx_time"]
+        return protocol.raise_if_error(frame).fields["tx_time"]
 
     @staticmethod
     def _decode_any(frame: Frame) -> Frame:
@@ -355,9 +348,7 @@ class AsyncHostConnection:
         frame = await self._request(
             protocol.encode_login(user, password), self._decode_any
         )
-        if frame.type is FrameType.ERROR:
-            raise GemStoneError(frame.fields["message"])
-        self.session_id = frame.fields["session_id"]
+        self.session_id = protocol.raise_if_error(frame).fields["session_id"]
         return self.session_id
 
     async def execute(self, source: str) -> tuple[Any, str]:

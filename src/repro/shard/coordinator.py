@@ -30,13 +30,15 @@ from typing import Optional
 from ..errors import (
     CoordinatorUnavailable,
     GemStoneError,
+    ProtocolError,
     TransactionConflict,
     TransactionInDoubt,
 )
 from ..executor import protocol
+from ..executor.exchange import ReplayingServer
 from ..executor.protocol import Frame, FrameType
 from .decisions import DecisionLog
-from .rpc import CoordinatorKilled, ReplayServer, RequestChannel
+from .rpc import CoordinatorKilled, RequestChannel
 
 
 class TwoPhaseCoordinator:
@@ -52,7 +54,7 @@ class TwoPhaseCoordinator:
         self.commits = 0
         self.aborts = 0
         self.resolutions = 0
-        self.resolution_server = ReplayServer(self._handle_resolution)
+        self.resolution_server = ReplayingServer(self._handle_resolution)
 
     def attach(self, shard_id: int, channel: RequestChannel) -> None:
         """Register the 2PC control channel for one participant."""
@@ -173,9 +175,7 @@ class TwoPhaseCoordinator:
 
     def _handle_resolution(self, frame: Frame) -> bytes:
         if frame.type is not FrameType.RESOLVE:
-            return protocol.encode_error(
-                "ProtocolError", f"unexpected frame {frame.type.name}"
-            )
+            raise ProtocolError(f"unexpected frame {frame.type.name}")
         gtid = frame.fields["gtid"]
         self.resolutions += 1
         self._inc("shard.in_doubt_resolutions")

@@ -50,8 +50,9 @@ import tempfile
 import threading
 from typing import Optional
 
-from ..errors import GemStoneError, LinkTimeout, ProtocolError, ShardUnavailable
+from ..errors import GemStoneError, ShardUnavailable
 from ..executor import protocol
+from ..executor.exchange import ReplayingServer
 from ..executor.protocol import Frame, FrameType
 from ..faults.plan import FaultClock
 from ..govern import CommitPolicy
@@ -63,7 +64,7 @@ from .cluster import EXEC_CHANNEL, TWOPC_CHANNEL, ShardedSession
 from .coordinator import TwoPhaseCoordinator
 from .decisions import DecisionLog
 from .partition import shard_of
-from .rpc import ReplayServer, RequestChannel
+from .rpc import RequestChannel
 from .soak import ShardFailure, ShardSoakReport, WindowKiller, _workload
 from .worker import ShardWorker
 
@@ -134,11 +135,15 @@ def _serve_connection(
 ) -> None:
     """Serve one client connection until EOF or drain.
 
-    Each connection gets its **own** replay cache: two independent
-    clients both start their channels at seq 1, so a shared
-    ``(channel, seq)`` cache would replay one client's responses to the
-    other.  The wire kill windows wrap the 2PC frames exactly where the
-    protocol state is split across the network.
+    Each connection gets its **own** replaying server, hence its own
+    replay window: two independent clients both start their channels at
+    seq 1, so a shared ``(channel, seq)`` window would replay one
+    client's responses to the other.  The wire kill windows wrap the 2PC
+    frames exactly where the protocol state is split across the network
+    — and only for frames actually *applied*: the server calls neither
+    the handler nor the after-send hook for a replayed duplicate (the
+    client resent after a slow reply), which re-crosses no protocol
+    state, so the window census stays timing-independent.
     """
 
     def dispatch(frame: Frame) -> bytes:
@@ -146,49 +151,18 @@ def _serve_connection(
             return protocol.encode_status_report(
                 json.dumps(_status_payload(worker, killer))
             )
+        if frame.type is FrameType.PREPARE:
+            killer.window("wire.prepare_received", worker.shard_id)
         return worker._handle(frame)
 
-    server = ReplayServer(dispatch)
+    def answered(frame: Frame) -> None:
+        if frame.type is FrameType.PREPARE:
+            killer.window("wire.vote_sent", worker.shard_id)
+        elif frame.type is FrameType.DECIDE:
+            killer.window("wire.decide_ack_sent", worker.shard_id)
+
     try:
-        while not drain.is_set():
-            try:
-                raw = link.receive(timeout=0.1)
-            except ProtocolError:
-                return  # truncated tail on a dying connection
-            if raw is None:
-                if link.peer_closed:
-                    return
-                continue  # budget expired; poll the drain flag
-            try:
-                frame = protocol.decode_frame(raw)
-            except ProtocolError:
-                continue  # damaged in transit; the sender retries
-            # wire windows fire only for frames actually *applied*: a
-            # replayed duplicate (the client resent after a slow reply)
-            # re-answers from the cache without re-crossing any
-            # protocol state, and counting it would make the window
-            # census timing-dependent
-            replayed = (
-                frame.seq is not None
-                and server._replay.lookup(frame.channel, frame.seq) is not None
-            )
-            if not replayed and frame.type is FrameType.PREPARE:
-                killer.window("wire.prepare_received", worker.shard_id)
-            response = server._respond(frame)
-            if frame.seq is not None:
-                response = protocol.encode_seq(
-                    frame.seq, response, channel=frame.channel
-                )
-            try:
-                link.send(response)
-            except (ProtocolError, LinkTimeout):
-                return
-            server.frames_served += 1
-            if not replayed:
-                if frame.type is FrameType.PREPARE:
-                    killer.window("wire.vote_sent", worker.shard_id)
-                elif frame.type is FrameType.DECIDE:
-                    killer.window("wire.decide_ack_sent", worker.shard_id)
+        ReplayingServer(dispatch).serve(link, drain, answered)
     finally:
         link.close()
 
@@ -328,10 +302,6 @@ class WorkerProc:
 # -- the cluster of processes ------------------------------------------------
 
 
-def _no_pump() -> None:
-    """TCP peers answer on their own schedule; there is nothing to pump."""
-
-
 class ProcCluster:
     """N worker processes + the parent's coordinator, one session surface.
 
@@ -424,19 +394,15 @@ class ProcCluster:
         if old is not None:
             old.close()
         self._links[shard_id] = link
-        self.exec_channels[shard_id] = RequestChannel(
-            link, _no_pump, self.clock,
-            channel=EXEC_CHANNEL, deadline=self.deadline,
-            policy=self.retry_policy,
-        )
-        self.coordinator.attach(
-            shard_id,
+        # no pump: a TCP peer answers on its own schedule
+        self.exec_channels[shard_id], twopc = (
             RequestChannel(
-                link, _no_pump, self.clock,
-                channel=TWOPC_CHANNEL, deadline=self.deadline,
-                policy=self.retry_policy,
-            ),
+                link, None, self.clock, channel=channel,
+                deadline=self.deadline, policy=self.retry_policy,
+            )
+            for channel in (EXEC_CHANNEL, TWOPC_CHANNEL)
         )
+        self.coordinator.attach(shard_id, twopc)
 
     # -- sessions ------------------------------------------------------------
 

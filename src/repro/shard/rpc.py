@@ -10,33 +10,29 @@ fault model (droppable, duplicable, truncatable, wrappable in
   :class:`RequestChannel` stamps its channel id into the envelope so
   the peer's replay cache keys on ``(channel, seq)`` and the streams
   cannot collide after a reconnect.
-* **deadlines** — every request carries ``clock.now + deadline`` and
-  the sender stops retrying once that instant passes, raising the typed
-  retryable error it was built with
-  (:class:`~repro.errors.ShardUnavailable` or
-  :class:`~repro.errors.CoordinatorUnavailable`).  A dead peer costs a
+* **deadlines** — every request carries one, and once it passes the
+  sender raises :class:`~repro.errors.ShardUnavailable` or
+  :class:`~repro.errors.CoordinatorUnavailable`.  A dead peer costs a
   bounded amount of simulated time, never a wedge — which is what lets
   a coordinator presume abort and a participant stay safely in doubt.
 
-:class:`ReplayServer` is the receiving half: a pump in the Executor's
-style with a ``(channel, seq)`` replay cache, dispatching decoded frames
-to a handler.  Kill signals (the soak's :class:`WorkerKilled` /
-:class:`CoordinatorKilled`) are deliberately *not* GemStone errors, so
-they pass straight through the dispatch guard: a dead process does not
-answer.
+:class:`RequestChannel` is the shard flavour of the one exactly-once
+client and the receiving half is the one replaying server, both in
+:mod:`repro.executor.exchange` (``docs/networking.md``, "The
+exactly-once exchange").  Kill signals (the soak's
+:class:`WorkerKilled` / :class:`CoordinatorKilled`) are deliberately
+*not* GemStone errors, so they pass straight through the server's
+dispatch guard: a dead process does not answer.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..errors import GemStoneError, LinkCorruption, ProtocolError, RetryableError
+from ..errors import ShardUnavailable
 from ..executor import protocol
-from ..executor.protocol import Frame, FrameType
-from ..executor.replay import ReplayWindow
-
-#: replay-cache entries a server keeps per link
-_REPLAY_CACHE_SIZE = 64
+from ..executor.exchange import ExactlyOnceClient
+from ..executor.protocol import Frame
 
 
 class WorkerKilled(Exception):
@@ -49,47 +45,32 @@ class CoordinatorKilled(Exception):
     """The soak's kill signal for the commit coordinator."""
 
 
-class RequestChannel:
+class RequestChannel(ExactlyOnceClient):
     """One logical request stream over a link end.
 
-    *pump* drains the peer after each send (the in-process links are
-    synchronous).  *clock* is the deterministic
-    :class:`~repro.faults.plan.FaultClock` all timeouts are charged to;
-    *deadline* is the per-request time budget and *retry_delay* the
-    simulated units each retry costs.  ERROR replies are rehydrated into
-    their typed exceptions and raised.
+    The shard flavour of the client: always on a *channel*, always on
+    the deterministic :class:`~repro.faults.plan.FaultClock` with a
+    *deadline*, paced by a :class:`repro.govern.CommitPolicy` when given
+    one (a herd of channels hammering a silent peer then decorrelates
+    exactly like contending committers).  A shard link is never
+    re-dialed from here, so a closed link is *unavailable* at once.
+    ERROR replies are rehydrated into their typed exceptions and raised.
     """
 
     def __init__(
         self,
         link,
-        pump: Callable[[], None],
+        pump: Optional[Callable[[], None]],
         clock,
         channel: int = 0,
         deadline: float = 10.0,
-        retry_delay: float = 1.0,
-        max_attempts: int = 5,
-        unavailable: type = None,
-        policy=None,
+        unavailable: type = ShardUnavailable,
+        **ladder,  # retry_delay, max_attempts, policy: the client's own
     ) -> None:
-        from ..errors import ShardUnavailable
-
-        self.link = link
-        self.pump = pump
-        self.clock = clock
-        self.channel = channel
-        self.deadline = deadline
-        self.retry_delay = retry_delay
-        self.max_attempts = max_attempts
-        #: optional :class:`repro.govern.CommitPolicy` — when set, retry
-        #: pacing uses its seeded jittered exponential backoff instead
-        #: of the flat *retry_delay*, so a herd of channels hammering a
-        #: silent peer decorrelates exactly like contending committers
-        self.policy = policy
-        self.unavailable = unavailable or ShardUnavailable
-        self.retries = 0
-        self.timeouts = 0
-        self._seq = 0
+        super().__init__(
+            link, pump, clock, channel=channel, deadline=deadline,
+            unavailable=unavailable, **ladder,
+        )
 
     def request(self, inner: bytes) -> Frame:
         """One exactly-once request; the matching non-ERROR reply frame.
@@ -98,112 +79,4 @@ class RequestChannel:
         answers inside the deadline/attempt budget — a
         :class:`~repro.errors.RetryableError`, carrying ``retry_after``.
         """
-        self._seq += 1
-        deadline = self.clock.now + self.deadline
-        envelope = protocol.encode_seq(
-            self._seq, inner, deadline=deadline, channel=self.channel
-        )
-        for attempt in range(self.max_attempts):
-            if attempt:
-                self.retries += 1
-                self.clock.advance(
-                    self.policy.backoff_delay(attempt, False)
-                    if self.policy is not None else self.retry_delay
-                )
-                if self.clock.now > deadline:
-                    break
-            try:
-                self.link.send(envelope)
-            except ProtocolError:
-                break  # the link itself is closed: the peer is gone
-            self.pump()
-            reply = self._receive_matching(self._seq)
-            if reply is None:
-                continue  # lost or damaged somewhere: resend
-            if reply.type is FrameType.ERROR:
-                raise protocol.rehydrate_error(
-                    reply.fields["error_class"], reply.fields["message"]
-                )
-            return reply
-        self.timeouts += 1
-        error = self.unavailable(
-            f"no reply to channel {self.channel} seq {self._seq} "
-            f"within {self.deadline} units"
-        )
-        if isinstance(error, RetryableError):
-            error.retry_after = self.retry_delay
-        raise error
-
-    def _receive_matching(self, seq: int) -> Optional[Frame]:
-        while True:
-            try:
-                raw = self.link.receive()
-            except ProtocolError:
-                return None  # truncated tail on a dying link
-            if raw is None:
-                return None
-            try:
-                frame = protocol.decode_frame(raw)
-            except ProtocolError:
-                continue  # damaged response: keep draining
-            if frame.seq == seq and frame.channel == self.channel:
-                return frame
-            # a replayed response to an earlier seq, or another
-            # channel's stray reply: discard and keep draining
-
-
-class ReplayServer:
-    """The serving half: decode, replay-cache, dispatch, answer.
-
-    *handler* maps a decoded :class:`Frame` to response bytes; GemStone
-    errors it raises become ERROR frames.  Kill signals and other
-    non-GemStone exceptions propagate — the caller models a crash by
-    letting them escape the serve loop.
-    """
-
-    def __init__(self, handler: Callable[[Frame], bytes]) -> None:
-        self.handler = handler
-        self.frames_served = 0
-        self.corrupt_dropped = 0
-        self._replay = ReplayWindow(_REPLAY_CACHE_SIZE)
-
-    @property
-    def replays(self) -> int:
-        """Duplicates answered from the replay window, not re-applied."""
-        return self._replay.replays
-
-    def serve(self, link_end) -> None:
-        """Drain every pending frame on *link_end*, answering each."""
-        while True:
-            try:
-                raw = link_end.receive()
-            except ProtocolError:
-                return  # truncated tail on a dying link
-            if raw is None:
-                return
-            try:
-                frame = protocol.decode_frame(raw)
-            except LinkCorruption:
-                self.corrupt_dropped += 1
-                continue  # damaged in transit; the sender retries
-            except ProtocolError:
-                continue
-            response = self._respond(frame)
-            if frame.seq is not None:
-                response = protocol.encode_seq(
-                    frame.seq, response, channel=frame.channel
-                )
-            link_end.send(response)
-            self.frames_served += 1
-
-    def _respond(self, frame: Frame) -> bytes:
-        cached = self._replay.lookup(frame.channel, frame.seq)
-        if cached is not None:
-            return cached  # resend: replay, don't re-apply
-        try:
-            response = self.handler(frame)
-        except GemStoneError as error:
-            response = protocol.encode_error(type(error).__name__, str(error))
-        if frame.seq is not None:
-            self._replay.store(frame.channel, frame.seq, response)
-        return response
+        return protocol.raise_if_error(super().request(inner))

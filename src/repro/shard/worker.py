@@ -33,11 +33,11 @@ from __future__ import annotations
 import json
 
 from ..db import GemStone
-from ..errors import TransactionConflict
+from ..errors import ProtocolError, TransactionConflict
 from ..executor import protocol
+from ..executor.exchange import ReplayingServer
 from ..executor.protocol import Frame, FrameType
 from ..storage.disk import DiskGeometry, SimulatedDisk
-from .rpc import ReplayServer
 
 #: system-object binding holding the durable prepared-transaction record
 PREPARED_KEY = "prepared_2pc"
@@ -76,7 +76,7 @@ class ShardWorker:
         self._pending: dict[str, list[str]] = {}
         #: gtid -> statements, mirrored durably on the system object
         self._durable_prepared: dict[str, list[str]] = {}
-        self.server = ReplayServer(self._handle)
+        self.server = ReplayingServer(self._handle)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -131,9 +131,7 @@ class ShardWorker:
             return self._prepare(frame.fields["gtid"])
         if frame.type is FrameType.DECIDE:
             return self._decide(frame.fields["gtid"], frame.fields["commit"])
-        return protocol.encode_error(
-            "ProtocolError", f"unexpected frame {frame.type.name}"
-        )
+        raise ProtocolError(f"unexpected frame {frame.type.name}")
 
     # -- statements and the single-shard fast path ---------------------------
 

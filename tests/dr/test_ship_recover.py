@@ -157,6 +157,19 @@ class TestOutages:
         with recovered.login() as check:
             assert check.execute("World!lost") == "retried"
 
+    def test_closed_link_fails_the_commit_typed(self):
+        """A closed replica link is the shipper's own typed error — a
+        ``StorageError`` the Transaction Manager aborts on — not a bare
+        wire error escaping ``log_sink`` with the workspace still live."""
+        db, shipper, session, _ = build_primary(commits=1)
+        shipper.link.close()
+        session.execute("World!lost := 'never-acked'")
+        with pytest.raises(errors.ReplicaNotAcknowledged):
+            session.commit()
+        assert not session.session.has_uncommitted_changes
+        assert db.transaction_manager.stats.storage_failures == 1
+        assert shipper.ship_failures == 1
+
 
 class TestWireFormat:
     def test_ship_frame_roundtrip(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro import GemStone, GemStoneError
 from repro.core import Ref
-from repro.errors import ProtocolError
+from repro.errors import AuthorizationError, ProtocolError
 from repro.executor import FrameType, HostConnection, make_link
 from repro.executor import protocol
 
@@ -154,7 +154,7 @@ class TestHostConnection:
 
     def test_bad_login(self, db):
         connection = HostConnection(db)
-        with pytest.raises(GemStoneError):
+        with pytest.raises(AuthorizationError):  # the type survives the wire
             connection.login("DataCurator", "wrong")
 
     def test_execute_before_login_rejected(self, db):

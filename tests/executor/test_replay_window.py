@@ -14,8 +14,12 @@ dropping whatever arrives out of order.
 import pytest
 
 from repro import GemStone
-from repro.executor import HostConnection, ReplayWindow, make_link
+from repro.errors import LinkTimeout
+from repro.executor import (
+    ExactlyOnceClient, HostConnection, ReplayWindow, make_link,
+)
 from repro.executor import protocol
+from repro.executor.exchange import STASH_LIMIT
 from repro.executor.protocol import FrameType
 
 
@@ -136,40 +140,46 @@ class TestDelayedDuplicateCommit:
         assert executor.replays == before
 
 
-class TestHostCorrelation:
-    def test_out_of_order_response_is_stashed_not_dropped(self, db):
+class TestClientCorrelation:
+    """The one stop-and-wait client, driven through ``request`` alone: a
+    bare link whose far end is answered by hand stands in for any peer."""
+
+    def test_out_of_order_response_is_stashed_not_dropped(self):
         """A response for a different seq must be filed for its own
         requester; the old client dropped it and timed out."""
-        conn = HostConnection(db)
-        conn.login("DataCurator", "swordfish")
-        # hand-deliver two responses in reversed order
-        gem_to_host = conn._gem_end
-        gem_to_host.send(protocol.encode_seq(
-            conn._seq + 2, protocol.encode_result(2, "2")
-        ))
-        gem_to_host.send(protocol.encode_seq(
-            conn._seq + 1, protocol.encode_result(1, "1")
-        ))
-        first = conn._receive_matching(conn._seq + 1)
-        assert first is not None and first.fields["value"] == 1
+        near, far = make_link()
+        client = ExactlyOnceClient(near)
+        # hand-deliver the first two responses in reversed order
+        far.send(protocol.encode_seq(2, protocol.encode_result(2, "2")))
+        far.send(protocol.encode_seq(1, protocol.encode_result(1, "1")))
+        first = client.request(protocol.encode_execute("1"))
+        assert first.fields["value"] == 1
         # the overtaking response was stashed, not discarded
-        second = conn._receive_matching(conn._seq + 2)
-        assert second is not None and second.fields["value"] == 2
+        assert list(client.stash) == [2]
+        second = client.request(protocol.encode_execute("2"))
+        assert second.fields["value"] == 2
+        assert (client.retries, client.timeouts) == (0, 0)
 
-    def test_stash_is_bounded(self, db):
-        from repro.executor.executor import _RESPONSE_STASH_LIMIT
-
-        conn = HostConnection(db)
-        conn.login("DataCurator", "swordfish")
-        gem_to_host = conn._gem_end
-        base = conn._seq + 100
-        for offset in range(_RESPONSE_STASH_LIMIT + 5):
-            gem_to_host.send(protocol.encode_seq(
-                base + offset, protocol.encode_result(offset, str(offset))
+    def test_stash_is_bounded(self):
+        near, far = make_link()
+        client = ExactlyOnceClient(near)
+        for offset in range(STASH_LIMIT + 5):
+            far.send(protocol.encode_seq(
+                100 + offset, protocol.encode_result(offset, str(offset))
             ))
-        gem_to_host.send(protocol.encode_seq(
-            conn._seq + 1, protocol.encode_result(-1, "match")
+        far.send(protocol.encode_seq(1, protocol.encode_result(-1, "match")))
+        match = client.request(protocol.encode_execute("1"))
+        assert match.fields["value"] == -1
+        assert len(client.stash) == STASH_LIMIT
+        assert 100 not in client.stash  # the oldest were forgotten
+
+    def test_another_channels_stray_is_neither_matched_nor_stashed(self):
+        near, far = make_link()
+        client = ExactlyOnceClient(near, channel=0, max_attempts=1)
+        far.send(protocol.encode_seq(
+            1, protocol.encode_result(9, "9"), channel=1
         ))
-        match = conn._receive_matching(conn._seq + 1)
-        assert match is not None
-        assert len(conn._responses) <= _RESPONSE_STASH_LIMIT
+        with pytest.raises(LinkTimeout) as caught:
+            client.request(protocol.encode_execute("1"))
+        assert caught.value.retry_after == client.retry_delay
+        assert not client.stash

@@ -3,10 +3,15 @@
 import pytest
 
 from repro import GemStone
+from repro.dr.ship import LogReceiver, LogShipper
+from repro.dr.store import ReplicaLogStore
 from repro.errors import LinkTimeout
 from repro.executor import FrameType, HostConnection, make_link
 from repro.executor import protocol
-from repro.faults import FaultPlan, FaultSpec, make_faulty_link
+from repro.faults import FaultClock, FaultPlan, FaultSpec, make_faulty_link
+from repro.shard.rpc import RequestChannel
+from repro.shard.worker import ShardWorker
+from repro.storage import DiskGeometry, SimulatedDisk
 
 
 @pytest.fixture
@@ -81,7 +86,7 @@ class TestPartition:
 
         faulty_host = FaultyLink(conn.host_end, plan)
         faulty_host.partition()
-        conn.host_end = faulty_host
+        conn.link = faulty_host
         value, _ = conn.execute("6 * 7")
         assert value == 42
         assert conn.reconnects > 0
@@ -215,22 +220,67 @@ class TestReorder:
             conn.execute("World!n := World!n + 1")
         assert conn.execute("World!n")[0] == 10
 
-    def test_exactly_once_under_loss_duplication_and_reordering(self, db):
-        """The full fault mix the replay window exists for."""
-        conn = HostConnection(
-            db,
-            link_factory=faulty_factory(
-                FaultSpec(drop_rate=0.15, duplicate_rate=0.2,
-                          reorder_rate=0.2),
-                seed=17,
-            ),
-            max_attempts=15,
+# -- the exactly-once property, once, for every flavour of the exchange ------
+#
+# Each flavour drives eight state-changing requests through one faulty
+# link with its own client and its own server, and returns how many
+# times the server's state says they were applied.
+
+
+def host_execute_commit(plan):
+    conn = HostConnection(
+        GemStone.create(track_count=1024, track_size=1024),
+        link_factory=lambda: make_faulty_link(plan), max_attempts=15,
+    )
+    conn.login("DataCurator", "swordfish")
+    conn.execute("World!n := 0")
+    for _ in range(8):
+        conn.execute("World!n := World!n + 1")
+        assert conn.commit() is not None
+    return conn.execute("World!n")[0], conn, conn.executor
+
+
+def shard_exec_on_a_channel(plan):
+    worker = ShardWorker(0)
+    near, far = make_faulty_link(plan)
+    channel = RequestChannel(
+        near, lambda: worker.serve(far), FaultClock(),
+        channel=1, deadline=1000.0, max_attempts=15,
+    )
+    channel.request(protocol.encode_shard_exec("g0.1", "World!n := 0"))
+    for _ in range(8):
+        channel.request(
+            protocol.encode_shard_exec("g0.1", "World!n := World!n + 1")
         )
-        conn.login("DataCurator", "swordfish")
-        conn.execute("World!n := 0")
-        commits = []
-        for _ in range(8):
-            conn.execute("World!n := World!n + 1")
-            commits.append(conn.commit())
-        assert all(t is not None for t in commits)
-        assert conn.execute("World!n")[0] == 8
+    reply = channel.request(protocol.encode_shard_exec("g0.1", "World!n"))
+    return reply.fields["value"], channel, worker.server
+
+
+def ship(plan):
+    store = ReplicaLogStore()
+    receiver = LogReceiver(store)
+    near, far = make_faulty_link(plan)
+    shipper = LogShipper(near, lambda: receiver.serve(far), max_attempts=15)
+    shipper.bootstrap(
+        SimulatedDisk(DiskGeometry(track_count=4, track_size=64)), epoch=0
+    )
+    for epoch in range(1, 9):
+        shipper.on_commit(epoch, 0, b"root%d" % epoch, {7: b"data"})
+    assert store.acked_epoch == shipper.acked_epoch == 8
+    # a duplicate the window let through would have reached the store
+    return store.records_appended - 1 - store.duplicates_ignored, shipper, receiver
+
+
+@pytest.mark.parametrize(
+    "flavour", [host_execute_commit, shard_exec_on_a_channel, ship]
+)
+def test_exactly_once_under_loss_duplication_and_reordering(flavour):
+    """The full fault mix the replay window exists for."""
+    plan = FaultPlan(
+        seed=17,
+        spec=FaultSpec(drop_rate=0.15, duplicate_rate=0.2, reorder_rate=0.2),
+    )
+    applied, client, server = flavour(plan)
+    assert applied == 8
+    assert client.retries > 0 and server.replays > 0  # the faults were real
+    assert client.timeouts == 0

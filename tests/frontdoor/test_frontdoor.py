@@ -9,7 +9,7 @@ import pathlib
 import pytest
 
 from repro import GemStone
-from repro.errors import OverloadedError
+from repro.errors import AuthorizationError, OverloadedError
 from repro.executor import protocol
 from repro.executor.executor import Executor
 from repro.executor.protocol import FrameType
@@ -74,6 +74,15 @@ class TestHappyPath:
             await conn.close()
             assert door.requests >= 9
             assert door.links_served == 1
+
+        run(scenario())
+
+    def test_bad_login_raises_the_typed_error(self):
+        async def scenario():
+            conn = await AsyncHostConnection.open(FrontDoor(fresh_db()).connect())
+            with pytest.raises(AuthorizationError):
+                await conn.login("DataCurator", "wrong")
+            await conn.close()
 
         run(scenario())
 

@@ -167,13 +167,12 @@ class TestExecutorIntegration:
         conn = HostConnection(db, admission=admission, request_deadline=5.0)
         conn.login("DataCurator", "swordfish")
 
-        original = conn._deadline
-        conn._deadline = lambda: admission.clock.now - 1.0  # already past
+        conn.deadline = -1.0  # stamped already past
         with pytest.raises(DeadlineExceeded):
             conn.execute("1 + 1")
         assert conn.executor.deadline_rejections == 1
 
-        conn._deadline = original  # fresh deadlines are honoured again
+        conn.deadline = 5.0  # fresh deadlines are honoured again
         _, display = conn.execute("1 + 1")
         assert display == "2"
 

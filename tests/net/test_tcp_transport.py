@@ -16,12 +16,14 @@ import asyncio
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from repro.db import GemStone
 from repro.errors import LinkTimeout, ProtocolError
 from repro.frontdoor.server import FrontDoor
+from repro.govern.admission import AdmissionController
 from repro.net import (
     Listener,
     TcpHostConnection,
@@ -161,9 +163,9 @@ class TestFailureSemantics:
 class _DoorServer:
     """A front door served on its own event-loop thread (sync tests)."""
 
-    def __init__(self) -> None:
+    def __init__(self, admission=None) -> None:
         self.database = GemStone.create(track_count=2_048, track_size=1024)
-        self.door = FrontDoor(self.database)
+        self.door = FrontDoor(self.database, admission=admission)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, daemon=True
@@ -220,6 +222,32 @@ class TestSyncClientOverTcp:
             assert connection.execute("World!rc")[0] == 1
             assert connection.reconnects >= 1
             assert connection.commit() is not None
+            connection.logout()
+            connection.close()
+        finally:
+            served.close()
+
+    def test_shed_request_backs_off_in_real_time(self):
+        """No clock is shared over a socket, so the carried retry-after
+        is slept for (1–50 ms a backoff), not skipped: against a bucket
+        that holds one request and drains one every 100 ms, the second
+        request is shed, waited out and then served — eight back-to-back
+        resubmissions would all land inside the same 100 ms."""
+
+        class WallClock:
+            @property
+            def now(self) -> float:
+                return time.monotonic() * 10.0
+
+        served = _DoorServer(
+            AdmissionController(clock=WallClock(), queue_capacity=1.0)
+        )
+        try:
+            connection = TcpHostConnection("127.0.0.1", served.port)
+            connection.login("DataCurator", "swordfish")
+            assert connection.execute("1 + 1")[0] == 2  # fills the bucket
+            assert connection.execute("2 + 2")[0] == 4  # shed, then served
+            assert connection.overload_backoffs >= 1
             connection.logout()
             connection.close()
         finally:
