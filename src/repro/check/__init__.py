@@ -42,11 +42,11 @@ from .reference import ShadowStore, evaluate_reference
 from .report import reproducer_command
 from .schedule import ScheduleReport, run_schedule_case, run_schedule_range
 from .sharded import (
-    ShardMismatch,
-    ShardedDifferentialReport,
+    StackDifferentialReport,
+    StackMismatch,
     generate_shard_workload,
-    run_sharded_case,
-    run_sharded_range,
+    run_stack_case,
+    run_stack_range,
 )
 from .shrink import shrink_case
 from .soak import run_soak
@@ -63,8 +63,8 @@ __all__ = [
     "QuerySpec",
     "ScheduleReport",
     "ShadowStore",
-    "ShardMismatch",
-    "ShardedDifferentialReport",
+    "StackDifferentialReport",
+    "StackMismatch",
     "TemporalReport",
     "case_key",
     "evaluate_reference",
@@ -75,9 +75,9 @@ __all__ = [
     "run_differential_range",
     "run_schedule_case",
     "run_schedule_range",
-    "run_sharded_case",
-    "run_sharded_range",
     "run_soak",
+    "run_stack_case",
+    "run_stack_range",
     "run_temporal_case",
     "run_temporal_range",
     "shrink_case",

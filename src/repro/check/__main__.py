@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cluster import run_cluster_case, run_cluster_range
 from .differential import PlanMemo, run_differential_case
 from .generate import generate_case
 from .report import describe_case
 from .schedule import run_schedule_case
-from .sharded import run_sharded_case
+from .sharded import run_stack_case, run_stack_range
 from .shrink import shrink_case
 from .soak import run_soak
 from .temporal import run_temporal_case
@@ -99,28 +98,20 @@ def _run_temporal(args) -> int:
     return 1
 
 
-def _run_sharded(args) -> int:
-    report = run_sharded_case(args.seed, args.case)
+#: how each stack oracle names what agreed
+_STACKS = {
+    "sharded": "on both stores",
+    "cluster": "across the baseline, the in-process cluster, and real "
+               "worker processes",
+}
+
+
+def _run_stacks(args) -> int:
+    report = run_stack_case(args.seed, args.case, oracle=args.oracle)
     if report.ok:
         print(
             f"ok: seed={args.seed} case={args.case} "
-            f"{report.statements} statements agree on both stores "
-            f"({report.commits} commits, "
-            f"{report.cross_shard_commits} cross-shard)"
-        )
-        return 0
-    for mismatch in report.mismatches:
-        print(mismatch.describe())
-    return 1
-
-
-def _run_cluster(args) -> int:
-    report = run_cluster_case(args.seed, args.case)
-    if report.ok:
-        print(
-            f"ok: seed={args.seed} case={args.case} "
-            f"{report.statements} statements agree across the baseline, "
-            f"the in-process cluster, and real worker processes "
+            f"{report.statements} statements agree {_STACKS[args.oracle]} "
             f"({report.commits} commits, "
             f"{report.cross_shard_commits} cross-shard)"
         )
@@ -148,7 +139,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.case is None:
         if args.oracle == "cluster":
-            report = run_cluster_range(args.seed, args.cases)
+            report = run_stack_range(args.seed, args.cases, oracle="cluster")
             if report.ok:
                 print(
                     f"ok: seed={args.seed} cases={args.cases} "
@@ -169,10 +160,8 @@ def main(argv=None) -> int:
         return _run_differential(args)
     if args.oracle == "temporal":
         return _run_temporal(args)
-    if args.oracle == "sharded":
-        return _run_sharded(args)
-    if args.oracle == "cluster":
-        return _run_cluster(args)
+    if args.oracle in _STACKS:
+        return _run_stacks(args)
     return _run_schedule(args)
 
 

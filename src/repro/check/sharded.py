@@ -1,4 +1,4 @@
-"""Statement-level differential: sharded execution vs the single store.
+"""Statement-level differential: N execution stacks, zero divergence.
 
 The sharded cluster (:mod:`repro.shard`) claims to be *transparent*: a
 session speaking OPAL through the sharded front end must observe exactly
@@ -6,14 +6,25 @@ what it would observe against one monolithic GemStone — same statement
 results, same printStrings, same commit outcomes, same final bindings.
 This oracle checks that claim the same way the query oracle checks the
 calculus→algebra translation: generate a seeded workload, run it down
-both paths, and demand byte-identical observations.
+every stack of a list, and demand byte-identical observations.  The
+first stack is always the baseline, one in-process GemStone; the
+``--oracle`` picks the rest:
+
+``sharded``
+    the cluster over in-memory hosts (``ShardedGemStone``);
+``cluster``
+    that, and the cluster over worker *processes* on ``FileDisk``
+    platters with every frame crossing a real TCP socket
+    (``ProcCluster``) — anything the transport, the process boundary
+    or the durable platter changes about an answer is a divergence.
 
 The generator only emits statements whose bindings co-reside on one
 shard (cross-shard data flow inside a *single* statement is a routing
 error by design — see ``docs/sharding.md``), but transactions freely
 span shards, so the sweep exercises both the single-shard fast path and
 presumed-abort 2PC.  Failures print ``python -m repro.check --oracle
-sharded --seed N --case K`` reproducers, like every other oracle here.
+sharded|cluster --seed N --case K`` reproducers, like every other
+oracle here.
 """
 
 from __future__ import annotations
@@ -33,6 +44,22 @@ from .report import reproducer_command
 #: the catalog both see realistic, colliding-ish identifiers
 _POOL = 8
 
+#: per oracle: the default cluster width and workload length (part of
+#: what a seed means, so they differ as they always have)
+_DEFAULTS = {"sharded": (3, 10), "cluster": (2, 8)}
+
+
+def _stacks(oracle: str, shards: int) -> dict[str, Any]:
+    """The named stacks *oracle* compares, baseline first."""
+    stacks = {
+        "baseline": GemStone.create(),
+        "in-process": ShardedGemStone(shard_count=shards),
+    }
+    if oracle == "cluster":
+        from ..shard.procs import ProcCluster
+
+        stacks["processes"] = ProcCluster(shard_count=shards)
+    return stacks
 
 def generate_shard_workload(
     seed: int, case: int, *, shards: int, transactions: int
@@ -68,38 +95,46 @@ def generate_shard_workload(
 
 
 @dataclass
-class ShardMismatch:
-    """One divergence between the sharded path and the baseline."""
+class StackMismatch:
+    """One divergence between the stacks."""
 
     seed: int
     case: int
+    oracle: str
     transaction: int
     what: str
-    baseline: Any
-    sharded: Any
+    #: stack name → what that stack observed, baseline first
+    observed: dict[str, Any]
 
     def describe(self) -> str:
-        return (
-            f"sharded-vs-baseline divergence in transaction "
-            f"{self.transaction}: {self.what}\n"
-            f"  baseline: {self.baseline!r}\n"
-            f"  sharded:  {self.sharded!r}\n"
-            f"  reproduce: "
-            f"{reproducer_command(self.seed, self.case, oracle='sharded')}"
+        width = max(len(name) for name in self.observed) + 1
+        lines = [
+            f"{self.oracle} divergence in transaction "
+            f"{self.transaction}: {self.what}"
+        ]
+        lines += [
+            f"  {name + ':':<{width}} {value!r}"
+            for name, value in self.observed.items()
+        ]
+        lines.append(
+            "  reproduce: "
+            + reproducer_command(self.seed, self.case, oracle=self.oracle)
         )
+        return "\n".join(lines)
 
 
 @dataclass
-class ShardedDifferentialReport:
-    """The outcome of one sharded-vs-baseline case."""
+class StackDifferentialReport:
+    """The outcome of one case (or a folded range of cases)."""
 
     seed: int
     case: int
+    oracle: str
     shards: int
     statements: int = 0
     commits: int = 0
     cross_shard_commits: int = 0
-    mismatches: list[ShardMismatch] = field(default_factory=list)
+    mismatches: list[StackMismatch] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -127,76 +162,100 @@ def _observe(session, statements: list[str]) -> dict[str, Any]:
     return {"results": results, "outcome": outcome}
 
 
-def run_sharded_case(
+def _same(values) -> bool:
+    return all(value == values[0] for value in values[1:])
+
+
+def run_stack_case(
     seed: int,
     case: int,
     *,
-    shards: int = 3,
-    transactions: int = 10,
+    oracle: str = "sharded",
+    shards: int | None = None,
+    transactions: int | None = None,
     registry=None,
-) -> ShardedDifferentialReport:
-    """One seeded workload, run against both stores and compared."""
-    report = ShardedDifferentialReport(seed=seed, case=case, shards=shards)
-    workload = generate_shard_workload(
-        seed, case, shards=shards, transactions=transactions
+) -> StackDifferentialReport:
+    """One seeded workload down every stack of *oracle*, compared
+    observable by observable."""
+    default_shards, default_transactions = _DEFAULTS[oracle]
+    shards = shards or default_shards
+    report = StackDifferentialReport(
+        seed=seed, case=case, oracle=oracle, shards=shards
     )
-    baseline = GemStone.create()
-    cluster = ShardedGemStone(shard_count=shards)
+    workload = generate_shard_workload(
+        seed, case, shards=shards,
+        transactions=transactions or default_transactions,
+    )
+    stacks = _stacks(oracle, shards)
+    clusters = list(stacks.values())[1:]
 
-    def note(transaction: int, what: str, base, shard) -> None:
-        report.mismatches.append(ShardMismatch(
-            seed=seed, case=case, transaction=transaction,
-            what=what, baseline=base, sharded=shard,
+    def note(transaction: int, what: str, values) -> None:
+        report.mismatches.append(StackMismatch(
+            seed=seed, case=case, oracle=oracle, transaction=transaction,
+            what=what, observed=dict(zip(stacks, values)),
         ))
         if registry is not None:
-            registry.inc("check.sharded.mismatches")
+            registry.inc(f"check.{oracle}.mismatches")
 
-    for t, statements in enumerate(workload):
-        base = _observe(baseline.login(), statements)
-        shard = _observe(cluster.login(), statements)
-        report.statements += len(statements)
-        if registry is not None:
-            registry.inc("check.sharded.statements", len(statements))
-        if base["outcome"] != shard["outcome"]:
-            note(t, "commit outcome", base["outcome"], shard["outcome"])
-            continue
-        if base["outcome"] == "committed":
-            report.commits += 1
-        for i, (b, s) in enumerate(zip(base["results"], shard["results"])):
-            if b[0] != s[0]:
-                note(t, f"statement {i} value ({statements[i]!r})",
-                     b[0], s[0])
-            elif b[1] != s[1]:
-                note(t, f"statement {i} display ({statements[i]!r})",
-                     b[1], s[1])
+    try:
+        for t, statements in enumerate(workload):
+            seen = [
+                _observe(stack.login(), statements)
+                for stack in stacks.values()
+            ]
+            report.statements += len(statements)
+            if registry is not None:
+                registry.inc(f"check.{oracle}.statements", len(statements))
+            outcomes = [one["outcome"] for one in seen]
+            if not _same(outcomes):
+                note(t, "commit outcome", outcomes)
+                continue
+            if outcomes[0] == "committed":
+                report.commits += 1
+            for i, results in enumerate(zip(*(one["results"] for one in seen))):
+                values = [value for value, _display in results]
+                displays = [display for _value, display in results]
+                if not _same(values):
+                    note(t, f"statement {i} value ({statements[i]!r})", values)
+                elif not _same(displays):
+                    note(t, f"statement {i} display ({statements[i]!r})",
+                         displays)
 
-    # the final state: every binding in the pool must agree
-    base_reader = baseline.login()
-    shard_reader = cluster.login()
-    for key in (f"sd{case}k{i}" for i in range(_POOL)):
-        b = base_reader.execute(f"World!{key}")
-        s = shard_reader.execute(f"World!{key}")
-        if b != s:
-            note(-1, f"final value of World!{key}", b, s)
+        # the final state: every binding in the pool must agree
+        readers = [stack.login() for stack in stacks.values()]
+        for key in (f"sd{case}k{i}" for i in range(_POOL)):
+            values = [reader.execute(f"World!{key}") for reader in readers]
+            if not _same(values):
+                note(-1, f"final value of World!{key}", values)
 
-    report.cross_shard_commits = cluster.cross_shard_commits
+        counts = [cluster.cross_shard_commits for cluster in clusters]
+        report.cross_shard_commits = counts[-1]
+        if not _same(counts):
+            note(-1, "cross-shard commit count", ["-", *counts])
+    finally:
+        for cluster in clusters:
+            cluster.close()
     return report
 
 
-def run_sharded_range(
+def run_stack_range(
     seed: int,
     cases: int,
     *,
-    shards: int = 3,
-    transactions: int = 10,
+    oracle: str = "sharded",
+    shards: int | None = None,
+    transactions: int | None = None,
     registry=None,
-) -> ShardedDifferentialReport:
+) -> StackDifferentialReport:
     """Fold *cases* consecutive case indices into one report."""
-    folded = ShardedDifferentialReport(seed=seed, case=0, shards=shards)
+    folded = StackDifferentialReport(
+        seed=seed, case=0, oracle=oracle,
+        shards=shards or _DEFAULTS[oracle][0],
+    )
     for case in range(cases):
-        one = run_sharded_case(
-            seed, case, shards=shards, transactions=transactions,
-            registry=registry,
+        one = run_stack_case(
+            seed, case, oracle=oracle, shards=shards,
+            transactions=transactions, registry=registry,
         )
         folded.statements += one.statements
         folded.commits += one.commits

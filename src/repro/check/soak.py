@@ -16,7 +16,7 @@ from typing import Any
 
 from .differential import CheckFailure, run_differential_range
 from .schedule import run_schedule_range
-from .sharded import run_sharded_range
+from .sharded import run_stack_range
 from .temporal import run_temporal_range
 
 
@@ -49,7 +49,7 @@ def run_soak(
     schedule = run_schedule_range(
         database, seed, schedule_cases, registry=registry
     )
-    sharded = run_sharded_range(seed, sharded_cases, registry=registry)
+    sharded = run_stack_range(seed, sharded_cases, registry=registry)
 
     problems: list[str] = []
     problems.extend(m.describe() for m in diff.mismatches)

@@ -333,7 +333,7 @@ class TransactionManager:
                 )
             except StorageError:
                 # nothing became durable; the transaction stays prepared
-                # (in doubt) for a later retry or post-restart RESOLVE
+                # (in doubt) for a later retry or post-restart resolution
                 self.stats.storage_failures += 1
                 raise
             del self._prepared[gtid]

@@ -250,7 +250,7 @@ class TransactionInDoubt(ShardError, RetryableError):
     The outcome is unknown to the *client* (the decision log knows): a
     prepared participant neither committed nor aborted yet.  Retryable in
     the operational sense — once the coordinator restarts, in-doubt
-    participants RESOLVE against its durable decision log and the
+    participants are resolved from its durable decision log and the
     transaction lands on exactly one side.
     """
 

@@ -1,17 +1,15 @@
 """The exactly-once exchange: one stop-and-wait client, one replaying server.
 
 Every synchronous conversation — host ↔ Executor, cluster ↔ shard
-worker, participant ↔ coordinator, primary ↔ replica — is the same
-exchange over a blocking link end (``send`` / ``receive`` / ``close`` /
-``peer_closed``): the sender wraps each request in a checksummed SEQ
-envelope and resends it until the reply with the same sequence number
-arrives; the receiver applies each ``(channel, seq)`` at most once and
-answers every resend from its
+worker, primary ↔ replica — is the same exchange over a blocking link
+end (``send`` / ``receive`` / ``close`` / ``peer_closed``): the sender
+wraps each request in a checksummed SEQ envelope and resends it until
+the reply with the same sequence number arrives; the receiver applies
+each ``(channel, seq)`` at most once and answers every resend from its
 :class:`~repro.executor.replay.ReplayWindow`.  Both halves live here,
 once; the flavours (``HostConnection`` / ``RequestChannel`` /
-``LogShipper`` sending, ``Executor`` / shard worker / resolution
-service / ``LogReceiver`` receiving) plug in a frame family, an error
-type and a handler.  ``docs/networking.md`` ("The exactly-once
+``LogShipper`` sending, ``Executor`` / shard worker / ``LogReceiver``
+receiving) plug in a frame family, an error type and a handler.  ``docs/networking.md`` ("The exactly-once
 exchange") is the prose version.
 """
 

@@ -67,8 +67,6 @@ class FrameType(IntEnum):
     VOTE = 20
     DECIDE = 21
     DECIDE_ACK = 22
-    RESOLVE = 23
-    RESOLVED = 24
     SHARD_EXEC = 25
     SHARD_COMMIT = 26
     # -- repro.net: TCP session resume + process status
@@ -202,8 +200,8 @@ def encode_ship_status() -> bytes:
 # Cross-shard commit speaks presumed-abort two-phase commit over the same
 # SEQ envelope: the coordinator PREPAREs every touched shard, collects
 # VOTEs, durably logs a commit decision, and DECIDEs; a restarted shard
-# re-acquires its prepared locks and asks the coordinator to RESOLVE each
-# in-doubt transaction against the decision log.  SHARD_EXEC routes one
+# re-acquires its prepared locks and recovery DECIDEs each in-doubt
+# transaction from the decision log.  SHARD_EXEC routes one
 # statement into a shard-side transaction; SHARD_COMMIT is the one-shard
 # fast path that skips the protocol entirely.
 
@@ -243,23 +241,6 @@ def encode_decide_ack(gtid: str, epoch: int) -> bytes:
     return writer.getvalue()
 
 
-def encode_resolve(gtid: str) -> bytes:
-    """A restarted participant asks the coordinator for *gtid*'s outcome."""
-    writer = Writer()
-    writer.raw(bytes([FrameType.RESOLVE]))
-    writer.string(gtid)
-    return writer.getvalue()
-
-
-def encode_resolved(gtid: str, commit: bool) -> bytes:
-    """The coordinator's answer: logged == commit, unlogged == presumed abort."""
-    writer = Writer()
-    writer.raw(bytes([FrameType.RESOLVED]))
-    writer.string(gtid)
-    writer.raw(bytes([1 if commit else 0]))
-    return writer.getvalue()
-
-
 def encode_shard_exec(gtid: str, source: str) -> bytes:
     """Route one OPAL statement into shard-side transaction *gtid*."""
     writer = Writer()
@@ -276,8 +257,8 @@ def encode_shard_exec(gtid: str, source: str) -> bytes:
 # answers HELLO_OK (unsequenced) and binds the connection to the token's
 # executor — same session, same replay window — which is what makes
 # post-reconnect resends of unacked seqs land as replays instead of
-# double-applies.  STATUS/STATUS_REPORT is the worker-process health and
-# recovery probe (in-doubt gtids, window census) used by repro.shard.procs.
+# double-applies.  STATUS/STATUS_REPORT is the shard worker's health and
+# recovery probe (in-doubt gtids, window census) used by repro.shard.
 
 
 def encode_hello(token: str) -> bytes:
@@ -297,7 +278,7 @@ def encode_hello_ok(token: str) -> bytes:
 
 
 def encode_status() -> bytes:
-    """Ask a worker process for its recovery/health report."""
+    """Ask a shard worker for its recovery/health report."""
     return bytes([FrameType.STATUS])
 
 
@@ -461,14 +442,13 @@ def decode_frame(data: bytes) -> Frame:
         fields["record"] = reader.raw(reader.remaining())
     elif frame_type is FrameType.SHIP_ACK:
         fields["epoch"] = reader.uvarint()
-    elif frame_type in (FrameType.PREPARE, FrameType.RESOLVE,
-                        FrameType.SHARD_COMMIT):
+    elif frame_type in (FrameType.PREPARE, FrameType.SHARD_COMMIT):
         fields["gtid"] = reader.string()
     elif frame_type is FrameType.VOTE:
         fields["gtid"] = reader.string()
         fields["commit"] = reader.byte() == 1
         fields["read_only"] = reader.byte() == 1
-    elif frame_type in (FrameType.DECIDE, FrameType.RESOLVED):
+    elif frame_type is FrameType.DECIDE:
         fields["gtid"] = reader.string()
         fields["commit"] = reader.byte() == 1
     elif frame_type is FrameType.DECIDE_ACK:

@@ -4,36 +4,39 @@ ROADMAP item 1: break the one-process ceiling.  The paper's GemStone is
 Session Managers in front of one Commit Manager whose safe group writes
 make commit atomic on a single disk; here the world's top-level names
 are hash-partitioned across N :class:`~repro.shard.worker.ShardWorker`
-processes (each a complete GemStone on its own platter) behind one
+instances (each a complete GemStone on its own platter) behind one
 :class:`~repro.shard.cluster.ShardedGemStone` front end, and a
 transaction spanning shards commits atomically through a
 **presumed-abort two-phase commit** whose decision log is durable via
 the same safe group writes (:mod:`repro.shard.decisions`).
 
-The fault story is swept, not sampled: :func:`run_shard_soak` kills the
-coordinator and each participant at every protocol window and proves —
-after restart and in-doubt resolution — zero committed-transaction
-loss, zero half-committed cross-shard state, and nothing left in doubt.
-``python -m repro.shard --seed N --kill K`` replays any failure.
+There is one cluster, over a list of worker *hosts*; the host decides
+only where a worker runs, how it is reached and how it dies.
+``ShardedGemStone(...)`` runs the workers in this process on simulated
+disks (the test fake); :class:`ProcCluster` (:mod:`repro.shard.procs`)
+is the same class constructed over forked worker processes, each on
+its own ``FileDisk`` platter, every frame crossing real TCP.
 
-:mod:`repro.shard.procs` removes the last simplification: the same
-cluster with each worker a real OS process on its own ``FileDisk``
-platter, every frame crossing real TCP (:class:`ProcCluster`), and the
-same sweep at process level via :func:`run_proc_soak`
-(``python -m repro.shard.procs``).
+The fault story is swept, not sampled: :func:`run_shard_soak` kills the
+coordinator and each participant at every protocol window — the same
+windows on either host — and proves, after the cluster's one
+``recover()``, zero committed-transaction loss, zero half-committed
+cross-shard state, and nothing left in doubt.
+``python -m repro.shard --host memory|process --seed N --kill K``
+replays any failure.
 
 See docs/sharding.md for the state machine and the recovery matrix,
 and docs/networking.md for the process topology.
 """
 
-from .cluster import ShardedGemStone, ShardedSession
+from .cluster import MemoryHost, ShardedGemStone, ShardedSession
 from .coordinator import TwoPhaseCoordinator
 from .decisions import DecisionLog
 from .partition import route_statement, shard_of, statement_keys
 from .soak import ShardFailure, ShardSoakReport, WindowKiller, run_shard_soak
 from .worker import ShardWorker
 
-_PROC_NAMES = ("ProcCluster", "WorkerProc", "run_proc_soak")
+_PROC_NAMES = ("ProcCluster", "WorkerProc")
 
 
 def __getattr__(name):
@@ -47,6 +50,7 @@ def __getattr__(name):
 
 __all__ = [
     "DecisionLog",
+    "MemoryHost",
     "ProcCluster",
     "ShardFailure",
     "ShardSoakReport",
@@ -57,7 +61,6 @@ __all__ = [
     "WindowKiller",
     "WorkerProc",
     "route_statement",
-    "run_proc_soak",
     "run_shard_soak",
     "shard_of",
     "statement_keys",

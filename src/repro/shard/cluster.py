@@ -1,11 +1,26 @@
 """One logical GemStone over N shard workers.
 
-:class:`ShardedGemStone` assembles the pieces: a worker per partition
-(each a full GemStone on its own simulated disk), the presumed-abort
-coordinator with its durable decision log on a dedicated disk, and the
-SEQ-enveloped links between them — one link per worker carrying two
-channels (session statements, 2PC control) plus a resolution link the
-coordinator serves for restarting participants.
+:class:`ShardedGemStone` is the cluster, and there is one: sessions,
+global transaction ids, the presumed-abort coordinator with its durable
+decision log, two SEQ channels per worker (session statements, 2PC
+control), ``STATUS`` health probes, observability, and the one recovery
+procedure.  It runs over a list of **worker hosts**; a host is only
+what genuinely differs between running the workers here and running
+them for real:
+
+* **placement** — where the :class:`~repro.shard.worker.ShardWorker`
+  runs and its platter lives: this process on a ``SimulatedDisk``
+  (:class:`MemoryHost`), or a forked process on a ``FileDisk`` in its
+  own directory (:class:`~repro.shard.procs.WorkerProc`);
+* **link** — how it is reached: ``make_link`` plus a pump that drains
+  the worker after each send, or ``dial`` over TCP and no pump;
+* **death** — ``WorkerKilled`` raised at the armed window, or SIGKILL;
+* **respawn** — ``ShardWorker.reopen`` on the surviving platter, in
+  place or in a new process.
+
+Constructing ``ShardedGemStone`` picks memory hosts (the test fake);
+:class:`~repro.shard.procs.ProcCluster` is the same class constructed
+over process hosts.  The coordinator always lives with the cluster.
 
 :class:`ShardedSession` is the front end.  It quacks like
 :class:`~repro.db.GemSession` closely enough that the existing
@@ -15,37 +30,132 @@ owning shard (see :mod:`repro.shard.partition`), ``commit`` takes the
 single-shard fast path when only one worker participated and otherwise
 runs full 2PC, ``abort`` rolls every participant back.
 
-The restart path mirrors :class:`~repro.db.GemStone.open`: build the
-cluster from the surviving platters (``worker_disks``/
-``decision_disk``), then call :meth:`ShardedGemStone.recover` — every
-worker re-prepares its in-doubt transactions from their durable
-records, RESOLVEs them against the decision log, and the coordinator
-re-delivers any pending logged commits.
+Recovery (:meth:`ShardedGemStone.recover`) happens in place: dead
+hosts are respawned from their platters (re-preparing their in-doubt
+transactions from the durable record before they serve), a dead
+coordinator's log is reloaded from its disk, each worker's in-doubt
+set is read over ``STATUS`` and answered from the decision log with a
+``DECIDE`` (commit if logged, abort presumed), and pending fan-outs
+are settled.  A cluster constructed over surviving platters
+(``worker_disks``/``decision_disk``, or a ``base_dir``) starts the
+same way and is recovered by the same call.
 """
 
 from __future__ import annotations
 
+import json
+import threading
 from typing import Any, Optional
 
-from ..errors import (
-    CoordinatorUnavailable,
-    GemStoneError,
-    SessionClosed,
-)
+from ..errors import GemStoneError, SessionClosed
 from ..executor import protocol
 from ..executor.link import make_link
 from ..faults.plan import FaultClock
+from ..govern import CommitPolicy
 from ..obs import Observability
+from ..storage.disk import DiskGeometry, SimulatedDisk
 from .coordinator import TwoPhaseCoordinator, in_doubt_error
 from .decisions import DecisionLog
 from .partition import route_statement
 from .rpc import CoordinatorKilled, RequestChannel, WorkerKilled
-from .worker import ShardWorker
+from .worker import ShardWorker, down_report
 
 #: channel ids multiplexed on each worker link
 EXEC_CHANNEL = 0
 TWOPC_CHANNEL = 1
-RESOLVE_CHANNEL = 2
+
+
+def _worker_dies(name: str, victim) -> None:
+    raise WorkerKilled(f"shard {victim} died at {name}")
+
+
+def _coordinator_dies(name: str, victim) -> None:
+    raise CoordinatorKilled(f"coordinator died at {name}")
+
+
+class MemoryHost:
+    """A shard worker in this process, on a simulated platter.
+
+    The test fake for :class:`~repro.shard.procs.WorkerProc`: the same
+    :class:`~repro.shard.worker.ShardWorker` serving the same frames,
+    with an in-memory link where the socket would be and an exception
+    where the SIGKILL would be.
+    """
+
+    def __init__(self, shard_id: int, disk=None, track_count: int = 1024,
+                 track_size: int = 512) -> None:
+        self.shard_id = shard_id
+        self.disk = disk
+        self._geometry = {"track_count": track_count, "track_size": track_size}
+        self.worker: Optional[ShardWorker] = None
+
+    def spawn(self, killer=None) -> None:
+        """Start the worker: format a fresh platter, or reopen the one
+        that is there (re-preparing its durable in-doubt record)."""
+        if killer is not None:
+            killer = killer.for_node(self.shard_id, _worker_dies)
+        if self.disk is None:
+            self.worker = ShardWorker(
+                self.shard_id, killer=killer, **self._geometry
+            )
+            self.disk = self.worker.disk
+        else:
+            self.worker = ShardWorker.reopen(
+                self.shard_id, self.disk, killer=killer
+            )
+
+    def connect(self, registry):
+        """A fresh link to the worker → ``(client end, pump)``."""
+        worker = self.worker
+        client_end, worker_end = make_link()
+        server = worker.connection()
+
+        def pump() -> None:
+            # the in-process link is synchronous: drain it after each send
+            try:
+                worker.serve(worker_end, server=server)
+            except WorkerKilled:
+                worker.alive = False
+
+        return client_end, pump
+
+    @property
+    def alive(self) -> bool:
+        return self.worker is not None and self.worker.alive
+
+    def sigkill(self) -> None:
+        """Crash the worker where it stands (the fake's SIGKILL)."""
+        if self.worker is not None:
+            self.worker.alive = False
+
+    def await_death(self) -> bool:
+        """Whether the worker is dead (an exception kills at once)."""
+        return not self.alive
+
+    def stop(self, drain: bool = True) -> Optional[int]:
+        """Drop the worker; an in-process worker has no exit code."""
+        self.worker = None
+        return None
+
+
+class _MemoryLog:
+    """The coordinator's platter in this process."""
+
+    def __init__(self, disk, track_size: int) -> None:
+        self.disk = disk
+        self.track_size = track_size
+
+    def load(self) -> DecisionLog:
+        """The decision log as a (re)started coordinator finds it."""
+        if self.disk is not None:
+            return DecisionLog.open(self.disk)
+        self.disk = SimulatedDisk(
+            DiskGeometry(track_count=128, track_size=self.track_size)
+        )
+        return DecisionLog.create(self.disk)
+
+    def close(self, cleanup: bool) -> None:
+        pass
 
 
 class _SessionInfo:
@@ -58,127 +168,89 @@ class _SessionInfo:
 class ShardedGemStone:
     """A cluster of shard workers behind one session interface."""
 
+    #: what ``python -m repro.shard --host`` calls this class's hosts
+    host_kind = "memory"
+
     def __init__(
         self,
         shard_count: int = 2,
         track_count: int = 1024,
         track_size: int = 512,
         killer=None,
-        clock: Optional[FaultClock] = None,
         worker_disks=None,
         decision_disk=None,
         generation: int = 0,
         deadline: float = 8.0,
-        tracing: bool = False,
     ) -> None:
-        if worker_disks is not None:
-            shard_count = len(worker_disks)
-        self.shard_count = shard_count
+        if worker_disks is None:
+            worker_disks = [None] * shard_count
+        hosts = [
+            MemoryHost(shard_id, disk, track_count, track_size)
+            for shard_id, disk in enumerate(worker_disks)
+        ]
+        self._assemble(
+            hosts, _MemoryLog(decision_disk, track_size),
+            killer, generation, deadline,
+        )
+
+    def _assemble(self, hosts, log_store, killer, generation, deadline) -> None:
+        """The constructor proper, over whichever hosts were picked.
+
+        *killer* is a sweep's :class:`~repro.shard.soak.WindowKiller`
+        plan (or None): every node gets its own copy, counting that
+        node's windows and armed only on the plan's victim.
+        """
+        self.hosts = hosts
+        self.shard_count = len(hosts)
         self.generation = generation
-        self.killer = killer
-        self.clock = clock or FaultClock()
-        self.obs = Observability(tracing=tracing)
+        self.deadline = deadline
+        self.clock = FaultClock()
+        self.obs = Observability()
+        #: retries on every channel pace through govern's seeded
+        #: jittered backoff
+        self.retry_policy = CommitPolicy(seed=generation)
         self._session_counter = 0
         self._gtid_counter = 0
+        #: gtids must stay unique even when bench drivers run one
+        #: thread per shard against the same cluster
+        self._gtid_lock = threading.Lock()
         self._commit_counter = 0
         self.single_shard_commits = 0
         self.cross_shard_commits = 0
 
-        # workers: fresh partitions, or reopened surviving platters
-        self.workers: list[ShardWorker] = []
-        for shard_id in range(shard_count):
-            if worker_disks is None:
-                worker = ShardWorker(
-                    shard_id,
-                    track_count=track_count,
-                    track_size=track_size,
-                    killer=killer,
-                )
-            else:
-                worker = ShardWorker.reopen(
-                    shard_id, worker_disks[shard_id], killer=killer
-                )
-            self.workers.append(worker)
+        for host in hosts:
+            host.spawn(killer)
+        if killer is not None:
+            killer = killer.for_node("coord", _coordinator_dies)
+        self._log_store = log_store
+        self.coordinator = TwoPhaseCoordinator(
+            log_store.load(), killer=killer, obs=self.obs
+        )
+        self._links: list = [None] * self.shard_count
+        self.exec_channels: list = [None] * self.shard_count
+        for shard_id in range(self.shard_count):
+            self._wire(shard_id)
 
-        # the coordinator and its durable decision log
-        if decision_disk is None:
-            from ..storage.disk import DiskGeometry, SimulatedDisk
+    def _wire(self, shard_id: int) -> None:
+        """(Re)connect one worker and rebuild both its channels.
 
-            decision_disk = SimulatedDisk(
-                DiskGeometry(track_count=128, track_size=track_size)
+        Always a *fresh* connection, hence a fresh replay window on the
+        worker's side: new channels number their requests from 1 again,
+        and an old window would answer them with stale responses.
+        """
+        link, pump = self.hosts[shard_id].connect(self.obs.registry)
+        old = self._links[shard_id]
+        if old is not None:
+            old.close()
+        self._links[shard_id] = link
+        self.exec_channels[shard_id], twopc = (
+            RequestChannel(
+                link, pump, self.clock, channel=channel,
+                deadline=self.deadline, policy=self.retry_policy,
             )
-            log = DecisionLog.create(decision_disk)
-        else:
-            log = DecisionLog.open(decision_disk)
-        self.decision_disk = decision_disk
-        self.coordinator = TwoPhaseCoordinator(log, killer=killer, obs=self.obs)
-
-        # links: one duplex pair per worker (two channels), plus a
-        # resolution pair the coordinator serves; retries on every
-        # channel pace through govern's seeded jittered backoff
-        from ..govern import CommitPolicy
-
-        self.retry_policy = CommitPolicy(seed=self.generation)
-        self.exec_channels: list[RequestChannel] = []
-        self._resolve_channels: list[RequestChannel] = []
-        self._worker_ends = []
-        self._resolution_ends = []
-        for shard_id, worker in enumerate(self.workers):
-            client_end, worker_end = make_link()
-            self._worker_ends.append(worker_end)
-            pump = self._worker_pump(shard_id)
-            self.exec_channels.append(
-                RequestChannel(
-                    client_end, pump, self.clock,
-                    channel=EXEC_CHANNEL, deadline=deadline,
-                    policy=self.retry_policy,
-                )
-            )
-            self.coordinator.attach(
-                shard_id,
-                RequestChannel(
-                    client_end, pump, self.clock,
-                    channel=TWOPC_CHANNEL, deadline=deadline,
-                    policy=self.retry_policy,
-                ),
-            )
-            worker_res_end, coord_res_end = make_link()
-            self._resolution_ends.append(coord_res_end)
-            self._resolve_channels.append(
-                RequestChannel(
-                    worker_res_end,
-                    self._resolution_pump(shard_id),
-                    self.clock,
-                    channel=RESOLVE_CHANNEL,
-                    deadline=deadline,
-                    unavailable=CoordinatorUnavailable,
-                    policy=self.retry_policy,
-                )
-            )
-
-    # -- pumps (the in-process links are synchronous) ------------------------
-
-    def _worker_pump(self, shard_id: int):
-        def pump() -> None:
-            worker = self.workers[shard_id]
-            if not worker.alive:
-                return
-            try:
-                worker.serve(self._worker_ends[shard_id])
-            except WorkerKilled:
-                worker.alive = False
-
-        return pump
-
-    def _resolution_pump(self, shard_id: int):
-        def pump() -> None:
-            if not self.coordinator.alive:
-                return
-            self.coordinator.serve_resolution(
-                self._resolution_ends[shard_id]
-            )
-
-        return pump
+            for channel in (EXEC_CHANNEL, TWOPC_CHANNEL)
+        )
+        self.coordinator.attach(shard_id, twopc)
 
     # -- sessions ------------------------------------------------------------
 
@@ -191,57 +263,83 @@ class ShardedGemStone:
     def next_gtid(self) -> str:
         """A cluster-unique global transaction id.
 
-        The generation prefix keeps ids from a restarted cluster
-        disjoint from its previous life's in-doubt ids.
+        The generation prefix keeps the ids of a cluster constructed
+        over surviving platters disjoint from its previous life's
+        in-doubt ids.
         """
-        self._gtid_counter += 1
-        return f"g{self.generation}.{self._gtid_counter}"
+        with self._gtid_lock:
+            self._gtid_counter += 1
+            return f"g{self.generation}.{self._gtid_counter}"
 
-    # -- recovery --------------------------------------------------------------
+    # -- worker health -------------------------------------------------------
 
-    def recover(self) -> dict[str, int]:
-        """Resolve every in-doubt transaction after a restart.
+    def status(self, shard_id: int) -> dict:
+        """One worker's STATUS_REPORT (windows, in-doubt state, counters)."""
+        reply = self.exec_channels[shard_id].request(protocol.encode_status())
+        return json.loads(reply.fields["payload"])
 
-        Each worker asks the coordinator about its re-prepared gtids
-        (commit if logged, abort presumed otherwise); the coordinator
-        then re-delivers DECIDE for any logged commits still pending
-        acknowledgement.  Returns ``{"resolved": ..., "settled": ...}``.
-        """
-        resolved = 0
-        for shard_id, worker in enumerate(self.workers):
-            resolved += worker.resolve_with(self._resolve_channels[shard_id])
-        settled = self.coordinator.settle()
-        self._publish_gauges()
-        return {"resolved": resolved, "settled": settled}
+    def _live_statuses(self) -> dict[int, dict]:
+        # a dead host cannot answer; its in-doubt set is read after respawn
+        return {
+            shard_id: self.status(shard_id)
+            for shard_id, host in enumerate(self.hosts)
+            if host.alive
+        }
 
     def in_doubt(self) -> dict[int, list[str]]:
         """Per-shard gtids still awaiting a decision (empty when clean)."""
         return {
-            worker.shard_id: worker.in_doubt()
-            for worker in self.workers
-            if worker.in_doubt()
+            shard_id: status["in_doubt"]
+            for shard_id, status in self._live_statuses().items()
+            if status["in_doubt"]
         }
 
-    # -- observability ----------------------------------------------------------
+    # -- recovery ------------------------------------------------------------
 
-    def _publish_gauges(self) -> None:
-        registry = self.obs.registry
-        registry.set_gauge(
-            "shard.in_doubt",
-            sum(len(gtids) for gtids in self.in_doubt().values()),
+    def restart_coordinator(self) -> None:
+        """Replace a dead coordinator from its durable log.
+
+        The in-memory log is discarded and re-read from its platter —
+        exactly the state a restarted coordinator would see — and every
+        live worker is reconnected so the new coordinator's channels
+        start on fresh replay windows.
+        """
+        self.coordinator = TwoPhaseCoordinator(
+            self._log_store.load(), obs=self.obs
         )
-        registry.set_gauge(
-            "shard.decision_log_pending", len(self.coordinator.log.pending())
+        for shard_id, host in enumerate(self.hosts):
+            if host.alive:
+                self._wire(shard_id)
+
+    def recover(self) -> dict[str, int]:
+        """Respawn the dead, resolve every in-doubt gtid, settle.
+
+        Dead workers restart from their platters (re-preparing their
+        durable records before serving), each re-prepared gtid is
+        answered from the decision log (commit if logged, abort
+        presumed), and the coordinator re-delivers any logged commits
+        still pending.  Returns ``{"resolved": ..., "settled": ...}``.
+        """
+        if not self.coordinator.alive:
+            self.restart_coordinator()
+        for shard_id, host in enumerate(self.hosts):
+            if not host.alive:
+                host.stop(drain=False)  # reap the corpse
+                host.spawn()
+                self._wire(shard_id)
+        resolved = sum(
+            self.coordinator.resolve(shard_id, self.status(shard_id)["in_doubt"])
+            for shard_id in range(self.shard_count)
         )
-        for worker in self.workers:
-            registry.set_gauge(
-                f"shard.{worker.shard_id}.commits",
-                worker.db.transaction_manager.stats.commits,
-            )
+        settled = self.coordinator.settle()
+        return {"resolved": resolved, "settled": settled}
+
+    # -- observability -------------------------------------------------------
 
     def shard_report(self) -> dict[str, Any]:
         """The ``shard`` observability section (see docs/sharding.md)."""
         total = self.single_shard_commits + self.cross_shard_commits
+        statuses = self._live_statuses()
         return {
             "shard_count": self.shard_count,
             "generation": self.generation,
@@ -251,19 +349,51 @@ class ShardedGemStone:
                 self.cross_shard_commits / total if total else 0.0
             ),
             "in_doubt": sum(
-                len(gtids) for gtids in self.in_doubt().values()
+                len(status["in_doubt"]) for status in statuses.values()
             ),
             "coordinator": self.coordinator.report(),
-            "per_shard": [worker.report() for worker in self.workers],
+            "per_shard": [
+                statuses[shard_id]["report"] if shard_id in statuses
+                else down_report(shard_id)
+                for shard_id in range(self.shard_count)
+            ],
         }
 
     def observability(self) -> dict[str, Any]:
         """A cluster-level snapshot: counters plus the shard section."""
-        self._publish_gauges()
-        return {
-            "counters": self.obs.registry.snapshot(),
-            "shard": self.shard_report(),
-        }
+        report = self.shard_report()
+        registry = self.obs.registry
+        registry.set_gauge("shard.in_doubt", report["in_doubt"])
+        registry.set_gauge(
+            "shard.decision_log_pending", report["coordinator"]["pending"]
+        )
+        for worker in report["per_shard"]:
+            registry.set_gauge(
+                f"shard.{worker['shard_id']}.commits", worker["commits"]
+            )
+        return {"counters": registry.snapshot(), "shard": report}
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def close(self, drain: bool = True, cleanup: bool = True) -> list:
+        """Shut the cluster down; returns each host's exit code.
+
+        *drain* asks hosts that can to stop gracefully (a process exits
+        0 after a clean SIGTERM drain); *cleanup* removes a platter
+        directory the cluster made for itself.
+        """
+        for link in self._links:
+            if link is not None:
+                link.close()
+        exitcodes = [host.stop(drain=drain) for host in self.hosts]
+        self._log_store.close(cleanup)
+        return exitcodes
+
+    def __enter__(self) -> "ShardedGemStone":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class ShardedSession:

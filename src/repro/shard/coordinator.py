@@ -15,12 +15,13 @@ The protocol, window by window (each a soak kill point):
 3. **DECIDE fan-out** — participants apply (or drop) their prepared
    workspaces and acknowledge.  Read-only voters are skipped (they hold
    nothing).  A participant dead during fan-out keeps the decision
-   pending; its restart RESOLVEs and applies, after which
-   :meth:`settle` forgets the entry.
+   pending until the cluster's recovery has respawned it, after which
+   :meth:`settle` re-delivers and forgets the entry.
 
-Resolution is served on dedicated per-worker links: a restarted
-participant sends RESOLVE(gtid) and the answer is simply "is the gtid
-in the log" — commit if yes, abort presumed if no.
+Recovery *pushes*: the cluster reads each respawned participant's
+in-doubt gtids and :meth:`resolve` answers every one with a DECIDE
+whose verdict is simply "is the gtid in the log" — commit if yes,
+abort presumed if no.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from typing import Optional
 from ..errors import (
     CoordinatorUnavailable,
     GemStoneError,
-    ProtocolError,
     TransactionConflict,
     TransactionInDoubt,
 )
 from ..executor import protocol
-from ..executor.exchange import ReplayingServer
-from ..executor.protocol import Frame, FrameType
+from ..executor.protocol import FrameType
 from .decisions import DecisionLog
 from .rpc import CoordinatorKilled, RequestChannel
 
@@ -53,8 +52,8 @@ class TwoPhaseCoordinator:
         self.channels: dict[int, RequestChannel] = {}
         self.commits = 0
         self.aborts = 0
+        #: in-doubt gtids answered from the log at recovery
         self.resolutions = 0
-        self.resolution_server = ReplayingServer(self._handle_resolution)
 
     def attach(self, shard_id: int, channel: RequestChannel) -> None:
         """Register the 2PC control channel for one participant."""
@@ -117,8 +116,8 @@ class TwoPhaseCoordinator:
     def _abort_prepared(self, gtid: str, votes: dict[int, bool]) -> None:
         """Phase-two abort for every already-prepared participant.
 
-        Best effort: an unreachable participant stays prepared and will
-        RESOLVE to abort after its restart (the gtid is not in the log).
+        Best effort: an unreachable participant stays prepared and is
+        resolved to abort after its restart (the gtid is not in the log).
         """
         self.aborts += 1
         self._inc("shard.coordinator_aborts")
@@ -165,21 +164,19 @@ class TwoPhaseCoordinator:
                 settled += 1
         return settled
 
-    # -- resolution service ----------------------------------------------------
+    def resolve(self, shard_id: int, gtids: list[str]) -> int:
+        """Answer a recovered participant's in-doubt *gtids* from the log.
 
-    def serve_resolution(self, link_end) -> None:
-        """Answer RESOLVE frames from restarting participants."""
-        if not self.alive:
-            return
-        self.resolution_server.serve(link_end)
-
-    def _handle_resolution(self, frame: Frame) -> bytes:
-        if frame.type is not FrameType.RESOLVE:
-            raise ProtocolError(f"unexpected frame {frame.type.name}")
-        gtid = frame.fields["gtid"]
-        self.resolutions += 1
-        self._inc("shard.in_doubt_resolutions")
-        return protocol.encode_resolved(gtid, self.log.decision(gtid))
+        Each gets a DECIDE: commit if the decision was logged, abort
+        presumed otherwise.  Returns how many were answered.
+        """
+        for gtid in gtids:
+            self.channels[shard_id].request(
+                protocol.encode_decide(gtid, self.log.decision(gtid))
+            )
+            self.resolutions += 1
+            self._inc("shard.in_doubt_resolutions")
+        return len(gtids)
 
     # -- reporting --------------------------------------------------------------
 

@@ -82,7 +82,7 @@ class DecisionLog:
             self.forgotten += 1
 
     def decision(self, gtid: str) -> bool:
-        """The RESOLVE answer: True = commit; absence presumes abort."""
+        """The recovery verdict: True = commit; absence presumes abort."""
         return gtid in self._decisions
 
     def pending(self) -> dict[str, tuple[int, ...]]:

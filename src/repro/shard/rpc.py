@@ -11,10 +11,10 @@ fault model (droppable, duplicable, truncatable, wrappable in
   the peer's replay cache keys on ``(channel, seq)`` and the streams
   cannot collide after a reconnect.
 * **deadlines** — every request carries one, and once it passes the
-  sender raises :class:`~repro.errors.ShardUnavailable` or
-  :class:`~repro.errors.CoordinatorUnavailable`.  A dead peer costs a
-  bounded amount of simulated time, never a wedge — which is what lets
-  a coordinator presume abort and a participant stay safely in doubt.
+  sender raises :class:`~repro.errors.ShardUnavailable`.  A dead peer
+  costs a bounded amount of simulated time, never a wedge — which is
+  what lets a coordinator presume abort and a participant stay safely
+  in doubt.
 
 :class:`RequestChannel` is the shard flavour of the one exactly-once
 client and the receiving half is the one replaying server, both in
@@ -64,19 +64,18 @@ class RequestChannel(ExactlyOnceClient):
         clock,
         channel: int = 0,
         deadline: float = 10.0,
-        unavailable: type = ShardUnavailable,
         **ladder,  # retry_delay, max_attempts, policy: the client's own
     ) -> None:
         super().__init__(
             link, pump, clock, channel=channel, deadline=deadline,
-            unavailable=unavailable, **ladder,
+            unavailable=ShardUnavailable, **ladder,
         )
 
     def request(self, inner: bytes) -> Frame:
         """One exactly-once request; the matching non-ERROR reply frame.
 
-        Raises the channel's *unavailable* error when the peer never
-        answers inside the deadline/attempt budget — a
+        Raises :class:`~repro.errors.ShardUnavailable` when the peer
+        never answers inside the deadline/attempt budget — a
         :class:`~repro.errors.RetryableError`, carrying ``retry_after``.
         """
         return protocol.raise_if_error(super().request(inner))

@@ -2,16 +2,18 @@
 
 Following :mod:`repro.dr.soak`'s discipline, robustness is *swept*, not
 sampled: a seeded workload of single- and cross-shard transactions runs
-against a cluster whose :class:`WindowKiller` counts every protocol
-window — before/after each participant's prepared-record persist,
-between votes, before/after the coordinator's decision persist, and
-between each DECIDE of the fan-out — and one run is executed per
-window, killing whichever node owns it at exactly that instant.  The
-cluster is then restarted from the surviving platters and recovered,
-and the invariants are checked:
+against a cluster whose nodes each count their own protocol windows —
+the coordinator's (between votes, before/after its decision persist,
+between each DECIDE of the fan-out), then each worker's (PREPARE
+received, before/after the prepared-record persist, vote sent,
+before/after the decision apply, ack sent).  A clean run takes the
+census; then one run is executed per window, killing the node that
+owns it at exactly that instant — by exception on the in-memory host,
+by SIGKILL on the process host, the same windows in the same order on
+both.  The cluster is recovered in place and the invariants checked:
 
-1. **no transaction left in doubt** — after recovery + resolution,
-   every shard's prepared set and durable prepared record are empty;
+1. **no transaction left in doubt** — after recovery, every shard's
+   prepared set and durable prepared record are empty;
 2. **zero half-committed cross-shard state** — each transaction's keys
    are all present (with the right values) or all absent, across all
    its shards;
@@ -21,45 +23,62 @@ and the invariants are checked:
    either fully absent or fully present (the in-doubt window can land
    either way), never split;
 5. **liveness** — the recovered cluster commits a fresh cross-shard
-   transaction.
+   transaction;
 
-Every violated invariant carries a copy-pasteable reproducer
-(``python -m repro.shard --seed N --kill K``).
+plus, where hosts have exit codes, a clean SIGTERM drain at the end of
+every run.  Every violated invariant carries a copy-pasteable
+reproducer (``python -m repro.shard --host H --seed N --kill K``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import GemStoneError
 from .cluster import ShardedGemStone
 from .partition import shard_of
-from .rpc import CoordinatorKilled, WorkerKilled
 
 
 class WindowKiller:
-    """Counts protocol windows; kills one node at exactly one of them."""
+    """Counts one node's protocol windows; kills it at exactly one.
 
-    def __init__(self, kill_at: Optional[int] = None) -> None:
+    A sweep builds one as a *plan* — which node (``"coord"`` or a shard
+    id), at which of its windows: a flat *kill_at* index (the sweep's
+    handle) or a named *(window, nth)* pair (the test matrix's) — and
+    hands it to the cluster, which gives every node its own copy
+    (:meth:`for_node`) carrying the *kill* action of wherever that node
+    runs: raise ``CoordinatorKilled`` / ``WorkerKilled``, or SIGKILL
+    the process.  A plan with no victim only counts.
+    """
+
+    def __init__(
+        self,
+        victim=None,
+        kill_at: Optional[int] = None,
+        kill_window: Optional[tuple[str, int]] = None,
+        kill: Optional[Callable[[str, object], None]] = None,
+    ) -> None:
+        self.victim = victim
         self.kill_at = kill_at
-        self.count = 0
-        self.fired: Optional[tuple[str, object]] = None
-        self.log: list[tuple[str, object]] = []
+        self.kill_window = kill_window
+        self.kill = kill
+        #: the names of the windows reached, in order
+        self.log: list[str] = []
+
+    def for_node(self, node, kill) -> "WindowKiller":
+        """This plan as *node* sees it: armed only if it is the victim."""
+        if node != self.victim:
+            return WindowKiller(node, kill=kill)
+        return WindowKiller(node, self.kill_at, self.kill_window, kill)
 
     def window(self, name: str, victim) -> None:
-        """One protocol window; *victim* is ``"coord"`` or a shard id."""
-        if self.fired is not None:
-            return  # the dead stay dead; recovery runs unimpeded
-        index = self.count
-        self.count += 1
-        self.log.append((name, victim))
-        if index == self.kill_at:
-            self.fired = (name, victim)
-            if victim == "coord":
-                raise CoordinatorKilled(f"coordinator died at {name}")
-            raise WorkerKilled(f"shard {victim} died at {name}")
+        """One protocol window of *victim*, the node this copy counts."""
+        index, nth = len(self.log), self.log.count(name)
+        self.log.append(name)
+        if index == self.kill_at or (name, nth) == self.kill_window:
+            self.kill(name, victim)
 
 
 @dataclass
@@ -88,7 +107,10 @@ class ShardSoakReport:
     seed: int
     shards: int
     transactions: int
-    total_windows: int  #: protocol windows in the uninterrupted run
+    total_windows: int = 0  #: protocol windows in the uninterrupted run
+    #: the uninterrupted run's ordered ``(node, window name)`` list —
+    #: coordinator first, then each worker; a kill point indexes it
+    census: list[tuple] = field(default_factory=list)
     kill_points_run: int = 0
     acked_checked: int = 0
     in_doubt_resolved: int = 0
@@ -135,22 +157,19 @@ def _workload(seed: int, shards: int, transactions: int):
     return plan
 
 
-def _reproducer(seed: int, kill: int) -> str:
-    return f"python -m repro.shard --seed {seed} --kill {kill}"
-
-
-def _drive(seed, shards, transactions, kill_at, track_count, track_size):
-    """One cluster driven through the workload until the kill (if any)."""
-    killer = WindowKiller(kill_at)
-    cluster = ShardedGemStone(
-        shard_count=shards,
-        track_count=track_count,
-        track_size=track_size,
-        killer=killer,
+def _reproducer(report: ShardSoakReport, host: str, kill: int) -> str:
+    return (
+        f"python -m repro.shard --host {host} --seed {report.seed} "
+        f"--shards {report.shards} --transactions {report.transactions} "
+        f"--kill {kill}"
     )
+
+
+def _drive(cluster, workload) -> dict[int, str]:
+    """Run the workload; every outcome is an ack or a typed error."""
     session = cluster.login()
     outcomes: dict[int, str] = {}
-    for t, statements, _expected in _workload(seed, shards, transactions):
+    for t, statements, _expected in workload:
         try:
             for statement in statements:
                 session.execute(statement)
@@ -162,47 +181,36 @@ def _drive(seed, shards, transactions, kill_at, track_count, track_size):
                 session.abort()
             except GemStoneError:
                 pass  # a dead shard's workspace dies with it
-    return cluster, killer, outcomes
+    return outcomes
 
 
-def _check_recovered(report, kill, killer, cluster, outcomes, workload, seed):
-    """Restart from the surviving platters; verify every invariant."""
-    window, victim = killer.fired if killer.fired else ("none", "-")
-
-    def fail(invariant: str, detail: str) -> None:
-        report.failures.append(
-            ShardFailure(
-                kill, window, str(victim), invariant, detail,
-                _reproducer(seed, kill),
-            )
-        )
-
+def _check_recovered(fail, report, kill, cluster, outcomes, workload):
+    """Recover the swept cluster in place; verify every invariant."""
     try:
-        recovered = ShardedGemStone(
-            worker_disks=[worker.disk for worker in cluster.workers],
-            decision_disk=cluster.decision_disk,
-            generation=cluster.generation + 1,
-        )
-        stats = recovered.recover()
+        stats = cluster.recover()
     except Exception as error:  # noqa: BLE001 — report, keep sweeping
-        fail("recovery", f"restart raised {error!r}")
+        fail("recovery", f"recover raised {error!r}")
         return
     report.in_doubt_resolved += stats["resolved"]
 
     # 1. nothing left in doubt, in memory or durably
-    leftover = recovered.in_doubt()
-    if leftover:
-        fail("in-doubt-resolved", f"still prepared after recovery: {leftover}")
-    for worker in recovered.workers:
-        if worker._durable_prepared:
+    for shard_id in range(cluster.shard_count):
+        status = cluster.status(shard_id)
+        if status["in_doubt"]:
             fail(
                 "in-doubt-resolved",
-                f"shard {worker.shard_id} kept durable prepared records "
-                f"{sorted(worker._durable_prepared)}",
+                f"shard {shard_id} still prepared after recovery: "
+                f"{status['in_doubt']}",
+            )
+        if status["durable_prepared"]:
+            fail(
+                "in-doubt-resolved",
+                f"shard {shard_id} kept durable prepared records "
+                f"{status['durable_prepared']}",
             )
 
     # 2–4. atomicity, zero acked loss, presumed-abort safety
-    checker = recovered.login()
+    checker = cluster.login()
     for t, _statements, expected in workload:
         values = {key: checker.execute(f"World!{key}") for key in expected}
         checker.abort()
@@ -232,15 +240,15 @@ def _check_recovered(report, kill, killer, cluster, outcomes, workload, seed):
                     f"{len(landed)}/{len(expected)} keys survived recovery",
                 )
 
-    # 5. liveness: a fresh cross-shard commit must succeed
-    liveness = recovered.login()
+    # 5. liveness: a fresh cross-shard commit over the recovered cluster
+    liveness = cluster.login()
     try:
         probe = 0
         placed: set[int] = set()
         statements = []
-        while len(placed) < min(2, recovered.shard_count):
+        while len(placed) < min(2, cluster.shard_count):
             key = f"live{kill}_{probe}"
-            shard = shard_of(key, recovered.shard_count)
+            shard = shard_of(key, cluster.shard_count)
             if shard not in placed:
                 placed.add(shard)
                 statements.append(f"World!{key} := 'alive'")
@@ -256,70 +264,107 @@ def _check_recovered(report, kill, killer, cluster, outcomes, workload, seed):
         )
 
 
-def run_shard_soak(
-    seed: int = 2026,
-    shards: int = 3,
-    transactions: int = 6,
-    track_count: int = 1024,
-    track_size: int = 512,
-    stride: int = 1,
-    kill_points: Optional[list[int]] = None,
-) -> ShardSoakReport:
-    """Sweep every protocol window; verify the invariants at each.
+def _died(cluster, node) -> bool:
+    if node == "coord":
+        return not cluster.coordinator.alive
+    # the workload can finish in the instant between a worker's
+    # self-SIGKILL and the kernel reaping it: the host gives death a moment
+    return cluster.hosts[node].await_death()
 
-    *stride* subsamples windows (smoke runs); *kill_points* replaces the
-    sweep with explicit window indexes — the CLI's ``--kill`` handle.
+
+def _run(report, cluster_class, workload, kill, plan):
+    """One cluster driven through the workload under *plan*, then closed.
+
+    Kill runs (*kill* ≥ 0) must lose their victim and are then
+    recovered and checked; the clean run (*kill* −1) must acknowledge
+    everything and returns its census.  Both must drain cleanly.
     """
-    workload = _workload(seed, shards, transactions)
+    node, window = report.census[kill] if kill >= 0 else ("-", "clean")
 
-    # the uninterrupted run: the window census + a sanity baseline
-    clean_cluster, clean_killer, clean_outcomes = _drive(
-        seed, shards, transactions, None, track_count, track_size
-    )
-    total_windows = clean_killer.count
-    report = ShardSoakReport(
-        seed=seed,
-        shards=shards,
-        transactions=transactions,
-        total_windows=total_windows,
-    )
-    not_acked = [t for t, outcome in clean_outcomes.items() if outcome != "acked"]
-    if not_acked:
+    def fail(invariant: str, detail: str) -> None:
         report.failures.append(
             ShardFailure(
-                -1, "clean", "-", "clean-run",
-                f"transactions {not_acked} failed with nobody killed: "
-                f"{ {t: clean_outcomes[t] for t in not_acked} }",
-                _reproducer(seed, -1),
+                kill, window, str(node), invariant, detail,
+                _reproducer(report, cluster_class.host_kind, kill),
             )
         )
+
+    census: list[tuple] = []
+    cluster = cluster_class(shard_count=report.shards, killer=plan)
+    try:
+        outcomes = _drive(cluster, workload)
+        if kill < 0:
+            not_acked = [t for t, outcome in outcomes.items() if outcome != "acked"]
+            if not_acked:
+                fail(
+                    "clean-run",
+                    f"transactions {not_acked} failed with nobody killed: "
+                    f"{ {t: outcomes[t] for t in not_acked} }",
+                )
+            census = [("coord", name) for name in cluster.coordinator.killer.log]
+            for shard_id in range(cluster.shard_count):
+                census += [
+                    (shard_id, name)
+                    for name in cluster.status(shard_id)["windows"]
+                ]
+        elif _died(cluster, node):
+            _check_recovered(fail, report, kill, cluster, outcomes, workload)
+        else:
+            fail(
+                "kill-armed",
+                "the run finished without reaching its kill window",
+            )
+        exitcodes = cluster.close()
+        cluster = None
+        if any(code not in (0, None) for code in exitcodes):
+            fail("graceful-drain", f"SIGTERM drain exited with {exitcodes}")
+    finally:
+        if cluster is not None:
+            cluster.close(drain=False)
+    return census
+
+
+def run_shard_soak(
+    seed: int = 2026,
+    shards: int = 2,
+    transactions: int = 6,
+    stride: int = 1,
+    kill_points: Optional[list[int]] = None,
+    cluster_class=ShardedGemStone,
+) -> ShardSoakReport:
+    """Kill every node at every protocol window; verify the invariants.
+
+    *cluster_class* picks the host kind (``ShardedGemStone``: memory,
+    ``ProcCluster``: processes).  Kill indexes number the coordinator's
+    windows first, then each worker's in shard order, as counted by the
+    clean run.  *stride* subsamples windows (smoke runs); *kill_points*
+    replaces the sweep with explicit indexes — the CLI's ``--kill``.
+    """
+    workload = _workload(seed, shards, transactions)
+    report = ShardSoakReport(seed=seed, shards=shards, transactions=transactions)
+    report.census = _run(report, cluster_class, workload, -1, WindowKiller())
+    report.total_windows = len(report.census)
+    if report.failures:
         return report
 
     if kill_points is None:
-        sweep = list(range(0, total_windows, stride))
+        sweep = list(range(0, report.total_windows, stride))
     else:
-        bad = [k for k in kill_points if not 0 <= k < total_windows]
+        bad = [k for k in kill_points if not 0 <= k < report.total_windows]
         if bad:
             raise ValueError(
-                f"kill points {bad} outside the run's {total_windows} windows"
+                f"kill points {bad} outside the run's "
+                f"{report.total_windows} windows"
             )
         sweep = sorted(set(kill_points))
 
     for kill in sweep:
         report.kill_points_run += 1
-        cluster, killer, outcomes = _drive(
-            seed, shards, transactions, kill, track_count, track_size
-        )
-        if killer.fired is None:
-            report.failures.append(
-                ShardFailure(
-                    kill, "none", "-", "kill-armed",
-                    "the run finished without reaching its kill window",
-                    _reproducer(seed, kill),
-                )
-            )
-            continue
-        _check_recovered(
-            report, kill, killer, cluster, outcomes, workload, seed
+        node = report.census[kill][0]
+        # the victim counts only its own windows
+        local = sum(1 for other, _name in report.census[:kill] if other == node)
+        _run(
+            report, cluster_class, workload, kill,
+            WindowKiller(node, kill_at=local),
         )
     return report

@@ -15,8 +15,9 @@ On top of that the worker is a **2PC participant**:
 PreparedTransaction` (a lock every later validation respects), then
   durably records the transaction's statements on the shard's system
   object *before* voting yes — a restarted worker replays that record,
-  re-executes, re-prepares (re-acquiring its locks ahead of any new
-  traffic) and asks the coordinator to RESOLVE.
+  re-executes and re-prepares (re-acquiring its locks ahead of any new
+  traffic), and reports the gtids over ``STATUS`` so the cluster's
+  recovery can answer each from the decision log with a ``DECIDE``.
 * ``DECIDE commit`` applies the prepared workspace and clears the
   durable prepared record in the *same* safe group write, so no crash
   can leave the record and the data disagreeing; ``DECIDE abort``
@@ -24,8 +25,14 @@ PreparedTransaction` (a lock every later validation respects), then
   session, which doubles as the client's plain abort).
 
 Crash windows (the soak's kill points) sit exactly where the protocol
-state changes hands: before/after the prepared-record persist and
-before/after the decision apply.
+state changes hands: before/after the prepared-record persist,
+before/after the decision apply, and the three moments 2PC state is
+half on the wire — ``wire.prepare_received`` (the PREPARE arrived,
+nothing happened yet), ``wire.vote_sent`` (the vote left, the decision
+is not known) and ``wire.decide_ack_sent`` (the apply is durable, the
+ack just left).  The worker fires them itself, so every host it runs on
+— this process or a forked one — meets the same windows in the same
+order.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ class ShardWorker:
         self._pending: dict[str, list[str]] = {}
         #: gtid -> statements, mirrored durably on the system object
         self._durable_prepared: dict[str, list[str]] = {}
-        self.server = ReplayingServer(self._handle)
+        self.server = self.connection()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -86,9 +93,9 @@ class ShardWorker:
 
         Recovery re-acquires every in-doubt transaction's locks *before*
         the worker serves any new traffic: the durable prepared record
-        is read back, each transaction's statements are re-executed and
-        re-prepared, and the caller then RESOLVEs each gtid against the
-        coordinator's decision log.
+        is read back and each transaction's statements are re-executed
+        and re-prepared; the cluster then reads the gtids over STATUS
+        and DECIDEs each from the coordinator's decision log.
         """
         worker = cls(shard_id, disk=disk, killer=killer)
         record = worker._system().value_at(PREPARED_KEY)
@@ -112,11 +119,25 @@ class ShardWorker:
 
     # -- serving ------------------------------------------------------------
 
-    def serve(self, link_end) -> None:
-        """Drain the worker's link; a dead worker stops answering."""
+    def connection(self) -> ReplayingServer:
+        """The server for one new connection, with its own replay window.
+
+        Every client starts its channels at seq 1, so a window shared
+        between connections would replay one client's responses to the
+        next — a re-dialed link always gets a fresh one.
+        """
+        return ReplayingServer(self._handle)
+
+    def serve(self, link_end, drain=None, server=None) -> None:
+        """Answer *link_end* until it runs dry (or, with a *drain* flag,
+        until EOF or the flag); a dead worker stops answering.
+
+        *server* is the connection's own (see :meth:`connection`); a
+        worker serving a single link may leave it out.
+        """
         if not self.alive:
             return
-        self.server.serve(link_end)
+        (server or self.server).serve(link_end, drain, self._answered)
 
     def _window(self, name: str) -> None:
         if self.killer is not None:
@@ -128,10 +149,23 @@ class ShardWorker:
         if frame.type is FrameType.SHARD_COMMIT:
             return self._local_commit(frame.fields["gtid"])
         if frame.type is FrameType.PREPARE:
+            self._window("wire.prepare_received")
             return self._prepare(frame.fields["gtid"])
         if frame.type is FrameType.DECIDE:
             return self._decide(frame.fields["gtid"], frame.fields["commit"])
+        if frame.type is FrameType.STATUS:
+            return protocol.encode_status_report(json.dumps(self.status()))
         raise ProtocolError(f"unexpected frame {frame.type.name}")
+
+    def _answered(self, frame: Frame) -> None:
+        """The server's after-send hook: the wire windows on the far side
+        of a reply.  It runs only for frames actually *applied* — a
+        replayed duplicate re-crosses no protocol state — so the window
+        census does not depend on timing."""
+        if frame.type is FrameType.PREPARE:
+            self._window("wire.vote_sent")
+        elif frame.type is FrameType.DECIDE:
+            self._window("wire.decide_ack_sent")
 
     # -- statements and the single-shard fast path ---------------------------
 
@@ -200,7 +234,7 @@ class ShardWorker:
                 tm.commit_prepared(gtid, extra_dirty=self._clearing(gtid))
                 self._durable_prepared.pop(gtid, None)
                 self._window("decide.after_apply")
-            # else: already applied (a resolve or replay raced the
+            # else: already applied (recovery or a replay raced the
             # coordinator's retry) — acknowledge idempotently
         else:
             if tm.abort_prepared(gtid):
@@ -212,22 +246,6 @@ class ShardWorker:
         return protocol.encode_decide_ack(
             gtid, self.db.store.commit_manager.current_epoch
         )
-
-    def resolve_with(self, channel) -> int:
-        """Ask the coordinator about every in-doubt gtid; apply answers.
-
-        *channel* is a :class:`~repro.shard.rpc.RequestChannel` to the
-        coordinator's resolution server.  Returns how many transactions
-        were resolved; raises
-        :class:`~repro.errors.CoordinatorUnavailable` (leaving the rest
-        in doubt, still locked) when the coordinator is down.
-        """
-        resolved = 0
-        for gtid in self.in_doubt():
-            reply = channel.request(protocol.encode_resolve(gtid))
-            self._decide(gtid, reply.fields["commit"])
-            resolved += 1
-        return resolved
 
     # -- durable prepared record ----------------------------------------------
 
@@ -259,6 +277,17 @@ class ShardWorker:
 
     # -- reporting -------------------------------------------------------------
 
+    def status(self) -> dict:
+        """The STATUS_REPORT body: the windows this worker has crossed,
+        its in-doubt state (live and durable) and its counters."""
+        return {
+            "shard_id": self.shard_id,
+            "windows": [] if self.killer is None else self.killer.log,
+            "in_doubt": self.in_doubt(),
+            "durable_prepared": sorted(self._durable_prepared),
+            "report": self.report(),
+        }
+
     def report(self) -> dict:
         """Per-shard counters for observability and the soak digest."""
         stats = self.db.transaction_manager.stats
@@ -274,3 +303,13 @@ class ShardWorker:
             "in_doubt": len(self.in_doubt()),
             "epoch": self.db.store.commit_manager.current_epoch,
         }
+
+
+def down_report(shard_id: int) -> dict:
+    """The :meth:`ShardWorker.report` of a worker that cannot answer."""
+    report = dict.fromkeys(
+        ("commits", "aborts", "prepares", "prepared_commits",
+         "prepared_aborts", "live_sessions", "in_doubt", "epoch"), 0,
+    )
+    report.update(shard_id=shard_id, alive=False)
+    return report

@@ -243,7 +243,9 @@ class StableStore(ObjectStore):
 
     def _read_record(self, oid: int, track_numbers: Sequence[int]) -> bytes:
         fragments = []
-        for track in track_numbers:
+        # a tiny last fragment can share a track with the one before it, so
+        # the placements may name a track twice: visit each once, in order
+        for track in dict.fromkeys(track_numbers):
             image = self._read_track_buffered(track)
             fragments.extend(f for f in read_entries(image) if f.oid == oid)
         return assemble(fragments)

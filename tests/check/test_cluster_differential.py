@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from repro.check.cluster import run_cluster_case
+from repro.check.sharded import run_stack_case
 from repro.check.__main__ import main as check_main
 
 
 def test_cluster_case_agrees_across_all_three_stacks():
-    report = run_cluster_case(2026, 0)
+    report = run_stack_case(2026, 0, oracle="cluster")
     assert report.ok, [m.describe() for m in report.mismatches]
     assert report.statements > 0
     assert report.commits > 0

@@ -4,9 +4,10 @@ cluster front end must be observation-identical to one monolithic store.
 
 from repro.check import run_soak
 from repro.check.sharded import (
+    StackMismatch,
     generate_shard_workload,
-    run_sharded_case,
-    run_sharded_range,
+    run_stack_case,
+    run_stack_range,
 )
 from repro.shard.partition import route_statement
 
@@ -34,25 +35,25 @@ class TestWorkloadGenerator:
 
 class TestShardedOracle:
     def test_case_agrees_with_the_baseline(self):
-        report = run_sharded_case(2026, 0)
+        report = run_stack_case(2026, 0)
         assert report.ok, [m.describe() for m in report.mismatches]
         assert report.statements > 0
         assert report.commits > 0
 
     def test_range_exercises_cross_shard_commits(self):
-        report = run_sharded_range(2026, 3)
+        report = run_stack_range(2026, 3)
         assert report.ok, [m.describe() for m in report.mismatches]
         assert report.cross_shard_commits > 0
 
     def test_failure_prints_a_reproducer(self):
-        report = run_sharded_case(2026, 1)
+        report = run_stack_case(2026, 1)
         # fabricate a mismatch path check without breaking the store
-        from repro.check.sharded import ShardMismatch
-
-        text = ShardMismatch(
-            seed=2026, case=1, transaction=3,
-            what="statement 0 value", baseline=1, sharded=2,
+        text = StackMismatch(
+            seed=2026, case=1, oracle="sharded", transaction=3,
+            what="statement 0 value",
+            observed={"baseline": 1, "in-process": 2},
         ).describe()
+        assert "baseline:   1" in text and "in-process: 2" in text
         assert "python -m repro.check --seed 2026 --case 1" in text
         assert "--oracle sharded" in text
         assert report.ok

@@ -3,15 +3,20 @@
 The sharded cluster publishes ``shard.*`` counters/gauges plus a
 structured ``shard`` section; its shape is pinned by the optional
 ``shard`` property in ``docs/observability_schema.json`` and the text
-dashboard renders it next to the single-store sections.
+dashboard renders it next to the single-store sections.  One cluster,
+so one snapshot: the same document whether the workers run in this
+process or in forked ones.
 """
 
 import json
 import pathlib
 
+import pytest
+
 from repro.obs import validate
 from repro.shard import ShardedGemStone
 from repro.shard.partition import shard_of
+from repro.shard.procs import ProcCluster
 from repro.tools.dashboard import render_snapshot
 
 SCHEMA_PATH = (
@@ -21,8 +26,9 @@ SCHEMA_PATH = (
 )
 
 
-def worked_cluster():
-    cluster = ShardedGemStone(shard_count=2)
+@pytest.fixture(params=[ShardedGemStone, ProcCluster], ids=["memory", "process"])
+def worked_cluster(request):
+    cluster = request.param(shard_count=2)
     session = cluster.login()
     a = next(k for k in (f"w{i}" for i in range(99))
              if shard_of(k, 2) == 0)
@@ -33,14 +39,15 @@ def worked_cluster():
     session.commit()  # cross-shard 2PC
     session.execute(f"World!{a} := 3")
     session.commit()  # single-shard fast path
-    return cluster
+    yield cluster
+    cluster.close(drain=False)
 
 
 class TestShardSection:
-    def test_cluster_snapshot_matches_the_pinned_schema(self):
+    def test_cluster_snapshot_matches_the_pinned_schema(self, worked_cluster):
         schema = json.loads(SCHEMA_PATH.read_text())
         shard_schema = schema["properties"]["shard"]
-        snapshot = worked_cluster().observability()
+        snapshot = worked_cluster.observability()
         validate(snapshot["shard"], shard_schema)
 
     def test_shard_is_optional_at_the_top_level(self):
@@ -49,8 +56,8 @@ class TestShardSection:
         assert "shard" in schema["properties"]
         assert "shard" not in schema["required"]
 
-    def test_counters_and_gauges_are_published(self):
-        snapshot = worked_cluster().observability()
+    def test_counters_and_gauges_are_published(self, worked_cluster):
+        snapshot = worked_cluster.observability()
         counters = snapshot["counters"]["counters"]
         gauges = snapshot["counters"]["gauges"]
         assert counters["shard.single_shard_commits"] == 1
@@ -59,8 +66,8 @@ class TestShardSection:
         assert gauges["shard.decision_log_pending"] == 0
         assert "shard.0.commits" in gauges
 
-    def test_dashboard_renders_the_shard_section(self):
-        text = render_snapshot(worked_cluster().observability())
+    def test_dashboard_renders_the_shard_section(self, worked_cluster):
+        text = render_snapshot(worked_cluster.observability())
         assert "shards (2 workers, generation 0)" in text
         assert "single-shard 1" in text
         assert "cross-shard 1" in text
@@ -69,9 +76,10 @@ class TestShardSection:
         assert "shard 1:" in text
         assert "[DOWN]" not in text
 
-    def test_dashboard_marks_dead_members(self):
-        cluster = worked_cluster()
-        cluster.workers[1].alive = False
-        cluster.coordinator.alive = False
-        text = render_snapshot(cluster.observability())
-        assert text.count("[DOWN]") == 2
+    def test_dashboard_marks_dead_members(self, worked_cluster):
+        worked_cluster.hosts[1].sigkill()
+        worked_cluster.coordinator.alive = False
+        snapshot = worked_cluster.observability()
+        schema = json.loads(SCHEMA_PATH.read_text())
+        validate(snapshot["shard"], schema["properties"]["shard"])
+        assert render_snapshot(snapshot).count("[DOWN]") == 2

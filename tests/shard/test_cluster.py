@@ -167,8 +167,8 @@ class TestRetryBackoff:
     def test_dead_worker_retries_back_off_exponentially(self):
         cluster = ShardedGemStone(shard_count=2, deadline=100.0)
         session = cluster.login()
-        cluster.workers[0].alive = False
-        cluster.workers[1].alive = False
+        cluster.hosts[0].sigkill()
+        cluster.hosts[1].sigkill()
         before = cluster.clock.now
         with pytest.raises(ShardUnavailable):
             for i in range(99):  # first statement to hit a dead worker

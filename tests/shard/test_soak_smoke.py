@@ -32,6 +32,12 @@ class TestCli:
                            "--transactions", "4", "--kill", "0"]) == 0
         assert "ok: zero acked loss" in capsys.readouterr().out
 
+    def test_host_flag_runs_the_same_sweep_over_processes(self, capsys):
+        assert shard_main(["--host", "process", "--seed", "11",
+                           "--transactions", "4", "--kill", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "process hosts" in out and "ok: zero acked loss" in out
+
     def test_json_digest_output(self, capsys):
         assert shard_main(["--seed", "11", "--shards", "2",
                            "--transactions", "4", "--kill", "1",
