@@ -5,7 +5,9 @@ Directories use standard techniques modified to handle object
 histories."  Sections 4.3/6 claim the declarative language gives the
 latitude to exploit them.
 
-The harness compares scan vs directory plans as the set grows, and runs
+The harness compares scan vs directory plans as the set grows, checks
+that a two-sided range reads exactly the entries inside its bracket
+(one ``[lo, hi)`` probe, not a probe of ``lo`` filtered down), and runs
 the same indexed query against a past state after the members were
 re-keyed — exercising the interval-stamped entries.
 
@@ -28,6 +30,19 @@ def build(count: int, indexed: bool):
 
 
 QUERY = "(World!employees select: [:e | e!salary > 90000]) size"
+RANGE_QUERY = (
+    "(World!employees select: "
+    "[:e | (e!salary >= {low}) & (e!salary < {high})]) size"
+)
+
+
+def range_shape(db, session, low: int, high: int) -> tuple[int, int]:
+    """(results, members the plan examined) for one two-sided range —
+    the candidate count the slow-query log records for every select."""
+    db.obs.slow_queries.clear()
+    results = session.execute(RANGE_QUERY.format(low=low, high=high))
+    entry, = db.obs.slow_queries.slowest()
+    return results, entry["candidates"]
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +62,14 @@ def test_same_answer_with_and_without_directory(indexed_db, scan_db):
     b = scan_session.execute(QUERY)
     assert a == b > 0
     assert directory.lookups >= 1
+
+
+def test_two_sided_range_examines_only_its_results(indexed_db, scan_db):
+    db, session, _directory = indexed_db
+    scan, scan_session, _ = scan_db
+    results, examined = range_shape(db, session, 40_000, 45_000)
+    assert examined == results > 0
+    assert range_shape(scan, scan_session, 40_000, 45_000) == (results, 1_000)
 
 
 def test_directory_answers_past_states(indexed_db):
@@ -102,6 +125,21 @@ def main() -> None:
                   ratio(scan.seconds, indexed.seconds))
     sweep.note("crossover immediately; gap widens linearly with set size")
     sweep.show()
+
+    shape = Table(
+        "E9: two-sided range [low, high): members examined per plan",
+        ["employees", "range", "results", "scan", "directory"],
+    )
+    for count in (1_000, 4_000):
+        scan_db, scan_session, _ = build(count, indexed=False)
+        db, session, _d = build(count, indexed=True)
+        for low, high in ((40_000, 45_000), (10_000, 100_000), (50_000, 50_000)):
+            results, examined = range_shape(db, session, low, high)
+            _same, scanned = range_shape(scan_db, scan_session, low, high)
+            assert examined == results and scanned == count
+            shape.add(count, f"[{low}, {high})", results, scanned, examined)
+    shape.note("asserted shape: entries examined = results, at every width")
+    shape.show()
 
     past = Table("E9: the same index serving a past state",
                  ["query", "members found"])

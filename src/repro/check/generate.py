@@ -18,9 +18,11 @@ evaluation families define identically:
 Within those rules the generator is adversarial: nested discriminators,
 time-pinned path steps, ∃/∀ brackets over second collections, equality
 join conjuncts between the two binders (exercising hash-join fusion and
-index nested-loop joins), directory creation *mid-history* (exercising
-pre-build temporal fallbacks) and directory drops (exercising plan-memo
-invalidation).
+index nested-loop joins), two-sided brackets on one path (exercising the
+merged ``[lo, hi]`` index probe: proper, single-key, empty and
+int-against-float brackets), directory creation *mid-history*
+(exercising pre-build temporal fallbacks) and directory drops
+(exercising plan-memo invalidation).
 """
 
 from __future__ import annotations
@@ -302,6 +304,28 @@ def _quantifier(
     return (kind, inner_var, ("coll", inner_spec.cid), inner)
 
 
+def _directory_paths(
+    spec: CollectionSpec, collections, dir_events
+) -> list[tuple[tuple, Any]]:
+    """(path steps, value type) of every directory created on *spec*."""
+    out = []
+    for event in dir_events:
+        if event[0] != "create" or event[2] != spec.cid:
+            continue
+        names = event[3].split("!")
+        value_type: Any = None
+        fields = dict(spec.fields)
+        for name in names:
+            kind = fields.get(name)
+            if isinstance(kind, tuple):
+                value_type = "ref"
+                fields = dict(collections[kind[1]].fields)
+            else:
+                value_type = kind
+        out.append((tuple((name, None) for name in names), value_type))
+    return out
+
+
 def _directory_atom(
     rng: random.Random, var: str, spec: CollectionSpec, collections,
     dir_events,
@@ -309,25 +333,69 @@ def _directory_atom(
     """An atom over one of *spec*'s directory paths, in the exact
     ``var!path op const`` shape the optimizer matches — so generated
     queries actually exercise (and, across drops, invalidate) plans."""
-    dir_paths = [
-        e[3] for e in dir_events if e[0] == "create" and e[2] == spec.cid
-    ]
+    dir_paths = _directory_paths(spec, collections, dir_events)
     if not dir_paths:
         return None
-    names = rng.choice(dir_paths).split("!")
-    steps = tuple((name, None) for name in names)
-    value_type: Any = None
-    fields = dict(spec.fields)
-    for name in names:
-        kind = fields.get(name)
-        if isinstance(kind, tuple):
-            value_type = "ref"
-            fields = dict(collections[kind[1]].fields)
-        else:
-            value_type = kind
+    steps, value_type = rng.choice(dir_paths)
     ops = ("==", "!=") if value_type == "ref" else ("==", "==", "<=", ">")
     return ("cmp", rng.choice(ops), ("path", ("var", var), steps),
             _const_for(rng, value_type, collections))
+
+
+_BRACKET_SHAPES = ("proper", "proper", "proper", "single", "empty", "mixed")
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def bracket_bounds(rng: random.Random, pool) -> tuple[str, Any, str, Any]:
+    """``(low op, low, high op, high)`` bracketing values of sorted *pool*.
+
+    Mostly a proper bracket; sometimes one holding a single key
+    (``>= k``, ``<= k``), one nothing can lie in (inverted bounds, or
+    one key with an exclusive side), or — over numbers — an int key
+    bracketed by a float: another Python type in the same key rank.
+    """
+    low, high = sorted(rng.sample(pool, 2))
+    low_op = rng.choice((">", ">="))
+    high_op = rng.choice(("<", "<="))
+    shape = rng.choice(_BRACKET_SHAPES)
+    if shape == "single":
+        return ">=", low, "<=", low
+    if shape == "empty":
+        if rng.random() < 0.5:
+            return low_op, high, high_op, low
+        return ">", low, high_op, low
+    if shape == "mixed" and isinstance(high, int):
+        return low_op, low, high_op, high + 0.5
+    return low_op, low, high_op, high
+
+
+def _bracket_atom(
+    rng: random.Random, var: str, spec: CollectionSpec, collections,
+    dir_events,
+) -> Optional[tuple]:
+    """Two opposite comparisons on one scalar path of *var* — a path
+    with a directory when there is one, so the optimizer merges them
+    into one two-sided probe while the unindexed paths filter twice."""
+    candidates = [
+        (steps, kind)
+        for steps, kind in _directory_paths(spec, collections, dir_events)
+        if kind in ("int", "str")
+    ] or [(((field, None),), kind) for field, kind in _scalar_fields(spec)]
+    if not candidates:
+        return None
+    steps, kind = rng.choice(candidates)
+    pool = _INT_POOL if kind == "int" else _STR_POOL
+    low_op, low, high_op, high = bracket_bounds(rng, pool)
+    path = ("path", ("var", var), steps)
+    sides = []
+    for op, value in ((low_op, low), (high_op, high)):
+        if rng.random() < 0.25:  # the mirrored spelling: `const op' path`
+            sides.append(("cmp", _MIRRORED[op], ("const", value), path))
+        else:
+            sides.append(("cmp", op, path, ("const", value)))
+    if rng.random() < 0.5:
+        sides.reverse()
+    return ("and", sides[0], sides[1])
 
 
 def _join_atom(
@@ -384,6 +452,12 @@ def _generate_query(
         )
         if indexed is not None:
             atoms.append(indexed)
+    if rng.random() < 0.3:
+        bracket = _bracket_atom(
+            rng, _VAR_NAMES[0], binder_specs[0], collections, dir_events
+        )
+        if bracket is not None:
+            atoms.append(bracket)
     for b, spec in enumerate(binder_specs):
         var = _VAR_NAMES[b]
         # favor the indexable shape the optimizer looks for: var!path op const

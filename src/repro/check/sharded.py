@@ -22,9 +22,13 @@ The generator only emits statements whose bindings co-reside on one
 shard (cross-shard data flow inside a *single* statement is a routing
 error by design — see ``docs/sharding.md``), but transactions freely
 span shards, so the sweep exercises both the single-shard fast path and
-presumed-abort 2PC.  Failures print ``python -m repro.check --oracle
-sharded|cluster --seed N --case K`` reproducers, like every other
-oracle here.
+presumed-abort 2PC.  Two collections with the same members, one of them
+indexed, take two-sided bracket selects (the shapes of
+:func:`~repro.check.generate.bracket_bounds`), each sent twice in one
+session: the merged index probe, the scan, the compiled-block cache and
+the plan memo must all give the answer the baseline gives.  Failures
+print ``python -m repro.check --oracle sharded|cluster --seed N --case
+K`` reproducers, like every other oracle here.
 """
 
 from __future__ import annotations
@@ -38,11 +42,15 @@ from ..db import GemStone
 from ..errors import GemStoneError
 from ..shard import ShardedGemStone
 from ..shard.partition import shard_of
+from .generate import bracket_bounds
 from .report import reproducer_command
 
 #: binding pool size per case; names are short so the regex router and
 #: the catalog both see realistic, colliding-ish identifiers
 _POOL = 8
+
+#: the keys ``n`` of the members both bracket-select collections hold
+_NUMBERS = tuple(range(0, 45, 5))
 
 #: per oracle: the default cluster width and workload length (part of
 #: what a seed means, so they differ as they always have)
@@ -71,6 +79,26 @@ def generate_shard_workload(
     for key in keys:
         by_shard.setdefault(shard_of(key, shards), []).append(key)
 
+    # held under their own keys: a pool binding is read back as a plain
+    # value, which a Bag is not
+    bags = [f"sd{case}bag{i}" for i in range(2)]
+    members = " ".join(str(rng.choice(_NUMBERS)) for _ in range(8))
+    load = [
+        f"| b | b := Bag new. #({members}) do: [:n | | o | o := Object new. "
+        f"o!n := n. b add: o]. World!{bag} := b. b size"
+        for bag in bags
+    ]
+    # once the members are committed; the other collection stays a scan
+    index = f"System index: (World!{bags[0]}) on: 'n'. (World!{bags[0]}) size"
+
+    def bracket_select() -> str:
+        low_op, low, high_op, high = bracket_bounds(rng, _NUMBERS)
+        return (
+            f"(World!{rng.choice(bags)} select: "
+            f"[:o | (o!n {low_op} {low}) & (o!n {high_op} {high})]) "
+            "inject: 0 into: [:sum :o | sum + o!n]"
+        )
+
     def statement() -> str:
         target = rng.choice(keys)
         kind = rng.randrange(5)
@@ -88,10 +116,15 @@ def generate_shard_workload(
             return f"World!{target} := (World!{source} ifNil: [-1])"
         return f"World!{target}"  # plain read
 
-    return [
-        [statement() for _ in range(rng.randint(1, 4))]
-        for _ in range(transactions)
-    ]
+    workload = [load, [index]]
+    for _ in range(transactions):
+        statements = [statement() for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.4:
+            # twice in one session: the second run is served by the
+            # compiled-block cache and the plan memo hanging on it
+            statements += [bracket_select()] * 2
+        workload.append(statements)
+    return workload
 
 
 @dataclass

@@ -221,11 +221,17 @@ class Directory:
         """Member oids with low ≤ discriminator ≤ high at *time*, ordered.
 
         ``None`` bounds are open.  The :data:`UNKEYED` bucket never
-        matches a range query.
+        matches a range query.  A bracket no key can lie in is answered
+        from the two bounds alone.
         """
         self.lookups += 1
         low_key = None if low is None else normalize_key(low)
         high_key = None if high is None else normalize_key(high)
+        if low_key is not None and high_key is not None and (
+            low_key > high_key
+            or (low_key == high_key and not (include_low and include_high))
+        ):
+            return
         if self._predates_build(time):
             for key, oid in sorted(self._historical(time)):
                 if key == UNKEYED:

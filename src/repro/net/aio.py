@@ -18,6 +18,15 @@ from ..executor import protocol
 
 _HEADER = struct.Struct("<I")
 
+#: bytes asked of the socket per read.  asyncio's selector transport
+#: asks for 256 KiB and shrinks the result, and an allocation that size
+#: is above glibc's mmap threshold: each read then costs an mmap, two
+#: page faults and an munmap (about 30 us of a 180 us point read)
+#: unless some unrelated earlier free happened to raise the threshold —
+#: which flips with any change to what the process has loaded.  Frames
+#: here are tens of bytes to a few KiB; 64 KiB stays on the heap.
+_RECV_SIZE = 64 * 1024
+
 
 class StreamLink:
     """One endpoint of a duplex link over an asyncio TCP stream."""
@@ -31,6 +40,9 @@ class StreamLink:
     ) -> None:
         self._reader = reader
         self._writer = writer
+        transport = writer.transport
+        if getattr(transport, "max_size", 0) > _RECV_SIZE:
+            transport.max_size = _RECV_SIZE
         self.registry = registry
         self._peer_closed = False
         self._closed = False

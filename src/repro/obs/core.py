@@ -29,6 +29,7 @@ from .tracing import Tracer
 _SESSION_CACHE_KEYS = (
     "method_hits", "method_misses", "inline_hits", "inline_misses",
     "translation_hits", "translation_misses", "plan_hits", "plan_misses",
+    "compile_hits", "compile_misses",
 )
 
 
@@ -169,14 +170,16 @@ class Observability:
     def session_cache_totals(self) -> dict[str, Any]:
         """Per-session StoreCaches counters summed: live + retired."""
         totals = dict(self._retired_caches)
+        compiled_blocks = 0  # held by live sessions; a closed one holds none
         for session in list(self._live_sessions):
             perf = getattr(getattr(session, "session", None), "perf", None)
             if perf is None:
                 continue
             for key in _SESSION_CACHE_KEYS:
                 totals[key] += getattr(perf, key, 0)
+            compiled_blocks += len(getattr(perf, "compile_entries", ()))
         report: dict[str, Any] = {}
-        for cache in ("method", "inline", "translation", "plan"):
+        for cache in ("method", "inline", "translation", "plan", "compile"):
             hits = totals[f"{cache}_hits"]
             misses = totals[f"{cache}_misses"]
             report[f"{cache}_cache"] = {
@@ -184,6 +187,7 @@ class Observability:
                 "misses": misses,
                 "hit_rate": self._rate(hits, misses),
             }
+        report["compile_cache"]["entries"] = compiled_blocks
         return report
 
     def governance_report(self) -> dict[str, Any]:

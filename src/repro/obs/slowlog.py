@@ -17,14 +17,15 @@ declaratively, the evaluator reports:
 
 The log keeps only the ``capacity`` slowest entries (plus lifetime
 totals), so it is safe to leave on in production: recording is a lock,
-a comparison, and at worst one list insert.
+a comparison, and — only for a query slow enough to be kept — rendering
+its entry and one list insert.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import insort
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..opal import nodes
 
@@ -49,18 +50,28 @@ class SlowQueryLog:
         *entry* must carry ``elapsed_ms``; everything else (source, plan,
         candidates, provenance) is kept verbatim.
         """
-        elapsed = float(entry.get("elapsed_ms", 0.0))
+        self.offer(float(entry.get("elapsed_ms", 0.0)), lambda: entry)
+
+    def offer(
+        self, elapsed_ms: float, render: Callable[[], dict[str, Any]]
+    ) -> None:
+        """Count one finished query; build its entry only if it is kept.
+
+        Most queries are faster than everything a full log already
+        holds, so *render* (unparse the block, describe the plan) runs
+        only for the few that earn a place.
+        """
         with self._lock:
             self.total_queries += 1
-            if elapsed < self.threshold_ms:
+            if elapsed_ms < self.threshold_ms:
                 return
             if (
                 len(self._entries) >= self.capacity
-                and elapsed <= self._entries[0][0]
+                and elapsed_ms <= self._entries[0][0]
             ):
                 return  # faster than everything we already keep
             self._sequence += 1
-            insort(self._entries, (elapsed, self._sequence, entry))
+            insort(self._entries, (elapsed_ms, self._sequence, render()))
             if len(self._entries) > self.capacity:
                 del self._entries[0]
 

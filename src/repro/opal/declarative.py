@@ -204,6 +204,14 @@ _NOT_DECLARATIVE = object()
 _TRANSLATION_MEMO_MAX = 16
 _PLAN_MEMO_MAX = 32
 
+#: compiled blocks a session keeps by source text (LRU, in the session
+#: store's ``StoreCaches``): the memos above only pay off if the block
+#: they hang on is found again.  Small on purpose — the cache is per
+#: session, an eight-conjunct select with its AST, translation and plan
+#: is about 13 KB, and a front door holds thousands of sessions; the
+#: texts a host repeats are few
+COMPILE_CACHE_MAX = 64
+
 
 def _cached_condition(store, perf, compiled, block_ast, param):
     """The block's calculus condition, memoized on the compiled block.
@@ -246,9 +254,7 @@ def _collection_oid(collection) -> Optional[int]:
     """The oid when *collection* names one stored set object."""
     if type(collection) is GemObject or isinstance(collection, Ref):
         return collection.oid
-    if isinstance(collection, GemObject):  # GemClass etc.: don't memoize
-        return None
-    return None
+    return None  # GemClass and other GemObject subclasses: don't memoize
 
 
 def try_declarative_filter(store, collection, closure, negate: bool) -> Optional[list]:
@@ -356,25 +362,29 @@ def _log_query(
     from ..obs.slowlog import describe_plan, render_block
 
     elapsed_ms = (_time.perf_counter() - started) * 1e3
-    source = getattr(compiled, "rendered_source", None)
-    if source is None:
-        source = render_block(block_ast)
-        compiled.rendered_source = source  # unparse once per block
-    entry = {
-        "source": source,
-        "plan": describe_plan(plan),
-        "candidates": context.examined,
-        "elapsed_ms": elapsed_ms,
-        "negate": negate,
-        "translation": translation_provenance,
-        "plan_cache": plan_provenance,
-        "executor": executor_mode(),
-        "outcome": outcome,
-        "request_id": obs.tracer.current_request,
-    }
-    if result_count is not None:
-        entry["result_count"] = result_count
-    obs.slow_queries.record(entry)
+
+    def render() -> dict:
+        source = getattr(compiled, "rendered_source", None)
+        if source is None:
+            source = render_block(block_ast)
+            compiled.rendered_source = source  # unparse once per block
+        entry = {
+            "source": source,
+            "plan": describe_plan(plan),
+            "candidates": context.examined,
+            "elapsed_ms": elapsed_ms,
+            "negate": negate,
+            "translation": translation_provenance,
+            "plan_cache": plan_provenance,
+            "executor": executor_mode(),
+            "outcome": outcome,
+            "request_id": obs.tracer.current_request,
+        }
+        if result_count is not None:
+            entry["result_count"] = result_count
+        return entry
+
+    obs.slow_queries.offer(elapsed_ms, render)
     obs.registry.inc("query.declarative")
     if obs.tracer.enabled:
         obs.tracer.event(

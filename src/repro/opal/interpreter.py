@@ -27,6 +27,7 @@ from ..errors import (
 from ..perf.epochs import class_epoch
 from .bytecodes import CompiledBlock, CompiledMethod, Op
 from .compiler import Compiler
+from .declarative import COMPILE_CACHE_MAX
 
 #: immediate receiver types whose Python type identifies their Gem class
 #: exactly — safe as a monomorphic inline-cache key.  ``type()`` keeps
@@ -347,8 +348,34 @@ class OpalEngine:
                 return self._execute(source, bindings)
         return self._execute(source, bindings)
 
+    def _compiled(self, source: str, names: tuple[str, ...]) -> CompiledMethod:
+        """The compiled form of an ad-hoc block, compiled once per text.
+
+        A hit hands back the same :class:`CompiledMethod`, and with it
+        its inline caches, translation and plan memos — each already
+        keyed on (store token, class epoch, directory epoch), so reuse
+        needs no invalidation of its own.  A compile error propagates
+        before anything is stored.
+        """
+        perf = getattr(self.store, "perf", None)
+        if perf is None or not perf.enabled:
+            return Compiler().compile_source(source, names)
+        entries = perf.compile_entries
+        key = (source, names)
+        method = entries.get(key)
+        if method is not None:
+            perf.compile_hits += 1
+            entries.move_to_end(key)
+            return method
+        perf.compile_misses += 1
+        method = Compiler().compile_source(source, names)
+        entries[key] = method
+        if len(entries) > COMPILE_CACHE_MAX:
+            entries.popitem(last=False)  # least recently used
+        return method
+
     def _execute(self, source: str, bindings: dict[str, Any]) -> Any:
-        method = Compiler().compile_source(source, tuple(bindings))
+        method = self._compiled(source, tuple(bindings))
         frame = Frame(
             method.code, method.literals, method.slot_names,
             receiver=None, lexical_parent=None, home=None, is_block=False,

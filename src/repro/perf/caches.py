@@ -12,14 +12,23 @@ Every :class:`~repro.core.object_manager.ObjectStore` owns one
   the cache key), but their hit/miss accounting is centralized here so
   :func:`repro.perf.stats` can report them per store;
 * the **inline-cache counters** — per-call-site caches live in the
-  compiled code, the engine reports hits/misses here.
+  compiled code, the engine reports hits/misses here;
+* the **compiled-block cache** — ``(source text, binding names) →
+  CompiledMethod`` for the blocks a host sends to ``execute``, in LRU
+  order.  :class:`~repro.opal.interpreter.OpalEngine` fills and bounds
+  it; it lives here because everything a compiled block carries (inline
+  caches, translation and plan memos) is keyed on this store's token
+  and the class epoch, so an entry must never outlive or leave its
+  store.
 
-``enabled`` turns the method cache off wholesale; the benchmarks use it
-for cached-vs-uncached ablations.
+``enabled`` turns the method cache, the memos and the compiled-block
+cache off wholesale; the benchmarks use it for cached-vs-uncached
+ablations.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Optional
 
 from .epochs import class_epoch, next_store_token
@@ -45,6 +54,9 @@ class StoreCaches:
         "translation_misses",
         "plan_hits",
         "plan_misses",
+        "compile_entries",
+        "compile_hits",
+        "compile_misses",
     )
 
     def __init__(self) -> None:
@@ -61,6 +73,9 @@ class StoreCaches:
         self.translation_misses = 0
         self.plan_hits = 0
         self.plan_misses = 0
+        self.compile_entries: OrderedDict[Any, Any] = OrderedDict()
+        self.compile_hits = 0
+        self.compile_misses = 0
 
     # -- method-lookup cache ---------------------------------------------------
 
@@ -92,6 +107,7 @@ class StoreCaches:
         self.inline_hits = self.inline_misses = 0
         self.translation_hits = self.translation_misses = 0
         self.plan_hits = self.plan_misses = 0
+        self.compile_hits = self.compile_misses = 0
 
     # -- reporting -------------------------------------------------------------
 
@@ -127,6 +143,12 @@ class StoreCaches:
                 "hits": self.plan_hits,
                 "misses": self.plan_misses,
                 "hit_rate": self._rate(self.plan_hits, self.plan_misses),
+            },
+            "compile_cache": {
+                "entries": len(self.compile_entries),
+                "hits": self.compile_hits,
+                "misses": self.compile_misses,
+                "hit_rate": self._rate(self.compile_hits, self.compile_misses),
             },
         }
 

@@ -346,7 +346,23 @@ class IndexEq(Plan):
 
 
 class IndexRange(Plan):
-    """Associative access by key range (open bounds allowed)."""
+    """Associative access by key range (open bounds allowed).
+
+    With both bounds set this is one bracket probe: the directory reads
+    the entries between them and nothing else.  What an odd bracket
+    yields is decided here and nowhere else, by the rules the scan's
+    comparisons follow:
+
+    * a bound that evaluates to no-value matches nothing — no-value
+      fails every comparison (§5.2); so does a ``nil`` bound, since
+      ordering against nil is an error on every other path and must not
+      read as "open" here;
+    * a bound the directory cannot key (:class:`DirectoryError`) matches
+      nothing: the comparison can never hold;
+    * an empty bracket — ``lo > hi``, or ``lo == hi`` with an exclusive
+      side — matches nothing, and :meth:`Directory.range` answers it
+      from the two keys alone, before touching the tree.
+    """
 
     def __init__(
         self,
@@ -368,23 +384,27 @@ class IndexRange(Plan):
         self.include_high = include_high
 
     def _bounds(self, ctx, binding) -> Any:
-        low = self.low.evaluate(ctx, binding) if self.low is not None else None
-        high = self.high.evaluate(ctx, binding) if self.high is not None else None
-        if low is NOVALUE or high is NOVALUE:
-            return None  # no-value fails every comparison (§5.2)
+        """This row's ``(low, high)`` (None = open), or None for no rows."""
+        low = high = None
+        if self.low is not None:
+            low = self.low.evaluate(ctx, binding)
+            if low is NOVALUE or low is None:
+                return None
+        if self.high is not None:
+            high = self.high.evaluate(ctx, binding)
+            if high is NOVALUE or high is None:
+                return None
         return low, high
 
     def _open_range(self, ctx, low, high):
         """Start a range scan; (first_oid, rest) or None when empty/unindexable."""
-        stream = self.directory.range(
-            low, high, ctx.time, self.include_low, self.include_high
-        )
         try:
+            stream = self.directory.range(
+                low, high, ctx.time, self.include_low, self.include_high
+            )
             first = next(stream)
-        except StopIteration:
+        except (StopIteration, DirectoryError):
             return None
-        except DirectoryError:
-            return None  # unindexable bound: the comparison can never hold
         return first, stream
 
     def _rows(self, ctx):
@@ -459,9 +479,11 @@ class IndexRange(Plan):
     def describe(self):
         lo = "(" if not self.include_low else "["
         hi = ")" if not self.include_high else "]"
+        low = "-inf" if self.low is None else repr(self.low)
+        high = "+inf" if self.high is None else repr(self.high)
         return (
             f"IndexRange {self.var} via {self.directory.name!r} "
-            f"on !{self.directory.path} {lo}{self.low!r}, {self.high!r}{hi}"
+            f"on !{self.directory.path} {lo}{low}, {high}{hi}"
         )
 
 

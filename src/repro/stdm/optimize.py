@@ -14,10 +14,14 @@ scan a set binder and filter, it looks for a conjunct of the form
 
 with a directory registered on exactly (that set, that path), and
 replaces the scan with an :class:`~repro.stdm.algebra.IndexEq` or
-:class:`~repro.stdm.algebra.IndexRange`, consuming the conjunct.  Only
-binders whose source is a *constant* set designator are indexed — a
-source that is itself a function of other variables names a different
-set per binding, so no single directory covers it.
+:class:`~repro.stdm.algebra.IndexRange`, consuming the conjunct.  A
+range conjunct is paired with the first conjunct bounding the same path
+from the other side, so ``lo <= e!p & e!p < hi`` is one ``[lo, hi)``
+probe that reads only the entries inside the bracket rather than
+everything above ``lo``.  Only binders whose source is a *constant* set
+designator are indexed — a source that is itself a function of other
+variables names a different set per binding, so no single directory
+covers it.
 
 Remaining conjuncts attach as filters at the earliest legal point, same
 as the plain translation.
@@ -60,7 +64,8 @@ class IndexChoice:
     var: str
     directory_name: str
     kind: str  # "eq" or "range"
-    conjunct: Expr
+    #: the conjuncts the probe consumed: one, or both sides of a bracket
+    conjuncts: tuple[Expr, ...]
 
 
 @dataclass
@@ -133,11 +138,15 @@ def optimize(
         )
         if owner_oid is not None:
             indexed = _pick_index(
-                directory_manager, owner_oid, binder.var, remaining, bound
+                plan, directory_manager, owner_oid, binder.var, remaining,
+                bound,
             )
         if indexed is not None:
-            plan, used_conjunct, choice = indexed(plan)
-            remaining = [c for c in remaining if c is not used_conjunct]
+            plan, choice = indexed
+            remaining = [
+                c for c in remaining
+                if not any(c is used for used in choice.conjuncts)
+            ]
             choices.append(choice)
         else:
             fused = _pick_hash_join(binder, remaining, bound)
@@ -172,9 +181,24 @@ def _pick_hash_join(binder, remaining, bound):
     return None
 
 
-def _pick_index(directory_manager, owner_oid: int, var: str, remaining, bound):
-    """Find (directory, conjunct) usable for this binder, if any."""
-    for conjunct in remaining:
+_LOWER_BOUNDS = (">", ">=")
+
+
+def _range_side(op: str, value: Expr) -> dict:
+    """The :class:`IndexRange` arguments one ordering conjunct supplies:
+    its side of the bracket, with that operator's own inclusivity."""
+    inclusive = op in (">=", "<=")
+    if op in _LOWER_BOUNDS:
+        return {"low": value, "include_low": inclusive}
+    return {"high": value, "include_high": inclusive}
+
+
+def _pick_index(
+    child: Plan, directory_manager, owner_oid: int, var: str, remaining, bound
+) -> Optional[tuple[Plan, IndexChoice]]:
+    """The index operator for this binder over *child*, if a directory
+    covers one of the *remaining* conjuncts; with the choice made."""
+    for position, conjunct in enumerate(remaining):
         match = _match_indexable(conjunct, var, bound)
         if match is None:
             continue
@@ -184,27 +208,32 @@ def _pick_index(directory_manager, owner_oid: int, var: str, remaining, bound):
         )
         if directory is None:
             continue
-
-        def build(child: Plan, *, _op=op, _dir=directory, _val=value_expr,
-                  _conj=conjunct):
-            if _op == "==":
-                node: Plan = IndexEq(child, var, _dir, _val)
-                kind = "eq"
-            elif _op in ("<", "<="):
-                node = IndexRange(
-                    child, var, _dir, low=None, high=_val,
-                    include_high=(_op == "<="),
-                )
-                kind = "range"
-            else:  # > or >=
-                node = IndexRange(
-                    child, var, _dir, low=_val, high=None,
-                    include_low=(_op == ">="),
-                )
-                kind = "range"
-            return node, _conj, IndexChoice(var, _dir.name, kind, _conj)
-
-        return build
+        if op == "==":
+            return (
+                IndexEq(child, var, directory, value_expr),
+                IndexChoice(var, directory.name, "eq", (conjunct,)),
+            )
+        bounds = _range_side(op, value_expr)
+        used: tuple[Expr, ...] = (conjunct,)
+        for other in remaining[position + 1:]:
+            paired = _match_indexable(other, var, bound)
+            if paired is None:
+                continue
+            other_op, other_path, other_value = paired
+            if (
+                other_op != "=="
+                and (other_op in _LOWER_BOUNDS) != (op in _LOWER_BOUNDS)
+                and other_path.path_expr == path_apply.path_expr
+            ):
+                # the other bound of the same key: one bracket probe
+                # (later bounds on a taken side stay residual filters)
+                bounds.update(_range_side(other_op, other_value))
+                used = (conjunct, other)
+                break
+        return (
+            IndexRange(child, var, directory, **bounds),
+            IndexChoice(var, directory.name, "range", used),
+        )
     return None
 
 

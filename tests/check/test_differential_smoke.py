@@ -59,13 +59,44 @@ def test_oracle_counters_reach_the_registry():
 
 
 def test_generated_universe_exercises_the_interesting_shapes():
-    """The stream must contain quantifiers, pins, drops and records."""
+    """The stream must contain quantifiers, pins, drops, records and
+    every kind of two-sided bracket."""
     has = {"exists_or_forall": False, "pins": False, "drop": False,
-           "record": False, "two_binders": False}
+           "record": False, "two_binders": False,
+           "proper_bracket": False, "single_key_bracket": False,
+           "empty_bracket": False, "int_float_bracket": False,
+           "bracket_on_a_directory_path": False}
 
-    def walk(node):
+    def bracket(node, dir_paths):
+        """Classify ``(and, cmp, cmp)`` bounding one path from both sides."""
+        if node[0] != "and" or node[1][0] != "cmp" or node[2][0] != "cmp":
+            return
+        bounds = {}
+        for _cmp, op, left, right in node[1:]:
+            if left[0] == "const":  # mirrored spelling: `const op path`
+                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op)
+                left, right = right, left
+            if left[0] != "path" or right[0] != "const" or op is None:
+                return
+            bounds[op in (">", ">=")] = (op, left, right[1])
+        if len(bounds) != 2 or bounds[True][1] != bounds[False][1]:
+            return
+        (low_op, path, low), (high_op, _path, high) = bounds[True], bounds[False]
+        if low > high or (low == high and (low_op, high_op) != (">=", "<=")):
+            has["empty_bracket"] = True
+        elif low == high:
+            has["single_key_bracket"] = True
+        elif type(low) is not type(high):
+            has["int_float_bracket"] = True
+        else:
+            has["proper_bracket"] = True
+        if "!".join(name for name, _at in path[2]) in dir_paths:
+            has["bracket_on_a_directory_path"] = True
+
+    def walk(node, dir_paths):
         if not isinstance(node, tuple) or not node:
             return
+        bracket(node, dir_paths)
         if node[0] in ("exists", "forall"):
             has["exists_or_forall"] = True
         if node[0] == "path":
@@ -73,7 +104,7 @@ def test_generated_universe_exercises_the_interesting_shapes():
                 has["pins"] = True
         for child in node[1:]:
             if isinstance(child, tuple):
-                walk(child)
+                walk(child, dir_paths)
 
     for index in range(60):
         spec = generate_case(SMOKE_SEED, index)
@@ -85,6 +116,10 @@ def test_generated_universe_exercises_the_interesting_shapes():
             if query.result[0] == "record":
                 has["record"] = True
             if query.condition is not None:
-                walk(query.condition)
+                cid = query.binders[0][1][1]
+                walk(query.condition, {
+                    e[3] for e in spec.dir_events
+                    if e[0] == "create" and e[2] == cid
+                })
     missing = [k for k, v in has.items() if not v]
     assert not missing, f"generator never produced: {missing}"

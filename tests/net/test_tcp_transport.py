@@ -252,3 +252,38 @@ class TestSyncClientOverTcp:
             connection.close()
         finally:
             served.close()
+
+
+class TestStreamLinkReadSize:
+    def test_reads_ask_for_less_than_the_allocator_maps(self):
+        """asyncio asks the socket for 256 KiB a read; that allocation is
+        above glibc's mmap threshold, so each request would pay an mmap,
+        page faults and an munmap.  Both ends cap it, and a frame larger
+        than one read still arrives whole."""
+        from repro.net.aio import StreamLink, open_stream_link
+
+        big = bytes(range(256)) * 1024  # 256 KiB: several capped reads
+
+        async def scenario():
+            served = []
+
+            async def echo(reader, writer):
+                link = StreamLink(reader, writer)
+                served.append(writer.transport.max_size)
+                await link.send(await link.receive())
+                link.close()
+
+            server = await asyncio.start_server(echo, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await open_stream_link("127.0.0.1", port)
+            asked = client._writer.transport.max_size
+            await client.send(big)
+            reply = await client.receive()
+            client.close()
+            server.close()
+            await server.wait_closed()
+            return served[0], asked, reply
+
+        served, asked, reply = asyncio.run(scenario())
+        assert served <= 64 * 1024 and asked <= 64 * 1024
+        assert reply == big

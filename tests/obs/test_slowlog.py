@@ -99,3 +99,65 @@ def test_describe_plan_walks_the_operator_chain():
             return "Filter x > 1"
 
     assert describe_plan(Root(Leaf())) == ["Filter x > 1", "Unit"]
+
+
+# -- rendering is paid for only by entries the log keeps ---------------------
+
+
+def test_offer_renders_only_what_it_keeps():
+    log = SlowQueryLog(capacity=2, threshold_ms=1.0)
+    rendered = []
+
+    def render(tag, ms):
+        def build():
+            rendered.append(tag)
+            return entry(ms, tag)
+        return build
+
+    log.offer(0.5, render("under-threshold", 0.5))
+    log.offer(5.0, render("a", 5.0))
+    log.offer(9.0, render("b", 9.0))
+    log.offer(2.0, render("faster-than-all-kept", 2.0))
+    log.offer(7.0, render("c", 7.0))
+    assert rendered == ["a", "b", "c"]
+    assert log.total_queries == 5  # counted whether kept or not
+    assert [e["tag"] for e in log.slowest()] == ["b", "c"]
+
+
+def test_fast_select_against_a_full_log_renders_nothing(monkeypatch):
+    from repro import GemStone
+    from repro.obs import slowlog
+
+    db = GemStone.create()
+    session = db.login()
+    session.execute("""
+        | b | b := Bag new.
+        1 to: 5 do: [:i | | o | o := Object new. o!n := i. b add: o].
+        World!things := b
+    """)
+    log = db.obs.slow_queries
+    for i in range(log.capacity):  # a full log of hour-long queries
+        log.record(entry(3.6e6 + i, f"slow{i}"))
+    kept_before = log.slowest()
+    counted_before = log.total_queries
+
+    calls = []
+    for name in ("describe_plan", "render_block"):
+        real = getattr(slowlog, name)
+        monkeypatch.setattr(
+            slowlog, name,
+            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a),
+        )
+    assert session.execute("(World!things select: [:o | o!n > 2]) size") == 3
+    assert calls == []
+    assert log.total_queries == counted_before + 1
+    assert log.slowest() == kept_before
+
+    # the same query on a log with room is rendered and kept as before
+    log.clear()
+    assert session.execute("(World!things select: [:o | o!n > 2]) size") == 3
+    assert sorted(calls) == ["describe_plan", "render_block"]
+    kept, = log.slowest()
+    assert kept["source"] == "[:o | o!n > 2]"
+    assert kept["result_count"] == 3 and kept["outcome"] == "ok"
+    assert any("BindScan" in step for step in kept["plan"])

@@ -53,6 +53,10 @@ def worked_database():
         )
     session.commit()
     session.execute("(World!emps) reject: [:e | e!salary > 50]")
+    # the same message from a different text: a new call site whose
+    # inline cache is cold, so the store's method cache answers it (the
+    # twelve identical adds above compile once and hit the inline cache)
+    session.execute("(World!emps) reject: [:e | e!salary > 70]")
     # the same compiled select block three times over: the second and
     # third runs hit the translation and plan memos
     session.execute(
@@ -95,6 +99,8 @@ def test_cache_section_reports_session_hit_rates(worked_database):
     caches = worked_database.observability()["caches"]["sessions"]
     assert caches["method_cache"]["hits"] > 0
     assert 0.0 < caches["method_cache"]["hit_rate"] <= 1.0
+    assert caches["inline_cache"]["hits"] > 0
+    assert caches["compile_cache"]["hits"] >= 11
     # the repeated select hit both the translation and the plan memo
     assert caches["translation_cache"]["hits"] > 0
     assert caches["plan_cache"]["hits"] > 0
