@@ -17,7 +17,7 @@ from .report import describe_case
 from .schedule import run_schedule_case
 from .sharded import run_stack_case, run_stack_range
 from .shrink import shrink_case
-from .soak import run_soak
+from .soak import oracle_database, run_soak
 from .temporal import run_temporal_case
 
 
@@ -79,14 +79,8 @@ def _run_differential(args) -> int:
     return 1
 
 
-def _database():
-    from ..db import GemStone
-
-    return GemStone.create(track_count=256, track_size=2048)
-
-
 def _run_temporal(args) -> int:
-    report = run_temporal_case(_database(), args.seed, args.case)
+    report = run_temporal_case(oracle_database(), args.seed, args.case)
     if report.ok:
         print(
             f"ok: seed={args.seed} case={args.case} "
@@ -122,7 +116,7 @@ def _run_stacks(args) -> int:
 
 
 def _run_schedule(args) -> int:
-    report = run_schedule_case(_database(), args.seed, args.case)
+    report = run_schedule_case(oracle_database(), args.seed, args.case)
     if report.ok:
         print(
             f"ok: seed={args.seed} case={args.case} "

@@ -18,7 +18,11 @@ Checked invariants, mirroring section 6's optimistic scheme:
 * **committed histories are serializable** — replaying the committed
   bodies *serially, in commit order* over a fresh model reproduces the
   final committed state exactly.  A validation bug that let a stale
-  read-modify-write commit would break this equality.
+  read-modify-write commit would break this equality;
+* **the platter holds what the live store holds** — when the sample is
+  done, a cold reopen of the database's disk must read every object
+  exactly as the running store has it
+  (:func:`~repro.dr.verify.reopen_cold_diff`).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Optional
 
+from ..dr.verify import reopen_cold_diff
 from ..errors import OverloadedError, TransactionConflict
 from .report import reproducer_command
 
@@ -168,6 +173,7 @@ def run_schedule_case(
     finally:
         for vs in sessions:
             vs.session.close()
+    report.problems.extend(reopen_cold_diff(database))
 
     report.digest = sha256(repr(events).encode()).hexdigest()
     if registry is not None:

@@ -26,7 +26,14 @@ presumed-abort 2PC.  Two collections with the same members, one of them
 indexed, take two-sided bracket selects (the shapes of
 :func:`~repro.check.generate.bracket_bounds`), each sent twice in one
 session: the merged index probe, the scan, the compiled-block cache and
-the plan memo must all give the answer the baseline gives.  Failures
+the plan memo must all give the answer the baseline gives.  The pool's
+bindings start as long strings, which makes ``World`` a record of
+several tracks on every store (the baseline's 4096-byte ones included),
+so the transactions' one-binding commits are appended to its tail; and
+when the workload is done every database this process holds live — the
+baseline, and each shard of the in-process cluster — is reopened cold
+from its platter and must read back object for object as the live store
+has it (:func:`~repro.dr.verify.reopen_cold_diff`).  Failures
 print ``python -m repro.check --oracle sharded|cluster --seed N --case
 K`` reproducers, like every other oracle here.
 """
@@ -39,8 +46,10 @@ from hashlib import sha256
 from typing import Any
 
 from ..db import GemStone
+from ..dr.verify import reopen_cold_diff
 from ..errors import GemStoneError
 from ..shard import ShardedGemStone
+from ..shard.cluster import MemoryHost
 from ..shard.partition import shard_of
 from .generate import bracket_bounds
 from .report import reproducer_command
@@ -51,6 +60,10 @@ _POOL = 8
 
 #: the keys ``n`` of the members both bracket-select collections hold
 _NUMBERS = tuple(range(0, 45, 5))
+
+#: length of the string every pool binding starts as: eight of them are
+#: more than one 4096-byte track, and any one more than a 512-byte track
+_WIDE_VALUE = 600
 
 #: per oracle: the default cluster width and workload length (part of
 #: what a seed means, so they differ as they always have)
@@ -116,7 +129,10 @@ def generate_shard_workload(
             return f"World!{target} := (World!{source} ifNil: [-1])"
         return f"World!{target}"  # plain read
 
-    workload = [load, [index]]
+    # one binding per transaction: each routes to its own shard, and on
+    # every store World outgrows a track before the first small commit
+    widen = [[f"World!{key} := '{key:.<{_WIDE_VALUE}}'"] for key in keys]
+    workload = [*widen, load, [index]]
     for _ in range(transactions):
         statements = [statement() for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.4:
@@ -125,6 +141,19 @@ def generate_shard_workload(
             statements += [bracket_select()] * 2
         workload.append(statements)
     return workload
+
+
+def _live_databases(stacks: dict[str, Any]) -> dict[str, GemStone]:
+    """The databases of *stacks* that live in this process, by name."""
+    found: dict[str, GemStone] = {}
+    for name, stack in stacks.items():
+        if isinstance(stack, GemStone):
+            found[name] = stack
+            continue
+        for host in stack.hosts:
+            if isinstance(host, MemoryHost) and host.alive:
+                found[f"{name} shard {host.shard_id}"] = host.worker.db
+    return found
 
 
 @dataclass
@@ -265,6 +294,15 @@ def run_stack_case(
         report.cross_shard_commits = counts[-1]
         if not _same(counts):
             note(-1, "cross-shard commit count", ["-", *counts])
+
+        for name, database in _live_databases(stacks).items():
+            problems = reopen_cold_diff(database)
+            if problems:
+                report.mismatches.append(StackMismatch(
+                    seed=seed, case=case, oracle=oracle, transaction=-1,
+                    what="platter against its live store",
+                    observed={name: problems},
+                ))
     finally:
         for cluster in clusters:
             cluster.close()

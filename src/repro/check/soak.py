@@ -20,10 +20,26 @@ from .sharded import run_stack_range
 from .temporal import run_temporal_range
 
 
-def _soak_database():
+#: ``World!padNN`` bindings the oracles' database starts with
+_PAD_KEYS = 64
+
+
+def oracle_database():
+    """A fresh database for the temporal and schedule oracles.
+
+    512-byte tracks and a padded ``World``: its record spans tracks from
+    the first case on, so the oracles' one- and two-binding commits are
+    appended to its last fragment (and now and then spill a new one),
+    while the small objects they create beside it are written whole.
+    """
     from ..db import GemStone
 
-    return GemStone.create(track_count=256, track_size=2048)
+    database = GemStone.create(track_count=2048, track_size=512)
+    with database.login() as loader:
+        for index in range(_PAD_KEYS):
+            loader.assign(f"pad{index:02d}", index)
+        loader.commit()
+    return database
 
 
 def run_soak(
@@ -42,7 +58,7 @@ def run_soak(
         seed, diff_cases, queries_per_case=queries_per_case, registry=registry
     )
 
-    database = _soak_database()
+    database = oracle_database()
     temporal = run_temporal_range(
         database, seed, temporal_cases, registry=registry
     )

@@ -11,7 +11,10 @@ every object × field × probe time:
 * the raw association table (:meth:`AssociationTable.value_at`);
 * after every commit, that ``SafeTime`` equals the commit time just
   assigned, and that a deliberately skewed SafeTime provider is clamped
-  to the commit-clock ceiling (counting the clamp).
+  to the commit-clock ceiling (counting the clamp);
+* once the history is in, that a cold reopen of the database's disk
+  reads every object exactly as the running store has it
+  (:func:`~repro.dr.verify.reopen_cold_diff`).
 
 Probe times include every commit time, the instants just before and
 after each, and a time before the history began — the boundary cases
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.timedial import TimeDial
+from ..dr.verify import reopen_cold_diff
 from .report import reproducer_command
 
 #: resolve() default distinguishing "absent at T" from any real value
@@ -81,6 +85,7 @@ def run_temporal_case(
         _check_safe_time_clamp(database, report, registry)
     finally:
         session.close()
+    report.problems.extend(reopen_cold_diff(database))
 
     if registry is not None:
         registry.inc("check.temporal.histories")

@@ -11,9 +11,12 @@ A :class:`SessionObjectManager` implements the full
 * reads come from the latest committed state (or the session's own
   uncommitted writes), and every element read/enumeration is recorded —
   the Transaction Manager's "access recording";
-* the first write to a committed object copies it into the private
-  workspace (its *twin*), so uncommitted changes never touch shared
-  state;
+* the first write to a committed object puts a *twin* of it into the
+  private workspace, so uncommitted changes never touch shared state.
+  The twin borrows the object's association tables and copies one when
+  it first writes to it; a commit landing meanwhile appends to a copy
+  of each table it writes (the Linker), so the borrowed ones stay as
+  they were;
 * new objects and classes live entirely in the workspace;
 * commit hands the creation list and write log to the Transaction
   Manager; abort simply discards the workspace — the paper's "an entire

@@ -232,7 +232,10 @@ class TransactionManager:
                 listener(tx_time, dirty, writes, creations)
             try:
                 self.store.persist(
-                    dirty, tx_time, new_classes=session.new_classes()
+                    dirty,
+                    tx_time,
+                    new_classes=session.new_classes(),
+                    deltas=self.linker.deltas,
                 )
             except StorageError:
                 # the storage stack failed mid-pipeline (injected crash,
@@ -328,8 +331,13 @@ class TransactionManager:
                     if obj not in dirty:
                         dirty.append(obj)
             try:
+                # an object the hook bound into as well has moved past its
+                # delta's version: the store writes that one whole
                 self.store.persist(
-                    dirty, tx_time, new_classes=prepared.new_classes
+                    dirty,
+                    tx_time,
+                    new_classes=prepared.new_classes,
+                    deltas=self.linker.deltas,
                 )
             except StorageError:
                 # nothing became durable; the transaction stays prepared

@@ -204,7 +204,7 @@ class GemClass(GemObject):
         class_epoch.bump()
 
     def copy_shell(self) -> "GemClass":
-        """A deep element copy that stays a class.
+        """A table-borrowing twin (see the superclass) that stays a class.
 
         Method dictionaries and the structural definition are shared
         with the original: sessions twin class objects for element
@@ -219,7 +219,7 @@ class GemClass(GemObject):
             segment_id=self.segment_id,
             created_at=self.created_at,
         )
-        twin.elements = {n: t.copy() for n, t in self.elements.items()}
+        twin._borrow_elements(self)
         twin.methods = self.methods
         twin.class_methods = self.class_methods
         return twin

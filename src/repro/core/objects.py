@@ -31,6 +31,7 @@ class GemObject:
 
     __slots__ = (
         "oid", "class_oid", "segment_id", "elements", "created_at", "version",
+        "_own",
     )
 
     def __init__(
@@ -50,6 +51,10 @@ class GemObject:
         #: columns, caches) validate against it instead of write hooks,
         #: so direct ``GemObject.bind`` callers invalidate them too
         self.version = 0
+        #: ``None``: every table is this object's.  On a twin made by
+        #: :meth:`copy_shell`: the element names whose tables it has
+        #: copied so far — all others are still the original's
+        self._own: set[Any] | None = None
 
     def __repr__(self) -> str:
         names = ", ".join(repr(n) for n in list(self.elements)[:6])
@@ -73,11 +78,29 @@ class GemObject:
         check_element_name(name)
         check_value(value)
         table = self.elements.get(name)
-        if table is None:
-            table = AssociationTable()
-            self.elements[name] = table
+        own = self._own
+        if own is not None and name not in own:
+            # a twin's first write here: copy this one borrowed table
+            own.add(name)
+            table = self.elements[name] = (
+                AssociationTable() if table is None else table.copy()
+            )
+        elif table is None:
+            table = self.elements[name] = AssociationTable()
         table.record(time, value)
         self.version += 1
+
+    def unshare_table(self, name: Any) -> None:
+        """Give element *name* a table no twin reads.
+
+        A twin borrows the tables it has not written (:meth:`copy_shell`),
+        so whoever appends to a table of an original that sessions can
+        twin calls this first (the Linker does, for every write it
+        replays): a twin then keeps the table as it was.
+        """
+        table = self.elements.get(name)
+        if table is not None:
+            self.elements[name] = table.copy()
 
     def unbind(self, name: Any, time: int) -> None:
         """Record departure of an element by binding it to nil.
@@ -188,7 +211,18 @@ class GemObject:
         return latest
 
     def copy_shell(self) -> "GemObject":
-        """A deep copy of this object's identity and history tables."""
+        """A twin with this object's identity that borrows its tables.
+
+        Only the element *dict* is copied.  The twin copies a table
+        before its own first write to it, and reads the rest through
+        the original's — so it keeps reading the state at this call
+        only while the original's writer does the same for the tables
+        it appends to (:meth:`unshare_table`).
+        """
         other = GemObject(self.oid, self.class_oid, self.segment_id, self.created_at)
-        other.elements = {n: t.copy() for n, t in self.elements.items()}
+        other._borrow_elements(self)
         return other
+
+    def _borrow_elements(self, original: "GemObject") -> None:
+        self.elements = dict(original.elements)
+        self._own = set()

@@ -23,7 +23,13 @@ from .log import (
 from .recover import recover_database, recover_disk, replay_onto
 from .ship import LogReceiver, LogShipper
 from .store import LogSegment, ReplicaLogStore
-from .verify import byte_identical, diff_disks, disk_digest, logical_diff
+from .verify import (
+    byte_identical,
+    diff_disks,
+    disk_digest,
+    logical_diff,
+    reopen_cold_diff,
+)
 
 __all__ = [
     "DeltaRecord",
@@ -43,4 +49,5 @@ __all__ = [
     "diff_disks",
     "disk_digest",
     "logical_diff",
+    "reopen_cold_diff",
 ]

@@ -147,13 +147,19 @@ class DrSoakReport:
 
 
 def _workload(seed: int, commits: int, writes_per_commit: int) -> list[list[str]]:
-    return [
+    """Batches of key rewrites; the first also pads ``World`` past one
+    512-byte track, so the later commits ship *appended* record tails —
+    the log must carry those byte for byte like any other track."""
+    workload = [
         [
             f"World!k{key} := 's{seed}_g{batch}_{key}'"
             for key in range(writes_per_commit)
         ]
         for batch in range(commits)
     ]
+    if workload:
+        workload[0] += [f"World!pad{i:02d} := {i}" for i in range(64)]
+    return workload
 
 
 def _reproducer(seed: int, kill: int, mode: str) -> str:

@@ -11,7 +11,9 @@ Above bytes, :func:`logical_diff` opens both disks as databases and
 compares what a session can observe — catalog, epoch, transaction time,
 the oid population, and every object's encoded record — the same
 spirit as the ``repro.check`` differential oracle: two paths to the same
-state must agree exactly.
+state must agree exactly.  :func:`reopen_cold_diff` is that comparison
+between one live database and a cold reopen of its own platter: what a
+crash right now would leave a restarted server to read.
 """
 
 from __future__ import annotations
@@ -94,3 +96,19 @@ def logical_diff(expected_db, actual_db) -> List[str]:
             if len(problems) >= 10:
                 break
     return problems
+
+
+def reopen_cold_diff(database) -> List[str]:
+    """What a cold reopen of *database*'s platter sees differently.
+
+    The live store answers from objects it has kept decoded since it
+    wrote them; the reopened one has only the tracks.  Any difference is
+    a record the write path put on the platter wrongly (or a reader
+    that cannot find it) — invisible until the process restarts.
+    """
+    from ..db import GemStone
+
+    return [
+        f"reopened cold: {problem}"
+        for problem in logical_diff(database, GemStone.open(database.disk))
+    ]

@@ -13,7 +13,18 @@ exactly that:
    ``CommitManager.recover``), and assert the root-epoch and
    object-table invariants: the recovered epoch is exactly the epoch of
    the last completed commit, and every workload key reads back the
-   value that commit gave it — never a torn mixture.
+   value that commit gave it — never a torn mixture;
+4. compare that cold reopen, object by object, with a *live* witness
+   database driven through the same number of commits and never
+   restarted (:func:`~repro.dr.verify.logical_diff`): the recovered
+   platter must hold every record exactly as a running server has it.
+
+The workload makes ``World`` a record of several tracks in its first
+commit and then commits a few bindings into it at a time, beside a
+one-track neighbour, so the crash points fall inside all three ways a
+record reaches the platter: associations appended to its last fragment,
+a full tail sealed with the rest spilling onto a new fragment, and a
+whole-record rewrite.
 
 Everything is deterministic: the workload is fixed, crash points are
 exact write indexes, and time is the disk's simulated cost model.
@@ -24,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..db import GemStone
+from ..dr.verify import logical_diff
 from ..errors import StorageError
 from ..storage.disk import DiskGeometry, SimulatedDisk
 
@@ -59,16 +71,32 @@ class SoakReport:
         return sum(s.recovery_time_units for s in self.steps) / len(self.steps)
 
 
+#: ``World!padNN`` bindings of the first batch: ~11 bytes each on the platter
+_PAD_KEYS = 64
+#: length of the string each batch also binds: four such appends outgrow
+#: any 512-byte tail, so even a five-commit smoke seals and spills once
+_TRAIL = 120
+
+
 def build_workload(commits: int = 12, writes_per_commit: int = 3) -> list[list[str]]:
     """A mixed OPAL workload: *commits* batches of key assignments.
 
     Every batch rewrites the same keys with a new generation marker, so
     a torn commit is visible as keys disagreeing on their generation.
+    The first batch also pads ``World`` past one 512-byte track and
+    creates ``World!note``; every batch binds a longer string into
+    ``World`` and rebinds one element of that small neighbour, whose
+    record is rewritten whole each time.
     """
-    return [
+    workload = [
         [f"World!k{key} := 'gen{batch}_{key}'" for key in range(writes_per_commit)]
+        + [f"World!trail := '{'.' * _TRAIL}{batch}'", f"World!note!gen := {batch}"]
         for batch in range(commits)
     ]
+    if workload:
+        workload[0][:0] = [f"World!pad{i:02d} := {i}" for i in range(_PAD_KEYS)]
+        workload[0].insert(_PAD_KEYS, "World!note := Object new")
+    return workload
 
 
 def _replay(db: GemStone, workload: list[list[str]]) -> int:
@@ -116,6 +144,12 @@ def run_crash_sweep(
     completed = _replay(reference_db, workload)
     assert completed == len(workload), "reference run must not fail"
     total_writes = reference.stats.writes - writes_before
+
+    problems = logical_diff(reference_db, GemStone.open(reference))
+    assert not problems, f"reference run does not reopen as it stands: {problems}"
+    # the live witness of step 4: crash points ascend, so does what survives
+    witness_db = GemStone.open(base_disk.clone())
+    witnessed = 0
 
     report = SoakReport(
         total_writes=total_writes,
@@ -172,6 +206,12 @@ def run_crash_sweep(
         assert report.torn_states == 0, (
             f"crash index {crash_index}: recovered state is not the last "
             f"completed commit's state"
+        )
+        witnessed += _replay(witness_db, workload[witnessed:completed])
+        problems = logical_diff(witness_db, recovered)
+        assert not problems, (
+            f"crash index {crash_index}: the reopened platter differs from "
+            f"a live store after {completed} commits: {problems}"
         )
 
         report.crash_points += 1

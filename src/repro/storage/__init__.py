@@ -23,13 +23,14 @@ from .codec import (
     decode_object,
     decode_object_full,
     decode_root,
+    encode_appends,
     encode_object,
     encode_root,
 )
 from .commit import CommitManager, decode_root_track, encode_root_track
 from .disk import DiskGeometry, DiskStats, SimulatedDisk
 from .filedisk import FileDisk
-from .linker import Creation, Linker, Write
+from .linker import Creation, Delta, Linker, Write
 from .object_table import Location, ObjectTable, PAGE_SPAN
 from .replication import ReplicaHealth, ReplicatedDisk
 from .stable import StableStore, read_blob, write_blob
@@ -41,6 +42,7 @@ __all__ = [
     "Boxer",
     "CommitManager",
     "Creation",
+    "Delta",
     "DiskGeometry",
     "FileDisk",
     "DiskStats",
@@ -63,6 +65,7 @@ __all__ = [
     "decode_object_full",
     "decode_root",
     "decode_root_track",
+    "encode_appends",
     "encode_object",
     "encode_root",
     "encode_root_track",

@@ -17,12 +17,20 @@ unlike ST80's 64KB ceiling.  The Boxer packs records *in the order given*:
 the Linker orders dirty objects parent-first along their primary logical
 path, so physical access paths parallel logical access for tree data
 (section 6).
+
+A record that spans tracks grows at its end: the store re-packs only
+the record's *last* fragment with the commit's associations appended,
+and every earlier fragment stays on its track.  Two consequences for
+readers: ``frag_total`` is what the record had when the fragment was
+written (advisory — the object table's placements say how many there
+are now), and a sealed track may keep a superseded later fragment of
+the same oid, so fragment *i* is read from track *i* of the placements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ..errors import CodecError, TrackOverflow
 from .codec import Reader, Writer
@@ -149,23 +157,35 @@ class Boxer:
         """Largest single-fragment payload guaranteed to fit in a track."""
         return self.track_size - self._HEADER_ALLOWANCE - 1
 
-    def split(self, oid: int, data: bytes) -> list[Fragment]:
-        """Split one record into fragments no larger than a track."""
-        chunk = self.max_payload()
-        if len(data) <= chunk:
-            return [Fragment(oid, 0, 1, data)]
-        pieces = [data[i : i + chunk] for i in range(0, len(data), chunk)]
-        total = len(pieces)
-        return [Fragment(oid, seq, total, piece) for seq, piece in enumerate(pieces)]
+    def split(self, oid: int, data: bytes, first_seq: int = 0) -> list[Fragment]:
+        """Split *data* into fragments no larger than a track.
 
-    def pack(self, records: Sequence[tuple[int, bytes]]) -> PackResult:
+        *data* is a whole record, or (``first_seq`` > 0) the grown tail
+        of one whose fragments before *first_seq* stay where they are.
+        """
+        chunk = self.max_payload()
+        pieces = [data[i : i + chunk] for i in range(0, len(data), chunk)] or [data]
+        total = first_seq + len(pieces)
+        return [
+            Fragment(oid, seq, total, piece)
+            for seq, piece in enumerate(pieces, first_seq)
+        ]
+
+    def pack(
+        self,
+        records: Sequence[tuple[int, bytes]],
+        first_seq: Optional[Mapping[int, int]] = None,
+    ) -> PackResult:
         """Pack (oid, encoded-record) pairs into track images, in order.
 
         First-fit in arrival order: consecutive records share a track
         while they fit, so the Linker's parent-first ordering yields the
         paper's physical/logical path parallelism.  Multi-fragment
-        objects occupy consecutive images.
+        objects occupy consecutive images.  An oid in *first_seq* brings
+        only its record's tail, numbered from that fragment on; its
+        placements then cover those fragments alone.
         """
+        first_seq = first_seq or {}
         images: list[bytes] = []
         placements: dict[int, list[int]] = {}
         builder = TrackImageBuilder(self.track_size)
@@ -179,7 +199,7 @@ class Boxer:
         for oid, data in records:
             if oid in placements:
                 raise CodecError(f"oid {oid} packed twice in one group")
-            fragments = self.split(oid, data)
+            fragments = self.split(oid, data, first_seq.get(oid, 0))
             spots: list[int] = []
             for fragment in fragments:
                 if not builder.fits(
@@ -193,15 +213,19 @@ class Boxer:
         return PackResult(images=images, placements=placements)
 
 
-def assemble(fragments: Sequence[Fragment]) -> bytes:
-    """Reassemble an object's encoded record from its fragments."""
+def assemble(fragments: Sequence[Fragment], count: int) -> bytes:
+    """Reassemble an object's encoded record from its *count* fragments.
+
+    *count* is the length of the record's placements; a fragment's
+    ``total`` is not consulted — it stops being true once the record
+    has grown.
+    """
     ordered = sorted(fragments, key=lambda f: f.seq)
     if not ordered:
         raise CodecError("no fragments to assemble")
-    total = ordered[0].total
-    if len(ordered) != total or [f.seq for f in ordered] != list(range(total)):
+    if [f.seq for f in ordered] != list(range(count)):
         raise CodecError(
             f"incomplete fragment chain for oid {ordered[0].oid}: "
-            f"have {[f.seq for f in ordered]} of {total}"
+            f"have {[f.seq for f in ordered]} of {count}"
         )
     return b"".join(f.payload for f in ordered)

@@ -23,7 +23,7 @@ keeping the codec independent of the bytecode set.)
 from __future__ import annotations
 
 import struct
-from typing import Any
+from typing import Any, Iterable
 
 from ..core.classes import GemClass
 from ..core.history import AssociationTable
@@ -213,7 +213,12 @@ def decode_value(reader: Reader) -> Any:
 # --------------------------------------------------------------------------
 
 def encode_object(obj: GemObject) -> bytes:
-    """Encode a full object record: header, elements, association tables."""
+    """Encode a full object record: header, elements, association tables.
+
+    The record grammar (``docs/storage.md``) lets appended associations
+    follow the elements; a whole encode writes none — it is what folds a
+    record's appended tail back into its tables.
+    """
     writer = Writer()
     writer.raw(RECORD_MAGIC)
     kind = RECORD_CLASS if isinstance(obj, GemClass) else RECORD_PLAIN
@@ -228,6 +233,21 @@ def encode_object(obj: GemObject) -> bytes:
     for name, table in obj.elements.items():
         encode_value(writer, name)
         _encode_table(writer, table)
+    return writer.getvalue()
+
+
+def encode_appends(bindings: Iterable[tuple[Any, Any]], tx_time: int) -> bytes:
+    """Encode one transaction's bindings as appended associations.
+
+    Each is ``name, tx_time, value`` — by name and with the absolute
+    time, so the bytes can be concatenated to a record without reading
+    it: section 6's commit only ever *adds* a (time, value) pair.
+    """
+    writer = Writer()
+    for name, value in bindings:
+        encode_value(writer, name)
+        writer.uvarint(tx_time)
+        encode_value(writer, value)
     return writer.getvalue()
 
 
@@ -297,6 +317,15 @@ def decode_object_full(data: bytes) -> tuple[GemObject, list[tuple[str, str, str
     for _ in range(count):
         name = decode_value(reader)
         obj.elements[name] = _decode_table(reader)
+    # appended associations, in commit order, until the record ends; two
+    # at one time on one element are one association (the later wins)
+    while reader.remaining():
+        name = decode_value(reader)
+        time = reader.uvarint()
+        table = obj.elements.get(name)
+        if table is None:
+            table = obj.elements[name] = AssociationTable()
+        table.record(time, decode_value(reader))
     return obj, sources
 
 
@@ -343,7 +372,13 @@ def _decode_table(reader: Reader) -> AssociationTable:
 # root records
 # --------------------------------------------------------------------------
 
-ROOT_MAGIC = b"GSRT"
+#: written by this code: object records may carry appended associations
+ROOT_MAGIC = b"GSR2"
+#: the format before append-form records.  Still opened (a record with
+#: no appends decodes identically); the magic was bumped so that *older*
+#: code, whose decoder would silently stop before a record's appended
+#: tail, finds no root it recognises and refuses the platter instead.
+_ROOT_MAGIC_V1 = b"GSRT"
 
 
 _ROOT_TRACK_LISTS = ("object_table_tracks", "allocation_tracks", "catalog_tracks")
@@ -376,7 +411,7 @@ def encode_root(fields: dict[str, Any]) -> bytes:
 def decode_root(data: bytes) -> dict[str, Any]:
     """Decode a root record; raises :class:`CodecError` if malformed."""
     reader = Reader(data)
-    if reader.raw(4) != ROOT_MAGIC:
+    if reader.raw(4) not in (ROOT_MAGIC, _ROOT_MAGIC_V1):
         raise CodecError("bad root magic")
     fields: dict[str, Any] = {
         "epoch": reader.uvarint(),

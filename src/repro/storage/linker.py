@@ -13,7 +13,10 @@ In this reproduction the Linker:
    5.3.1);
 3. orders the dirty objects parent-first along their reference edges, so
    the Boxer's first-fit packing clusters tree-structured data the way
-   the paper wants physical access paths to parallel logical ones.
+   the paper wants physical access paths to parallel logical ones;
+4. keeps, per already-stored object, exactly the bindings it replayed
+   (:attr:`Linker.deltas`), so the store can append those associations
+   to the object's record instead of encoding the object again.
 
 Directory restructuring is driven from the same write log by the
 Directory Manager (:mod:`repro.directories.manager`), which the database
@@ -50,11 +53,24 @@ class Write:
     value: Any
 
 
+@dataclass(frozen=True)
+class Delta:
+    """All that one transaction bound on an object that already had a record."""
+
+    bindings: list  # of (element name, value), in write order
+    #: the object's ``version`` once these were applied.  Anyone who
+    #: binds into it afterwards at the same transaction time moves the
+    #: version on, and the store then knows the delta is not everything.
+    version: int
+
+
 class Linker:
     """Merges one transaction's effects into the stable store."""
 
     def __init__(self, store) -> None:
         self.store = store
+        #: oid -> :class:`Delta` of the last :meth:`incorporate`
+        self.deltas: dict[int, Delta] = {}
 
     def incorporate(
         self,
@@ -65,12 +81,24 @@ class Linker:
         """Apply a transaction; return dirty stable objects, parent-first."""
         created = self._install_creations(creations, tx_time)
         dirty: dict[int, GemObject] = dict(created)
+        bound: dict[int, list] = {}  # per object that was already stored
         for write in writes:
-            obj = dirty.get(write.oid)
+            oid = write.oid
+            obj = dirty.get(oid)
             if obj is None:
-                obj = self.store.object(write.oid)
-                dirty[write.oid] = obj
+                obj = dirty[oid] = self.store.object(oid)
+                bound[oid] = []
+            bindings = bound.get(oid)
+            if bindings is not None:
+                # a session's twin may be reading this table (it borrows
+                # the ones it has not written): append to a copy of it
+                obj.unshare_table(write.name)
+                bindings.append((write.name, write.value))
             obj.bind(write.name, write.value, tx_time)
+        self.deltas = {
+            oid: Delta(bindings, dirty[oid].version)
+            for oid, bindings in bound.items()
+        }
         return self._order_parent_first(dirty)
 
     # -- creations -------------------------------------------------------------
@@ -112,6 +140,8 @@ class Linker:
 
     def _order_parent_first(self, dirty: dict[int, GemObject]) -> list[GemObject]:
         """DFS from un-referenced dirty objects, parents before children."""
+        if len(dirty) < 2:
+            return list(dirty.values())  # nothing to order: skip the element walk
         children: dict[int, list[int]] = {}
         referenced: set[int] = set()
         for oid, obj in dirty.items():

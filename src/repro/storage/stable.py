@@ -19,6 +19,14 @@ Layout on disk:
 Every commit writes only new tracks and flips the root, so torn groups
 are invisible after recovery.  Tracks whose last resident moved are
 released only once the commit is durable.
+
+A record that spans tracks is not rewritten by a commit that only adds
+associations to it: the commit's bindings are encoded alone, appended
+to the payload of the record's *last* fragment, and only that tail is
+boxed onto a fresh track — the earlier fragments keep theirs.  A record
+that fits one track, a new object, and any write the caller brings no
+delta for go out whole, which is also what folds a long tail back into
+the record's tables.
 """
 
 from __future__ import annotations
@@ -26,16 +34,24 @@ from __future__ import annotations
 import struct
 import threading
 from collections import OrderedDict
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
+from ..core.classes import GemClass
 from ..core.object_manager import FIRST_USER_OID, ObjectStore
 from ..core.objects import GemObject
 from ..errors import ArchiveError, NoSuchObject, RecoveryError
 from .archive import ArchiveDrive, ArchiveMedia
-from .boxer import Boxer, assemble, read_entries
+from .boxer import Boxer, assemble, find_fragment
 from .cache import ObjectCache
-from .codec import decode_catalog, decode_object_full, encode_catalog, encode_object
+from .codec import (
+    decode_catalog,
+    decode_object_full,
+    encode_appends,
+    encode_catalog,
+    encode_object,
+)
 from .commit import CommitManager
+from .linker import Delta
 from .object_table import (
     ObjectTable,
     decode_page_directory,
@@ -92,6 +108,8 @@ class StableStore(ObjectStore):
         self._page_directory_tracks: list[int] = []
         self._bitmap_tracks: list[int] = []
         self._catalog_tracks: list[int] = []
+        #: the catalog blob those tracks hold (rewritten only when it changes)
+        self._catalog_blob: Optional[bytes] = None
         self._next_oid = FIRST_USER_OID
         self._oid_lock = threading.Lock()
         self.last_tx_time = 0
@@ -153,7 +171,8 @@ class StableStore(ObjectStore):
         store._bitmap_tracks = list(fields["allocation_tracks"])
         store._catalog_tracks = list(fields["catalog_tracks"])
         store.tracks.load_bitmap(read_blob(store.tracks, store._bitmap_tracks))
-        store.catalog = decode_catalog(read_blob(store.tracks, store._catalog_tracks))
+        store._catalog_blob = read_blob(store.tracks, store._catalog_tracks)
+        store.catalog = decode_catalog(store._catalog_blob)
         directory_blob = read_blob(store.tracks, store._page_directory_tracks)
         store._page_directory = decode_page_directory(directory_blob)
         for page, page_tracks in store._page_directory.items():
@@ -197,8 +216,6 @@ class StableStore(ObjectStore):
 
     def adopt(self, obj: GemObject) -> GemObject:
         """Take ownership of *obj*; it becomes durable at the next persist."""
-        from ..core.classes import GemClass
-
         self._resident_only[obj.oid] = obj
         if isinstance(obj, GemClass):
             self._resident_classes[obj.oid] = obj
@@ -233,8 +250,6 @@ class StableStore(ObjectStore):
         obj, sources = decode_object_full(data)
         if sources:
             self.pending_method_sources[oid] = sources
-        from ..core.classes import GemClass
-
         if isinstance(obj, GemClass):
             self._resident_classes[oid] = obj
         else:
@@ -242,13 +257,15 @@ class StableStore(ObjectStore):
         return obj
 
     def _read_record(self, oid: int, track_numbers: Sequence[int]) -> bytes:
-        fragments = []
-        # a tiny last fragment can share a track with the one before it, so
-        # the placements may name a track twice: visit each once, in order
-        for track in dict.fromkeys(track_numbers):
-            image = self._read_track_buffered(track)
-            fragments.extend(f for f in read_entries(image) if f.oid == oid)
-        return assemble(fragments)
+        # fragment i comes from track i of the placements and from nowhere
+        # else: a tiny fragment can share a track with the one before it
+        # (the placements then name that track twice), and once the record
+        # has grown, that sealed track still holds the superseded copy
+        fragments = [
+            find_fragment(self._read_track_buffered(track), oid, seq)
+            for seq, track in enumerate(track_numbers)
+        ]
+        return assemble(fragments, len(track_numbers))
 
     def _read_track_buffered(self, track: int) -> bytes:
         buffered = self._track_buffers.get(track)
@@ -276,12 +293,17 @@ class StableStore(ObjectStore):
         tx_time: int,
         new_classes: dict[str, int] | None = None,
         catalog_updates: dict[str, int] | None = None,
+        deltas: Mapping[int, Delta] | None = None,
     ) -> int:
         """Make *dirty_objects* durable as one safe-written commit group.
 
         The caller (the Transaction Manager, or :meth:`format`) has
         already merged the transaction via the Linker; objects arrive
-        parent-first for clustering.  Returns the new root epoch.
+        parent-first for clustering.  *deltas* (``Linker.deltas``) says,
+        per oid, exactly what the transaction bound: an object whose
+        record spans tracks then has those associations appended to its
+        last fragment rather than being encoded again.  Returns the new
+        root epoch.
         """
         obs = self.obs
         if obs is not None and obs.tracer.enabled:
@@ -289,9 +311,11 @@ class StableStore(ObjectStore):
                 "storage.persist", objects=len(dirty_objects), tx_time=tx_time
             ):
                 return self._persist(
-                    dirty_objects, tx_time, new_classes, catalog_updates
+                    dirty_objects, tx_time, new_classes, catalog_updates, deltas
                 )
-        return self._persist(dirty_objects, tx_time, new_classes, catalog_updates)
+        return self._persist(
+            dirty_objects, tx_time, new_classes, catalog_updates, deltas
+        )
 
     def _persist(
         self,
@@ -299,6 +323,7 @@ class StableStore(ObjectStore):
         tx_time: int,
         new_classes: dict[str, int] | None = None,
         catalog_updates: dict[str, int] | None = None,
+        deltas: Mapping[int, Delta] | None = None,
     ) -> int:
         if new_classes:
             for name, oid in new_classes.items():
@@ -310,17 +335,28 @@ class StableStore(ObjectStore):
         writes: dict[int, bytes] = {}
         freed: set[int] = set()
 
-        # 1. Boxer: encode and pack dirty objects into fresh tracks.
-        records = [(obj.oid, encode_object(obj)) for obj in dirty_objects]
-        pack = self.boxer.pack(records)
+        # 1. Boxer: encode and pack dirty objects into fresh tracks — whole
+        #    records, or just the grown tail of one that spans tracks.
+        records: list[tuple[int, bytes]] = []
+        first_seq: dict[int, int] = {}
+        for obj in dirty_objects:
+            tail = self._grown_tail(obj, deltas, tx_time)
+            if tail is None:
+                records.append((obj.oid, encode_object(obj)))
+            else:
+                first_seq[obj.oid], payload = tail
+                records.append((obj.oid, payload))
+        pack = self.boxer.pack(records, first_seq)
         new_tracks = self.tracks.allocate(len(pack.images))
         for index, image in enumerate(pack.images):
             writes[new_tracks[index]] = image
         for oid, spots in pack.placements.items():
             old = self.table.get(oid)
+            kept: tuple[int, ...] = ()
             if old is not None and not old.archived:
-                freed.update(old.tracks)
-            self.table.set_tracks(oid, [new_tracks[i] for i in spots])
+                kept = old.tracks[: first_seq.get(oid, 0)]
+                freed.update(old.tracks[len(kept) :])
+            self.table.set_tracks(oid, [*kept, *(new_tracks[i] for i in spots)])
 
         # 2. Shadow-write dirty object-table pages (multi-track blobs).
         for page in sorted(self.table.dirty_pages()):
@@ -341,17 +377,19 @@ class StableStore(ObjectStore):
         writes.update(directory_writes)
         self._page_directory_tracks = directory_tracks
 
-        freed.update(self._catalog_tracks)
-        catalog_tracks, catalog_writes = write_blob(
-            self.tracks, encode_catalog(self.catalog)
-        )
-        writes.update(catalog_writes)
-        self._catalog_tracks = catalog_tracks
+        catalog_blob = encode_catalog(self.catalog)
+        if catalog_blob != self._catalog_blob:
+            freed.update(self._catalog_tracks)
+            self._catalog_tracks, catalog_writes = write_blob(
+                self.tracks, catalog_blob
+            )
+            writes.update(catalog_writes)
+            self._catalog_blob = catalog_blob
 
         # 4. Allocation bitmap reflecting the post-commit state.
         freed.update(self._bitmap_tracks)
         still_used = self.table.tracks_in_use() | set(directory_tracks)
-        still_used.update(catalog_tracks)
+        still_used.update(self._catalog_tracks)
         for page_tracks in self._page_directory.values():
             still_used.update(page_tracks)
         freed -= still_used
@@ -386,6 +424,32 @@ class StableStore(ObjectStore):
             self._resident_only.pop(obj.oid, None)
             self.cache.put(obj)
         return epoch
+
+    def _grown_tail(
+        self, obj: GemObject, deltas: Mapping[int, Delta] | None, tx_time: int
+    ) -> Optional[tuple[int, bytes]]:
+        """``(seq, payload)`` of *obj*'s last fragment with its delta appended.
+
+        ``None`` when the record has to be written whole: no delta, no
+        record yet, a record that fits one track (rewriting it costs the
+        same track), bindings at *tx_time* the delta does not hold, or a
+        class — its record also holds the instance variable names and
+        method sources, which change without a binding to show for it.
+        """
+        delta = deltas.get(obj.oid) if deltas else None
+        if (
+            delta is None
+            or obj.version != delta.version
+            or isinstance(obj, GemClass)
+        ):
+            return None
+        location = self.table.get(obj.oid)
+        if location is None or len(location.tracks) < 2:
+            return None
+        seq = len(location.tracks) - 1
+        image = self._read_track_buffered(location.tracks[seq])
+        tail = find_fragment(image, obj.oid, seq).payload
+        return seq, tail + encode_appends(delta.bindings, tx_time)
 
     def _bitmap_writes(
         self, bitmap_tracks: Sequence[int], allocated: set[int]

@@ -64,3 +64,15 @@ def test_schedule_counters_reach_the_registry(database):
     assert counters["check.schedule.samples"] == 2
     assert counters["check.schedule.commits"] == report.commits
     assert "check.schedule.violations" not in counters
+
+
+def test_a_twin_that_shares_tables_naively_is_caught(monkeypatch):
+    # twins borrow the committed object's tables; what keeps a twin
+    # reading "the state at its first write" is the Linker unsharing a
+    # table before it appends to it — without that the oracle must fail
+    from repro.core.objects import GemObject
+
+    monkeypatch.setattr(GemObject, "unshare_table", lambda self, name: None)
+    report = run_schedule_range(fresh_database(), SMOKE_SEED, 8)
+    assert not report.ok
+    assert any("expected" in problem for problem in report.problems)

@@ -65,3 +65,40 @@ class TestShardedOracle:
         )
         assert metrics["sharded_statements"] > 0
         assert metrics["problems"] == 0
+
+
+class TestTheOraclesReachTheAppendPath:
+    def test_the_oracle_database_starts_with_a_world_of_several_tracks(self):
+        from repro.check.soak import oracle_database
+
+        database = oracle_database()
+        world = database.store.catalog["world"]
+        assert len(database.store.table.get(world).tracks) >= 2
+
+    def test_every_shard_and_the_baseline_hold_a_wide_world(self, monkeypatch):
+        from repro.check import sharded
+
+        spans = {}
+        real = sharded.reopen_cold_diff
+
+        def recording(database):
+            world = database.store.catalog["world"]
+            spans[id(database)] = len(database.store.table.get(world).tracks)
+            return real(database)
+
+        monkeypatch.setattr(sharded, "reopen_cold_diff", recording)
+        report = run_stack_case(2026, 0)
+        assert report.ok, [m.describe() for m in report.mismatches]
+        assert len(spans) == 1 + report.shards  # baseline + each shard, cold
+        assert min(spans.values()) >= 2
+
+    def test_a_platter_that_reopens_differently_is_a_mismatch(self, monkeypatch):
+        from repro.check import sharded
+
+        monkeypatch.setattr(
+            sharded, "reopen_cold_diff",
+            lambda database: ["reopened cold: oid 9: differs"],
+        )
+        report = run_stack_case(2026, 0)
+        assert not report.ok
+        assert "reopened cold" in report.mismatches[0].describe()

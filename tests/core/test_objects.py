@@ -153,3 +153,30 @@ class TestMaintenance:
         assert obj.value("a") == 1
         assert clone.value("a") == 2
         assert clone.oid == obj.oid
+
+    def test_copy_shell_borrows_tables_until_it_writes_them(self):
+        obj = make()
+        obj.bind("a", 1, time=1)
+        obj.bind("b", 1, time=1)
+        clone = obj.copy_shell()
+        assert clone.elements["a"] is obj.elements["a"]
+        clone.bind("a", 2, time=5)
+        clone.bind("c", 3, time=5)
+        assert clone.elements["a"] is not obj.elements["a"]
+        assert clone.elements["b"] is obj.elements["b"]
+        assert not obj.has_element("c")
+        own = clone.elements["a"]
+        clone.bind("a", 3, time=6)
+        assert clone.elements["a"] is own  # copied once, not per write
+
+    def test_unshare_table_keeps_the_clone_reading_the_old_state(self):
+        obj = make()
+        obj.bind("a", 1, time=1)
+        clone = obj.copy_shell()
+        obj.unshare_table("a")
+        obj.bind("a", 2, time=5)
+        obj.unshare_table("never bound")  # nothing to copy: a no-op
+        obj.bind("d", 4, time=5)
+        assert clone.value("a") == 1
+        assert not clone.has_element("d")
+        assert list(obj.history_of("a")) == [(1, 1), (5, 2)]

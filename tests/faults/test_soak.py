@@ -43,6 +43,34 @@ class TestCrashSweep:
         for step in report.steps:
             assert step.recovered_epoch == 1 + step.commits_survived
 
+    def test_crash_points_fall_in_every_way_a_record_is_written(self, monkeypatch):
+        # the workload keeps a World of several tracks beside a one-track
+        # neighbour: appended tails, sealed-and-spilled tails and whole
+        # records must all be in flight at some crash point of a smoke run
+        from collections import Counter
+
+        from repro.storage import Boxer
+
+        seen = Counter()
+        real = Boxer.pack
+
+        def pack(self, records, first_seq=None):
+            packed = real(self, records, first_seq)
+            for oid, _ in records:
+                if first_seq and oid in first_seq:
+                    spilled = len(packed.placements[oid]) > 1
+                    seen["spill" if spilled else "append"] += 1
+                else:
+                    seen["whole"] += 1
+            return packed
+
+        monkeypatch.setattr(Boxer, "pack", pack)
+        report = run_crash_sweep(
+            commits=5, writes_per_commit=2, track_count=512, track_size=512
+        )
+        assert report.recoveries == report.total_writes
+        assert min(seen["append"], seen["spill"], seen["whole"]) > 0
+
 
 class TestFaultyRunDeterminism:
     def test_seeded_faulty_runs_are_byte_identical(self):

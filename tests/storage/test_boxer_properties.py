@@ -32,7 +32,7 @@ def test_pack_unpack_roundtrip(pairs, track_size):
         # fragments of one object may repeat an index only if two of its
         # fragments landed in the same image — dedupe by sequence
         unique = {f.seq: f for f in fragments}
-        assert assemble(list(unique.values())) == data
+        assert assemble(list(unique.values()), len(result.placements[oid])) == data
 
 
 @given(records)

@@ -51,7 +51,7 @@ class TestBoxerPacking:
             for f in read_entries(image)
             if f.oid == 7
         ]
-        assert assemble(fragments) == big
+        assert assemble(fragments, len(result.placements[7])) == big
 
     def test_fragments_land_in_recorded_images(self):
         boxer = Boxer(track_size=256)
@@ -93,10 +93,10 @@ class TestTrackImages:
 
     def test_assemble_rejects_incomplete_chain(self):
         with pytest.raises(Exception):
-            assemble([Fragment(1, 0, 3, b"a"), Fragment(1, 2, 3, b"c")])
+            assemble([Fragment(1, 0, 3, b"a"), Fragment(1, 2, 3, b"c")], 3)
 
     def test_assemble_orders_by_seq(self):
-        data = assemble([Fragment(1, 1, 2, b"b"), Fragment(1, 0, 2, b"a")])
+        data = assemble([Fragment(1, 1, 2, b"b"), Fragment(1, 0, 2, b"a")], 2)
         assert data == b"ab"
 
 
