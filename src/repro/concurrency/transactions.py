@@ -309,14 +309,14 @@ class TransactionManager:
             self.begin(session)
             return prepared
 
-    def commit_prepared(self, gtid: str, extra_dirty=None) -> int:
+    def commit_prepared(self, gtid: str, note=None) -> int:
         """Phase two, commit side: apply the prepared workspace durably.
 
-        *extra_dirty* is a callable ``(tx_time) -> list of objects``
-        whose result joins the same safe group write — the shard worker
-        uses it to clear its durable prepared record in the *same*
-        atomic commit, so a crash can never leave the record and the
-        data disagreeing.  Raises ``KeyError`` for an unknown gtid.
+        *note* (name → bytes) goes to the store's note in the same safe
+        group write — the shard worker passes its in-doubt set without
+        *gtid*, so no crash can leave the applied data and the record of
+        what is still prepared disagreeing.  Raises ``KeyError`` for an
+        unknown gtid.
         """
         with self._lock:
             prepared = self._prepared[gtid]
@@ -326,18 +326,13 @@ class TransactionManager:
             )
             for listener in self._listeners:
                 listener(tx_time, dirty, prepared.write_log, prepared.creations)
-            if extra_dirty is not None:
-                for obj in extra_dirty(tx_time):
-                    if obj not in dirty:
-                        dirty.append(obj)
             try:
-                # an object the hook bound into as well has moved past its
-                # delta's version: the store writes that one whole
                 self.store.persist(
                     dirty,
                     tx_time,
                     new_classes=prepared.new_classes,
                     deltas=self.linker.deltas,
+                    note=note,
                 )
             except StorageError:
                 # nothing became durable; the transaction stays prepared

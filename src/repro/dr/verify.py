@@ -8,8 +8,8 @@ a replayed trimmed image and the original padded write hash alike);
 comparison fails, which is what the soak prints in a reproducer.
 
 Above bytes, :func:`logical_diff` opens both disks as databases and
-compares what a session can observe — catalog, epoch, transaction time,
-the oid population, and every object's encoded record — the same
+compares what a session can observe — catalog, note, epoch, transaction
+time, the oid population, and every object's encoded record — the same
 spirit as the ``repro.check`` differential oracle: two paths to the same
 state must agree exactly.  :func:`reopen_cold_diff` is that comparison
 between one live database and a cold reopen of its own platter: what a
@@ -82,6 +82,8 @@ def logical_diff(expected_db, actual_db) -> List[str]:
         problems.append(f"last_tx_time: {a.last_tx_time} vs {b.last_tx_time}")
     if a.catalog != b.catalog:
         problems.append("catalogs differ")
+    if a.note != b.note:
+        problems.append(f"notes differ: {sorted(a.note)} vs {sorted(b.note)}")
     oids_a, oids_b = set(a.table.oids()), set(b.table.oids())
     if oids_a != oids_b:
         problems.append(

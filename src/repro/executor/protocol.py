@@ -277,9 +277,10 @@ def encode_hello_ok(token: str) -> bytes:
     return writer.getvalue()
 
 
-def encode_status() -> bytes:
-    """Ask a shard worker for its recovery/health report."""
-    return bytes([FrameType.STATUS])
+def encode_status(verify: bool = False) -> bytes:
+    """Ask a shard worker for its recovery/health report; with *verify*,
+    also for a cold reopen of its platter diffed against its live store."""
+    return bytes([FrameType.STATUS, 1 if verify else 0])
 
 
 def encode_status_report(payload: str) -> bytes:
@@ -459,6 +460,8 @@ def decode_frame(data: bytes) -> Frame:
         fields["source"] = reader.string()
     elif frame_type in (FrameType.HELLO, FrameType.HELLO_OK):
         fields["token"] = reader.string()
+    elif frame_type is FrameType.STATUS:
+        fields["verify"] = reader.byte() == 1
     elif frame_type is FrameType.STATUS_REPORT:
         fields["payload"] = reader.string()
     return Frame(frame_type, fields)

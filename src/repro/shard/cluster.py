@@ -32,7 +32,7 @@ runs full 2PC, ``abort`` rolls every participant back.
 
 Recovery (:meth:`ShardedGemStone.recover`) happens in place: dead
 hosts are respawned from their platters (re-preparing their in-doubt
-transactions from the durable record before they serve), a dead
+transactions from their store's note before they serve), a dead
 coordinator's log is reloaded from its disk, each worker's in-doubt
 set is read over ``STATUS`` and answered from the decision log with a
 ``DECIDE`` (commit if logged, abort presumed), and pending fan-outs
@@ -91,7 +91,7 @@ class MemoryHost:
 
     def spawn(self, killer=None) -> None:
         """Start the worker: format a fresh platter, or reopen the one
-        that is there (re-preparing its durable in-doubt record)."""
+        that is there (re-preparing its durable in-doubt set)."""
         if killer is not None:
             killer = killer.for_node(self.shard_id, _worker_dies)
         if self.disk is None:
@@ -273,9 +273,12 @@ class ShardedGemStone:
 
     # -- worker health -------------------------------------------------------
 
-    def status(self, shard_id: int) -> dict:
-        """One worker's STATUS_REPORT (windows, in-doubt state, counters)."""
-        reply = self.exec_channels[shard_id].request(protocol.encode_status())
+    def status(self, shard_id: int, verify: bool = False) -> dict:
+        """One worker's STATUS_REPORT (windows, in-doubt state, counters;
+        with *verify*, its ``reopen_cold`` platter-against-live diff)."""
+        reply = self.exec_channels[shard_id].request(
+            protocol.encode_status(verify)
+        )
         return json.loads(reply.fields["payload"])
 
     def _live_statuses(self) -> dict[int, dict]:
@@ -315,7 +318,7 @@ class ShardedGemStone:
         """Respawn the dead, resolve every in-doubt gtid, settle.
 
         Dead workers restart from their platters (re-preparing their
-        durable records before serving), each re-prepared gtid is
+        in-doubt sets before serving), each re-prepared gtid is
         answered from the decision log (commit if logged, abort
         presumed), and the coordinator re-delivers any logged commits
         still pending.  Returns ``{"resolved": ..., "settled": ...}``.

@@ -5,8 +5,11 @@ The protocol, window by window (each a soak kill point):
 1. **PREPARE fan-out** — each participant validates, durably records
    its prepared workspace, and answers VOTE.  A no-vote, a typed error,
    or a silent participant (the channel's deadline expires) aborts the
-   transaction; nothing was logged, so the abort needs no durability —
-   absence *is* the abort record (presumed abort).
+   transaction, and *every* participant is told — the ones that voted,
+   the one that failed (it may hold locks its own failed write left
+   behind) and the ones not yet asked (their live workspaces would
+   otherwise never be retired).  Nothing was logged, so the abort needs
+   no durability — absence *is* the abort record (presumed abort).
 2. **Decision persist** — with every vote yes, the COMMIT decision and
    its read-write participants are forced to the decision log's disk
    via safe group writes.  This single root flip is the transaction's
@@ -74,9 +77,9 @@ class TwoPhaseCoordinator:
 
         Returns True on commit.  Raises
         :class:`~repro.errors.TransactionConflict` when a participant
-        votes no (the others are told to abort), or the participant
-        channel's unavailability error when a shard goes silent before
-        the decision (also an abort — nothing was logged).
+        votes no, or the participant channel's error when a shard fails
+        or goes silent before the decision — an abort either way (nothing
+        was logged), which every participant is told.
         """
         if not self.alive:
             raise CoordinatorUnavailable("coordinator is down")
@@ -89,11 +92,11 @@ class TwoPhaseCoordinator:
             except CoordinatorKilled:
                 raise
             except GemStoneError:
-                self._abort_prepared(gtid, votes)
+                self._abort_everywhere(gtid, participants, votes)
                 raise
             self._window("coord.between_votes")
             if reply.type is not FrameType.VOTE or not reply.fields["commit"]:
-                self._abort_prepared(gtid, votes)
+                self._abort_everywhere(gtid, participants, votes)
                 raise TransactionConflict(
                     f"shard {shard_id} voted no on {gtid}"
                 )
@@ -113,16 +116,19 @@ class TwoPhaseCoordinator:
         self._fan_out_decide(gtid, writers)
         return True
 
-    def _abort_prepared(self, gtid: str, votes: dict[int, bool]) -> None:
-        """Phase-two abort for every already-prepared participant.
+    def _abort_everywhere(
+        self, gtid: str, participants: list[int], votes: dict[int, bool]
+    ) -> None:
+        """DECIDE abort for every participant but the read-only voters
+        (they hold nothing): prepared, failed or not yet asked alike.
 
         Best effort: an unreachable participant stays prepared and is
         resolved to abort after its restart (the gtid is not in the log).
         """
         self.aborts += 1
         self._inc("shard.coordinator_aborts")
-        for shard_id, read_only in votes.items():
-            if read_only:
+        for shard_id in participants:
+            if votes.get(shard_id):
                 continue
             try:
                 self.channels[shard_id].request(

@@ -11,22 +11,26 @@ Classic presumed-abort 2PC logging discipline:
   entry is **forgotten** (removed durably) — no participant can ever
   ask again, so the log stays O(in-flight), not O(history).
 
-Durability reuses the Commit Manager's safe group writes on a small
-dedicated disk: the decision set is serialized, cut into freshly
-allocated tracks, and published by the atomic root flip — a crash
-during :meth:`record_commit` leaves the previous decision set intact,
-so the "before/after decision persist" crash windows in the soak are
-exactly the two sides of one root-track write.
+Durability is the storage layer's own: the decision set is a **note**
+(:func:`~repro.storage.stable.write_note`) on a small dedicated disk
+that holds nothing else — the same checksummed blob, on freshly
+allocated tracks, that a shard's store publishes its in-doubt set in,
+listed by the same root record and made current by the same atomic root
+flip.  A crash during :meth:`record_commit` leaves the previous decision
+set intact, so the "before/after decision persist" crash windows in the
+soak are exactly the two sides of one root-track write; an empty log is
+a root and no other track.
 """
 
 from __future__ import annotations
 
-import struct
-
-from ..errors import RecoveryError
 from ..storage.codec import Reader, Writer
 from ..storage.commit import CommitManager
+from ..storage.stable import read_note, write_note
 from ..storage.tracks import TrackManager
+
+#: the name the decision set goes by in the log disk's note
+NOTE_NAME = "decisions"
 
 
 class DecisionLog:
@@ -56,15 +60,18 @@ class DecisionLog:
         """Recover the decision set from *disk* (the restart path)."""
         log = cls(disk)
         fields = log.commit_manager.recover()
-        data_tracks = list(fields["catalog_tracks"])
-        log.tracks.mark_allocated(data_tracks)
-        chunks = [log.tracks.read(track) for track in data_tracks]
-        framed = b"".join(chunks)
-        if len(framed) < 4:
-            raise RecoveryError("decision log payload truncated")
-        (length,) = struct.unpack_from("<I", framed, 0)
-        log._decisions = log._decode(framed[4 : 4 + length])
-        log._data_tracks = data_tracks
+        if "note_tracks" in fields:
+            log._data_tracks = fields["note_tracks"]
+            payload = read_note(log.tracks, log._data_tracks).get(NOTE_NAME)
+        else:
+            # a log of the format before the note: raw track-size chunks
+            # of one length-prefixed payload, behind ``catalog_tracks``
+            log._data_tracks = fields["catalog_tracks"]
+            framed = b"".join(map(log.tracks.read, log._data_tracks))
+            payload = framed[4 : 4 + int.from_bytes(framed[:4], "little")]
+        log.tracks.mark_allocated(log._data_tracks)
+        if payload:
+            log._decisions = log._decode(payload)
         return log
 
     # -- the protocol surface -----------------------------------------------
@@ -113,26 +120,10 @@ class DecisionLog:
         return decisions
 
     def _persist(self) -> None:
-        payload = self._encode()
-        framed = struct.pack("<I", len(payload)) + payload
-        size = self.tracks.track_size
-        chunks = [
-            framed[i : i + size] for i in range(0, len(framed), size)
-        ] or [b"\x00\x00\x00\x00"]
-        new_tracks = self.tracks.allocate(len(chunks))
-        self.commit_manager.commit(
-            dict(zip(new_tracks, chunks)),
-            {
-                "last_tx_time": 0,
-                "next_oid": 0,
-                "alias_counter": 0,
-                "object_table_tracks": [],
-                "allocation_tracks": [],
-                "catalog_tracks": list(new_tracks),
-            },
-        )
-        if self._data_tracks:
-            self.tracks.release(self._data_tracks)
+        note = {NOTE_NAME: self._encode()} if self._decisions else {}
+        new_tracks, writes = write_note(self.tracks, note)
+        self.commit_manager.commit(writes, {"note_tracks": new_tracks})
+        self.tracks.release(self._data_tracks)
         self._data_tracks = new_tracks
 
     def report(self) -> dict:

@@ -5,7 +5,7 @@ sampled: a seeded workload of single- and cross-shard transactions runs
 against a cluster whose nodes each count their own protocol windows —
 the coordinator's (between votes, before/after its decision persist,
 between each DECIDE of the fan-out), then each worker's (PREPARE
-received, before/after the prepared-record persist, vote sent,
+received, before/after the note's group write, vote sent,
 before/after the decision apply, ack sent).  A clean run takes the
 census; then one run is executed per window, killing the node that
 owns it at exactly that instant — by exception on the in-memory host,
@@ -13,7 +13,7 @@ by SIGKILL on the process host, the same windows in the same order on
 both.  The cluster is recovered in place and the invariants checked:
 
 1. **no transaction left in doubt** — after recovery, every shard's
-   prepared set and durable prepared record are empty;
+   prepared set and the in-doubt set in its store's note are empty;
 2. **zero half-committed cross-shard state** — each transaction's keys
    are all present (with the right values) or all absent, across all
    its shards;
@@ -24,6 +24,9 @@ both.  The cluster is recovered in place and the invariants checked:
    either way), never split;
 5. **liveness** — the recovered cluster commits a fresh cross-shard
    transaction;
+6. **the platter is the store** — every worker, survivor or respawned,
+   reopens its platter cold and finds what it answers from live
+   (:func:`~repro.dr.verify.reopen_cold_diff`: records, catalog, note);
 
 plus, where hosts have exit codes, a clean SIGTERM drain at the end of
 every run.  Every violated invariant carries a copy-pasteable
@@ -205,7 +208,7 @@ def _check_recovered(fail, report, kill, cluster, outcomes, workload):
         if status["durable_prepared"]:
             fail(
                 "in-doubt-resolved",
-                f"shard {shard_id} kept durable prepared records "
+                f"shard {shard_id} kept in its note "
                 f"{status['durable_prepared']}",
             )
 
@@ -263,6 +266,17 @@ def _check_recovered(fail, report, kill, cluster, outcomes, workload):
             f"fresh cross-shard commit failed: {type(error).__name__}: {error}",
         )
 
+    # 6. every platter, survivor's or respawned, reopens cold to what its
+    #    live worker answers from: the checks above read decoded caches
+    _check_platters(fail, cluster)
+
+
+def _check_platters(fail, cluster) -> None:
+    for shard_id in range(cluster.shard_count):
+        problems = cluster.status(shard_id, verify=True)["reopen_cold"]
+        if problems:
+            fail("reopen-cold", f"shard {shard_id}: " + "; ".join(problems))
+
 
 def _died(cluster, node) -> bool:
     if node == "coord":
@@ -301,6 +315,7 @@ def _run(report, cluster_class, workload, kill, plan):
                     f"transactions {not_acked} failed with nobody killed: "
                     f"{ {t: outcomes[t] for t in not_acked} }",
                 )
+            _check_platters(fail, cluster)
             census = [("coord", name) for name in cluster.coordinator.killer.log]
             for shard_id in range(cluster.shard_count):
                 census += [

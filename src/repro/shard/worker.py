@@ -13,19 +13,21 @@ On top of that the worker is a **2PC participant**:
 * ``PREPARE`` validates the transaction's session with the OCC manager
   and detaches it as a :class:`~repro.concurrency.transactions.\
 PreparedTransaction` (a lock every later validation respects), then
-  durably records the transaction's statements on the shard's system
-  object *before* voting yes — a restarted worker replays that record,
-  re-executes and re-prepares (re-acquiring its locks ahead of any new
-  traffic), and reports the gtids over ``STATUS`` so the cluster's
-  recovery can answer each from the decision log with a ``DECIDE``.
-* ``DECIDE commit`` applies the prepared workspace and clears the
-  durable prepared record in the *same* safe group write, so no crash
-  can leave the record and the data disagreeing; ``DECIDE abort``
-  drops the workspace (and rolls back an unprepared transaction's live
-  session, which doubles as the client's plain abort).
+  forces the in-doubt set (each prepared gtid with its statements) to
+  disk *before* voting yes.  The set is protocol state, not database
+  state, so it lives in the store's **note** — a small blob the root
+  points at — and the write is a safe group of no objects.  A restarted
+  worker reads the note back, re-executes and re-prepares (re-acquiring
+  its locks ahead of any new traffic), and reports the gtids over
+  ``STATUS`` for the cluster's recovery to ``DECIDE`` from its log.
+* ``DECIDE commit`` applies the prepared workspace and publishes the
+  note without that gtid in the *same* safe group write, so no crash
+  can leave the two disagreeing; ``DECIDE abort`` drops whatever the
+  gtid holds here — locks, live workspace, its line in the note — which
+  doubles as the client's plain abort and is safe to repeat.
 
 Crash windows (the soak's kill points) sit exactly where the protocol
-state changes hands: before/after the prepared-record persist,
+state changes hands: before/after the note's group write at PREPARE,
 before/after the decision apply, and the three moments 2PC state is
 half on the wire — ``wire.prepare_received`` (the PREPARE arrived,
 nothing happened yet), ``wire.vote_sent`` (the vote left, the decision
@@ -40,14 +42,19 @@ from __future__ import annotations
 import json
 
 from ..db import GemStone
+from ..dr.verify import reopen_cold_diff
 from ..errors import ProtocolError, TransactionConflict
 from ..executor import protocol
 from ..executor.exchange import ReplayingServer
 from ..executor.protocol import Frame, FrameType
 from ..storage.disk import DiskGeometry, SimulatedDisk
 
-#: system-object binding holding the durable prepared-transaction record
-PREPARED_KEY = "prepared_2pc"
+#: the name the in-doubt set goes by in the store's note: JSON, gtid →
+#: statements in prepare order (the note's own CRC guards the bytes)
+NOTE_NAME = "2pc"
+#: where a platter of the format before the note kept the same JSON: a
+#: binding on the ``system`` object, read once by :meth:`ShardWorker.reopen`
+_LEGACY_BINDING = "prepared_2pc"
 
 
 class ShardWorker:
@@ -81,7 +88,7 @@ class ShardWorker:
         self._sessions: dict[str, object] = {}
         #: gtid -> statements executed into the live workspace (pre-prepare)
         self._pending: dict[str, list[str]] = {}
-        #: gtid -> statements, mirrored durably on the system object
+        #: gtid -> statements: the in-doubt set as the store's note has it
         self._durable_prepared: dict[str, list[str]] = {}
         self.server = self.connection()
 
@@ -92,18 +99,23 @@ class ShardWorker:
         """Restart a crashed worker from its platter.
 
         Recovery re-acquires every in-doubt transaction's locks *before*
-        the worker serves any new traffic: the durable prepared record
-        is read back and each transaction's statements are re-executed
+        the worker serves any new traffic: the in-doubt set is read back
+        from the note and each transaction's statements are re-executed
         and re-prepared; the cluster then reads the gtids over STATUS
-        and DECIDEs each from the coordinator's decision log.
+        and DECIDEs each from the coordinator's decision log.  A platter
+        whose root predates the note has the set bound on ``system``; it
+        moves to the note here, once, and is never bound again.
         """
         worker = cls(shard_id, disk=disk, killer=killer)
-        record = worker._system().value_at(PREPARED_KEY)
-        if isinstance(record, str) and record:
-            worker._durable_prepared = {
-                gtid: list(statements)
-                for gtid, statements in json.loads(record).items()
-            }
+        store = worker.db.store
+        if store.root_has_note:
+            worker._durable_prepared = json.loads(store.note.get(NOTE_NAME, b"{}"))
+        else:
+            system = store.object(store.catalog["system"])
+            record = system.value_at(_LEGACY_BINDING)
+            legacy = json.loads(record) if isinstance(record, str) else {}
+            if legacy:
+                worker._publish(legacy)
         tm = worker.db.transaction_manager
         for gtid in sorted(worker._durable_prepared):
             session = worker.db.login()
@@ -154,7 +166,9 @@ class ShardWorker:
         if frame.type is FrameType.DECIDE:
             return self._decide(frame.fields["gtid"], frame.fields["commit"])
         if frame.type is FrameType.STATUS:
-            return protocol.encode_status_report(json.dumps(self.status()))
+            return protocol.encode_status_report(
+                json.dumps(self.status(frame.fields["verify"]))
+            )
         raise ProtocolError(f"unexpected frame {frame.type.name}")
 
     def _answered(self, frame: Frame) -> None:
@@ -219,9 +233,8 @@ class ShardWorker:
             self._retire(gtid)
             return protocol.encode_vote(gtid, True, read_only=True)
         self._window("prepare.before_persist")
-        statements = self._pending.pop(gtid, [])
-        self._durable_prepared[gtid] = statements
-        self._persist_prepared()
+        statements = self._pending.get(gtid, [])  # _retire drops them
+        self._publish({**self._durable_prepared, gtid: statements})
         self._window("prepare.after_persist")
         self._retire(gtid)
         return protocol.encode_vote(gtid, True)
@@ -231,62 +244,56 @@ class ShardWorker:
         if commit:
             if gtid in tm.in_doubt():
                 self._window("decide.before_apply")
-                tm.commit_prepared(gtid, extra_dirty=self._clearing(gtid))
-                self._durable_prepared.pop(gtid, None)
+                remaining = self._without(gtid)
+                tm.commit_prepared(gtid, note=_note(remaining))
+                self._durable_prepared = remaining
                 self._window("decide.after_apply")
             # else: already applied (recovery or a replay raced the
             # coordinator's retry) — acknowledge idempotently
         else:
-            if tm.abort_prepared(gtid):
-                self._durable_prepared.pop(gtid, None)
-                self._persist_prepared()
-            else:
-                # never prepared: roll back the live workspace
-                self._retire(gtid)
+            # locks if it prepared, the live workspace if it did not (or
+            # its PREPARE's group write failed), the note if it got that far
+            tm.abort_prepared(gtid)
+            self._retire(gtid)
+            if gtid in self._durable_prepared:
+                self._publish(self._without(gtid))
         return protocol.encode_decide_ack(
             gtid, self.db.store.commit_manager.current_epoch
         )
 
-    # -- durable prepared record ----------------------------------------------
+    # -- the durable in-doubt set ----------------------------------------------
 
-    def _system(self):
-        return self.db.store.object(self.db.store.catalog["system"])
+    def _without(self, gtid: str) -> dict[str, list[str]]:
+        return {
+            key: value
+            for key, value in self._durable_prepared.items()
+            if key != gtid
+        }
 
-    def _clearing(self, gtid: str):
-        """An ``extra_dirty`` hook: rebind the prepared record *without*
-        *gtid* at the commit's own tx_time, joining its group write."""
-
-        def bind(tx_time: int) -> list:
-            remaining = {
-                key: value
-                for key, value in self._durable_prepared.items()
-                if key != gtid
-            }
-            system = self._system()
-            system.bind(PREPARED_KEY, json.dumps(remaining), tx_time)
-            return [system]
-
-        return bind
-
-    def _persist_prepared(self) -> None:
-        tm = self.db.transaction_manager
-        tx_time = tm.clock.assign()
-        system = self._system()
-        system.bind(PREPARED_KEY, json.dumps(self._durable_prepared), tx_time)
-        self.db.store.persist([system], tx_time)
+    def _publish(self, prepared: dict[str, list[str]]) -> None:
+        """Force *prepared* to disk as the in-doubt set: one safe group
+        write of no objects — the note, the bitmap and the root."""
+        store = self.db.store
+        store.persist([], store.last_tx_time, note=_note(prepared))
+        self._durable_prepared = prepared
 
     # -- reporting -------------------------------------------------------------
 
-    def status(self) -> dict:
+    def status(self, verify: bool = False) -> dict:
         """The STATUS_REPORT body: the windows this worker has crossed,
-        its in-doubt state (live and durable) and its counters."""
-        return {
+        its in-doubt state (live and durable) and its counters.  Asked
+        to *verify*, it also reopens its platter cold and lists what a
+        restarted worker would read differently from this live one."""
+        status = {
             "shard_id": self.shard_id,
             "windows": [] if self.killer is None else self.killer.log,
             "in_doubt": self.in_doubt(),
             "durable_prepared": sorted(self._durable_prepared),
             "report": self.report(),
         }
+        if verify:
+            status["reopen_cold"] = reopen_cold_diff(self.db)
+        return status
 
     def report(self) -> dict:
         """Per-shard counters for observability and the soak digest."""
@@ -303,6 +310,11 @@ class ShardWorker:
             "in_doubt": len(self.in_doubt()),
             "epoch": self.db.store.commit_manager.current_epoch,
         }
+
+
+def _note(prepared: dict[str, list[str]]) -> dict[str, bytes]:
+    """The note update publishing *prepared*; empty, it drops the name."""
+    return {NOTE_NAME: json.dumps(prepared).encode() if prepared else b""}
 
 
 def down_report(shard_id: int) -> dict:

@@ -23,13 +23,14 @@ keeping the codec independent of the bytecode set.)
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
+from zlib import crc32
 
 from ..core.classes import GemClass
 from ..core.history import AssociationTable
 from ..core.objects import GemObject
 from ..core.values import Char, Ref, Symbol
-from ..errors import CodecError
+from ..errors import ChecksumError, CodecError
 
 # value tags
 _TAG_NIL = 0
@@ -143,7 +144,10 @@ class Reader:
     def string(self) -> str:
         """Read a length-prefixed UTF-8 string."""
         length = self.uvarint()
-        return self.raw(length).decode("utf-8")
+        try:
+            return self.raw(length).decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise CodecError(f"string is not UTF-8: {error}") from None
 
     def double(self) -> float:
         """Read an 8-byte IEEE double."""
@@ -372,36 +376,42 @@ def _decode_table(reader: Reader) -> AssociationTable:
 # root records
 # --------------------------------------------------------------------------
 
-#: written by this code: object records may carry appended associations
-ROOT_MAGIC = b"GSR2"
-#: the format before append-form records.  Still opened (a record with
-#: no appends decodes identically); the magic was bumped so that *older*
-#: code, whose decoder would silently stop before a record's appended
-#: tail, finds no root it recognises and refuses the platter instead.
-_ROOT_MAGIC_V1 = b"GSRT"
+#: written by this code: the root also lists the note's tracks
+ROOT_MAGIC = b"GSR3"
+#: formats still opened, neither of which has a note: "GSR2" (object
+#: records may carry appended associations) and "GSRT" (before that).
+#: The magic moves with every change of grammar so that *older* code —
+#: whose decoder would silently stop before a record's appended tail, or
+#: read this root one field short — finds no root it recognises and
+#: refuses the platter instead.
+_ROOT_MAGICS_BEFORE_NOTE = (b"GSR2", b"GSRT")
 
-
-_ROOT_TRACK_LISTS = ("object_table_tracks", "allocation_tracks", "catalog_tracks")
+_ROOT_COUNTERS = ("last_tx_time", "next_oid", "alias_counter")
+#: the last of these is the one only a :data:`ROOT_MAGIC` root carries
+_ROOT_TRACK_LISTS = (
+    "object_table_tracks", "allocation_tracks", "catalog_tracks", "note_tracks",
+)
 
 
 def encode_root(fields: dict[str, Any]) -> bytes:
     """Encode a root record: the single mutable anchor of the database.
 
-    Expected fields: ``epoch``, ``last_tx_time``, ``next_oid``,
+    Fields: ``epoch``, the counters ``last_tx_time``, ``next_oid`` and
     ``alias_counter``, and the track lists ``object_table_tracks``,
-    ``allocation_tracks`` and ``catalog_tracks``.  The catalog (name →
-    well-known oid) is large, so it lives in its own blob and the root
-    only points at it — the root must always fit a single track, since
-    its write is the atomic commit point.
+    ``allocation_tracks``, ``catalog_tracks`` and ``note_tracks``; a
+    platter that keeps no objects (the coordinator's decision log) leaves
+    out what it has none of.  The catalog (name → well-known oid) is
+    large and the note is the caller's, so each lives in its own blob and
+    the root only points at it — the root must always fit a single track,
+    since its write is the atomic commit point.
     """
     writer = Writer()
     writer.raw(ROOT_MAGIC)
     writer.uvarint(fields["epoch"])
-    writer.uvarint(fields["last_tx_time"])
-    writer.uvarint(fields["next_oid"])
-    writer.uvarint(fields["alias_counter"])
+    for key in _ROOT_COUNTERS:
+        writer.uvarint(fields.get(key, 0))
     for key in _ROOT_TRACK_LISTS:
-        tracks = fields.get(key, [])
+        tracks = fields.get(key, ())
         writer.uvarint(len(tracks))
         for track in tracks:
             writer.uvarint(track)
@@ -409,18 +419,26 @@ def encode_root(fields: dict[str, Any]) -> bytes:
 
 
 def decode_root(data: bytes) -> dict[str, Any]:
-    """Decode a root record; raises :class:`CodecError` if malformed."""
+    """Decode a root record; raises :class:`CodecError` if malformed.
+
+    A root of an earlier format decodes without ``note_tracks`` — which
+    is how a reader tells "no note yet" from "an empty note".
+    """
     reader = Reader(data)
-    if reader.raw(4) not in (ROOT_MAGIC, _ROOT_MAGIC_V1):
+    magic = reader.raw(4)
+    if magic == ROOT_MAGIC:
+        lists = _ROOT_TRACK_LISTS
+    elif magic in _ROOT_MAGICS_BEFORE_NOTE:
+        lists = _ROOT_TRACK_LISTS[:-1]
+    else:
         raise CodecError("bad root magic")
-    fields: dict[str, Any] = {
-        "epoch": reader.uvarint(),
-        "last_tx_time": reader.uvarint(),
-        "next_oid": reader.uvarint(),
-        "alias_counter": reader.uvarint(),
-    }
-    for key in _ROOT_TRACK_LISTS:
+    fields: dict[str, Any] = {"epoch": reader.uvarint()}
+    for key in _ROOT_COUNTERS:
+        fields[key] = reader.uvarint()
+    for key in lists:
         fields[key] = [reader.uvarint() for _ in range(reader.uvarint())]
+    if reader.remaining():
+        raise CodecError("root record has trailing bytes")
     return fields
 
 
@@ -442,3 +460,48 @@ def decode_catalog(data: bytes) -> dict[str, int]:
         name = reader.string()
         catalog[name] = reader.uvarint()
     return catalog
+
+
+# --------------------------------------------------------------------------
+# the note
+# --------------------------------------------------------------------------
+
+def encode_note(note: Mapping[str, bytes]) -> bytes:
+    """Serialize the root-published note (name → bytes), CRC32 last.
+
+    The note is protocol state that must change atomically with a
+    commit yet is not part of the database: no object holds it, no
+    history is kept of it.  An empty note is never encoded — its root
+    lists no tracks.
+    """
+    writer = Writer()
+    writer.uvarint(len(note))
+    for name in sorted(note):
+        writer.string(name)
+        writer.uvarint(len(note[name]))
+        writer.raw(note[name])
+    payload = writer.getvalue()
+    return payload + struct.pack("<I", crc32(payload))
+
+
+def decode_note(data: bytes) -> dict[str, bytes]:
+    """Deserialize :func:`encode_note` output.
+
+    Raises :class:`ChecksumError` on a damaged blob and
+    :class:`CodecError` on one that is not a note at all; it never
+    returns a shorter note than was written.
+    """
+    if len(data) < 5:
+        raise CodecError("note blob too short")
+    payload = data[:-4]
+    if struct.unpack("<I", data[-4:])[0] != crc32(payload):
+        raise ChecksumError("note CRC mismatch")
+    reader = Reader(payload)
+    note: dict[str, bytes] = {}
+    count = reader.uvarint()
+    for _ in range(count):
+        name = reader.string()
+        note[name] = reader.raw(reader.uvarint())
+    if reader.remaining() or len(note) != count:
+        raise CodecError("note blob is not one well-formed note")
+    return note

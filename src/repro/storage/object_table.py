@@ -130,23 +130,29 @@ class ObjectTable:
         return {self.page_of(oid) for oid in self._entries}
 
     def encode_page(self, page: int) -> bytes:
-        """Serialize one page: entries for oids in [page*SPAN, …+SPAN)."""
-        writer = Writer()
-        writer.uvarint(page)
+        """Serialize one page: entries for oids in [page*SPAN, …+SPAN).
+
+        Every field is a uvarint, nearly always of one byte, and a commit
+        re-encodes a whole page to move one entry — so the bytes are put
+        down here directly rather than through a :class:`Writer` call each.
+        """
+        out = bytearray()
+        _uvarint(out, page)
+        entries = self._entries
         base = page * PAGE_SPAN
         for oid in range(base, base + PAGE_SPAN):
-            location = self._entries.get(oid)
+            location = entries.get(oid)
             if location is None:
-                writer.uvarint(_KIND_ABSENT)
-            elif location.archived:
-                writer.uvarint(_KIND_ARCHIVED)
-                writer.uvarint(location.archive_key)
+                out.append(_KIND_ABSENT)
+            elif location.archive_key is not None:
+                out.append(_KIND_ARCHIVED)
+                _uvarint(out, location.archive_key)
             else:
-                writer.uvarint(_KIND_TRACKS)
-                writer.uvarint(len(location.tracks))
+                out.append(_KIND_TRACKS)
+                _uvarint(out, len(location.tracks))
                 for track in location.tracks:
-                    writer.uvarint(track)
-        return writer.getvalue()
+                    _uvarint(out, track)
+        return bytes(out)
 
     def load_page(self, data: bytes) -> int:
         """Merge a serialized page into the table; returns its page index."""
@@ -167,6 +173,14 @@ class ObjectTable:
                 raise CodecError(f"unknown object-table entry kind {kind}")
         self._dirty_pages.discard(page)
         return page
+
+
+def _uvarint(out: bytearray, value: int) -> None:
+    """Append *value* as :meth:`Writer.uvarint` would."""
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
 
 
 def encode_page_directory(directory: dict[int, tuple[int, ...]]) -> bytes:

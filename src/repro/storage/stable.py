@@ -13,8 +13,14 @@ Layout on disk:
 * tracks 0/1 — ping-pong root slots (Commit Manager);
 * object records — boxed fragments on shadow-allocated tracks, located
   via the paged object table;
-* object-table pages, the page directory, and the allocation bitmap —
-  shadow-written tracks referenced from the root.
+* object-table pages, the page directory, the catalog, the note and the
+  allocation bitmap — shadow-written tracks referenced from the root.
+
+The *note* is a small name → bytes map published by the same root flip
+as the data, for protocol state that must change atomically with a
+commit but is not database state (today: a 2PC participant's in-doubt
+set).  It is rewritten only when it changes, keeps no history, and an
+empty note costs no track.
 
 Every commit writes only new tracks and flips the root, so torn groups
 are invisible after recovery.  Tracks whose last resident moved are
@@ -39,15 +45,17 @@ from typing import Any, Mapping, Optional, Sequence
 from ..core.classes import GemClass
 from ..core.object_manager import FIRST_USER_OID, ObjectStore
 from ..core.objects import GemObject
-from ..errors import ArchiveError, NoSuchObject, RecoveryError
+from ..errors import ArchiveError, CodecError, NoSuchObject
 from .archive import ArchiveDrive, ArchiveMedia
 from .boxer import Boxer, assemble, find_fragment
 from .cache import ObjectCache
 from .codec import (
     decode_catalog,
+    decode_note,
     decode_object_full,
     encode_appends,
     encode_catalog,
+    encode_note,
     encode_object,
 )
 from .commit import CommitManager
@@ -83,9 +91,23 @@ def read_blob(tracks: TrackManager, track_numbers: Sequence[int]) -> bytes:
     parts = []
     for track in track_numbers:
         raw = tracks.read(track)
-        (length,) = struct.unpack_from("<I", raw, 0)
+        length = int.from_bytes(raw[:4], "little")
+        if len(raw) < 4 or length > len(raw) - 4:
+            raise CodecError(f"track {track} does not hold a blob chunk")
         parts.append(raw[4 : 4 + length])
     return b"".join(parts)
+
+
+def write_note(
+    tracks: TrackManager, note: Mapping[str, bytes]
+) -> tuple[list[int], dict[int, bytes]]:
+    """:func:`write_blob` for a note; an empty one takes no track."""
+    return write_blob(tracks, encode_note(note)) if note else ([], {})
+
+
+def read_note(tracks: TrackManager, track_numbers: Sequence[int]) -> dict[str, bytes]:
+    """The note :func:`write_note` put on *track_numbers*."""
+    return decode_note(read_blob(tracks, track_numbers)) if track_numbers else {}
 
 
 class StableStore(ObjectStore):
@@ -110,6 +132,12 @@ class StableStore(ObjectStore):
         self._catalog_tracks: list[int] = []
         #: the catalog blob those tracks hold (rewritten only when it changes)
         self._catalog_blob: Optional[bytes] = None
+        #: the note as the last root published it, and where
+        self.note: dict[str, bytes] = {}
+        self._note_tracks: list[int] = []
+        #: False on a platter whose root predates the note (an earlier
+        #: format), until this store's first commit gives it one
+        self.root_has_note = True
         self._next_oid = FIRST_USER_OID
         self._oid_lock = threading.Lock()
         self.last_tx_time = 0
@@ -170,9 +198,12 @@ class StableStore(ObjectStore):
         store._page_directory_tracks = list(fields["object_table_tracks"])
         store._bitmap_tracks = list(fields["allocation_tracks"])
         store._catalog_tracks = list(fields["catalog_tracks"])
+        store.root_has_note = "note_tracks" in fields
+        store._note_tracks = list(fields.get("note_tracks", ()))
         store.tracks.load_bitmap(read_blob(store.tracks, store._bitmap_tracks))
         store._catalog_blob = read_blob(store.tracks, store._catalog_tracks)
         store.catalog = decode_catalog(store._catalog_blob)
+        store.note = read_note(store.tracks, store._note_tracks)
         directory_blob = read_blob(store.tracks, store._page_directory_tracks)
         store._page_directory = decode_page_directory(directory_blob)
         for page, page_tracks in store._page_directory.items():
@@ -294,6 +325,7 @@ class StableStore(ObjectStore):
         new_classes: dict[str, int] | None = None,
         catalog_updates: dict[str, int] | None = None,
         deltas: Mapping[int, Delta] | None = None,
+        note: Mapping[str, bytes] | None = None,
     ) -> int:
         """Make *dirty_objects* durable as one safe-written commit group.
 
@@ -302,8 +334,10 @@ class StableStore(ObjectStore):
         parent-first for clustering.  *deltas* (``Linker.deltas``) says,
         per oid, exactly what the transaction bound: an object whose
         record spans tracks then has those associations appended to its
-        last fragment rather than being encoded again.  Returns the new
-        root epoch.
+        last fragment rather than being encoded again.  *note* updates
+        the store's note in the same group (a name bound to ``b""`` is
+        dropped); a persist of no objects publishes just that.  Returns
+        the new root epoch.
         """
         obs = self.obs
         if obs is not None and obs.tracer.enabled:
@@ -311,10 +345,10 @@ class StableStore(ObjectStore):
                 "storage.persist", objects=len(dirty_objects), tx_time=tx_time
             ):
                 return self._persist(
-                    dirty_objects, tx_time, new_classes, catalog_updates, deltas
+                    dirty_objects, tx_time, new_classes, catalog_updates, deltas, note
                 )
         return self._persist(
-            dirty_objects, tx_time, new_classes, catalog_updates, deltas
+            dirty_objects, tx_time, new_classes, catalog_updates, deltas, note
         )
 
     def _persist(
@@ -324,6 +358,7 @@ class StableStore(ObjectStore):
         new_classes: dict[str, int] | None = None,
         catalog_updates: dict[str, int] | None = None,
         deltas: Mapping[int, Delta] | None = None,
+        note: Mapping[str, bytes] | None = None,
     ) -> int:
         if new_classes:
             for name, oid in new_classes.items():
@@ -358,8 +393,10 @@ class StableStore(ObjectStore):
                 freed.update(old.tracks[len(kept) :])
             self.table.set_tracks(oid, [*kept, *(new_tracks[i] for i in spots)])
 
-        # 2. Shadow-write dirty object-table pages (multi-track blobs).
-        for page in sorted(self.table.dirty_pages()):
+        # 2. Shadow-write dirty object-table pages (multi-track blobs),
+        #    and the page directory if any of them moved.
+        dirty_pages = sorted(self.table.dirty_pages())
+        for page in dirty_pages:
             old_tracks = self._page_directory.get(page)
             if old_tracks:
                 freed.update(old_tracks)
@@ -368,28 +405,39 @@ class StableStore(ObjectStore):
             )
             writes.update(page_writes)
             self._page_directory[page] = tuple(page_tracks)
-
-        # 3. Page directory and catalog blobs.
-        freed.update(self._page_directory_tracks)
-        directory_tracks, directory_writes = write_blob(
-            self.tracks, encode_page_directory(self._page_directory)
-        )
-        writes.update(directory_writes)
-        self._page_directory_tracks = directory_tracks
-
-        catalog_blob = encode_catalog(self.catalog)
-        if catalog_blob != self._catalog_blob:
-            freed.update(self._catalog_tracks)
-            self._catalog_tracks, catalog_writes = write_blob(
-                self.tracks, catalog_blob
+        if dirty_pages or not self._page_directory_tracks:
+            freed.update(self._page_directory_tracks)
+            self._page_directory_tracks, directory_writes = write_blob(
+                self.tracks, encode_page_directory(self._page_directory)
             )
-            writes.update(catalog_writes)
-            self._catalog_blob = catalog_blob
+            writes.update(directory_writes)
+
+        # 3. Catalog and note blobs, each only if this commit changed it.
+        #    What the store remembers of them moves with the root flip: a
+        #    group that fails must not leave it pointing at unwritten tracks.
+        catalog_blob, catalog_tracks = self._catalog_blob, self._catalog_tracks
+        if new_classes or catalog_updates or catalog_blob is None:
+            catalog_blob = encode_catalog(self.catalog)
+            if catalog_blob != self._catalog_blob:
+                freed.update(catalog_tracks)
+                catalog_tracks, catalog_writes = write_blob(self.tracks, catalog_blob)
+                writes.update(catalog_writes)
+        new_note, note_tracks = self.note, self._note_tracks
+        if note:
+            new_note = {
+                name: data
+                for name, data in {**self.note, **note}.items()
+                if data
+            }
+            if new_note != self.note:
+                freed.update(note_tracks)
+                note_tracks, note_writes = write_note(self.tracks, new_note)
+                writes.update(note_writes)
 
         # 4. Allocation bitmap reflecting the post-commit state.
         freed.update(self._bitmap_tracks)
-        still_used = self.table.tracks_in_use() | set(directory_tracks)
-        still_used.update(self._catalog_tracks)
+        still_used = self.table.tracks_in_use()
+        still_used.update(self._page_directory_tracks, catalog_tracks, note_tracks)
         for page_tracks in self._page_directory.values():
             still_used.update(page_tracks)
         freed -= still_used
@@ -409,13 +457,17 @@ class StableStore(ObjectStore):
                 "last_tx_time": self.last_tx_time,
                 "next_oid": self._next_oid,
                 "alias_counter": self._alias_counter,
-                "object_table_tracks": list(self._page_directory_tracks),
-                "allocation_tracks": list(self._bitmap_tracks),
-                "catalog_tracks": list(self._catalog_tracks),
+                "object_table_tracks": self._page_directory_tracks,
+                "allocation_tracks": self._bitmap_tracks,
+                "catalog_tracks": catalog_tracks,
+                "note_tracks": note_tracks,
             },
         )
 
         # 6. Durable: reclaim superseded shadow tracks, settle residents.
+        self._catalog_blob, self._catalog_tracks = catalog_blob, catalog_tracks
+        self.note, self._note_tracks = new_note, note_tracks
+        self.root_has_note = True
         for track in writes:
             self._track_buffers.pop(track, None)  # no stale buffers
         self.tracks.release(freed)

@@ -107,6 +107,26 @@ class TestCrossShardCommit:
         assert reader.execute(f"World!{b}") == 1
         assert cluster.in_doubt() == {}
 
+    def test_a_no_vote_retires_the_participants_not_yet_asked(self):
+        cluster = ShardedGemStone(shard_count=2)
+        a, b = keys_on_distinct_shards(2)
+        for attempt in range(5):
+            winner, loser = cluster.login(), cluster.login()
+            for session in (loser, winner):
+                session.execute(f"World!{a} := (World!{a}) printString")
+                session.execute(f"World!{b} := {attempt}")
+            winner.commit()
+            # the first participant votes no; the second was never asked,
+            # and the client has nothing left to send it
+            with pytest.raises(TransactionConflict):
+                loser.commit()
+            loser.close()
+            for shard_id in range(2):
+                status = cluster.status(shard_id)
+                assert status["report"]["live_sessions"] == 0
+                assert status["in_doubt"] == [] == status["durable_prepared"]
+        assert cluster.coordinator.aborts == 5
+
     def test_abort_rolls_back_every_participant(self):
         cluster = ShardedGemStone(shard_count=2)
         session = cluster.login()

@@ -1,7 +1,20 @@
 """The durable decision log: presumed abort, safe writes, restartability."""
 
-from repro.shard.decisions import DecisionLog
+import random
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro.errors import ChecksumError, CodecError, RecoveryError
+from repro.shard.decisions import NOTE_NAME, DecisionLog
+from repro.storage.codec import encode_note
+from repro.storage.commit import decode_root_track
 from repro.storage.disk import DiskGeometry, SimulatedDisk
+from repro.storage.filedisk import FileDisk
+from repro.storage.stable import read_note
+
+DATA = Path(__file__).parent / "data"
 
 
 def fresh_disk(tracks=128, size=512):
@@ -68,3 +81,86 @@ class TestDurability:
         assert report["commits_recorded"] == 1
         assert report["forgotten"] == 1
         assert report["pending"] == 0
+
+
+class TestSharedFraming:
+    """The log is a note on a disk of its own: the storage layer's blob
+    framing and root record, nothing private."""
+
+    def test_an_empty_log_is_a_root_and_no_other_track(self):
+        disk = fresh_disk()
+        log = DecisionLog.create(disk)
+        assert log.tracks.allocated_tracks() == {0, 1} and disk.stats.writes == 1
+        log.record_commit("g0.1", [0, 1])
+        assert len(log.tracks.allocated_tracks()) == 3
+        log.forget("g0.1")
+        assert log.tracks.allocated_tracks() == {0, 1}
+        assert DecisionLog.open(disk).tracks.allocated_tracks() == {0, 1}
+
+    def test_the_root_lists_the_note_and_nothing_else(self):
+        disk = fresh_disk()
+        log = DecisionLog.create(disk)
+        log.record_commit("g0.1", [0, 1])
+        fields = decode_root_track(disk.read_track(log.commit_manager._current_slot))
+        tracks = fields.pop("note_tracks")
+        assert read_note(log.tracks, tracks) == {NOTE_NAME: log._encode()}
+        assert fields.pop("epoch") == 2 and not any(fields.values())
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_a_payload_of_exactly_one_track_and_of_one_byte_more(self, over):
+        disk = fresh_disk(size=64)
+        log = DecisionLog.create(disk)
+        capacity = disk.track_size - 4  # a blob chunk's length prefix
+        for padding in range(capacity):
+            log._decisions = {"g" * padding: (0, 1)}
+            if len(encode_note({NOTE_NAME: log._encode()})) == capacity + over:
+                break
+        else:
+            raise AssertionError("no gtid length lands on the boundary")
+        log._persist()
+        assert len(log._data_tracks) == 1 + over
+        reopened = DecisionLog.open(disk)
+        assert reopened.pending() == log.pending() == {"g" * padding: (0, 1)}
+        assert reopened.tracks.allocated_tracks() == log.tracks.allocated_tracks()
+
+    def test_a_log_written_by_the_parent_commit_still_answers(self, tmp_path):
+        path = tmp_path / "decisions.bin"
+        shutil.copy(DATA / "parent_decisions.bin", path)
+        disk = FileDisk.open(str(path))
+        log = DecisionLog.open(disk)
+        assert log.pending() == {"g0.2": (0, 1)}
+        assert log.decision("g0.2") and not log.decision("g0.9")
+        log.forget("g0.2")  # the first write moves it onto the note
+        assert DecisionLog.open(disk).pending() == {}
+        assert log.tracks.allocated_tracks() == {0, 1}
+
+
+class TestHostileBytes:
+    def logged(self):
+        disk = fresh_disk()
+        log = DecisionLog.create(disk)
+        log.record_commit("g0.1", [0, 1])
+        log.record_commit("g0.2", [1])
+        return disk, log
+
+    def test_a_damaged_note_track_is_a_typed_error_not_a_shorter_log(self):
+        disk, log = self.logged()
+        (track,) = log._data_tracks
+        image = disk.read_track(track)
+        rng = random.Random(5)
+        for garbage in (b"", image[:2], image[:9], image[: len(image.rstrip(b"\0")) - 1],
+                        *(rng.randbytes(512) for _ in range(30))):
+            disk.write_track(track, garbage)
+            with pytest.raises((CodecError, ChecksumError, RecoveryError)):
+                DecisionLog.open(disk)
+        disk.write_track(track, image)
+        disk.corrupt_track(track, flip_byte=7)  # rot under a stale checksum
+        with pytest.raises(ChecksumError):
+            DecisionLog.open(disk)
+
+    def test_no_valid_root_is_a_recovery_error(self):
+        disk, log = self.logged()
+        for slot in (0, 1):
+            disk.write_track(slot, b"\x07" * 64)
+        with pytest.raises(RecoveryError):
+            DecisionLog.open(disk)

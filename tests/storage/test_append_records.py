@@ -220,9 +220,12 @@ class TestSafetyRule:
         assert list(cold.history_of("k0001"))[-1] == (t, 2)
         assert len(list(cold.history_of("k0001"))) == 2  # creation + this
 
-    def test_an_object_the_extra_dirty_hook_bound_into_is_written_whole(
+    def test_an_object_a_commit_listener_also_bound_into_is_written_whole(
         self, encodes
     ):
+        """Whoever binds into a dirty object after the Linker moves its
+        ``version`` past the delta's: the delta is then not everything
+        the commit wrote, and the record goes out whole."""
         store, disk = make_store()
         wide = wide_object(store, elements=200)
         other = wide_object(store, elements=200)
@@ -233,35 +236,17 @@ class TestSafetyRule:
         tm.prepare(session, "g1")
         encodes.clear()
 
-        def hook(tx_time):
-            wide.bind("prepared", "cleared", tx_time)  # not in any delta
-            return [wide]
+        def listener(tx_time, dirty, writes, creations):
+            wide.bind("stamped", "by a listener", tx_time)  # not in any delta
 
-        tm.commit_prepared("g1", extra_dirty=hook)
+        tm.add_commit_listener(listener)
+        tm.commit_prepared("g1")
         # `wide` carried a delta and still went out whole; `other` appended
         assert [oid for oid, _ in encodes] == [wide.oid]
         cold = reopened(disk)
         assert cold.object(wide.oid).value("k0001") == "from the transaction"
-        assert cold.object(wide.oid).value("prepared") == "cleared"
+        assert cold.object(wide.oid).value("stamped") == "by a listener"
         assert cold.object(other.oid).value("k0001") == "also from it"
-        assert_reopens_as_live(store, disk)
-
-    def test_a_hook_only_object_is_written_whole(self, encodes):
-        store, disk = make_store()
-        wide = wide_object(store, elements=200)
-        bystander = wide_object(store, elements=200)
-        tm = TransactionManager(store)
-        session = SessionObjectManager(store, tm)
-        session.bind(wide.oid, "k0001", 1)
-        tm.prepare(session, "g1")
-        encodes.clear()
-
-        def hook(tx_time):
-            bystander.bind("note", "x", tx_time)
-            return [bystander]
-
-        tm.commit_prepared("g1", extra_dirty=hook)
-        assert [oid for oid, _ in encodes] == [bystander.oid]
         assert_reopens_as_live(store, disk)
 
     def test_a_class_record_is_always_written_whole(self, encodes):

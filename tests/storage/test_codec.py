@@ -183,7 +183,7 @@ class TestRoots:
             "epoch": 7, "last_tx_time": 123, "next_oid": 5000,
             "alias_counter": 12,
             "object_table_tracks": [5, 9], "allocation_tracks": [11],
-            "catalog_tracks": [13, 14],
+            "catalog_tracks": [13, 14], "note_tracks": [15],
         }
         assert decode_root(encode_root(fields)) == fields
 
@@ -191,7 +191,7 @@ class TestRoots:
         fields = {
             "epoch": 1, "last_tx_time": 1, "next_oid": 1, "alias_counter": 0,
             "object_table_tracks": [], "allocation_tracks": [],
-            "catalog_tracks": [],
+            "catalog_tracks": [], "note_tracks": [],
         }
         assert decode_root(encode_root(fields)) == fields
 
