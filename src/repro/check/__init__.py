@@ -22,7 +22,11 @@ generated workloads instead of assuming them:
   pins, and SafeTime clamps;
 * :mod:`~repro.check.schedule` — a deterministic (single-threaded)
   interleaving explorer for OCC commits: committed histories must be
-  serializable and aborted sessions must leave no partial state.
+  serializable and aborted sessions must leave no partial state;
+* :mod:`~repro.check.lifting` — every generated select three ways
+  (compiled as written, lifted cold, lifted warm after the same shape
+  with other literals): same members, same plan text, same logged
+  source.
 
 Every oracle is a pure function of its seed — the same conventions as
 :mod:`repro.faults.plan` — so any failure is reproducible with
@@ -38,6 +42,7 @@ from .differential import (
     run_differential_range,
 )
 from .generate import generate_case
+from .lifting import LiftingReport, run_lifting_case, run_lifting_range
 from .reference import ShadowStore, evaluate_reference
 from .report import reproducer_command
 from .schedule import ScheduleReport, run_schedule_case, run_schedule_range
@@ -58,6 +63,7 @@ __all__ = [
     "CheckFailure",
     "CollectionSpec",
     "DifferentialReport",
+    "LiftingReport",
     "Mismatch",
     "PlanMemo",
     "QuerySpec",
@@ -73,6 +79,8 @@ __all__ = [
     "reproducer_command",
     "run_differential_case",
     "run_differential_range",
+    "run_lifting_case",
+    "run_lifting_range",
     "run_schedule_case",
     "run_schedule_range",
     "run_soak",

@@ -13,6 +13,7 @@ import sys
 
 from .differential import PlanMemo, run_differential_case
 from .generate import generate_case
+from .lifting import run_lifting_case
 from .report import describe_case
 from .schedule import run_schedule_case
 from .sharded import run_stack_case, run_stack_range
@@ -32,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle",
         choices=("differential", "temporal", "schedule", "sharded",
-                 "cluster"),
+                 "cluster", "lifting"),
         default="differential",
     )
     parser.add_argument(
@@ -115,6 +116,21 @@ def _run_stacks(args) -> int:
     return 1
 
 
+def _run_lifting(args) -> int:
+    report = run_lifting_case(args.seed, args.case)
+    if report.ok:
+        print(
+            f"ok: seed={args.seed} case={args.case} "
+            f"{report.selects} selects agree unlifted, lifted cold and "
+            f"lifted warm ({report.warm_hits} served a block compiled for "
+            "other literals)"
+        )
+        return 0
+    for problem in report.problems:
+        print(problem)
+    return 1
+
+
 def _run_schedule(args) -> int:
     report = run_schedule_case(oracle_database(), args.seed, args.case)
     if report.ok:
@@ -156,6 +172,8 @@ def main(argv=None) -> int:
         return _run_temporal(args)
     if args.oracle in _STACKS:
         return _run_stacks(args)
+    if args.oracle == "lifting":
+        return _run_lifting(args)
     return _run_schedule(args)
 
 

@@ -1,12 +1,12 @@
-"""One-call soak: all four oracles over a seed range, with a digest.
+"""One-call soak: every oracle over a seed range, with a digest.
 
 ``run_soak`` is the engine behind ``benchmarks/bench_check_soak.py`` and
 the CI ``check-soak`` job: it runs the differential, temporal, schedule,
-and sharded oracles over a seed range against fresh stores, raises
-:class:`~repro.check.differential.CheckFailure` on any divergence, and
-returns a metrics dict whose ``digest`` field is identical across runs
-of the same seed — the determinism contract inherited from
-:mod:`repro.faults.plan`.
+sharded and lifting oracles over a seed range against fresh stores,
+raises :class:`~repro.check.differential.CheckFailure` on any
+divergence, and returns a metrics dict whose ``digest`` field is
+identical across runs of the same seed — the determinism contract
+inherited from :mod:`repro.faults.plan`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from hashlib import sha256
 from typing import Any
 
 from .differential import CheckFailure, run_differential_range
+from .lifting import run_lifting_range
 from .schedule import run_schedule_range
 from .sharded import run_stack_range
 from .temporal import run_temporal_range
@@ -50,6 +51,7 @@ def run_soak(
     temporal_cases: int = 10,
     schedule_cases: int = 6,
     sharded_cases: int = 3,
+    lifting_cases: int = 4,
     registry=None,
     raise_on_failure: bool = True,
 ) -> dict[str, Any]:
@@ -66,12 +68,14 @@ def run_soak(
         database, seed, schedule_cases, registry=registry
     )
     sharded = run_stack_range(seed, sharded_cases, registry=registry)
+    lifting = run_lifting_range(seed, lifting_cases, registry=registry)
 
     problems: list[str] = []
     problems.extend(m.describe() for m in diff.mismatches)
     problems.extend(temporal.problems)
     problems.extend(schedule.problems)
     problems.extend(m.describe() for m in sharded.mismatches)
+    problems.extend(lifting.problems)
 
     metrics = {
         "seed": seed,
@@ -96,6 +100,11 @@ def run_soak(
     metrics["digest"] = sha256(
         (repr(sorted(metrics.items())) + schedule.digest).encode()
     ).hexdigest()
+    # after the digest: it is compared across commits, and must not move
+    # because an oracle was added (a lifting failure still moves it,
+    # through ``problems``)
+    metrics["lifting_selects"] = lifting.selects
+    metrics["lifting_warm_hits"] = lifting.warm_hits
 
     if problems and raise_on_failure:
         raise CheckFailure(

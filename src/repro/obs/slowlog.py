@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import threading
 from bisect import insort
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from ..opal import nodes
+from ..opal.tokens import Slot
+from ..stdm.calculus import showing
 
 
 class SlowQueryLog:
@@ -97,35 +99,47 @@ class SlowQueryLog:
 # AST → source (compiled blocks keep their AST, not their source text)
 # --------------------------------------------------------------------------
 
-def render_block(block: Any) -> str:
-    """Reconstruct OPAL source for a compiled select block's AST."""
+def render_block(block: Any, params: Sequence[Any] = ()) -> str:
+    """Reconstruct OPAL source for a compiled select block's AST.
+
+    *params* is the literal vector of the execution being rendered: a
+    cached block's AST holds a :class:`Slot` where a literal was lifted
+    out of the text, the same AST for every text of its shape.
+    """
     if not isinstance(block, nodes.BlockNode):
         return repr(block)
     header = "".join(f":{p} " for p in block.params)
     temps = "| " + " ".join(block.temps) + " | " if block.temps else ""
-    body = ". ".join(_render(statement) for statement in block.body)
+    body = ". ".join(_render(statement, params) for statement in block.body)
     separator = "| " if block.params else ""
     return f"[{header}{separator}{temps}{body}]"
 
 
-def _render(node: Any) -> str:
+def _render(node: Any, params: Sequence[Any]) -> str:
     if isinstance(node, nodes.Literal):
-        return _render_literal(node.value)
+        value = node.value
+        if type(value) is Slot:
+            if value.index >= len(params):
+                return value.name  # rendered without its execution
+            value = params[value.index]
+        return _render_literal(value)
     if isinstance(node, nodes.VarRef):
         return node.name
-    if isinstance(node, nodes.PathFetch):
-        return _render(node.base) + "".join(_render_step(s) for s in node.steps)
-    if isinstance(node, nodes.PathAssign):
-        path = _render(node.base) + "".join(_render_step(s) for s in node.steps)
-        return f"{path} := {_render(node.value)}"
+    if isinstance(node, (nodes.PathFetch, nodes.PathAssign)):
+        path = _render(node.base, params) + "".join(
+            _render_step(step, params) for step in node.steps
+        )
+        if isinstance(node, nodes.PathFetch):
+            return path
+        return f"{path} := {_render(node.value, params)}"
     if isinstance(node, nodes.Assign):
-        return f"{node.name} := {_render(node.value)}"
+        return f"{node.name} := {_render(node.value, params)}"
     if isinstance(node, nodes.MessageSend):
-        return _render_send(node)
+        return _render_send(node, params)
     if isinstance(node, nodes.BlockNode):
-        return render_block(node)
+        return render_block(node, params)
     if isinstance(node, nodes.Return):
-        return f"^{_render(node.value)}"
+        return f"^{_render(node.value, params)}"
     return repr(node)
 
 
@@ -143,32 +157,33 @@ def _render_literal(value: Any) -> str:
     return str(value)
 
 
-def _render_step(step: Any) -> str:
+def _render_step(step: Any, params: Sequence[Any]) -> str:
     name = step.name if isinstance(step.name, str) else repr(step.name)
     text = f"!{name}"
     if step.time is not None:
-        text += f"@{_render(step.time)}"
+        text += f"@{_render(step.time, params)}"
     return text
 
 
-def _render_send(node: Any) -> str:
-    receiver = _render(node.receiver)
+def _render_send(node: Any, params: Sequence[Any]) -> str:
+    receiver = _render(node.receiver, params)
     if isinstance(node.receiver, (nodes.MessageSend, nodes.Assign)):
         receiver = f"({receiver})"
     if not node.args:
         return f"{receiver} {node.selector}"
     if ":" not in node.selector:  # binary
-        return f"{receiver} {node.selector} {_render_arg(node.args[0])}"
+        argument = _render_arg(node.args[0], params)
+        return f"{receiver} {node.selector} {argument}"
     parts = node.selector.split(":")[:-1]
     keywords = " ".join(
-        f"{keyword}: {_render_arg(arg)}"
+        f"{keyword}: {_render_arg(arg, params)}"
         for keyword, arg in zip(parts, node.args)
     )
     return f"{receiver} {keywords}"
 
 
-def _render_arg(node: Any) -> str:
-    text = _render(node)
+def _render_arg(node: Any, params: Sequence[Any]) -> str:
+    text = _render(node, params)
     # binary messages are left-associative: a send in argument position
     # must keep its parentheses to re-parse with the same structure
     if isinstance(node, (nodes.MessageSend, nodes.Assign)):
@@ -176,12 +191,14 @@ def _render_arg(node: Any) -> str:
     return text
 
 
-def describe_plan(plan: Any) -> list[str]:
-    """The operator chain of an algebra plan, outermost first."""
+def describe_plan(plan: Any, params: Sequence[Any] = ()) -> list[str]:
+    """The operator chain of an algebra plan, outermost first, each
+    lifted literal printed as its value in *params*."""
     described: list[str] = []
     node = plan
-    while node is not None:
-        describe = getattr(node, "describe", None)
-        described.append(describe() if callable(describe) else repr(node))
-        node = getattr(node, "child", None)
+    with showing(params):
+        while node is not None:
+            describe = getattr(node, "describe", None)
+            described.append(describe() if callable(describe) else repr(node))
+            node = getattr(node, "child", None)
     return described

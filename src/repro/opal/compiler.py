@@ -30,6 +30,7 @@ from .nodes import (
     VarRef,
 )
 from .parser import parse_expression_code, parse_method
+from .tokens import Slot, Token
 
 
 class _Scope:
@@ -113,8 +114,14 @@ class Compiler:
         """Parse and compile method source text."""
         return self.compile_method(parse_method(source), class_name)
 
-    def compile_source(self, source: str, extra_names: tuple[str, ...] = ()) -> CompiledMethod:
-        """Parse and compile a code block."""
+    def compile_source(
+        self, source: "str | list[Token]", extra_names: tuple[str, ...] = ()
+    ) -> CompiledMethod:
+        """Parse and compile a code block, from its text or its tokens.
+
+        Tokens may hold a :class:`Slot` for a value; *extra_names* then
+        starts with the slots' names, in order (see :class:`Slot`).
+        """
         return self.compile_code(parse_expression_code(source), extra_names)
 
 
@@ -204,7 +211,10 @@ class _Unit:
 
     def expression(self, node: Node) -> None:
         if isinstance(node, Literal):
-            self.emit(Op.PUSH_CONST, self.literal_index(node.value))
+            if type(node.value) is Slot:
+                self.variable_read(node.value.name)  # a lifted literal
+            else:
+                self.emit(Op.PUSH_CONST, self.literal_index(node.value))
         elif isinstance(node, VarRef):
             self.variable_read(node.name)
         elif isinstance(node, Assign):
@@ -403,22 +413,28 @@ class _Unit:
 
     def path_fetch(self, node: PathFetch) -> None:
         self.expression(node.base)
-        descriptor = []
-        for step in node.steps:
-            if step.time is not None:
-                self.expression(step.time)
-            descriptor.append((step.name, step.time is not None))
-        self.emit(Op.PATH_FETCH, tuple(descriptor))
+        self.emit(Op.PATH_FETCH, self._path_descriptor(node.steps))
 
     def path_assign(self, node: PathAssign) -> None:
         self.expression(node.base)
+        descriptor = self._path_descriptor(node.steps)
+        self.expression(node.value)
+        self.emit(Op.PATH_ASSIGN, descriptor)
+
+    def _path_descriptor(self, steps) -> tuple:
+        """Push the steps' time pins; answer ``((name, has_time), ...)``.
+
+        A lifted name stays a :class:`Slot` in the descriptor — the
+        interpreter reads it from the frame, at no extra bytecode.
+        """
         descriptor = []
-        for step in node.steps:
+        for step in steps:
             if step.time is not None:
                 self.expression(step.time)
+            if type(step.name) is Slot and self.scope.parent is not None:
+                raise CompileError("a path name is lifted only outside blocks")
             descriptor.append((step.name, step.time is not None))
-        self.expression(node.value)
-        self.emit(Op.PATH_ASSIGN, tuple(descriptor))
+        return tuple(descriptor)
 
     def block(self, node: BlockNode) -> None:
         inner = _Unit(

@@ -39,6 +39,7 @@ from ..stdm.calculus import (
     In,
     Not,
     Or,
+    Param,
     PathApply,
     QueryContext,
     SetQuery,
@@ -48,6 +49,7 @@ from ..stdm.algebra import executor_mode
 from ..stdm.optimize import best_plan
 from .bytecodes import Op
 from .nodes import BlockNode, Literal, MessageSend, PathFetch, VarRef
+from .tokens import Slot
 
 
 class _NotDeclarative(Exception):
@@ -108,6 +110,10 @@ class BlockTranslator:
 
     def expression(self, node) -> Expr:
         if isinstance(node, Literal):
+            if type(node.value) is Slot:
+                # lifted out of the text: the condition, and the plan
+                # built on it, serve every value put in this place
+                return Param(node.value.index)
             if isinstance(node.value, tuple):
                 return Const(list(node.value))
             return Const(node.value)
@@ -204,12 +210,12 @@ _NOT_DECLARATIVE = object()
 _TRANSLATION_MEMO_MAX = 16
 _PLAN_MEMO_MAX = 32
 
-#: compiled blocks a session keeps by source text (LRU, in the session
-#: store's ``StoreCaches``): the memos above only pay off if the block
-#: they hang on is found again.  Small on purpose — the cache is per
-#: session, an eight-conjunct select with its AST, translation and plan
-#: is about 13 KB, and a front door holds thousands of sessions; the
-#: texts a host repeats are few
+#: compiled blocks a session keeps by the shape of their text (LRU, in
+#: the session store's ``StoreCaches``): the memos above only pay off if
+#: the block they hang on is found again.  Small on purpose — the cache
+#: is per session, an eight-conjunct select with its AST, translation
+#: and plan is about 13 KB, and a front door holds thousands of
+#: sessions; the shapes a host sends are few
 COMPILE_CACHE_MAX = 64
 
 
@@ -329,7 +335,9 @@ def try_declarative_filter(store, collection, closure, negate: bool) -> Optional
         # one unit for the query itself; per-member fuel is charged by
         # the context during execution (no O(n) pre-count of the input)
         budget.charge_steps(1)
-    context = QueryContext(store, time, directory_manager, budget)
+    context = QueryContext(
+        store, time, directory_manager, budget, closure.literals
+    )
     obs = getattr(engine, "obs", None)
     started = _time.perf_counter()
     try:
@@ -364,13 +372,12 @@ def _log_query(
     elapsed_ms = (_time.perf_counter() - started) * 1e3
 
     def render() -> dict:
-        source = getattr(compiled, "rendered_source", None)
-        if source is None:
-            source = render_block(block_ast)
-            compiled.rendered_source = source  # unparse once per block
+        # the block and the plan serve every text of their shape: print
+        # both with the literals of the execution being reported
+        params = context.params
         entry = {
-            "source": source,
-            "plan": describe_plan(plan),
+            "source": render_block(block_ast, params),
+            "plan": describe_plan(plan, params),
             "candidates": context.examined,
             "elapsed_ms": elapsed_ms,
             "negate": negate,

@@ -20,14 +20,18 @@ from ..core.history import MISSING
 from ..core.objects import GemObject
 from ..core.values import Char, Ref, Symbol
 from ..errors import (
+    CompileError,
     DoesNotUnderstand,
     OpalRuntimeError,
+    ParseError,
     TransactionConflict,
 )
 from ..perf.epochs import class_epoch
 from .bytecodes import CompiledBlock, CompiledMethod, Op
 from .compiler import Compiler
 from .declarative import COMPILE_CACHE_MAX
+from .lexer import Lexer
+from .tokens import Slot
 
 #: immediate receiver types whose Python type identifies their Gem class
 #: exactly — safe as a monomorphic inline-cache key.  ``type()`` keeps
@@ -106,6 +110,12 @@ class BlockClosure:
     def num_args(self) -> int:
         """Number of block parameters."""
         return len(self.compiled.params)
+
+    @property
+    def literals(self) -> list[Any]:
+        """The literals lifted out of the text that made this closure:
+        the first slots of its doit's frame (see ``tokens.Slot``)."""
+        return self.home_frame.home.slots
 
     def call(self, *args: Any) -> Any:
         """Evaluate the block with *args*."""
@@ -348,41 +358,58 @@ class OpalEngine:
                 return self._execute(source, bindings)
         return self._execute(source, bindings)
 
-    def _compiled(self, source: str, names: tuple[str, ...]) -> CompiledMethod:
-        """The compiled form of an ad-hoc block, compiled once per text.
+    def _compiled(
+        self, source: str, names: tuple[str, ...]
+    ) -> tuple[CompiledMethod, list[Any]]:
+        """An ad-hoc block compiled once per *shape*, and its literals.
 
-        A hit hands back the same :class:`CompiledMethod`, and with it
-        its inline caches, translation and plan memos — each already
-        keyed on (store token, class epoch, directory epoch), so reuse
-        needs no invalidation of its own.  A compile error propagates
-        before anything is stored.
+        The text is scanned once; the scan's shape — the tokens, without
+        the literals no stage before ``execute`` reads (see
+        :mod:`.lexer`) — and the binding names are the key.  A miss
+        compiles the tokens with a :class:`Slot` in each lifted place,
+        so the method reads those from its frame's first slots; a hit
+        hands back the same :class:`CompiledMethod`, and with it its
+        inline caches, translation and plan memos — each already keyed
+        on (store token, class epoch, directory epoch), so reuse needs
+        no invalidation of its own.  A compile error propagates before
+        anything is stored.
         """
         perf = getattr(self.store, "perf", None)
         if perf is None or not perf.enabled:
-            return Compiler().compile_source(source, names)
+            return Compiler().compile_source(source, names), []
+        lexed = Lexer(source)
+        literals = lexed.literals
         entries = perf.compile_entries
-        key = (source, names)
+        key = (lexed.shape, names)
         method = entries.get(key)
         if method is not None:
             perf.compile_hits += 1
             entries.move_to_end(key)
-            return method
+            return method, literals
         perf.compile_misses += 1
-        method = Compiler().compile_source(source, names)
+        hidden = tuple(Slot(index).name for index in range(len(literals)))
+        try:
+            method = Compiler().compile_source(
+                lexed.tokens(lifted=True), hidden + names
+            )
+        except (ParseError, CompileError):
+            # raise it about the text as written: a message may quote a
+            # token, and a lifted one would print as its slot
+            return Compiler().compile_source(lexed.tokens(), names), []
         entries[key] = method
         if len(entries) > COMPILE_CACHE_MAX:
             entries.popitem(last=False)  # least recently used
-        return method
+        return method, literals
 
     def _execute(self, source: str, bindings: dict[str, Any]) -> Any:
-        method = self._compiled(source, tuple(bindings))
+        method, literals = self._compiled(source, tuple(bindings))
         frame = Frame(
             method.code, method.literals, method.slot_names,
             receiver=None, lexical_parent=None, home=None, is_block=False,
         )
         frame.ics = self._inline_caches(method)
-        for index, name in enumerate(bindings):
-            frame.slots[index] = bindings[name]
+        filled = [*literals, *bindings.values()]
+        frame.slots[: len(filled)] = filled
         return self._run_method_frame(frame)
 
     def invoke_method(self, method: CompiledMethod, receiver: Any, args: tuple) -> Any:
@@ -699,6 +726,8 @@ class OpalEngine:
         times = self._pop_path_times(frame, descriptor)
         current = frame.stack.pop()
         for index, ((name, _), time) in enumerate(zip(descriptor, times)):
+            if type(name) is Slot:
+                name = frame.slots[name.index]  # lifted out of the text
             if not isinstance(current, (GemObject, Ref)):
                 raise OpalRuntimeError(
                     f"path component !{name}: receiver is not an object"
@@ -720,7 +749,11 @@ class OpalEngine:
         last_name, last_has_time = descriptor[-1]
         if last_has_time:
             raise OpalRuntimeError("cannot assign into the past")
+        if type(last_name) is Slot:
+            last_name = frame.slots[last_name.index]
         for (name, _), time in zip(descriptor[:-1], times[:-1]):
+            if type(name) is Slot:
+                name = frame.slots[name.index]
             if not isinstance(current, (GemObject, Ref)):
                 raise OpalRuntimeError(
                     f"path component !{name}: receiver is not an object"

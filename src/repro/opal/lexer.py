@@ -1,243 +1,243 @@
-"""The OPAL lexer: source text to tokens.
+"""The OPAL lexer: source text to tokens, in one pass over one table.
 
 Smalltalk-80 lexical rules: double-quoted comments are whitespace,
 single-quoted strings double their quotes to escape, ``$x`` is a
 character, ``#`` introduces symbols and literal arrays, identifiers
 followed immediately by ``:`` are keywords.  OPAL adds ``!`` and ``@``
 as path tokens (never part of binary selectors).
+
+The rules are one master pattern (:data:`_TOKEN`), matched once per
+token; the alternative that matched names the rule.  Two things a
+pattern cannot say are settled after the match: ``-`` directly before a
+digit is a sign only where no operand precedes it, and ``16rFF`` is a
+radix integer only for radices 2..36 (``99rX`` is ``99`` then ``rX``).
+
+The same pass answers what ``OpalEngine`` keys compiled blocks on: the
+text's *shape* — its token spellings, with every literal that no later
+stage reads replaced by a mark — and those literals' values.  Lifted
+are numbers and strings anywhere, and the component after ``!`` outside
+every ``[ ]`` (``World!k0123``); inside a block a path stays in the
+shape, because directory matching reads it.  Kept as written are the
+time pin after ``@`` (a literal one is baked into the translated path:
+everything inside ``@( … )`` stays) and everything inside ``#( … )``.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
+from typing import Any
+
 from ..errors import LexError
-from .tokens import BINARY_CHARS, Token, TokenType
+from .tokens import Slot, Token, TokenType
+
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+_BINARY = r"[-+*/~<>=&%,?\\]"  # BINARY_CHARS without `|`
+_BLANK = r"""(?: \s | "[^"]*" )*"""  # one way to match: backtracks linearly
+
+_TOKEN = re.compile(
+    rf"""{_BLANK} (?:
+      (?P<mark>    [()\[\];.^!@] )
+    | (?P<word>    [^\W\d]\w* (?: :(?!=) )? )
+    | (?P<number>  (?P<sign>-)? (?P<digits>[0-9]+)
+                   (?: (?P<fraction> \.[0-9]+ (?: [eE]-?[0-9]+ )? )
+                     | (?P<radix> r[^\W_]* ) )? )
+    | (?P<binary>  {_BINARY} [-+*/~<>=&|%,?\\]? )
+    | (?P<string>  {_STRING} )
+    | (?P<assign>  := )
+    | (?P<colon>   : )
+    | (?P<pipe>    \| {_BINARY}? )
+    | (?P<array>   \#\( )
+    | (?P<symbol>  \# (?: {_STRING} | (?=[^\W\d]) (?: \w:? )+
+                        | [-+*/~<>=&|%,?\\]{{1,2}} ) )
+    | (?P<char>    \$ (?s:.) )
+    | (?P<end>     \Z )
+    )""",
+    re.VERBOSE,
+)
+_BLANKS = re.compile(_BLANK, re.VERBOSE)
+
+_MARKS = {
+    "(": TokenType.LPAREN, ")": TokenType.RPAREN,
+    "[": TokenType.LBRACKET, "]": TokenType.RBRACKET,
+    ";": TokenType.SEMICOLON, ".": TokenType.PERIOD,
+    "^": TokenType.CARET, "!": TokenType.BANG, "@": TokenType.AT,
+}
+
+#: rule -> the type of its token, before what the scan settles itself
+_TYPES = {
+    "word": TokenType.IDENTIFIER, "number": TokenType.INTEGER,
+    "string": TokenType.STRING, "binary": TokenType.BINARY,
+    "assign": TokenType.ASSIGN, "colon": TokenType.COLON,
+    "pipe": TokenType.PIPE, "array": TokenType.ARRAY_START,
+    "symbol": TokenType.SYMBOL, "char": TokenType.CHARACTER,
+    "mark": None, "end": TokenType.END,
+}
+_AT, _BANG, _BINARY = TokenType.AT, TokenType.BANG, TokenType.BINARY
+
+#: token types after which `-` is subtraction, not a numeric sign
+_OPERAND_ENDS = frozenset({
+    TokenType.IDENTIFIER, TokenType.INTEGER, TokenType.FLOAT,
+    TokenType.STRING, TokenType.CHARACTER, TokenType.SYMBOL,
+    TokenType.RPAREN, TokenType.RBRACKET,
+})
+
+#: what stands in a shape where a literal of that type was lifted
+_LIFTED = {
+    TokenType.INTEGER: "\0i", TokenType.FLOAT: "\0f",
+    TokenType.STRING: "\0s", TokenType.IDENTIFIER: "\0n",
+}
 
 
-def _is_digit(char: str) -> bool:
-    """ASCII digits only: Unicode digit-likes are not OPAL numerals."""
-    return "0" <= char <= "9"
+def _starts_a_name(char: str) -> bool:
+    """``[^\\W\\d]`` also admits digit-likes such as ``²``; names do not."""
+    return char.isalpha() or char == "_"
 
 
 class Lexer:
-    """Streams tokens from OPAL source text."""
-
-    #: token types after which `-` is subtraction, not a numeric sign
-    _OPERAND_ENDS = frozenset(
-        {
-            TokenType.IDENTIFIER,
-            TokenType.INTEGER,
-            TokenType.FLOAT,
-            TokenType.STRING,
-            TokenType.CHARACTER,
-            TokenType.SYMBOL,
-            TokenType.RPAREN,
-            TokenType.RBRACKET,
-        }
-    )
+    """One scan of OPAL source text; raises :class:`LexError` on creation."""
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self._prev_type: TokenType | None = None
+        self._newlines = [found.start() for found in re.finditer("\n", source)]
+        #: per token: (type, value, offset)
+        self._scanned: list[tuple[TokenType, Any, int]] = []
+        #: the values lifted out of the shape, and their token positions
+        self.literals: list[Any] = []
+        self._lifted_at: list[int] = []
+        #: the token spellings, a mark where a literal was lifted
+        self.shape: tuple[str, ...] = tuple(self._scan())
 
-    def tokens(self) -> list[Token]:
-        """Lex the whole source; the final token is always END."""
-        result = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.type is TokenType.END:
-                return result
+    def tokens(self, lifted: bool = False) -> list[Token]:
+        """The whole token stream; the final token is always END.  With
+        *lifted*, the tokens of :attr:`literals` carry ``Slot(0)``,
+        ``Slot(1)``, … in place of their values."""
+        scanned = self._scanned
+        if lifted:
+            scanned = list(scanned)
+            for index, position in enumerate(self._lifted_at):
+                type_, _, start = scanned[position]
+                scanned[position] = (type_, Slot(index), start)
+        where = self._where
+        result = [
+            Token(type_, value, *where(start))
+            for type_, value, start in scanned
+        ]
+        result.append(Token(TokenType.END, None, *where(len(self.source))))
+        return result
 
     # -- internals --------------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
+    def _where(self, offset: int) -> tuple[int, int]:
+        """(line, column) of *offset*, both 1-based."""
+        row = bisect_left(self._newlines, offset)
+        return row + 1, offset - (self._newlines[row - 1] if row else -1)
 
-    def _advance(self) -> str:
-        char = self.source[self.pos]
-        self.pos += 1
-        if char == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return char
-
-    def _skip_blank(self) -> None:
-        while self.pos < len(self.source):
-            char = self._peek()
-            if char.isspace():
-                self._advance()
-            elif char == '"':  # comment
-                self._advance()
-                while True:
-                    if self.pos >= len(self.source):
-                        raise LexError("unterminated comment", self.line, self.column)
-                    if self._advance() == '"':
-                        break
-            else:
-                return
-
-    def next_token(self) -> Token:
-        """Lex one token."""
-        token = self._lex_token()
-        self._prev_type = token.type
-        return token
-
-    def _lex_token(self) -> Token:
-        self._skip_blank()
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return Token(TokenType.END, None, line, column)
-        char = self._peek()
-
-        if char.isalpha() or char == "_":
-            return self._identifier_or_keyword(line, column)
-        if _is_digit(char):
-            return self._number(line, column)
-        if char == "'":
-            return Token(TokenType.STRING, self._string_body(), line, column)
-        if char == "$":
-            self._advance()
-            if self.pos >= len(self.source):
-                raise LexError("character literal at end of input", line, column)
-            return Token(TokenType.CHARACTER, self._advance(), line, column)
-        if char == "#":
-            return self._hash(line, column)
-
-        simple = {
-            "(": TokenType.LPAREN, ")": TokenType.RPAREN,
-            "[": TokenType.LBRACKET, "]": TokenType.RBRACKET,
-            ";": TokenType.SEMICOLON, ".": TokenType.PERIOD,
-            "^": TokenType.CARET, "!": TokenType.BANG, "@": TokenType.AT,
-        }
-        if char in simple:
-            self._advance()
-            return Token(simple[char], char, line, column)
-
-        if char == ":":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenType.ASSIGN, ":=", line, column)
-            return Token(TokenType.COLON, ":", line, column)
-
-        if char == "|":
-            # `|` may start a binary selector like || — keep single | as PIPE
-            self._advance()
-            if self._peek() in BINARY_CHARS and self._peek() != "|":
-                selector = "|" + self._advance()
-                return Token(TokenType.BINARY, selector, line, column)
-            return Token(TokenType.PIPE, "|", line, column)
-
-        if (
-            char == "-"
-            and _is_digit(self._peek(1))
-            and self._prev_type not in self._OPERAND_ENDS
-        ):
-            self._advance()
-            token = self._number(line, column)
-            value = -token.value
-            return Token(token.type, value, line, column)
-
-        if char in BINARY_CHARS:
-            selector = self._advance()
-            if self._peek() in BINARY_CHARS | {"|"}:
-                selector += self._advance()
-            return Token(TokenType.BINARY, selector, line, column)
-
-        raise LexError(f"unexpected character {char!r}", line, column)
-
-    def _identifier_or_keyword(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        if self._peek() == ":" and self._peek(1) != "=":
-            self._advance()
-            return Token(TokenType.KEYWORD, text + ":", line, column)
-        return Token(TokenType.IDENTIFIER, text, line, column)
-
-    def _number(self, line: int, column: int) -> Token:
-        start = self.pos
-        while _is_digit(self._peek()):
-            self._advance()
-        if self._peek() == "." and _is_digit(self._peek(1)):
-            self._advance()
-            while _is_digit(self._peek()):
-                self._advance()
-            if self._peek() in ("e", "E") and (
-                _is_digit(self._peek(1))
-                or (self._peek(1) == "-" and _is_digit(self._peek(2)))
-            ):
-                self._advance()
-                if self._peek() == "-":
-                    self._advance()
-                while _is_digit(self._peek()):
-                    self._advance()
-            return Token(
-                TokenType.FLOAT, float(self.source[start : self.pos]), line, column
-            )
-        if self._peek() == "r":  # radix integers, e.g. 16rFF
-            radix = int(self.source[start : self.pos])
-            if 2 <= radix <= 36:
-                self._advance()
-                digit_start = self.pos
-                while self._peek().isalnum():
-                    self._advance()
-                digits = self.source[digit_start : self.pos]
-                if not digits:
-                    raise LexError("radix integer needs digits", line, column)
-                try:
-                    return Token(
-                        TokenType.INTEGER, int(digits, radix), line, column
-                    )
-                except ValueError as error:
-                    raise LexError(
-                        f"bad radix-{radix} literal {digits!r}", line, column
-                    ) from error
-        return Token(
-            TokenType.INTEGER, int(self.source[start : self.pos]), line, column
-        )
-
-    def _string_body(self) -> str:
-        self._advance()  # opening quote
-        chars: list[str] = []
+    def _scan(self) -> list[str]:
+        source = self.source
+        match = _TOKEN.match
+        scanned = self._scanned
+        shape: list[str] = []
+        offset = blocks = kept = 0  # depths: of [ ], of #( ) and @( )
+        previous = None
         while True:
-            if self.pos >= len(self.source):
-                raise LexError("unterminated string", self.line, self.column)
-            char = self._advance()
-            if char == "'":
-                if self._peek() == "'":
-                    chars.append(self._advance())
-                    continue
-                return "".join(chars)
-            chars.append(char)
+            found = match(source, offset)
+            if found is None:
+                raise self._no_token_at(_BLANKS.match(source, offset).end())
+            rule = found.lastgroup
+            text = value = found.group(rule)
+            offset = found.end()
+            start = offset - len(text)
+            type_ = _TYPES[rule]
+            liftable = False
+            if rule == "mark":
+                type_ = _MARKS[text]
+                if kept or (text == "(" and previous is _AT):
+                    kept += (text == "(") - (text == ")")
+                else:
+                    blocks += (text == "[") - (text == "]")
+            elif rule == "word":
+                if not (text.isascii() or _starts_a_name(text[0])):
+                    raise self._no_token_at(start)
+                if text[-1] == ":":
+                    type_ = TokenType.KEYWORD
+                else:
+                    liftable = previous is _BANG
+            elif rule == "number":
+                if text[0] == "-" and previous in _OPERAND_ENDS:
+                    type_, text, value, offset = _BINARY, "-", "-", start + 1
+                else:
+                    type_, value, offset = self._number(found, start)
+                    text = source[start:offset]
+                    liftable = True
+            elif rule == "string":
+                value = text[1:-1].replace("''", "'")
+                liftable = True
+            elif rule == "pipe":
+                if text != "|":
+                    type_ = _BINARY
+            elif rule == "array":
+                kept += 1
+            elif rule == "symbol":
+                if text[1] == "'":
+                    value = text[2:-1].replace("''", "'")
+                elif text.isascii() or _starts_a_name(text[1]):
+                    value = text[1:]
+                else:
+                    raise self._no_token_at(start)
+            elif rule == "char":
+                value = text[1]
+            elif rule == "end":
+                return shape
+            if liftable and not kept and previous is not _AT and (
+                not blocks or previous is not _BANG
+            ):
+                text = _LIFTED[type_]
+                self.literals.append(value)
+                self._lifted_at.append(len(scanned))
+            scanned.append((type_, value, start))
+            shape.append(text)
+            previous = type_
 
-    def _hash(self, line: int, column: int) -> Token:
-        self._advance()  # the '#'
-        char = self._peek()
-        if char == "(":
-            self._advance()
-            return Token(TokenType.ARRAY_START, "#(", line, column)
-        if char == "'":
-            return Token(TokenType.SYMBOL, self._string_body(), line, column)
-        if char.isalpha() or char == "_":
-            start = self.pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-                if self._peek() == ":":
-                    self._advance()
-            return Token(
-                TokenType.SYMBOL, self.source[start : self.pos], line, column
-            )
-        if char in BINARY_CHARS | {"|"}:
-            selector = self._advance()
-            if self._peek() in BINARY_CHARS | {"|"}:
-                selector += self._advance()
-            return Token(TokenType.SYMBOL, selector, line, column)
-        raise LexError("malformed symbol literal", line, column)
+    def _number(self, found, start: int) -> tuple[TokenType, Any, int]:
+        """(type, value, end offset) of a matched numeral."""
+        sign, digits, fraction, radix = found.group(
+            "sign", "digits", "fraction", "radix"
+        )
+        end = found.end()
+        if fraction is not None:
+            type_, value = TokenType.FLOAT, float(digits + fraction)
+        else:
+            type_, value = TokenType.INTEGER, int(digits)
+            if radix is not None:
+                if 2 <= value <= 36:  # radix integers, e.g. 16rFF
+                    value = self._radix_value(value, radix[1:], start)
+                else:
+                    end = found.end("digits")  # `99rX`: 99, then rX
+        return type_, -value if sign else value, end
+
+    def _radix_value(self, radix: int, digits: str, start: int) -> int:
+        if not digits:
+            raise LexError("radix integer needs digits", *self._where(start))
+        try:
+            return int(digits, radix)
+        except ValueError as error:
+            raise LexError(
+                f"bad radix-{radix} literal {digits!r}", *self._where(start)
+            ) from error
+
+    def _no_token_at(self, offset: int) -> LexError:
+        """Why no rule matches at *offset*, as the error to raise."""
+        source = self.source
+        char = source[offset]
+        if char == '"':
+            return LexError("unterminated comment", *self._where(len(source)))
+        if char == "'" or source.startswith("#'", offset):
+            return LexError("unterminated string", *self._where(len(source)))
+        if char == "$":
+            message = "character literal at end of input"
+        elif char == "#":
+            message = "malformed symbol literal"
+        else:
+            message = f"unexpected character {char!r}"
+        return LexError(message, *self._where(offset))

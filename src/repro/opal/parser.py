@@ -36,7 +36,7 @@ from ..core.values import Char, Symbol
 _RESERVED = {"self", "super", "true", "false", "nil", "thisContext"}
 
 
-def parse_expression_code(source: str) -> Sequence:
+def parse_expression_code(source: "str | list[Token]") -> Sequence:
     """Parse a code block (a "doit"): optional temps then statements."""
     return Parser(source).parse_code()
 
@@ -47,11 +47,17 @@ def parse_method(source: str) -> MethodNode:
 
 
 class Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token stream.
 
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self._tokens = Lexer(source).tokens()
+    *source* is OPAL text, or its tokens when the caller has already
+    lexed it (a text is scanned once per ``execute``).
+    """
+
+    def __init__(self, source: "str | list[Token]") -> None:
+        if isinstance(source, str):
+            self.source, self._tokens = source, Lexer(source).tokens()
+        else:
+            self.source, self._tokens = "", source
         self._index = 0
 
     # -- token plumbing ---------------------------------------------------------

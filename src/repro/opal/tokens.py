@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenType(Enum):
@@ -40,8 +41,7 @@ class TokenType(Enum):
     END = auto()          # end of input
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexed token with its source position."""
 
     type: TokenType
@@ -51,6 +51,24 @@ class Token:
 
     def __repr__(self) -> str:
         return f"<{self.type.name} {self.value!r} @{self.line}:{self.column}>"
+
+
+@dataclass(frozen=True)
+class Slot:
+    """Stands where a literal was lifted out of a doit's text.
+
+    ``index`` counts the text's lifted literals from 0.  The compiled
+    doit keeps literal *i* in slot *i* of its frame — a hidden temp
+    named :attr:`name`, filled at ``execute`` — so blocks reach it by
+    the lexical chain and a closure keeps the literals it was made with.
+    """
+
+    index: int
+
+    @property
+    def name(self) -> str:
+        """The hidden temp's name (``%`` cannot start an identifier)."""
+        return f"%{self.index}"
 
 
 #: characters that may form binary selectors (``!`` and ``@`` excluded —

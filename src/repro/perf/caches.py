@@ -13,10 +13,12 @@ Every :class:`~repro.core.object_manager.ObjectStore` owns one
   :func:`repro.perf.stats` can report them per store;
 * the **inline-cache counters** — per-call-site caches live in the
   compiled code, the engine reports hits/misses here;
-* the **compiled-block cache** — ``(source text, binding names) →
-  CompiledMethod`` for the blocks a host sends to ``execute``, in LRU
-  order.  :class:`~repro.opal.interpreter.OpalEngine` fills and bounds
-  it; it lives here because everything a compiled block carries (inline
+* the **compiled-block cache** — ``(shape of the text, binding names)
+  → CompiledMethod`` for the blocks a host sends to ``execute``, in LRU
+  order; the shape is the text's tokens with its literals lifted out
+  (:mod:`repro.opal.lexer`), so one entry serves every literal.
+  :class:`~repro.opal.interpreter.OpalEngine` fills and bounds it; it
+  lives here because everything a compiled block carries (inline
   caches, translation and plan memos) is keyed on this store's token
   and the class epoch, so an entry must never outlive or leave its
   store.

@@ -26,6 +26,8 @@ for equivalence against it.
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Callable, Iterator, Optional, Sequence
@@ -77,6 +79,10 @@ class QueryContext:
     ``examined`` counts every charged unit whether or not a budget is
     attached — it is the candidate count the slow-query log reports,
     the number that separates an index probe from a full scan.
+
+    ``params`` is the literal vector of the text being run: a plan is
+    shared by every text of its shape, and reads the literals of *this*
+    execution through its :class:`Param` nodes.
     """
 
     def __init__(
@@ -85,18 +91,22 @@ class QueryContext:
         time: Optional[int] = None,
         directory_manager=None,
         budget=None,
+        params: Sequence[Any] = (),
     ):
         self.store = store
         self.time = time
         self.directory_manager = directory_manager
         self.budget = budget
+        self.params = params
         self.examined = 0
         self.dial = TimeDial()
         self.dial.set(time)
 
     def at(self, time: Optional[int]) -> "QueryContext":
         """A context like this one, dialed to *time*."""
-        return QueryContext(self.store, time, self.directory_manager, self.budget)
+        return QueryContext(
+            self.store, time, self.directory_manager, self.budget, self.params
+        )
 
     def charge(self, units: int = 1) -> None:
         """Count examined candidates; spend fuel when a budget is attached."""
@@ -260,12 +270,13 @@ class Expr:
         evaluate = self.evaluate
         return [evaluate(ctx, batch.row(i)) for i in range(batch.size)]
 
-    def const_value(self) -> tuple[bool, Any]:
+    def const_value(self, ctx: QueryContext) -> tuple[bool, Any]:
         """``(True, value)`` when this expression is row-independent.
 
         The batched executor hoists such sub-expressions out of the inner
         loop: ``0.10 * d!Budget`` keeps a per-row path, but ``10 * 3000``
-        collapses to one scalar broadcast per batch.
+        collapses to one scalar broadcast per batch.  A :class:`Param`
+        is as row-independent as a :class:`Const`; its value is in *ctx*.
         """
         return (False, None)
 
@@ -349,7 +360,7 @@ class Const(Expr):
     def evaluate_column(self, ctx, batch):
         return [self.value] * batch.size
 
-    def const_value(self):
+    def const_value(self, ctx):
         return (True, self.value)
 
     def free_vars(self):
@@ -357,6 +368,55 @@ class Const(Expr):
 
     def __repr__(self) -> str:
         return repr(self.value)
+
+
+#: the literal vector plans are being printed for (see :func:`showing`)
+_SHOWN: ContextVar[Sequence[Any]] = ContextVar("shown_params", default=())
+
+
+@contextmanager
+def showing(params: Sequence[Any]) -> Iterator[None]:
+    """While open, each :class:`Param` prints as its value in *params*.
+
+    ``describe`` / ``explain`` / ``repr`` take no context, and a plan is
+    shared by every literal vector of its shape: whoever prints one says
+    here whose literals to print.
+    """
+    token = _SHOWN.set(params)
+    try:
+        yield
+    finally:
+        _SHOWN.reset(token)
+
+
+@dataclass(frozen=True)
+class Param(Expr):
+    """A literal lifted out of the query's text: ``ctx.params[slot]``.
+
+    Row-independent like a :class:`Const`, but the value belongs to the
+    execution, not the plan — so one translation and one plan serve
+    every text that differs only in its literals.
+    """
+
+    slot: int
+
+    def evaluate(self, ctx, bindings):
+        return ctx.params[self.slot]
+
+    def evaluate_column(self, ctx, batch):
+        return [ctx.params[self.slot]] * batch.size
+
+    def const_value(self, ctx):
+        return (True, ctx.params[self.slot])
+
+    def free_vars(self):
+        return frozenset()
+
+    def __repr__(self) -> str:
+        shown = _SHOWN.get()
+        if self.slot < len(shown):
+            return repr(shown[self.slot])
+        return f"?{self.slot}"
 
 
 @dataclass(frozen=True)
@@ -500,8 +560,8 @@ class BinOp(Expr):
 
     def evaluate_column(self, ctx, batch):
         fn = self._FUNCTIONS[self.op]
-        l_const, l_value = self.left.const_value()
-        r_const, r_value = self.right.const_value()
+        l_const, l_value = self.left.const_value(ctx)
+        r_const, r_value = self.right.const_value(ctx)
         if l_const and r_const:
             value = (
                 NOVALUE if (l_value is NOVALUE or r_value is NOVALUE)
@@ -565,11 +625,11 @@ class BinOp(Expr):
             for a, b in zip(left, right)
         ]
 
-    def const_value(self):
-        l_const, l_value = self.left.const_value()
+    def const_value(self, ctx):
+        l_const, l_value = self.left.const_value(ctx)
         if not l_const:
             return (False, None)
-        r_const, r_value = self.right.const_value()
+        r_const, r_value = self.right.const_value(ctx)
         if not r_const:
             return (False, None)
         if l_value is NOVALUE or r_value is NOVALUE:
@@ -625,7 +685,7 @@ class Compare(Expr):
 
     def evaluate_column(self, ctx, batch):
         op = self.op
-        r_const, r_value = self.right.const_value()
+        r_const, r_value = self.right.const_value(ctx)
         if r_const:
             left = self.left.evaluate_column(ctx, batch)
             # one C-speed type pass tells us whether any row needs
@@ -670,7 +730,7 @@ class Compare(Expr):
             if op == ">=":
                 return [False if a is NOVALUE else a >= r for a in left]
             return [False if a is NOVALUE else a <= r for a in left]
-        l_const, l_value = self.left.const_value()
+        l_const, l_value = self.left.const_value(ctx)
         if l_const:
             right = self.right.evaluate_column(ctx, batch)
             if op == "==":

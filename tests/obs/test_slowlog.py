@@ -49,11 +49,11 @@ def test_capacity_must_be_positive():
         SlowQueryLog(capacity=0)
 
 
-def compiled_block(source):
-    """Compile one OPAL block literal and return its compiled form."""
+def rendered_block(source):
+    """Compile one OPAL block literal; unparse it with its own literals."""
     engine = OpalEngine(MemoryObjectManager())
     closure = engine.execute(source)
-    return closure.compiled
+    return render_block(closure.compiled.ast, closure.literals)
 
 
 @pytest.mark.parametrize(
@@ -69,15 +69,12 @@ def compiled_block(source):
     ],
 )
 def test_render_block_reconstructs_select_source(source, rendered):
-    block = compiled_block(source)
-    assert render_block(block.ast) == rendered
+    assert rendered_block(source) == rendered
 
 
 def test_rendered_block_recompiles_to_the_same_rendering():
-    block = compiled_block("[:e | (e!dept = 'R+D') & (e!salary > 10)]")
-    rendered = render_block(block.ast)
-    again = compiled_block(rendered)
-    assert render_block(again.ast) == rendered
+    rendered = rendered_block("[:e | (e!dept = 'R+D') & (e!salary > 10)]")
+    assert rendered_block(rendered) == rendered
 
 
 def test_render_block_degrades_to_repr_off_ast():

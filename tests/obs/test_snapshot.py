@@ -53,10 +53,11 @@ def worked_database():
         )
     session.commit()
     session.execute("(World!emps) reject: [:e | e!salary > 50]")
-    # the same message from a different text: a new call site whose
-    # inline cache is cold, so the store's method cache answers it (the
-    # twelve identical adds above compile once and hit the inline cache)
-    session.execute("(World!emps) reject: [:e | e!salary > 70]")
+    # the same message from a text of another shape: a new call site
+    # whose inline cache is cold, so the store's method cache answers it
+    # (the twelve identical adds above compile once and hit the inline
+    # cache, and so would this text with only its literal changed)
+    session.execute("(World!emps) reject: [:e | e!salary >= 70]")
     # the same compiled select block three times over: the second and
     # third runs hit the translation and plan memos
     session.execute(
