@@ -28,17 +28,33 @@ Uncommitted writes are provisionally stamped at ``last committed time +
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter
 from typing import Any, Optional
 
-from ..core.object_manager import ObjectStore
+from ..core.classes import GemClass
+from ..core.object_manager import ObjectStore, element_column, live_values
 from ..core.objects import GemObject
-from ..core.values import Ref
+from ..core.values import IMMEDIATE_TYPES, Ref, Symbol
 from ..core.timedial import TimeDial
-from ..errors import ClassProtocolError, SessionClosed, StorageError
+from ..errors import (
+    ClassProtocolError,
+    NoSuchObject,
+    SessionClosed,
+    StorageError,
+)
 from ..govern.quota import SessionQuota
 from ..perf.epochs import class_epoch
 from ..storage.linker import Creation, Write
 from .authorization import Authorizer, User
+
+_segment_of = attrgetter("segment_id")
+
+#: what a column must hold for the bulk hooks to skip per-value checks:
+#: objects in hand (not designators still to resolve), and values whose
+#: exact type is storable
+_OBJECT_TYPES = frozenset((GemObject, GemClass))
+_STORABLE_TYPES = frozenset((*IMMEDIATE_TYPES, Symbol, Ref))
 
 
 class SessionObjectManager(ObjectStore):
@@ -165,8 +181,42 @@ class SessionObjectManager(ObjectStore):
             self.authorizer.check_read(self.user, obj.segment_id)
         return obj
 
+    def objects(self, oids: list[int]) -> list[GemObject]:
+        if not oids:
+            return []
+        self._ensure_open()
+        workspace = self.workspace
+        try:
+            if workspace.keys().isdisjoint(oids):
+                found = shared = self.store.objects(oids)
+            else:
+                found = list(map(workspace.get, oids))
+                shared = self.store.objects(
+                    [oid for oid, twin in zip(oids, found) if twin is None]
+                )
+                rest = iter(shared)
+                found = [next(rest) if twin is None else twin for twin in found]
+        except NoSuchObject:
+            # an unreadable object earlier in the column speaks first
+            return super().objects(oids)
+        if self.authorizer is not None:
+            # one check per segment, in the order the rows meet them: the
+            # refusal is the one the first unreadable row would get
+            for segment_id in dict.fromkeys(map(_segment_of, shared)):
+                self.authorizer.check_read(self.user, segment_id)
+        return found
+
     def contains(self, oid: int) -> bool:
         return oid in self.workspace or self.store.contains(oid)
+
+    def deref_column(self, values: list) -> list:
+        types = set(map(type, values))
+        if types == {Ref}:
+            return self.objects([value.oid for value in values])
+        if Ref not in types:
+            return list(values)
+        refs = iter(self.objects([v.oid for v in values if type(v) is Ref]))
+        return [next(refs) if type(v) is Ref else v for v in values]
 
     def _resolve_target(self, target):
         # Any designator — oid, Ref, or a direct (possibly stale stable)
@@ -204,6 +254,30 @@ class SessionObjectManager(ObjectStore):
         if oid not in self._created:
             self.enum_reads.add(oid)
 
+    def values_at_column(
+        self, targets: list, name: Any, time: int | None = None
+    ) -> list[Any]:
+        if not set(map(type, targets)) <= _OBJECT_TYPES:
+            return super().values_at_column(targets, name, time)
+        oids = [obj.oid for obj in targets]
+        workspace = self.workspace
+        if workspace.keys().isdisjoint(oids):
+            # no twin among them, so nothing created here either
+            self.read_set.update(zip(oids, repeat(name)))
+        else:
+            # the session reads its own uncommitted writes
+            targets = [workspace.get(obj.oid, obj) for obj in targets]
+            created = self._created
+            self.read_set.update(
+                [(oid, name) for oid in oids if oid not in created]
+            )
+        return element_column(targets, name, self.effective_time(time))
+
+    def members_of(self, target: Any, time: int | None = None) -> list[Any]:
+        obj = self._resolve_target(target)
+        self.note_enumeration(obj.oid)
+        return self.deref_column(live_values(obj, self.effective_time(time)))
+
     # -- writes (copy-on-write twins) -----------------------------------------------
 
     def bind(self, target: Any, name: Any, value: Any) -> None:
@@ -228,6 +302,32 @@ class SessionObjectManager(ObjectStore):
             self._promote(stored.oid)
         self.write_log.append(Write(oid, name, stored))
         self.note_write(oid, name)
+
+    def add_members(self, collection: Any, values: list) -> None:
+        oid = getattr(collection, "oid", collection)
+        obj = self.workspace.get(oid) if oid in self._transients else None
+        if values and obj is not None and obj._own is None:
+            # a workspace-only object made in this transaction: nothing
+            # is staged, logged or promoted
+            stored = [Ref(v.oid) if isinstance(v, GemObject) else v for v in values]
+            first = self._alias_counter + 1
+            aliases = [
+                Symbol.generated(f"a{n}")
+                for n in range(first, first + len(stored))
+            ]
+            if (
+                set(map(type, stored)) <= _STORABLE_TYPES
+                and obj.elements.keys().isdisjoint(aliases)
+            ):
+                self._ensure_open()
+                if self.authorizer is not None:
+                    self.authorizer.check_write(self.user, obj.segment_id)
+                self._alias_counter += len(stored)
+                obj.bind_fresh(aliases, stored, self.write_time())
+                return
+        # staged writes, a twin's borrowed tables, a value to refuse, a
+        # name already bound: all decided per binding
+        super().add_members(collection, values)
 
     # -- temporary objects ----------------------------------------------------
 

@@ -67,6 +67,17 @@ class AssociationTable:
         self._times: list[int] = []
         self._values: list[Any] = []
 
+    @classmethod
+    def singles(cls, time: int, values: list) -> "list[AssociationTable]":
+        """One new table per value, each holding just ``(time, value)``."""
+        tables = []
+        for value in values:
+            table = cls.__new__(cls)
+            table._times = [time]
+            table._values = [value]
+            tables.append(table)
+        return tables
+
     def __len__(self) -> int:
         return len(self._times)
 

@@ -37,6 +37,39 @@ from .values import Ref, Symbol, is_immediate
 FIRST_USER_OID = 1024
 
 
+def live_values(obj: GemObject, time: int | None) -> list[Any]:
+    """The non-nil element values of *obj* at *time*, in element order.
+
+    ``[value for _, value in obj.items_at(time)]``; a "now" read takes
+    the last record of each table instead of bisecting (AssociationTable
+    internals, same package).
+    """
+    if time is not None:
+        return [value for _, value in obj.items_at(time)]
+    return [
+        value
+        for table in obj.elements.values()
+        if (values := table._values) and (value := values[-1]) is not None
+    ]
+
+
+def element_column(objects: list[GemObject], name: Any, time: int | None) -> list[Any]:
+    """``[obj.value_at(name, time) for obj in objects]``, "now" inlined."""
+    if time is not None:
+        return [
+            MISSING if (table := obj.elements.get(name)) is None
+            else table.value_at(time)
+            for obj in objects
+        ]
+    return [
+        values[-1]
+        if (table := obj.elements.get(name)) is not None
+        and (values := table._values)
+        else MISSING
+        for obj in objects
+    ]
+
+
 class ObjectStore:
     """Abstract store: identity-preserving object access with time travel.
 
@@ -61,6 +94,15 @@ class ObjectStore:
     def contains(self, oid: int) -> bool:
         """True if *oid* names an object in this store."""
         raise NotImplementedError
+
+    def objects(self, oids: list[int]) -> list[GemObject]:
+        """Bulk :meth:`object`: ``[self.object(oid) for oid in oids]``.
+
+        This loop is the definition; a store that overrides it leaves
+        every counter, access record and error as the loop would.
+        """
+        fetch = self.object
+        return [fetch(oid) for oid in oids]
 
     def register(self, obj: GemObject) -> GemObject:
         """Enter a freshly created object into the store."""
@@ -113,9 +155,10 @@ class ObjectStore:
     def deref_column(self, values: list) -> list:
         """Bulk :meth:`deref` over a column of stored values.
 
-        Semantically ``[self.deref(v) for v in values]``; memory stores
-        override it with a direct table scan so the vectorized executor
-        pays no per-row method dispatch.
+        Semantically ``[self.deref(v) for v in values]``; the memory
+        store and the session override it (a table scan, one
+        :meth:`objects` call) so the vectorized executor pays no per-row
+        method dispatch.
         """
         deref = self.deref
         return [deref(value) for value in values]
@@ -265,7 +308,17 @@ class ObjectStore:
         unique aliases upon demand."
         """
         self._alias_counter += 1
-        return Symbol(f"a{self._alias_counter}")
+        return Symbol.generated(f"a{self._alias_counter}")
+
+    def add_members(self, collection: Any, values: list) -> None:
+        """Bind each of *values* into *collection* under a fresh alias.
+
+        ``bind(collection, new_alias(), value)`` per value is the
+        definition — how an unlabeled set takes members, and how a
+        query result (``select:``, ``collect:``) is filled.
+        """
+        for value in values:
+            self.bind(collection, self.new_alias(), value)
 
     # -- classes ----------------------------------------------------------------
 
@@ -476,12 +529,11 @@ class MemoryObjectManager(ObjectStore):
     _MEMBER_COLUMN_CAP = 512
 
     def members_of(self, target: Any, time: int | None = None) -> list[Any]:
-        # Scan-loop fast path: one pass over the element tables with the
-        # "now" lookup inlined (sessions keep the generic implementation —
-        # they substitute time dials and workspace twins).  Large member
-        # columns are cached, validated by the collection object's write
-        # version — so direct ``GemObject.bind`` writers (the commit
-        # linker, shard workers) invalidate them without any hook.
+        # Large member columns are cached, validated by the collection
+        # object's write version — so direct ``GemObject.bind`` writers
+        # (the commit linker, shard workers) invalidate them without any
+        # hook.  A session has no such cache: its members change with
+        # its time dial and its workspace twins.
         if time is not None:
             return super().members_of(target, time)
         obj = self._resolve_target(target)
@@ -489,22 +541,7 @@ class MemoryObjectManager(ObjectStore):
         entry = self._member_columns.get(obj.oid)
         if entry is not None and entry[0] is obj and entry[1] == obj.version:
             return list(entry[2])
-        objects = self._objects
-        out: list[Any] = []
-        append = out.append
-        for table in obj.elements.values():
-            values = table._values
-            if not values:
-                continue
-            value = values[-1]
-            if value is None or value is MISSING:
-                continue
-            if isinstance(value, Ref):
-                resolved = objects.get(value.oid)
-                if resolved is None:
-                    raise NoSuchObject(value.oid)
-                value = resolved
-            append(value)
+        out = self.deref_column(live_values(obj, None))
         if len(out) >= self._MEMBER_COLUMN_MIN:
             if len(self._member_columns) >= self._MEMBER_COLUMN_CAP:
                 self._member_columns.clear()
@@ -517,36 +554,12 @@ class MemoryObjectManager(ObjectStore):
     ) -> list[Any]:
         # The hot loop of the vectorized executor.  With no workspace
         # twins and no time dial, value_at reduces to note_read plus a
-        # history lookup; inlining that here keeps the per-row cost to a
-        # couple of dict/list operations.
+        # history lookup.
         observer = self._read_observer
-        if time is None and observer is None:
-            # "now" reads skip the bisect entirely: the in-force value is
-            # the last record (AssociationTable internals, same package)
-            return [
-                values[-1]
-                if (table := obj.elements.get(name)) is not None
-                and (values := table._values)
-                else MISSING
-                for obj in targets
-            ]
-        out: list[Any] = []
-        append = out.append
-        if time is None:
+        if observer is not None:
             for obj in targets:
                 observer(obj.oid, name)
-                table = obj.elements.get(name)
-                if table is None or not table._values:
-                    append(MISSING)
-                else:
-                    append(table._values[-1])
-            return out
-        for obj in targets:
-            if observer is not None:
-                observer(obj.oid, name)
-            table = obj.elements.get(name)
-            append(MISSING if table is None else table.value_at(time))
-        return out
+        return element_column(targets, name, time)
 
     # -- clock ---------------------------------------------------------------------
 

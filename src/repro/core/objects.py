@@ -90,6 +90,16 @@ class GemObject:
         table.record(time, value)
         self.version += 1
 
+    def bind_fresh(self, names: list, values: list, time: int) -> None:
+        """Bulk :meth:`bind` of element names this object never had.
+
+        The caller vouches for what :meth:`bind` checks on every call:
+        the names and values are storable, no name is in ``elements``
+        yet, and the object is no twin (every table is its own).
+        """
+        self.elements.update(zip(names, AssociationTable.singles(time, values)))
+        self.version += len(names)
+
     def unshare_table(self, name: Any) -> None:
         """Give element *name* a table no twin reads.
 

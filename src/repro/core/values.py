@@ -22,6 +22,11 @@ class Symbol(str):
     Symbols compare equal to the strings they intern but display with a
     leading ``#``.  Interning makes ``Symbol('x') is Symbol('x')`` true,
     mirroring Smalltalk symbol identity.
+
+    The table never forgets, so what a store *generates* by the
+    thousand — the aliases of unlabeled set members, one per member of
+    every query result — is made by :meth:`generated` and stays out of
+    it: such a symbol lives and dies with the objects that hold it.
     """
 
     _interned: dict[str, "Symbol"] = {}
@@ -32,6 +37,15 @@ class Symbol(str):
             found = super().__new__(cls, text)
             cls._interned[text] = found
         return found
+
+    @classmethod
+    def generated(cls, text: str) -> "Symbol":
+        """A symbol that is not interned.
+
+        Equal to (and hashing as) its text and the interned symbol of
+        that text, but not identical to it.
+        """
+        return str.__new__(cls, text)
 
     def __repr__(self) -> str:
         return f"#{str.__str__(self)}"

@@ -596,8 +596,8 @@ def _prim_do(om, receiver, block):
 
 def _prim_collect(om, receiver, block):
     result = om.instantiate_transient("Bag")
-    for member in members(om, _require_object(om, receiver, "collect:")):
-        collection_add(om, result, _call(om, block, member))
+    obj = _require_object(om, receiver, "collect:")
+    om.add_members(result, [_call(om, block, m) for m in members(om, obj)])
     return result
 
 
@@ -619,8 +619,7 @@ def _prim_select(om, receiver, block):
             if _truthy(_call(om, block, m))
         ]
     result = _new_like(om, obj)
-    for member in chosen:
-        collection_add(om, result, member)
+    om.add_members(result, chosen)
     return result
 
 
@@ -635,8 +634,7 @@ def _prim_reject(om, receiver, block):
             if not _truthy(_call(om, block, m))
         ]
     result = _new_like(om, obj)
-    for member in chosen:
-        collection_add(om, result, member)
+    om.add_members(result, chosen)
     return result
 
 
@@ -694,8 +692,7 @@ def _prim_add_all(om, receiver, other):
 
 def _copy_into(om, receiver, class_name):
     result = om.instantiate_transient(class_name)
-    for member in members(om, _require_object(om, receiver, "copy")):
-        collection_add(om, result, member)
+    om.add_members(result, members(om, _require_object(om, receiver, "copy")))
     return result
 
 

@@ -297,7 +297,7 @@ class IndexEq(Plan):
                 yield out
 
     def _batches(self, ctx, batch_size):
-        store_object = ctx.store.object
+        store_objects = ctx.store.objects
         value = self.value
         constant = not value.free_vars()
         const_members: Optional[list[Any]] = None
@@ -307,10 +307,7 @@ class IndexEq(Plan):
             if constant:
                 if const_members is None:
                     key = value.evaluate(ctx, {})
-                    const_members = [
-                        store_object(oid)
-                        for oid in self._probe_oids(ctx, key)
-                    ]
+                    const_members = store_objects(self._probe_oids(ctx, key))
                 keys = None
             else:
                 keys = value.evaluate_column(ctx, batch)
@@ -324,10 +321,7 @@ class IndexEq(Plan):
                     if last_members is not None and _same_key(key, last_key):
                         matched = last_members  # consecutive-key reuse
                     else:
-                        matched = [
-                            store_object(oid)
-                            for oid in self._probe_oids(ctx, key)
-                        ]
+                        matched = store_objects(self._probe_oids(ctx, key))
                         last_key, last_members = key, matched
                 if matched:
                     take.extend([i] * len(matched))
@@ -445,7 +439,7 @@ class IndexRange(Plan):
             cached = collected
 
     def _batches(self, ctx, batch_size):
-        store_object = ctx.store.object
+        store_objects = ctx.store.objects
         last_bounds: Any = _UNSET
         cached: Optional[list[Any]] = None
         for batch in self.child.batches(ctx, batch_size):
@@ -464,8 +458,7 @@ class IndexRange(Plan):
                         cached = []
                         continue
                     first, rest = opened
-                    matched = [store_object(first)]
-                    matched.extend(store_object(oid) for oid in rest)
+                    matched = store_objects([first, *rest])
                     cached = matched
                 if matched:
                     take.extend([i] * len(matched))

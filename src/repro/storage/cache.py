@@ -45,6 +45,19 @@ class ObjectCache:
         self.hits += 1
         return obj
 
+    def get_hits(self, oids: list[int]) -> list[Optional[GemObject]]:
+        """Bulk :meth:`get` on an unbounded cache, counting only the hits.
+
+        A ``None`` in the answer is a miss the caller still has to take
+        through :meth:`get`, which is where it is counted.  Recency is
+        not refreshed: with no capacity nothing is ever evicted, so the
+        order is never consulted.
+        """
+        assert self.capacity is None
+        found = list(map(self._entries.get, oids))
+        self.hits += len(found) - found.count(None)
+        return found
+
     def put(self, obj: GemObject) -> None:
         """Insert or refresh an object, evicting the LRU entry if full."""
         self._entries[obj.oid] = obj

@@ -233,6 +233,21 @@ class StableStore(ObjectStore):
             return resident
         return self._load(oid)
 
+    def objects(self, oids: list[int]) -> list[GemObject]:
+        cache = self.cache
+        if cache.capacity is not None:
+            # a load may evict what a later oid would have hit: the
+            # order of the lookups is part of the answer
+            return super().objects(oids)
+        found = cache.get_hits(oids)
+        if None in found:  # pinned classes, objects of a commit in flight, loads
+            fetch = self.object
+            return [
+                fetch(oid) if obj is None else obj
+                for oid, obj in zip(oids, found)
+            ]
+        return found
+
     def contains(self, oid: int) -> bool:
         return (
             oid in self._resident_classes

@@ -16,6 +16,16 @@ class TestSymbol:
     def test_repr_has_hash_prefix(self):
         assert repr(Symbol("abc")) == "#abc"
 
+    def test_generated_symbols_stay_out_of_the_table(self):
+        before = len(Symbol._interned)
+        made = [Symbol.generated(f"generated{i}") for i in range(500)]
+        assert len(Symbol._interned) == before
+        assert all(type(s) is Symbol for s in made)
+        assert made[7] == "generated7" == Symbol("generated7")
+        assert hash(made[7]) == hash("generated7")
+        assert {made[7]: 1}["generated7"] == 1 and repr(made[7]) == "#generated7"
+        assert Symbol("generated7") is Symbol("generated7") is not made[7]
+
 
 class TestChar:
     def test_roundtrip(self):

@@ -8,8 +8,10 @@ execution strategy, never a semantics change.
 
 import pytest
 
-from repro.core import MemoryObjectManager
+from repro.concurrency import SessionObjectManager, TransactionManager
+from repro.core import GemObject, MemoryObjectManager
 from repro.directories import DirectoryManager
+from repro.storage import DiskGeometry, SimulatedDisk, StableStore
 from repro.stdm import (
     BindingBatch,
     Const,
@@ -208,6 +210,119 @@ class TestAccounting:
         vec = plan_vec.run(QueryContext(om, None, dm), mode="vectorized")
         assert sorted(row) == sorted(vec)
         assert plan_row.rows_out == plan_vec.rows_out
+
+
+def _memory_store():
+    om = MemoryObjectManager()
+    return om, om
+
+
+def _clean_session():
+    stable = StableStore.format(
+        SimulatedDisk(DiskGeometry(track_count=4096, track_size=1024))
+    )
+    return SessionObjectManager(stable, TransactionManager(stable)), stable
+
+
+STORES = {
+    "memory": _memory_store,
+    "clean_session": _clean_session,
+    "dirty_session": _clean_session,
+}
+
+
+@pytest.fixture(params=STORES)
+def company(request):
+    """(store, index store, employees) — the same data on each store.
+
+    A session's copy is committed (the directory indexes committed
+    state); the dirty one then rewrites members, and the collection, in
+    its workspace without committing.
+    """
+    om, indexed = STORES[request.param]()
+    depts = [om.instantiate("Object", Name=f"d{i}", Floor=i) for i in range(4)]
+    employees = big_collection(om, DEFAULT_BATCH_SIZE + 90, every=3)
+    for i, emp in enumerate(om.members_of(employees)):
+        om.bind(emp, "Dept", depts[i % 5] if i % 5 < 4 else i)  # a dead-end path
+    if om is not indexed:
+        om.commit()
+    if request.param == "dirty_session":
+        members = om.members_of(employees)
+        for emp in members[::17]:
+            om.bind(emp, "Salary", 1_000_000)
+            om.bind(emp, "Rank", None)
+        om.bind(employees, om.new_alias(), om.instantiate("Object", Salary=405, Rank=3))
+        om.unbind(employees, next(iter(om.object(employees.oid).elements)))
+    return om, indexed, om.object(employees.oid)
+
+
+def _plain(rows):
+    return [row.oid if isinstance(row, GemObject) else row for row in rows]
+
+
+class TestAcrossStores:
+    """Row and vectorized agree on every store a plan can run against —
+    the memory store, and a session (clean, or reading its own writes)
+    over the shared stable store, whose bulk hooks are its own."""
+
+    def queries(self, employees):
+        e, = variables("e")
+        binders = [(e, Const(employees))]
+        return {
+            "scan": SetQuery(
+                result=e, binders=binders,
+                condition=(e.path("Rank").eq(3)) | (e.path("Salary") > 10_000),
+            ),
+            "missing": SetQuery(
+                result=e.path("Salary"), binders=binders,
+                condition=(e.path("Bonus") > 30),
+            ),
+            "two_steps": SetQuery(
+                result={"dept": e.path("Dept!Name"), "pay": e.path("Salary")},
+                binders=binders, condition=(e.path("Dept!Floor") > 1),
+            ),
+            "range": SetQuery(
+                result=e, binders=binders,
+                condition=(e.path("Salary") > 400) & (e.path("Salary") < 900),
+            ),
+        }
+
+    @pytest.mark.parametrize("name", ("scan", "missing", "two_steps", "range"))
+    @pytest.mark.parametrize("indexed", (False, True))
+    def test_rows_counters_explain_and_fuel(self, company, name, indexed):
+        om, index_store, employees = company
+        dm = DirectoryManager(index_store)
+        if indexed:
+            dm.create_directory(index_store.object(employees.oid), "Salary")
+        query = self.queries(employees)[name]
+        runs = {}
+        for mode in ("row", "vectorized"):
+            plan, _ = optimize(query, dm)
+            ctx = QueryContext(om, None, dm)
+            rows = plan.run(ctx, mode=mode)
+            runs[mode] = (
+                _plain(rows), [op.rows_out for op in collect_operators(plan)],
+                plan.explain(), ctx.examined,
+            )
+        assert runs["row"] == runs["vectorized"]
+        assert runs["row"][0] and runs["row"][3] > 0
+        if indexed and name == "range":
+            assert "IndexRange" in runs["row"][2]
+
+    def test_a_session_keeps_its_access_records_in_either_mode(self, company):
+        om, _, employees = company
+        if isinstance(om, MemoryObjectManager):
+            pytest.skip("the memory store records nothing")
+        records = {}
+        for mode in ("row", "vectorized"):
+            om.read_set.clear()
+            om.enum_reads.clear()
+            translate(self.queries(employees)["two_steps"]).run(
+                QueryContext(om), mode=mode
+            )
+            records[mode] = (set(om.read_set), set(om.enum_reads))
+        assert records["row"] == records["vectorized"]
+        assert records["row"][0] and employees.oid in records["row"][1]
 
 
 class TestBindingBatch:
