@@ -67,8 +67,11 @@ class Executor(ReplayingServer):
         #: the database's observability hub: request IDs are minted here,
         #: at the edge where work enters the system (section 6's Executor)
         self.obs = getattr(database, "obs", None)
-        if self.obs is not None and admission is not None:
-            self.obs.register_admission(admission)
+        if self.obs is not None:
+            if admission is not None:
+                self.obs.register_admission(admission)
+            # the one counter every request touches, resolved once
+            self._requests_counter = self.obs.registry.counter("executor.requests")
         self._session = None
         self._engine: Optional[OpalEngine] = None
         self.deadline_rejections = 0
@@ -100,7 +103,7 @@ class Executor(ReplayingServer):
             # response envelope) through every layer the request touches
             request_id = obs.tracer.next_request_id()
             obs.tracer.current_request = request_id
-            obs.registry.inc("executor.requests")
+            self._requests_counter.inc()
         try:
             if obs is not None and obs.tracer.enabled:
                 with obs.tracer.span("executor.request", frame=frame.type.name):

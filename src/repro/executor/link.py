@@ -14,6 +14,48 @@ import struct
 
 from ..errors import ProtocolError
 
+_HEADER = struct.Struct("<I")
+
+#: the longest frame any link end will buffer.  The length prefix is
+#: four bytes an unauthenticated peer chooses, so without a bound a
+#: header of ``ff ff ff ff`` makes the receiver buffer 4 GiB.  The
+#: largest legitimate frame is a ``repro.dr`` snapshot — one platter's
+#: written tracks — and the largest platter any workload formats is
+#: 16 384 tracks of 4 KiB (64 MiB); the kill sweeps and the check
+#: oracles stay under 2 KB a frame.  Twice the former, fixed.
+MAX_FRAME_BYTES = 128 * 1024 * 1024
+
+
+def pop_frame(buffer: bytearray, closed: bool) -> bytes | None:
+    """Pop one complete length-prefixed frame off *buffer*, or None.
+
+    The one framing rule every link end shares (in-memory, blocking
+    TCP, asyncio TCP).  A frame whose body has not fully arrived is
+    *not* an error — the sender may still be streaming it — so the
+    partial bytes stay buffered and None is returned.  Only a *closed*
+    stream with leftover partial bytes is truly truncated: no more
+    bytes can ever arrive.  A length above :data:`MAX_FRAME_BYTES` is
+    refused before a byte of the body is buffered; the caller closes
+    the link, since the stream cannot be re-synchronised.
+    """
+    if len(buffer) < 4:
+        if buffer and closed:
+            raise ProtocolError("truncated frame on closed link")
+        return None
+    (length,) = _HEADER.unpack_from(buffer, 0)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )
+    end = 4 + length
+    if len(buffer) < end:
+        if closed:
+            raise ProtocolError("truncated frame on closed link")
+        return None
+    frame = bytes(buffer[4:end])
+    del buffer[:end]
+    return frame
+
 
 class _Pipe:
     """One direction of the link: a byte stream with frame boundaries."""
@@ -28,25 +70,13 @@ class _Pipe:
         self._buffer += data
 
     def read_frame(self) -> bytes | None:
-        """Pop one complete frame, or None if none is buffered.
-
-        A frame whose body has not fully arrived is *not* an error — the
-        sender may still be streaming it — so the partial bytes stay
-        buffered and None is returned.  Only a closed pipe with leftover
-        partial bytes is truly truncated: no more bytes can ever arrive.
-        """
-        if len(self._buffer) < 4:
-            if self._buffer and self._closed:
-                raise ProtocolError("truncated frame on closed link")
-            return None
-        (length,) = struct.unpack_from("<I", self._buffer, 0)
-        if len(self._buffer) < 4 + length:
-            if self._closed:
-                raise ProtocolError("truncated frame on closed link")
-            return None
-        frame = bytes(self._buffer[4 : 4 + length])
-        del self._buffer[: 4 + length]
-        return frame
+        """Pop one complete frame, or None if none is buffered
+        (:func:`pop_frame`); an oversized length closes the pipe."""
+        try:
+            return pop_frame(self._buffer, self._closed)
+        except ProtocolError:
+            self._closed = True
+            raise
 
     def close(self) -> None:
         self._closed = True
@@ -67,7 +97,7 @@ class LinkEnd:
 
     def send(self, frame: bytes) -> None:
         """Send one frame (length-prefixed on the wire)."""
-        self._out.write(struct.pack("<I", len(frame)) + frame)
+        self._out.write(_HEADER.pack(len(frame)) + frame)
         self.frames_sent += 1
         self.bytes_sent += 4 + len(frame)
 

@@ -23,6 +23,7 @@ import asyncio
 import struct
 
 from ..errors import ProtocolError
+from ..executor.link import pop_frame
 from ..faults.link import LinkFaults
 
 #: default per-direction buffer (bytes) before senders block
@@ -52,18 +53,11 @@ class _AsyncPipe:
         self._readable.set()
 
     def _pop_frame(self) -> bytes | None:
-        if len(self._buffer) < 4:
-            if self._buffer and self._closed:
-                raise ProtocolError("truncated frame on closed link")
-            return None
-        (length,) = struct.unpack_from("<I", self._buffer, 0)
-        if len(self._buffer) < 4 + length:
-            if self._closed:
-                raise ProtocolError("truncated frame on closed link")
-            return None
-        frame = bytes(self._buffer[4 : 4 + length])
-        del self._buffer[: 4 + length]
-        return frame
+        try:
+            return pop_frame(self._buffer, self._closed)
+        except ProtocolError:
+            self.close()  # truncated or oversized: nothing more is readable
+            raise
 
     async def read_frame(self) -> bytes | None:
         """The next complete frame; None once closed and drained."""

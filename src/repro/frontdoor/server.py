@@ -24,6 +24,14 @@ collapse:
   :class:`~repro.executor.executor.Executor` stages the synchronous
   path uses, seals the response into the replay window, and sends it.
 
+The queue exists for the request that arrives *behind* something.  One
+that arrives on an idle link — nothing queued, nothing being answered,
+no frame buffered behind it — would be the dispatcher's next item
+anyway, so the reader runs the dispatcher's step itself
+(:meth:`FrontDoor._answer`, the one apply-seal-send body both share)
+and the request skips a queue hand-off and a task wake-up.  Which of
+the two happens is read off the link and the backlog, never configured.
+
 Because refused requests are answered by the reader while earlier,
 admitted requests are still queued, responses can legitimately overtake
 one another: hosts must correlate responses to requests by sequence
@@ -72,6 +80,24 @@ class _Resumable:
         self.parked.set()
 
 
+class _Backlog:
+    """One link's admitted work that has not been answered yet."""
+
+    __slots__ = ("queue", "inflight", "unfinished")
+
+    def __init__(self, window: int) -> None:
+        #: bounded: a full queue parks the reader (and transitively the
+        #: client's send) once `window` requests wait on this session
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=window)
+        #: (channel, seq) keys enqueued but not yet sealed: the replay
+        #: window only covers *sealed* responses, so without this set a
+        #: duplicate arriving while its original still queues would pass
+        #: admission as new load and be applied twice
+        self.inflight: set = set()
+        #: requests handed to the queue whose answer has not been sent
+        self.unfinished = 0
+
+
 class FrontDoor:
     """Multiplexes every host link of one database on one event loop."""
 
@@ -97,6 +123,12 @@ class FrontDoor:
         self.obs = getattr(database, "obs", None)
         if self.obs is not None:
             self.obs.register_frontdoor(self)
+            # what every request touches, resolved once; the rare
+            # counters are looked up by name where they happen
+            registry = self.obs.registry
+            self._requests_counter = registry.counter("frontdoor.requests")
+            self._depth_gauge = registry.gauge("frontdoor.queue_depth")
+            self._latency = registry.histogram("frontdoor.latency_ms")
         # lifetime counters (also mirrored into the obs registry)
         self.links_served = 0
         self.active_links = 0
@@ -184,22 +216,17 @@ class FrontDoor:
                 admission=self.admission,
                 replay_window=self.replay_window,
             )
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.window)
-        # (channel, seq) keys enqueued but not yet sealed: the replay
-        # window only covers *sealed* responses, so without this set a
-        # duplicate arriving while its original still queues would pass
-        # admission as new load and be applied twice
-        inflight: set = set()
+        backlog = _Backlog(self.window)
         self.links_served += 1
         self.active_links += 1
         if self.obs is not None:
             self.obs.registry.set_gauge("frontdoor.active_links", self.active_links)
         dispatcher = asyncio.get_running_loop().create_task(
-            self._dispatch(executor, gem_end, queue, inflight)
+            self._dispatch(executor, gem_end, backlog)
         )
         try:
-            await self._read(executor, gem_end, queue, inflight, first=pending)
-            await queue.join()  # drain admitted work before hanging up
+            await self._read(executor, gem_end, backlog, first=pending)
+            await backlog.queue.join()  # drain admitted work before hanging up
         finally:
             dispatcher.cancel()
             try:
@@ -291,10 +318,20 @@ class FrontDoor:
             return False
 
     async def _read(
-        self, executor: Executor, gem_end, queue, inflight, first: Optional[bytes] = None
+        self, executor: Executor, gem_end, backlog: _Backlog,
+        first: Optional[bytes] = None,
     ) -> None:
-        """Arrival stage: decode, replay, admit, enqueue (or refuse)."""
+        """Arrival stage: decode, replay, admit — then answer or enqueue.
+
+        A request that arrives on an idle link (nothing queued, nothing
+        being answered, no frame behind it) is answered here, by
+        :meth:`_answer`: with nothing ahead of it the queue would hand
+        it to the dispatcher next anyway, so the hand-off only adds a
+        wake-up.  Anything else takes the queue, which is what lets a
+        refusal of a later frame overtake admitted work.
+        """
         obs = self.obs
+        queue, inflight = backlog.queue, backlog.inflight
         while True:
             if first is not None:
                 raw, first = first, None
@@ -326,7 +363,7 @@ class FrontDoor:
                 continue
             self.requests += 1
             if obs is not None:
-                obs.registry.inc("frontdoor.requests")
+                self._requests_counter.inc()
             cached = executor.lookup_replay(frame)
             if cached is not None:
                 # answered from the replay window without re-entering
@@ -353,50 +390,65 @@ class FrontDoor:
             if depth > self.max_queue_depth:
                 self.max_queue_depth = depth
             if obs is not None:
-                obs.registry.set_gauge("frontdoor.queue_depth", depth)
+                self._depth_gauge.set(depth)
             self.queued += 1
+            if backlog.unfinished == 0:
+                try:
+                    first = gem_end.poll()  # is another frame already here?
+                except ProtocolError:
+                    first = None  # a dying link: the next receive says so
+                if first is None:
+                    await self._answer(
+                        executor, gem_end, frame, inflight, time.perf_counter()
+                    )
+                    continue
             if frame.seq is not None:
                 inflight.add((frame.channel, frame.seq))
-            # bounded: parks the reader (and transitively the client's
-            # send) once `window` requests are in flight on this session
+            backlog.unfinished += 1
             await queue.put((frame, time.perf_counter()))
             # NB: the reader keeps draining after a LOGOUT — if the
             # LOGOUT response is lost in transit, the resend must find
             # someone to replay it; only a closed link ends the loop
 
-    async def _dispatch(self, executor: Executor, gem_end, queue, inflight) -> None:
-        """Execution stage: dequeue → re-check deadline → apply → seal."""
-        obs = self.obs
+    async def _dispatch(self, executor: Executor, gem_end, backlog: _Backlog) -> None:
+        """Execution stage for queued work, one request at a time."""
+        queue = backlog.queue
         while True:
-            frame, enqueued_at = await queue.get()
+            frame, admitted_at = await queue.get()
             try:
-                # the dequeue-time deadline re-check: work that expired
-                # while it queued is shed with a typed frame, never run
-                late = executor.deadline_frame(frame)
-                if late is not None:
-                    self.shed_deadline += 1
-                    if obs is not None:
-                        obs.registry.inc("frontdoor.shed_deadline")
-                    response, request_id = late, None
-                else:
-                    response, request_id = executor.apply(frame)
-                sealed = executor.seal(frame, response, request_id)
-                # sealed into the replay window *before* the in-flight
-                # key is dropped: duplicates are covered at every instant
-                inflight.discard((frame.channel, frame.seq))
-                # a dead transport must NOT end the dispatcher: the
-                # queue still holds admitted work whose effects belong
-                # in the replay window (and whose task_done()s unblock
-                # serve's queue.join()); undeliverable responses are
-                # replayed after the client resumes
-                await self._safe_send(gem_end, sealed)
-                if obs is not None:
-                    obs.registry.observe(
-                        "frontdoor.latency_ms",
-                        (time.perf_counter() - enqueued_at) * 1000.0,
-                    )
+                await self._answer(
+                    executor, gem_end, frame, backlog.inflight, admitted_at
+                )
             finally:
+                backlog.unfinished -= 1
                 queue.task_done()
+
+    async def _answer(
+        self, executor: Executor, gem_end, frame, inflight: set, admitted_at: float
+    ) -> None:
+        """Re-check the deadline → apply → seal → send, for one admitted
+        request (the reader's, on an idle link; else the dispatcher's)."""
+        # work that expired while it waited is shed with a typed frame,
+        # never run
+        late = executor.deadline_frame(frame)
+        if late is not None:
+            self.shed_deadline += 1
+            if self.obs is not None:
+                self.obs.registry.inc("frontdoor.shed_deadline")
+            response, request_id = late, None
+        else:
+            response, request_id = executor.apply(frame)
+        sealed = executor.seal(frame, response, request_id)
+        # sealed into the replay window *before* the in-flight key is
+        # dropped: duplicates are covered at every instant
+        inflight.discard((frame.channel, frame.seq))
+        # a dead transport must NOT end the caller: the queue may still
+        # hold admitted work whose effects belong in the replay window
+        # (and whose task_done()s unblock serve's queue.join());
+        # undeliverable responses are replayed after the client resumes
+        await self._safe_send(gem_end, sealed)
+        if self.obs is not None:
+            self._latency.observe((time.perf_counter() - admitted_at) * 1000.0)
 
     def _count_shed(self, refused: bytes) -> None:
         kind = refused[0] if refused else 0

@@ -1,20 +1,30 @@
 """Asyncio TCP transport: the ``AsyncLinkEnd`` surface over a socket.
 
 ``StreamLink`` lets ``FrontDoor.serve`` run unchanged against a real
-connection, and ``serve_frontdoor`` binds a door to a port with one
-``asyncio.start_server`` callback per client.  Clean EOF is "peer
-closed" (``receive() -> None``), EOF mid-frame is the same
-``ProtocolError("truncated frame on closed link")`` the in-memory pipes
-raise, and a dial that cannot complete raises ``LinkTimeout``.
+connection, and ``serve_frontdoor`` binds a door to a port, one served
+link per accepted client.  Clean EOF is "peer closed" (``receive() ->
+None``), EOF mid-frame is the same ``ProtocolError("truncated frame on
+closed link")`` the in-memory pipes raise, and a dial that cannot
+complete raises ``LinkTimeout``.
+
+The link *is* the connection's ``asyncio.Protocol``: the loop hands it
+each read as it lands, ``data_received`` cuts that into frames, and
+``receive`` takes the next one — already there, more often than not,
+so the reader neither parks nor copies a buffer — while ``send`` writes
+straight to the transport and waits only if the transport has asked
+writers to pause.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
+from collections import deque
 
 from ..errors import LinkTimeout, ProtocolError
 from ..executor import protocol
+from ..executor.link import pop_frame
+from .tcp import traffic_counters
 
 _HEADER = struct.Struct("<I")
 
@@ -28,94 +38,159 @@ _HEADER = struct.Struct("<I")
 _RECV_SIZE = 64 * 1024
 
 
-class StreamLink:
-    """One endpoint of a duplex link over an asyncio TCP stream."""
+class StreamLink(asyncio.Protocol):
+    """One endpoint of a duplex link over an asyncio TCP transport.
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        registry=None,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        transport = writer.transport
-        if getattr(transport, "max_size", 0) > _RECV_SIZE:
-            transport.max_size = _RECV_SIZE
+    Built by the loop's ``create_connection`` / ``create_server`` as the
+    connection's protocol; *on_connect(link)* runs once the transport is
+    attached (how ``serve_frontdoor`` starts serving it).
+    """
+
+    def __init__(self, *, registry=None, on_connect=None) -> None:
         self.registry = registry
+        self._on_connect = on_connect
+        self._transport: asyncio.Transport | None = None
+        #: the bytes of a frame that has not fully arrived
+        self._buffer = bytearray()
+        #: whole frames nobody has asked for yet
+        self._frames: deque[bytes] = deque()
+        #: what a parked ``receive`` / a paused ``write`` is waiting on
+        self._readable: asyncio.Future | None = None
+        self._writable: asyncio.Future | None = None
+        self._eof = False
+        self._lost = False
+        self._refused: ProtocolError | None = None
         self._peer_closed = False
         self._closed = False
         self.frames_sent = 0
         self.bytes_sent = 0
         self.frames_received = 0
         self.bytes_received = 0
+        self._sent, self._received = traffic_counters(registry)
+
+    # -- what the loop calls ---------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        if getattr(transport, "max_size", 0) > _RECV_SIZE:
+            transport.max_size = _RECV_SIZE
+        if self._on_connect is not None:
+            self._on_connect(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        if not buffer and len(data) >= 4 and len(data) == 4 + _HEADER.unpack_from(data)[0]:
+            self._frames.append(data[4:])  # exactly one frame: the usual read
+        else:
+            buffer += data
+            try:
+                frame = pop_frame(buffer, False)
+                while frame is not None:
+                    self._frames.append(frame)
+                    frame = pop_frame(buffer, False)
+            except ProtocolError as error:
+                # an oversized length: the stream cannot be re-synchronised
+                self._refused = error
+                self._transport.abort()
+        self._wake(self._readable)
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake(self._readable)
+        return True  # half-closed: what we still owe the peer can be written
+
+    def connection_lost(self, exc) -> None:
+        self._eof = self._lost = True
+        self._wake(self._readable)
+        self._wake(self._writable)
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        self._wake(self._writable)
+        self._writable = None
+
+    @staticmethod
+    def _wake(waiter) -> None:
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    # -- the link surface --------------------------------------------------
+
+    async def write(self, data: bytes) -> None:
+        """Put raw bytes on the wire, below the framing (``send``'s
+        body; the socket-fault wrapper cuts frames with it)."""
+        if self._closed or self._lost:
+            self._closed = True
+            raise ProtocolError("link is closed")
+        transport = self._transport
+        transport.write(data)
+        if self._writable is not None:
+            await self._writable  # the transport's buffer is over its high mark
+        elif transport.is_closing():
+            await asyncio.sleep(0)  # let a pending connection_lost land
+        if self._lost:
+            self._closed = True
+            raise ProtocolError("link is closed")
 
     async def send(self, frame: bytes) -> None:
-        """Send one length-prefixed frame (drained before returning)."""
-        if self._closed:
-            raise ProtocolError("link is closed")
-        data = _HEADER.pack(len(frame)) + frame
-        try:
-            self._writer.write(data)
-            await self._writer.drain()
-        except (ConnectionError, RuntimeError, OSError) as exc:
-            self._closed = True
-            raise ProtocolError("link is closed") from exc
+        """Send one length-prefixed frame (flow-controlled)."""
+        size = 4 + len(frame)
+        await self.write(_HEADER.pack(len(frame)) + frame)
         self.frames_sent += 1
-        self.bytes_sent += len(data)
-        if self.registry is not None:
-            self.registry.inc("net.frames_sent")
-            self.registry.inc("net.bytes_sent", len(data))
+        self.bytes_sent += size
+        if self._sent is not None:
+            self._sent[0].inc()
+            self._sent[1].inc(size)
+
+    def poll(self) -> bytes | None:
+        """The next complete frame if one has already arrived."""
+        if self._closed or not self._frames:
+            return None
+        frame = self._frames.popleft()
+        size = 4 + len(frame)
+        self.frames_received += 1
+        self.bytes_received += size
+        if self._received is not None:
+            self._received[0].inc()
+            self._received[1].inc(size)
+        return frame
 
     async def receive(self) -> bytes | None:
         """Receive the next complete frame; None once the peer closes."""
-        if self._peer_closed or self._closed:
-            return None
-        try:
-            header = await self._reader.readexactly(4)
-        except asyncio.IncompleteReadError as exc:
-            self._peer_closed = True
-            if exc.partial:
-                raise ProtocolError("truncated frame on closed link") from exc
-            return None
-        except (ConnectionError, OSError):
-            self._peer_closed = True
-            return None
-        (length,) = _HEADER.unpack(header)
-        try:
-            frame = await self._reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            self._peer_closed = True
-            raise ProtocolError("truncated frame on closed link") from exc
-        except (ConnectionError, OSError):
-            self._peer_closed = True
-            raise ProtocolError("truncated frame on closed link") from None
-        self.frames_received += 1
-        self.bytes_received += 4 + length
-        if self.registry is not None:
-            self.registry.inc("net.frames_received")
-            self.registry.inc("net.bytes_received", 4 + length)
-        return frame
+        while not (self._peer_closed or self._closed):
+            if self._frames:
+                return self.poll()
+            if self._refused is not None:
+                self._peer_closed = self._closed = True
+                raise self._refused
+            if self._eof:
+                self._peer_closed = True
+                if self._buffer:
+                    raise ProtocolError("truncated frame on closed link")
+                return None
+            self._readable = asyncio.get_running_loop().create_future()
+            try:
+                await self._readable
+            finally:
+                self._readable = None
+        return None
 
     def close(self) -> None:
         """Close the outgoing direction (FIN); reads may still drain."""
         self._closed = True
-        try:
-            self._writer.close()
-        except (ConnectionError, RuntimeError, OSError):
-            pass
+        if self._transport is not None:
+            self._transport.close()
+        self._wake(self._readable)
 
     def abort(self) -> None:
         """Hard-close both directions immediately (RST, nothing flushed)."""
         self._closed = True
         self._peer_closed = True
-        try:
-            transport = self._writer.transport
-            if transport is not None:
-                transport.abort()
-        except (ConnectionError, RuntimeError, OSError):
-            pass
+        if self._transport is not None:
+            self._transport.abort()
+        self._wake(self._readable)
 
     @property
     def peer_closed(self) -> bool:
@@ -130,15 +205,17 @@ async def open_stream_link(
     registry=None,
 ) -> StreamLink:
     """Dial a listening front door, or raise ``LinkTimeout``."""
+    loop = asyncio.get_running_loop()
     try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
+        _, link = await asyncio.wait_for(
+            loop.create_connection(lambda: StreamLink(registry=registry), host, port),
+            timeout,
         )
     except (asyncio.TimeoutError, ConnectionRefusedError, OSError) as exc:
         raise LinkTimeout(f"connect to {host}:{port} failed: {exc}") from exc
     if registry is not None:
         registry.inc("net.connections")
-    return StreamLink(reader, writer, registry=registry)
+    return link
 
 
 def stream_link_factory(
@@ -181,21 +258,15 @@ async def serve_frontdoor(
     Returns the ``asyncio.Server``; ``server_port(server)`` reads the
     bound port (handy with ``port=0``).  Close with ``server.close()``
     followed by ``await server.wait_closed()``; in-flight connections
-    finish when their clients hang up.
+    finish when their clients hang up or the door closes.
     """
 
-    async def _serve_connection(reader, writer) -> None:
+    def accept() -> StreamLink:
         if registry is not None:
             registry.inc("net.connections")
-        link = StreamLink(reader, writer, registry=registry)
-        try:
-            await door.serve(link)
-        except asyncio.CancelledError:
-            pass  # loop teardown with the connection still open
-        finally:
-            link.close()
+        return StreamLink(registry=registry, on_connect=door.spawn)
 
-    return await asyncio.start_server(_serve_connection, host, port)
+    return await asyncio.get_running_loop().create_server(accept, host, port)
 
 
 def server_port(server: asyncio.base_events.Server) -> int:

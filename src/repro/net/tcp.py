@@ -19,6 +19,7 @@ import struct
 import time
 
 from ..errors import LinkTimeout, ProtocolError
+from ..executor.link import pop_frame
 
 #: default per-receive budget, seconds; small so retry loops stay live
 DEFAULT_RECEIVE_TIMEOUT = 0.25
@@ -28,6 +29,19 @@ DEFAULT_RECEIVE_TIMEOUT = 0.25
 DEFAULT_SEND_TIMEOUT = 10.0
 
 _HEADER = struct.Struct("<I")
+
+
+def traffic_counters(registry):
+    """The ``net.*`` traffic counters of *registry* as ((frames sent,
+    bytes sent), (frames received, bytes received)) handles, or (None,
+    None) without one.  Resolved once per link end: a name lookup under
+    the registry's lock per frame was most of what counting cost."""
+    if registry is None:
+        return None, None
+    return (
+        (registry.counter("net.frames_sent"), registry.counter("net.bytes_sent")),
+        (registry.counter("net.frames_received"), registry.counter("net.bytes_received")),
+    )
 
 
 class TcpLinkEnd:
@@ -49,35 +63,65 @@ class TcpLinkEnd:
         self._buffer = bytearray()
         self._peer_closed = False
         self._closed = False
+        #: the timeout the socket is set to now: a send or receive under
+        #: an unchanged budget does not set it again
+        self._armed: float | None = None
+        self._arm(receive_timeout)
         self.frames_sent = 0
         self.bytes_sent = 0
         self.frames_received = 0
         self.bytes_received = 0
         self._sent_at: float | None = None
+        self._sent, self._received = traffic_counters(registry)
         self._rtt = registry.histogram("net.rtt_ms") if registry is not None else None
+
+    def _arm(self, timeout: float) -> None:
+        if timeout != self._armed:
+            self._sock.settimeout(timeout)
+            self._armed = timeout
 
     # -- sending ---------------------------------------------------------
 
     def send(self, frame: bytes) -> None:
         """Send one frame, surviving partial writes.
 
-        ``socket.sendall`` under a timeout may deliver a prefix before
-        raising, so the loop tracks its own offset and retries the
-        remainder; a peer reset at any offset maps to the in-memory
+        The whole frame is first offered under whatever timeout the
+        socket already has (a frame nearly always fits the kernel's
+        buffer); only what was not taken goes through the timed loop.
+        There, ``socket.send`` under a timeout may deliver a prefix
+        before raising, so the loop tracks its own offset and retries
+        the remainder; a peer reset at any offset maps to the in-memory
         link's ``ProtocolError("link is closed")``.
         """
         if self._closed:
             raise ProtocolError("link is closed")
         data = _HEADER.pack(len(frame)) + frame
-        view = memoryview(data)
+        try:
+            offset = self._sock.send(data)
+        except socket.timeout:
+            offset = 0
+        except OSError as exc:
+            self._teardown()
+            raise ProtocolError("link is closed") from exc
+        if offset < len(data):
+            self._send_rest(memoryview(data), offset)
+        self.frames_sent += 1
+        self.bytes_sent += len(data)
+        if self._rtt is not None and self._sent_at is None:
+            self._sent_at = time.monotonic()
+        if self._sent is not None:
+            self._sent[0].inc()
+            self._sent[1].inc(len(data))
+
+    def _send_rest(self, view: memoryview, offset: int) -> None:
+        """Deliver ``view[offset:]`` within the send budget."""
         deadline = time.monotonic() + self.send_timeout
-        offset = 0
-        while offset < len(data):
+        while offset < len(view):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self._teardown()
                 raise LinkTimeout("send stalled: peer stopped draining the link")
-            self._sock.settimeout(remaining)
+            self._arm(remaining)
             try:
                 offset += self._sock.send(view[offset:])
             except socket.timeout:
@@ -85,13 +129,6 @@ class TcpLinkEnd:
             except OSError as exc:
                 self._teardown()
                 raise ProtocolError("link is closed") from exc
-        self.frames_sent += 1
-        self.bytes_sent += len(data)
-        if self._sent_at is None:
-            self._sent_at = time.monotonic()
-        if self.registry is not None:
-            self.registry.inc("net.frames_sent")
-            self.registry.inc("net.bytes_sent", len(data))
 
     # -- receiving -------------------------------------------------------
 
@@ -101,27 +138,30 @@ class TcpLinkEnd:
         Partial reads are the normal case on TCP: bytes accumulate in
         the buffer across calls until a whole length-prefixed frame is
         present.  EOF with an empty buffer marks the peer closed and
-        returns None; EOF mid-frame is a truncated link.
+        returns None; EOF mid-frame is a truncated link.  The first
+        read waits the whole budget on the socket's own timeout; the
+        clock is only consulted once a read has ended mid-frame.
         """
         budget = self.receive_timeout if timeout is None else timeout
-        deadline = time.monotonic() + budget
+        deadline = None
         while True:
             frame = self._pop_frame()
             if frame is not None:
                 return frame
             if self._peer_closed or self._closed:
                 return None
-            remaining = deadline - time.monotonic()
+            if deadline is None:
+                remaining = budget
+            else:
+                remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return None
-            self._sock.settimeout(max(remaining, 0.001))
+            self._arm(max(remaining, 0.001))
             try:
                 chunk = self._sock.recv(65536)
             except socket.timeout:
                 return None
-            except (ConnectionResetError, BrokenPipeError):
-                chunk = b""
-            except OSError:
+            except OSError:  # a reset is an EOF that lost its manners
                 chunk = b""
             if not chunk:
                 self._peer_closed = True
@@ -129,29 +169,27 @@ class TcpLinkEnd:
                     raise ProtocolError("truncated frame on closed link")
                 return None
             self._buffer += chunk
+            if deadline is None:
+                deadline = time.monotonic() + budget
 
     def _pop_frame(self) -> bytes | None:
-        if len(self._buffer) < 4:
-            if self._buffer and self._peer_closed:
-                raise ProtocolError("truncated frame on closed link")
+        if not self._buffer:
             return None
-        (length,) = _HEADER.unpack_from(self._buffer, 0)
-        if len(self._buffer) < 4 + length:
-            if self._peer_closed:
-                raise ProtocolError("truncated frame on closed link")
+        try:
+            frame = pop_frame(self._buffer, self._peer_closed)
+        except ProtocolError:
+            self._teardown()  # truncated or oversized: unreadable from here on
+            raise
+        if frame is None:
             return None
-        frame = bytes(self._buffer[4 : 4 + length])
-        del self._buffer[: 4 + length]
         self.frames_received += 1
-        self.bytes_received += 4 + length
+        self.bytes_received += 4 + len(frame)
         if self._sent_at is not None:
-            elapsed_ms = (time.monotonic() - self._sent_at) * 1000.0
+            self._rtt.observe((time.monotonic() - self._sent_at) * 1000.0)
             self._sent_at = None
-            if self._rtt is not None:
-                self._rtt.observe(elapsed_ms)
-        if self.registry is not None:
-            self.registry.inc("net.frames_received")
-            self.registry.inc("net.bytes_received", 4 + length)
+        if self._received is not None:
+            self._received[0].inc()
+            self._received[1].inc(4 + len(frame))
         return frame
 
     # -- lifecycle -------------------------------------------------------

@@ -90,6 +90,9 @@ class ShardWorker:
         self._pending: dict[str, list[str]] = {}
         #: gtid -> statements: the in-doubt set as the store's note has it
         self._durable_prepared: dict[str, list[str]] = {}
+        #: compiled-block caches of retired sessions, each waiting for
+        #: one new session to start warm from (see :meth:`_session_for`)
+        self._idle_blocks: list = []
         self.server = self.connection()
 
     # -- lifecycle ----------------------------------------------------------
@@ -184,9 +187,23 @@ class ShardWorker:
     # -- statements and the single-shard fast path ---------------------------
 
     def _session_for(self, gtid: str):
+        """The session running *gtid*, logged in on first use.
+
+        A transaction's statements are the same few shapes as the last
+        one's, so a new session takes over the compiled-block cache of
+        a *retired* one instead of compiling them again.  A cache is
+        popped here and pushed back only by :meth:`_retire`, so it has
+        one live owner at a time — two live sessions never share an
+        entry — and what it holds is code: engine globals and doit
+        temporaries live on the engine, which is not handed on, and
+        every memo a block carries is keyed on the store token or the
+        class epoch (closing a session that defined classes bumps it).
+        """
         session = self._sessions.get(gtid)
         if session is None:
             session = self.db.login()
+            if self._idle_blocks:
+                session.session.perf.compile_entries = self._idle_blocks.pop()
             self._sessions[gtid] = session
         return session
 
@@ -194,6 +211,7 @@ class ShardWorker:
         session = self._sessions.pop(gtid, None)
         if session is not None:
             session.close()
+            self._idle_blocks.append(session.session.perf.compile_entries)
         self._pending.pop(gtid, None)
 
     def _exec(self, gtid: str, source: str) -> bytes:

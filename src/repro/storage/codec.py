@@ -98,8 +98,50 @@ class Writer:
         self.raw(struct.pack("<d", value))
 
 
+_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
+
+
+def uvarint_bytes(value: int) -> bytes:
+    """*value* as an unsigned LEB128 varint (what :meth:`Writer.uvarint`
+    appends), for callers that build a frame by concatenation."""
+    if value < 0x80:
+        if value < 0:
+            raise CodecError(f"uvarint cannot encode negative {value}")
+        return _ONE_BYTE[value]
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def uvarint_at(data: bytes, pos: int) -> tuple[int, int]:
+    """The unsigned LEB128 varint at ``data[pos]``: (value, next position)."""
+    result = 0
+    shift = 0
+    try:
+        while True:
+            byte = data[pos]
+            pos += 1
+            result |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return result, pos
+            shift += 7
+            if shift > 70:
+                raise CodecError("varint too long")
+    except IndexError:
+        raise CodecError("unexpected end of encoded data") from None
+
+
 class Reader:
-    """A cursor over bytes, mirror of :class:`Writer`."""
+    """A cursor over bytes, mirror of :class:`Writer`.
+
+    ``raw``, ``byte``, ``uvarint`` and ``string`` each check their
+    bounds once and index the buffer directly (a frame or a record is
+    thousands of these); running off the end is always
+    :class:`CodecError`, never ``IndexError``.
+    """
 
     __slots__ = ("_data", "pos")
 
@@ -113,28 +155,35 @@ class Reader:
 
     def raw(self, count: int) -> bytes:
         """Read *count* raw bytes."""
-        if self.remaining() < count:
+        pos = self.pos
+        end = pos + count
+        if end > len(self._data):
             raise CodecError("unexpected end of encoded data")
-        chunk = self._data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
+        self.pos = end
+        return self._data[pos:end]
 
     def byte(self) -> int:
         """Read one byte as an int."""
-        return self.raw(1)[0]
+        pos = self.pos
+        try:
+            value = self._data[pos]
+        except IndexError:
+            raise CodecError("unexpected end of encoded data") from None
+        self.pos = pos + 1
+        return value
 
     def uvarint(self) -> int:
         """Read an unsigned LEB128 varint."""
-        result = 0
-        shift = 0
-        while True:
-            byte = self.byte()
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 70:
-                raise CodecError("varint too long")
+        pos = self.pos
+        try:
+            byte = self._data[pos]
+        except IndexError:
+            raise CodecError("unexpected end of encoded data") from None
+        if byte < 0x80:  # one byte: the overwhelmingly common case
+            self.pos = pos + 1
+            return byte
+        value, self.pos = uvarint_at(self._data, pos)
+        return value
 
     def svarint(self) -> int:
         """Read a signed (zigzag) varint."""
@@ -143,9 +192,22 @@ class Reader:
 
     def string(self) -> str:
         """Read a length-prefixed UTF-8 string."""
-        length = self.uvarint()
+        data = self._data
+        pos = self.pos
         try:
-            return self.raw(length).decode("utf-8")
+            length = data[pos]
+        except IndexError:
+            raise CodecError("unexpected end of encoded data") from None
+        if length < 0x80:
+            pos += 1
+        else:
+            length, pos = uvarint_at(data, pos)
+        end = pos + length
+        if end > len(data):
+            raise CodecError("unexpected end of encoded data")
+        self.pos = end
+        try:
+            return str(data[pos:end], "utf-8")
         except UnicodeDecodeError as error:
             raise CodecError(f"string is not UTF-8: {error}") from None
 
@@ -206,7 +268,10 @@ def decode_value(reader: Reader) -> Any:
     if tag == _TAG_SYMBOL:
         return Symbol(reader.string())
     if tag == _TAG_CHAR:
-        return Char(chr(reader.uvarint()))
+        codepoint = reader.uvarint()
+        if codepoint > 0x10FFFF:
+            raise CodecError(f"char code point {codepoint} out of range")
+        return Char(chr(codepoint))
     if tag == _TAG_REF:
         return Ref(reader.uvarint())
     raise CodecError(f"unknown value tag {tag}")

@@ -1,94 +1,134 @@
-"""Frame encoding for the Executor protocol.
+"""The Executor protocol's codec as it stood before the in-place decoder.
 
-Section 6: "The Executor handles communications between GemStone and
-host software: receiving blocks of code, returning results and error
-messages."
+Frozen at ``c413601``: the storage codec's ``Writer`` and per-byte
+``Reader`` (every byte through ``byte → raw → remaining``), every frame
+encoder, and ``decode_frame`` walking a ``Reader`` — the oracle
+``test_protocol_differential.py`` holds ``repro.executor.protocol``
+against (the way ``reference_lexer.py`` serves the OPAL scanner).  It is
+test support only; nothing under ``src`` imports it.
 
-Frame layout (inside the link's length framing): one type byte, then a
-type-specific payload using the storage codec's primitives.  Results
-carry both the value — when it is an immediate or an object reference —
-and its display string, so hosts without an object memory can still show
-something; structured objects travel as (oid, display) pairs, never by
-value.
-
-Reliability: any frame may be wrapped in a SEQ envelope —
-
-    SEQ  uvarint(sequence number)  flags  [f64 deadline]
-         u32 crc32(inner frame)  inner frame
-
-— which gives the host ↔ Gem conversation exactly-once semantics over a
-lossy link.  Bit 0 of the flags byte marks an attached *deadline*: the
-simulated-clock instant after which the sender no longer wants the
-request served (the Executor answers a typed ``DeadlineExceeded`` error
-instead of doing stale work).  The sequence number lets the Executor recognise a resend of
-the last in-flight request and replay its cached response instead of
-applying the request twice; the checksum distinguishes a frame damaged
-in transit (:class:`~repro.errors.LinkCorruption`, silently droppable —
-the sender will retry) from one that was malformed at the source (a
-:class:`~repro.errors.ProtocolError` worth answering).
+One rule differs from the parent, and it is applied *around* the frozen
+decoder rather than inside it: a frame whose payload cannot be read is
+malformed at the source, so it is a :class:`ProtocolError` carrying the
+message the parent raised as ``CodecError`` — the link layers catch
+``ProtocolError`` and nothing else.  The value codec
+(``encode_value`` / ``decode_value``) is the live one, driven through
+this file's ``Writer`` and ``Reader``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from enum import IntEnum
 from typing import Any
 from zlib import crc32
 
-from ..core.objects import GemObject
-from ..errors import CodecError, LinkCorruption, ProtocolError
-from ..storage.codec import (
-    Reader, Writer, decode_value, encode_value, uvarint_at, uvarint_bytes,
-)
+from repro.core.objects import GemObject
+from repro.errors import CodecError, LinkCorruption, ProtocolError
+from repro.executor.protocol import Frame, FrameType
+from repro.storage.codec import decode_value, encode_value
 
 
-class FrameType(IntEnum):
-    """Protocol frame types."""
+class Writer:
+    """An append-only byte sink with varint and struct helpers."""
 
-    LOGIN = 1
-    LOGIN_OK = 2
-    EXECUTE = 3
-    RESULT = 4
-    ERROR = 5
-    COMMIT = 6
-    COMMITTED = 7
-    CONFLICT = 8
-    ABORT = 9
-    ABORTED = 10
-    LOGOUT = 11
-    BYE = 12
-    SEQ = 13
-    OVERLOADED = 14
-    SHIP = 15
-    SHIP_ACK = 16
-    SNAPSHOT = 17
-    SHIP_STATUS = 18
-    # -- sharded object space (repro.shard) --------------------------------
-    PREPARE = 19
-    VOTE = 20
-    DECIDE = 21
-    DECIDE_ACK = 22
-    SHARD_EXEC = 25
-    SHARD_COMMIT = 26
-    # -- repro.net: TCP session resume + process status
-    HELLO = 27
-    HELLO_OK = 28
-    STATUS = 29
-    STATUS_REPORT = 30
+    __slots__ = ("_buffer",)
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def __len__(self) -> int:
+        return len(self._buffer)
+
+    def getvalue(self) -> bytes:
+        """The accumulated bytes."""
+        return bytes(self._buffer)
+
+    def raw(self, data: bytes) -> None:
+        """Append raw bytes."""
+        self._buffer += data
+
+    def uvarint(self, value: int) -> None:
+        """Append an unsigned LEB128 varint."""
+        if value < 0:
+            raise CodecError(f"uvarint cannot encode negative {value}")
+        while True:
+            byte = value & 0x7F
+            value >>= 7
+            if value:
+                self._buffer.append(byte | 0x80)
+            else:
+                self._buffer.append(byte)
+                return
+
+    def svarint(self, value: int) -> None:
+        """Append a signed (zigzag) varint."""
+        self.uvarint((value << 1) ^ (value >> 63) if value < 0 else value << 1)
+
+    def string(self, text: str) -> None:
+        """Append a length-prefixed UTF-8 string."""
+        data = text.encode("utf-8")
+        self.uvarint(len(data))
+        self.raw(data)
+
+    def double(self, value: float) -> None:
+        """Append an 8-byte IEEE double."""
+        self.raw(struct.pack("<d", value))
 
 
-@dataclass(slots=True)
-class Frame:
-    """A decoded protocol frame (``seq``/``deadline``/``request_id``/
-    ``channel`` set when enveloped); a value, compared field by field."""
+class Reader:
+    """A cursor over bytes, mirror of :class:`Writer`."""
 
-    type: FrameType
-    fields: dict[str, Any]
-    seq: int | None = None
-    deadline: float | None = None
-    request_id: int | None = None
-    channel: int | None = None
+    __slots__ = ("_data", "pos")
+
+    def __init__(self, data: bytes, pos: int = 0) -> None:
+        self._data = data
+        self.pos = pos
+
+    def remaining(self) -> int:
+        """Bytes left after the cursor."""
+        return len(self._data) - self.pos
+
+    def raw(self, count: int) -> bytes:
+        """Read *count* raw bytes."""
+        if self.remaining() < count:
+            raise CodecError("unexpected end of encoded data")
+        chunk = self._data[self.pos : self.pos + count]
+        self.pos += count
+        return chunk
+
+    def byte(self) -> int:
+        """Read one byte as an int."""
+        return self.raw(1)[0]
+
+    def uvarint(self) -> int:
+        """Read an unsigned LEB128 varint."""
+        result = 0
+        shift = 0
+        while True:
+            byte = self.byte()
+            result |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                return result
+            shift += 7
+            if shift > 70:
+                raise CodecError("varint too long")
+
+    def svarint(self) -> int:
+        """Read a signed (zigzag) varint."""
+        raw = self.uvarint()
+        return (raw >> 1) ^ -(raw & 1)
+
+    def string(self) -> str:
+        """Read a length-prefixed UTF-8 string."""
+        length = self.uvarint()
+        try:
+            return self.raw(length).decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise CodecError(f"string is not UTF-8: {error}") from None
+
+    def double(self) -> float:
+        """Read an 8-byte IEEE double."""
+        return struct.unpack("<d", self.raw(8))[0]
 
 
 def encode_login(user: str, password: str) -> bytes:
@@ -301,52 +341,10 @@ def encode_shard_commit(gtid: str) -> bytes:
     return writer.getvalue()
 
 
-def rehydrate_error(error_class: str, message: str) -> Exception:
-    """Reconstruct a typed library error from its wire (class, message) pair.
-
-    Unknown or unregistered classes degrade to a typed
-    :class:`~repro.errors.FatalError` with the original class name
-    preserved in the message (and on ``original_class``), so a newer peer
-    never crashes an older one — and so retry policy treats an error it
-    cannot classify as non-retryable rather than guessing.  Shared by the
-    host connection, the replication shipper, and the shard links.
-    """
-    from .. import errors as errors_module
-    from ..errors import FatalError, GemStoneError
-
-    cls = getattr(errors_module, error_class, None)
-    if isinstance(cls, type) and issubclass(cls, GemStoneError):
-        try:
-            return cls(message)
-        except TypeError:
-            # structured constructor (caps, meters) the bare message
-            # cannot satisfy: the *type* must still survive the trip
-            error = cls.__new__(cls)
-            Exception.__init__(error, message)
-            return error
-    error = FatalError(f"{error_class}: {message}")
-    error.original_class = error_class
-    return error
-
-
-def raise_if_error(frame: Frame) -> Frame:
-    """*frame* itself — unless it is an ERROR, which raises as its typed
-    exception (:func:`rehydrate_error`)."""
-    if frame.type is FrameType.ERROR:
-        raise rehydrate_error(
-            frame.fields["error_class"], frame.fields["message"]
-        )
-    return frame
-
-
 #: SEQ flags-byte bits
 _SEQ_HAS_DEADLINE = 0x01
 _SEQ_HAS_REQUEST_ID = 0x02
 _SEQ_HAS_CHANNEL = 0x04
-
-_F64 = struct.Struct("<d")
-_U32 = struct.Struct("<I")
-_SEQ_BYTE = bytes([FrameType.SEQ])
 
 
 def encode_seq(
@@ -369,129 +367,113 @@ def encode_seq(
     answer stream A's resend with stream B's cached response.  Absent
     means channel 0 (the single-stream conversations of older peers).
     """
+    writer = Writer()
+    writer.raw(bytes([FrameType.SEQ]))
+    writer.uvarint(seq)
     flags = 0
-    options = b""
     if deadline is not None:
         flags |= _SEQ_HAS_DEADLINE
-        options = _F64.pack(deadline)
     if request_id is not None:
         flags |= _SEQ_HAS_REQUEST_ID
-        options += uvarint_bytes(request_id)
     if channel is not None:
         flags |= _SEQ_HAS_CHANNEL
-        options += uvarint_bytes(channel)
-    return b"".join((
-        _SEQ_BYTE, uvarint_bytes(seq), bytes((flags,)), options,
-        _U32.pack(crc32(inner)), inner,
-    ))
+    writer.raw(bytes([flags]))
+    if deadline is not None:
+        writer.raw(struct.pack("<d", float(deadline)))
+    if request_id is not None:
+        writer.uvarint(request_id)
+    if channel is not None:
+        writer.uvarint(channel)
+    writer.raw(struct.pack("<I", crc32(inner)))
+    writer.raw(inner)
+    return writer.getvalue()
 
 
-def _read_gtid(r: Reader) -> dict[str, Any]:
-    return {"gtid": r.string()}
-
-
-def _read_token(r: Reader) -> dict[str, Any]:
-    return {"token": r.string()}
-
-
-def _read_record(r: Reader) -> dict[str, Any]:
-    return {"record": r.raw(r.remaining())}
-
-
-#: what follows the type byte, per frame type: each entry reads the
-#: fields off a :class:`Reader` placed just after it, in wire order (a
-#: type that is absent here is the type byte alone)
-_FIELDS = {
-    FrameType.LOGIN: lambda r: {"user": r.string(), "password": r.string()},
-    FrameType.LOGIN_OK: lambda r: {"session_id": r.uvarint()},
-    FrameType.EXECUTE: lambda r: {"source": r.string()},
-    FrameType.RESULT: lambda r: {
-        "value": decode_value(r), "display": r.string(), "wire_value": r.byte() == 1,
-    },
-    FrameType.ERROR: lambda r: {"error_class": r.string(), "message": r.string()},
-    FrameType.COMMITTED: lambda r: {"tx_time": r.uvarint()},
-    FrameType.OVERLOADED: lambda r: {"retry_after": r.double()},
-    FrameType.SHIP: _read_record,
-    FrameType.SNAPSHOT: _read_record,
-    FrameType.SHIP_ACK: lambda r: {"epoch": r.uvarint()},
-    FrameType.PREPARE: _read_gtid,
-    FrameType.SHARD_COMMIT: _read_gtid,
-    FrameType.VOTE: lambda r: {
-        "gtid": r.string(), "commit": r.byte() == 1, "read_only": r.byte() == 1,
-    },
-    FrameType.DECIDE: lambda r: {"gtid": r.string(), "commit": r.byte() == 1},
-    FrameType.DECIDE_ACK: lambda r: {"gtid": r.string(), "epoch": r.uvarint()},
-    FrameType.SHARD_EXEC: lambda r: {"gtid": r.string(), "source": r.string()},
-    FrameType.HELLO: _read_token,
-    FrameType.HELLO_OK: _read_token,
-    FrameType.STATUS: lambda r: {"verify": r.byte() == 1},
-    FrameType.STATUS_REPORT: lambda r: {"payload": r.string()},
-}
-
-#: type byte -> (FrameType, its field reader or None); SEQ is the
-#: envelope, never a frame of its own
-_PAYLOADS = {
-    int(frame_type): (frame_type, _FIELDS.get(frame_type))
-    for frame_type in FrameType if frame_type is not FrameType.SEQ
-}
+def _parent_decode_frame(data: bytes) -> Frame:
+    """Decode any protocol frame (the parent's ``decode_frame``, verbatim)."""
+    if not data:
+        raise ProtocolError("empty frame")
+    reader = Reader(data)
+    try:
+        frame_type = FrameType(reader.byte())
+    except ValueError as error:
+        raise ProtocolError(f"unknown frame type {data[0]}") from error
+    if frame_type is FrameType.SEQ:
+        try:
+            seq = reader.uvarint()
+            flags = reader.byte()
+            deadline = None
+            if flags & _SEQ_HAS_DEADLINE:
+                (deadline,) = struct.unpack("<d", reader.raw(8))
+            request_id = None
+            if flags & _SEQ_HAS_REQUEST_ID:
+                request_id = reader.uvarint()
+            channel = None
+            if flags & _SEQ_HAS_CHANNEL:
+                channel = reader.uvarint()
+            (stored_crc,) = struct.unpack("<I", reader.raw(4))
+            inner = reader.raw(reader.remaining())
+        except CodecError as error:
+            raise LinkCorruption("sequence envelope truncated in transit") from error
+        if crc32(inner) != stored_crc:
+            raise LinkCorruption(f"frame seq {seq} failed its checksum")
+        if inner and inner[0] == FrameType.SEQ:
+            raise ProtocolError("nested sequence envelopes are not allowed")
+        decoded = _parent_decode_frame(inner)
+        return Frame(
+            decoded.type, decoded.fields,
+            seq=seq, deadline=deadline, request_id=request_id, channel=channel,
+        )
+    fields: dict[str, Any] = {}
+    if frame_type is FrameType.LOGIN:
+        fields["user"] = reader.string()
+        fields["password"] = reader.string()
+    elif frame_type is FrameType.LOGIN_OK:
+        fields["session_id"] = reader.uvarint()
+    elif frame_type is FrameType.EXECUTE:
+        fields["source"] = reader.string()
+    elif frame_type is FrameType.RESULT:
+        fields["value"] = decode_value(reader)
+        fields["display"] = reader.string()
+        fields["wire_value"] = reader.byte() == 1
+    elif frame_type is FrameType.ERROR:
+        fields["error_class"] = reader.string()
+        fields["message"] = reader.string()
+    elif frame_type is FrameType.COMMITTED:
+        fields["tx_time"] = reader.uvarint()
+    elif frame_type is FrameType.OVERLOADED:
+        (fields["retry_after"],) = struct.unpack("<d", reader.raw(8))
+    elif frame_type in (FrameType.SHIP, FrameType.SNAPSHOT):
+        fields["record"] = reader.raw(reader.remaining())
+    elif frame_type is FrameType.SHIP_ACK:
+        fields["epoch"] = reader.uvarint()
+    elif frame_type in (FrameType.PREPARE, FrameType.SHARD_COMMIT):
+        fields["gtid"] = reader.string()
+    elif frame_type is FrameType.VOTE:
+        fields["gtid"] = reader.string()
+        fields["commit"] = reader.byte() == 1
+        fields["read_only"] = reader.byte() == 1
+    elif frame_type is FrameType.DECIDE:
+        fields["gtid"] = reader.string()
+        fields["commit"] = reader.byte() == 1
+    elif frame_type is FrameType.DECIDE_ACK:
+        fields["gtid"] = reader.string()
+        fields["epoch"] = reader.uvarint()
+    elif frame_type is FrameType.SHARD_EXEC:
+        fields["gtid"] = reader.string()
+        fields["source"] = reader.string()
+    elif frame_type in (FrameType.HELLO, FrameType.HELLO_OK):
+        fields["token"] = reader.string()
+    elif frame_type is FrameType.STATUS:
+        fields["verify"] = reader.byte() == 1
+    elif frame_type is FrameType.STATUS_REPORT:
+        fields["payload"] = reader.string()
+    return Frame(frame_type, fields)
 
 
 def decode_frame(data: bytes) -> Frame:
-    """Decode any protocol frame, in place.
-
-    The envelope is read by index straight off *data* and the inner
-    frame is decoded where it lies, so an enveloped frame costs one
-    slice (for its checksum) and one :class:`Reader`.  Every outcome is
-    typed: damage the checksum can see — a truncated envelope, a wrong
-    CRC — is :class:`~repro.errors.LinkCorruption` (droppable, the
-    sender retries); anything else that cannot be read is a
-    :class:`~repro.errors.ProtocolError` worth answering.
-    """
-    if not data:
-        raise ProtocolError("empty frame")
-    kind = data[0]
-    seq = deadline = request_id = channel = None
-    start = 1
-    if kind == FrameType.SEQ:
-        try:
-            seq = data[1]
-            pos = 2
-            if seq >= 0x80:
-                high = data[2]
-                if high < 0x80:  # two bytes: any session past its 127th request
-                    seq = seq & 0x7F | high << 7
-                    pos = 3
-                else:
-                    seq, pos = uvarint_at(data, 1)
-            flags = data[pos]
-            pos += 1
-            if flags & _SEQ_HAS_DEADLINE:
-                (deadline,) = _F64.unpack_from(data, pos)
-                pos += 8
-            if flags & _SEQ_HAS_REQUEST_ID:
-                request_id, pos = uvarint_at(data, pos)
-            if flags & _SEQ_HAS_CHANNEL:
-                channel, pos = uvarint_at(data, pos)
-            (stored_crc,) = _U32.unpack_from(data, pos)
-            start = pos + 4
-        except (IndexError, struct.error, CodecError) as error:
-            raise LinkCorruption("sequence envelope truncated in transit") from error
-        if crc32(data[start:]) != stored_crc:
-            raise LinkCorruption(f"frame seq {seq} failed its checksum")
-        if start == len(data):
-            raise ProtocolError("empty frame")
-        kind = data[start]
-        if kind == FrameType.SEQ:
-            raise ProtocolError("nested sequence envelopes are not allowed")
-        start += 1
+    """The parent's decoder under the one typed-error rule (module doc)."""
     try:
-        frame_type, read = _PAYLOADS[kind]
-    except KeyError:
-        raise ProtocolError(f"unknown frame type {kind}") from None
-    if read is None:
-        return Frame(frame_type, {}, seq, deadline, request_id, channel)
-    try:
-        fields = read(Reader(data, start))
-    except CodecError as error:  # malformed at the source, not in transit
+        return _parent_decode_frame(data)
+    except CodecError as error:
         raise ProtocolError(str(error)) from None
-    return Frame(frame_type, fields, seq, deadline, request_id, channel)

@@ -267,19 +267,27 @@ class TestStreamLinkReadSize:
         async def scenario():
             served = []
 
-            async def echo(reader, writer):
-                link = StreamLink(reader, writer)
-                served.append(writer.transport.max_size)
+            async def echo(link):
+                served.append(link._transport.max_size)
                 await link.send(await link.receive())
                 link.close()
 
-            server = await asyncio.start_server(echo, "127.0.0.1", 0)
+            tasks = []
+            server = await asyncio.get_running_loop().create_server(
+                lambda: StreamLink(
+                    on_connect=lambda link: tasks.append(
+                        asyncio.ensure_future(echo(link))
+                    )
+                ),
+                "127.0.0.1", 0,
+            )
             port = server.sockets[0].getsockname()[1]
             client = await open_stream_link("127.0.0.1", port)
-            asked = client._writer.transport.max_size
+            asked = client._transport.max_size
             await client.send(big)
             reply = await client.receive()
             client.close()
+            await asyncio.gather(*tasks)
             server.close()
             await server.wait_closed()
             return served[0], asked, reply
