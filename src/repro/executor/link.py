@@ -19,10 +19,17 @@ _HEADER = struct.Struct("<I")
 #: the longest frame any link end will buffer.  The length prefix is
 #: four bytes an unauthenticated peer chooses, so without a bound a
 #: header of ``ff ff ff ff`` makes the receiver buffer 4 GiB.  The
-#: largest legitimate frame is a ``repro.dr`` snapshot — one platter's
-#: written tracks — and the largest platter any workload formats is
-#: 16 384 tracks of 4 KiB (64 MiB); the kill sweeps and the check
-#: oracles stay under 2 KB a frame.  Twice the former, fixed.
+#: largest legitimate frame is a ``repro.dr`` SNAPSHOT: the zero-trimmed
+#: images of the tracks a platter has *written*, so never more than the
+#: platter.  Measured: 1.2 KB in the DR soak and ``tests/dr`` (a store
+#: just created), 0.56 MiB for the fullest store the benchmark loads
+#: (``oltp_narrow_cold``, a 16 384 x 4 KiB = 64 MiB platter); the kill
+#: sweeps and the check oracles stay under 2 KB a frame.  The bound is
+#: twice that platter written to its last track.  The one larger
+#: platter in the repo (``bench_st80_limits``: 65 536 x 4 KiB = 256 MiB,
+#: about 2 MiB of it written) never crosses a link; a store that had
+#: written more than the bound could not be bootstrapped in one frame
+#: and would be refused with the typed error.  Fixed, not an option.
 MAX_FRAME_BYTES = 128 * 1024 * 1024
 
 

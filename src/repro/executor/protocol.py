@@ -454,15 +454,7 @@ def decode_frame(data: bytes) -> Frame:
     start = 1
     if kind == FrameType.SEQ:
         try:
-            seq = data[1]
-            pos = 2
-            if seq >= 0x80:
-                high = data[2]
-                if high < 0x80:  # two bytes: any session past its 127th request
-                    seq = seq & 0x7F | high << 7
-                    pos = 3
-                else:
-                    seq, pos = uvarint_at(data, 1)
+            seq, pos = uvarint_at(data, 1)
             flags = data[pos]
             pos += 1
             if flags & _SEQ_HAS_DEADLINE:

@@ -10,9 +10,10 @@ complete raises ``LinkTimeout``.
 The link *is* the connection's ``asyncio.Protocol``: the loop hands it
 each read as it lands, ``data_received`` cuts that into frames, and
 ``receive`` takes the next one — already there, more often than not,
-so the reader neither parks nor copies a buffer — while ``send`` writes
-straight to the transport and waits only if the transport has asked
-writers to pause.
+so the reader does not park — while ``send`` writes straight to the
+transport and waits only if the transport has asked writers to pause.
+Flow control runs both ways: the link pauses its transport's reads
+while too many whole frames sit untaken (``_UNREAD_HIGH``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ _HEADER = struct.Struct("<I")
 #: here are tens of bytes to a few KiB; 64 KiB stays on the heap.
 _RECV_SIZE = 64 * 1024
 
+#: whole frames nobody has taken yet, in bytes, above which the link
+#: stops reading its socket (what ``StreamReader`` did at twice its
+#: 64 KiB limit): the kernel's window then fills and the peer's sends
+#: stall, so a client that pipelines without reading its answers is
+#: slowed to the pace of the server's reader instead of being buffered
+#: without bound.  A frame still arriving is not counted — only its
+#: sender can finish it, and ``MAX_FRAME_BYTES`` bounds it.
+_UNREAD_HIGH = 2 * _RECV_SIZE
+
 
 class StreamLink(asyncio.Protocol):
     """One endpoint of a duplex link over an asyncio TCP transport.
@@ -52,8 +62,11 @@ class StreamLink(asyncio.Protocol):
         self._transport: asyncio.Transport | None = None
         #: the bytes of a frame that has not fully arrived
         self._buffer = bytearray()
-        #: whole frames nobody has asked for yet
+        #: whole frames nobody has asked for yet, and their bytes on
+        #: the wire; reading pauses while that is above ``_UNREAD_HIGH``
         self._frames: deque[bytes] = deque()
+        self._unread = 0
+        self._reading_paused = False
         #: what a parked ``receive`` / a paused ``write`` is waiting on
         self._readable: asyncio.Future | None = None
         self._writable: asyncio.Future | None = None
@@ -79,19 +92,20 @@ class StreamLink(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         buffer = self._buffer
-        if not buffer and len(data) >= 4 and len(data) == 4 + _HEADER.unpack_from(data)[0]:
-            self._frames.append(data[4:])  # exactly one frame: the usual read
-        else:
-            buffer += data
-            try:
+        buffer += data
+        try:
+            frame = pop_frame(buffer, False)
+            while frame is not None:
+                self._frames.append(frame)
+                self._unread += 4 + len(frame)
                 frame = pop_frame(buffer, False)
-                while frame is not None:
-                    self._frames.append(frame)
-                    frame = pop_frame(buffer, False)
-            except ProtocolError as error:
-                # an oversized length: the stream cannot be re-synchronised
-                self._refused = error
-                self._transport.abort()
+        except ProtocolError as error:
+            # an oversized length: the stream cannot be re-synchronised
+            self._refused = error
+            self._transport.abort()
+        if self._unread > _UNREAD_HIGH and not self._reading_paused:
+            self._reading_paused = True
+            self._transport.pause_reading()
         self._wake(self._readable)
 
     def eof_received(self) -> bool:
@@ -150,6 +164,10 @@ class StreamLink(asyncio.Protocol):
             return None
         frame = self._frames.popleft()
         size = 4 + len(frame)
+        self._unread -= size
+        if self._reading_paused and self._unread <= _UNREAD_HIGH:
+            self._reading_paused = False
+            self._transport.resume_reading()
         self.frames_received += 1
         self.bytes_received += size
         if self._received is not None:
@@ -261,10 +279,15 @@ async def serve_frontdoor(
     finish when their clients hang up or the door closes.
     """
 
+    def serve(link: StreamLink) -> None:
+        # however the task ends — cancelled while still waiting for a
+        # HELLO included — the socket goes with it
+        door.spawn(link).add_done_callback(lambda _task: link.close())
+
     def accept() -> StreamLink:
         if registry is not None:
             registry.inc("net.connections")
-        return StreamLink(registry=registry, on_connect=door.spawn)
+        return StreamLink(registry=registry, on_connect=serve)
 
     return await asyncio.get_running_loop().create_server(accept, host, port)
 

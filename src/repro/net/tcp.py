@@ -83,28 +83,38 @@ class TcpLinkEnd:
     # -- sending ---------------------------------------------------------
 
     def send(self, frame: bytes) -> None:
-        """Send one frame, surviving partial writes.
+        """Send one frame within the send budget, surviving partial writes.
 
-        The whole frame is first offered under whatever timeout the
-        socket already has (a frame nearly always fits the kernel's
-        buffer); only what was not taken goes through the timed loop.
-        There, ``socket.send`` under a timeout may deliver a prefix
-        before raising, so the loop tracks its own offset and retries
-        the remainder; a peer reset at any offset maps to the in-memory
-        link's ``ProtocolError("link is closed")``.
+        ``socket.send`` under a timeout may deliver a prefix before
+        raising, so the loop keeps what is still owed and retries it; a
+        peer reset at any offset maps to the in-memory link's
+        ``ProtocolError("link is closed")``.  A frame nearly always
+        fits the kernel's buffer, and then this is one ``send`` under
+        the send budget itself; the clock is consulted again only for
+        a remainder.
         """
         if self._closed:
             raise ProtocolError("link is closed")
         data = _HEADER.pack(len(frame)) + frame
-        try:
-            offset = self._sock.send(data)
-        except socket.timeout:
-            offset = 0
-        except OSError as exc:
-            self._teardown()
-            raise ProtocolError("link is closed") from exc
-        if offset < len(data):
-            self._send_rest(memoryview(data), offset)
+        deadline = time.monotonic() + self.send_timeout
+        self._arm(self.send_timeout)
+        owed = data
+        while True:
+            try:
+                sent = self._sock.send(owed)
+            except socket.timeout:
+                sent = 0
+            except OSError as exc:
+                self._teardown()
+                raise ProtocolError("link is closed") from exc
+            if sent == len(owed):
+                break
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self._teardown()
+                raise LinkTimeout("send stalled: peer stopped draining the link")
+            self._arm(remaining)
+            owed = memoryview(owed)[sent:]
         self.frames_sent += 1
         self.bytes_sent += len(data)
         if self._rtt is not None and self._sent_at is None:
@@ -112,23 +122,6 @@ class TcpLinkEnd:
         if self._sent is not None:
             self._sent[0].inc()
             self._sent[1].inc(len(data))
-
-    def _send_rest(self, view: memoryview, offset: int) -> None:
-        """Deliver ``view[offset:]`` within the send budget."""
-        deadline = time.monotonic() + self.send_timeout
-        while offset < len(view):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._teardown()
-                raise LinkTimeout("send stalled: peer stopped draining the link")
-            self._arm(remaining)
-            try:
-                offset += self._sock.send(view[offset:])
-            except socket.timeout:
-                continue
-            except OSError as exc:
-                self._teardown()
-                raise ProtocolError("link is closed") from exc
 
     # -- receiving -------------------------------------------------------
 

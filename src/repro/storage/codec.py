@@ -192,16 +192,9 @@ class Reader:
 
     def string(self) -> str:
         """Read a length-prefixed UTF-8 string."""
+        length = self.uvarint()
         data = self._data
         pos = self.pos
-        try:
-            length = data[pos]
-        except IndexError:
-            raise CodecError("unexpected end of encoded data") from None
-        if length < 0x80:
-            pos += 1
-        else:
-            length, pos = uvarint_at(data, pos)
         end = pos + length
         if end > len(data):
             raise CodecError("unexpected end of encoded data")

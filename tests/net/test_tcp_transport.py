@@ -152,6 +152,30 @@ class TestFailureSemantics:
         with pytest.raises(LinkTimeout):
             dial("127.0.0.1", port, timeout=1.0)
 
+    def test_a_stalled_send_is_detected_within_the_send_budget(self):
+        """Whatever budget the last receive left on the socket, a peer
+        that has stopped draining is given the send budget, not more."""
+        client, server = _pair()
+        try:
+            client.send_timeout = 0.3
+            block = b"x" * (1 << 20)
+            stalled_for = None
+            for _ in range(64):  # loopback's buffers hold a few MiB
+                client._arm(3.0)  # what a caller's long receive leaves armed
+                started = time.monotonic()
+                try:
+                    client.send(block)
+                except LinkTimeout as error:
+                    assert "send stalled" in str(error)
+                    stalled_for = time.monotonic() - started
+                    break
+            assert stalled_for is not None, "64 MiB sent with nobody reading"
+            assert 0.3 <= stalled_for < 1.0
+            assert client.peer_closed
+        finally:
+            client.close()
+            server.close()
+
     def test_send_on_closed_link_raises_protocol_error(self):
         client, server = _pair()
         server.close()
