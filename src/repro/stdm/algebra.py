@@ -34,10 +34,18 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence
 
-from ..core.objects import GemObject
-from ..core.values import Ref
 from ..errors import DirectoryError
-from .calculus import BindingBatch, Expr, NOVALUE, QueryContext, value_equal
+from .calculus import (
+    _UNHASHABLE,
+    NOVALUE,
+    BindingBatch,
+    Expr,
+    QueryContext,
+    _hash_key,
+    _MemberIndex,
+    _unmatchable,
+    value_equal,
+)
 
 #: Rows per batch in vectorized mode.  Big enough to amortize the
 #: per-batch Python overhead (a few dict/list constructions), small
@@ -480,36 +488,6 @@ class IndexRange(Plan):
         )
 
 
-# --------------------------------------------------------------------------
-# hash keys with value_equal semantics
-# --------------------------------------------------------------------------
-
-_UNHASHABLE = object()
-_OID_KEY = object()  # tag for oid-keyed entries; never equals a user value
-
-
-def _unmatchable(value: Any) -> bool:
-    """True for values that fail *every* ``value_equal`` comparison."""
-    return value is NOVALUE or (isinstance(value, float) and value != value)
-
-
-def _hash_key(value: Any) -> Any:
-    """A dict/set key consistent with :func:`value_equal`, or _UNHASHABLE.
-
-    Objects and Refs key by oid (entity identity); everything else keys
-    by the value itself (Python guarantees ``hash`` consistency with
-    ``==`` across int/bool/float).  Callers must screen NOVALUE and NaN
-    first via :func:`_unmatchable`.
-    """
-    if isinstance(value, (GemObject, Ref)):
-        return (_OID_KEY, value.oid)
-    try:
-        hash(value)
-    except TypeError:
-        return _UNHASHABLE
-    return value
-
-
 class HashJoin(Plan):
     """Fused equality join: build the inner side once, probe per row.
 
@@ -712,48 +690,6 @@ class ConstructResult(Plan):
 # --------------------------------------------------------------------------
 # materialized set operations
 # --------------------------------------------------------------------------
-
-def _contains(members: list, value: Any) -> bool:
-    return any(value_equal(value, m) for m in members)
-
-
-class _MemberIndex:
-    """Hash-accelerated ``value_equal`` membership over a member list.
-
-    Keys members by oid/value hash; unhashable members land in a
-    fallback list scanned with :func:`value_equal`.  NOVALUE and NaN are
-    never members of anything (they fail every comparison), so they are
-    neither indexed nor matched.
-    """
-
-    __slots__ = ("keyed", "unkeyed")
-
-    def __init__(self, members=()) -> None:
-        self.keyed: set = set()
-        self.unkeyed: list = []
-        for member in members:
-            self.add(member)
-
-    def add(self, member: Any) -> None:
-        if _unmatchable(member):
-            return
-        hkey = _hash_key(member)
-        if hkey is _UNHASHABLE:
-            self.unkeyed.append(member)
-        else:
-            self.keyed.add(hkey)
-
-    def __contains__(self, value: Any) -> bool:
-        if _unmatchable(value):
-            return False
-        hkey = _hash_key(value)
-        if hkey is _UNHASHABLE:
-            return _contains(self.unkeyed, value)
-        if hkey in self.keyed:
-            return True
-        # an unhashable member may still value_equal a hashable probe
-        return bool(self.unkeyed) and _contains(self.unkeyed, value)
-
 
 def union(a, b) -> list:
     """Members of *a* or *b*, identity-deduplicated, order-preserving."""

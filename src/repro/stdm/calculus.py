@@ -26,9 +26,11 @@ for equivalence against it.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -36,7 +38,7 @@ from ..core.history import MISSING
 from ..core.objects import GemObject
 from ..core.paths import Path, parse_path
 from ..core.timedial import TimeDial
-from ..core.values import Ref
+from ..core.values import IMMEDIATE_TYPES, Ref, Symbol
 from ..errors import CalculusError
 from .sets import LabeledSet
 
@@ -201,33 +203,19 @@ class BindingBatch:
         """All bindings as row dicts (row-mode compatible output)."""
         return [self.row(i) for i in range(self.size)]
 
-    def select(self, indices: Sequence[int]) -> "BindingBatch":
-        """A new batch keeping only the rows at *indices* (in order)."""
-        columns = {
-            name: [column[i] for i in indices]
-            for name, column in self.columns.items()
-        }
-        selected = BindingBatch(columns, len(indices))
-        # carry computed columns along: a gather is far cheaper than
-        # re-reading the store for the surviving rows
-        selected._expr_cache = {
-            key: [column[i] for i in indices]
-            for key, column in self._expr_cache.items()
-        }
-        return selected
-
     def select_mask(self, mask: Sequence[bool], count: int) -> "BindingBatch":
-        """Like :meth:`select` but driven by a boolean mask.
+        """A new batch keeping the rows where *mask* is set (in order).
 
-        ``itertools.compress`` gathers each column at C speed, so callers
-        that already hold a truth column (``Filter``) should prefer this
-        over materializing an index list.  *count* is ``sum(mask)``.
+        ``itertools.compress`` gathers each column at C speed.  *count*
+        is ``sum(mask)``.
         """
         columns = {
             name: list(compress(column, mask))
             for name, column in self.columns.items()
         }
         selected = BindingBatch(columns, count)
+        # carry computed columns along: a gather is far cheaper than
+        # re-reading the store for the surviving rows
         selected._expr_cache = {
             key: list(compress(column, mask))
             for key, column in self._expr_cache.items()
@@ -244,6 +232,78 @@ def value_equal(a: Any, b: Any) -> bool:
     if a is NOVALUE or b is NOVALUE:
         return False
     return a == b
+
+
+# --------------------------------------------------------------------------
+# hash keys with value_equal semantics
+# --------------------------------------------------------------------------
+
+_UNHASHABLE = object()
+_OID_KEY = object()  # tag for oid-keyed entries; never equals a user value
+
+
+def _unmatchable(value: Any) -> bool:
+    """True for values that fail *every* ``value_equal`` comparison."""
+    return value is NOVALUE or (isinstance(value, float) and value != value)
+
+
+def _hash_key(value: Any) -> Any:
+    """A dict/set key consistent with :func:`value_equal`, or _UNHASHABLE.
+
+    Objects and Refs key by oid (entity identity); everything else keys
+    by the value itself (Python guarantees ``hash`` consistency with
+    ``==`` across int/bool/float).  Callers must screen NOVALUE and NaN
+    first via :func:`_unmatchable`.
+    """
+    if isinstance(value, (GemObject, Ref)):
+        return (_OID_KEY, value.oid)
+    try:
+        hash(value)
+    except TypeError:
+        return _UNHASHABLE
+    return value
+
+
+def _contains(members: list, value: Any) -> bool:
+    return any(value_equal(value, m) for m in members)
+
+
+class _MemberIndex:
+    """Hash-accelerated ``value_equal`` membership over a member list.
+
+    Keys members by oid/value hash; unhashable members land in a
+    fallback list scanned with :func:`value_equal`.  NOVALUE and NaN are
+    never members of anything (they fail every comparison), so they are
+    neither indexed nor matched.
+    """
+
+    __slots__ = ("keyed", "unkeyed")
+
+    def __init__(self, members=()) -> None:
+        self.keyed: set = set()
+        self.unkeyed: list = []
+        for member in members:
+            self.add(member)
+
+    def add(self, member: Any) -> None:
+        if _unmatchable(member):
+            return
+        hkey = _hash_key(member)
+        if hkey is _UNHASHABLE:
+            self.unkeyed.append(member)
+        else:
+            self.keyed.add(hkey)
+
+    def __contains__(self, value: Any) -> bool:
+        if _unmatchable(value):
+            return False
+        hkey = _hash_key(value)
+        if hkey is _UNHASHABLE:
+            return _contains(self.unkeyed, value)
+        if hkey in self.keyed:
+            return True
+        # an unhashable member may still value_equal a hashable probe
+        return bool(self.unkeyed) and _contains(self.unkeyed, value)
 
 
 # --------------------------------------------------------------------------
@@ -825,6 +885,30 @@ class Subset(Expr):
         return f"({self.left!r} ⊆ {self.right!r})"
 
 
+def _short_circuit(ctx, batch, left: list, right: Expr, conjunction: bool):
+    """``left and right`` / ``left or right`` over a batch.
+
+    The right operand is evaluated (and charges fuel) only on the rows
+    whose left value leaves the answer open — truthy under ``and``,
+    falsy under ``or`` — gathered into one sub-batch; its truth values
+    are scattered back without a Python loop.
+    """
+    truth = list(map(bool, left))
+    pending = truth if conjunction else list(map(operator.not_, truth))
+    count = sum(pending)
+    if not count:
+        return truth
+    if count == batch.size:
+        return list(map(bool, right.evaluate_column(ctx, batch)))
+    values = right.evaluate_column(ctx, batch.select_mask(pending, count))
+    deque(
+        map(truth.__setitem__, compress(range(batch.size), pending),
+            map(bool, values)),
+        maxlen=0,
+    )
+    return truth
+
+
 @dataclass(frozen=True)
 class And(Expr):
     """Conjunction."""
@@ -839,16 +923,7 @@ class And(Expr):
 
     def evaluate_column(self, ctx, batch):
         left = self.left.evaluate_column(ctx, batch)
-        # Preserve short-circuiting: the right operand is only evaluated
-        # (and only charges fuel) on rows where the left is truthy.
-        out = [False] * batch.size
-        live = [i for i, v in enumerate(left) if v]
-        if live:
-            sub = batch if len(live) == batch.size else batch.select(live)
-            right = self.right.evaluate_column(ctx, sub)
-            for pos, v in zip(live, right):
-                out[pos] = bool(v)
-        return out
+        return _short_circuit(ctx, batch, left, self.right, True)
 
     def free_vars(self):
         return self.left.free_vars() | self.right.free_vars()
@@ -869,17 +944,15 @@ class Or(Expr):
             self.right.evaluate(ctx, bindings)
         )
 
+    #: what the tree fuses to, decided once per node (plans are cached)
+    _kernel = cached_property(lambda self: _kernel_shape(self))
+
     def evaluate_column(self, ctx, batch):
+        fused = _fused_column(self, ctx, batch)
+        if fused is not None:
+            return fused
         left = self.left.evaluate_column(ctx, batch)
-        # Short-circuit: only rows where the left is falsy see the right.
-        out = [True] * batch.size
-        live = [i for i, v in enumerate(left) if not v]
-        if live:
-            sub = batch if len(live) == batch.size else batch.select(live)
-            right = self.right.evaluate_column(ctx, sub)
-            for pos, v in zip(live, right):
-                out[pos] = bool(v)
-        return out
+        return _short_circuit(ctx, batch, left, self.right, False)
 
     def free_vars(self):
         return self.left.free_vars() | self.right.free_vars()
@@ -897,14 +970,115 @@ class Not(Expr):
     def evaluate(self, ctx, bindings):
         return not bool(self.operand.evaluate(ctx, bindings))
 
+    #: what the tree fuses to, decided once per node (plans are cached)
+    _kernel = cached_property(lambda self: _kernel_shape(self))
+
     def evaluate_column(self, ctx, batch):
-        return [not v for v in self.operand.evaluate_column(ctx, batch)]
+        fused = _fused_column(self, ctx, batch)
+        if fused is not None:
+            return fused
+        return list(map(operator.not_, self.operand.evaluate_column(ctx, batch)))
 
     def free_vars(self):
         return self.operand.free_vars()
 
     def __repr__(self) -> str:
         return f"(not {self.operand!r})"
+
+
+# --------------------------------------------------------------------------
+# predicate kernel: an equality disjunction over one path column in one pass
+# --------------------------------------------------------------------------
+#
+# ``(e!name = 'a') | (e!name = 'b') | (e!name = 'c')`` interpreted node by
+# node scans the same column once per comparison and gathers a sub-batch
+# per connective.  An ``or`` whose leaves all compare one path column for
+# equality with row-independent values, under any number of ``not``s, is
+# instead membership in one key set over that column.
+#
+# The column is the one the tree's leftmost comparison reads for the
+# whole batch in the interpreted evaluation, and every other comparison
+# would read it from the batch's column cache, so reads, read sets and
+# fuel are the same by construction (comparisons charge nothing).  Any
+# other tree, column or constant falls through to the node-by-node
+# evaluation above, which stays the definition.
+
+#: column value types whose ``=`` is hash equality: a column of only
+#: these answers membership with ``x in keys`` at C speed (NOVALUE hashes
+#: by identity and is never a key, so it misses, as it must)
+_HASHED_TYPES = frozenset((*IMMEDIATE_TYPES, Symbol, _NoValue))
+
+
+def _member_of(column: list, values: list) -> list:
+    """``column[i] = v1 or … or column[i] = vn`` for every row."""
+    # objects and Refs key by oid; NaN and NOVALUE are never keys
+    index = _MemberIndex(values)
+    keyed = index.keyed
+    if index.unkeyed:
+        return [x in index for x in column]
+    if set(map(type, column)) <= _HASHED_TYPES:
+        return [x in keyed for x in column]
+    return [x in keyed if type(x) in _HASHED_TYPES else x in index for x in column]
+
+
+def _column_term(node: Expr):
+    """``(path, side)`` when *node* is ``=`` between a path column and a
+    row-independent *side*, either way round; else None."""
+    if type(node) is not Compare or node.op != "==":
+        return None
+    # the column is the side Compare.evaluate_column reads: the left one
+    # unless the right is not constant
+    for column, side in ((node.left, node.right), (node.right, node.left)):
+        if (
+            isinstance(column, PathApply)
+            and column._column_key is not None
+            and not side.free_vars()
+        ):
+            return column, side
+    return None
+
+
+def _disjuncts(node: Expr) -> list:
+    """The operands of a run of ``or``, left to right."""
+    if type(node) is Or:
+        return _disjuncts(node.left) + _disjuncts(node.right)
+    return [node]
+
+
+def _kernel_shape(node: Expr):
+    """``(path, sides, negated)`` for a tree that fuses, else None.
+
+    The *sides* are evaluated per execution, so one cached plan serves
+    every literal vector.
+    """
+    negated = False
+    while type(node) is Not:
+        node, negated = node.operand, not negated
+    if type(node) is not Or:
+        return None  # a lone comparison is already one pass
+    terms = [_column_term(leaf) for leaf in _disjuncts(node)]
+    if any(term is None for term in terms):
+        return None
+    key = terms[0][0]._column_key
+    if any(path._column_key != key for path, _side in terms):
+        return None
+    return terms[0][0], [side for _path, side in terms], negated
+
+
+def _fused_column(node: Expr, ctx, batch) -> Optional[list]:
+    """*node*'s truth column from the kernel, or None if it does not fuse."""
+    shape = node._kernel
+    if shape is None:
+        return None
+    path, sides, negated = shape
+    values = []
+    for side in sides:
+        constant, value = side.const_value(ctx)
+        if not constant:
+            return None
+        values.append(value)
+    truth = _member_of(path.evaluate_column(ctx, batch), values)
+    return list(map(operator.not_, truth)) if negated else truth
 
 
 class Exists(Expr):

@@ -5,7 +5,7 @@ property for ``repro.shard.procs``' SIGKILL sweeps: a worker killed
 mid-2PC must come back with its prepared state intact.  ``FileDisk``
 keeps the in-memory model (whole-track I/O, per-track CRC32, the same
 crash/corruption fault hooks) and additionally mirrors every track
-write into one file via ``os.pwrite`` on a raw descriptor — a single
+write into one file via ``os.pwritev`` on a raw descriptor — a single
 direct syscall per track, no user-space buffering — so the platter
 state a SIGKILLed process leaves behind is whatever tracks it had
 fully written, never a torn half-slot of Python buffering.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import struct
-from zlib import crc32
 
 from ..errors import DiskError
 from .disk import DiskGeometry, SimulatedDisk
@@ -93,10 +92,11 @@ class FileDisk(SimulatedDisk):
         super().write_track(track, data)
         if self._fd is None:
             raise DiskError(f"platter file {self.path} is closed")
-        padded = self._tracks[track]
-        os.pwrite(
+        # the padded image and its CRC as the simulated disk just stored
+        # them; header and track go down in one gathered write
+        os.pwritev(
             self._fd,
-            _SLOT.pack(crc32(padded), 1) + padded,
+            (_SLOT.pack(self._checksums[track], 1), self._tracks[track]),
             self._slot_offset(track),
         )
 

@@ -70,20 +70,23 @@ from .tracks import TrackManager
 _CLASS_CATALOG_PREFIX = "class:"
 
 
+def blob_images(data: bytes, track_size: int) -> list[bytes]:
+    """*data* as the track images of a blob: length-prefixed chunks of
+    ``track_size - 4`` bytes, and one empty chunk for no data."""
+    chunk_size = track_size - 4
+    chunks = [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)] or [b""]
+    return [struct.pack("<I", len(chunk)) + chunk for chunk in chunks]
+
+
 def write_blob(tracks: TrackManager, data: bytes) -> tuple[list[int], dict[int, bytes]]:
-    """Split *data* into length-prefixed track chunks on fresh tracks.
+    """Put :func:`blob_images` of *data* on fresh tracks.
 
     Returns ``(track_numbers, pending_writes)``; the caller folds the
     writes into its commit group.
     """
-    chunk_size = tracks.track_size - 4
-    chunks = [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)] or [b""]
-    allocated = tracks.allocate(len(chunks))
-    writes = {
-        track: struct.pack("<I", len(chunk)) + chunk
-        for track, chunk in zip(allocated, chunks)
-    }
-    return allocated, writes
+    images = blob_images(data, tracks.track_size)
+    allocated = tracks.allocate(len(images))
+    return allocated, dict(zip(allocated, images))
 
 
 def read_blob(tracks: TrackManager, track_numbers: Sequence[int]) -> bytes:
@@ -129,6 +132,10 @@ class StableStore(ObjectStore):
         self._page_directory: dict[int, tuple[int, ...]] = {}
         self._page_directory_tracks: list[int] = []
         self._bitmap_tracks: list[int] = []
+        #: tracks a bitmap blob takes: its length is the geometry's
+        self._bitmap_track_count = len(
+            blob_images(self.tracks.bitmap_bytes(), disk.track_size)
+        )
         self._catalog_tracks: list[int] = []
         #: the catalog blob those tracks hold (rewritten only when it changes)
         self._catalog_blob: Optional[bytes] = None
@@ -449,19 +456,17 @@ class StableStore(ObjectStore):
                 note_tracks, note_writes = write_note(self.tracks, new_note)
                 writes.update(note_writes)
 
-        # 4. Allocation bitmap reflecting the post-commit state.
+        # 4. Allocation bitmap of the post-commit state.  It lists its own
+        #    tracks, so they are taken before it is encoded.
         freed.update(self._bitmap_tracks)
         still_used = self.table.tracks_in_use()
         still_used.update(self._page_directory_tracks, catalog_tracks, note_tracks)
         for page_tracks in self._page_directory.values():
             still_used.update(page_tracks)
         freed -= still_used
-        bitmap_bytes = (self.tracks.track_count + 7) // 8
-        bitmap_chunks = max(1, -(-bitmap_bytes // (self.tracks.track_size - 4)))
-        bitmap_tracks = self.tracks.allocate(bitmap_chunks)
-        post_allocated = (self.tracks.allocated_tracks() - freed) | set(bitmap_tracks)
-        bitmap_writes = self._bitmap_writes(bitmap_tracks, post_allocated)
-        writes.update(bitmap_writes)
+        bitmap_tracks = self.tracks.allocate(self._bitmap_track_count)
+        bitmap = self.tracks.bitmap_bytes(excluding=freed)
+        writes.update(zip(bitmap_tracks, blob_images(bitmap, self.tracks.track_size)))
         self._bitmap_tracks = bitmap_tracks
 
         # 5. Commit Manager: safe-write the whole group, flip the root.
@@ -517,22 +522,6 @@ class StableStore(ObjectStore):
         image = self._read_track_buffered(location.tracks[seq])
         tail = find_fragment(image, obj.oid, seq).payload
         return seq, tail + encode_appends(delta.bindings, tx_time)
-
-    def _bitmap_writes(
-        self, bitmap_tracks: Sequence[int], allocated: set[int]
-    ) -> dict[int, bytes]:
-        bitmap = bytearray((self.tracks.track_count + 7) // 8)
-        for track in allocated:
-            bitmap[track // 8] |= 1 << (track % 8)
-        data = bytes(bitmap)
-        chunk_size = self.tracks.track_size - 4
-        chunks = [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)]
-        while len(chunks) < len(bitmap_tracks):
-            chunks.append(b"")
-        return {
-            track: struct.pack("<I", len(chunk)) + chunk
-            for track, chunk in zip(bitmap_tracks, chunks)
-        }
 
     # ------------------------------------------------------------------
     # enumeration (DBA tooling)

@@ -18,7 +18,7 @@ Tracks 0 and 1 are reserved for the Commit Manager's two root slots.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from ..errors import DiskError, StorageError
 
@@ -132,10 +132,14 @@ class TrackManager:
 
     # -- bitmap persistence ---------------------------------------------------------
 
-    def bitmap_bytes(self) -> bytes:
-        """The allocation set as a bitmap, one bit per track."""
+    def bitmap_bytes(self, excluding: Collection[int] = ()) -> bytes:
+        """The allocation set as a bitmap, one bit per track.
+
+        *excluding* are left out: a commit records the state it leaves
+        behind, without the tracks it frees once it is durable.
+        """
         bitmap = bytearray((self.track_count + 7) // 8)
-        for track in self._allocated:
+        for track in self._allocated.difference(excluding):
             bitmap[track // 8] |= 1 << (track % 8)
         return bytes(bitmap)
 
@@ -146,17 +150,3 @@ class TrackManager:
             if data[track // 8] & (1 << (track % 8)):
                 allocated.add(track)
         self._allocated = allocated
-
-    def bitmap_track_count(self) -> int:
-        """How many tracks the bitmap needs when persisted."""
-        return (len(self.bitmap_bytes()) + self.track_size - 1) // self.track_size
-
-    def split_bitmap(self) -> list[bytes]:
-        """The bitmap cut into track-sized chunks for persistence."""
-        data = self.bitmap_bytes()
-        size = self.track_size
-        return [data[i : i + size] for i in range(0, len(data), size)] or [b""]
-
-    def join_bitmap(self, chunks: Sequence[bytes]) -> bytes:
-        """Reassemble :meth:`split_bitmap` chunks."""
-        return b"".join(chunks)[: (self.track_count + 7) // 8]

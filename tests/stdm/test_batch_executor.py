@@ -335,7 +335,7 @@ class TestBindingBatch:
     def test_select_projects_columns(self):
         batch = BindingBatch.from_rows(
             [{"a": i} for i in range(6)]
-        ).select([1, 4])
+        ).select_mask([False, True, False, False, True, False], 2)
         assert batch.rows() == [{"a": 1}, {"a": 4}]
 
 

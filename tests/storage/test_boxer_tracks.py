@@ -155,10 +155,11 @@ class TestTrackManager:
         fresh.load_bitmap(saved)
         assert fresh.allocated_tracks() == tm.allocated_tracks()
 
-    def test_split_join_bitmap(self, tm):
-        tm.allocate(7)
-        chunks = tm.split_bitmap()
-        assert tm.join_bitmap(chunks) == tm.bitmap_bytes()
+    def test_bitmap_leaves_out_excluded_tracks(self, tm):
+        run = tm.allocate(7)
+        fresh = TrackManager(SimulatedDisk(DiskGeometry(track_count=32, track_size=128)))
+        fresh.load_bitmap(tm.bitmap_bytes(excluding={run[2], run[5]}))
+        assert fresh.allocated_tracks() == tm.allocated_tracks() - {run[2], run[5]}
 
     def test_read_many_deduplicates(self, tm):
         run = tm.allocate(2)
