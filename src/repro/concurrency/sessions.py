@@ -10,7 +10,13 @@ A :class:`SessionObjectManager` implements the full
 
 * reads come from the latest committed state (or the session's own
   uncommitted writes), and every element read/enumeration is recorded —
-  the Transaction Manager's "access recording";
+  the Transaction Manager's "access recording".  Reads are recorded by
+  element name (``reads``: name → the oids read under it), so a column
+  of one element goes in with one ``set.update`` of its oids;
+* a collection read "now", with no twin of it or of a member in the
+  workspace, is answered from the stable store's member column, which
+  every such session shares; the session still records the
+  enumeration and checks each member segment on every read;
 * the first write to a committed object puts a *twin* of it into the
   private workspace, so uncommitted changes never touch shared state.
   The twin borrows the object's association tables and copies one when
@@ -28,7 +34,7 @@ Uncommitted writes are provisionally stamped at ``last committed time +
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections import defaultdict
 from operator import attrgetter
 from typing import Any, Optional
 
@@ -49,6 +55,7 @@ from ..storage.linker import Creation, Write
 from .authorization import Authorizer, User
 
 _segment_of = attrgetter("segment_id")
+_oid_of = attrgetter("oid")
 
 #: what a column must hold for the bulk hooks to skip per-value checks:
 #: objects in hand (not designators still to resolve), and values whose
@@ -91,7 +98,8 @@ class SessionObjectManager(ObjectStore):
         self._transients: set[int] = set()
         self.creations: list[Creation] = []
         self.write_log: list[Write] = []
-        self.read_set: set[tuple[int, Any]] = set()
+        #: element name -> oids read under it (access recording)
+        self.reads: defaultdict[Any, set[int]] = defaultdict(set)
         self.enum_reads: set[int] = set()
         self.start_time = 0
         transaction_manager.begin(self)
@@ -149,7 +157,7 @@ class SessionObjectManager(ObjectStore):
         self._transients.clear()
         self.creations.clear()
         self.write_log.clear()
-        self.read_set.clear()
+        self.reads.clear()
         self.enum_reads.clear()
         if self.classes:
             # overlay class definitions leave scope here (abort discards
@@ -248,35 +256,46 @@ class SessionObjectManager(ObjectStore):
 
     def note_read(self, oid: int, name: Any) -> None:
         if oid not in self._created:
-            self.read_set.add((oid, name))
+            self.reads[name].add(oid)
 
     def note_enumeration(self, oid: int) -> None:
         if oid not in self._created:
             self.enum_reads.add(oid)
+
+    def read_pairs(self) -> set[tuple[int, Any]]:
+        """Every recorded element read as an (oid, element name) pair."""
+        return {(oid, name) for name, oids in self.reads.items() for oid in oids}
 
     def values_at_column(
         self, targets: list, name: Any, time: int | None = None
     ) -> list[Any]:
         if not set(map(type, targets)) <= _OBJECT_TYPES:
             return super().values_at_column(targets, name, time)
-        oids = [obj.oid for obj in targets]
+        oids = list(map(_oid_of, targets))
         workspace = self.workspace
         if workspace.keys().isdisjoint(oids):
             # no twin among them, so nothing created here either
-            self.read_set.update(zip(oids, repeat(name)))
+            self.reads[name].update(oids)
         else:
             # the session reads its own uncommitted writes
             targets = [workspace.get(obj.oid, obj) for obj in targets]
-            created = self._created
-            self.read_set.update(
-                [(oid, name) for oid in oids if oid not in created]
-            )
+            self.reads[name].update(set(oids) - self._created)
         return element_column(targets, name, self.effective_time(time))
 
     def members_of(self, target: Any, time: int | None = None) -> list[Any]:
         obj = self._resolve_target(target)
         self.note_enumeration(obj.oid)
-        return self.deref_column(live_values(obj, self.effective_time(time)))
+        time = self.effective_time(time)
+        workspace = self.workspace
+        if time is None and not self._closed and obj.oid not in workspace:
+            # the committed column every session reading "now" shares
+            column = self.store.member_column(obj, workspace.keys())
+            if column is not None:
+                if self.authorizer is not None:
+                    for segment_id in column.segments:
+                        self.authorizer.check_read(self.user, segment_id)
+                return list(column.members)
+        return self.deref_column(live_values(obj, time))
 
     # -- writes (copy-on-write twins) -----------------------------------------------
 

@@ -14,6 +14,13 @@ a :class:`~repro.errors.TransactionConflict`; the losing transaction is
 aborted (its workspace discarded) rather than made to wait, which is the
 optimistic trade the paper chose.
 
+Accesses are recorded by element name: a session's ``reads`` maps each
+name to the oids read under it, so a scan's column is one set of oids,
+and a prepared (in-doubt) transaction keeps its reads the same way.
+Validation probes each committed write ``(oid, name)`` into
+``reads[name]`` (writes are few, columns wide), unless the reads are the
+fewer.
+
 A successful commit drives the storage pipeline: Linker → (commit
 listeners, e.g. the Directory Manager) → Boxer/Commit Manager via
 ``store.persist``.
@@ -24,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import AbstractSet, Any, Callable, Mapping, Optional
 
 from ..errors import OverloadedError, StorageError, TransactionConflict
 from ..govern.backoff import CommitPolicy
@@ -33,6 +40,27 @@ from .clock import TransactionClock
 
 #: signature of a commit listener: (tx_time, dirty_objects, writes, creations)
 CommitListener = Callable[[int, list, list, list], None]
+
+
+def _read_conflicts(
+    writes: frozenset,
+    reads: Mapping[Any, AbstractSet[int]],
+    read_count: int,
+    ties_to_reads: bool = True,
+) -> set:
+    """*writes* & *reads* as (oid, name) pairs, computed as a set
+    intersection is: walk the smaller side (on a tie the reads, or the
+    writes when not *ties_to_reads*) and name each pair as it does
+    (``#salary`` or ``'salary'``).  A wide column read is probed by a
+    commit's few writes, never expanded."""
+    if read_count < len(writes) or (ties_to_reads and read_count == len(writes)):
+        return {
+            (oid, name)
+            for name, oids in reads.items()
+            for oid in oids
+            if (oid, name) in writes
+        }
+    return {(oid, name) for oid, name in writes if oid in reads.get(name, ())}
 
 
 @dataclass
@@ -64,7 +92,7 @@ class PreparedTransaction:
     new_classes: dict
     writes: frozenset  # of (oid, element name)
     written_oids: frozenset  # of oid
-    read_set: frozenset  # of (oid, element name)
+    reads: dict  # element name -> frozenset of oid
     enum_reads: frozenset  # of oid
 
 
@@ -298,7 +326,9 @@ class TransactionManager:
                 new_classes=session.new_classes(),
                 writes=frozenset((w.oid, w.name) for w in session.write_log),
                 written_oids=frozenset(w.oid for w in session.write_log),
-                read_set=frozenset(session.read_set),
+                reads={
+                    name: frozenset(oids) for name, oids in session.reads.items()
+                },
                 enum_reads=frozenset(session.enum_reads),
             )
             self._prepared[gtid] = prepared
@@ -473,10 +503,12 @@ class TransactionManager:
         """
         self.stats.validations += 1
         conflicts: set = set()
+        reads = session.reads
+        read_count = sum(map(len, reads.values()))
         for committed in self._log:
             if committed.tx_time <= session.start_time:
                 continue
-            conflicts |= committed.writes & session.read_set
+            conflicts |= _read_conflicts(committed.writes, reads, read_count)
             for oid in committed.written_oids & session.enum_reads:
                 conflicts.add((oid, "<enumeration>"))
         if self._prepared:
@@ -487,9 +519,12 @@ class TransactionManager:
                 w.oid for w in session.write_log
             )
             for prepared in self._prepared.values():
-                conflicts |= prepared.writes & session.read_set
+                conflicts |= _read_conflicts(prepared.writes, reads, read_count)
                 conflicts |= prepared.writes & session_writes
-                conflicts |= prepared.read_set & session_writes
+                count = sum(map(len, prepared.reads.values()))
+                conflicts |= _read_conflicts(
+                    session_writes, prepared.reads, count, ties_to_reads=False
+                )
                 for oid in prepared.written_oids & session.enum_reads:
                     conflicts.add((oid, "<enumeration>"))
                 for oid in session_written_oids & prepared.enum_reads:

@@ -17,7 +17,7 @@ nothing in this module ever removes an object from the store.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from ..errors import (
     ClassProtocolError,
@@ -68,6 +68,61 @@ def element_column(objects: list[GemObject], name: Any, time: int | None) -> lis
         else MISSING
         for obj in objects
     ]
+
+
+class MemberColumn(NamedTuple):
+    """A collection's dereferenced "now" members, as of its *version*
+    (read before the members were) and the *generation* of the cache
+    they were looked up in; where the builder records them, the
+    members' oids as a set and their distinct segments in row order."""
+
+    owner: GemObject
+    version: int
+    generation: int
+    members: list
+    oids: frozenset = frozenset()
+    segments: tuple = ()
+
+
+class MemberColumns:
+    """Member columns of large collections, one per collection oid.
+
+    A column answers only for the very collection object it was built
+    from, at the same ``GemObject.version`` — bumped by every element
+    write, so direct ``GemObject.bind`` writers (the commit Linker, shard
+    workers) invalidate it without a hook — and the same generation.
+    What is held is bounded by members, not columns: past :attr:`bound`
+    every column is dropped.
+    """
+
+    #: columns below this size aren't worth keeping
+    floor = 32
+    #: ≈ 41 B a member with its oid set (tracemalloc): ≈ 2.6 MiB in all
+    bound = 1 << 16
+
+    def __init__(self) -> None:
+        self._columns: dict[int, MemberColumn] = {}
+        self._held = 0
+
+    def get(self, obj: GemObject, generation: int = 0) -> Optional[MemberColumn]:
+        """The column built from *obj* as it is now, or ``None``."""
+        column = self._columns.get(obj.oid)
+        if column is None or column.owner is not obj:
+            return None
+        return column if column[1:3] == (obj.version, generation) else None
+
+    def put(self, column: MemberColumn) -> MemberColumn:
+        """Keep *column* for its owner if its size is in bounds."""
+        size = len(column.members)
+        if self.floor <= size <= self.bound:
+            old = self._columns.pop(column.owner.oid, None)
+            self._held -= len(old.members) if old is not None else 0
+            if self._held + size > self.bound:
+                self._columns.clear()
+                self._held = 0
+            self._columns[column.owner.oid] = column
+            self._held += size
+        return column
 
 
 class ObjectStore:
@@ -469,9 +524,7 @@ class MemoryObjectManager(ObjectStore):
     def __init__(self, bootstrap: bool = True) -> None:
         super().__init__()
         self._objects: dict[int, GemObject] = {}
-        #: oid -> (collection object, its version, member column) — see
-        #: :meth:`members_of`
-        self._member_columns: dict[int, tuple[GemObject, int, list]] = {}
+        self._member_columns = MemberColumns()
         self._next_oid = 1
         self.now = 1
         self._read_observer: Optional[Callable[[int, Any], None]] = None
@@ -523,31 +576,18 @@ class MemoryObjectManager(ObjectStore):
         if self._write_observer is not None:
             self._write_observer(oid, name)
 
-    #: member columns below this size aren't worth caching
-    _MEMBER_COLUMN_MIN = 32
-    #: cap on cached member columns before wholesale eviction
-    _MEMBER_COLUMN_CAP = 512
-
     def members_of(self, target: Any, time: int | None = None) -> list[Any]:
-        # Large member columns are cached, validated by the collection
-        # object's write version — so direct ``GemObject.bind`` writers
-        # (the commit linker, shard workers) invalidate them without any
-        # hook.  A session has no such cache: its members change with
-        # its time dial and its workspace twins.
+        # "now" columns of large collections are kept (MemberColumns)
         if time is not None:
             return super().members_of(target, time)
         obj = self._resolve_target(target)
         self.note_enumeration(obj.oid)
-        entry = self._member_columns.get(obj.oid)
-        if entry is not None and entry[0] is obj and entry[1] == obj.version:
-            return list(entry[2])
-        out = self.deref_column(live_values(obj, None))
-        if len(out) >= self._MEMBER_COLUMN_MIN:
-            if len(self._member_columns) >= self._MEMBER_COLUMN_CAP:
-                self._member_columns.clear()
-            self._member_columns[obj.oid] = (obj, obj.version, out)
-            return list(out)
-        return out
+        column = self._member_columns.get(obj)
+        if column is None:
+            column = self._member_columns.put(MemberColumn(
+                obj, obj.version, 0, self.deref_column(live_values(obj, None))
+            ))
+        return list(column.members)
 
     def values_at_column(
         self, targets: list, name: Any, time: int | None = None

@@ -18,6 +18,8 @@ class ObjectCache:
 
     ``capacity=None`` means unbounded (the default for correctness-first
     use); benchmarks size it to model a memory budget.
+    ``generation`` changes whenever an entry leaves or is replaced, so
+    what was built from lookups (member columns) can tell it is stale.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
@@ -28,6 +30,7 @@ class ObjectCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -54,26 +57,35 @@ class ObjectCache:
         order is never consulted.
         """
         assert self.capacity is None
-        found = list(map(self._entries.get, oids))
+        found = self.peek(oids)
         self.hits += len(found) - found.count(None)
         return found
 
+    def peek(self, oids: list[int]) -> list[Optional[GemObject]]:
+        """Bulk lookup that neither counts nor refreshes recency."""
+        return list(map(self._entries.get, oids))
+
     def put(self, obj: GemObject) -> None:
         """Insert or refresh an object, evicting the LRU entry if full."""
+        if self._entries.get(obj.oid, obj) is not obj:
+            self.generation += 1
         self._entries[obj.oid] = obj
         self._entries.move_to_end(obj.oid)
         if self.capacity is not None:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+                self.generation += 1
 
     def evict(self, oid: int) -> None:
         """Drop one entry if present."""
         self._entries.pop(oid, None)
+        self.generation += 1
 
     def flush(self) -> None:
         """Drop every entry (benchmarks: force cold reads)."""
         self._entries.clear()
+        self.generation += 1
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction counters."""

@@ -40,11 +40,14 @@ from __future__ import annotations
 import struct
 import threading
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Any, Mapping, Optional, Sequence
 
 from ..core.classes import GemClass
-from ..core.object_manager import FIRST_USER_OID, ObjectStore
+from ..core.object_manager import FIRST_USER_OID, ObjectStore, live_values
+from ..core.object_manager import MemberColumn, MemberColumns
 from ..core.objects import GemObject
+from ..core.values import Ref
 from ..errors import ArchiveError, CodecError, NoSuchObject
 from .archive import ArchiveDrive, ArchiveMedia
 from .boxer import Boxer, assemble, find_fragment
@@ -68,6 +71,7 @@ from .object_table import (
 from .tracks import TrackManager
 
 _CLASS_CATALOG_PREFIX = "class:"
+_segment_of = attrgetter("segment_id")
 
 
 def blob_images(data: bytes, track_size: int) -> list[bytes]:
@@ -124,6 +128,7 @@ class StableStore(ObjectStore):
         self.table = ObjectTable()
         self.commit_manager = CommitManager(self.tracks)
         self.cache = ObjectCache(cache_capacity)
+        self._member_columns = MemberColumns()
         #: a small LRU of raw track buffers: objects sharing a track
         #: (the Boxer's clustering) cost one read, not one each
         self._track_buffers: "OrderedDict[int, bytes]" = OrderedDict()
@@ -254,6 +259,42 @@ class StableStore(ObjectStore):
                 for oid, obj in zip(oids, found)
             ]
         return found
+
+    def member_column(self, obj: GemObject, twins) -> Optional[MemberColumn]:
+        """*obj*'s committed "now" member column, one for every session.
+
+        The objects ``objects`` would give for *obj*'s live Refs, each
+        counted as a cache hit — or ``None`` for the per-row path: a
+        bounded cache (its lookup order is part of the answer), a small
+        column, a value that is no Ref, a member not in the cache (a
+        load, a pinned class, a dangling Ref) or one among *twins* (a
+        session's workspace oids).  Rebuilt when *obj* changes or a
+        cache entry leaves (an archived member, a flush).
+        """
+        cache = self.cache
+        if cache.capacity is not None:
+            return None
+        # read before what they vouch for
+        version, generation = obj.version, cache.generation
+        column = self._member_columns.get(obj, generation)
+        if column is None:
+            if len(obj.elements) < MemberColumns.floor:
+                return None
+            values = live_values(obj, None)
+            if set(map(type, values)) != {Ref}:
+                return None
+            oids = [value.oid for value in values]
+            members = cache.peek(oids)
+            if None in members:
+                return None
+            column = self._member_columns.put(MemberColumn(
+                obj, version, generation, members, frozenset(oids),
+                tuple(dict.fromkeys(map(_segment_of, members))),
+            ))
+        if not twins.isdisjoint(column.oids):
+            return None
+        cache.hits += len(column.members)
+        return column
 
     def contains(self, oid: int) -> bool:
         return (

@@ -25,6 +25,7 @@ from repro.concurrency import (
 from repro.core import GemObject, Ref
 from repro.core.object_manager import ObjectStore
 from repro.errors import (
+    ArchiveError,
     AuthorizationError,
     GemStoneError,
     NoSuchObject,
@@ -32,7 +33,7 @@ from repro.errors import (
     SessionQuotaExceeded,
 )
 from repro.govern.quota import QuotaSpec, SessionQuota
-from repro.storage import DiskGeometry, SimulatedDisk, StableStore
+from repro.storage import ArchiveMedia, DiskGeometry, SimulatedDisk, StableStore
 
 MEMBERS = 90
 SEEDS = range(4)
@@ -81,6 +82,7 @@ class World:
         loader.close()
 
         self.bag = bag.oid
+        self.payroll = payroll.segment_id
         self.members = members[1:] + [late.oid]
         self.store.cache.reset_stats()
         self.session = SessionObjectManager(
@@ -91,7 +93,7 @@ class World:
     def snapshot(self):
         s, cache = self.session, self.store.cache
         return {
-            "read_set": set(s.read_set),
+            "reads": s.read_pairs(),
             "enum_reads": set(s.enum_reads),
             "write_log": list(s.write_log),
             "creations": [c.obj.oid for c in s.creations],
@@ -206,24 +208,16 @@ def column_calls(world, rng, time):
     }
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("state", STATES)
-@pytest.mark.parametrize("capacity", (None, 64))
-@pytest.mark.parametrize("pinned", (False, True))
-def test_read_hooks_match_the_per_row_definition(seed, state, capacity, pinned):
-    def prepare(world):
-        rng = random.Random(seed)
-        STATES[state](world, rng)
-        time = rng.choice(world.times) if pinned else None
-        return rng, time
-
+def read_hook_outcomes(make_world, prepare):
+    """Every read hook, bulk against per row, after *prepare*: the
+    outcomes, ``("ok", values)`` or ``("error", type, message)``."""
+    outcomes = []
     for name in ("objects", "deref_column", "members_of"):
         def call(world, context, bulk):
             rng, time = context
             return hook(world, name, bulk)(*column_calls(world, rng, time)[name])
 
-        kind, *_ = both(lambda: World(capacity), prepare, call)
-        assert kind == "ok"
+        outcomes.append(both(make_world, prepare, call))
 
     for element in ("salary", "dept", "name", "absent"):
         for designators in (False, True):
@@ -245,8 +239,159 @@ def test_read_hooks_match_the_per_row_definition(seed, state, capacity, pinned):
                 ]
                 return hook(world, "values_at_column", bulk)(targets, element, time)
 
-            kind, *_ = both(lambda: World(capacity), prepare, call)
-            assert kind == "ok"
+            outcomes.append(both(make_world, prepare, call))
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("capacity", (None, 64))
+@pytest.mark.parametrize("pinned", (False, True))
+def test_read_hooks_match_the_per_row_definition(seed, state, capacity, pinned):
+    def prepare(world):
+        rng = random.Random(seed)
+        STATES[state](world, rng)
+        time = rng.choice(world.times) if pinned else None
+        return rng, time
+
+    outcomes = read_hook_outcomes(lambda: World(capacity), prepare)
+    assert {kind for kind, *_ in outcomes} == {"ok"}
+
+
+# -- the shared member column --------------------------------------------------
+#
+# A session reading a collection "now" takes its members from the stable
+# store's member column, built once and shared by every session.  Each
+# state below first makes that column and warms it with one scan, then
+# changes something the column must notice — or a read must refuse.
+
+
+def elsewhere(world, change):
+    """Another session makes *change* to the bag and commits it."""
+    other = SessionObjectManager(world.store, world.tm)
+    change(other, other.object(world.bag))
+    world.times.append(other.commit())
+    other.close()
+
+
+def shared(world, rng):
+    """Every member a Ref and readable, and one scan made."""
+    dba = world.auth.authenticate("DataCurator", "swordfish")
+    world.auth.grant(dba, world.payroll, "ellen", Privilege.READ)
+
+    def refs_only(other, bag):
+        for name, value in bag.items_at(None):
+            if not isinstance(value, Ref):
+                other.unbind(world.bag, name)
+
+    elsewhere(world, refs_only)
+    assert len(world.session.members_of(world.bag)) == MEMBERS
+
+
+def archived(world, rng, mounted):
+    shared(world, rng)
+    media = ArchiveMedia()
+    world.store.archive_object(rng.choice(world.members), media)
+    if mounted:
+        world.store.archive_drive.mount(media)
+
+
+def added_elsewhere(world, rng):
+    shared(world, rng)
+
+    def add(other, bag):
+        other.bind(world.bag, other.new_alias(), other.instantiate("Object", salary=-1))
+
+    elsewhere(world, add)
+
+
+def removed_elsewhere(world, rng):
+    shared(world, rng)
+
+    def remove(other, bag):
+        other.unbind(world.bag, rng.choice([name for name, _ in bag.items_at(None)]))
+
+    elsewhere(world, remove)
+
+
+def revoked(world, rng):
+    shared(world, rng)
+    dba = world.auth.authenticate("DataCurator", "swordfish")
+    world.auth.grant(dba, world.payroll, "ellen", Privilege.NONE)
+
+
+def dangling_elsewhere(world, rng):
+    shared(world, rng)
+    elsewhere(world, lambda other, bag: other.bind(world.bag, "ghost", Ref(987654)))
+
+
+def then(*steps):
+    def state(world, rng):
+        shared(world, rng)
+        for step in steps:
+            step(world, rng)
+
+    return state
+
+
+SHARED_STATES = {
+    "shared": shared,
+    "archived_unmounted": lambda world, rng: archived(world, rng, mounted=False),
+    "archived_mounted": lambda world, rng: archived(world, rng, mounted=True),
+    "flushed": then(lambda world, rng: world.store.flush_caches()),
+    "added_elsewhere": added_elsewhere,
+    "removed_elsewhere": removed_elsewhere,
+    "member_twin": then(dirty_members),
+    "collection_twin": then(dirty_collection),
+    "dial_back": then(dial_back),
+    "revoked": revoked,
+    "dangling": dangling_elsewhere,
+}
+#: the error a read of the whole bag meets in a state
+REFUSALS = {
+    "archived_unmounted": ArchiveError,
+    "revoked": AuthorizationError,
+    "dangling": NoSuchObject,
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("state", SHARED_STATES)
+@pytest.mark.parametrize("capacity", (None, 64))
+@pytest.mark.parametrize("pinned", (False, True))
+def test_the_shared_member_column_matches_the_per_row_definition(
+    seed, state, capacity, pinned
+):
+    def prepare(world):
+        rng = random.Random(seed)
+        SHARED_STATES[state](world, rng)
+        # @T: a time from before the warm scan, or the newest commit
+        time = rng.choice(world.times) if pinned else None
+        return rng, time
+
+    outcomes = read_hook_outcomes(
+        lambda: World(capacity, secret_member=True), prepare
+    )
+    if state not in REFUSALS:
+        assert {kind for kind, *_ in outcomes} == {"ok"}
+    elif not pinned:
+        assert outcomes[2][:2] == ("error", REFUSALS[state])  # members_of
+
+
+def test_only_an_unbounded_cache_shares_member_columns():
+    world = World(64, secret_member=True)
+    shared(world, random.Random(0))
+    assert world.store._member_columns._columns == {}
+    # one column for every session: a second session's scan builds none
+    world = World(secret_member=True)
+    shared(world, random.Random(0))
+    (column,) = world.store._member_columns._columns.values()
+    dba = world.auth.authenticate("DataCurator", "swordfish")
+    other = SessionObjectManager(world.store, world.tm, user=dba, authorizer=world.auth)
+    hits = world.store.cache.hits
+    assert other.members_of(world.bag) == column.members
+    assert world.store._member_columns._columns == {world.bag: column}
+    assert world.store.cache.hits - hits == MEMBERS + 1  # the members and the bag
 
 
 def test_values_come_from_the_twin_and_creations_stay_out_of_the_read_set():
@@ -257,7 +402,7 @@ def test_values_come_from_the_twin_and_creations_stay_out_of_the_read_set():
     fresh = s.instantiate("Object", salary=-6)
     stale = world.store.object(oid)
     assert s.values_at_column([stale, fresh], "salary") == [-5, -6]
-    assert s.read_set == {(oid, "salary")}
+    assert s.read_pairs() == {(oid, "salary")}
     s.bind(world.bag, s.new_alias(), fresh)
     members = s.members_of(world.bag)
     assert s.workspace[oid] in members and fresh in members

@@ -8,6 +8,7 @@ durable object the moment something persistent points at it.
 """
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -78,6 +79,104 @@ def test_the_residual_reads_of_an_indexed_select_conflict_too(db):
     with pytest.raises(TransactionConflict):
         a.commit()
     assert a.execute(indexed) == 8
+
+
+def employee_oid(session, number):
+    return session.execute(
+        f"World!employees detect: [:e | e!name = 'emp{number:02d}']"
+    ).oid
+
+
+RENAME = "(World!employees detect: [:e | e!name = 'emp{:02d}']) at: #name put: 'gone'"
+
+
+def test_a_scan_select_conflicts_with_a_later_prepared_write(db):
+    a, b = db.login(), db.login()
+    tm = db.transaction_manager
+    assert a.execute(SCAN) == 2
+    b.execute(RENAME.format(30))
+    assert tm.prepare(b.session, "g-b") is not None  # in doubt: a lock
+    a.execute("World!tally := 1")
+    with pytest.raises(TransactionConflict) as caught:
+        a.commit()
+    # the reads outnumber the writes: the pair is named as the write named it
+    assert repr(caught.value.conflicts) == repr(((employee_oid(b, 30), Symbol("name")),))
+    tm.abort_prepared("g-b")
+    a.execute(SCAN)
+    a.execute("World!tally := 1")
+    a.commit()
+
+
+def test_a_prepared_scan_select_conflicts_with_a_later_write(db):
+    a, b = db.login(), db.login()
+    tm = db.transaction_manager
+    assert a.execute(SCAN) == 2
+    a.execute("World!tally := 1")
+    assert tm.prepare(a.session, "g-a") is not None
+    b.execute(RENAME.format(30))
+    with pytest.raises(TransactionConflict) as caught:
+        b.commit()
+    assert repr(caught.value.conflicts) == repr(((employee_oid(b, 30), Symbol("name")),))
+    # what the prepared scan did not read stays free to change
+    b.execute("World!other := 1")
+    b.commit()
+    tm.commit_prepared("g-a")
+    assert b.execute("World!tally") == 1
+
+
+@pytest.mark.parametrize("read_as, write_as", (("symbol", "str"), ("str", "symbol")))
+def test_a_name_read_as_a_symbol_conflicts_with_it_written_as_a_string(
+    db, read_as, write_as
+):
+    read = {"symbol": "World at: #tally", "str": "World!tally"}
+    write = {"symbol": "World at: #tally put: 9", "str": "World!tally := 9"}
+    a, b = db.login(), db.login()
+    a.execute(read[read_as])
+    b.execute(write[write_as])
+    b.commit()
+    a.execute("World!other := 1")
+    with pytest.raises(TransactionConflict) as caught:
+        a.commit()
+    ((oid, name),) = caught.value.conflicts
+    assert name == "tally" and oid == a.execute("World").oid
+    # one read, one write: the pair is named as the reads name it
+    assert type(name) is (Symbol if read_as == "symbol" else str)
+
+
+def test_a_seeded_conflict_names_its_elements_as_the_set_intersection_did(db):
+    """Walked from the smaller side, named as that side names them."""
+    rng = random.Random(2026)
+    a, b = db.login(), db.login()
+    world = a.execute("World").oid
+    # wide reads, few writes: the writes are walked and name the pairs
+    a.execute(SCAN)
+    a.execute("World at: #tally")
+    renamed = {n: employee_oid(db.login(), n) for n in rng.sample(range(EMPLOYEES), 3)}
+    for number in renamed:
+        b.execute(RENAME.format(number))
+    b.execute("World!tally := 9")
+    b.commit()
+    a.execute("World!other := 1")
+    with pytest.raises(TransactionConflict) as caught:
+        a.commit()
+    expected = {(oid, Symbol("name")) for oid in renamed.values()} | {
+        (world, "tally")
+    }
+    assert repr(caught.value.conflicts) == repr(tuple(sorted(expected, key=repr)))
+    assert str(caught.value).startswith("validation failed on 4 element(s)")
+    # two reads, three writes: the reads are walked and name the pairs
+    a.execute("World at: #tally")
+    a.execute("World!other")
+    b.execute("World!tally := 10")
+    b.execute("World at: #other put: 2")
+    b.execute("World!x := 1")
+    b.commit()
+    a.execute("World!mine := 1")
+    with pytest.raises(TransactionConflict) as caught:
+        a.commit()
+    assert repr(caught.value.conflicts) == repr(
+        ((world, Symbol("tally")), (world, "other"))
+    )
 
 
 def test_an_unpromoted_result_never_conflicts_and_never_commits(db):

@@ -22,16 +22,25 @@ element-column comprehension — a C call, not a frame.  What must not
 grow with the row count is the Python frames: a 4 000-row scan is four
 batches to a 1 000-row scan's one, and may cost only a per-batch
 constant more.
+
+Beside the call gate, an allocation gate: a scan's access record is one
+set of oids per element name, so what a row adds to an open read-only
+transaction is a set slot (≈ 33 B), not an (oid, name) tuple as well
+(≈ 89 B).  And a warm ``members_of`` is the store's shared member
+column: no call per member, no cache lookup.
 """
 
 import cProfile
+import gc
 import pstats
 import random
+import tracemalloc
 
 import pytest
 
 from repro import GemStone
 from repro.stdm.calculus import Compare, _short_circuit
+from repro.storage.cache import ObjectCache
 
 ROWS = 4000
 SCAN = (
@@ -129,6 +138,50 @@ def test_a_scan_costs_a_constant_per_batch_not_per_row(session, small_session):
     small = profiled(small_session, SCAN.replace("emp4100", "emp0400"))
     assert (large[0], small[0]) == (2, 2)
     assert large[2] - small[2] <= 3 * FRAMES_PER_BATCH
+
+
+def test_a_warm_members_of_reads_the_shared_column(session):
+    store = session.session
+    employees = session.execute("World!employees")
+    store.members_of(employees)
+    profile = cProfile.Profile()
+    profile.enable()
+    members = store.members_of(employees)
+    profile.disable()
+    stats = pstats.Stats(profile)
+    assert len(members) == ROWS
+    # no call per member: the column was dereferenced and checked once
+    assert stats.total_calls <= 40
+    assert calls_of(stats, ObjectCache.get_hits) == 0
+
+
+def scan_bytes(session, source):
+    """Bytes a warm read-only scan leaves allocated: (while its
+    transaction is open, once ``abort()`` has ended it)."""
+    session.execute(source)
+    session.abort()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        session.execute(source)
+        during = tracemalloc.get_traced_memory()[0]
+        session.abort()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return during - before, after - before
+
+
+def test_a_scan_records_its_reads_without_a_tuple_per_row(session, small_session):
+    # 4 000 rows against 1 000: what a row adds.  A (oid, name) tuple and
+    # its set slot per row read ≈ 89 B; an oid's slot in its name's set
+    # ≈ 33 B; nothing of it outlives the transaction
+    large = scan_bytes(session, SCAN)
+    small = scan_bytes(small_session, SCAN.replace("emp4100", "emp0400"))
+    rows = ROWS - ROWS // 4
+    assert (large[0] - small[0]) / rows <= 40
+    assert (large[1] - small[1]) / rows <= 4
 
 
 def test_an_indexed_range_select_stays_under_forty_five_hundred_calls(session):

@@ -315,12 +315,12 @@ class TestAcrossStores:
             pytest.skip("the memory store records nothing")
         records = {}
         for mode in ("row", "vectorized"):
-            om.read_set.clear()
+            om.reads.clear()
             om.enum_reads.clear()
             translate(self.queries(employees)["two_steps"]).run(
                 QueryContext(om), mode=mode
             )
-            records[mode] = (set(om.read_set), set(om.enum_reads))
+            records[mode] = (om.read_pairs(), set(om.enum_reads))
         assert records["row"] == records["vectorized"]
         assert records["row"][0] and employees.oid in records["row"][1]
 

@@ -6,7 +6,7 @@ membership in one key set over that column (``calculus._fused_column``);
 every other tree by the connectives node by node.  Either way
 ``evaluate_column`` over a batch must say, row for row, what
 ``evaluate`` says of each row alone, and leave the same access records
-(``read_set``, ``enum_reads``) and the same fuel count
+(read pairs, ``enum_reads``) and the same fuel count
 (``ctx.examined``).  Nothing here is an expected value written by hand:
 the row evaluator is the oracle, and hypothesis generates
 
@@ -213,11 +213,11 @@ def bases(rows):
 
 
 def run(tree, values, when, params, batched):
-    """(truths or the error type, read_set, enum_reads, examined)."""
+    """(truths or the error type, read pairs, enum_reads, examined)."""
     session = WORLD.session
     how, time = when
     session.time_dial.set(time if how == "dial" else None)
-    session.read_set.clear()
+    session.reads.clear()
     session.enum_reads.clear()
     ctx = QueryContext(session, time if how == "query" else None, params=params)
     try:
@@ -230,7 +230,7 @@ def run(tree, values, when, params, batched):
         outcome = type(error)
     finally:
         session.time_dial.set(None)
-    return outcome, set(session.read_set), set(session.enum_reads), ctx.examined
+    return outcome, session.read_pairs(), set(session.enum_reads), ctx.examined
 
 
 def test_a_batch_answers_what_each_row_answers(monkeypatch):
