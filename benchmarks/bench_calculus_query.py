@@ -212,64 +212,6 @@ def test_declarative_cache_results_identical():
     assert report["results_identical"]
 
 
-def wide_scan_query(employees) -> SetQuery:
-    """A scan-dominated predicate: eight conjuncts over one scanned set.
-
-    Every conjunct passes almost every row, so the run time is the scan
-    plus per-row expression evaluation — exactly the shape the batch
-    executor is built for (one path read per batch, C-speed compares).
-    """
-    e, = variables("e")
-    s = e.path("Salary")
-    return SetQuery(
-        result=s,
-        binders=[(e, Const(employees))],
-        condition=(
-            (s > Const(500))
-            & (s < Const(90_000))
-            & (Const(2) * s > Const(3_000))
-            & (s + Const(100) < Const(95_000))
-            & (s >= Const(0))
-            & (s <= Const(100_000))
-            & s.ne(Const(77))
-            & (s + s > Const(2_000))
-        ),
-    )
-
-
-def scan_mode_ablation(n_employees: int, repeat: int = 5) -> dict:
-    """Row-at-a-time vs vectorized execution of the same optimized plan.
-
-    Both modes run the identical plan object shape and must return
-    byte-identical rows in the same order; only the executor changes.
-    """
-    om = MemoryObjectManager()
-    employees, _departments = acme_fragment(om, n_employees, 6)
-    query = wide_scan_query(employees)
-
-    def run(mode):
-        plan, _ = optimize(query, None)
-        return plan.run(QueryContext(om), mode=mode)
-
-    row = stopwatch(lambda: run("row"), repeat)
-    vectorized = stopwatch(lambda: run("vectorized"), repeat)
-    assert row.result == vectorized.result  # byte-identical, same order
-    speedup = (
-        row.seconds / vectorized.seconds
-        if vectorized.seconds
-        else float("inf")
-    )
-    return {
-        "name": "scan executor: row-at-a-time vs vectorized",
-        "n_employees": n_employees,
-        "rows_returned": len(row.result),
-        "row_seconds": row.seconds,
-        "vectorized_seconds": vectorized.seconds,
-        "speedup": speedup,
-        "results_identical": True,
-    }
-
-
 def company_fragment(om, n_employees: int, n_departments: int):
     """Employees with a scalar DeptName foreign key, for join shapes."""
     departments = om.instantiate("Object")
@@ -361,12 +303,6 @@ def join_mode_ablation(n_employees: int, n_departments: int,
     }
 
 
-def test_scan_mode_ablation_identical():
-    report = scan_mode_ablation(n_employees=400, repeat=2)
-    assert report["results_identical"]
-    assert report["rows_returned"] > 0
-
-
 def test_join_mode_ablation_identical():
     report = join_mode_ablation(n_employees=300, n_departments=6, repeat=2)
     assert report["results_identical"]
@@ -404,25 +340,6 @@ def main(argv=None) -> dict:
                   ratio(algebra.seconds, indexed.seconds))
     sweep.note("who wins: the directory plan, by a growing factor")
     sweep.show()
-
-    # row-at-a-time vs vectorized execution of one scan-dominated plan
-    scan_ablation = scan_mode_ablation(
-        n_employees=1_000 if smoke else 10_000, repeat=3 if smoke else 7
-    )
-    scan_table = Table(
-        "E2: scan executor ablation (same plan, row vs vectorized)",
-        ["mode", "per query (ms)", "vs row-at-a-time"],
-    )
-    scan_table.add("row-at-a-time", scan_ablation["row_seconds"] * 1e3, "1.0x")
-    scan_table.add("vectorized", scan_ablation["vectorized_seconds"] * 1e3,
-                   ratio(scan_ablation["row_seconds"],
-                         scan_ablation["vectorized_seconds"]))
-    scan_table.note(
-        f"{scan_ablation['n_employees']} employees, "
-        f"{scan_ablation['rows_returned']} rows returned, "
-        "results byte-identical in both modes"
-    )
-    scan_table.show()
 
     # join fusion: nested scan vs HashJoin vs index nested-loop
     join_ablation = join_mode_ablation(
@@ -482,7 +399,6 @@ def main(argv=None) -> dict:
                 "cached_seconds": ablation["cached_seconds"],
                 "speedup": ablation["speedup"],
             },
-            scan_ablation,
             {
                 "name": "join fusion: nested scan vs HashJoin",
                 "nested_seconds": join_ablation["nested_seconds"],
@@ -496,7 +412,6 @@ def main(argv=None) -> dict:
                 "speedup": join_ablation["index_speedup"],
             },
         ],
-        "scan_mode": scan_ablation,
         "join_fusion": join_ablation,
         "queries_per_sec_cached": ablation["queries_per_sec_cached"],
         "queries_per_sec_uncached": ablation["queries_per_sec_uncached"],

@@ -1,11 +1,11 @@
 """Check soak: every oracle in ``repro.check`` over a pinned seed range.
 
 One call to :func:`repro.check.run_soak` per seed runs the differential
-oracle (reference vs uncached vs memoized vs optimized vs vectorized
-plans), the temporal oracle (random histories vs a brute-force shadow),
-and the OCC schedule explorer (sampled interleavings replayed serially).
-The smoke configuration alone pushes 1000+ generated queries through all
-five evaluation paths; any divergence aborts the run with a
+oracle (reference vs uncached vs memoized vs optimized plans), the
+temporal oracle (random histories vs a brute-force shadow), and the OCC
+schedule explorer (sampled interleavings replayed serially).  The smoke
+configuration alone pushes 1000+ generated queries through all four
+evaluation paths; any divergence aborts the run with a
 copy-pasteable ``python -m repro.check`` reproducer.
 
 Each seed's soak is then re-run from scratch and must produce an
@@ -86,8 +86,8 @@ def main(argv=None):
         totals["reads"] += metrics["temporal_reads"]
         totals["commits"] += metrics["temporal_commits"]
         totals["problems"] += metrics["problems"]
-    table.note("five evaluation paths per query (reference, uncached, "
-               "memoized, optimized, vectorized) must agree exactly; every "
+    table.note("four evaluation paths per query (reference, uncached, "
+               "memoized, optimized) must agree exactly; every "
                "seed is re-soaked and must reproduce its digest")
     table.show()
 

@@ -60,7 +60,7 @@ def _run_differential(args) -> int:
     if report.ok:
         print(
             f"ok: seed={args.seed} case={args.case} "
-            f"{report.evaluations} evaluations agree on all five paths"
+            f"{report.evaluations} evaluations agree on all four paths"
         )
         return 0
     for mismatch in report.mismatches:

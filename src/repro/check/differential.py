@@ -1,24 +1,20 @@
-"""The five-way differential oracle over generated calculus queries.
+"""The four-way differential oracle over generated calculus queries.
 
-Every generated query is evaluated five ways at every scheduled point
+Every generated query is evaluated four ways at every scheduled point
 of its case's history:
 
 1. **reference** — the naive shadow evaluator (:mod:`.reference`);
-2. **uncached** — fresh calculus→algebra translation, no directories,
-   row-at-a-time execution;
+2. **uncached** — fresh calculus→algebra translation, no directories;
 3. **memoized** — the plan a warm production-style memo serves, keyed
-   on ``(query, store token, class epoch, directory epoch, executor
-   mode)`` exactly like :mod:`repro.opal.declarative`'s block memos;
+   on ``(query, store token, class epoch, directory epoch)`` exactly
+   like :mod:`repro.opal.declarative`'s block memos;
 4. **optimized** — a fresh :func:`~repro.stdm.optimize.best_plan`
-   (index-aware, join-fused), row-at-a-time execution;
-5. **vectorized** — the same optimized plan run through the batched
-   columnar executor (``mode="vectorized"``), so every fused/indexed
-   plan shape is also exercised batch-wise.
+   (index-aware, join-fused).
 
-All five row sets are canonicalized to sorted strings and must be
-*identical*.  Any disagreement is a :class:`Mismatch` carrying enough
-coordinates (seed, case, query, epoch) to reproduce it with
-``python -m repro.check``.
+The three plans run on the algebra's one executor.  All four row sets
+are canonicalized to sorted strings and must be *identical*.  Any
+disagreement is a :class:`Mismatch` carrying enough coordinates (seed,
+case, query, epoch) to reproduce it with ``python -m repro.check``.
 
 The memo can be constructed with ``ignore_epochs=True`` — the
 deliberately-injected staleness bug of the acceptance criteria: such a
@@ -33,14 +29,13 @@ from typing import Any, Optional
 
 from ..perf import class_epoch
 from ..perf.coherence import verify_cache_coherence
-from ..stdm.algebra import executor_mode
 from ..stdm.optimize import best_plan
 from ..stdm.translate import translate
 from .materialize import CaseEnv, canon_shadow
 from .reference import evaluate_reference
 from .spec import CaseSpec, QuerySpec, case_key
 
-PATHS = ("reference", "uncached", "memoized", "optimized", "vectorized")
+PATHS = ("reference", "uncached", "memoized", "optimized")
 
 
 class CheckFailure(AssertionError):
@@ -124,9 +119,7 @@ class PlanMemo:
         self.misses = 0
 
     def plan_for(self, env: CaseEnv, query: QuerySpec):
-        key: tuple = (
-            case_key(query), env.store.perf.store_token, executor_mode()
-        )
+        key: tuple = (case_key(query), env.store.perf.store_token)
         if not self.ignore_epochs:
             key += (class_epoch.value, env.directory_manager.epoch)
         plan = self._plans.get(key)
@@ -171,7 +164,7 @@ def _stale_plan_detail(env: CaseEnv, plan) -> str:
 def _evaluate_paths(
     env: CaseEnv, query: QuerySpec, memo: PlanMemo
 ) -> tuple[dict[str, list[str]], str]:
-    """All five row sets (canonicalized, sorted) + any staleness detail."""
+    """All four row sets (canonicalized, sorted) + any staleness detail."""
     time = env.time_of_epoch(query.at_epoch)
     reference = sorted(
         canon_shadow(row)
@@ -181,33 +174,23 @@ def _evaluate_paths(
     ctx = env.context(query.at_epoch)
     uncached = sorted(
         env.canon_real(row)
-        for row in translate(compiled).run(ctx, mode="row")
+        for row in translate(compiled).run(ctx)
     )
     memo_plan = memo.plan_for(env, query)
     memoized = sorted(
         env.canon_real(row)
-        for row in memo_plan.run(env.context(query.at_epoch), mode="row")
+        for row in memo_plan.run(env.context(query.at_epoch))
     )
     optimized_plan = best_plan(compiled, env.directory_manager)
     optimized = sorted(
         env.canon_real(row)
-        for row in optimized_plan.run(env.context(query.at_epoch), mode="row")
-    )
-    # same optimized/fused plan instance, batched columnar execution —
-    # a plan must be reusable across modes, and every plan shape the
-    # optimizer emits gets exercised both ways
-    vectorized = sorted(
-        env.canon_real(row)
-        for row in optimized_plan.run(
-            env.context(query.at_epoch), mode="vectorized"
-        )
+        for row in optimized_plan.run(env.context(query.at_epoch))
     )
     rows = {
         "reference": reference,
         "uncached": uncached,
         "memoized": memoized,
         "optimized": optimized,
-        "vectorized": vectorized,
     }
     return rows, _stale_plan_detail(env, memo_plan)
 

@@ -212,7 +212,7 @@ class ObjectStore:
 
         Semantically ``[self.deref(v) for v in values]``; the memory
         store and the session override it (a table scan, one
-        :meth:`objects` call) so the vectorized executor pays no per-row
+        :meth:`objects` call) so the batch executor pays no per-row
         method dispatch.
         """
         deref = self.deref
@@ -245,7 +245,7 @@ class ObjectStore:
         """Bulk :meth:`value_at` over a column of object designators.
 
         Semantically identical to ``[self.value_at(t, name, time) for t
-        in targets]`` — the vectorized algebra executor calls this once
+        in targets]`` — the algebra's batch executor calls this once
         per path step per batch so stores can amortize per-read overhead.
         """
         value_at = self.value_at
@@ -592,7 +592,7 @@ class MemoryObjectManager(ObjectStore):
     def values_at_column(
         self, targets: list, name: Any, time: int | None = None
     ) -> list[Any]:
-        # The hot loop of the vectorized executor.  With no workspace
+        # The hot loop of the batch executor.  With no workspace
         # twins and no time dial, value_at reduces to note_read plus a
         # history lookup.
         observer = self._read_observer

@@ -45,7 +45,6 @@ from ..stdm.calculus import (
     SetQuery,
     Var,
 )
-from ..stdm.algebra import executor_mode
 from ..stdm.optimize import best_plan
 from .bytecodes import Op
 from .nodes import BlockNode, Literal, MessageSend, PathFetch, VarRef
@@ -293,12 +292,8 @@ def try_declarative_filter(store, collection, closure, negate: bool) -> Optional
     plan_key = None
     plan_provenance = "uncached"
     if perf is not None and perf.enabled and owner_oid is not None:
-        # the executor-mode token: a plan cached under one execution
-        # mode must not silently serve another (modes differ in how a
-        # plan runs, and explain/slow-log provenance must stay truthful)
         plan_key = (
             perf.store_token, class_epoch.value, dm_epoch, negate, owner_oid,
-            executor_mode(),
         )
         plan_memo = getattr(compiled, "plan_memo", None)
         if plan_memo is None:
@@ -383,7 +378,6 @@ def _log_query(
             "negate": negate,
             "translation": translation_provenance,
             "plan_cache": plan_provenance,
-            "executor": executor_mode(),
             "outcome": outcome,
             "request_id": obs.tracer.current_request,
         }

@@ -15,14 +15,13 @@ streams of variable bindings:
 * :class:`Filter` — restriction by a calculus predicate;
 * :class:`ConstructResult` — build the output tuples.
 
-Plans execute in one of two modes.  ``"row"`` streams one dict per
-binding (the original interpreter, kept as the differential baseline);
-``"vectorized"`` — the default — streams :class:`BindingBatch` blocks of
-:data:`DEFAULT_BATCH_SIZE` rows, evaluating predicates and paths over
-whole columns via :meth:`Expr.evaluate_column` so interpreter dispatch
-is amortized out of the inner loop.  Both modes produce identical
-results, identical ``rows_out`` totals and identical fuel charges; the
-``repro.check`` differential oracle holds them to that.
+There is one executor.  Plans stream :class:`BindingBatch` blocks of at
+most :data:`DEFAULT_BATCH_SIZE` rows, evaluating predicates and paths
+over whole columns via :meth:`Expr.evaluate_column` so interpreter
+dispatch is amortized out of the inner loop; a single binding is a
+batch of one through the same code.  Plans are held to the nested-loop
+:meth:`SetQuery.evaluate` by the tests, and to the independent naive
+evaluator in :mod:`repro.check.reference` by the differential oracle.
 
 Each node counts the rows it produces, so plans self-report their work
 (the benchmarks compare scan vs. index vs. fused plans with these
@@ -41,44 +40,21 @@ from .calculus import (
     BindingBatch,
     Expr,
     QueryContext,
+    _column_on,
     _hash_key,
     _MemberIndex,
     _unmatchable,
     value_equal,
 )
 
-#: Rows per batch in vectorized mode.  Big enough to amortize the
-#: per-batch Python overhead (a few dict/list constructions), small
-#: enough that budget kills land within one batch of the row-mode point
-#: and memory stays bounded on wide joins.
+#: Rows per batch.  Big enough to amortize the per-batch Python overhead
+#: (a few dict/list constructions), small enough that budget kills land
+#: within one batch of the row that ran out and memory stays bounded on
+#: wide joins.
 DEFAULT_BATCH_SIZE = 1024
 
 #: Reserved column carrying constructed results through batch streams.
 RESULT_COLUMN = "__result__"
-
-EXECUTOR_MODES = ("row", "vectorized")
-
-_EXECUTOR_MODE = "vectorized"
-
-
-def executor_mode() -> str:
-    """The process-wide default execution mode for :meth:`Plan.run`."""
-    return _EXECUTOR_MODE
-
-
-def set_executor_mode(mode: str) -> str:
-    """Set the default execution mode; returns the previous one.
-
-    Plan caches must key on this (the ``perf`` memo keys carry an
-    executor-mode token) since the mode changes how a cached plan runs.
-    """
-    global _EXECUTOR_MODE
-    if mode not in EXECUTOR_MODES:
-        raise ValueError(f"unknown executor mode {mode!r}")
-    previous = _EXECUTOR_MODE
-    _EXECUTOR_MODE = mode
-    return previous
-
 
 _UNSET = object()
 
@@ -123,15 +99,6 @@ class Plan:
     def __init__(self) -> None:
         self.rows_out = 0
 
-    def rows(self, ctx: QueryContext) -> Iterator[dict[str, Any]]:
-        """Stream of variable bindings; subclasses implement `_rows`."""
-        for binding in self._rows(ctx):
-            self.rows_out += 1
-            yield binding
-
-    def _rows(self, ctx: QueryContext) -> Iterator[dict[str, Any]]:
-        raise NotImplementedError
-
     def batches(
         self, ctx: QueryContext, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[BindingBatch]:
@@ -144,38 +111,15 @@ class Plan:
     def _batches(
         self, ctx: QueryContext, batch_size: int
     ) -> Iterator[BindingBatch]:
-        # Fallback-to-row rule: an operator with no columnar
-        # implementation still composes in a vectorized plan by chunking
-        # its row stream.  (All built-in operators override this.)
-        buffer: list[dict[str, Any]] = []
-        for binding in self._rows(ctx):
-            buffer.append(binding)
-            if len(buffer) >= batch_size:
-                yield BindingBatch.from_rows(buffer)
-                buffer = []
-        if buffer:
-            yield BindingBatch.from_rows(buffer)
+        raise NotImplementedError
 
-    def run(self, ctx: QueryContext, mode: Optional[str] = None) -> list[Any]:
-        """Execute to completion; meaningful only on a result-producing root.
-
-        *mode* overrides the process-wide :func:`executor_mode` —
-        ``"row"`` for the one-dict-per-binding interpreter, or
-        ``"vectorized"`` for the batched executor.
-        """
-        if mode is None:
-            mode = _EXECUTOR_MODE
-        if mode == "row":
-            return [binding for binding in self.rows(ctx)]
-        if mode != "vectorized":
-            raise ValueError(f"unknown executor mode {mode!r}")
+    def run(self, ctx: QueryContext) -> list[Any]:
+        """Execute to completion: the constructed results, or the bindings
+        as dicts when the root constructs nothing."""
         results: list[Any] = []
         for batch in self.batches(ctx):
             column = batch.columns.get(RESULT_COLUMN)
-            if column is not None:
-                results.extend(column)
-            else:
-                results.extend(batch.rows())
+            results.extend(column if column is not None else batch.rows())
         return results
 
     def reset_counters(self) -> None:
@@ -203,9 +147,6 @@ class Plan:
 class Unit(Plan):
     """Yields a single empty binding — the seed of every plan."""
 
-    def _rows(self, ctx):
-        yield {}
-
     def _batches(self, ctx, batch_size):
         yield BindingBatch({}, 1)
 
@@ -226,14 +167,6 @@ class BindScan(Plan):
         self.var = var
         self.source = source
 
-    def _rows(self, ctx):
-        for binding in self.child.rows(ctx):
-            collection = self.source.evaluate(ctx, binding)
-            for member in ctx.members(collection):
-                out = dict(binding)
-                out[self.var] = member
-                yield out
-
     def _batches(self, ctx, batch_size):
         var = self.var
         source = self.source
@@ -245,7 +178,7 @@ class BindScan(Plan):
             if constant:
                 # Hoist: a constant source is materialized once per
                 # execution; fuel still charges per member *per input
-                # row*, exactly as the row-mode members() stream does.
+                # row*, as drawing each row's members would.
                 if members is None:
                     collection = source.evaluate(ctx, {})
                     members = ctx.raw_member_list(collection)
@@ -295,15 +228,6 @@ class IndexEq(Plan):
         except DirectoryError:
             return ()  # unindexable probe value: = can never hold
 
-    def _rows(self, ctx):
-        for binding in self.child.rows(ctx):
-            key = self.value.evaluate(ctx, binding)
-            for oid in self._probe_oids(ctx, key):
-                ctx.charge()  # index probes bypass members(): meter here
-                out = dict(binding)
-                out[self.var] = ctx.store.object(oid)
-                yield out
-
     def _batches(self, ctx, batch_size):
         store_objects = ctx.store.objects
         value = self.value
@@ -334,7 +258,7 @@ class IndexEq(Plan):
                 if matched:
                     take.extend([i] * len(matched))
                     values.extend(matched)
-            ctx.charge(len(values))
+            ctx.charge(len(values))  # index probes bypass members(): meter here
             yield from _expand(batch, take, self.var, values, batch_size)
 
     def children(self):
@@ -385,66 +309,39 @@ class IndexRange(Plan):
         self.include_low = include_low
         self.include_high = include_high
 
-    def _bounds(self, ctx, binding) -> Any:
-        """This row's ``(low, high)`` (None = open), or None for no rows."""
-        low = high = None
-        if self.low is not None:
-            low = self.low.evaluate(ctx, binding)
-            if low is NOVALUE or low is None:
-                return None
-        if self.high is not None:
-            high = self.high.evaluate(ctx, binding)
-            if high is NOVALUE or high is None:
-                return None
-        return low, high
+    def _bounds(self, ctx, batch) -> list:
+        """Each row's ``(low, high)`` (None = open), or None for no rows.
 
-    def _open_range(self, ctx, low, high):
-        """Start a range scan; (first_oid, rest) or None when empty/unindexable."""
+        The high bound is read only on the rows whose low bound leaves
+        them open, as a row that fails its low bound never asks for it.
+        """
+        size = batch.size
+        lows = highs = [None] * size
+        live = [True] * size
+        if self.low is not None:
+            lows = self.low.evaluate_column(ctx, batch)
+            live = [low is not NOVALUE and low is not None for low in lows]
+        if self.high is not None:
+            highs = _column_on(self.high, ctx, batch, live)
+            live = [
+                open_ and high is not NOVALUE and high is not None
+                for open_, high in zip(live, highs)
+            ]
+        return [
+            (low, high) if open_ else None
+            for open_, low, high in zip(live, lows, highs)
+        ]
+
+    def _probe(self, ctx, low, high) -> list[int]:
+        """The bracket's oids: none when it is empty or unindexable."""
         try:
             stream = self.directory.range(
                 low, high, ctx.time, self.include_low, self.include_high
             )
             first = next(stream)
         except (StopIteration, DirectoryError):
-            return None
-        return first, stream
-
-    def _rows(self, ctx):
-        store_object = ctx.store.object
-        last_bounds: Any = _UNSET
-        cached: Optional[list[int]] = None
-        for binding in self.child.rows(ctx):
-            bounds = self._bounds(ctx, binding)
-            if bounds is None:
-                continue
-            if cached is not None and _same_key(bounds, last_bounds):
-                # identical consecutive bounds reuse the previous probe
-                for oid in cached:
-                    ctx.charge()
-                    out = dict(binding)
-                    out[self.var] = store_object(oid)
-                    yield out
-                continue
-            last_bounds = bounds
-            opened = self._open_range(ctx, *bounds)
-            if opened is None:
-                cached = []
-                continue
-            first, rest = opened
-            # stream the range — rows flow (and fuel meters) as the scan
-            # advances instead of after a full materialization
-            collected = [first]
-            ctx.charge()
-            out = dict(binding)
-            out[self.var] = store_object(first)
-            yield out
-            for oid in rest:
-                collected.append(oid)
-                ctx.charge()
-                out = dict(binding)
-                out[self.var] = store_object(oid)
-                yield out
-            cached = collected
+            return []
+        return [first, *stream]
 
     def _batches(self, ctx, batch_size):
         store_objects = ctx.store.objects
@@ -453,21 +350,16 @@ class IndexRange(Plan):
         for batch in self.child.batches(ctx, batch_size):
             take: list[int] = []
             values: list[Any] = []
-            for i in range(batch.size):
-                bounds = self._bounds(ctx, batch.row(i))
+            for i, bounds in enumerate(self._bounds(ctx, batch)):
                 if bounds is None:
                     continue
                 if cached is not None and _same_key(bounds, last_bounds):
+                    # identical consecutive bounds reuse the previous probe
                     matched = cached
                 else:
                     last_bounds = bounds
-                    opened = self._open_range(ctx, *bounds)
-                    if opened is None:
-                        cached = []
-                        continue
-                    first, rest = opened
-                    matched = store_objects([first, *rest])
-                    cached = matched
+                    oids = self._probe(ctx, *bounds)
+                    matched = cached = store_objects(oids) if oids else []
                 if matched:
                     take.extend([i] * len(matched))
                     values.extend(matched)
@@ -548,7 +440,7 @@ class HashJoin(Plan):
             return ()
         hkey = _hash_key(key)
         if hkey is _UNHASHABLE:
-            # unhashable probe: row-mode semantics are a full scan
+            # unhashable probe: the nested loop's answer is a full scan
             return [m for _pos, m, k in pairs if value_equal(key, k)]
         bucket = table.get(hkey, ())
         if not fallback:
@@ -561,25 +453,13 @@ class HashJoin(Plan):
         merged = sorted([*bucket, *extra], key=lambda pm: pm[0])
         return [m for _pos, m in merged]
 
-    def _rows(self, ctx):
-        built = None
-        for binding in self.child.rows(ctx):
-            if built is None:
-                built = self._build(ctx)  # lazy: no input rows, no build
-            key = self.probe_key.evaluate(ctx, binding)
-            for member in self._matches(built, key):
-                ctx.charge()
-                out = dict(binding)
-                out[self.var] = member
-                yield out
-
     def _batches(self, ctx, batch_size):
         built = None
         last_key: Any = _UNSET
         last_matches: Optional[Sequence[Any]] = None
         for batch in self.child.batches(ctx, batch_size):
             if built is None:
-                built = self._build(ctx)
+                built = self._build(ctx)  # lazy: no input rows, no build
             keys = self.probe_key.evaluate_column(ctx, batch)
             take: list[int] = []
             values: list[Any] = []
@@ -613,11 +493,6 @@ class Filter(Plan):
         self.child = child
         self.predicate = predicate
 
-    def _rows(self, ctx):
-        for binding in self.child.rows(ctx):
-            if bool(self.predicate.evaluate(ctx, binding)):
-                yield binding
-
     def _batches(self, ctx, batch_size):
         predicate = self.predicate
         for batch in self.child.batches(ctx, batch_size):
@@ -645,16 +520,6 @@ class ConstructResult(Plan):
         super().__init__()
         self.child = child
         self.result = result
-
-    def _rows(self, ctx):
-        for binding in self.child.rows(ctx):
-            if isinstance(self.result, dict):
-                yield {
-                    label: expr.evaluate(ctx, binding)
-                    for label, expr in self.result.items()
-                }
-            else:
-                yield self.result.evaluate(ctx, binding)
 
     def _batches(self, ctx, batch_size):
         result = self.result

@@ -18,6 +18,10 @@ d.path("Budget") * 0.10``, ``d.path("Name").in_(e.path("Depts"))``,
 arbitrary Python function for the "general computations in the
 conditions" the paper wants (section 5.4).
 
+Every node has one evaluation, :meth:`Expr.evaluate_column`: the node's
+value for each row of a :class:`BindingBatch`.  :meth:`Expr.evaluate`
+of one binding is the same code over a batch of one.
+
 :meth:`SetQuery.evaluate` is the *reference* nested-loop interpreter:
 the algebra (:mod:`repro.stdm.algebra`) and the translator are tested
 for equivalence against it.
@@ -161,47 +165,28 @@ class QueryContext:
 class BindingBatch:
     """A column-oriented block of variable bindings.
 
-    The vectorized executor streams these instead of one dict per row:
-    ``columns`` maps each variable name to a parallel list of values and
-    ``size`` is the row count.  Row dicts are materialized lazily (and
-    cached) only when an expression has no columnar implementation and
-    falls back to per-row :meth:`Expr.evaluate`.
+    The executor streams these instead of one dict per row: ``columns``
+    maps each variable name to a parallel list of values and ``size`` is
+    the row count.  A single binding is a batch of one.
     """
 
-    __slots__ = ("columns", "size", "_row_cache", "_expr_cache")
+    __slots__ = ("columns", "size", "_expr_cache")
 
     def __init__(self, columns: dict[str, list], size: int) -> None:
         self.columns = columns
         self.size = size
-        self._row_cache: Optional[list] = None
         # computed columns for repeated sub-expressions (e.g. ``e!Salary``
         # appearing in several conjuncts), keyed structurally; valid for
         # this batch's lifetime because queries never write the store
         self._expr_cache: dict[tuple, list] = {}
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[dict[str, Any]]) -> "BindingBatch":
-        """Transpose row dicts into columns (all rows share one key set)."""
-        if not rows:
-            return cls({}, 0)
-        columns = {name: [row[name] for row in rows] for name in rows[0]}
-        return cls(columns, len(rows))
-
-    def row(self, index: int) -> dict[str, Any]:
-        """The *index*-th binding as a dict (cached; callers must not mutate)."""
-        cache = self._row_cache
-        if cache is None:
-            cache = self._row_cache = [None] * self.size
-        row = cache[index]
-        if row is None:
-            row = cache[index] = {
-                name: column[index] for name, column in self.columns.items()
-            }
-        return row
-
     def rows(self) -> list[dict[str, Any]]:
-        """All bindings as row dicts (row-mode compatible output)."""
-        return [self.row(i) for i in range(self.size)]
+        """All bindings as row dicts."""
+        columns = self.columns.items()
+        return [
+            {name: column[i] for name, column in columns}
+            for i in range(self.size)
+        ]
 
     def select_mask(self, mask: Sequence[bool], count: int) -> "BindingBatch":
         """A new batch keeping the rows where *mask* is set (in order).
@@ -311,24 +296,22 @@ class _MemberIndex:
 # --------------------------------------------------------------------------
 
 class Expr:
-    """Base class for calculus expressions; combinators build the AST."""
+    """Base class for calculus expressions; combinators build the AST.
+
+    Every node defines one evaluation, :meth:`evaluate_column`, over a
+    batch of bindings; :meth:`evaluate` is that evaluation over a batch
+    of one.
+    """
 
     def evaluate(self, ctx: QueryContext, bindings: dict[str, Any]) -> Any:
         """The expression's value under *bindings*."""
-        raise NotImplementedError
+        batch = BindingBatch({name: [v] for name, v in bindings.items()}, 1)
+        return self.evaluate_column(ctx, batch)[0]
 
     def evaluate_column(self, ctx: QueryContext,
                         batch: "BindingBatch") -> list[Any]:
-        """The expression's value for every row of *batch*, as one list.
-
-        The default falls back to per-row :meth:`evaluate`, which keeps
-        fuel charging and short-circuit semantics bit-identical for the
-        node types that meter their own work (``In``/``Subset``/
-        ``Exists``/``ForAll``).  Pure node types override this with loops
-        that hoist dispatch out of the row.
-        """
-        evaluate = self.evaluate
-        return [evaluate(ctx, batch.row(i)) for i in range(batch.size)]
+        """The expression's value for every row of *batch*, as one list."""
+        raise NotImplementedError
 
     def const_value(self, ctx: QueryContext) -> tuple[bool, Any]:
         """``(True, value)`` when this expression is row-independent.
@@ -414,9 +397,6 @@ class Const(Expr):
 
     value: Any
 
-    def evaluate(self, ctx, bindings):
-        return self.value
-
     def evaluate_column(self, ctx, batch):
         return [self.value] * batch.size
 
@@ -460,9 +440,6 @@ class Param(Expr):
 
     slot: int
 
-    def evaluate(self, ctx, bindings):
-        return ctx.params[self.slot]
-
     def evaluate_column(self, ctx, batch):
         return [ctx.params[self.slot]] * batch.size
 
@@ -484,11 +461,6 @@ class Var(Expr):
     """A calculus variable, bound by a binder."""
 
     name: str
-
-    def evaluate(self, ctx, bindings):
-        if self.name not in bindings:
-            raise CalculusError(f"unbound variable {self.name!r}")
-        return bindings[self.name]
 
     def evaluate_column(self, ctx, batch):
         column = batch.columns.get(self.name)
@@ -519,21 +491,6 @@ class PathApply(Expr):
             self._column_key = base._column_key + (str(self.path_expr),)
         else:
             self._column_key = None
-
-    def evaluate(self, ctx, bindings):
-        start = self.base.evaluate(ctx, bindings)
-        if start is NOVALUE:
-            return NOVALUE
-        current = ctx.store.deref(start) if isinstance(start, Ref) else start
-        for step in self.path_expr.steps:
-            if not isinstance(current, (GemObject, Ref)):
-                return NOVALUE
-            time = step.at if step.at is not None else ctx.time
-            value = ctx.store.value_at(current, step.name, time)
-            if value is MISSING:
-                return NOVALUE
-            current = ctx.store.deref(value)
-        return current
 
     def evaluate_column(self, ctx, batch):
         key = self._column_key
@@ -611,75 +568,13 @@ class BinOp(Expr):
         "/": operator.truediv,
     }
 
-    def evaluate(self, ctx, bindings):
-        left = self.left.evaluate(ctx, bindings)
-        right = self.right.evaluate(ctx, bindings)
-        if left is NOVALUE or right is NOVALUE:
-            return NOVALUE
-        return self._FUNCTIONS[self.op](left, right)
-
     def evaluate_column(self, ctx, batch):
-        fn = self._FUNCTIONS[self.op]
-        l_const, l_value = self.left.const_value(ctx)
-        r_const, r_value = self.right.const_value(ctx)
-        if l_const and r_const:
-            value = (
-                NOVALUE if (l_value is NOVALUE or r_value is NOVALUE)
-                else fn(l_value, r_value)
-            )
+        constant, value = self.const_value(ctx)
+        if constant:
             return [value] * batch.size
-        op = self.op
-        if r_const and r_value is not NOVALUE:
-            left = self.left.evaluate_column(ctx, batch)
-            r = r_value
-            # explicit per-op loops: an inline BINARY_OP beats a C-level
-            # function call in the innermost loop; columns with no
-            # NOVALUE (one C-speed type pass) also drop the row guard
-            if _NoValue not in set(map(type, left)):
-                if op == "+":
-                    return [a + r for a in left]
-                if op == "-":
-                    return [a - r for a in left]
-                if op == "*":
-                    return [a * r for a in left]
-                return [fn(a, r) for a in left]
-            if op == "+":
-                return [NOVALUE if a is NOVALUE else a + r for a in left]
-            if op == "-":
-                return [NOVALUE if a is NOVALUE else a - r for a in left]
-            if op == "*":
-                return [NOVALUE if a is NOVALUE else a * r for a in left]
-            return [NOVALUE if a is NOVALUE else fn(a, r) for a in left]
-        if l_const and l_value is not NOVALUE:
-            right = self.right.evaluate_column(ctx, batch)
-            lv = l_value
-            if _NoValue not in set(map(type, right)):
-                if op == "+":
-                    return [lv + b for b in right]
-                if op == "-":
-                    return [lv - b for b in right]
-                if op == "*":
-                    return [lv * b for b in right]
-                return [fn(lv, b) for b in right]
-            if op == "+":
-                return [NOVALUE if b is NOVALUE else lv + b for b in right]
-            if op == "-":
-                return [NOVALUE if b is NOVALUE else lv - b for b in right]
-            if op == "*":
-                return [NOVALUE if b is NOVALUE else lv * b for b in right]
-            return [NOVALUE if b is NOVALUE else fn(lv, b) for b in right]
+        fn = self._FUNCTIONS[self.op]
         left = self.left.evaluate_column(ctx, batch)
         right = self.right.evaluate_column(ctx, batch)
-        if _NoValue not in set(map(type, left)) and _NoValue not in set(
-            map(type, right)
-        ):
-            if op == "+":
-                return [a + b for a, b in zip(left, right)]
-            if op == "-":
-                return [a - b for a, b in zip(left, right)]
-            if op == "*":
-                return [a * b for a, b in zip(left, right)]
-            return [fn(a, b) for a, b in zip(left, right)]
         return [
             NOVALUE if (a is NOVALUE or b is NOVALUE) else fn(a, b)
             for a, b in zip(left, right)
@@ -697,7 +592,7 @@ class BinOp(Expr):
         try:
             return (True, self._FUNCTIONS[self.op](l_value, r_value))
         except Exception:
-            # let the generic path raise row-by-row, as row mode would
+            # the row loop raises it, on the first row it reaches
             return (False, None)
 
     def free_vars(self):
@@ -715,28 +610,10 @@ class Compare(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, ctx, bindings):
-        left = self.left.evaluate(ctx, bindings)
-        right = self.right.evaluate(ctx, bindings)
-        if self.op == "==":
-            return value_equal(left, right)
-        if self.op == "!=":
-            if left is NOVALUE or right is NOVALUE:
-                return False
-            return not value_equal(left, right)
-        if left is NOVALUE or right is NOVALUE:
-            return False
-        if self.op == "<":
-            return left < right
-        if self.op == "<=":
-            return left <= right
-        if self.op == ">":
-            return left > right
-        if self.op == ">=":
-            return left >= right
-        raise CalculusError(f"unknown comparison {self.op!r}")
-
-    _ORDERINGS = {
+    #: each comparison's test on two values that both have one
+    _TESTS = {
+        "==": value_equal,
+        "!=": lambda a, b: not value_equal(a, b),
         "<": operator.lt,
         "<=": operator.le,
         ">": operator.gt,
@@ -745,87 +622,25 @@ class Compare(Expr):
 
     def evaluate_column(self, ctx, batch):
         op = self.op
-        r_const, r_value = self.right.const_value(ctx)
-        if r_const:
-            left = self.left.evaluate_column(ctx, batch)
-            # one C-speed type pass tells us whether any row needs
-            # identity/NOVALUE semantics; plain columns then compare
-            # with a bare operator instead of per-row ``value_equal``
-            left_types = set(map(type, left))
-            plain = not (left_types & _IDENTITY_TYPES) and not (
-                isinstance(r_value, (GemObject, Ref)) or r_value is NOVALUE
-            )
-            r = r_value
-            if op == "==":
-                if plain:
-                    return [a == r for a in left]
-                return [value_equal(a, r_value) for a in left]
-            if op == "!=":
-                if r_value is NOVALUE:
-                    return [False] * batch.size
-                if plain:
-                    return [not (a == r) for a in left]
-                return [
-                    a is not NOVALUE and not value_equal(a, r_value)
-                    for a in left
-                ]
-            if op not in self._ORDERINGS:
-                raise CalculusError(f"unknown comparison {op!r}")
-            if r_value is NOVALUE:
-                return [False] * batch.size
-            # explicit per-op loops: an inline COMPARE_OP beats a C-level
-            # function call in the innermost loop
-            if _NoValue not in left_types:
-                if op == ">":
-                    return [a > r for a in left]
-                if op == "<":
-                    return [a < r for a in left]
-                if op == ">=":
-                    return [a >= r for a in left]
-                return [a <= r for a in left]
-            if op == ">":
-                return [False if a is NOVALUE else a > r for a in left]
-            if op == "<":
-                return [False if a is NOVALUE else a < r for a in left]
-            if op == ">=":
-                return [False if a is NOVALUE else a >= r for a in left]
-            return [False if a is NOVALUE else a <= r for a in left]
-        l_const, l_value = self.left.const_value(ctx)
-        if l_const:
-            right = self.right.evaluate_column(ctx, batch)
-            if op == "==":
-                return [value_equal(l_value, b) for b in right]
-            if op == "!=":
-                if l_value is NOVALUE:
-                    return [False] * batch.size
-                return [
-                    b is not NOVALUE and not value_equal(l_value, b)
-                    for b in right
-                ]
-            fn = self._ORDERINGS.get(op)
-            if fn is None:
-                raise CalculusError(f"unknown comparison {op!r}")
-            if l_value is NOVALUE:
-                return [False] * batch.size
-            return [
-                False if b is NOVALUE else fn(l_value, b) for b in right
-            ]
-        left = self.left.evaluate_column(ctx, batch)
-        right = self.right.evaluate_column(ctx, batch)
-        if op == "==":
-            return [value_equal(a, b) for a, b in zip(left, right)]
-        if op == "!=":
-            return [
-                False
-                if (a is NOVALUE or b is NOVALUE)
-                else not value_equal(a, b)
-                for a, b in zip(left, right)
-            ]
-        fn = self._ORDERINGS.get(op)
-        if fn is None:
+        test = self._TESTS.get(op)
+        if test is None:
             raise CalculusError(f"unknown comparison {op!r}")
+        left = self.left.evaluate_column(ctx, batch)
+        constant, r = self.right.const_value(ctx)
+        if (
+            constant and op in ("==", "!=")
+            and not (isinstance(r, (GemObject, Ref)) or r is NOVALUE)
+            and not set(map(type, left)) & _IDENTITY_TYPES
+        ):
+            # one C-speed type pass says no row needs identity or
+            # no-value semantics: a bare operator instead of per-row
+            # ``value_equal``
+            if op == "==":
+                return [a == r for a in left]
+            return [not (a == r) for a in left]
+        right = self.right.evaluate_column(ctx, batch)
         return [
-            False if (a is NOVALUE or b is NOVALUE) else fn(a, b)
+            False if (a is NOVALUE or b is NOVALUE) else test(a, b)
             for a, b in zip(left, right)
         ]
 
@@ -843,14 +658,17 @@ class In(Expr):
     member: Expr
     collection: Expr
 
-    def evaluate(self, ctx, bindings):
-        member = self.member.evaluate(ctx, bindings)
-        if member is NOVALUE:
-            return False
-        collection = self.collection.evaluate(ctx, bindings)
-        if collection is NOVALUE:
-            return False
-        return any(value_equal(member, m) for m in ctx.members(collection))
+    def evaluate_column(self, ctx, batch):
+        # the collection is read only where the member has a value; each
+        # row's walk stops at its first match, charging what it drew
+        members = self.member.evaluate_column(ctx, batch)
+        live = [member is not NOVALUE for member in members]
+        collections = _column_on(self.collection, ctx, batch, live)
+        return [
+            open_ and collection is not NOVALUE
+            and any(value_equal(member, m) for m in ctx.members(collection))
+            for open_, member, collection in zip(live, members, collections)
+        ]
 
     def free_vars(self):
         return self.member.free_vars() | self.collection.free_vars()
@@ -867,22 +685,43 @@ class Subset(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, ctx, bindings):
-        left = self.left.evaluate(ctx, bindings)
-        right = self.right.evaluate(ctx, bindings)
-        if left is NOVALUE or right is NOVALUE:
-            return False
-        right_members = list(ctx.members(right))
-        return all(
-            any(value_equal(m, r) for r in right_members)
-            for m in ctx.members(left)
-        )
+    def evaluate_column(self, ctx, batch):
+        # per row, the right side is drawn whole, the left one until a
+        # member is missing from it
+        out = []
+        for left, right in zip(self.left.evaluate_column(ctx, batch),
+                               self.right.evaluate_column(ctx, batch)):
+            if left is NOVALUE or right is NOVALUE:
+                out.append(False)
+                continue
+            right_members = list(ctx.members(right))
+            out.append(all(
+                any(value_equal(m, r) for r in right_members)
+                for m in ctx.members(left)
+            ))
+        return out
 
     def free_vars(self):
         return self.left.free_vars() | self.right.free_vars()
 
     def __repr__(self) -> str:
         return f"({self.left!r} ⊆ {self.right!r})"
+
+
+def _column_on(expr: Expr, ctx, batch, mask: list) -> list:
+    """*expr*'s column over the rows where *mask* is set, None elsewhere:
+    the other rows are never evaluated, so they read and charge nothing."""
+    count = sum(mask)
+    if count == batch.size:
+        return expr.evaluate_column(ctx, batch)
+    column = [None] * batch.size
+    if count:
+        values = expr.evaluate_column(ctx, batch.select_mask(mask, count))
+        deque(
+            map(column.__setitem__, compress(range(batch.size), mask), values),
+            maxlen=0,
+        )
+    return column
 
 
 def _short_circuit(ctx, batch, left: list, right: Expr, conjunction: bool):
@@ -916,11 +755,6 @@ class And(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, ctx, bindings):
-        return bool(self.left.evaluate(ctx, bindings)) and bool(
-            self.right.evaluate(ctx, bindings)
-        )
-
     def evaluate_column(self, ctx, batch):
         left = self.left.evaluate_column(ctx, batch)
         return _short_circuit(ctx, batch, left, self.right, True)
@@ -938,11 +772,6 @@ class Or(Expr):
 
     left: Expr
     right: Expr
-
-    def evaluate(self, ctx, bindings):
-        return bool(self.left.evaluate(ctx, bindings)) or bool(
-            self.right.evaluate(ctx, bindings)
-        )
 
     #: what the tree fuses to, decided once per node (plans are cached)
     _kernel = cached_property(lambda self: _kernel_shape(self))
@@ -966,9 +795,6 @@ class Not(Expr):
     """Negation."""
 
     operand: Expr
-
-    def evaluate(self, ctx, bindings):
-        return not bool(self.operand.evaluate(ctx, bindings))
 
     #: what the tree fuses to, decided once per node (plans are cached)
     _kernel = cached_property(lambda self: _kernel_shape(self))
@@ -997,7 +823,7 @@ class Not(Expr):
 # instead membership in one key set over that column.
 #
 # The column is the one the tree's leftmost comparison reads for the
-# whole batch in the interpreted evaluation, and every other comparison
+# whole batch in the node-by-node evaluation, and every other comparison
 # would read it from the batch's column cache, so reads, read sets and
 # fuel are the same by construction (comparisons charge nothing).  Any
 # other tree, column or constant falls through to the node-by-node
@@ -1026,8 +852,8 @@ def _column_term(node: Expr):
     row-independent *side*, either way round; else None."""
     if type(node) is not Compare or node.op != "==":
         return None
-    # the column is the side Compare.evaluate_column reads: the left one
-    # unless the right is not constant
+    # the column is the path side: the other one, when the kernel takes
+    # it, is a constant and reads nothing
     for column, side in ((node.left, node.right), (node.right, node.left)):
         if (
             isinstance(column, PathApply)
@@ -1081,7 +907,56 @@ def _fused_column(node: Expr, ctx, batch) -> Optional[list]:
     return list(map(operator.not_, truth)) if negated else truth
 
 
-class Exists(Expr):
+class _Quantifier(Expr):
+    """``var ∈ source: condition`` under ∃ or ∀.
+
+    The source is read as a column; each row then walks its members one
+    at a time, evaluating the condition on a batch of one (that row's
+    bindings plus *var*), and stops at the first member that decides
+    the row — so a row charges, and reads, only the members it reached.
+    """
+
+    #: ∀: the answer on a no-value or exhausted source, and the truth
+    #: each member must keep for the walk to go on
+    universal: bool
+    symbol: str
+
+    def __init__(self, var: "str | Var", source: "Expr | Any",
+                 condition: Expr) -> None:
+        self.var = var.name if isinstance(var, Var) else var
+        self.source = as_expr(source)
+        self.condition = condition
+
+    def evaluate_column(self, ctx, batch):
+        universal = self.universal
+        condition = self.condition
+        columns = batch.columns
+        out = []
+        for i, collection in enumerate(self.source.evaluate_column(ctx, batch)):
+            answer = universal
+            if collection is not NOVALUE:
+                row = {name: [column[i]] for name, column in columns.items()}
+                for member in ctx.members(collection):
+                    row[self.var] = [member]
+                    inner = BindingBatch(row, 1)
+                    if bool(condition.evaluate_column(ctx, inner)[0]) != universal:
+                        answer = not universal
+                        break
+            out.append(answer)
+        return out
+
+    def free_vars(self):
+        return self.source.free_vars() | (
+            self.condition.free_vars() - {self.var}
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"({self.symbol}{self.var} ∈ {self.source!r} [{self.condition!r}])"
+        )
+
+
+class Exists(_Quantifier):
     """∃ var ∈ source: condition — an expression-level subquery.
 
     The paper's calculus brackets (``(d ∈ X!Departments)[…]``) quantify
@@ -1090,59 +965,15 @@ class Exists(Expr):
     result multiplicity.
     """
 
-    def __init__(self, var: "str | Var", source: "Expr | Any",
-                 condition: Expr) -> None:
-        self.var = var.name if isinstance(var, Var) else var
-        self.source = as_expr(source)
-        self.condition = condition
-
-    def evaluate(self, ctx, bindings):
-        collection = self.source.evaluate(ctx, bindings)
-        if collection is NOVALUE:
-            return False
-        inner = dict(bindings)
-        for member in ctx.members(collection):
-            inner[self.var] = member
-            if bool(self.condition.evaluate(ctx, inner)):
-                return True
-        return False
-
-    def free_vars(self):
-        return self.source.free_vars() | (
-            self.condition.free_vars() - {self.var}
-        )
-
-    def __repr__(self) -> str:
-        return f"(∃{self.var} ∈ {self.source!r} [{self.condition!r}])"
+    universal = False
+    symbol = "∃"
 
 
-class ForAll(Expr):
+class ForAll(_Quantifier):
     """∀ var ∈ source: condition (vacuously true on an empty source)."""
 
-    def __init__(self, var: "str | Var", source: "Expr | Any",
-                 condition: Expr) -> None:
-        self.var = var.name if isinstance(var, Var) else var
-        self.source = as_expr(source)
-        self.condition = condition
-
-    def evaluate(self, ctx, bindings):
-        collection = self.source.evaluate(ctx, bindings)
-        if collection is NOVALUE:
-            return True
-        inner = dict(bindings)
-        for member in ctx.members(collection):
-            inner[self.var] = member
-            if not bool(self.condition.evaluate(ctx, inner)):
-                return False
-        return True
-
-    def free_vars(self):
-        return self.source.free_vars() | (
-            self.condition.free_vars() - {self.var}
-        )
-
-    def __repr__(self) -> str:
-        return f"(∀{self.var} ∈ {self.source!r} [{self.condition!r}])"
+    universal = True
+    symbol = "∀"
 
 
 class Apply(Expr):
@@ -1157,12 +988,6 @@ class Apply(Expr):
         self.function = function
         self.args = tuple(as_expr(a) for a in args)
         self.label = label or getattr(function, "__name__", "fn")
-
-    def evaluate(self, ctx, bindings):
-        values = [a.evaluate(ctx, bindings) for a in self.args]
-        if any(v is NOVALUE for v in values):
-            return NOVALUE
-        return self.function(*values)
 
     def evaluate_column(self, ctx, batch):
         function = self.function

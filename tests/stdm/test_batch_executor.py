@@ -1,10 +1,13 @@
-"""The batched columnar executor: equivalence, accounting, and modes.
+"""The batch executor: results, accounting, and the stores it runs on.
 
-Every plan must produce byte-identical results under ``mode="row"`` and
-``mode="vectorized"``, with identical ``rows_out`` counters, identical
-``explain()`` output shapes, and identical fuel charges — batching is an
-execution strategy, never a semantics change.
+There is one executor, and a plan's answer is what the nested-loop
+reference :meth:`SetQuery.evaluate` says on the same store.  Its row
+counters, ``explain()`` and fuel are the numbers the fixture implies:
+an operator emits the members that pass every predicate at or below it,
+and a plan is charged one unit per member it draws.
 """
+
+from functools import reduce
 
 import pytest
 
@@ -14,27 +17,29 @@ from repro.directories import DirectoryManager
 from repro.storage import DiskGeometry, SimulatedDisk, StableStore
 from repro.stdm import (
     BindingBatch,
+    BindScan,
     Const,
+    ConstructResult,
+    Filter,
+    IndexRange,
     QueryContext,
     SetQuery,
+    Unit,
     deduplicate,
     difference,
-    executor_mode,
     intersection,
     optimize,
-    set_executor_mode,
     translate,
     union,
     variables,
 )
 from repro.stdm.algebra import DEFAULT_BATCH_SIZE, collect_operators
+from repro.stdm.calculus import And
 
 
-def run_modes(query, om, dm=None, time=None):
-    """The same query through fresh plans in both executor modes."""
-    row = translate(query).run(QueryContext(om, time, dm), mode="row")
-    vec = translate(query).run(QueryContext(om, time, dm), mode="vectorized")
-    return row, vec
+def plan_and_reference(query, om):
+    """*query* through a fresh plan, and through the reference."""
+    return translate(query).run(QueryContext(om)), query.evaluate(QueryContext(om))
 
 
 def big_collection(om, count, *, every=1):
@@ -46,41 +51,6 @@ def big_collection(om, count, *, every=1):
             om.bind(emp, "Bonus", i)
         om.bind(employees, om.new_alias(), emp)
     return employees
-
-
-class TestModeSwitch:
-    def test_default_is_vectorized(self):
-        assert executor_mode() == "vectorized"
-
-    def test_set_returns_previous_and_restores(self):
-        previous = set_executor_mode("row")
-        try:
-            assert previous == "vectorized"
-            assert executor_mode() == "row"
-        finally:
-            set_executor_mode(previous)
-        assert executor_mode() == "vectorized"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_executor_mode("simd")
-        with pytest.raises(ValueError):
-            e, = variables("e")
-            q = SetQuery(result=e, binders=[(e, Const([1]))])
-            translate(q).run(QueryContext(MemoryObjectManager()), mode="gpu")
-
-    def test_global_mode_drives_run(self, acme):
-        e, = variables("e")
-        query = SetQuery(
-            result=e.path("Name!Last"), binders=[(e, Const(acme.employees))]
-        )
-        previous = set_executor_mode("row")
-        try:
-            row_default = translate(query).run(QueryContext(acme.om))
-        finally:
-            set_executor_mode(previous)
-        vec_default = translate(query).run(QueryContext(acme.om))
-        assert row_default == vec_default
 
 
 class TestEquivalence:
@@ -98,9 +68,12 @@ class TestEquivalence:
                 & (e.path("Salary") > Const(0.10) * d.path("Budget"))
             ),
         )
-        row, vec = run_modes(query, acme.om)
-        assert row == vec
-        assert row == query.evaluate(QueryContext(acme.om))
+        plan, reference = plan_and_reference(query, acme.om)
+        assert plan == reference == [
+            {"Emp": "Peters", "Mgr": "Nathen"},
+            {"Emp": "Peters", "Mgr": "Roberts"},
+            {"Emp": "Earner", "Mgr": "Carter"},
+        ]
 
     def test_missing_elements_yield_novalue_in_batches(self, acme):
         om = MemoryObjectManager()
@@ -111,9 +84,8 @@ class TestEquivalence:
             binders=[(e, Const(employees))],
             condition=(e.path("Bonus") > 30),  # NOVALUE on 2/3 of rows
         )
-        row, vec = run_modes(query, om)
-        assert row == vec
-        assert row == query.evaluate(QueryContext(om))
+        plan, reference = plan_and_reference(query, om)
+        assert plan == reference == [330, 360, 390]
 
     def test_multiple_batches(self):
         om = MemoryObjectManager()
@@ -124,9 +96,9 @@ class TestEquivalence:
             binders=[(e, Const(employees))],
             condition=(e.path("Rank").eq(3)),
         )
-        row, vec = run_modes(query, om)
-        assert row == vec
-        assert len(row) == (DEFAULT_BATCH_SIZE + 40 + 3) // 7
+        plan, reference = plan_and_reference(query, om)
+        assert plan == reference
+        assert len(plan) == (DEFAULT_BATCH_SIZE + 40 + 3) // 7
 
     def test_boolean_connectives_preserve_semantics(self):
         om = MemoryObjectManager()
@@ -140,9 +112,11 @@ class TestEquivalence:
                 | e.path("Salary").eq(0)
             ),
         )
-        row, vec = run_modes(query, om)
-        assert row == vec
-        assert row == query.evaluate(QueryContext(om))
+        plan, reference = plan_and_reference(query, om)
+        assert plan == reference
+        assert plan[0] == 0 and len(plan) == 1 + sum(
+            1 for i in range(12, 50, 4) if i % 7 > 2
+        )
 
     def test_dict_results_batched(self, acme):
         e, = variables("e")
@@ -150,32 +124,30 @@ class TestEquivalence:
             result={"last": e.path("Name!Last"), "pay": e.path("Salary")},
             binders=[(e, Const(acme.employees))],
         )
-        row, vec = run_modes(query, acme.om)
-        assert row == vec
-        assert all(set(r) == {"last", "pay"} for r in vec)
+        plan, reference = plan_and_reference(query, acme.om)
+        assert plan == reference
+        assert [row["last"] for row in plan] == ["Burns", "Peters", "Earner"]
 
 
 class TestAccounting:
     def test_rows_out_identical_across_modes(self, acme):
         e, d = variables("e", "d")
-
-        def build():
-            return SetQuery(
-                result=e.path("Name!Last"),
-                binders=[
-                    (e, Const(acme.employees)), (d, Const(acme.departments))
-                ],
-                condition=(e.path("Salary") > 24000) & (d.path("Budget") > 0),
-            )
-
-        row_plan = translate(build())
-        row_plan.run(QueryContext(acme.om), mode="row")
-        vec_plan = translate(build())
-        vec_plan.run(QueryContext(acme.om), mode="vectorized")
-        row_counts = [op.rows_out for op in collect_operators(row_plan)]
-        vec_counts = [op.rows_out for op in collect_operators(vec_plan)]
-        assert row_counts == vec_counts
-        assert row_plan.explain() == vec_plan.explain()
+        query = SetQuery(
+            result=e.path("Name!Last"),
+            binders=[(e, Const(acme.employees)), (d, Const(acme.departments))],
+            condition=(e.path("Salary") > 24000) & (d.path("Budget") > 0),
+        )
+        plan = translate(query)
+        plan.run(QueryContext(acme.om))
+        staff = acme.om.members_of(acme.employees)
+        rich = sum(1 for emp in staff if acme.om.value_at(emp, "Salary") > 24000)
+        departments = len(acme.om.members_of(acme.departments))
+        # root first: Construct, Filter d, BindScan d, Filter e, BindScan e, Unit
+        assert [op.rows_out for op in collect_operators(plan)] == [
+            rich * departments, rich * departments, rich * departments,
+            rich, len(staff), 1,
+        ] == [4, 4, 4, 2, 3, 1]
+        assert plan.explain().splitlines()[-1] == "          Unit  [rows_out=1]"
 
     def test_fuel_charges_identical_across_modes(self):
         om = MemoryObjectManager()
@@ -187,11 +159,12 @@ class TestAccounting:
             binders=[(e, Const(employees)), (d, Const(departments))],
             condition=(e.path("Rank") > d.path("Rank")),
         )
-        row_ctx = QueryContext(om)
-        translate(query).run(row_ctx, mode="row")
-        vec_ctx = QueryContext(om)
-        translate(query).run(vec_ctx, mode="vectorized")
-        assert row_ctx.examined == vec_ctx.examined > 0
+        plan_ctx = QueryContext(om)
+        translate(query).run(plan_ctx)
+        reference_ctx = QueryContext(om)
+        query.evaluate(reference_ctx)
+        # every employee drawn once, every department once per employee
+        assert plan_ctx.examined == reference_ctx.examined == 30 + 30 * 5
 
     def test_index_scan_batched_matches_row(self, acme):
         om = MemoryObjectManager()
@@ -204,12 +177,11 @@ class TestAccounting:
             binders=[(e, Const(employees))],
             condition=(e.path("Salary") > 400),
         )
-        plan_row, _ = optimize(query, dm)
-        plan_vec, _ = optimize(query, dm)
-        row = plan_row.run(QueryContext(om, None, dm), mode="row")
-        vec = plan_vec.run(QueryContext(om, None, dm), mode="vectorized")
-        assert sorted(row) == sorted(vec)
-        assert plan_row.rows_out == plan_vec.rows_out
+        plan, _ = optimize(query, dm)
+        ctx = QueryContext(om, None, dm)
+        rows = plan.run(ctx)
+        assert sorted(rows) == sorted(query.evaluate(QueryContext(om)))
+        assert plan.rows_out == ctx.examined == len(rows) == 60 - 41
 
 
 def _memory_store():
@@ -233,7 +205,7 @@ STORES = {
 
 @pytest.fixture(params=STORES)
 def company(request):
-    """(store, index store, employees) — the same data on each store.
+    """(store, index store, employees, kind) — the same data on each store.
 
     A session's copy is committed (the directory indexes committed
     state); the dirty one then rewrites members, and the collection, in
@@ -253,17 +225,44 @@ def company(request):
             om.bind(emp, "Rank", None)
         om.bind(employees, om.new_alias(), om.instantiate("Object", Salary=405, Rank=3))
         om.unbind(employees, next(iter(om.object(employees.oid).elements)))
-    return om, indexed, om.object(employees.oid)
+    return om, indexed, om.object(employees.oid), request.param
 
 
 def _plain(rows):
     return [row.oid if isinstance(row, GemObject) else row for row in rows]
 
 
+def expected_explain(plan, probed, count_where):
+    """(rows_out per operator root first, the ``explain()`` text) the
+    reference implies: each operator emits the members that pass every
+    predicate at or below it — ``count_where(predicates)``; a probe's
+    predicates are the conjuncts it was *probed* for."""
+    predicates: list = []
+    counts = []
+    for op in reversed(collect_operators(plan)):  # Unit first
+        if isinstance(op, Unit):
+            counts.append(1)
+            continue
+        if isinstance(op, IndexRange):
+            predicates.extend(probed)
+        elif isinstance(op, Filter):
+            predicates.append(op.predicate)
+        else:
+            assert isinstance(op, (BindScan, ConstructResult))
+        counts.append(count_where(predicates))
+    counts.reverse()
+    lines = [
+        "  " * depth + f"{op.describe()}  [rows_out={count}]"
+        for depth, (op, count) in enumerate(zip(collect_operators(plan), counts))
+    ]
+    return counts, "\n".join(lines)
+
+
 class TestAcrossStores:
-    """Row and vectorized agree on every store a plan can run against —
-    the memory store, and a session (clean, or reading its own writes)
-    over the shared stable store, whose bulk hooks are its own."""
+    """A plan answers what the reference answers on every store it can
+    run against — the memory store, and a session (clean, or reading its
+    own writes) over the shared stable store, whose bulk hooks are its
+    own — with the counters and fuel that answer implies."""
 
     def queries(self, employees):
         e, = variables("e")
@@ -290,52 +289,69 @@ class TestAcrossStores:
     @pytest.mark.parametrize("name", ("scan", "missing", "two_steps", "range"))
     @pytest.mark.parametrize("indexed", (False, True))
     def test_rows_counters_explain_and_fuel(self, company, name, indexed):
-        om, index_store, employees = company
+        om, index_store, employees, kind = company
         dm = DirectoryManager(index_store)
         if indexed:
             dm.create_directory(index_store.object(employees.oid), "Salary")
         query = self.queries(employees)[name]
-        runs = {}
-        for mode in ("row", "vectorized"):
-            plan, _ = optimize(query, dm)
-            ctx = QueryContext(om, None, dm)
-            rows = plan.run(ctx, mode=mode)
-            runs[mode] = (
-                _plain(rows), [op.rows_out for op in collect_operators(plan)],
-                plan.explain(), ctx.examined,
-            )
-        assert runs["row"] == runs["vectorized"]
-        assert runs["row"][0] and runs["row"][3] > 0
-        if indexed and name == "range":
-            assert "IndexRange" in runs["row"][2]
+        plan, choices = optimize(query, dm)
+        ctx = QueryContext(om, None, dm)
+        rows = plan.run(ctx)
+        truth = om
+        if kind == "dirty_session" and indexed and name == "range":
+            # a directory indexes committed state: a probe answers what a
+            # session with no writes of its own reads
+            truth = SessionObjectManager(index_store, om.transaction_manager)
+        truth_query = self.queries(truth.object(employees.oid))[name]
+        assert _plain(rows) == _plain(truth_query.evaluate(QueryContext(truth)))
+
+        def count_where(predicates):
+            condition = reduce(And, predicates) if predicates else None
+            counted = SetQuery(result=truth_query.result,
+                               binders=truth_query.binders, condition=condition)
+            return len(counted.evaluate(QueryContext(truth)))
+
+        probed = choices[0].conjuncts if choices else ()
+        counts, explain = expected_explain(plan, probed, count_where)
+        assert [op.rows_out for op in collect_operators(plan)] == counts
+        assert plan.explain() == explain
+        # a scan draws every member; a probe, only the bracket's
+        drawn = counts[-2]
+        assert ctx.examined == drawn > 0 and rows
+        assert (indexed and name == "range") == any(
+            isinstance(op, IndexRange) for op in collect_operators(plan)
+        )
 
     def test_a_session_keeps_its_access_records_in_either_mode(self, company):
-        om, _, employees = company
+        om, _, employees, _kind = company
         if isinstance(om, MemoryObjectManager):
             pytest.skip("the memory store records nothing")
+        query = self.queries(employees)["two_steps"]
         records = {}
-        for mode in ("row", "vectorized"):
+        for how, run in (
+            ("plan", lambda: translate(query).run(QueryContext(om))),
+            ("reference", lambda: query.evaluate(QueryContext(om))),
+        ):
             om.reads.clear()
             om.enum_reads.clear()
-            translate(self.queries(employees)["two_steps"]).run(
-                QueryContext(om), mode=mode
-            )
-            records[mode] = (om.read_pairs(), set(om.enum_reads))
-        assert records["row"] == records["vectorized"]
-        assert records["row"][0] and employees.oid in records["row"][1]
+            run()
+            records[how] = (om.read_pairs(), set(om.enum_reads))
+        assert records["plan"] == records["reference"]
+        assert records["plan"][0] and employees.oid in records["plan"][1]
 
 
 class TestBindingBatch:
     def test_round_trip_rows(self):
         rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        batch = BindingBatch.from_rows(rows)
+        batch = BindingBatch({"a": [1, 2], "b": ["x", "y"]}, 2)
         assert batch.size == 2
         assert batch.rows() == rows
+        assert BindingBatch({}, 2).rows() == [{}, {}]
 
     def test_select_projects_columns(self):
-        batch = BindingBatch.from_rows(
-            [{"a": i} for i in range(6)]
-        ).select_mask([False, True, False, False, True, False], 2)
+        batch = BindingBatch({"a": list(range(6))}, 6).select_mask(
+            [False, True, False, False, True, False], 2
+        )
         assert batch.rows() == [{"a": 1}, {"a": 4}]
 
 

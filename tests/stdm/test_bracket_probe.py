@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 from repro.check.materialize import CaseEnv, canon_shadow
 from repro.check.reference import evaluate_reference
 from repro.check.spec import CaseSpec, CollectionSpec, QuerySpec
+from repro.concurrency import SessionObjectManager, TransactionManager
 from repro.core import MemoryObjectManager
 from repro.directories import DirectoryManager
 from repro.opal import OpalEngine
+from repro.storage import DiskGeometry, SimulatedDisk, StableStore
 from repro.stdm import (
     Const,
     Filter,
@@ -157,10 +159,9 @@ def counted_range(directory):
     first=st.tuples(st.sampled_from(sorted(ORDERINGS)), st.booleans()),
     second=st.tuples(st.sampled_from(sorted(ORDERINGS)), st.booleans()),
     at_epoch=st.sampled_from([0, 1, 2, None]),
-    mode=st.sampled_from(["row", "vectorized"]),
 )
 def test_merged_probe_agrees_with_the_reference(
-    history, first, second, at_epoch, mode
+    history, first, second, at_epoch
 ):
     spec, bound_a, bound_b = history
     env = CaseEnv(spec)
@@ -212,7 +213,7 @@ def test_merged_probe_agrees_with_the_reference(
         before = directory.historical_lookups
         rows = sorted(
             env.canon_real(row)
-            for row in plan.run(env.context(at_epoch), mode=mode)
+            for row in plan.run(env.context(at_epoch))
         )
         assert rows == expected
         if two_sided:
@@ -364,6 +365,62 @@ class TestEdges:
             acme, indexed, (salary > 23999.5) & (salary <= 24650)
         )
         assert names == ["Burns", "Peters"]
+
+
+def test_bounds_over_an_outer_variable_are_read_per_row():
+    """Each outer row brings its own bracket.  The probe reads the bounds
+    as columns, and the high one only where the low one has a value — as
+    a row that fails its low bound never asks for its high one."""
+    stable = StableStore.format(
+        SimulatedDisk(DiskGeometry(track_count=4096, track_size=1024))
+    )
+    session = SessionObjectManager(stable, TransactionManager(stable))
+    employees = session.instantiate("Object")
+    for i in range(40):
+        session.bind(
+            employees, session.new_alias(),
+            session.instantiate("Object", Salary=i * 10),
+        )
+    # (low, high); None: no such element.  Consecutive twins reuse a
+    # probe, an inverted pair is empty, a missing bound matches nothing
+    specs = [(50, 120), (50, 120), (None, 90), (300, None), (200, 100),
+             (0, 400), (130, 131), (None, None), (390, 1000)]
+    brackets = session.instantiate("Object")
+    for low, high in specs:
+        elements = {"Low": low, "High": high}
+        bracket = session.instantiate("Object", **{
+            name: value for name, value in elements.items() if value is not None
+        })
+        session.bind(brackets, session.new_alias(), bracket)
+    session.commit()
+    dm = DirectoryManager(stable)
+    dm.create_directory(stable.object(employees.oid), "Salary")
+    e, d = variables("e", "d")
+    query = SetQuery(
+        result={"d": d, "e": e},
+        binders=[(d, Const(brackets)), (e, Const(employees))],
+        condition=(e.path("Salary") >= d.path("Low"))
+        & (e.path("Salary") < d.path("High")),
+    )
+    plan, choices = optimize(query, dm)
+    probe, = [op for op in collect_operators(plan) if isinstance(op, IndexRange)]
+    assert probe.low is not None and probe.high is not None
+    assert not any(isinstance(op, Filter) for op in collect_operators(plan))
+
+    session.reads.clear()
+    rows = plan.run(QueryContext(session, None, dm))
+    read = {(oid, str(name)) for oid, name in session.read_pairs()}
+
+    def plain(rows):
+        return [(row["d"].oid, row["e"].oid) for row in rows]
+
+    expected = query.evaluate(QueryContext(session))
+    assert sorted(plain(rows)) == sorted(plain(expected))
+    assert len(rows) == 7 + 7 + 40 + 1 + 1
+    members = session.members_of(brackets)
+    assert read == {(b.oid, "Low") for b in members} | {
+        (b.oid, "High") for (low, _), b in zip(specs, members) if low is not None
+    }
 
 
 def test_between_and_is_one_probe_through_opal():
