@@ -16,7 +16,9 @@ A :class:`SessionObjectManager` implements the full
 * a collection read "now", with no twin of it or of a member in the
   workspace, is answered from the stable store's member column, which
   every such session shares; the session still records the
-  enumeration and checks each member segment on every read;
+  enumeration and checks each member segment on every read.  A run of
+  those members read for one element is answered from the "now" value
+  column the store keeps beside it, and its oids are recorded as read;
 * the first write to a committed object puts a *twin* of it into the
   private workspace, so uncommitted changes never touch shared state.
   The twin borrows the object's association tables and copies one when
@@ -62,6 +64,7 @@ _oid_of = attrgetter("oid")
 #: exact type is storable
 _OBJECT_TYPES = frozenset((GemObject, GemClass))
 _STORABLE_TYPES = frozenset((*IMMEDIATE_TYPES, Symbol, Ref))
+_NO_TWINS: frozenset = frozenset()
 
 
 class SessionObjectManager(ObjectStore):
@@ -101,6 +104,10 @@ class SessionObjectManager(ObjectStore):
         #: element name -> oids read under it (access recording)
         self.reads: defaultdict[Any, set[int]] = defaultdict(set)
         self.enum_reads: set[int] = set()
+        #: the shared member column :meth:`members_of` last answered
+        #: from, and the rows ``[start, stop)`` a value column last
+        #: answered :meth:`values_at_column` with
+        self._scan: Optional[tuple] = None
         self.start_time = 0
         transaction_manager.begin(self)
 
@@ -159,6 +166,7 @@ class SessionObjectManager(ObjectStore):
         self.write_log.clear()
         self.reads.clear()
         self.enum_reads.clear()
+        self._scan = None
         if self.classes:
             # overlay class definitions leave scope here (abort discards
             # them, commit merges them into the shared store) — either
@@ -269,6 +277,10 @@ class SessionObjectManager(ObjectStore):
     def values_at_column(
         self, targets: list, name: Any, time: int | None = None
     ) -> list[Any]:
+        if time is None and self._scan is not None:
+            values = self._scanned_values(targets, name)
+            if values is not None:
+                return values
         if not set(map(type, targets)) <= _OBJECT_TYPES:
             return super().values_at_column(targets, name, time)
         oids = list(map(_oid_of, targets))
@@ -282,18 +294,61 @@ class SessionObjectManager(ObjectStore):
             self.reads[name].update(set(oids) - self._created)
         return element_column(targets, name, self.effective_time(time))
 
+    def _scanned_values(self, targets: list, name: Any) -> Optional[list]:
+        """*targets*' "now" values of *name* from the store's shared
+        value column, or ``None`` for the per-row path.
+
+        It answers only for an open session reading "now" with no twin
+        of a member, and only when *targets* is a run of the member
+        column :meth:`members_of` last answered from — the rows last
+        answered again (another element), the run after them (the next
+        batch) or the first — checked by identity, not per row.
+        """
+        column, start, stop = self._scan
+        members = column.members
+        if self._closed or not targets or not self.time_dial.is_now:
+            return None
+        first = targets[0]
+        for row in (stop, start, 0):
+            if row < len(members) and members[row] is first:
+                break
+        else:
+            return None
+        stop = row + len(targets)
+        if members[row:stop] != targets or not self._twins().isdisjoint(column.oids):
+            return None
+        values = self.store.value_column(column, name)
+        if values is None:
+            return None
+        self._scan = (column, row, stop)
+        # no twin among them, so nothing created here either
+        self.reads[name].update(
+            column.oids if len(targets) == len(members) else column.order[row:stop]
+        )
+        return values[row:stop]
+
+    def _twins(self):
+        """The workspace oids of committed objects this transaction wrote.
+
+        Everything created here (a select's result among them) is in the
+        workspace too, and no committed column holds it: with no more
+        workspace objects than creations there is no twin to look for.
+        """
+        workspace = self.workspace
+        return workspace.keys() if len(workspace) > len(self._created) else _NO_TWINS
+
     def members_of(self, target: Any, time: int | None = None) -> list[Any]:
         obj = self._resolve_target(target)
         self.note_enumeration(obj.oid)
         time = self.effective_time(time)
-        workspace = self.workspace
-        if time is None and not self._closed and obj.oid not in workspace:
+        if time is None and not self._closed and obj.oid not in self.workspace:
             # the committed column every session reading "now" shares
-            column = self.store.member_column(obj, workspace.keys())
+            column = self.store.member_column(obj, self._twins())
             if column is not None:
                 if self.authorizer is not None:
                     for segment_id in column.segments:
                         self.authorizer.check_read(self.user, segment_id)
+                self._scan = (column, 0, 0)
                 return list(column.members)
         return self.deref_column(live_values(obj, time))
 

@@ -17,7 +17,7 @@ nothing in this module ever removes an object from the store.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from ..errors import (
     ClassProtocolError,
@@ -74,7 +74,8 @@ class MemberColumn(NamedTuple):
     """A collection's dereferenced "now" members, as of its *version*
     (read before the members were) and the *generation* of the cache
     they were looked up in; where the builder records them, the
-    members' oids as a set and their distinct segments in row order."""
+    members' oids as a set and in row order, their distinct segments in
+    row order, and the members' "now" values per element name."""
 
     owner: GemObject
     version: int
@@ -82,6 +83,9 @@ class MemberColumn(NamedTuple):
     members: list
     oids: frozenset = frozenset()
     segments: tuple = ()
+    order: Sequence[int] = ()
+    #: element name -> (``element_writes()`` before the build, values)
+    values: Optional[dict] = None
 
 
 class MemberColumns:
@@ -91,13 +95,17 @@ class MemberColumns:
     from, at the same ``GemObject.version`` — bumped by every element
     write, so direct ``GemObject.bind`` writers (the commit Linker, shard
     workers) invalidate it without a hook — and the same generation.
-    What is held is bounded by members, not columns: past :attr:`bound`
-    every column is dropped.
+    A value column beside it answers while its column does and the
+    process-wide element-write count has not moved.  What is held is
+    bounded by members, not columns: a column counts its members once
+    and once more per value column, and past :attr:`bound` every column
+    is dropped.
     """
 
     #: columns below this size aren't worth keeping
     floor = 32
-    #: ≈ 41 B a member with its oid set (tracemalloc): ≈ 2.6 MiB in all
+    #: ≈ 49 B a member with its oid set and row order, ≈ 58 B with one
+    #: value column (tracemalloc): ≈ 3.1 MiB at most
     bound = 1 << 16
 
     def __init__(self) -> None:
@@ -116,13 +124,35 @@ class MemberColumns:
         size = len(column.members)
         if self.floor <= size <= self.bound:
             old = self._columns.pop(column.owner.oid, None)
-            self._held -= len(old.members) if old is not None else 0
+            if old is not None:
+                self._held -= len(old.members) * (1 + len(old.values or ()))
             if self._held + size > self.bound:
                 self._columns.clear()
                 self._held = 0
             self._columns[column.owner.oid] = column
             self._held += size
         return column
+
+    def values(
+        self, column: MemberColumn, name: Any, generation: int, writes: int
+    ) -> Optional[list]:
+        """``element_column(column.members, name, None)``, kept beside
+        *column* while it is its owner's current one (else ``None``) and
+        the element-write count is still *writes* (read before the call)."""
+        if self.get(column.owner, generation) is not column:
+            return None
+        held = column.values.get(name)
+        if held is not None and held[0] == writes:
+            return held[1]
+        values = element_column(column.members, name, None)
+        if held is None:
+            if self._held + len(values) > self.bound:
+                self._columns.clear()
+                self._held = 0
+                return values
+            self._held += len(values)
+        column.values[name] = (writes, values)
+        return values
 
 
 class ObjectStore:

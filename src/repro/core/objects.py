@@ -14,11 +14,29 @@ assigned at instantiation and never changes, even as element values do.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Any, Iterator
 
 from ..errors import ElementNotFound
 from .history import MISSING, AssociationTable
 from .values import Ref, check_element_name, check_value
+
+#: moves on every element write to any object in this process
+#: (:meth:`GemObject.bind`, :meth:`GemObject.unshare_table`).  A
+#: structure built from many objects' elements — a shared value column —
+#: validates against it, so every direct binder invalidates it without a
+#: hook.  Each write stores a number drawn from one counter after its
+#: table changes: shard workers write on several threads, and where an
+#: interleaved ``+= 1`` could store a value the count had before, a drawn
+#: number is stored once and never comes back.
+_element_writes = 0
+_write_numbers = count(1)
+
+
+def element_writes() -> int:
+    """The process-wide element-write count; read it before building
+    what it is to vouch for."""
+    return _element_writes
 
 
 class GemObject:
@@ -75,6 +93,7 @@ class GemObject:
         paper's "optional instance variables ... and the ability to add
         new variables to existing instances" (section 4.3).
         """
+        global _element_writes
         check_element_name(name)
         check_value(value)
         table = self.elements.get(name)
@@ -89,13 +108,17 @@ class GemObject:
             table = self.elements[name] = AssociationTable()
         table.record(time, value)
         self.version += 1
+        _element_writes = next(_write_numbers)
 
     def bind_fresh(self, names: list, values: list, time: int) -> None:
         """Bulk :meth:`bind` of element names this object never had.
 
         The caller vouches for what :meth:`bind` checks on every call:
         the names and values are storable, no name is in ``elements``
-        yet, and the object is no twin (every table is its own).
+        yet, and the object is no twin (every table is its own).  It
+        binds workspace-only transients, which no shared column holds,
+        so it leaves the process-wide write count alone: a select's
+        result would otherwise invalidate every shared value column.
         """
         self.elements.update(zip(names, AssociationTable.singles(time, values)))
         self.version += len(names)
@@ -108,9 +131,11 @@ class GemObject:
         twin calls this first (the Linker does, for every write it
         replays): a twin then keeps the table as it was.
         """
+        global _element_writes
         table = self.elements.get(name)
         if table is not None:
             self.elements[name] = table.copy()
+            _element_writes = next(_write_numbers)
 
     def unbind(self, name: Any, time: int) -> None:
         """Record departure of an element by binding it to nil.

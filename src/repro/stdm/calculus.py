@@ -813,21 +813,23 @@ class Not(Expr):
 
 
 # --------------------------------------------------------------------------
-# predicate kernel: an equality disjunction over one path column in one pass
+# predicate kernel: an equality disjunction over one column in one pass
 # --------------------------------------------------------------------------
 #
 # ``(e!name = 'a') | (e!name = 'b') | (e!name = 'c')`` interpreted node by
 # node scans the same column once per comparison and gathers a sub-batch
-# per connective.  An ``or`` whose leaves all compare one path column for
-# equality with row-independent values, under any number of ``not``s, is
-# instead membership in one key set over that column.
+# per connective.  An ``or`` whose leaves all compare one path column —
+# or one bare variable, ``[:x | (x = 1) | (x = 2)]`` over a set of values
+# — for equality with row-independent values, under any number of
+# ``not``s, is instead membership in one key set over that column.
 #
 # The column is the one the tree's leftmost comparison reads for the
 # whole batch in the node-by-node evaluation, and every other comparison
-# would read it from the batch's column cache, so reads, read sets and
-# fuel are the same by construction (comparisons charge nothing).  Any
-# other tree, column or constant falls through to the node-by-node
-# evaluation above, which stays the definition.
+# would read it from the batch's column cache (a variable's column reads
+# nothing at all), so reads, read sets and fuel are the same by
+# construction (comparisons charge nothing).  Any other tree, column or
+# constant falls through to the node-by-node evaluation above, which
+# stays the definition.
 
 #: column value types whose ``=`` is hash equality: a column of only
 #: these answers membership with ``x in keys`` at C speed (NOVALUE hashes
@@ -847,19 +849,23 @@ def _member_of(column: list, values: list) -> list:
     return [x in keyed if type(x) in _HASHED_TYPES else x in index for x in column]
 
 
+def _column_key(node: Expr):
+    """What names the batch column *node* is: a bare variable's, or a
+    path's over one; None for anything else."""
+    if type(node) is Var:
+        return ("var", node.name)
+    return node._column_key if isinstance(node, PathApply) else None
+
+
 def _column_term(node: Expr):
-    """``(path, side)`` when *node* is ``=`` between a path column and a
-    row-independent *side*, either way round; else None."""
+    """``(column, side)`` when *node* is ``=`` between a variable or path
+    column and a row-independent *side*, either way round; else None."""
     if type(node) is not Compare or node.op != "==":
         return None
-    # the column is the path side: the other one, when the kernel takes
-    # it, is a constant and reads nothing
+    # the column is the variable or path side: the other one, when the
+    # kernel takes it, is a constant and reads nothing
     for column, side in ((node.left, node.right), (node.right, node.left)):
-        if (
-            isinstance(column, PathApply)
-            and column._column_key is not None
-            and not side.free_vars()
-        ):
+        if _column_key(column) is not None and not side.free_vars():
             return column, side
     return None
 
@@ -872,7 +878,7 @@ def _disjuncts(node: Expr) -> list:
 
 
 def _kernel_shape(node: Expr):
-    """``(path, sides, negated)`` for a tree that fuses, else None.
+    """``(column, sides, negated)`` for a tree that fuses, else None.
 
     The *sides* are evaluated per execution, so one cached plan serves
     every literal vector.
@@ -885,10 +891,10 @@ def _kernel_shape(node: Expr):
     terms = [_column_term(leaf) for leaf in _disjuncts(node)]
     if any(term is None for term in terms):
         return None
-    key = terms[0][0]._column_key
-    if any(path._column_key != key for path, _side in terms):
+    key = _column_key(terms[0][0])
+    if any(_column_key(column) != key for column, _side in terms):
         return None
-    return terms[0][0], [side for _path, side in terms], negated
+    return terms[0][0], [side for _column, side in terms], negated
 
 
 def _fused_column(node: Expr, ctx, batch) -> Optional[list]:
@@ -896,14 +902,14 @@ def _fused_column(node: Expr, ctx, batch) -> Optional[list]:
     shape = node._kernel
     if shape is None:
         return None
-    path, sides, negated = shape
+    column, sides, negated = shape
     values = []
     for side in sides:
         constant, value = side.const_value(ctx)
         if not constant:
             return None
         values.append(value)
-    truth = _member_of(path.evaluate_column(ctx, batch), values)
+    truth = _member_of(column.evaluate_column(ctx, batch), values)
     return list(map(operator.not_, truth)) if negated else truth
 
 

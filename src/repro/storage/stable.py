@@ -46,7 +46,7 @@ from typing import Any, Mapping, Optional, Sequence
 from ..core.classes import GemClass
 from ..core.object_manager import FIRST_USER_OID, ObjectStore, live_values
 from ..core.object_manager import MemberColumn, MemberColumns
-from ..core.objects import GemObject
+from ..core.objects import GemObject, element_writes
 from ..core.values import Ref
 from ..errors import ArchiveError, CodecError, NoSuchObject
 from .archive import ArchiveDrive, ArchiveMedia
@@ -267,8 +267,8 @@ class StableStore(ObjectStore):
         counted as a cache hit — or ``None`` for the per-row path: a
         bounded cache (its lookup order is part of the answer), a small
         column, a value that is no Ref, a member not in the cache (a
-        load, a pinned class, a dangling Ref) or one among *twins* (a
-        session's workspace oids).  Rebuilt when *obj* changes or a
+        load, a pinned class, a dangling Ref) or one among *twins* (the
+        oids a session holds twins of).  Rebuilt when *obj* changes or a
         cache entry leaves (an archived member, a flush).
         """
         cache = self.cache
@@ -289,12 +289,23 @@ class StableStore(ObjectStore):
                 return None
             column = self._member_columns.put(MemberColumn(
                 obj, version, generation, members, frozenset(oids),
-                tuple(dict.fromkeys(map(_segment_of, members))),
+                tuple(dict.fromkeys(map(_segment_of, members))), oids, {},
             ))
         if not twins.isdisjoint(column.oids):
             return None
         cache.hits += len(column.members)
         return column
+
+    def value_column(self, column: MemberColumn, name: Any) -> Optional[list]:
+        """Element *name*'s "now" values for *column*'s members, one
+        column for every session: ``element_column(column.members, name,
+        None)``, built once and kept until an element of any object is
+        written (:func:`~repro.core.objects.element_writes`) — or
+        ``None`` once *column* is no longer its collection's current
+        member column."""
+        return self._member_columns.values(
+            column, name, self.cache.generation, element_writes()
+        )
 
     def contains(self, oid: int) -> bool:
         return (

@@ -37,6 +37,8 @@ from repro.storage import ArchiveMedia, DiskGeometry, SimulatedDisk, StableStore
 
 MEMBERS = 90
 SEEDS = range(4)
+#: the element names a column read asks for ("absent": no member has it)
+ELEMENTS = ("salary", "dept", "name", "absent")
 
 
 class World:
@@ -219,7 +221,7 @@ def read_hook_outcomes(make_world, prepare):
 
         outcomes.append(both(make_world, prepare, call))
 
-    for element in ("salary", "dept", "name", "absent"):
+    for element in ELEMENTS:
         for designators in (False, True):
             def call(world, context, bulk):
                 rng, time = context
@@ -240,6 +242,27 @@ def read_hook_outcomes(make_world, prepare):
                 return hook(world, "values_at_column", bulk)(targets, element, time)
 
             outcomes.append(both(make_world, prepare, call))
+
+    for element in ("salary", "name"):
+        def call(world, context, bulk):
+            rng, time = context
+            s = world.session
+            read = hook(world, "values_at_column", bulk)
+            # the members a warm scan read, perhaps before the state
+            # changed; a closed session can draw no others
+            held = getattr(world, "warm", None)
+            now = held if s.closed else [
+                m for m in s.members_of(world.bag) if isinstance(m, GemObject)
+            ]
+            values = read(held or now, element, time)
+            for start in range(0, len(now), 32):  # the executor's batches
+                run = now[start:start + 32]
+                values += read(run, element, time)
+                if start == 32:  # one read again for an element no scan read
+                    values += read(run, "dept", time)
+            return values + read(now[1::2], element, time)  # a filtered batch
+
+        outcomes.append(both(make_world, prepare, call))
     return outcomes
 
 
@@ -258,12 +281,13 @@ def test_read_hooks_match_the_per_row_definition(seed, state, capacity, pinned):
     assert {kind for kind, *_ in outcomes} == {"ok"}
 
 
-# -- the shared member column --------------------------------------------------
+# -- the shared member and value columns ----------------------------------------
 #
 # A session reading a collection "now" takes its members from the stable
-# store's member column, built once and shared by every session.  Each
-# state below first makes that column and warms it with one scan, then
-# changes something the column must notice — or a read must refuse.
+# store's member column, built once and shared by every session, and a
+# run of those members' values of one element from the value column kept
+# beside it.  Each state below first makes both with one warm scan, then
+# changes something the columns must notice — or a read must refuse.
 
 
 def elsewhere(world, change):
@@ -285,7 +309,13 @@ def shared(world, rng):
                 other.unbind(world.bag, name)
 
     elsewhere(world, refs_only)
-    assert len(world.session.members_of(world.bag)) == MEMBERS
+    s = world.session
+    world.warm = s.members_of(world.bag)
+    assert len(world.warm) == MEMBERS
+    # the warm scan builds value columns; "dept" is left unread so a
+    # later partial run of it is the only read of its name
+    for element in ("salary", "name", "absent"):
+        s.values_at_column(world.warm, element)
 
 
 def archived(world, rng, mounted):
@@ -312,6 +342,36 @@ def removed_elsewhere(world, rng):
         other.unbind(world.bag, rng.choice([name for name, _ in bag.items_at(None)]))
 
     elsewhere(world, remove)
+
+
+def written_elsewhere(world, rng, element):
+    shared(world, rng)
+    oid = rng.choice(world.members)
+    elsewhere(world, lambda other, bag: other.bind(oid, element, -7))
+
+
+def bound_directly(world, rng):
+    """A write straight into a committed member, as a shard worker's."""
+    shared(world, rng)
+    member = world.store.object(rng.choice(world.members))
+    member.bind("salary", -8, world.store.last_tx_time)
+
+
+def unshared_directly(world, rng):
+    shared(world, rng)
+    world.store.object(rng.choice(world.members)).unshare_table("salary")
+
+
+def one_twin(world, rng):
+    shared(world, rng)
+    world.session.bind(rng.choice(world.members), "salary", -9)
+
+
+def result_between(world, rng):
+    """A select's result, built from the warm scan's members."""
+    shared(world, rng)
+    s = world.session
+    s.add_members(s.instantiate_transient("Bag"), world.warm)
 
 
 def revoked(world, rng):
@@ -342,16 +402,24 @@ SHARED_STATES = {
     "added_elsewhere": added_elsewhere,
     "removed_elsewhere": removed_elsewhere,
     "member_twin": then(dirty_members),
+    "one_twin": one_twin,
     "collection_twin": then(dirty_collection),
     "dial_back": then(dial_back),
     "revoked": revoked,
     "dangling": dangling_elsewhere,
+    "written_elsewhere": lambda world, rng: written_elsewhere(world, rng, "salary"),
+    "other_element_elsewhere": lambda world, rng: written_elsewhere(world, rng, "rank"),
+    "bound_directly": bound_directly,
+    "unshared_directly": unshared_directly,
+    "result_between": result_between,
+    "closed": then(lambda world, rng: world.session.close()),
 }
 #: the error a read of the whole bag meets in a state
 REFUSALS = {
     "archived_unmounted": ArchiveError,
     "revoked": AuthorizationError,
     "dangling": NoSuchObject,
+    "closed": SessionClosed,
 }
 
 

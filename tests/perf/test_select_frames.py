@@ -4,24 +4,25 @@ A session used to answer the batch executor one row at a time: every
 member of a scanned collection cost about ten Python frames to be
 dereferenced and ten more to have one element read, and every result
 row went through the whole ``bind`` write path.  The bulk hooks took the
-per-row frames out, and the predicate kernel took out the per-term
-passes over the scan's name column; these bounds keep both out.  They
-are upper bounds under ``cProfile`` (which also counts calls of
-builtins), loose enough for any supported interpreter and far below the
-per-row cost:
+per-row frames out, the predicate kernel took out the per-term passes
+over the scan's name column, and the shared value column took out the
+per-row element read; these bounds keep all three out.  They are upper
+bounds under ``cProfile`` (which also counts calls of builtins), loose
+enough for any supported interpreter and far below the per-row cost:
 
-====================  ==========  ========  ========  =======
-select (4 000 rows)   per row     bulk      kernel    bound
-====================  ==========  ========  ========  =======
-unindexed scan        101 000     ≈ 4 950   ≈ 4 960   6 000
-indexed range, ≈ 75   6 400       ≈ 2 650   ≈ 2 650   4 500
-====================  ==========  ========  ========  =======
+====================  ==========  ========  ========  ============  =======
+select (4 000 rows)   per row     bulk      kernel    value column  bound
+====================  ==========  ========  ========  ============  =======
+unindexed scan        101 000     ≈ 4 950   ≈ 4 960   ≈ 985         1 500
+indexed range, ≈ 75   6 400       ≈ 2 650   ≈ 2 650   ≈ 2 660       4 500
+====================  ==========  ========  ========  ============  =======
 
-The scan's total is mostly one ``dict.get`` per row from inside the
-element-column comprehension — a C call, not a frame.  What must not
-grow with the row count is the Python frames: a 4 000-row scan is four
-batches to a 1 000-row scan's one, and may cost only a per-batch
-constant more.
+A warm scan reads each batch's names as a run of the store's shared
+value column: no ``dict.get`` per row (the element-column comprehension
+does not run at all), so what is left is a per-batch constant.  What
+must not grow with the row count is the Python frames: a 4 000-row scan
+is four batches to a 1 000-row scan's one, and may cost only a
+per-batch constant more.
 
 Beside the call gate, an allocation gate: a scan's access record is one
 set of oids per element name, so what a row adds to an open read-only
@@ -39,6 +40,7 @@ import tracemalloc
 import pytest
 
 from repro import GemStone
+from repro.core.object_manager import element_column
 from repro.stdm.calculus import Compare, _short_circuit
 from repro.storage.cache import ObjectCache
 
@@ -116,13 +118,15 @@ def calls_of(stats, function) -> int:
     )
 
 
-def test_a_scan_select_stays_under_six_thousand_calls(session):
-    answer, calls, _frames, by_name, _stats = profiled(session, SCAN)
+def test_a_warm_scan_select_stays_under_fifteen_hundred_calls(session):
+    answer, calls, _frames, by_name, stats = profiled(session, SCAN)
     assert answer == 2
-    assert calls <= 6_000
+    assert calls <= 1_500
     assert by_name.get("bind", 0) == 0
     # a frame per row is exactly what must not come back
     assert by_name.get("object", 0) < 10 and by_name.get("value_at", 0) < 10
+    # the first scan built the value column; this one reads it
+    assert calls_of(stats, element_column) == 0
 
 
 def test_a_scan_predicate_is_one_kernel_over_its_column(session):

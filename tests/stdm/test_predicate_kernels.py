@@ -1,21 +1,23 @@
 """The predicate kernel and the set nodes, on generated trees.
 
-An ``or`` whose comparisons are all ``=`` between one path column and
-row-independent values, under any number of ``not``s, is evaluated as
-membership in one key set over that column (``calculus._fused_column``);
-every other tree by the connectives node by node.  Either way
-``evaluate_column`` over a batch must say, row for row, what a naive
-per-row evaluator written here says — one that reads each row's value
-through ``session.value_at`` under the same time rules and compares with
-``value_equal`` and the plain operators, in ``check.reference``'s style
-— and leave the access records (read pairs, ``enum_reads``) and the fuel
-count (``ctx.examined``) that node-by-node evaluation leaves: the same
-tree run with the kernel switched off is the kernel's definition.
+An ``or`` whose comparisons are all ``=`` between one column — a path,
+or the bare variable itself — and row-independent values, under any
+number of ``not``s, is evaluated as membership in one key set over that
+column (``calculus._fused_column``); every other tree by the connectives
+node by node.  Either way ``evaluate_column`` over a batch must say, row
+for row, what a naive per-row evaluator written here says — one that
+reads each row's value through ``session.value_at`` under the same time
+rules and compares with ``value_equal`` and the plain operators, in
+``check.reference``'s style — and leave the access records (read pairs,
+``enum_reads``) and the fuel count (``ctx.examined``) that the naive
+evaluator and node-by-node evaluation leave: the same tree run with the
+kernel switched off is the kernel's definition.
 Nothing here is an expected value written by hand; hypothesis generates
 
 * trees of ``=``, ``~=``, ``<``, ``<=``, ``>``, ``>=`` under ``&``,
-  ``|`` and ``not`` over one to three paths, each comparison either way
-  round, each constant a literal or a lifted ``Param``;
+  ``|`` and ``not`` over one to three paths or the bare variable, each
+  comparison either way round, each constant a literal or a lifted
+  ``Param``;
 * constants: ints, floats, bools, strings and symbols, NaN (the very
   NaN object a twin holds, and one decoded from the platter), nil, and
   Refs to objects the elements point at;
@@ -71,6 +73,7 @@ NAN = float("nan")
 NUMBERS = [0, 1, -1, 2, 0.0, 1.0, 2.5, -0.5, True, False, NAN]
 STRINGS = ["a", "b", "ab", "", Symbol("a")]
 PATHS = ("n", "s", "m")  # numbers, strings, a mix of everything
+SELF = ""  # no path: the comparison reads the bare variable
 OPS = ("==", "!=", "<", "<=", ">", ">=")
 MEMBERS = 24
 MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -138,7 +141,11 @@ class World:
         self.constants = {
             "numbers": (NUMBERS, edges),
             "strings": (STRINGS, ["a", Symbol("a"), ""]),
-            "all": (NUMBERS + STRINGS + [None, *self.refs], edges + [None, *self.refs]),
+            # a Ref to a member: what a bare variable's row can equal
+            "all": (
+                NUMBERS + STRINGS + [None, *self.refs, Ref(members[1])],
+                edges + [None, *self.refs, Ref(members[1])],
+            ),
         }
 
     def _collections(self, loader, members, mixed):
@@ -211,7 +218,9 @@ def row_values():
         st.one_of(
             st.sampled_from(WORLD.members).map(lambda oid: ("object", oid)),
             st.sampled_from(WORLD.members).map(lambda oid: ("ref", oid)),
-            st.sampled_from([5, "a", None, NOVALUE]).map(lambda v: ("value", v)),
+            st.sampled_from([5, "a", None, NOVALUE, 1, True, NAN, Symbol("a")]).map(
+                lambda v: ("value", v)
+            ),
         ),
         min_size=12, max_size=48,
     )
@@ -225,7 +234,9 @@ def moments(times):
 
 @st.composite
 def cases(draw):
-    paths = draw(st.lists(st.sampled_from(PATHS), min_size=1, max_size=3, unique=True))
+    paths = draw(
+        st.lists(st.sampled_from((*PATHS, SELF)), min_size=1, max_size=3, unique=True)
+    )
     family = draw(st.sampled_from(sorted(WORLD.constants)))
     constants = WORLD.constants[family]
     shape = draw(st.one_of(runs(paths, constants), trees(paths, constants)))
@@ -247,7 +258,7 @@ def build(shape, params):
         side = Param(len(params) - 1)
     else:
         side = Const(value)
-    column = PathApply(Var("e"), path)
+    column = Var("e") if path == SELF else PathApply(Var("e"), path)
     if flipped:
         return Compare(MIRRORED.get(op, op), side, column)
     return Compare(op, column, side)
@@ -305,7 +316,7 @@ def naive(shape, base, time):
     if kind == "not":
         return not naive(shape[1], base, time)
     op, path, value, _lifted, flipped = shape
-    column = naive_path(base, path, time)
+    column = base if path == SELF else naive_path(base, path, time)
     if flipped:
         return naive_compare(MIRRORED.get(op, op), value, column)
     return naive_compare(op, column, value)
@@ -416,13 +427,14 @@ def run_rows(tree, values, when, params, errors):
 
 
 def run_naive(shape, values, when):
+    """A drawn tree through :func:`naive`, row by row: its records (a
+    comparison charges no fuel)."""
     time = session_at(when)
     try:
         outcome = [bool(naive(shape, value, time)) for value in values]
     except TypeError as error:
         outcome = type(error)
-    WORLD.session.time_dial.set(None)
-    return outcome
+    return records(outcome, Drawn())
 
 
 def run_naive_set(tree, values, when, errors):
@@ -439,7 +451,8 @@ def run_naive_set(tree, values, when, errors):
 
 def test_a_batch_answers_what_each_row_answers(monkeypatch):
     # the net is only as good as what it catches: the kernel must be
-    # reached, plain and negated, by the cases generated below
+    # reached, plain and negated, over a path and over the bare variable,
+    # by the cases generated below
     reached = set()
     fused_column = calculus._fused_column
     kernel = {"on": True}
@@ -449,7 +462,8 @@ def test_a_batch_answers_what_each_row_answers(monkeypatch):
             return None
         out = fused_column(node, ctx, batch)
         if out is not None:
-            reached.add(node._kernel[2])
+            column, _sides, negated = node._kernel
+            reached.add((type(column), negated))
         return out
 
     monkeypatch.setattr(calculus, "_fused_column", switchable)
@@ -466,12 +480,12 @@ def test_a_batch_answers_what_each_row_answers(monkeypatch):
         fused = run_batch(tree, values, when, params)
         kernel["on"] = False
         node_by_node = run_batch(tree, values, when, params)
-        assert fused[0] == node_by_node[0] == expected
-        if isinstance(expected, list):  # an error may stop either anywhere
-            assert fused[1:] == node_by_node[1:]
+        assert fused[0] == node_by_node[0] == expected[0]
+        if isinstance(expected[0], list):  # an error may stop either anywhere
+            assert fused[1:] == node_by_node[1:] == expected[1:]
 
     batch_equals_rows()
-    assert reached == {False, True}  # negated
+    assert reached == {(kind, negated) for kind in (PathApply, Var) for negated in (False, True)}
 
 
 # -- the set nodes --------------------------------------------------------------
