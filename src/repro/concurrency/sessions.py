@@ -277,7 +277,7 @@ class SessionObjectManager(ObjectStore):
     def values_at_column(
         self, targets: list, name: Any, time: int | None = None
     ) -> list[Any]:
-        if time is None and self._scan is not None:
+        if time is None:
             values = self._scanned_values(targets, name)
             if values is not None:
                 return values
@@ -296,14 +296,27 @@ class SessionObjectManager(ObjectStore):
 
     def _scanned_values(self, targets: list, name: Any) -> Optional[list]:
         """*targets*' "now" values of *name* from the store's shared
-        value column, or ``None`` for the per-row path.
+        value column, or ``None`` for the per-row path."""
+        run = self._scanned_run(targets, name)
+        values = run and self.store.value_column(run[0], name)
+        return None if values is None else values[run[1]:run[2]]
 
-        It answers only for an open session reading "now" with no twin
-        of a member, and only when *targets* is a run of the member
-        column :meth:`members_of` last answered from — the rows last
-        answered again (another element), the run after them (the next
-        batch) or the first — checked by identity, not per row.
+    def posted_truth(self, targets: list, name: Any, keys: list) -> Optional[list]:
+        run = self._scanned_run(targets, name)
+        postings = run and self.store.value_column(run[0], name, posted=True)
+        return None if postings is None else postings.truth(keys, run[1], run[2])
+
+    def _scanned_run(self, targets: list, name: Any) -> Optional[tuple]:
+        """``(column, row, stop)`` when *targets* are the rows
+        ``row:stop`` of the member column :meth:`members_of` last
+        answered from — the rows last answered again (another element),
+        the run after them (the next batch) or the first, checked by
+        identity, not per row — for an open session reading "now" with no
+        twin of a member; else ``None``.  A run's read of *name* is
+        recorded here: the per-row path would record the same set.
         """
+        if self._scan is None:
+            return None
         column, start, stop = self._scan
         members = column.members
         if self._closed or not targets or not self.time_dial.is_now:
@@ -317,15 +330,12 @@ class SessionObjectManager(ObjectStore):
         stop = row + len(targets)
         if members[row:stop] != targets or not self._twins().isdisjoint(column.oids):
             return None
-        values = self.store.value_column(column, name)
-        if values is None:
-            return None
         self._scan = (column, row, stop)
         # no twin among them, so nothing created here either
         self.reads[name].update(
             column.oids if len(targets) == len(members) else column.order[row:stop]
         )
-        return values[row:stop]
+        return self._scan
 
     def _twins(self):
         """The workspace oids of committed objects this transaction wrote.

@@ -17,6 +17,7 @@ nothing in this module ever removes an object from the store.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from ..errors import (
@@ -30,7 +31,7 @@ from ..perf.epochs import class_epoch
 from .classes import BOOTSTRAP_HIERARCHY, GemClass, Method, immediate_class_name
 from .history import MISSING
 from .objects import GemObject
-from .values import Ref, Symbol, is_immediate
+from .values import Char, Ref, Symbol, is_immediate
 
 #: First oid handed out for ordinary objects; lower oids are reserved for
 #: bootstrap classes so storage-format tests can rely on their stability.
@@ -84,8 +85,51 @@ class MemberColumn(NamedTuple):
     oids: frozenset = frozenset()
     segments: tuple = ()
     order: Sequence[int] = ()
-    #: element name -> (``element_writes()`` before the build, values)
+    #: element name -> (``element_writes()`` before the build, values[,
+    #: their :class:`Postings` or ``None``])
     values: Optional[dict] = None
+
+
+#: value types whose ``=`` is hash equality on the value itself: object
+#: refs compare by oid, and floats and unhashables are not posted
+POSTED_TYPES = frozenset((int, bool, str, Symbol, type(None), Char, type(MISSING)))
+
+
+class Postings(NamedTuple):
+    """Where the values of a "now" value column stand: each value's first
+    row, and every row (ascending) of a value that repeats.  A lookup is
+    ``=`` with hash equality, as a key set over the column is."""
+
+    first: dict
+    repeats: dict
+
+    @classmethod
+    def of(cls, values: list) -> Optional["Postings"]:
+        """*values*' postings, or ``None`` if one is not of :data:`POSTED_TYPES`."""
+        if not set(map(type, values)) <= POSTED_TYPES:
+            return None
+        last = len(values) - 1
+        # at C speed: a value's first row is the one stored last
+        first = dict(zip(reversed(values), range(last, -1, -1)))
+        repeats: dict = {}
+        if len(first) <= last:
+            # a list per value that repeats, not one per row: each is an
+            # object the garbage collector tracks
+            for row, value in enumerate(values):
+                if first[value] != row:
+                    repeats.setdefault(value, [first[value]]).append(row)
+        return cls(first, repeats)
+
+    def truth(self, keys: list, start: int, stop: int) -> list:
+        """``values[row] in keys`` for each row of ``start:stop``."""
+        truth = [False] * (stop - start)
+        for key in keys:
+            row = self.first.get(key)
+            if row is not None and row < stop:
+                rows = self.repeats.get(key, (row,))
+                for row in rows[bisect_left(rows, start):bisect_left(rows, stop)]:
+                    truth[row - start] = True
+        return truth
 
 
 class MemberColumns:
@@ -95,17 +139,17 @@ class MemberColumns:
     from, at the same ``GemObject.version`` — bumped by every element
     write, so direct ``GemObject.bind`` writers (the commit Linker, shard
     workers) invalidate it without a hook — and the same generation.
-    A value column beside it answers while its column does and the
-    process-wide element-write count has not moved.  What is held is
-    bounded by members, not columns: a column counts its members once
-    and once more per value column, and past :attr:`bound` every column
-    is dropped.
+    A value column beside it, and its postings, answer while its column
+    does and the process-wide element-write count has not moved.  What is
+    held is bounded by members, not columns: a column counts its members
+    once and once more per value column and per postings, and past
+    :attr:`bound` every column is dropped.
     """
 
     #: columns below this size aren't worth keeping
     floor = 32
-    #: ≈ 49 B a member with its oid set and row order, ≈ 58 B with one
-    #: value column (tracemalloc): ≈ 3.1 MiB at most
+    #: ≈ 49 B a member with its oid set and row order, 58 B with one value
+    #: column, 116 B with its postings too (tracemalloc): ≈ 3.1 MiB at most
     bound = 1 << 16
 
     def __init__(self) -> None:
@@ -125,7 +169,7 @@ class MemberColumns:
         if self.floor <= size <= self.bound:
             old = self._columns.pop(column.owner.oid, None)
             if old is not None:
-                self._held -= len(old.members) * (1 + len(old.values or ()))
+                self._held -= _counted(old)
             if self._held + size > self.bound:
                 self._columns.clear()
                 self._held = 0
@@ -134,25 +178,44 @@ class MemberColumns:
         return column
 
     def values(
-        self, column: MemberColumn, name: Any, generation: int, writes: int
-    ) -> Optional[list]:
-        """``element_column(column.members, name, None)``, kept beside
-        *column* while it is its owner's current one (else ``None``) and
-        the element-write count is still *writes* (read before the call)."""
+        self, column: MemberColumn, name: Any, generation: int, writes: int,
+        posted: bool = False,
+    ) -> Optional[list | Postings]:
+        """``element_column(column.members, name, None)`` — *posted*: its
+        :class:`Postings`, ``None`` where a value is not posted — kept
+        beside *column* while it is its owner's current one (else
+        ``None``) and the element-write count is still *writes* (read first)."""
         if self.get(column.owner, generation) is not column:
             return None
         held = column.values.get(name)
-        if held is not None and held[0] == writes:
-            return held[1]
-        values = element_column(column.members, name, None)
-        if held is None:
-            if self._held + len(values) > self.bound:
+        if held is None or held[0] != writes:
+            values = element_column(column.members, name, None)
+            held = self._keep(column, name, (writes, values))
+        if posted and len(held) == 2:
+            held = self._keep(column, name, (*held, Postings.of(held[1])))
+        return held[2] if posted else held[1]
+
+    def _keep(self, column: MemberColumn, name: Any, held: tuple) -> tuple:
+        """*held*, kept as *column*'s entry for *name* while *column* is
+        held; past the bound every column is dropped (and *held* still
+        answers once)."""
+        if self._columns.get(column.owner.oid) is column:
+            self._held -= _counted(column)
+            column.values[name] = held
+            self._held += _counted(column)
+            if self._held > self.bound:
                 self._columns.clear()
                 self._held = 0
-                return values
-            self._held += len(values)
-        column.values[name] = (writes, values)
-        return values
+        return held
+
+
+def _counted(column: MemberColumn) -> int:
+    """What *column* counts against the bound: its members once, and once
+    more per value column and per postings beside it."""
+    return len(column.members) * (1 + sum(
+        1 + (len(held) == 3 and held[2] is not None)
+        for held in (column.values or {}).values()
+    ))
 
 
 class ObjectStore:
@@ -280,6 +343,13 @@ class ObjectStore:
         """
         value_at = self.value_at
         return [value_at(target, name, time) for target in targets]
+
+    def posted_truth(self, targets: list, name: Any, keys: list) -> Optional[list]:
+        """``[v in keys for v in self.values_at_column(targets, name)]``
+        from a shared value column's :class:`Postings`, recording the same
+        reads; ``None`` for that path (here, always).  *keys* are hashable
+        and no objects or Refs."""
+        return None
 
     def fetch(self, target: Any, name: Any, time: int | None = None) -> Any:
         """Like :meth:`value_at` but dereferences Refs to objects."""

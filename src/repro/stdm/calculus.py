@@ -909,8 +909,25 @@ def _fused_column(node: Expr, ctx, batch) -> Optional[list]:
         if not constant:
             return None
         values.append(value)
-    truth = _member_of(column.evaluate_column(ctx, batch), values)
+    truth = _posted_truth(column, ctx, batch, values)
+    if truth is None:
+        truth = _member_of(column.evaluate_column(ctx, batch), values)
     return list(map(operator.not_, truth)) if negated else truth
+
+
+def _posted_truth(column: Expr, ctx, batch, values: list) -> Optional[list]:
+    """The store's answer for a one-step "now" path over a variable, from
+    postings beside the value column it reads (recording the same
+    reads); None for the column's own path."""
+    steps = column.path_expr.steps if type(column) is PathApply else ()
+    if len(steps) != 1 or type(column.base) is not Var or steps[0].at is not None:
+        return None
+    # NOVALUE and NaN match nothing; objects and Refs key by oid
+    keys = [value for value in values if not _unmatchable(value)]
+    targets = batch.columns.get(column.base.name)
+    if ctx.time is not None or targets is None or not set(map(type, keys)) <= _HASHED_TYPES:
+        return None
+    return ctx.store.posted_truth(targets, steps[0].name, keys)
 
 
 class _Quantifier(Expr):

@@ -45,7 +45,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from ..core.classes import GemClass
 from ..core.object_manager import FIRST_USER_OID, ObjectStore, live_values
-from ..core.object_manager import MemberColumn, MemberColumns
+from ..core.object_manager import MemberColumn, MemberColumns, Postings
 from ..core.objects import GemObject, element_writes
 from ..core.values import Ref
 from ..errors import ArchiveError, CodecError, NoSuchObject
@@ -296,15 +296,17 @@ class StableStore(ObjectStore):
         cache.hits += len(column.members)
         return column
 
-    def value_column(self, column: MemberColumn, name: Any) -> Optional[list]:
+    def value_column(
+        self, column: MemberColumn, name: Any, posted: bool = False
+    ) -> Optional[list | Postings]:
         """Element *name*'s "now" values for *column*'s members, one
         column for every session: ``element_column(column.members, name,
         None)``, built once and kept until an element of any object is
         written (:func:`~repro.core.objects.element_writes`) — or
         ``None`` once *column* is no longer its collection's current
-        member column."""
+        member column.  *posted* asks for the values' :class:`Postings`."""
         return self._member_columns.values(
-            column, name, self.cache.generation, element_writes()
+            column, name, self.cache.generation, element_writes(), posted
         )
 
     def contains(self, oid: int) -> bool:

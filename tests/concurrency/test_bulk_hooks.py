@@ -312,10 +312,11 @@ def shared(world, rng):
     s = world.session
     world.warm = s.members_of(world.bag)
     assert len(world.warm) == MEMBERS
-    # the warm scan builds value columns; "dept" is left unread so a
-    # later partial run of it is the only read of its name
+    # the warm scan builds value columns and their postings; "dept" is
+    # left unread so a later partial run of it is the only read of its name
     for element in ("salary", "name", "absent"):
         s.values_at_column(world.warm, element)
+        s.posted_truth(world.warm, element, [])
 
 
 def archived(world, rng, mounted):

@@ -5,24 +5,30 @@ member of a scanned collection cost about ten Python frames to be
 dereferenced and ten more to have one element read, and every result
 row went through the whole ``bind`` write path.  The bulk hooks took the
 per-row frames out, the predicate kernel took out the per-term passes
-over the scan's name column, and the shared value column took out the
-per-row element read; these bounds keep all three out.  They are upper
-bounds under ``cProfile`` (which also counts calls of builtins), loose
-enough for any supported interpreter and far below the per-row cost:
+over the scan's name column, the shared value column took out the
+per-row element read, and its postings took out the kernel's per-row
+pass; these bounds keep all four out.  They are upper bounds under
+``cProfile`` (which also counts calls of builtins), loose enough for any
+supported interpreter and far below the per-row cost:
 
-====================  ==========  ========  ========  ============  =======
-select (4 000 rows)   per row     bulk      kernel    value column  bound
-====================  ==========  ========  ========  ============  =======
-unindexed scan        101 000     ≈ 4 950   ≈ 4 960   ≈ 985         1 500
-indexed range, ≈ 75   6 400       ≈ 2 650   ≈ 2 650   ≈ 2 660       4 500
-====================  ==========  ========  ========  ============  =======
+===================  =======  =======  =======  ======  ========  =====
+select (4 000 rows)  per row  bulk     kernel   values  postings  bound
+===================  =======  =======  =======  ======  ========  =====
+unindexed scan       101 000  ≈ 4 950  ≈ 4 960  ≈ 994   ≈ 952     1 500
+indexed range, ≈ 75  6 400    ≈ 2 650  ≈ 2 650  ≈ 2 663  ≈ 2 667  4 500
+===================  =======  =======  =======  ======  ========  =====
 
-A warm scan reads each batch's names as a run of the store's shared
-value column: no ``dict.get`` per row (the element-column comprehension
-does not run at all), so what is left is a per-batch constant.  What
-must not grow with the row count is the Python frames: a 4 000-row scan
-is four batches to a 1 000-row scan's one, and may cost only a
-per-batch constant more.
+A warm scan asks the store for each batch's truth column: the batch is
+a run of the shared value column, and the postings kept beside it (each
+value's first row, and the rows of a value that repeats) say which of
+its rows hold a probed name.  No path column is built and no row is
+tested; the per-row work that went ran in C, so the call count hardly
+moves (952 against 994) while the time halves.  What must not grow with
+the row count is the Python frames: a 4 000-row scan is four batches to
+a 1 000-row scan's one, and may cost only a per-batch constant more.
+Nor may building the postings: a GC-tracked object per row (a one-row
+list per value) would bring a full collection into the scan that builds
+them.
 
 Beside the call gate, an allocation gate: a scan's access record is one
 set of oids per element name, so what a row adds to an open read-only
@@ -40,8 +46,9 @@ import tracemalloc
 import pytest
 
 from repro import GemStone
-from repro.core.object_manager import element_column
-from repro.stdm.calculus import Compare, _short_circuit
+from repro.core.object_manager import Postings, element_column
+from repro.stdm import calculus
+from repro.stdm.calculus import Compare, PathApply, _short_circuit
 from repro.storage.cache import ObjectCache
 
 ROWS = 4000
@@ -135,6 +142,47 @@ def test_a_scan_predicate_is_one_kernel_over_its_column(session):
     # comparison node runs, and no connective gathers a sub-batch
     assert calls_of(stats, Compare.evaluate_column) == 0
     assert calls_of(stats, _short_circuit) == 0
+
+
+def test_a_warm_scan_asks_the_postings_and_builds_no_path_column(session, monkeypatch):
+    session.execute(SCAN)
+    session.abort()
+    ran = []
+    for owner, name in ((calculus, "_member_of"), (PathApply, "evaluate_column")):
+        def spy(*args, _original=getattr(owner, name), _name=name):
+            ran.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    assert session.execute(SCAN) == 2
+    assert ran == []
+
+
+def postings_objects(session):
+    """GC-tracked objects that building the postings of the scanned
+    name column adds."""
+    session.execute(SCAN)
+    session.abort()
+    store = session.session.store
+    (column,) = [
+        column for column in store._member_columns._columns.values()
+        if "name" in column.values
+    ]
+    values = column.values["name"][1]
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        postings = Postings.of(values)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(postings.first) == len(values)
+    return added
+
+
+def test_postings_add_no_tracked_object_per_row(session, small_session):
+    assert postings_objects(session) <= postings_objects(small_session)
 
 
 def test_a_scan_costs_a_constant_per_batch_not_per_row(session, small_session):
