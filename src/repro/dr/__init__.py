@@ -8,7 +8,7 @@ link to a :class:`~repro.dr.store.ReplicaLogStore`
 GemStone from the log alone, to any requested epoch;
 :mod:`~repro.dr.verify` proves the rebuild byte-identical; and
 :mod:`~repro.dr.soak` kills the primary at every crash point to prove
-zero committed-transaction loss.  ``python -m repro.dr --seed N``
+zero committed-transaction loss.  ``python -m repro.sweep dr --seed N``
 replays one seeded sweep.  See docs/recovery.md.
 """
 

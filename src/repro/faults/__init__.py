@@ -10,18 +10,20 @@ scenarios as you can imagine"), built on three rules:
   over them unchanged;
 * resilience policies (:class:`ResilientDisk`, the Executor protocol's
   sequence envelopes) consume the faults and are tested by exhaustive
-  sweeps — :mod:`~repro.faults.soak` crashes a workload at *every* write
-  index and proves recovery each time.
+  sweeps — :mod:`~repro.faults.soak`, the ``crash`` kind of
+  :mod:`repro.sweep`, crashes a workload at *every* write index and
+  proves recovery each time.
 """
 
 from .disk import FaultyDisk
 from .link import FaultyLink, make_faulty_link
 from .plan import FaultClock, FaultEvent, FaultPlan, FaultSpec
 from .resilience import ResilientDisk
-from .soak import SoakReport, SoakStep, build_workload, run_crash_sweep
+from .soak import CrashSweep, build_workload
 from .transport import FaultyTransport, SocketFaultSpec, TransportFaults
 
 __all__ = [
+    "CrashSweep",
     "FaultClock",
     "FaultEvent",
     "FaultPlan",
@@ -30,11 +32,8 @@ __all__ = [
     "FaultyLink",
     "FaultyTransport",
     "ResilientDisk",
-    "SoakReport",
-    "SoakStep",
     "SocketFaultSpec",
     "TransportFaults",
     "build_workload",
     "make_faulty_link",
-    "run_crash_sweep",
 ]

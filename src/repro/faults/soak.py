@@ -1,19 +1,19 @@
-"""Crash-recovery soak: prove every recovery path, not just one.
+"""The ``crash`` kind of :mod:`repro.sweep`: the disk dies before every write.
 
 The Commit Manager's safe-write guarantee is all-or-nothing per commit;
 the only honest way to test it is to crash at *every* write index of a
-workload and check recovery each time.  :func:`run_crash_sweep` does
-exactly that:
+workload and check recovery each time.  :class:`CrashSweep` does exactly
+that:
 
 1. format a database and snapshot the platter;
-2. replay a mixed OPAL workload once, uninterrupted, to learn the total
-   number of track writes and the expected state after each commit;
-3. for each crash index, clone the snapshot, arm the crash, replay until
-   the disk dies, restart, run recovery (``GemStone.open`` drives
-   ``CommitManager.recover``), and assert the root-epoch and
-   object-table invariants: the recovered epoch is exactly the epoch of
-   the last completed commit, and every workload key reads back the
-   value that commit gave it — never a torn mixture;
+2. replay a mixed OPAL workload once, uninterrupted: its census is one
+   ``("disk", "commit N")`` instant per track write, N the commit the
+   write belongs to;
+3. for each kill point, clone the snapshot, arm the crash, replay until
+   the disk dies, restart and run recovery (``GemStone.open`` drives
+   ``CommitManager.recover``).  The recovered epoch must be exactly the
+   epoch of the last completed commit, and every workload key must read
+   back the value that commit gave it — never a torn mixture;
 4. compare that cold reopen, object by object, with a *live* witness
    database driven through the same number of commits and never
    restarted (:func:`~repro.dr.verify.logical_diff`): the recovered
@@ -32,43 +32,10 @@ exact write indexes, and time is the disk's simulated cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..db import GemStone
 from ..dr.verify import logical_diff
 from ..errors import StorageError
 from ..storage.disk import DiskGeometry, SimulatedDisk
-
-
-@dataclass(frozen=True)
-class SoakStep:
-    """The outcome of one crash point."""
-
-    crash_index: int  #: write index the crash was armed on
-    commits_survived: int  #: workload commits that completed before it
-    recovered_epoch: int  #: root epoch adopted by recovery
-    recovery_time_units: float  #: simulated disk time spent recovering
-
-
-@dataclass
-class SoakReport:
-    """What an exhaustive crash sweep observed."""
-
-    total_writes: int  #: track writes in the uninterrupted workload
-    crash_points: int  #: crash indexes exercised
-    recoveries: int  #: successful recoveries (must equal crash_points)
-    torn_states: int  #: recoveries exposing a mixed commit (must be 0)
-    steps: list[SoakStep] = field(default_factory=list)
-
-    @property
-    def max_recovery_time(self) -> float:
-        return max((s.recovery_time_units for s in self.steps), default=0.0)
-
-    @property
-    def mean_recovery_time(self) -> float:
-        if not self.steps:
-            return 0.0
-        return sum(s.recovery_time_units for s in self.steps) / len(self.steps)
 
 
 #: ``World!padNN`` bindings of the first batch: ~11 bytes each on the platter
@@ -114,114 +81,75 @@ def _replay(db: GemStone, workload: list[list[str]]) -> int:
     return completed
 
 
-def run_crash_sweep(
-    commits: int = 12,
-    writes_per_commit: int = 3,
-    track_count: int = 1024,
-    track_size: int = 512,
-    stride: int = 1,
-    crash_points: list[int] | None = None,
-) -> SoakReport:
-    """Crash at every write index of the workload; assert recovery each time.
+class CrashSweep:
+    """The disk dies before each track write; recovery lands the last commit."""
 
-    Raises ``AssertionError`` on the first violated invariant; returns
-    the full :class:`SoakReport` when every crash point recovered.
-    *stride* subsamples crash indexes for quick smoke runs;
-    *crash_points* replaces the sweep with an explicit list of write
-    indexes (out-of-range points are rejected) — the handle the CLI's
-    ``--crash-points`` uses to re-run one interesting crash exactly.
-    """
-    workload = build_workload(commits, writes_per_commit)
-    geometry = DiskGeometry(track_count=track_count, track_size=track_size)
+    OPTIONS = {"commits": 12, "writes_per_commit": 3}
+    COUNTS = ("recoveries",)
 
-    # 1+2: base image and the uninterrupted reference run
-    base_disk = SimulatedDisk(geometry)
-    GemStone.create(disk=base_disk)
-    base_epoch = 1  # format's bootstrap commit
-    reference = base_disk.clone()
-    reference_db = GemStone.open(reference)
-    writes_before = reference.stats.writes
-    completed = _replay(reference_db, workload)
-    assert completed == len(workload), "reference run must not fail"
-    total_writes = reference.stats.writes - writes_before
+    def __init__(self, commits: int, writes_per_commit: int) -> None:
+        self.workload = build_workload(commits, writes_per_commit)
+        self.keys = writes_per_commit
+        self.base = SimulatedDisk(DiskGeometry(track_count=1024, track_size=512))
+        GemStone.create(disk=self.base)  # epoch 1: format's bootstrap commit
 
-    problems = logical_diff(reference_db, GemStone.open(reference))
-    assert not problems, f"reference run does not reopen as it stands: {problems}"
-    # the live witness of step 4: crash points ascend, so does what survives
-    witness_db = GemStone.open(base_disk.clone())
-    witnessed = 0
+    def census(self, fail) -> list[tuple]:
+        """The uninterrupted run: one ``("disk", "commit N")`` per write."""
+        reference = self.base.clone()
+        database = GemStone.open(reference)
+        census: list[tuple] = []
+        for number, batch in enumerate(self.workload):
+            before = reference.stats.writes
+            if not _replay(database, [batch]):
+                fail("clean-run", f"commit {number} failed with no crash armed")
+                return []
+            census += [("disk", f"commit {number}")] * (reference.stats.writes - before)
+        problems = logical_diff(database, GemStone.open(reference))
+        if problems:
+            fail("reopen-cold", f"the clean run does not reopen as it stands: {problems}")
+        # the live witness of step 4: kill points ascend, so does what survives
+        self.witness = GemStone.open(self.base.clone())
+        self.witnessed = 0
+        return census
 
-    report = SoakReport(
-        total_writes=total_writes,
-        crash_points=0,
-        recoveries=0,
-        torn_states=0,
-    )
+    def run(self, point: int, fail, counts: dict):
+        """Crash before write *point*; recover; check the last commit's state.
 
-    if crash_points is None:
-        sweep = range(0, total_writes, stride)
-    else:
-        bad = [p for p in crash_points if not 0 <= p < total_writes]
-        if bad:
-            raise ValueError(
-                f"crash points {bad} outside the workload's "
-                f"{total_writes} writes"
-            )
-        sweep = sorted(set(crash_points))
-
-    # 3: the sweep — crash index i kills the (i+1)-th workload write
-    for crash_index in sweep:
-        disk = base_disk.clone()
+        Returns ``(commits survived, recovered epoch, recovery time)``,
+        the time in the disk's simulated units.
+        """
+        disk = self.base.clone()
         db = GemStone.open(disk)
-        disk.crash_after(crash_index)
-        completed = _replay(db, workload)
-        assert completed < len(workload), (
-            f"crash index {crash_index} inside the workload never fired"
-        )
+        disk.crash_after(point)  # the (point+1)-th workload write dies
+        completed = _replay(db, self.workload)
+        if completed == len(self.workload):
+            fail("kill-armed", "the workload finished without reaching its crash")
+            return None
         disk.restart()
-
-        recovery_started = disk.stats.time_units
+        started = disk.stats.time_units
         recovered = GemStone.open(disk)  # CommitManager.recover + reload
-        recovery_time = disk.stats.time_units - recovery_started
+        recovery_time = disk.stats.time_units - started
+        counts["recoveries"] += 1
 
-        expected_epoch = base_epoch + completed
-        actual_epoch = recovered.store.commit_manager.current_epoch
-        assert actual_epoch == expected_epoch, (
-            f"crash index {crash_index}: recovered epoch {actual_epoch}, "
-            f"expected {expected_epoch} ({completed} commits survived)"
-        )
+        epoch = recovered.store.commit_manager.current_epoch
+        if epoch != 1 + completed:
+            fail("recovered-epoch", f"recovered epoch {epoch}, expected "
+                 f"{1 + completed} ({completed} commits survived)")
         session = recovered.login()
-        generations = set()
-        for key in range(writes_per_commit):
-            value = session.execute(f"World!k{key}")
-            expected = f"gen{completed - 1}_{key}" if completed else None
-            if value != expected:
-                report.torn_states += 1
-            if isinstance(value, str):
-                generations.add(value.split("_")[0])
-        assert len(generations) <= 1, (
-            f"crash index {crash_index}: torn commit visible, "
-            f"generations {sorted(generations)}"
-        )
-        assert report.torn_states == 0, (
-            f"crash index {crash_index}: recovered state is not the last "
-            f"completed commit's state"
-        )
-        witnessed += _replay(witness_db, workload[witnessed:completed])
-        problems = logical_diff(witness_db, recovered)
-        assert not problems, (
-            f"crash index {crash_index}: the reopened platter differs from "
-            f"a live store after {completed} commits: {problems}"
-        )
-
-        report.crash_points += 1
-        report.recoveries += 1
-        report.steps.append(
-            SoakStep(
-                crash_index=crash_index,
-                commits_survived=completed,
-                recovered_epoch=actual_epoch,
-                recovery_time_units=recovery_time,
-            )
-        )
-    return report
+        values = [session.execute(f"World!k{key}") for key in range(self.keys)]
+        expected = [
+            f"gen{completed - 1}_{key}" if completed else None
+            for key in range(self.keys)
+        ]
+        generations = {v.split("_")[0] for v in values if isinstance(v, str)}
+        if len(generations) > 1:
+            fail("no-torn-commit", f"generations {sorted(generations)} visible together")
+        elif values != expected:
+            fail("last-commit-state", f"keys read {values}, the last completed "
+                 f"commit left {expected}")
+        self.witnessed += _replay(self.witness, self.workload[self.witnessed:completed])
+        problems = logical_diff(self.witness, recovered)
+        if problems:
+            fail("reopen-cold", f"the reopened platter differs from a live store "
+                 f"after {completed} commits: {problems}")
+        return completed, epoch, recovery_time

@@ -17,12 +17,12 @@ disks (the test fake); :class:`ProcCluster` (:mod:`repro.shard.procs`)
 is the same class constructed over forked worker processes, each on
 its own ``FileDisk`` platter, every frame crossing real TCP.
 
-The fault story is swept, not sampled: :func:`run_shard_soak` kills the
-coordinator and each participant at every protocol window — the same
-windows on either host — and proves, after the cluster's one
-``recover()``, zero committed-transaction loss, zero half-committed
-cross-shard state, and nothing left in doubt.
-``python -m repro.shard --host memory|process --seed N --kill K``
+The fault story is swept, not sampled: the ``shard`` kind of
+:mod:`repro.sweep` kills the coordinator and each participant at every
+protocol window — the same windows on either host — and proves, after
+the cluster's one ``recover()``, zero committed-transaction loss, zero
+half-committed cross-shard state, and nothing left in doubt.
+``python -m repro.sweep shard --host memory|process --seed N --kill K``
 replays any failure.
 
 See docs/sharding.md for the state machine and the recovery matrix,
@@ -33,15 +33,14 @@ from .cluster import MemoryHost, ShardedGemStone, ShardedSession
 from .coordinator import TwoPhaseCoordinator
 from .decisions import DecisionLog
 from .partition import route_statement, shard_of, statement_keys
-from .soak import ShardFailure, ShardSoakReport, WindowKiller, run_shard_soak
 from .worker import ShardWorker
 
 _PROC_NAMES = ("ProcCluster", "WorkerProc")
 
 
 def __getattr__(name):
-    # lazy: ``python -m repro.shard.procs`` must not find the module
-    # already imported by its own package (runpy would warn)
+    # lazy: importing the package (an in-process cluster, a tracer that
+    # wraps the cluster's methods) does not load the forked-worker host
     if name in _PROC_NAMES:
         from . import procs
 
@@ -52,16 +51,12 @@ __all__ = [
     "DecisionLog",
     "MemoryHost",
     "ProcCluster",
-    "ShardFailure",
-    "ShardSoakReport",
     "ShardWorker",
     "ShardedGemStone",
     "ShardedSession",
     "TwoPhaseCoordinator",
-    "WindowKiller",
     "WorkerProc",
     "route_statement",
-    "run_shard_soak",
     "shard_of",
     "statement_keys",
 ]

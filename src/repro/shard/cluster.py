@@ -168,9 +168,6 @@ class _SessionInfo:
 class ShardedGemStone:
     """A cluster of shard workers behind one session interface."""
 
-    #: what ``python -m repro.shard --host`` calls this class's hosts
-    host_kind = "memory"
-
     def __init__(
         self,
         shard_count: int = 2,
@@ -196,7 +193,7 @@ class ShardedGemStone:
     def _assemble(self, hosts, log_store, killer, generation, deadline) -> None:
         """The constructor proper, over whichever hosts were picked.
 
-        *killer* is a sweep's :class:`~repro.shard.soak.WindowKiller`
+        *killer* is a sweep's :class:`~repro.sweep.WindowKiller`
         plan (or None): every node gets its own copy, counting that
         node's windows and armed only on the plan's victim.
         """

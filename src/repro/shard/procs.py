@@ -10,7 +10,7 @@ runs its workers for real, and the constructor that picks it:
   dispatch over the exact ``repro.net`` TCP framing — one replaying
   server per accepted connection;
 * it dies by **SIGKILL**, not by exception: the worker's
-  :class:`~repro.shard.soak.WindowKiller` carries a kill action that
+  :class:`~repro.sweep.WindowKiller` carries a kill action that
   signals its own process mid-protocol — no unwinding, no destructors,
   no flushes — and a respawn is a new process reopening the platter
   file (``FileDisk.open`` → ``ShardWorker.reopen``);
@@ -22,8 +22,7 @@ runs its workers for real, and the constructor that picks it:
 
 Everything else — sessions, 2PC, ``STATUS``, recovery, the kill sweep —
 is the cluster's and the sweep's own code, shared with the in-memory
-host.  ``python -m repro.shard.procs`` is ``python -m repro.shard
---host process``.
+host.
 """
 
 from __future__ import annotations
@@ -242,8 +241,6 @@ class ProcCluster(ShardedGemStone):
     the platters of an earlier cluster, which then reopen.
     """
 
-    host_kind = "process"
-
     def __init__(
         self,
         shard_count: int = 2,
@@ -267,10 +264,3 @@ class ProcCluster(ShardedGemStone):
             killer, generation, deadline,
         )
 
-
-if __name__ == "__main__":
-    import sys
-
-    from .__main__ import main
-
-    sys.exit(main(["--host", "process", *sys.argv[1:]]))

@@ -88,7 +88,8 @@ class TestFullStack:
         for index in range(10):
             session.execute(f"World!key{index} := {index * 11}")
             session.commit()
-        assert stack.retries > 0  # the flakiness was real...
+        assert plan.injected > 0 and stack.retries > 0  # the flakiness was real...
+        assert not stack.degraded  # ...and every fault was masked
 
         reopened = GemStone.open(stack)  # ...and recovery runs over it too
         check = reopened.login()

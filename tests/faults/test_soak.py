@@ -7,41 +7,36 @@ from repro.faults import (
     FaultyDisk,
     ResilientDisk,
     build_workload,
-    run_crash_sweep,
 )
 from repro.storage import DiskGeometry, SimulatedDisk
+from repro.sweep import sweep
 
 
 class TestCrashSweep:
     def test_exhaustive_sweep_never_tears(self):
-        report = run_crash_sweep(
-            commits=6, writes_per_commit=2, track_count=512, track_size=512
-        )
-        assert report.torn_states == 0
-        assert report.recoveries == report.crash_points
-        assert report.crash_points == report.total_writes
-        assert report.total_writes > 0
+        report = sweep("crash", commits=6, writes_per_commit=2)
+        assert report.ok, [f.describe() for f in report.failures]  # nothing torn
+        assert report.counts["recoveries"] == report.points_run
+        assert report.points_run == len(report.census)
+        assert len(report.census) > 0
 
     def test_recovery_time_is_measured(self):
-        report = run_crash_sweep(
-            commits=4, writes_per_commit=2, track_count=512, track_size=512, stride=5
-        )
-        assert report.max_recovery_time > 0
-        assert 0 < report.mean_recovery_time <= report.max_recovery_time
+        report = sweep("crash", stride=5, commits=4, writes_per_commit=2)
+        times = [time for _survived, _epoch, time in report.steps.values()]
+        assert max(times) > 0
+        assert 0 < sum(times) / len(times) <= max(times)
         # strided sweep visits a subset of the write indexes
-        assert report.crash_points < report.total_writes
+        assert report.points_run < len(report.census)
 
     def test_steps_report_monotone_commit_progress(self):
-        report = run_crash_sweep(
-            commits=5, writes_per_commit=2, track_count=512, track_size=512
-        )
-        survived = [step.commits_survived for step in report.steps]
+        report = sweep("crash", commits=5, writes_per_commit=2)
+        survived = [survived for survived, _epoch, _time in report.steps.values()]
         # later crash points can only preserve >= as many commits
         assert survived == sorted(survived)
         assert survived[0] == 0
         assert survived[-1] >= 4
-        for step in report.steps:
-            assert step.recovered_epoch == 1 + step.commits_survived
+        for survived, epoch, _time in report.steps.values():
+            assert epoch == 1 + survived
 
     def test_crash_points_fall_in_every_way_a_record_is_written(self, monkeypatch):
         # the workload keeps a World of several tracks beside a one-track
@@ -65,10 +60,8 @@ class TestCrashSweep:
             return packed
 
         monkeypatch.setattr(Boxer, "pack", pack)
-        report = run_crash_sweep(
-            commits=5, writes_per_commit=2, track_count=512, track_size=512
-        )
-        assert report.recoveries == report.total_writes
+        report = sweep("crash", commits=5, writes_per_commit=2)
+        assert report.counts["recoveries"] == len(report.census)
         assert min(seen["append"], seen["spill"], seen["whole"]) > 0
 
 

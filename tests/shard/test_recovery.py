@@ -19,9 +19,13 @@ import shutil
 import pytest
 
 from repro.errors import GemStoneError, TransactionInDoubt
-from repro.shard import ShardedGemStone, WindowKiller, run_shard_soak
+from repro.shard import ShardedGemStone
 from repro.shard.partition import shard_of
 from repro.shard.procs import ProcCluster
+from repro.sweep import WindowKiller, sweep
+
+#: what ``python -m repro.sweep shard --host`` calls each cluster class
+HOSTS = {ShardedGemStone: "memory", ProcCluster: "process"}
 
 VICTIM = 0
 
@@ -214,21 +218,20 @@ def test_whole_cluster_crash_then_reopen_resolves_in_doubt(cluster_class):
 
 def test_sweep_smoke(cluster_class):
     """A strided slice of the full kill sweep stays invariant-clean."""
-    report = run_shard_soak(stride=7, cluster_class=cluster_class)
+    report = sweep("shard", stride=7, host=HOSTS[cluster_class])
     assert report.ok, [f.describe() for f in report.failures]
-    assert report.kill_points_run >= 5
-    assert report.liveness_commits == report.kill_points_run
+    assert report.points_run >= 5
+    assert report.counts["liveness_commits"] == report.points_run
 
 
 def test_both_hosts_census_the_same_windows():
     """Same seed, same ordered (node, window) list — so kill K means the
     same instant on either host."""
     censuses = [
-        run_shard_soak(
-            seed=2026, shards=2, transactions=6, kill_points=[0],
-            cluster_class=cluster_class,
+        sweep(
+            "shard", kill=0, host=host, seed=2026, shards=2, transactions=6
         ).census
-        for cluster_class in (ShardedGemStone, ProcCluster)
+        for host in ("memory", "process")
     ]
     assert censuses[0] == censuses[1]
     assert len(censuses[0]) == 40
