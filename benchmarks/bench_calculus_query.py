@@ -192,16 +192,11 @@ def declarative_cache_ablation(n_employees: int, repeat: int) -> dict:
 
     store = engine.store
     assert _result_key(store, cached.result) == _result_key(store, uncached.result)
-    speedup = (
-        uncached.seconds / cached.seconds if cached.seconds else float("inf")
-    )
     return {
-        "n_employees": n_employees,
         "uncached_seconds": uncached.seconds,
         "cached_seconds": cached.seconds,
         "queries_per_sec_cached": 1.0 / cached.seconds,
         "queries_per_sec_uncached": 1.0 / uncached.seconds,
-        "speedup": speedup,
         "results_identical": True,
         "perf": stats(engine),
     }
@@ -288,17 +283,11 @@ def join_mode_ablation(n_employees: int, n_departments: int,
     assert f"[rows_out={join_op.rows_out}]" in hash_plan.explain()
 
     return {
-        "name": "join executor: nested scan vs hash vs index nested-loop",
-        "n_employees": n_employees,
-        "n_departments": n_departments,
-        "rows_returned": len(results),
         "join_rows_out": join_op.rows_out,
         "cross_product": n_employees * n_departments,
         "nested_seconds": nested.seconds,
         "hash_seconds": hashed.seconds,
         "index_seconds": indexed.seconds,
-        "hash_speedup": nested.seconds / hashed.seconds,
-        "index_speedup": nested.seconds / indexed.seconds,
         "results_identical": True,
     }
 
@@ -309,7 +298,7 @@ def test_join_mode_ablation_identical():
     assert report["join_rows_out"] < report["cross_product"]
 
 
-def main(argv=None) -> dict:
+def main(argv=None) -> None:
     smoke = argv is not None and "--smoke" in argv
     # the exact section 5.1 instance first
     om = MemoryObjectManager()
@@ -390,34 +379,6 @@ def main(argv=None) -> dict:
         "results byte-identical across modes"
     )
     cache_table.show()
-
-    return {
-        "ablations": [
-            {
-                "name": "repeated declarative select (indexed, installed method)",
-                "uncached_seconds": ablation["uncached_seconds"],
-                "cached_seconds": ablation["cached_seconds"],
-                "speedup": ablation["speedup"],
-            },
-            {
-                "name": "join fusion: nested scan vs HashJoin",
-                "nested_seconds": join_ablation["nested_seconds"],
-                "hash_seconds": join_ablation["hash_seconds"],
-                "speedup": join_ablation["hash_speedup"],
-            },
-            {
-                "name": "join fusion: nested scan vs index nested-loop",
-                "nested_seconds": join_ablation["nested_seconds"],
-                "index_seconds": join_ablation["index_seconds"],
-                "speedup": join_ablation["index_speedup"],
-            },
-        ],
-        "join_fusion": join_ablation,
-        "queries_per_sec_cached": ablation["queries_per_sec_cached"],
-        "queries_per_sec_uncached": ablation["queries_per_sec_uncached"],
-        "results_identical": ablation["results_identical"],
-        "perf": perf,
-    }
 
 
 if __name__ == "__main__":

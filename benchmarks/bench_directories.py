@@ -34,6 +34,8 @@ RANGE_QUERY = (
     "(World!employees select: "
     "[:e | (e!salary >= {low}) & (e!salary < {high})]) size"
 )
+#: the [low, high) brackets the range shape is asserted at
+RANGES = ((40_000, 45_000), (10_000, 100_000), (50_000, 50_000))
 
 
 def range_shape(db, session, low: int, high: int) -> tuple[int, int]:
@@ -67,9 +69,13 @@ def test_same_answer_with_and_without_directory(indexed_db, scan_db):
 def test_two_sided_range_examines_only_its_results(indexed_db, scan_db):
     db, session, _directory = indexed_db
     scan, scan_session, _ = scan_db
-    results, examined = range_shape(db, session, 40_000, 45_000)
-    assert examined == results > 0
-    assert range_shape(scan, scan_session, 40_000, 45_000) == (results, 1_000)
+    counts = []
+    for low, high in RANGES:
+        results, examined = range_shape(db, session, low, high)
+        assert examined == results
+        assert range_shape(scan, scan_session, low, high) == (results, 1_000)
+        counts.append(results)
+    assert counts[0] > 0 and counts[-1] == 0  # a bracket with results, an empty one
 
 
 def test_directory_answers_past_states(indexed_db):
@@ -133,7 +139,7 @@ def main() -> None:
     for count in (1_000, 4_000):
         scan_db, scan_session, _ = build(count, indexed=False)
         db, session, _d = build(count, indexed=True)
-        for low, high in ((40_000, 45_000), (10_000, 100_000), (50_000, 50_000)):
+        for low, high in RANGES:
             results, examined = range_shape(db, session, low, high)
             _same, scanned = range_shape(scan_db, scan_session, low, high)
             assert examined == results and scanned == count

@@ -28,7 +28,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from bench_send_cache import DEPTH, build_engine  # noqa: E402
 
-from repro.bench import Table, observability_metrics, stopwatch  # noqa: E402
+from repro.bench import Table, stopwatch  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 
 #: the acceptance budget: disabled-tracing overhead vs the bare engine
@@ -57,7 +57,7 @@ def _measure(modes: dict, loops: int, rounds: int, repeat: int) -> dict:
     return best
 
 
-def main(argv=None) -> dict:
+def main(argv=None) -> None:
     smoke = argv is not None and "--smoke" in argv
     loops = 200 if smoke else 2_000
     rounds = 5
@@ -107,31 +107,6 @@ def main(argv=None) -> dict:
             f"disabled-tracing overhead {overhead * 100:.2f}% exceeds the "
             f"{OVERHEAD_BUDGET * 100:.0f}% budget"
         )
-
-    # embed a real snapshot via the harness hook, so BENCH_results.json
-    # carries the same metric names the live API publishes
-    from repro import GemStone
-
-    db = GemStone.create()
-    session = db.login()
-    session.execute("World!nums := Set new")
-    for n in range(32):
-        session.execute(f"World!nums add: {n}")
-    session.commit()
-    session.execute("(World!nums) select: [:n | n > 15]")
-    session.close()
-
-    spans_recorded = traced.obs.tracer.recorded
-    return {
-        "ops": sends,
-        "bare_seconds": best["bare"],
-        "obs_off_seconds": best["obs-off"],
-        "obs_on_seconds": traced_best,
-        "obs_off_overhead": overhead,
-        "overhead_budget": OVERHEAD_BUDGET,
-        "spans_recorded_when_on": spans_recorded,
-        "observability": observability_metrics(db),
-    }
 
 
 if __name__ == "__main__":

@@ -36,31 +36,43 @@ def make_pool(db, size: int):
     return pool
 
 
-def run_contention(db, pool, sessions: int, rounds: int, seed: int = 11):
+def contention_rounds(db, pool, sessions: int, rounds: int, seed: int = 11):
     """Interleaved increments: each round, every session reads one
-    random object, then all commit in turn.  Returns (commits, aborts)."""
+    random object, then all commit in turn.  Yields each round's
+    (commits, aborts, priority grants the round raised)."""
     rng = random.Random(seed)
+    stats = db.transaction_manager.stats
     workers = [db.login() for _ in range(sessions)]
-    commits = aborts = 0
-    for _round in range(rounds):
-        picks = [rng.choice(pool) for _ in workers]
-        for worker, oid in zip(workers, picks):
-            value = worker.session.value_at(oid, "n")
-            worker.session.bind(oid, "n", value + 1)
+    try:
+        for _round in range(rounds):
+            grants = stats.priority_grants
+            commits = aborts = 0
+            picks = [rng.choice(pool) for _ in workers]
+            for worker, oid in zip(workers, picks):
+                value = worker.session.value_at(oid, "n")
+                worker.session.bind(oid, "n", value + 1)
+            for worker in workers:
+                try:
+                    worker.commit()
+                    commits += 1
+                except TransactionConflict:
+                    aborts += 1
+                except OverloadedError:
+                    # a starving session holds commit priority: back off,
+                    # discard the workspace, and retry in the next round
+                    worker.abort()
+                    aborts += 1
+            yield commits, aborts, stats.priority_grants - grants
+    finally:
         for worker in workers:
-            try:
-                worker.commit()
-                commits += 1
-            except TransactionConflict:
-                aborts += 1
-            except OverloadedError:
-                # a starving session holds commit priority: back off,
-                # discard the workspace, and retry in the next round
-                worker.abort()
-                aborts += 1
-    for worker in workers:
-        worker.close()
-    return commits, aborts
+            worker.close()
+
+
+def run_contention(db, pool, sessions: int, rounds: int, seed: int = 11):
+    """(commits, aborts) summed over :func:`contention_rounds`."""
+    per_round = list(contention_rounds(db, pool, sessions, rounds, seed))
+    return (sum(commits for commits, _, _ in per_round),
+            sum(aborts for _, aborts, _ in per_round))
 
 
 @pytest.fixture(scope="module")
@@ -80,18 +92,25 @@ def test_disjoint_transactions_never_abort(db):
         worker.close()
 
 
-def test_full_contention_serializes_to_one_winner_per_round(db):
+def test_full_contention_has_at_most_one_winner_per_round(db):
     pool = make_pool(db, 1)
-    commits, aborts = run_contention(db, pool, sessions=4, rounds=10)
-    assert commits == 10  # one winner per round
-    assert aborts == 30
+    per_round = list(contention_rounds(db, pool, sessions=4, rounds=10))
+    assert sum(commits for commits, _, _ in per_round) == 9
+    assert sum(aborts for _, aborts, _ in per_round) == 31
+    assert all(commits <= 1 for commits, _, _ in per_round)
+    # Round 8's first committer began at its round-7 abort, before that
+    # round's winner committed: its third conflict in a row grants it
+    # commit priority, so the other three are pushed back with
+    # OverloadedError and the round has no winner.  A round is left
+    # without one only where it raised a priority grant.
+    winnerless = [index for index, (commits, _, _) in enumerate(per_round)
+                  if commits == 0]
+    assert winnerless == [8]
+    assert all(per_round[index][2] > 0 for index in winnerless)
 
     # and the final value equals the number of successful commits
     session = db.login()
-    total = sum(
-        session.session.value_at(pool[0], "n") for _ in range(1)
-    )
-    assert total == 10
+    assert session.session.value_at(pool[0], "n") == 9
 
 
 def test_abort_rate_rises_with_contention(db):

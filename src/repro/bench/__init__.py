@@ -1,6 +1,6 @@
 """``repro.bench`` — workload generators and the results harness."""
 
-from .harness import Table, Timing, observability_metrics, ratio, stopwatch
+from .harness import Table, Timing, ratio, stopwatch
 from .workloads import (
     acme_fragment,
     employee_database,
@@ -18,7 +18,6 @@ __all__ = [
     "employee_database",
     "figure1_database",
     "history_churn",
-    "observability_metrics",
     "ratio",
     "scattered_tree_database",
     "stopwatch",

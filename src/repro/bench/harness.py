@@ -108,21 +108,3 @@ def ratio(a: float, b: float) -> str:
         return "∞"
     return f"{a / b:.1f}x"
 
-
-def observability_metrics(database: Any, slow: int = 5) -> dict[str, Any]:
-    """The observability sections a bench's metrics dict embeds.
-
-    These are the *same* names ``GemStone.observability()`` publishes
-    (``docs/observability.md`` has the catalogue), so
-    ``BENCH_results.json`` and a live snapshot can be diffed key for
-    key.  The span ring is dropped — raw spans are run-local noise in a
-    trajectory file — but the span histograms survive via ``counters``.
-    """
-    snap = database.observability(slow=slow, spans=0)
-    return {
-        "transactions": snap["transactions"],
-        "caches": snap["caches"],
-        "governance": snap["governance"],
-        "counters": snap["counters"],
-        "slow_queries": snap["slow_queries"],
-    }

@@ -9,7 +9,7 @@ stamps for provable invalidation (:mod:`~repro.perf.epochs`), per-store
 cache state (:mod:`~repro.perf.caches`), and the unified observability
 report (:mod:`~repro.perf.stats`).  See ``docs/performance.md`` for the
 cache inventory — each cache's key, its invalidation trigger, and how to
-read ``BENCH_results.json``.
+read the report.
 """
 
 from .caches import StoreCaches, store_caches

@@ -14,9 +14,9 @@ and folds together:
   :class:`~repro.storage.cache.ObjectCache` (hits/misses/evictions) and
   the disk-stack ``storage_report``.
 
-``BENCH_results.json`` embeds this report next to each benchmark's wall
-time so the perf trajectory records *why* a number moved, not just that
-it did.
+``GemStone.observability()`` embeds this report as its ``caches``
+section, and the benchmarks print its hit rates beside their timings,
+so a number that moved comes with *why* it moved.
 """
 
 from __future__ import annotations

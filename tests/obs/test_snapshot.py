@@ -169,16 +169,6 @@ def test_dashboard_renders_every_section(worked_database):
         assert fragment in text
 
 
-def test_bench_harness_hook_reuses_snapshot_names(worked_database):
-    from repro.bench import observability_metrics
-
-    metrics = observability_metrics(worked_database)
-    snapshot = worked_database.observability()
-    for section in ("transactions", "caches", "governance", "counters",
-                    "slow_queries"):
-        assert set(metrics[section].keys()) == set(snapshot[section].keys())
-
-
 def test_two_databases_do_not_share_metrics():
     first = GemStone.create()
     second = GemStone.create()
