@@ -22,13 +22,12 @@ import argparse
 
 from repro.bench import Table
 from repro.check import run_soak
+from repro.check.generate import QUERIES_PER_CASE
 
 #: the full soak widens every oracle and sweeps more seeds by default
-FULL = dict(diff_cases=400, queries_per_case=3, temporal_cases=30,
-            schedule_cases=12)
+FULL = dict(diff_cases=400, temporal_cases=30, schedule_cases=12)
 #: smoke still clears the 1000-query floor: 350 cases x 3 queries
-SMOKE = dict(diff_cases=350, queries_per_case=3, temporal_cases=10,
-             schedule_cases=6)
+SMOKE = dict(diff_cases=350, temporal_cases=10, schedule_cases=6)
 
 
 def soak_once(seed, params):
@@ -61,7 +60,7 @@ def main(argv=None):
 
     table = Table(
         f"check soak: {n_seeds} seed(s) x "
-        f"{params['diff_cases']}x{params['queries_per_case']} queries, "
+        f"{params['diff_cases']}x{QUERIES_PER_CASE} queries, "
         f"{params['temporal_cases']} histories, "
         f"{params['schedule_cases']} schedules",
         ["seed", "queries", "evaluations", "memo hits", "reads", "clamps",

@@ -23,70 +23,57 @@ generated workloads instead of assuming them:
 * :mod:`~repro.check.schedule` — a deterministic (single-threaded)
   interleaving explorer for OCC commits: committed histories must be
   serializable and aborted sessions must leave no partial state;
+* :mod:`~repro.check.sharded` — one seeded OPAL workload down the
+  monolithic store and the sharded cluster (in-process, and ``cluster``:
+  worker processes too), observation for observation;
 * :mod:`~repro.check.lifting` — every generated select three ways
   (compiled as written, lifted cold, lifted warm after the same shape
   with other literals): same members, same plan text, same logged
   source.
 
-Every oracle is a pure function of its seed — the same conventions as
-:mod:`repro.faults.plan` — so any failure is reproducible with
-``python -m repro.check --seed N --case K``.  See ``docs/testing.md``.
+Each oracle is a *kind* of one harness (:mod:`~repro.check.harness`):
+one seeded case loop, :func:`check`, one :class:`Failure` record, one
+CLI, and :func:`run_soak`, a loop over the kinds.  Every case is a pure
+function of its seed — the same conventions as :mod:`repro.faults.plan`
+— so any failure is reproducible with ``python -m repro.check --seed N
+--case K [--oracle O]``.  See ``docs/testing.md``.
 """
 
-from .differential import (
-    CheckFailure,
-    DifferentialReport,
-    Mismatch,
-    PlanMemo,
-    run_differential_case,
-    run_differential_range,
-)
+from .differential import PlanMemo
 from .generate import generate_case
-from .lifting import LiftingReport, run_lifting_case, run_lifting_range
-from .reference import ShadowStore, evaluate_reference
-from .report import reproducer_command
-from .schedule import ScheduleReport, run_schedule_case, run_schedule_range
-from .sharded import (
-    StackDifferentialReport,
-    StackMismatch,
-    generate_shard_workload,
-    run_stack_case,
-    run_stack_range,
+from .harness import (
+    KINDS,
+    CheckFailure,
+    Failure,
+    Report,
+    check,
+    oracle_database,
+    reproducer,
+    run_soak,
 )
+from .reference import ShadowStore, evaluate_reference
+from .sharded import generate_shard_workload
 from .shrink import shrink_case
-from .soak import run_soak
-from .spec import CaseSpec, CollectionSpec, QuerySpec, case_key
-from .temporal import TemporalReport, run_temporal_case, run_temporal_range
+from .spec import CaseSpec, CollectionSpec, QuerySpec, case_key, describe_case
 
 __all__ = [
+    "KINDS",
     "CaseSpec",
     "CheckFailure",
     "CollectionSpec",
-    "DifferentialReport",
-    "LiftingReport",
-    "Mismatch",
+    "Failure",
     "PlanMemo",
     "QuerySpec",
-    "ScheduleReport",
+    "Report",
     "ShadowStore",
-    "StackDifferentialReport",
-    "StackMismatch",
-    "TemporalReport",
     "case_key",
+    "check",
+    "describe_case",
     "evaluate_reference",
     "generate_case",
     "generate_shard_workload",
-    "reproducer_command",
-    "run_differential_case",
-    "run_differential_range",
-    "run_lifting_case",
-    "run_lifting_range",
-    "run_schedule_case",
-    "run_schedule_range",
+    "oracle_database",
+    "reproducer",
     "run_soak",
-    "run_stack_case",
-    "run_stack_range",
-    "run_temporal_case",
-    "run_temporal_range",
     "shrink_case",
 ]

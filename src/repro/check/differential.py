@@ -12,94 +12,30 @@ of its case's history:
    (index-aware, join-fused).
 
 The three plans run on the algebra's one executor.  All four row sets
-are canonicalized to sorted strings and must be *identical*.  Any
-disagreement is a :class:`Mismatch` carrying enough coordinates (seed,
-case, query, epoch) to reproduce it with ``python -m repro.check``.
+are canonicalized to sorted strings and must be *identical*; any
+disagreement fails the case at that query and epoch.
 
-The memo can be constructed with ``ignore_epochs=True`` — the
-deliberately-injected staleness bug of the acceptance criteria: such a
-memo keeps serving plans compiled against directories that have since
-been dropped, and the oracle must catch it.
+Two test-only bugs (``--bug``) must be caught: ``stale-memo`` builds the
+memo with ``ignore_epochs=True``, so it keeps serving plans compiled
+against directories that have since been dropped; ``skip-maintenance``
+commits without directory maintenance, so indexes go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..perf import class_epoch
 from ..perf.coherence import verify_cache_coherence
 from ..stdm.optimize import best_plan
 from ..stdm.translate import translate
+from .generate import generate_case
 from .materialize import CaseEnv, canon_shadow
 from .reference import evaluate_reference
-from .spec import CaseSpec, QuerySpec, case_key
+from .shrink import shrink_case
+from .spec import CaseSpec, QuerySpec, case_key, describe_case
 
 PATHS = ("reference", "uncached", "memoized", "optimized")
-
-
-class CheckFailure(AssertionError):
-    """An oracle found a divergence; the message embeds a reproducer."""
-
-
-@dataclass
-class Mismatch:
-    """One disagreement between evaluation paths (or oracles)."""
-
-    seed: int
-    case_index: int
-    query_index: int
-    eval_epoch: int
-    rows: dict[str, list[str]]
-    detail: str = ""
-    #: the injected-bug mode active when this was found (reproducer flag)
-    bug: Optional[str] = None
-
-    def divergent_paths(self) -> list[str]:
-        baseline = self.rows.get("reference")
-        return [name for name, rows in self.rows.items() if rows != baseline]
-
-    def describe(self) -> str:
-        lines = [
-            f"differential mismatch: seed={self.seed} case={self.case_index} "
-            f"query={self.query_index} epoch={self.eval_epoch}",
-        ]
-        if self.detail:
-            lines.append(f"  {self.detail}")
-        for name in PATHS:
-            if name in self.rows:
-                lines.append(f"  {name:>9}: {self.rows[name]}")
-        from .report import reproducer_command
-
-        lines.append("reproduce with:")
-        lines.append(
-            f"  {reproducer_command(self.seed, self.case_index, bug=self.bug)}"
-        )
-        return "\n".join(lines)
-
-
-@dataclass
-class DifferentialReport:
-    """Aggregate outcome of a differential run."""
-
-    cases: int = 0
-    queries: int = 0
-    evaluations: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
-    mismatches: list[Mismatch] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def merge(self, other: "DifferentialReport") -> None:
-        self.cases += other.cases
-        self.queries += other.queries
-        self.evaluations += other.evaluations
-        self.memo_hits += other.memo_hits
-        self.memo_misses += other.memo_misses
-        self.mismatches.extend(other.mismatches)
 
 
 class PlanMemo:
@@ -195,97 +131,63 @@ def _evaluate_paths(
     return rows, _stale_plan_detail(env, memo_plan)
 
 
-def run_differential_case(
-    spec: CaseSpec,
-    *,
-    memo: Optional[PlanMemo] = None,
-    skip_maintenance: bool = False,
-    registry=None,
-    stop_at_first: bool = False,
-) -> DifferentialReport:
-    """Replay one case's history, cross-checking queries at each point."""
-    report = DifferentialReport(cases=1, queries=len(spec.queries))
-    memo = memo if memo is not None else PlanMemo()
-    bug = (
-        "stale-memo" if memo.ignore_epochs
-        else "skip-maintenance" if skip_maintenance
-        else None
-    )
-    env = CaseEnv(spec, skip_maintenance=skip_maintenance)
-    for epoch in range(spec.n_epochs + 1):
-        if epoch > 0:
-            env.apply_epoch(epoch)
-        for q_index, query in enumerate(spec.queries):
-            if epoch not in query.eval_epochs:
-                continue
-            rows, stale_detail = _evaluate_paths(env, query, memo)
-            report.evaluations += 1
-            if registry is not None:
-                registry.inc("check.diff.evaluations")
-            if len({tuple(r) for r in rows.values()}) != 1 or stale_detail:
-                report.mismatches.append(
-                    Mismatch(
-                        seed=spec.seed,
-                        case_index=spec.index,
-                        query_index=q_index,
-                        eval_epoch=epoch,
-                        rows=rows,
-                        detail=stale_detail,
-                        bug=bug,
+class Differential:
+    """Reference, uncached, memoized and optimized plans agree on every query."""
+
+    COUNTS = ("cases", "queries", "evaluations", "memo_hits", "memo_misses")
+    PREFIX, FAILED = "diff", "mismatches"
+    BUGS = ("stale-memo", "skip-maintenance")
+
+    def __init__(self, seed: int, bug: Optional[str] = None) -> None:
+        self.seed, self.bug = seed, bug
+
+    def run(self, case: int, fail, counts: dict) -> None:
+        self.replay(generate_case(self.seed, case), fail, counts)
+
+    def replay(self, spec: CaseSpec, fail, counts: dict, first: bool = False) -> None:
+        """Replay one case's history, cross-checking queries at each point
+        (up to the *first* divergence, for the shrinker)."""
+        counts["cases"] += 1
+        counts["queries"] += len(spec.queries)
+        memo = PlanMemo(ignore_epochs=self.bug == "stale-memo")
+        env = CaseEnv(spec, skip_maintenance=self.bug == "skip-maintenance")
+        for epoch in range(spec.n_epochs + 1):
+            if epoch > 0:
+                env.apply_epoch(epoch)
+            for q_index, query in enumerate(spec.queries):
+                if epoch not in query.eval_epochs:
+                    continue
+                rows, stale_detail = _evaluate_paths(env, query, memo)
+                counts["evaluations"] += 1
+                divergent = [n for n in PATHS if rows[n] != rows["reference"]]
+                if divergent or stale_detail:
+                    fail(
+                        f"mismatch: query {q_index} at epoch {epoch}"
+                        + (f", {'/'.join(divergent)} differ from reference"
+                           if divergent else ""),
+                        "\n".join([stale_detail] * bool(stale_detail) + [
+                            f"{name:>9}: {rows[name]}" for name in PATHS
+                        ]),
                     )
-                )
-                if registry is not None:
-                    registry.inc("check.diff.mismatches")
-                if stop_at_first:
-                    break
-        else:
-            continue
-        break
-    report.memo_hits = memo.hits
-    report.memo_misses = memo.misses
-    problems = verify_cache_coherence(env.store)
-    if problems:
-        report.mismatches.append(
-            Mismatch(
-                seed=spec.seed,
-                case_index=spec.index,
-                query_index=-1,
-                eval_epoch=env.applied_epoch,
-                rows={},
-                detail="cache coherence: " + "; ".join(problems),
-                bug=bug,
-            )
-        )
-    if registry is not None:
-        registry.inc("check.diff.cases")
-        registry.inc("check.diff.queries", len(spec.queries))
-    return report
-
-
-def run_differential_range(
-    seed: int,
-    cases: int,
-    *,
-    queries_per_case: int = 3,
-    skip_maintenance: bool = False,
-    ignore_epochs: bool = False,
-    registry=None,
-    stop_at_first: bool = False,
-) -> DifferentialReport:
-    """Run ``cases`` generated cases from one seed; aggregate results."""
-    from .generate import generate_case
-
-    total = DifferentialReport()
-    for index in range(cases):
-        spec = generate_case(seed, index, queries_per_case=queries_per_case)
-        report = run_differential_case(
-            spec,
-            memo=PlanMemo(ignore_epochs=ignore_epochs),
-            skip_maintenance=skip_maintenance,
-            registry=registry,
-            stop_at_first=stop_at_first,
-        )
-        total.merge(report)
-        if stop_at_first and not total.ok:
+                    if first:
+                        break
+            else:
+                continue
             break
-    return total
+        counts["memo_hits"] += memo.hits
+        counts["memo_misses"] += memo.misses
+        problems = verify_cache_coherence(env.store)
+        if problems:
+            fail(f"cache coherence at epoch {env.applied_epoch}",
+                 "\n".join(problems))
+
+    def fails(self, spec: CaseSpec) -> bool:
+        """Whether *spec* still fails: the shrinker's predicate."""
+        failures = []
+        self.replay(spec, lambda *failure: failures.append(failure),
+                    dict.fromkeys(self.COUNTS, 0), first=True)
+        return bool(failures)
+
+    def shrink(self, case: int) -> str:
+        """The minimal spec of *case* that still fails, rendered."""
+        return describe_case(shrink_case(generate_case(self.seed, case), self.fails))

@@ -36,13 +36,15 @@ _INT_POOL = tuple(range(0, 55, 5))
 _STR_POOL = ("ada", "bob", "cy", "dee", "eve", "fay", "gus")
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _VAR_NAMES = ("e", "d", "m")
+#: queries per generated case (part of what a seed means)
+QUERIES_PER_CASE = 3
 
 
 def _rng_for(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
-def generate_case(seed: int, index: int, queries_per_case: int = 3) -> CaseSpec:
+def generate_case(seed: int, index: int) -> CaseSpec:
     """Build the ``index``-th case of ``seed``'s deterministic stream."""
     rng = _rng_for(seed, index)
     collections = _generate_collections(rng)
@@ -51,7 +53,7 @@ def generate_case(seed: int, index: int, queries_per_case: int = 3) -> CaseSpec:
     mutations = _generate_mutations(rng, collections, n_epochs, dir_events)
     queries = tuple(
         _generate_query(rng, collections, n_epochs, dir_events)
-        for _ in range(queries_per_case)
+        for _ in range(QUERIES_PER_CASE)
     )
     return CaseSpec(
         seed=seed,

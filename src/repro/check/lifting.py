@@ -32,20 +32,18 @@ the edge table adds what a generator would rarely place: a string bound
 on a numeric directory, ``x > -5`` beside ``x -5``, one literal in two
 places, a time pin and a literal array (both stay in the shape), and a
 block kept in a workspace variable across later texts of its own shape.
-Failures print ``python -m repro.check --oracle lifting --seed N --case
-K`` reproducers, like every other oracle here.
+Failures print ``python -m repro.check --seed N --case K --oracle
+lifting`` reproducers, like every other oracle here.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..db import GemStone
 from ..opal.lexer import Lexer
 from .generate import bracket_bounds
-from .report import reproducer_command
 
 WAYS = ("unlifted", "cold", "warm")
 
@@ -181,21 +179,6 @@ def _load(database: GemStone, rng: random.Random) -> int:
     return pinned
 
 
-@dataclass
-class LiftingReport:
-    """The outcome of one case (or a folded range of cases)."""
-
-    seed: int
-    case: int
-    selects: int = 0
-    warm_hits: int = 0
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
 class _ThreeWays:
     """One database, one session per way."""
 
@@ -239,7 +222,7 @@ class _ThreeWays:
         # a select's result is a new bag: compare what it holds
         return sorted(member.oid for member in store.members_of(value, None))
 
-    def compare(self, text: str, sibling: str) -> tuple[list[str], bool]:
+    def compare(self, text: str, sibling: str) -> tuple[list[tuple[str, str]], bool]:
         """*text* all three ways — warm after *sibling*; the differences
         found, and whether the warm run hit the compiled-block cache."""
         warm = self.sessions["warm"]
@@ -256,16 +239,17 @@ class _ThreeWays:
         return _differences(seen, what), hit
 
 
-def _differences(seen: dict[str, Any], what: str) -> list[str]:
-    """One problem per lifted way whose observations are not the oracle's."""
+def _differences(seen: dict[str, Any], what: str) -> list[tuple[str, str]]:
+    """One ``(what, detail)`` per lifted way whose observations are not
+    the oracle's."""
     return [
-        f"{way} differs from unlifted on {what}:\n"
-        f"    unlifted: {seen['unlifted']!r}\n    {way:>8}: {seen[way]!r}"
+        (f"{way} differs from unlifted on {what}",
+         f"unlifted: {seen['unlifted']!r}\n{way:>8}: {seen[way]!r}")
         for way in WAYS[1:] if seen[way] != seen["unlifted"]
     ]
 
 
-def _kept_block(ways: _ThreeWays, bag: str) -> list[str]:
+def _kept_block(ways: _ThreeWays, bag: str) -> list[tuple[str, str]]:
     """A block in a workspace variable keeps the literals of the text
     that made it: through a text of another shape that invokes it, and
     through a later text of *its own* shape with other literals."""
@@ -284,74 +268,61 @@ def _kept_block(ways: _ThreeWays, bag: str) -> list[str]:
             ways.observe(way, use, {"kept": kept}),
         ]
         if seen[way][0] != seen[way][1] or seen[way][0] != seen[way][4]:
-            return [
-                f"{way}: a kept block changed its answer over {bag}: "
-                f"{seen[way]!r}"
-            ]
+            return [(f"{way}: a kept block changed its answer over {bag}",
+                     repr(seen[way]))]
     return _differences(seen, f"a kept block over {bag}")
 
 
-def run_lifting_case(
-    seed: int, case: int, *, selects: int = 40, registry=None
-) -> LiftingReport:
-    """One seeded database; *selects* generated texts and the whole edge
-    table, each compared three ways."""
-    rng = random.Random(f"lifting.{seed}.{case}")
-    report = LiftingReport(seed=seed, case=case)
-    database = GemStone.create()
-    pinned = _load(database, rng)
-    ways = _ThreeWays(database)
-    shapes = _generated_shapes(pinned)
-    pairs: list[tuple[str, str, bool]] = []
-    for _ in range(selects):
-        shape = rng.choice(shapes)
-        text = shape(rng)
-        wanted = Lexer(text).shape
-        for _ in range(20):  # a sibling: the same shape, other literals
-            sibling = shape(rng)
-            same_shape = Lexer(sibling).shape == wanted
-            if same_shape and sibling != text:
-                break
-        pairs.append((text, sibling, same_shape))
-    for text, sibling in _EDGES:
-        for bag in _COLLECTIONS:
-            places = {"bag": f"World!{bag}", "pinned": pinned}
-            pairs.append(
-                (text.format(**places), sibling.format(**places), True)
-            )
-    try:
-        for text, sibling, same_shape in pairs:
-            problems, hit = ways.compare(text, sibling)
-            report.selects += 1
-            report.warm_hits += hit
-            if same_shape and not hit:
-                problems.append(
-                    f"warm run of {text!r} after {sibling!r} missed the "
-                    "compiled-block cache: nothing was compared"
+class Lifting:
+    """Every select agrees unlifted, lifted cold and lifted warm."""
+
+    COUNTS = ("selects", "warm_hits")
+    PREFIX, FAILED = "lifting", "problems"
+    #: generated selects per case, beside the whole edge table
+    SELECTS = 40
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+
+    def run(self, case: int, fail, counts: dict) -> None:
+        """One seeded database; generated texts and the whole edge table,
+        each compared three ways."""
+        rng = random.Random(f"lifting.{self.seed}.{case}")
+        database = GemStone.create()
+        pinned = _load(database, rng)
+        ways = _ThreeWays(database)
+        shapes = _generated_shapes(pinned)
+        pairs: list[tuple[str, str, bool]] = []
+        for _ in range(self.SELECTS):
+            shape = rng.choice(shapes)
+            text = shape(rng)
+            wanted = Lexer(text).shape
+            for _ in range(20):  # a sibling: the same shape, other literals
+                sibling = shape(rng)
+                same_shape = Lexer(sibling).shape == wanted
+                if same_shape and sibling != text:
+                    break
+            pairs.append((text, sibling, same_shape))
+        for text, sibling in _EDGES:
+            for bag in _COLLECTIONS:
+                places = {"bag": f"World!{bag}", "pinned": pinned}
+                pairs.append(
+                    (text.format(**places), sibling.format(**places), True)
                 )
-            report.problems.extend(problems)
-        for bag in _COLLECTIONS:
-            report.problems.extend(_kept_block(ways, f"World!{bag}"))
-    finally:
-        ways.close()
-    if report.problems:
-        report.problems.append(
-            "reproduce: " + reproducer_command(seed, case, oracle="lifting")
-        )
-    if registry is not None:
-        registry.inc("check.lifting.selects", report.selects)
-        registry.inc("check.lifting.problems", len(report.problems))
-    return report
-
-
-def run_lifting_range(
-    seed: int, cases: int, *, selects: int = 40, registry=None
-) -> LiftingReport:
-    """Fold *cases* consecutive case indices into one report."""
-    folded = LiftingReport(seed=seed, case=0)
-    for case in range(cases):
-        one = run_lifting_case(seed, case, selects=selects, registry=registry)
-        folded.selects += one.selects
-        folded.warm_hits += one.warm_hits
-        folded.problems.extend(one.problems)
-    return folded
+        try:
+            for text, sibling, same_shape in pairs:
+                problems, hit = ways.compare(text, sibling)
+                counts["selects"] += 1
+                counts["warm_hits"] += hit
+                if same_shape and not hit:
+                    problems.append((
+                        f"warm run of {text!r} after {sibling!r} missed the "
+                        "compiled-block cache: nothing was compared", "",
+                    ))
+                for problem in problems:
+                    fail(*problem)
+            for bag in _COLLECTIONS:
+                for problem in _kept_block(ways, f"World!{bag}"):
+                    fail(*problem)
+        finally:
+            ways.close()

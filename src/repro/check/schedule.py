@@ -27,43 +27,15 @@ Checked invariants, mirroring section 6's optimistic scheme:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from hashlib import sha256
+from itertools import combinations
 from typing import Any, Optional
 
 from ..dr.verify import reopen_cold_diff
 from ..errors import OverloadedError, TransactionConflict
-from .report import reproducer_command
+from .harness import check, oracle_database
 
 _MAX_ATTEMPTS = 8
-
-
-@dataclass
-class ScheduleReport:
-    """Aggregate outcome of schedule exploration."""
-
-    samples: int = 0
-    steps: int = 0
-    commits: int = 0
-    aborts: int = 0
-    overloads: int = 0
-    problems: list[str] = field(default_factory=list)
-    digest: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def merge(self, other: "ScheduleReport") -> None:
-        self.samples += other.samples
-        self.steps += other.steps
-        self.commits += other.commits
-        self.aborts += other.aborts
-        self.overloads += other.overloads
-        self.problems.extend(other.problems)
-        self.digest = sha256(
-            (self.digest + other.digest).encode()
-        ).hexdigest()
 
 
 class _VirtualSession:
@@ -116,78 +88,75 @@ def _expected_read(
     return committed[counter]
 
 
-def run_schedule_case(
-    database,
-    seed: int,
-    case: int,
-    *,
-    n_sessions: int = 3,
-    ops_per_session: int = 4,
-    n_counters: int = 3,
-    schedule: Optional[list[int]] = None,
-    registry=None,
-) -> ScheduleReport:
-    """Run one interleaving sample on *database*; check every invariant.
+class Schedule:
+    """Committed histories are serializable; aborts leave no partial state."""
 
-    ``schedule`` fixes the interleaving explicitly (used by the
-    exhaustive two-session mode); by default it is drawn from the seed.
-    """
-    import random
-
-    registry = registry if registry is not None else getattr(
-        database.obs, "registry", None
-    )
-    rng = random.Random(seed * 9_999_991 + case)
-    prefix = f"s{seed}_{case}"
-    report = ScheduleReport(samples=1)
-    events: list[tuple] = []
-
-    setup = database.login()
-    try:
-        for j in range(n_counters):
-            setup.assign(_counter_path(prefix, j), 0)
-        setup.commit()
-    finally:
-        setup.close()
-    committed = {j: 0 for j in range(n_counters)}
-
-    programs = [
-        _generate_program(rng, ops_per_session, n_counters)
-        for _ in range(n_sessions)
+    COUNTS = ("samples", "steps", "commits", "aborts")
+    PREFIX, FAILED = "schedule", "violations"
+    #: shared counters per sample
+    COUNTERS = 3
+    #: sessions × operations each, sampled and exhaustive
+    SAMPLED, EXHAUSTIVE = (3, 4), (2, 3)
+    #: the exhaustive mode's fixed schedules: every placement of session
+    #: 0's four steps (three operations, then its commit) among the eight
+    SCHEDULES = [
+        [0 if p in first else 1 for p in range(8)]
+        for first in combinations(range(8), 4)
     ]
-    sessions = [
-        _VirtualSession(i, database.login(), program)
-        for i, program in enumerate(programs)
-    ]
-    commit_log: list[tuple[int, list[tuple]]] = []  # (session idx, ops run)
 
-    try:
-        _drive(
-            database, sessions, committed, commit_log, events,
-            prefix, rng, report, schedule,
-        )
-        _check_serializability(
-            database, sessions, committed, commit_log, events,
-            prefix, programs, report,
-        )
-    finally:
-        for vs in sessions:
-            vs.session.close()
-    report.problems.extend(reopen_cold_diff(database))
+    def __init__(self, seed: int, database=None, exhaustive: bool = False) -> None:
+        self.seed = seed
+        self.database = database if database is not None else oracle_database()
+        self.registry = getattr(self.database.obs, "registry", None)
+        self.exhaustive = exhaustive
 
-    report.digest = sha256(repr(events).encode()).hexdigest()
-    if registry is not None:
-        registry.inc("check.schedule.samples")
-        registry.inc("check.schedule.commits", report.commits)
-        registry.inc("check.schedule.aborts", report.aborts)
-        if report.problems:
-            registry.inc("check.schedule.violations", len(report.problems))
-    if report.problems:
-        report.problems.append(
-            "reproduce with: "
-            + reproducer_command(seed, case, oracle="schedule")
-        )
-    return report
+    def run(self, case: int, fail, counts: dict) -> str:
+        """One interleaving — drawn from the seed, or the exhaustive
+        mode's *case*-th — checked against every invariant; returns the
+        digest of its event log."""
+        import random
+
+        database = self.database
+        n_sessions, ops = self.EXHAUSTIVE if self.exhaustive else self.SAMPLED
+        schedule = self.SCHEDULES[case] if self.exhaustive else None
+        rng = random.Random(self.seed * 9_999_991 + case)
+        prefix = f"s{self.seed}_{case}"
+        counts["samples"] += 1
+        events: list[tuple] = []
+
+        setup = database.login()
+        try:
+            for j in range(self.COUNTERS):
+                setup.assign(_counter_path(prefix, j), 0)
+            setup.commit()
+        finally:
+            setup.close()
+        committed = {j: 0 for j in range(self.COUNTERS)}
+
+        programs = [
+            _generate_program(rng, ops, self.COUNTERS)
+            for _ in range(n_sessions)
+        ]
+        sessions = [
+            _VirtualSession(i, database.login(), program)
+            for i, program in enumerate(programs)
+        ]
+        commit_log: list[tuple[int, list[tuple]]] = []  # (session idx, ops run)
+
+        try:
+            _drive(
+                database, sessions, committed, commit_log, events,
+                prefix, rng, fail, counts, schedule,
+            )
+            _check_serializability(
+                database, committed, commit_log, prefix, fail,
+            )
+        finally:
+            for vs in sessions:
+                vs.session.close()
+        for problem in reopen_cold_diff(database):
+            fail(problem)
+        return sha256(repr(events).encode()).hexdigest()
 
 
 def _generate_program(rng, ops: int, n_counters: int) -> list[tuple]:
@@ -206,7 +175,7 @@ def _generate_program(rng, ops: int, n_counters: int) -> list[tuple]:
 
 def _drive(
     database, sessions, committed, commit_log, events,
-    prefix, rng, report, schedule,
+    prefix, rng, fail, counts, schedule,
 ) -> None:
     """Interleave per the schedule until every session commits or gives up."""
     cursor = 0
@@ -220,23 +189,24 @@ def _drive(
         else:
             vs = rng.choice(runnable)
         if vs.position < len(vs.program):
-            _step(vs, prefix, committed, events, report)
+            _step(vs, prefix, committed, events, fail, counts)
         else:
             _try_commit(
-                database, vs, prefix, committed, commit_log, events, report
+                database, vs, prefix, committed, commit_log, events, fail,
+                counts,
             )
 
 
-def _step(vs, prefix, committed, events, report) -> None:
+def _step(vs, prefix, committed, events, fail, counts) -> None:
     op = vs.program[vs.position]
     vs.position += 1
-    report.steps += 1
+    counts["steps"] += 1
     if op[0] == "read":
         actual = _read(vs, prefix, op[1])
         expected = _expected_read(vs, op[1], committed)
         events.append(("read", vs.index, op[1], actual))
         if actual != expected:
-            report.problems.append(
+            fail(
                 f"session {vs.index} read x{op[1]} = {actual}, expected "
                 f"{expected} (staged={vs.staged}, twin={vs.twin_snapshot})"
             )
@@ -250,14 +220,14 @@ def _step(vs, prefix, committed, events, report) -> None:
 
 
 def _try_commit(
-    database, vs, prefix, committed, commit_log, events, report
+    database, vs, prefix, committed, commit_log, events, fail, counts
 ) -> None:
     try:
         tx_time = vs.session.commit()
     except TransactionConflict:
-        report.aborts += 1
+        counts["aborts"] += 1
         events.append(("conflict", vs.index, vs.attempts))
-        _check_no_partial_state(database, prefix, committed, vs, report)
+        _check_no_partial_state(database, prefix, committed, vs, fail)
         vs.attempts += 1
         if vs.attempts >= _MAX_ATTEMPTS:
             vs.done = True  # starved out; serial replay just omits it
@@ -266,7 +236,6 @@ def _try_commit(
             vs.reset_attempt()
         return
     except OverloadedError as error:
-        report.overloads += 1
         events.append(("overloaded", vs.index))
         database.transaction_manager.backoff_clock.advance(
             error.retry_after or 1.0
@@ -279,7 +248,7 @@ def _try_commit(
         else:
             vs.reset_attempt()
         return
-    report.commits += 1
+    counts["commits"] += 1
     events.append(("commit", vs.index, tx_time))
     committed.update(vs.staged)
     commit_log.append((vs.index, list(vs.program)))
@@ -297,20 +266,17 @@ def _read_counters(database, prefix, n_counters: int) -> dict[int, int]:
         observer.close()
 
 
-def _check_no_partial_state(database, prefix, committed, vs, report) -> None:
+def _check_no_partial_state(database, prefix, committed, vs, fail) -> None:
     """An aborted transaction's staged writes must be invisible."""
     visible = _read_counters(database, prefix, len(committed))
     if visible != committed:
-        report.problems.append(
+        fail(
             f"after session {vs.index} aborted, committed state is "
             f"{visible}, expected {committed} (staged was {vs.staged})"
         )
 
 
-def _check_serializability(
-    database, sessions, committed, commit_log, events,
-    prefix, programs, report,
-) -> None:
+def _check_serializability(database, committed, commit_log, prefix, fail) -> None:
     """Serial replay of committed bodies must equal the real final state."""
     model = {j: 0 for j in committed}
     for session_index, program in commit_log:
@@ -321,63 +287,26 @@ def _check_serializability(
                 model[op[1]] = model[op[1]] + op[2]
     final = _read_counters(database, prefix, len(committed))
     if final != model:
-        report.problems.append(
+        fail(
             f"committed history is not serializable: store has {final}, "
             f"serial replay in commit order gives {model} "
             f"(commit order {[i for i, _ in commit_log]})"
         )
     if final != committed:
-        report.problems.append(
+        fail(
             f"effect tracking diverged: store has {final}, "
             f"tracked committed state is {committed}"
         )
 
 
-def run_schedule_range(
-    database,
-    seed: int,
-    cases: int,
-    *,
-    n_sessions: int = 3,
-    ops_per_session: int = 4,
-    registry=None,
-) -> ScheduleReport:
-    """Sample ``cases`` random interleavings; aggregate the reports."""
-    total = ScheduleReport()
-    for case in range(cases):
-        total.merge(
-            run_schedule_case(
-                database, seed, case,
-                n_sessions=n_sessions, ops_per_session=ops_per_session,
-                registry=registry,
-            )
-        )
-    return total
-
-
-def exhaustive_two_session_schedules(
-    database, seed: int, *, ops_per_session: int = 3, registry=None
-) -> ScheduleReport:
+def exhaustive_two_session_schedules(database, seed: int, *, registry=None):
     """Enumerate *every* interleaving of two fixed two-session programs.
 
     With 2 sessions × k steps (+1 commit point each) the schedule space
     is small enough to walk completely — the deterministic analogue of
     a stress test, with no luck involved.
     """
-    from itertools import combinations
-
-    total = ScheduleReport()
-    slots = ops_per_session + 1  # program steps plus the commit step
-    positions = range(2 * slots)
-    for case, first_positions in enumerate(combinations(positions, slots)):
-        schedule = [
-            0 if p in set(first_positions) else 1 for p in positions
-        ]
-        total.merge(
-            run_schedule_case(
-                database, seed, case,
-                n_sessions=2, ops_per_session=ops_per_session,
-                schedule=schedule, registry=registry,
-            )
-        )
-    return total
+    return check(
+        "schedule", seed, cases=len(Schedule.SCHEDULES), registry=registry,
+        database=database, exhaustive=True,
+    )

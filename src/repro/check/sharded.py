@@ -34,15 +34,13 @@ when the workload is done every database this process holds live — the
 baseline, and each shard of the in-process cluster — is reopened cold
 from its platter and must read back object for object as the live store
 has it (:func:`~repro.dr.verify.reopen_cold_diff`).  Failures
-print ``python -m repro.check --oracle sharded|cluster --seed N --case
-K`` reproducers, like every other oracle here.
+print ``python -m repro.check --seed N --case K --oracle
+sharded|cluster`` reproducers, like every other oracle here.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from hashlib import sha256
 from typing import Any
 
 from ..db import GemStone
@@ -52,7 +50,6 @@ from ..shard import ShardedGemStone
 from ..shard.cluster import MemoryHost
 from ..shard.partition import shard_of
 from .generate import bracket_bounds
-from .report import reproducer_command
 
 #: binding pool size per case; names are short so the regex router and
 #: the catalog both see realistic, colliding-ish identifiers
@@ -65,22 +62,6 @@ _NUMBERS = tuple(range(0, 45, 5))
 #: more than one 4096-byte track, and any one more than a 512-byte track
 _WIDE_VALUE = 600
 
-#: per oracle: the default cluster width and workload length (part of
-#: what a seed means, so they differ as they always have)
-_DEFAULTS = {"sharded": (3, 10), "cluster": (2, 8)}
-
-
-def _stacks(oracle: str, shards: int) -> dict[str, Any]:
-    """The named stacks *oracle* compares, baseline first."""
-    stacks = {
-        "baseline": GemStone.create(),
-        "in-process": ShardedGemStone(shard_count=shards),
-    }
-    if oracle == "cluster":
-        from ..shard.procs import ProcCluster
-
-        stacks["processes"] = ProcCluster(shard_count=shards)
-    return stacks
 
 def generate_shard_workload(
     seed: int, case: int, *, shards: int, transactions: int
@@ -156,59 +137,6 @@ def _live_databases(stacks: dict[str, Any]) -> dict[str, GemStone]:
     return found
 
 
-@dataclass
-class StackMismatch:
-    """One divergence between the stacks."""
-
-    seed: int
-    case: int
-    oracle: str
-    transaction: int
-    what: str
-    #: stack name → what that stack observed, baseline first
-    observed: dict[str, Any]
-
-    def describe(self) -> str:
-        width = max(len(name) for name in self.observed) + 1
-        lines = [
-            f"{self.oracle} divergence in transaction "
-            f"{self.transaction}: {self.what}"
-        ]
-        lines += [
-            f"  {name + ':':<{width}} {value!r}"
-            for name, value in self.observed.items()
-        ]
-        lines.append(
-            "  reproduce: "
-            + reproducer_command(self.seed, self.case, oracle=self.oracle)
-        )
-        return "\n".join(lines)
-
-
-@dataclass
-class StackDifferentialReport:
-    """The outcome of one case (or a folded range of cases)."""
-
-    seed: int
-    case: int
-    oracle: str
-    shards: int
-    statements: int = 0
-    commits: int = 0
-    cross_shard_commits: int = 0
-    mismatches: list[StackMismatch] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def digest(self) -> str:
-        return sha256(
-            repr((self.seed, self.case, self.shards, self.statements,
-                  self.commits)).encode()
-        ).hexdigest()[:12]
-
-
 def _observe(session, statements: list[str]) -> dict[str, Any]:
     """Run one transaction; every observable it produces, as plain data."""
     results: list[tuple[Any, str]] = []
@@ -228,108 +156,96 @@ def _same(values) -> bool:
     return all(value == values[0] for value in values[1:])
 
 
-def run_stack_case(
-    seed: int,
-    case: int,
-    *,
-    oracle: str = "sharded",
-    shards: int | None = None,
-    transactions: int | None = None,
-    registry=None,
-) -> StackDifferentialReport:
-    """One seeded workload down every stack of *oracle*, compared
-    observable by observable."""
-    default_shards, default_transactions = _DEFAULTS[oracle]
-    shards = shards or default_shards
-    report = StackDifferentialReport(
-        seed=seed, case=case, oracle=oracle, shards=shards
+def _side_by_side(observed: dict[str, Any]) -> str:
+    """What each stack observed, one aligned line each."""
+    width = max(len(name) for name in observed) + 1
+    return "\n".join(
+        f"{name + ':':<{width}} {value!r}" for name, value in observed.items()
     )
-    workload = generate_shard_workload(
-        seed, case, shards=shards,
-        transactions=transactions or default_transactions,
-    )
-    stacks = _stacks(oracle, shards)
-    clusters = list(stacks.values())[1:]
-
-    def note(transaction: int, what: str, values) -> None:
-        report.mismatches.append(StackMismatch(
-            seed=seed, case=case, oracle=oracle, transaction=transaction,
-            what=what, observed=dict(zip(stacks, values)),
-        ))
-        if registry is not None:
-            registry.inc(f"check.{oracle}.mismatches")
-
-    try:
-        for t, statements in enumerate(workload):
-            seen = [
-                _observe(stack.login(), statements)
-                for stack in stacks.values()
-            ]
-            report.statements += len(statements)
-            if registry is not None:
-                registry.inc(f"check.{oracle}.statements", len(statements))
-            outcomes = [one["outcome"] for one in seen]
-            if not _same(outcomes):
-                note(t, "commit outcome", outcomes)
-                continue
-            if outcomes[0] == "committed":
-                report.commits += 1
-            for i, results in enumerate(zip(*(one["results"] for one in seen))):
-                values = [value for value, _display in results]
-                displays = [display for _value, display in results]
-                if not _same(values):
-                    note(t, f"statement {i} value ({statements[i]!r})", values)
-                elif not _same(displays):
-                    note(t, f"statement {i} display ({statements[i]!r})",
-                         displays)
-
-        # the final state: every binding in the pool must agree
-        readers = [stack.login() for stack in stacks.values()]
-        for key in (f"sd{case}k{i}" for i in range(_POOL)):
-            values = [reader.execute(f"World!{key}") for reader in readers]
-            if not _same(values):
-                note(-1, f"final value of World!{key}", values)
-
-        counts = [cluster.cross_shard_commits for cluster in clusters]
-        report.cross_shard_commits = counts[-1]
-        if not _same(counts):
-            note(-1, "cross-shard commit count", ["-", *counts])
-
-        for name, database in _live_databases(stacks).items():
-            problems = reopen_cold_diff(database)
-            if problems:
-                report.mismatches.append(StackMismatch(
-                    seed=seed, case=case, oracle=oracle, transaction=-1,
-                    what="platter against its live store",
-                    observed={name: problems},
-                ))
-    finally:
-        for cluster in clusters:
-            cluster.close()
-    return report
 
 
-def run_stack_range(
-    seed: int,
-    cases: int,
-    *,
-    oracle: str = "sharded",
-    shards: int | None = None,
-    transactions: int | None = None,
-    registry=None,
-) -> StackDifferentialReport:
-    """Fold *cases* consecutive case indices into one report."""
-    folded = StackDifferentialReport(
-        seed=seed, case=0, oracle=oracle,
-        shards=shards or _DEFAULTS[oracle][0],
-    )
-    for case in range(cases):
-        one = run_stack_case(
-            seed, case, oracle=oracle, shards=shards,
-            transactions=transactions, registry=registry,
+class Sharded:
+    """The baseline and the in-process cluster agree statement by statement."""
+
+    COUNTS = ("statements", "commits", "cross_shard_commits")
+    PREFIX, FAILED = "sharded", "mismatches"
+    #: cluster width and transactions per workload (part of what a seed means)
+    SHARDS, TRANSACTIONS = 3, 10
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+
+    def stacks(self) -> dict[str, Any]:
+        """The named stacks this kind compares, baseline first."""
+        return {
+            "baseline": GemStone.create(),
+            "in-process": ShardedGemStone(shard_count=self.SHARDS),
+        }
+
+    def run(self, case: int, fail, counts: dict) -> None:
+        """One seeded workload down every stack, compared observable by
+        observable."""
+        workload = generate_shard_workload(
+            self.seed, case, shards=self.SHARDS, transactions=self.TRANSACTIONS
         )
-        folded.statements += one.statements
-        folded.commits += one.commits
-        folded.cross_shard_commits += one.cross_shard_commits
-        folded.mismatches.extend(one.mismatches)
-    return folded
+        stacks = self.stacks()
+        clusters = list(stacks.values())[1:]
+
+        def note(transaction: int, what: str, values) -> None:
+            fail(f"divergence in transaction {transaction}: {what}",
+                 _side_by_side(dict(zip(stacks, values))))
+
+        try:
+            for t, statements in enumerate(workload):
+                seen = [
+                    _observe(stack.login(), statements)
+                    for stack in stacks.values()
+                ]
+                counts["statements"] += len(statements)
+                outcomes = [one["outcome"] for one in seen]
+                if not _same(outcomes):
+                    note(t, "commit outcome", outcomes)
+                    continue
+                if outcomes[0] == "committed":
+                    counts["commits"] += 1
+                for i, results in enumerate(zip(*(one["results"] for one in seen))):
+                    values = [value for value, _display in results]
+                    displays = [display for _value, display in results]
+                    if not _same(values):
+                        note(t, f"statement {i} value ({statements[i]!r})", values)
+                    elif not _same(displays):
+                        note(t, f"statement {i} display ({statements[i]!r})",
+                             displays)
+
+            # the final state: every binding in the pool must agree
+            readers = [stack.login() for stack in stacks.values()]
+            for key in (f"sd{case}k{i}" for i in range(_POOL)):
+                values = [reader.execute(f"World!{key}") for reader in readers]
+                if not _same(values):
+                    note(-1, f"final value of World!{key}", values)
+
+            shard_counts = [cluster.cross_shard_commits for cluster in clusters]
+            counts["cross_shard_commits"] += shard_counts[-1]
+            if not _same(shard_counts):
+                note(-1, "cross-shard commit count", ["-", *shard_counts])
+
+            for name, database in _live_databases(stacks).items():
+                problems = reopen_cold_diff(database)
+                if problems:
+                    fail("platter against its live store",
+                         _side_by_side({name: problems}))
+        finally:
+            for cluster in clusters:
+                cluster.close()
+
+
+class Cluster(Sharded):
+    """Statements agree across all three stacks: baseline, in-process, processes."""
+
+    PREFIX = "cluster"
+    SHARDS, TRANSACTIONS = 2, 8
+
+    def stacks(self) -> dict[str, Any]:
+        from ..shard.procs import ProcCluster
+
+        return super().stacks() | {"processes": ProcCluster(shard_count=self.SHARDS)}

@@ -150,3 +150,29 @@ def case_key(query: QuerySpec) -> str:
     production plan memo (:mod:`repro.opal.declarative`).
     """
     return repr((query.binders, query.condition, query.result, query.at_epoch))
+
+
+def describe_case(spec: CaseSpec) -> str:
+    """A compact, human-readable dump of one (usually shrunk) case."""
+    lines = [
+        f"case seed={spec.seed} index={spec.index} epochs={spec.n_epochs}",
+    ]
+    for coll in spec.collections:
+        fields = ", ".join(f"{name}:{kind}" for name, kind in coll.fields)
+        lines.append(
+            f"  collection {coll.cid}: {coll.size} objects [{fields}] "
+            f"members={list(coll.initial_members)}"
+        )
+        for obj, fieldname, value in coll.initial_values:
+            lines.append(f"    init ({coll.cid}.{obj}).{fieldname} = {value!r}")
+    for mutation in spec.mutations:
+        lines.append(f"  epoch {mutation[1]}: {mutation!r}")
+    for event in spec.dir_events:
+        lines.append(f"  epoch {event[1]}: {event[0]} directory {event[2]}!{event[3]}")
+    for index, query in enumerate(spec.queries):
+        lines.append(
+            f"  query {index}: binders={query.binders!r} "
+            f"where={query.condition!r} result={query.result!r} "
+            f"at_epoch={query.at_epoch} eval_epochs={query.eval_epochs}"
+        )
+    return "\n".join(lines)

@@ -23,84 +23,52 @@ interval stamps get wrong first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.timedial import TimeDial
 from ..dr.verify import reopen_cold_diff
-from .report import reproducer_command
+from .harness import oracle_database
 
 #: resolve() default distinguishing "absent at T" from any real value
 ABSENT = object()
 
 
-@dataclass
-class TemporalReport:
-    """Aggregate outcome of one or more temporal histories."""
+class Temporal:
+    """Every @T read, TimeDial pin and association-table read agrees with the shadow."""
 
-    histories: int = 0
-    commits: int = 0
-    reads: int = 0
-    clamps: int = 0
-    problems: list[str] = field(default_factory=list)
+    COUNTS = ("histories", "commits", "reads", "clamps")
+    PREFIX, FAILED = "temporal", "mismatches"
+    #: commits per history
+    COMMITS = 6
 
-    @property
-    def ok(self) -> bool:
-        return not self.problems
+    def __init__(self, seed: int, database=None) -> None:
+        self.seed = seed
+        self.database = database if database is not None else oracle_database()
+        self.registry = getattr(self.database.obs, "registry", None)
 
-    def merge(self, other: "TemporalReport") -> None:
-        self.histories += other.histories
-        self.commits += other.commits
-        self.reads += other.reads
-        self.clamps += other.clamps
-        self.problems.extend(other.problems)
+    def run(self, case: int, fail, counts: dict) -> None:
+        """Replay one random history on the database and cross-check it.
 
+        Histories are namespaced by ``(seed, case)`` so many cases can
+        share one database — world element names never collide.
+        """
+        import random
 
-def run_temporal_case(
-    database,
-    seed: int,
-    case: int,
-    *,
-    commits: int = 6,
-    registry=None,
-) -> TemporalReport:
-    """Replay one random history on *database* and cross-check it.
-
-    Histories are namespaced by ``(seed, case)`` so many cases can share
-    one database — world element names never collide.
-    """
-    import random
-
-    rng = random.Random(seed * 7_368_787 + case)
-    prefix = f"h{seed}_{case}"
-    report = TemporalReport(histories=1)
-    registry = registry if registry is not None else getattr(
-        database.obs, "registry", None
-    )
-
-    session = database.login()
-    try:
-        shadow = _replay(session, rng, prefix, commits, report)
-        _check_reads(session, database, shadow, prefix, report)
-        _check_safe_time_clamp(database, report, registry)
-    finally:
-        session.close()
-    report.problems.extend(reopen_cold_diff(database))
-
-    if registry is not None:
-        registry.inc("check.temporal.histories")
-        registry.inc("check.temporal.reads", report.reads)
-        if report.problems:
-            registry.inc("check.temporal.mismatches", len(report.problems))
-    if report.problems:
-        report.problems.append(
-            "reproduce with: "
-            + reproducer_command(seed, case, oracle="temporal")
-        )
-    return report
+        rng = random.Random(self.seed * 7_368_787 + case)
+        prefix = f"h{self.seed}_{case}"
+        counts["histories"] += 1
+        session = self.database.login()
+        try:
+            shadow = _replay(session, rng, prefix, self.COMMITS, fail, counts)
+            _check_reads(session, shadow, fail, counts)
+            _check_safe_time_clamp(self.database, fail, counts)
+        finally:
+            session.close()
+        for problem in reopen_cold_diff(self.database):
+            fail(problem)
 
 
-def _replay(session, rng, prefix, commits, report) -> dict:
+def _replay(session, rng, prefix, commits, fail, counts) -> dict:
     """Run the history; returns {obj: {"_created": t, field: [(t, v)...]}}."""
     shadow: dict[str, dict[str, Any]] = {}
     fields = ("f0", "f1", "f2")
@@ -122,7 +90,7 @@ def _replay(session, rng, prefix, commits, report) -> dict:
                     session.assign(f"{name}!{fieldname}", value)
                     staged.append((name, fieldname, value))
         tx_time = session.commit()
-        report.commits += 1
+        counts["commits"] += 1
         for name in objects:
             if shadow[name]["_created"] is None:
                 shadow[name]["_created"] = tx_time
@@ -132,14 +100,10 @@ def _replay(session, rng, prefix, commits, report) -> dict:
         # running transaction can change it
         safe = session.safe_time()
         if safe != session.database.transaction_manager.clock.latest:
-            report.problems.append(
-                f"safe_time {safe} != commit clock after commit {tx_time}"
-            )
+            fail(f"safe_time {safe} != commit clock after commit {tx_time}")
         dialed = session.time_dial.set_safe()
         if dialed != safe:
-            report.problems.append(
-                f"set_safe dialed {dialed} but safe_time is {safe}"
-            )
+            fail(f"set_safe dialed {dialed} but safe_time is {safe}")
         session.time_dial.reset()
     return shadow
 
@@ -180,19 +144,19 @@ def _probe_times(shadow) -> list[Optional[int]]:
     return sorted((t for t in times if t is not None)) + [None]
 
 
-def _check_reads(session, database, shadow, prefix, report) -> None:
+def _check_reads(session, shadow, fail, counts) -> None:
     for name, record in shadow.items():
         fields = [k for k in record if k != "_created"]
         for fieldname in fields + ["f0"]:
             for time in _probe_times(shadow):
                 expected = _shadow_value(shadow, name, fieldname, time)
                 _check_one_read(
-                    session, database, name, fieldname, time, expected, report
+                    session, name, fieldname, time, expected, fail, counts
                 )
 
 
 def _check_one_read(
-    session, database, name, fieldname, time, expected, report
+    session, name, fieldname, time, expected, fail, counts
 ) -> None:
     # 1. explicit @T pins on every path component
     if time is None:
@@ -200,17 +164,17 @@ def _check_one_read(
     else:
         pinned_path = f"{name}@{time}!{fieldname}@{time}"
     actual = session.resolve(pinned_path, default=ABSENT)
-    report.reads += 1
+    counts["reads"] += 1
     if actual != expected:
-        report.problems.append(
+        fail(
             f"@T read {pinned_path!r}: got {actual!r}, shadow says {expected!r}"
         )
     # 2. the time-dial equivalence: dialing to T == appending @T everywhere
     with session.time_dial.at(time):
         dialed = session.resolve(f"{name}!{fieldname}", default=ABSENT)
-    report.reads += 1
+    counts["reads"] += 1
     if dialed != expected:
-        report.problems.append(
+        fail(
             f"dial@{time} read {name}!{fieldname}: got {dialed!r}, "
             f"shadow says {expected!r}"
         )
@@ -221,45 +185,27 @@ def _check_one_read(
         obj = session.database.store.deref(obj_ref)
         table = obj.elements.get(fieldname)
         raw = table.value_at(time) if table is not None else None
-        report.reads += 1
+        counts["reads"] += 1
         if raw != expected:
-            report.problems.append(
+            fail(
                 f"association table {name}.{fieldname}@{time}: got {raw!r}, "
                 f"shadow says {expected!r}"
             )
 
 
-def _check_safe_time_clamp(database, report, registry) -> None:
+def _check_safe_time_clamp(database, fail, counts) -> None:
     """A SafeTime provider ahead of the commit clock must be clamped."""
     ceiling = database.transaction_manager.clock.latest
     skewed = TimeDial(
         safe_time_provider=lambda: ceiling + 7,
         commit_time_provider=lambda: ceiling,
     )
-    if registry is not None:
-        skewed.on_clamp = lambda: registry.inc("check.temporal.clamps")
     dialed = skewed.set_safe()
     if dialed != ceiling:
-        report.problems.append(
+        fail(
             f"skewed SafeTime {ceiling + 7} not clamped to ceiling {ceiling} "
             f"(got {dialed})"
         )
     if skewed.clamps != 1:
-        report.problems.append(
-            f"clamp counter is {skewed.clamps} after one clamped set_safe"
-        )
-    report.clamps += skewed.clamps
-
-
-def run_temporal_range(
-    database, seed: int, cases: int, *, commits: int = 6, registry=None
-) -> TemporalReport:
-    """Replay ``cases`` histories (sharing *database*); aggregate."""
-    total = TemporalReport()
-    for case in range(cases):
-        total.merge(
-            run_temporal_case(
-                database, seed, case, commits=commits, registry=registry
-            )
-        )
-    return total
+        fail(f"clamp counter is {skewed.clamps} after one clamped set_safe")
+    counts["clamps"] += skewed.clamps

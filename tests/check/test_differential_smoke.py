@@ -5,7 +5,7 @@ identical rows from the naive reference evaluator, an uncached algebra
 translation, a warm plan-memo, and a fresh index-aware optimization.
 """
 
-from repro.check import generate_case, run_differential_range
+from repro.check import check, generate_case
 from repro.obs import MetricsRegistry
 
 #: the committed smoke seed — changing it invalidates the claim below
@@ -14,22 +14,23 @@ SMOKE_CASES = 200
 
 
 def test_smoke_seed_range_has_zero_mismatches():
-    report = run_differential_range(SMOKE_SEED, SMOKE_CASES)
-    assert report.ok, report.mismatches[0].describe()
+    report = check("differential", SMOKE_SEED, cases=SMOKE_CASES)
+    assert report.ok, report.failures[0].describe()
+    counts = report.counts
     # the acceptance bar: hundreds of queries, each evaluated at least
     # twice (eval epochs), each time across all four paths
-    assert report.queries >= 200
-    assert report.evaluations >= 2 * report.queries
-    assert report.cases == SMOKE_CASES
+    assert counts["queries"] >= 200
+    assert counts["evaluations"] >= 2 * counts["queries"]
+    assert counts["cases"] == SMOKE_CASES
 
 
 def test_memo_path_actually_hits():
-    report = run_differential_range(SMOKE_SEED, 50)
+    report = check("differential", SMOKE_SEED, cases=50)
     assert report.ok
     # queries re-evaluated at a later epoch with no directory churn in
     # between must be served from the memo, not re-planned
-    assert report.memo_hits > 0
-    assert report.memo_misses > 0
+    assert report.counts["memo_hits"] > 0
+    assert report.counts["memo_misses"] > 0
 
 
 def test_generation_is_deterministic():
@@ -39,22 +40,22 @@ def test_generation_is_deterministic():
 
 
 def test_run_is_deterministic():
-    first = run_differential_range(SMOKE_SEED, 20)
-    second = run_differential_range(SMOKE_SEED, 20)
-    assert (first.cases, first.queries, first.evaluations) == (
-        second.cases, second.queries, second.evaluations
+    first = check("differential", SMOKE_SEED, cases=20).counts
+    second = check("differential", SMOKE_SEED, cases=20).counts
+    assert (first["cases"], first["queries"], first["evaluations"]) == (
+        second["cases"], second["queries"], second["evaluations"]
     )
-    assert first.memo_hits == second.memo_hits
-    assert first.memo_misses == second.memo_misses
+    assert first["memo_hits"] == second["memo_hits"]
+    assert first["memo_misses"] == second["memo_misses"]
 
 
 def test_oracle_counters_reach_the_registry():
     registry = MetricsRegistry()
-    report = run_differential_range(SMOKE_SEED, 10, registry=registry)
+    report = check("differential", SMOKE_SEED, cases=10, registry=registry)
     counters = registry.snapshot()["counters"]
-    assert counters["check.diff.cases"] == report.cases == 10
-    assert counters["check.diff.evaluations"] == report.evaluations
-    assert counters["check.diff.queries"] == report.queries
+    assert counters["check.diff.cases"] == report.counts["cases"] == 10
+    assert counters["check.diff.evaluations"] == report.counts["evaluations"]
+    assert counters["check.diff.queries"] == report.counts["queries"]
     assert "check.diff.mismatches" not in counters  # clean run
 
 

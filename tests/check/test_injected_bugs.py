@@ -2,29 +2,26 @@
 
 Two test-only bugs ride in the harness itself:
 
-* ``PlanMemo(ignore_epochs=True)`` — the memo key omits the class and
-  directory epochs, so dropped directories keep being probed by cached
-  plans (the classic plan-cache staleness bug);
-* ``skip_maintenance=True`` — commits skip directory maintenance, so
+* ``stale-memo`` — ``PlanMemo(ignore_epochs=True)``: the memo key omits
+  the class and directory epochs, so dropped directories keep being
+  probed by cached plans (the classic plan-cache staleness bug);
+* ``skip-maintenance`` — commits skip directory maintenance, so
   indexes silently go stale against the base data.
 
 Each must be detected within the committed smoke seed range and shrink
 to a strictly smaller reproducer that still fails.
 """
 
-from repro.check import generate_case, run_differential_range, shrink_case
-from repro.check.differential import PlanMemo, run_differential_case
-from repro.check.report import describe_case
+from repro.check import check, describe_case, generate_case, shrink_case
+from repro.check.differential import Differential
 
 
 SMOKE_SEED = 2026
 HUNT_CASES = 100
 
 
-def hunt(**kwargs):
-    return run_differential_range(
-        SMOKE_SEED, HUNT_CASES, stop_at_first=True, **kwargs
-    )
+def hunt(bug=None):
+    return check("differential", SMOKE_SEED, cases=HUNT_CASES, bug=bug)
 
 
 def test_clean_configuration_is_green():
@@ -32,32 +29,29 @@ def test_clean_configuration_is_green():
 
 
 def test_stale_plan_memo_is_caught():
-    report = hunt(ignore_epochs=True)
+    report = hunt(bug="stale-memo")
     assert not report.ok, "epoch-less memo keying must be detected"
-    mismatch = report.mismatches[0]
-    assert mismatch.bug == "stale-memo"
-    assert "dropped directories" in mismatch.detail or mismatch.divergent_paths()
+    failure = report.failures[0]
+    assert failure.reproducer.endswith("--bug stale-memo")
+    assert "dropped directories" in failure.detail or \
+        "differ from reference" in failure.what
 
 
 def test_skipped_maintenance_is_caught():
-    report = hunt(skip_maintenance=True)
+    report = hunt(bug="skip-maintenance")
     assert not report.ok, "skipping directory maintenance must be detected"
-    assert report.mismatches[0].bug == "skip-maintenance"
+    failure = report.failures[0]
+    assert failure.reproducer.endswith("--bug skip-maintenance")
     # this bug diverges behaviorally: index-served rows disagree
-    assert "memoized" in report.mismatches[0].divergent_paths() or \
-        "optimized" in report.mismatches[0].divergent_paths()
+    divergent = failure.what.partition(", ")[2]
+    assert "memoized" in divergent or "optimized" in divergent
 
 
 def test_stale_memo_failure_shrinks_to_a_minimal_reproducer():
-    report = hunt(ignore_epochs=True)
-    failing = report.mismatches[0]
-    spec = generate_case(SMOKE_SEED, failing.case_index)
-
-    def still_fails(candidate):
-        rerun = run_differential_case(
-            candidate, memo=PlanMemo(ignore_epochs=True), stop_at_first=True
-        )
-        return not rerun.ok
+    report = hunt(bug="stale-memo")
+    failing = report.failures[0]
+    spec = generate_case(SMOKE_SEED, failing.case)
+    still_fails = Differential(SMOKE_SEED, bug="stale-memo").fails
 
     assert still_fails(spec)
     shrunk = shrink_case(spec, still_fails)
@@ -71,13 +65,8 @@ def test_stale_memo_failure_shrinks_to_a_minimal_reproducer():
 
 
 def test_shrinking_is_deterministic():
-    report = hunt(ignore_epochs=True)
-    spec = generate_case(SMOKE_SEED, report.mismatches[0].case_index)
-
-    def still_fails(candidate):
-        rerun = run_differential_case(
-            candidate, memo=PlanMemo(ignore_epochs=True), stop_at_first=True
-        )
-        return not rerun.ok
+    report = hunt(bug="stale-memo")
+    spec = generate_case(SMOKE_SEED, report.failures[0].case)
+    still_fails = Differential(SMOKE_SEED, bug="stale-memo").fails
 
     assert shrink_case(spec, still_fails) == shrink_case(spec, still_fails)

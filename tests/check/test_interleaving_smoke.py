@@ -8,7 +8,7 @@ exploration must be a pure function of its seed (digest-equal reruns).
 
 import pytest
 
-from repro.check import run_schedule_case, run_schedule_range
+from repro.check import check
 from repro.check.schedule import exhaustive_two_session_schedules
 from repro.db import GemStone
 from repro.obs import MetricsRegistry
@@ -26,43 +26,44 @@ def database():
 
 
 def test_three_session_samples_are_serializable(database):
-    report = run_schedule_range(database, SMOKE_SEED, 8)
-    assert report.ok, report.problems[0]
-    assert report.samples == 8
+    report = check("schedule", SMOKE_SEED, cases=8, database=database)
+    assert report.ok, report.failures[0].describe()
+    assert report.counts["samples"] == 8
     # the sampled schedules must actually exercise OCC: some sessions
     # commit first try, others conflict and retry
-    assert report.commits >= 8
-    assert report.aborts > 0
+    assert report.counts["commits"] >= 8
+    assert report.counts["aborts"] > 0
 
 
 def test_exhaustive_two_session_enumeration(database):
     report = exhaustive_two_session_schedules(database, SMOKE_SEED)
-    assert report.ok, report.problems[0]
+    assert report.ok, report.failures[0].describe()
     # C(8, 4) = 70 distinct interleavings of two 3-op sessions + commits
-    assert report.samples == 70
-    assert report.commits == 140  # every session commits after retries
+    assert report.counts["samples"] == 70
+    assert report.counts["commits"] == 140  # every session commits after retries
 
 
 def test_schedules_are_deterministic():
     # fresh database per run: oids, commit times, and therefore the
     # whole event log must reproduce exactly
-    first = run_schedule_case(fresh_database(), SMOKE_SEED, 3)
-    second = run_schedule_case(fresh_database(), SMOKE_SEED, 3)
+    def sample(case):
+        return check("schedule", SMOKE_SEED, case=case, database=fresh_database())
+
+    first, second = sample(3), sample(3)
     assert first.digest == second.digest
-    assert (first.steps, first.commits, first.aborts) == (
-        second.steps, second.commits, second.aborts
-    )
-    other = run_schedule_case(fresh_database(), SMOKE_SEED, 4)
+    assert first.counts == second.counts  # steps, commits, aborts
+    other = sample(4)
     assert other.digest != first.digest
 
 
 def test_schedule_counters_reach_the_registry(database):
     registry = MetricsRegistry()
-    report = run_schedule_range(database, SMOKE_SEED + 1, 2, registry=registry)
+    report = check("schedule", SMOKE_SEED + 1, cases=2, database=database,
+                   registry=registry)
     assert report.ok
     counters = registry.snapshot()["counters"]
     assert counters["check.schedule.samples"] == 2
-    assert counters["check.schedule.commits"] == report.commits
+    assert counters["check.schedule.commits"] == report.counts["commits"]
     assert "check.schedule.violations" not in counters
 
 
@@ -73,6 +74,6 @@ def test_a_twin_that_shares_tables_naively_is_caught(monkeypatch):
     from repro.core.objects import GemObject
 
     monkeypatch.setattr(GemObject, "unshare_table", lambda self, name: None)
-    report = run_schedule_range(fresh_database(), SMOKE_SEED, 8)
+    report = check("schedule", SMOKE_SEED, cases=8, database=fresh_database())
     assert not report.ok
-    assert any("expected" in problem for problem in report.problems)
+    assert any("expected" in failure.what for failure in report.failures)

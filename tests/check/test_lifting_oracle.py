@@ -6,7 +6,7 @@ report that prints the first caller's literals, a closure that reads the
 literals of whatever text ran last.
 """
 
-from repro.check import run_lifting_case, run_lifting_range, run_soak
+from repro.check import check, run_soak
 from repro.check.__main__ import main
 from repro.check.lifting import _EDGES, _generated_shapes
 from repro.opal import declarative, interpreter
@@ -16,18 +16,18 @@ SMOKE_SEED = 2026
 
 
 def test_seed_range_agrees_three_ways():
-    report = run_lifting_range(SMOKE_SEED, 12)
-    assert report.ok, "\n".join(report.problems)
-    assert report.selects == 12 * (40 + 2 * len(_EDGES))
+    report = check("lifting", SMOKE_SEED, cases=12)
+    assert report.ok, "\n".join(f.describe() for f in report.failures)
+    assert report.counts["selects"] == 12 * (40 + 2 * len(_EDGES))
     # the warm runs really were served a block compiled for other
     # literals (a generated int/float draw aside)
-    assert report.warm_hits >= 0.95 * report.selects
+    assert report.counts["warm_hits"] >= 0.95 * report.counts["selects"]
 
 
 def test_run_is_deterministic():
-    first = run_lifting_case(SMOKE_SEED, 3)
-    again = run_lifting_case(SMOKE_SEED, 3)
-    assert (first.selects, first.warm_hits) == (again.selects, again.warm_hits)
+    first = check("lifting", SMOKE_SEED, case=3)
+    again = check("lifting", SMOKE_SEED, case=3)
+    assert first.counts == again.counts  # selects, warm hits
 
 
 def test_every_edge_pair_is_one_shape():
@@ -73,10 +73,10 @@ class TestInjectedBugs:
             return real(obs, compiled, block_ast, plan, context, *rest, **kw)
 
         monkeypatch.setattr(declarative, "_log_query", first_callers)
-        report = run_lifting_case(SMOKE_SEED, 0)
+        report = check("lifting", SMOKE_SEED, case=0)
         assert not report.ok
-        assert any("warm differs" in problem for problem in report.problems)
-        assert "--oracle lifting" in report.problems[-1]
+        assert any("warm differs" in f.what for f in report.failures)
+        assert "--oracle lifting" in report.failures[-1].reproducer
 
     def test_a_block_that_reads_the_last_texts_literals(self, monkeypatch):
         # as if the literal vector hung on the engine, not in the frame of
@@ -94,6 +94,6 @@ class TestInjectedBugs:
             interpreter.BlockClosure, "literals",
             property(lambda closure: last[0]),
         )
-        report = run_lifting_case(SMOKE_SEED, 0)
+        report = check("lifting", SMOKE_SEED, case=0)
         assert not report.ok
-        assert any("kept block" in problem for problem in report.problems)
+        assert any("kept block" in f.what for f in report.failures)

@@ -1,7 +1,7 @@
 """Every oracle failure prints a copy-pasteable reproducer that re-fails.
 
 The contract: a failure report embeds ``python -m repro.check --seed N
---case K [--bug B]``; running exactly that command reproduces the
+--case K [--oracle O] [--bug B]``; running exactly that command reproduces the
 failure (exit 1), and running a passing case exits 0.
 """
 
@@ -11,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.check import run_differential_range
+from repro.check import check
 
 SMOKE_SEED = 2026
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -33,24 +33,20 @@ def test_passing_case_exits_zero():
 
 
 def test_failure_report_embeds_its_own_reproducer():
-    report = run_differential_range(
-        SMOKE_SEED, 100, ignore_epochs=True, stop_at_first=True
-    )
+    report = check("differential", SMOKE_SEED, cases=100, bug="stale-memo")
     assert not report.ok, "injected stale-memo bug must produce a failure"
-    description = report.mismatches[0].describe()
-    assert "reproduce with:" in description
+    description = report.failures[0].describe()
+    assert "  reproduce: python -m repro.check" in description
     command = re.search(r"python -m repro\.check [^\n]+", description).group(0)
     assert f"--seed {SMOKE_SEED}" in command
     assert "--bug stale-memo" in command
 
 
 def test_printed_reproducer_re_fails():
-    report = run_differential_range(
-        SMOKE_SEED, 100, ignore_epochs=True, stop_at_first=True
-    )
+    report = check("differential", SMOKE_SEED, cases=100, bug="stale-memo")
     command = re.search(
         r"python -m repro\.check ([^\n]+)",
-        report.mismatches[0].describe(),
+        report.failures[0].describe(),
     ).group(1)
     result = run_cli(command.split())
     assert result.returncode == 1, result.stdout + result.stderr

@@ -2,13 +2,8 @@
 cluster front end must be observation-identical to one monolithic store.
 """
 
-from repro.check import run_soak
-from repro.check.sharded import (
-    StackMismatch,
-    generate_shard_workload,
-    run_stack_case,
-    run_stack_range,
-)
+from repro.check import Failure, check, oracle_database, reproducer, run_soak
+from repro.check.sharded import Sharded, _side_by_side, generate_shard_workload
 from repro.shard.partition import route_statement
 
 
@@ -35,23 +30,23 @@ class TestWorkloadGenerator:
 
 class TestShardedOracle:
     def test_case_agrees_with_the_baseline(self):
-        report = run_stack_case(2026, 0)
-        assert report.ok, [m.describe() for m in report.mismatches]
-        assert report.statements > 0
-        assert report.commits > 0
+        report = check("sharded", 2026, case=0)
+        assert report.ok, [f.describe() for f in report.failures]
+        assert report.counts["statements"] > 0
+        assert report.counts["commits"] > 0
 
     def test_range_exercises_cross_shard_commits(self):
-        report = run_stack_range(2026, 3)
-        assert report.ok, [m.describe() for m in report.mismatches]
-        assert report.cross_shard_commits > 0
+        report = check("sharded", 2026, cases=3)
+        assert report.ok, [f.describe() for f in report.failures]
+        assert report.counts["cross_shard_commits"] > 0
 
     def test_failure_prints_a_reproducer(self):
-        report = run_stack_case(2026, 1)
+        report = check("sharded", 2026, case=1)
         # fabricate a mismatch path check without breaking the store
-        text = StackMismatch(
-            seed=2026, case=1, oracle="sharded", transaction=3,
-            what="statement 0 value",
-            observed={"baseline": 1, "in-process": 2},
+        text = Failure(
+            "sharded", 2026, 1, "divergence in transaction 3: statement 0 value",
+            _side_by_side({"baseline": 1, "in-process": 2}),
+            reproducer("sharded", 2026, 1),
         ).describe()
         assert "baseline:   1" in text and "in-process: 2" in text
         assert "python -m repro.check --seed 2026 --case 1" in text
@@ -69,8 +64,6 @@ class TestShardedOracle:
 
 class TestTheOraclesReachTheAppendPath:
     def test_the_oracle_database_starts_with_a_world_of_several_tracks(self):
-        from repro.check.soak import oracle_database
-
         database = oracle_database()
         world = database.store.catalog["world"]
         assert len(database.store.table.get(world).tracks) >= 2
@@ -87,9 +80,9 @@ class TestTheOraclesReachTheAppendPath:
             return real(database)
 
         monkeypatch.setattr(sharded, "reopen_cold_diff", recording)
-        report = run_stack_case(2026, 0)
-        assert report.ok, [m.describe() for m in report.mismatches]
-        assert len(spans) == 1 + report.shards  # baseline + each shard, cold
+        report = check("sharded", 2026, case=0)
+        assert report.ok, [f.describe() for f in report.failures]
+        assert len(spans) == 1 + Sharded.SHARDS  # baseline + each shard, cold
         assert min(spans.values()) >= 2
 
     def test_a_platter_that_reopens_differently_is_a_mismatch(self, monkeypatch):
@@ -99,6 +92,6 @@ class TestTheOraclesReachTheAppendPath:
             sharded, "reopen_cold_diff",
             lambda database: ["reopened cold: oid 9: differs"],
         )
-        report = run_stack_case(2026, 0)
+        report = check("sharded", 2026, case=0)
         assert not report.ok
-        assert "reopened cold" in report.mismatches[0].describe()
+        assert "reopened cold" in report.failures[0].describe()

@@ -7,7 +7,7 @@ clamp a skewed provider to the commit ceiling.
 
 import pytest
 
-from repro.check import run_temporal_case, run_temporal_range
+from repro.check import check
 from repro.db import GemStone
 
 SMOKE_SEED = 2026
@@ -21,30 +21,31 @@ def database():
 
 
 def test_fifty_histories_agree_with_the_shadow(database):
-    report = run_temporal_range(database, SMOKE_SEED, 50)
-    assert report.ok, report.problems[0]
-    assert report.histories == 50
-    assert report.commits == 300
-    assert report.reads > 5000  # three read modes per object/field/probe
-    assert report.clamps == 50  # one deliberate skewed-provider clamp each
+    report = check("temporal", SMOKE_SEED, cases=50, database=database)
+    assert report.ok, report.failures[0].describe()
+    counts = report.counts
+    assert counts["histories"] == 50
+    assert counts["commits"] == 300
+    assert counts["reads"] > 5000  # three read modes per object/field/probe
+    assert counts["clamps"] == 50  # one deliberate skewed-provider clamp each
 
 
 def test_probe_times_cover_boundaries(database):
     # a single case still probes before creation, at every commit time,
     # and just before/after each — the off-by-one surface
-    report = run_temporal_case(database, SMOKE_SEED, case=997)
-    assert report.ok, report.problems[0]
-    assert report.reads >= 3 * 6  # at minimum: one object, one field
+    report = check("temporal", SMOKE_SEED, case=997, database=database)
+    assert report.ok, report.failures[0].describe()
+    assert report.counts["reads"] >= 3 * 6  # at minimum: one object, one field
 
 
 def test_counters_flow_into_observability(database):
     before = database.observability()["counters"]["counters"].get(
         "check.temporal.histories", 0
     )
-    report = run_temporal_case(database, SMOKE_SEED, case=998)
+    report = check("temporal", SMOKE_SEED, case=998, database=database)
     assert report.ok
     counters = database.observability()["counters"]["counters"]
     assert counters["check.temporal.histories"] == before + 1
-    assert counters["check.temporal.reads"] >= report.reads
+    assert counters["check.temporal.reads"] >= report.counts["reads"]
     assert counters["check.temporal.clamps"] >= 1
     assert "check.temporal.mismatches" not in counters
