@@ -41,8 +41,8 @@ from operator import attrgetter
 from typing import Any, Optional
 
 from ..core.classes import GemClass
-from ..core.object_manager import ObjectStore, element_column, live_values
-from ..core.objects import GemObject
+from ..core.object_manager import ObjectStore, element_column
+from ..core.objects import ColumnObject, GemObject
 from ..core.values import IMMEDIATE_TYPES, Ref, Symbol
 from ..core.timedial import TimeDial
 from ..errors import (
@@ -62,7 +62,7 @@ _oid_of = attrgetter("oid")
 #: what a column must hold for the bulk hooks to skip per-value checks:
 #: objects in hand (not designators still to resolve), and values whose
 #: exact type is storable
-_OBJECT_TYPES = frozenset((GemObject, GemClass))
+_OBJECT_TYPES = frozenset((GemObject, GemClass, ColumnObject))
 _STORABLE_TYPES = frozenset((*IMMEDIATE_TYPES, Symbol, Ref))
 _NO_TWINS: frozenset = frozenset()
 
@@ -288,11 +288,14 @@ class SessionObjectManager(ObjectStore):
         if workspace.keys().isdisjoint(oids):
             # no twin among them, so nothing created here either
             self.reads[name].update(oids)
-        else:
-            # the session reads its own uncommitted writes
-            targets = [workspace.get(obj.oid, obj) for obj in targets]
-            self.reads[name].update(set(oids) - self._created)
-        return element_column(targets, name, self.effective_time(time))
+            return element_column(targets, name, self.effective_time(time))
+        # the session reads its own uncommitted writes
+        targets = [workspace.get(obj.oid, obj) for obj in targets]
+        self.reads[name].update(set(oids) - self._created)
+        dialed = self.effective_time(time)
+        if dialed is time or self._created.isdisjoint(oids):
+            return element_column(targets, name, dialed)
+        return [obj.value_at(name, self.effective_time(time, obj)) for obj in targets]
 
     def _scanned_values(self, targets: list, name: Any) -> Optional[list]:
         """*targets*' "now" values of *name* from the store's shared
@@ -350,7 +353,7 @@ class SessionObjectManager(ObjectStore):
     def members_of(self, target: Any, time: int | None = None) -> list[Any]:
         obj = self._resolve_target(target)
         self.note_enumeration(obj.oid)
-        time = self.effective_time(time)
+        time = self.effective_time(time, obj)
         if time is None and not self._closed and obj.oid not in self.workspace:
             # the committed column every session reading "now" shares
             column = self.store.member_column(obj, self._twins())
@@ -360,7 +363,7 @@ class SessionObjectManager(ObjectStore):
                         self.authorizer.check_read(self.user, segment_id)
                 self._scan = (column, 0, 0)
                 return list(column.members)
-        return self.deref_column(live_values(obj, time))
+        return self.deref_column(obj.live_values(time))
 
     # -- writes (copy-on-write twins) -----------------------------------------------
 
@@ -390,27 +393,21 @@ class SessionObjectManager(ObjectStore):
     def add_members(self, collection: Any, values: list) -> None:
         oid = getattr(collection, "oid", collection)
         obj = self.workspace.get(oid) if oid in self._transients else None
-        if values and obj is not None and obj._own is None:
+        first, time = self._alias_counter + 1, self.write_time()
+        if values and obj is not None and obj.takes(first, time):
             # a workspace-only object made in this transaction: nothing
-            # is staged, logged or promoted
+            # is staged, logged or promoted, and its members are one
+            # column until something needs their aliases
             stored = [Ref(v.oid) if isinstance(v, GemObject) else v for v in values]
-            first = self._alias_counter + 1
-            aliases = [
-                Symbol.generated(f"a{n}")
-                for n in range(first, first + len(stored))
-            ]
-            if (
-                set(map(type, stored)) <= _STORABLE_TYPES
-                and obj.elements.keys().isdisjoint(aliases)
-            ):
+            if set(map(type, stored)) <= _STORABLE_TYPES:
                 self._ensure_open()
                 if self.authorizer is not None:
                     self.authorizer.check_write(self.user, obj.segment_id)
                 self._alias_counter += len(stored)
-                obj.bind_fresh(aliases, stored, self.write_time())
+                obj.hold(first, stored, time)
                 return
-        # staged writes, a twin's borrowed tables, a value to refuse, a
-        # name already bound: all decided per binding
+        # staged writes, a value to refuse, elements already bound: all
+        # decided per binding
         super().add_members(collection, values)
 
     # -- temporary objects ----------------------------------------------------
@@ -426,7 +423,7 @@ class SessionObjectManager(ObjectStore):
         self._charge_allocation()
         if self.quota is not None:
             self.quota.check_workspace_object(len(self.workspace))
-        obj = GemObject(
+        obj = ColumnObject(
             oid=self.allocate_oid(),
             class_oid=cls.oid,
             segment_id=0 if segment_id is None else segment_id,
@@ -451,14 +448,22 @@ class SessionObjectManager(ObjectStore):
 
     # -- time-dialed fetches -----------------------------------------------------------
 
-    def effective_time(self, time: int | None) -> int | None:
-        """Unpinned accesses read at the dial's time (section 5.4)."""
-        if time is None and not self.time_dial.is_now:
+    def effective_time(
+        self, time: int | None, obj: GemObject | None = None
+    ) -> int | None:
+        """Unpinned accesses read at the dial's time (section 5.4) — but
+        not of an object made in this transaction: a workspace-only
+        object has no past, so it reads as it is now."""
+        if time is None and not self.time_dial.is_now and (
+            obj is None or obj.oid not in self._created
+        ):
             return self.time_dial.time
         return time
 
     def value_at(self, target: Any, name: Any, time: int | None = None) -> Any:
-        return super().value_at(target, name, self.effective_time(time))
+        obj = self._resolve_target(target)
+        self.note_read(obj.oid, name)
+        return obj.value_at(name, self.effective_time(time, obj))
 
     # -- classes -------------------------------------------------------------------------
 

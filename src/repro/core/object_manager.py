@@ -30,28 +30,12 @@ from ..perf.caches import _ABSENT, StoreCaches
 from ..perf.epochs import class_epoch
 from .classes import BOOTSTRAP_HIERARCHY, GemClass, Method, immediate_class_name
 from .history import MISSING
-from .objects import GemObject
+from .objects import ColumnObject, GemObject
 from .values import Char, Ref, Symbol, is_immediate
 
 #: First oid handed out for ordinary objects; lower oids are reserved for
 #: bootstrap classes so storage-format tests can rely on their stability.
 FIRST_USER_OID = 1024
-
-
-def live_values(obj: GemObject, time: int | None) -> list[Any]:
-    """The non-nil element values of *obj* at *time*, in element order.
-
-    ``[value for _, value in obj.items_at(time)]``; a "now" read takes
-    the last record of each table instead of bisecting (AssociationTable
-    internals, same package).
-    """
-    if time is not None:
-        return [value for _, value in obj.items_at(time)]
-    return [
-        value
-        for table in obj.elements.values()
-        if (values := table._values) and (value := values[-1]) is not None
-    ]
 
 
 def element_column(objects: list[GemObject], name: Any, time: int | None) -> list[Any]:
@@ -367,27 +351,37 @@ class ObjectStore:
 
     # -- enumeration (tracked for phantom detection) -------------------------
 
-    def effective_time(self, time: int | None) -> int | None:
-        """Resolve an unspecified time; sessions substitute their dial."""
+    def effective_time(
+        self, time: int | None, obj: GemObject | None = None
+    ) -> int | None:
+        """Resolve an unspecified time for a read (of *obj*, if given);
+        sessions substitute their dial."""
         return time
 
     def element_names_of(self, target: Any, time: int | None = None) -> list[Any]:
         """Element names bound at *time*, recording an enumeration read."""
         obj = self._resolve_target(target)
         self.note_enumeration(obj.oid)
-        return obj.element_names(self.effective_time(time))
+        return obj.element_names(self.effective_time(time, obj))
 
     def live_names_of(self, target: Any, time: int | None = None) -> list[Any]:
         """Non-nil element names at *time*, recording an enumeration read."""
         obj = self._resolve_target(target)
         self.note_enumeration(obj.oid)
-        return obj.live_names(self.effective_time(time))
+        return obj.live_names(self.effective_time(time, obj))
 
     def live_items_of(self, target: Any, time: int | None = None) -> list[tuple[Any, Any]]:
         """Live (name, value) pairs at *time*, recording an enumeration read."""
         obj = self._resolve_target(target)
         self.note_enumeration(obj.oid)
-        return list(obj.items_at(self.effective_time(time)))
+        return list(obj.items_at(self.effective_time(time, obj)))
+
+    def live_count_of(self, target: Any, time: int | None = None) -> int:
+        """``len(self.live_items_of(target, time))``, recording the same
+        enumeration read and building no pairs (``size``, ``isEmpty``)."""
+        obj = self._resolve_target(target)
+        self.note_enumeration(obj.oid)
+        return len(obj.live_values(self.effective_time(time, obj)))
 
     def members_of(self, target: Any, time: int | None = None) -> list[Any]:
         """Dereferenced live element values at *time* (set membership).
@@ -399,7 +393,7 @@ class ObjectStore:
         self.note_enumeration(obj.oid)
         return [
             self.deref(value)
-            for _, value in obj.items_at(self.effective_time(time))
+            for _, value in obj.items_at(self.effective_time(time, obj))
         ]
 
     # -- instantiation ---------------------------------------------------------
@@ -558,7 +552,7 @@ class ObjectStore:
         if perf.enabled:
             if type(receiver) is GemClass:
                 key = (1, receiver.oid, selector)
-            elif type(receiver) is GemObject:
+            elif type(receiver) is GemObject or type(receiver) is ColumnObject:
                 key = (0, receiver.class_oid, selector)
             elif not isinstance(receiver, (GemObject, Ref)):
                 key = (2, type(receiver), selector)
@@ -685,7 +679,7 @@ class MemoryObjectManager(ObjectStore):
         column = self._member_columns.get(obj)
         if column is None:
             column = self._member_columns.put(MemberColumn(
-                obj, obj.version, 0, self.deref_column(live_values(obj, None))
+                obj, obj.version, 0, self.deref_column(obj.live_values(None))
             ))
         return list(column.members)
 

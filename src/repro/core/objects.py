@@ -19,10 +19,11 @@ from typing import Any, Iterator
 
 from ..errors import ElementNotFound
 from .history import MISSING, AssociationTable
-from .values import Ref, check_element_name, check_value
+from .values import Ref, Symbol, check_element_name, check_value
 
 #: moves on every element write to any object in this process
-#: (:meth:`GemObject.bind`, :meth:`GemObject.unshare_table`).  A
+#: (:meth:`GemObject.bind`, :meth:`GemObject.unshare_table`; a
+#: :class:`ColumnObject` taking or building its column is none).  A
 #: structure built from many objects' elements — a shared value column —
 #: validates against it, so every direct binder invalidates it without a
 #: hook.  Each write stores a number drawn from one counter after its
@@ -110,19 +111,6 @@ class GemObject:
         self.version += 1
         _element_writes = next(_write_numbers)
 
-    def bind_fresh(self, names: list, values: list, time: int) -> None:
-        """Bulk :meth:`bind` of element names this object never had.
-
-        The caller vouches for what :meth:`bind` checks on every call:
-        the names and values are storable, no name is in ``elements``
-        yet, and the object is no twin (every table is its own).  It
-        binds workspace-only transients, which no shared column holds,
-        so it leaves the process-wide write count alone: a select's
-        result would otherwise invalidate every shared value column.
-        """
-        self.elements.update(zip(names, AssociationTable.singles(time, values)))
-        self.version += len(names)
-
     def unshare_table(self, name: Any) -> None:
         """Give element *name* a table no twin reads.
 
@@ -191,6 +179,21 @@ class GemObject:
             value = table.value_at(time)
             if value is not MISSING and value is not None:
                 yield name, value
+
+    def live_values(self, time: int | None = None) -> list[Any]:
+        """The non-nil element values at *time*, in element order.
+
+        ``[value for _, value in self.items_at(time)]``; a "now" read
+        takes the last record of each table instead of bisecting
+        (AssociationTable internals, same package).
+        """
+        if time is not None:
+            return [value for _, value in self.items_at(time)]
+        return [
+            value
+            for table in self.elements.values()
+            if (values := table._values) and (value := values[-1]) is not None
+        ]
 
     def history_of(self, name: Any) -> Iterator[tuple[int, Any]]:
         """Iterate the full (time, value) history of element *name*."""
@@ -261,3 +264,82 @@ class GemObject:
     def _borrow_elements(self, original: "GemObject") -> None:
         self.elements = dict(original.elements)
         self._own = set()
+
+
+#: the ``elements`` slot itself, under :class:`ColumnObject`'s property
+_elements_slot = GemObject.__dict__["elements"]
+
+
+class ColumnObject(GemObject):
+    """A workspace-only object that may hold its members as one column.
+
+    A query result is an unlabeled set (section 5.1): each member sits
+    under a generated alias ``a<n>``, all bound at one write time.  Until
+    something needs those names and tables — a write into the object,
+    ``remove:``, an element read, encoding — it keeps only the stored
+    values in alias order, the first alias number and the time.  The
+    first read of :attr:`elements` builds from them exactly the tables
+    binding each value under its alias would have: names ``a<first+i>``,
+    one association each, a nil member keeping its alias.  Taking and
+    building the column are not element writes (:func:`element_writes`):
+    no shared column holds a workspace-only object.
+    """
+
+    __slots__ = ("column", "first_alias", "column_time")
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.column: list | None = None
+
+    @property
+    def elements(self) -> dict[Any, AssociationTable]:
+        column = self.column
+        if column is not None:
+            self.column = None
+            first = self.first_alias
+            _elements_slot.__get__(self).update(zip(
+                [Symbol.generated(f"a{n}") for n in range(first, first + len(column))],
+                AssociationTable.singles(self.column_time, column),
+            ))
+        return _elements_slot.__get__(self)
+
+    @elements.setter
+    def elements(self, value: dict[Any, AssociationTable]) -> None:
+        _elements_slot.__set__(self, value)
+
+    def takes(self, first: int, time: int) -> bool:
+        """True if members aliased from ``a<first>`` on at *time* can join
+        the column: none is held and no element bound yet, or they
+        continue it."""
+        column = self.column
+        if column is None:
+            return not _elements_slot.__get__(self)
+        return first == self.first_alias + len(column) and time == self.column_time
+
+    def hold(self, first: int, values: list, time: int) -> None:
+        """Take stored *values* under aliases from ``a<first>`` on, bound
+        at *time* — :meth:`takes` said it can, and the caller vouches the
+        values are storable."""
+        if self.column is None:
+            self.column, self.first_alias, self.column_time = values, first, time
+        else:
+            self.column += values
+        self.version += len(values)
+
+    def items_at(self, time: int | None = None) -> Iterator[tuple[Any, Any]]:
+        column = self.column
+        if column is None:
+            yield from super().items_at(time)
+        elif time is None or time >= self.column_time:
+            first = self.first_alias
+            for i, value in enumerate(column):
+                if value is not None:
+                    yield Symbol.generated(f"a{first + i}"), value
+
+    def live_values(self, time: int | None = None) -> list[Any]:
+        column = self.column
+        if column is None:
+            return super().live_values(time)
+        if time is not None and time < self.column_time:
+            return []
+        return [value for value in column if value is not None]

@@ -25,7 +25,7 @@ import time as _time
 from typing import Any, Optional
 
 from ..core.classes import GemClass
-from ..core.objects import GemObject
+from ..core.objects import ColumnObject, GemObject
 from ..core.paths import Path, Step
 from ..core.values import Ref
 from ..errors import GemStoneError, QueryBudgetExceeded
@@ -257,9 +257,9 @@ def _cached_condition(store, perf, compiled, block_ast, param):
 
 def _collection_oid(collection) -> Optional[int]:
     """The oid when *collection* names one stored set object."""
-    if type(collection) is GemObject or isinstance(collection, Ref):
+    if type(collection) in (GemObject, ColumnObject) or isinstance(collection, Ref):
         return collection.oid
-    return None  # GemClass and other GemObject subclasses: don't memoize
+    return None  # GemClass: don't memoize
 
 
 def try_declarative_filter(store, collection, closure, negate: bool) -> Optional[list]:
@@ -331,7 +331,8 @@ def try_declarative_filter(store, collection, closure, negate: bool) -> Optional
         # the context during execution (no O(n) pre-count of the input)
         budget.charge_steps(1)
     context = QueryContext(
-        store, time, directory_manager, budget, closure.literals
+        store, time, directory_manager, budget, closure.literals,
+        dialed=time is not None,
     )
     obs = getattr(engine, "obs", None)
     started = _time.perf_counter()

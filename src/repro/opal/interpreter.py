@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..core.history import MISSING
-from ..core.objects import GemObject
+from ..core.objects import ColumnObject, GemObject
 from ..core.values import Char, Ref, Symbol
 from ..errors import (
     CompileError,
@@ -622,7 +622,7 @@ class OpalEngine:
                 method = None
                 if ics is not None:
                     rtype = type(receiver)
-                    if rtype is GemObject:
+                    if rtype is GemObject or rtype is ColumnObject:
                         class_key = receiver.class_oid
                     elif rtype in _INLINE_CACHEABLE:
                         class_key = rtype

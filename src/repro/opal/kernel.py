@@ -557,11 +557,9 @@ def _install_collections(om) -> None:
         om, _require_object(om, r, "remove:"), v))
     d("includes:", lambda om, r, v: collection_includes(
         om, _require_object(om, r, "includes:"), v))
-    d("size", lambda om, r: len(om.live_items_of(_require_object(om, r, "size"))))
-    d("isEmpty", lambda om, r: not om.live_items_of(
-        _require_object(om, r, "isEmpty")))
-    d("notEmpty", lambda om, r: bool(om.live_items_of(
-        _require_object(om, r, "notEmpty"))))
+    d("size", lambda om, r: om.live_count_of(_require_object(om, r, "size")))
+    d("isEmpty", lambda om, r: om.live_count_of(_require_object(om, r, "isEmpty")) == 0)
+    d("notEmpty", lambda om, r: om.live_count_of(_require_object(om, r, "notEmpty")) != 0)
     d("do:", _prim_do)
     d("collect:", _prim_collect)
     d("select:", _prim_select)
@@ -861,7 +859,7 @@ def _install_dictionaries(om) -> None:
     d("values", lambda om, r: tuple(
         om.deref(v) for _, v in om.live_items_of(
             _require_object(om, r, "values"))))
-    d("size", lambda om, r: len(om.live_items_of(_require_object(om, r, "size"))))
+    d("size", lambda om, r: om.live_count_of(_require_object(om, r, "size")))
 
 
 def _prim_keys_values_do(om, receiver, block):

@@ -39,16 +39,15 @@ from itertools import compress
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..core.history import MISSING
-from ..core.objects import GemObject
+from ..core.objects import ColumnObject, GemObject
 from ..core.paths import Path, parse_path
-from ..core.timedial import TimeDial
 from ..core.values import IMMEDIATE_TYPES, Ref, Symbol
 from ..errors import CalculusError
 from .sets import LabeledSet
 
 #: exact types the batched path navigator treats as already-resolved
-#: objects; subclasses (none today) simply take the generic gather path
-_NAVIGABLE_TYPES = frozenset((GemObject,))
+#: objects; a class object takes the generic gather path
+_NAVIGABLE_TYPES = frozenset((GemObject, ColumnObject))
 _MISSING_TYPE = type(MISSING)
 
 
@@ -71,7 +70,7 @@ NOVALUE = _NoValue()
 #: value types with non-``==`` comparison semantics (oid identity for
 #: entities, universal failure for NOVALUE); a column free of these can
 #: be compared with plain operators instead of per-row ``value_equal``
-_IDENTITY_TYPES = frozenset((GemObject, Ref, _NoValue))
+_IDENTITY_TYPES = frozenset((GemObject, ColumnObject, Ref, _NoValue))
 
 
 class QueryContext:
@@ -89,6 +88,12 @@ class QueryContext:
     ``params`` is the literal vector of the text being run: a plan is
     shared by every text of its shape, and reads the literals of *this*
     execution through its :class:`Param` nodes.
+
+    *dialed* says *time* is the store's own time dial: directories are
+    probed at it, but store reads pass no time (``read_time``) and the
+    store applies its dial per object, as to any unpinned read — so an
+    object with no past (a session's workspace-only result) reads as it
+    is now.
     """
 
     def __init__(
@@ -98,15 +103,15 @@ class QueryContext:
         directory_manager=None,
         budget=None,
         params: Sequence[Any] = (),
+        dialed: bool = False,
     ):
         self.store = store
         self.time = time
+        self.read_time = None if dialed else time
         self.directory_manager = directory_manager
         self.budget = budget
         self.params = params
         self.examined = 0
-        self.dial = TimeDial()
-        self.dial.set(time)
 
     def at(self, time: Optional[int]) -> "QueryContext":
         """A context like this one, dialed to *time*."""
@@ -142,7 +147,7 @@ class QueryContext:
         if isinstance(collection, Ref):
             collection = self.store.deref(collection)
         if isinstance(collection, GemObject):
-            return self.store.members_of(collection, self.time)
+            return self.store.members_of(collection, self.read_time)
         if isinstance(collection, (list, tuple, set, frozenset)):
             return list(collection)
         return list(self._raw_members(collection))
@@ -151,7 +156,7 @@ class QueryContext:
         if isinstance(collection, Ref):
             collection = self.store.deref(collection)
         if isinstance(collection, GemObject):
-            yield from self.store.members_of(collection, self.time)
+            yield from self.store.members_of(collection, self.read_time)
         elif isinstance(collection, LabeledSet):
             yield from collection.values()
         elif isinstance(collection, (list, tuple, set, frozenset)):
@@ -505,7 +510,7 @@ class PathApply(Expr):
         if not self.path_expr.steps:
             return [deref(v) if isinstance(v, Ref) else v for v in current]
         for step in self.path_expr.steps:
-            time = step.at if step.at is not None else ctx.time
+            time = step.at if step.at is not None else ctx.read_time
             if set(map(type, current)) <= _NAVIGABLE_TYPES:
                 # every row is already a navigable object (the common
                 # case right after a scan): no gather/scatter needed.

@@ -44,7 +44,7 @@ from operator import attrgetter
 from typing import Any, Mapping, Optional, Sequence
 
 from ..core.classes import GemClass
-from ..core.object_manager import FIRST_USER_OID, ObjectStore, live_values
+from ..core.object_manager import FIRST_USER_OID, ObjectStore
 from ..core.object_manager import MemberColumn, MemberColumns, Postings
 from ..core.objects import GemObject, element_writes
 from ..core.values import Ref
@@ -280,7 +280,7 @@ class StableStore(ObjectStore):
         if column is None:
             if len(obj.elements) < MemberColumns.floor:
                 return None
-            values = live_values(obj, None)
+            values = obj.live_values(None)
             if set(map(type, values)) != {Ref}:
                 return None
             oids = [value.oid for value in values]

@@ -24,6 +24,7 @@ from repro.concurrency import (
 )
 from repro.core import GemObject, Ref
 from repro.core.object_manager import ObjectStore
+from repro.dr.verify import disk_digest
 from repro.errors import (
     ArchiveError,
     AuthorizationError,
@@ -33,6 +34,7 @@ from repro.errors import (
     SessionQuotaExceeded,
 )
 from repro.govern.quota import QuotaSpec, SessionQuota
+from repro.opal import OpalEngine
 from repro.storage import ArchiveMedia, DiskGeometry, SimulatedDisk, StableStore
 
 MEMBERS = 90
@@ -659,3 +661,129 @@ def test_the_workspace_quota_still_covers_the_result_object():
         session.add_members(session.instantiate_transient("Bag"), [1, 2, 3])
     with pytest.raises(SessionQuotaExceeded):
         session.instantiate_transient("Bag")
+
+
+# -- a result held as one column -------------------------------------------
+#
+# ``add_members`` into a fresh transient holds the values as one column
+# (a ``ColumnObject``) and builds the aliases and tables only when
+# something needs them.  The per-row loop binds each value under its
+# alias: the form every reader below must not tell apart from the column.
+
+
+def held_result(world, bulk):
+    """A select-like result of committed members, immediates and nils,
+    filled by the session's fast path (*bulk*: held as a column) or
+    alias by alias."""
+    s = world.session
+    # every other member, and the one in the payroll segment
+    values = s.objects(world.members[:24:2] + [world.members[39]])
+    values[3:3] = [7, None, "text", None, Ref(world.members[1]), 7]
+    result = s.instantiate_transient("Bag")
+    hook(world, "add_members", bulk)(result, values)
+    assert (result.column is not None) == bulk
+    return result
+
+
+def opal(world, source, **bindings):
+    engine = getattr(world.session, "opal_runtime", None) or OpalEngine(world.session)
+    return engine.execute(source, bindings)
+
+
+def contents(world, obj):
+    """A collection's members (as :func:`plain` data) and its tables."""
+    return [plain(world, world.session.members_of(obj)), elements_of(obj)]
+
+
+def _promote_commit_reopen(world, result):
+    s = world.session
+    opal(world, "World!kept := r", r=result)
+    s.commit()
+    reopened = StableStore.open(world.store.disk)
+    return [
+        disk_digest(world.store.disk),
+        elements_of(reopened.object(result.oid)),
+        elements_of(world.store.object(result.oid)),
+    ]
+
+
+READERS = {
+    "items_now": lambda world, r: list(r.items_at(None)),
+    "items_before": lambda world, r: list(r.items_at(r.created_at - 1)),
+    "items_at_write": lambda world, r: list(r.items_at(r.created_at)),
+    "element_names": lambda world, r: r.element_names(),
+    "live_names": lambda world, r: r.live_names(),
+    "value_at_alias": lambda world, r: [
+        world.session.value_at(r, name)
+        for name in ("a3", "a5", "a6", "a99")
+    ],
+    "members_of": lambda world, r: plain(world, world.session.members_of(r)),
+    "members_of_at": lambda world, r: [
+        plain(world, world.session.members_of(r, time))
+        for time in (r.created_at - 1, r.created_at)
+    ],
+    "live_items_of": lambda world, r: world.session.live_items_of(r),
+    "count": lambda world, r: [
+        world.session.live_count_of(r, time)
+        for time in (None, r.created_at - 1, r.created_at)
+    ],
+    "includes": lambda world, r: [
+        opal(world, "r includes: 7", r=r),
+        opal(world, "r includes: m", r=r, m=world.session.object(world.members[2])),
+        opal(world, "r includes: 8", r=r),
+    ],
+    "add": lambda world, r: [opal(world, "r add: 99. r size", r=r), elements_of(r)],
+    "remove": lambda world, r: [opal(world, "r remove: 7. r size", r=r), elements_of(r)],
+    "do": lambda world, r: opal(
+        world, "| n | n := 0. r do: [:x | n := n + 1]. n", r=r
+    ),
+    "select": lambda world, r: contents(
+        world, opal(world, "r select: [:x | x!salary > 1004]", r=r)
+    ),
+    "select_size": lambda world, r: opal(
+        world, "(r select: [:x | x = 7]) size", r=r
+    ),
+    "collect_nils": lambda world, r: contents(
+        world, opal(world, "r collect: [:x | x = 7 ifTrue: [nil] ifFalse: [x]]", r=r)
+    ),
+    "as_bag": lambda world, r: contents(world, opal(world, "r asBag", r=r)),
+    "as_set": lambda world, r: contents(world, opal(world, "r asSet", r=r)),
+    "promoted": _promote_commit_reopen,
+}
+
+
+def _revoke(world):
+    dba = world.auth.authenticate("DataCurator", "swordfish")
+    world.auth.grant(dba, world.payroll, "ellen", Privilege.NONE)
+
+
+RESULT_STATES = {
+    "open": lambda world: None,
+    "dial_back": lambda world: world.session.time_dial.set(world.times[0]),
+    "revoked": _revoke,
+    "closed": lambda world: world.session.close(),
+}
+
+
+@pytest.mark.parametrize("state", RESULT_STATES)
+@pytest.mark.parametrize("reader", READERS)
+def test_a_result_held_as_a_column_reads_as_its_aliases_do(state, reader):
+    def make_world():
+        world = World(secret_member=True)
+        dba = world.auth.authenticate("DataCurator", "swordfish")
+        world.auth.grant(dba, world.payroll, "ellen", Privilege.READ)
+        return world
+
+    def call(world, _context, bulk):
+        result = held_result(world, bulk)
+        RESULT_STATES[state](world)
+        value = READERS[reader](world, result)
+        s = world.session
+        return [
+            value, result.version, s.new_alias() if not s.closed else None,
+            elements_of(result),
+        ]
+
+    kind, *_ = both(make_world, lambda world: None, call)
+    if state in ("open", "dial_back"):
+        assert kind == "ok"

@@ -4,8 +4,8 @@
 value column to the per-row definition, state by state.  A stale column
 that happens to hold the right values passes there; these tests say
 which states must rebuild it — every element write, however it is made,
-and nothing else (a select's result is built with ``bind_fresh``, which
-must leave shared columns alone) — and that value columns and their
+and nothing else (a select's result is held as a column, and taking or
+building it must leave shared columns alone) — and that value columns and their
 postings count against the member columns' bound.  The postings net
 holds the kernel's answer from the postings to its answer over the
 per-row column, state by state.
@@ -23,7 +23,7 @@ from repro.core.object_manager import (
     ObjectStore,
     element_column,
 )
-from repro.core.objects import element_writes
+from repro.core.objects import ColumnObject, element_writes
 from repro.core.values import Symbol
 from repro.stdm.calculus import (
     NOVALUE,
@@ -68,17 +68,19 @@ def test_a_value_column_is_rebuilt_after_any_element_write_and_only_then(state, 
 
 def test_element_writes_count_every_direct_write_but_a_fresh_binding():
     obj = GemObject(5000, 0)
+    result = ColumnObject(5001, 0)
     moves = []
     for change in (
         lambda: obj.bind("a", 1, 1),
         lambda: obj.unshare_table("a"),
-        lambda: obj.bind_fresh(["b", "c"], [2, 3], 1),
+        lambda: result.hold(1, [2, 3], 1),
+        lambda: result.elements,  # the column built into its tables
         lambda: obj.unshare_table("absent"),
     ):
         before = element_writes()
         change()
         moves.append(element_writes() != before)
-    assert moves == [True, True, False, False]
+    assert moves == [True, True, False, False, False]
 
 
 def test_value_columns_count_against_the_member_bound():

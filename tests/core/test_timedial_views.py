@@ -130,3 +130,78 @@ class TestViews:
         member = om.instantiate("Object", name="x")
         view.insert(member)
         assert member in view.materialize()
+
+
+# -- the dial and workspace-only objects ----------------------------------
+
+
+@pytest.fixture
+def dialed():
+    """A session whose ``World!emps`` held 5 members at ``t1`` and holds
+    8 now, dialed back to ``t1``; yields (session, t1)."""
+    from repro import GemStone
+
+    session = GemStone.create().login()
+    session.execute("Object subclass: #Emp instVarNames: #(salary)")
+    session.execute("World at: #emps put: Bag new")
+    add = "World!emps add: (Emp new at: #salary put: {}; yourself)"
+    for salary in range(100, 105):
+        session.execute(add.format(salary))
+    t1 = session.commit()
+    for salary in range(105, 108):
+        session.execute(add.format(salary))
+    session.commit()
+    session.session.time_dial.set(t1)
+    yield session, t1
+    session.close()
+
+
+SELECTED = "(World!emps select: [:e | e!salary > 0])"
+
+
+class TestDialAndWorkspaceObjects:
+    """A workspace-only object has no past: the dial reads committed
+    objects as of its time, and a session's own results as they are."""
+
+    def test_the_dial_still_reads_committed_state(self, dialed):
+        session, _ = dialed
+        assert session.execute("World!emps size") == 5
+        session.session.time_dial.reset()
+        assert session.execute("World!emps size") == 8
+
+    @pytest.mark.parametrize("source, answer", [
+        (f"{SELECTED} size", 5),
+        (f"{SELECTED} isEmpty", False),
+        (f"{SELECTED} notEmpty", True),
+        (f"| n | n := 0. {SELECTED} do: [:e | n := n + 1]. n", 5),
+        (f"{SELECTED} detect: [:e | e!salary > 0] ifNone: [#none]", "member"),
+        (f"({SELECTED} collect: [:e | e!salary]) size", 5),
+        (f"({SELECTED} asSet) size", 5),
+        (f"({SELECTED} asBag) size", 5),
+        (f"({SELECTED} select: [:e | e!salary > 102]) size", 2),
+        (f"({SELECTED} reject: [:e | e!salary > 102]) size", 3),
+        ("| b | b := Bag new. b add: 3. b add: 4. b size", 2),
+        ("| b | b := Bag new. b add: 3. b includes: 3", True),
+        ("| b | b := Bag new. b add: (Emp new at: #salary put: 5; yourself)."
+         " (b select: [:e | e!salary > 0]) size", 1),
+    ])
+    def test_a_result_reads_as_it_is_under_the_dial(self, dialed, source, answer):
+        session, _ = dialed
+        found = session.execute(source)
+        if answer == "member":
+            assert session.execute("x!salary", bindings={"x": found}) >= 100
+        else:
+            assert found == answer
+
+    def test_an_explicit_time_still_reads_the_past(self, dialed):
+        session, t1 = dialed
+        store = session.session
+        result = session.execute(SELECTED)
+        for built in (False, True):
+            if built:
+                assert len(result.elements) == 5  # the column built
+            assert store.live_count_of(result) == 5
+            assert len(store.members_of(result)) == 5
+            assert store.live_count_of(result, t1) == 0
+            assert store.members_of(result, t1) == []
+            assert list(result.items_at(t1)) == []

@@ -6,17 +6,18 @@ dereferenced and ten more to have one element read, and every result
 row went through the whole ``bind`` write path.  The bulk hooks took the
 per-row frames out, the predicate kernel took out the per-term passes
 over the scan's name column, the shared value column took out the
-per-row element read, and its postings took out the kernel's per-row
-pass; these bounds keep all four out.  They are upper bounds under
+per-row element read, its postings took out the kernel's per-row pass,
+and a result held as one column took out its alias and association
+table per member; these bounds keep all five out.  They are upper bounds under
 ``cProfile`` (which also counts calls of builtins), loose enough for any
 supported interpreter and far below the per-row cost:
 
-===================  =======  =======  =======  ======  ========  =====
-select (4 000 rows)  per row  bulk     kernel   values  postings  bound
-===================  =======  =======  =======  ======  ========  =====
-unindexed scan       101 000  ≈ 4 950  ≈ 4 960  ≈ 994   ≈ 952     1 500
-indexed range, ≈ 75  6 400    ≈ 2 650  ≈ 2 650  ≈ 2 663  ≈ 2 667  4 500
-===================  =======  =======  =======  ======  ========  =====
+===================  =======  =======  =======  =======  ========  =======  =====
+select (4 000 rows)  per row  bulk     kernel   values   postings  column   bound
+===================  =======  =======  =======  =======  ========  =======  =====
+unindexed scan       101 000  ≈ 4 950  ≈ 4 960  ≈ 994    ≈ 952     ≈ 942    1 500
+indexed range, ≈ 75  6 400    ≈ 2 650  ≈ 2 650  ≈ 2 663  ≈ 2 667   ≈ 2 145  4 500
+===================  =======  =======  =======  =======  ========  =======  =====
 
 A warm scan asks the store for each batch's truth column: the batch is
 a run of the shared value column, and the postings kept beside it (each
@@ -30,11 +31,15 @@ Nor may building the postings: a GC-tracked object per row (a one-row
 list per value) would bring a full collection into the scan that builds
 them.
 
-Beside the call gate, an allocation gate: a scan's access record is one
+Beside the call gate, allocation gates: a scan's access record is one
 set of oids per element name, so what a row adds to an open read-only
 transaction is a set slot (≈ 33 B), not an (oid, name) tuple as well
-(≈ 89 B).  And a warm ``members_of`` is the store's shared member
-column: no call per member, no cache lookup.
+(≈ 89 B).  A select's result, which the transaction keeps, is one
+column: a member costs its Ref and a list slot (≈ 49 B, one GC-tracked
+object), not a generated alias, an association table with its two lists
+and a Ref as well (≈ 396 B, five), and ``size`` counts the column.  And a
+warm ``members_of`` is the store's shared member column: no call per
+member, no cache lookup.
 """
 
 import cProfile
@@ -46,7 +51,9 @@ import tracemalloc
 import pytest
 
 from repro import GemStone
+from repro.core.history import AssociationTable
 from repro.core.object_manager import Postings, element_column
+from repro.core.values import Symbol
 from repro.stdm import calculus
 from repro.stdm.calculus import Compare, PathApply, _short_circuit
 from repro.storage.cache import ObjectCache
@@ -251,3 +258,43 @@ def test_a_declarative_result_is_built_without_the_write_path(session):
     assert len(result.elements) == session.execute(
         "(World!employees select: [:e | e!salary > 88000]) size"
     ) > 20
+
+
+def test_a_counted_result_makes_no_alias_and_no_table(session):
+    for source in (SCAN, RANGE):
+        _answer, _calls, _frames, _by_name, stats = profiled(session, source)
+        assert calls_of(stats, Symbol.generated) == 0
+        assert calls_of(stats, AssociationTable.singles) == 0
+
+
+def kept_result(session, source):
+    """(members, bytes, GC-tracked objects) a select's result leaves in
+    its open transaction."""
+    session.execute(source)
+    session.abort()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0], len(gc.get_objects())
+        result = session.execute(source)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0], len(gc.get_objects())
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    members = len(session.session.members_of(result))
+    session.abort()
+    return members, after[0] - before[0], after[1] - before[1]
+
+
+def test_a_kept_result_costs_a_ref_and_a_slot_per_member(session):
+    # ≈ 3 000 members against ≈ 500: what a member adds.  An alias, an
+    # association table with its two lists and a Ref ≈ 396 B and five
+    # GC-tracked objects; a Ref and its slot in the column ≈ 49 B and one
+    large = kept_result(session, "World!employees select: [:e | e!salary > 30000]")
+    small = kept_result(session, "World!employees select: [:e | e!salary > 80000]")
+    members = large[0] - small[0]
+    assert members > 2_000
+    assert (large[1] - small[1]) / members <= 64
+    assert (large[2] - small[2]) / members <= 2
