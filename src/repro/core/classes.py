@@ -35,15 +35,6 @@ class Method:
         """Execute the method; subclasses must override."""
         raise NotImplementedError
 
-    @property
-    def argument_count(self) -> int:
-        """Number of arguments implied by the selector's colons."""
-        if ":" in self.selector:
-            return self.selector.count(":")
-        if not self.selector[0].isalpha() and self.selector[0] != "_":
-            return 1  # binary selector such as + or <=
-        return 0  # unary selector
-
 
 class PrimitiveMethod(Method):
     """A method implemented directly in Python.

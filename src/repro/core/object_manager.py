@@ -358,12 +358,6 @@ class ObjectStore:
         sessions substitute their dial."""
         return time
 
-    def element_names_of(self, target: Any, time: int | None = None) -> list[Any]:
-        """Element names bound at *time*, recording an enumeration read."""
-        obj = self._resolve_target(target)
-        self.note_enumeration(obj.oid)
-        return obj.element_names(self.effective_time(time, obj))
-
     def live_names_of(self, target: Any, time: int | None = None) -> list[Any]:
         """Non-nil element names at *time*, recording an enumeration read."""
         obj = self._resolve_target(target)

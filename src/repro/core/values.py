@@ -132,15 +132,6 @@ def check_value(value: Any) -> Any:
     return value
 
 
-def is_element_name(name: Any) -> bool:
-    """Return True if *name* may label an element.
-
-    The paper allows element names to be identifiers, numbers or strings
-    (section 5.1: arrays use integers as element names).
-    """
-    return isinstance(name, (str, int, Char)) and not isinstance(name, bool)
-
-
 def check_element_name(name: Any) -> Any:
     """Validate *name* as an element name; return it unchanged.
 

@@ -95,10 +95,6 @@ class DirectoryManager:
 
     # -- lookup for the query optimizer ------------------------------------------
 
-    def directories_for(self, owner_oid: int) -> list[Directory]:
-        """All directories whose owner is *owner_oid*."""
-        return list(self._by_owner.get(owner_oid, ()))
-
     def find_directory(
         self, owner_oid: int, path: "Path | str"
     ) -> Optional[Directory]:

@@ -59,10 +59,6 @@ class LogSegment:
         return self.archive_key is not None
 
     @property
-    def record_count(self) -> int:
-        return len(self.records) if self.records is not None else 0
-
-    @property
     def bytes_stored(self) -> int:
         if self.records is None:
             return 0

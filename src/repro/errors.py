@@ -106,10 +106,6 @@ class CalculusError(QueryError):
     """A set-calculus expression is malformed or cannot be evaluated."""
 
 
-class AlgebraError(QueryError):
-    """A set-algebra plan is malformed or cannot be executed."""
-
-
 class TranslationError(QueryError):
     """A calculus expression cannot be translated to algebra."""
 
@@ -273,10 +269,6 @@ class TransactionConflict(ConcurrencyError, RetryableError):
     def __init__(self, message: str, conflicts: tuple = ()) -> None:
         super().__init__(message)
         self.conflicts = conflicts
-
-
-class TransactionStateError(ConcurrencyError):
-    """An operation was issued outside an active transaction."""
 
 
 class SessionClosed(ConcurrencyError):

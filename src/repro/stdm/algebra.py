@@ -6,12 +6,19 @@ this module is the algebra half.  A plan is a tree of operators over
 streams of variable bindings:
 
 * :class:`Unit` — the empty binding (the stream's seed);
-* :class:`BindScan` — the dependent product: for each input binding,
-  bind a variable to each member of a set-valued expression;
-* :class:`IndexEq` / :class:`IndexRange` — associative variants that
-  draw members from a directory instead of scanning;
-* :class:`HashJoin` — a fused equality join: the build side is keyed
-  once, each input row probes instead of rescanning (O(n+m), not O(n·m));
+* the drawing operators, each binding a variable to the members one key
+  per input row draws, through the one loop of :class:`_Draw` (fuel per
+  member drawn, reuse while the key repeats):
+
+  - :class:`BindScan` — the dependent product: the key is a set-valued
+    expression's value, and it draws that set's members;
+  - :class:`IndexEq` / :class:`IndexRange` — associative variants: the
+    key is a value or a bracket, and it draws from a directory instead
+    of scanning;
+  - :class:`HashJoin` — a fused equality join: the build side is keyed
+    once per execution, and each row's probe key draws its matches
+    instead of rescanning (O(n+m), not O(n·m));
+
 * :class:`Filter` — restriction by a calculus predicate;
 * :class:`ConstructResult` — build the output tuples.
 
@@ -31,7 +38,9 @@ intersection) with entity-identity semantics round out the algebra.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+import operator
+from functools import partial
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..errors import DirectoryError
 from .calculus import (
@@ -61,12 +70,8 @@ _UNSET = object()
 
 def _same_key(a: Any, b: Any) -> bool:
     """Conservative "same probe key" test for consecutive-key reuse."""
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
     try:
-        return bool(a == b)
+        return a is b or (type(a) is type(b) and bool(a == b))
     except Exception:
         return False
 
@@ -154,58 +159,90 @@ class Unit(Plan):
         return "Unit"
 
 
-class BindScan(Plan):
-    """Dependent product: bind *var* to each member of *source*.
+class _Draw(Plan):
+    """The drawing loop every binding operator shares.
 
-    The source expression may use variables bound upstream, which is how
-    the calculus's dependent binders (``m ∈ d!Managers``) execute.
+    Each input row has a *key* — a collection to scan, a value or a
+    bracket to probe a directory with, a probe value for a hash table —
+    and binds *var* to each member that key draws.  A subclass supplies
+    the batch's key column (:meth:`_keys`) and, once per execution, what
+    one key draws (:meth:`_drawer`); this is the only loop.  It charges
+    one fuel unit per member drawn *per input row*, as drawing each
+    row's members through ``members()`` would (probes bypass it, so they
+    are metered here); it reuses the previous row's members while
+    :attr:`_same` says the key repeats; and a no-value key draws nothing
+    on every operator (no-value fails every comparison, §5.2).
     """
 
-    def __init__(self, child: Plan, var: str, source: Expr) -> None:
+    #: "this row's key draws what the previous row's drew"
+    _same = staticmethod(_same_key)
+
+    def __init__(self, child: Plan, var: str) -> None:
         super().__init__()
         self.child = child
         self.var = var
-        self.source = source
+
+    def _keys(self, ctx, batch) -> list:
+        """Each row's key."""
+        raise NotImplementedError
+
+    def _drawer(self, ctx) -> Callable[[Any], Sequence[Any]]:
+        """What one key draws, for this execution."""
+        raise NotImplementedError
 
     def _batches(self, ctx, batch_size):
-        var = self.var
-        source = self.source
-        constant = not source.free_vars()
-        members: Optional[list[Any]] = None
+        same = self._same
+        draw = None
+        last: Any = _UNSET
+        drawn: Sequence[Any] = ()
         for batch in self.child.batches(ctx, batch_size):
+            if draw is None:
+                draw = self._drawer(ctx)  # lazy: no input rows, no build
             take: list[int] = []
             values: list[Any] = []
-            if constant:
-                # Hoist: a constant source is materialized once per
-                # execution; fuel still charges per member *per input
-                # row*, as drawing each row's members would.
-                if members is None:
-                    collection = source.evaluate(ctx, {})
-                    members = ctx.raw_member_list(collection)
-                ctx.charge(len(members) * batch.size)
-                count = len(members)
-                for i in range(batch.size):
-                    take.extend([i] * count)
-                    values.extend(members)
-            else:
-                charged = 0
-                column = source.evaluate_column(ctx, batch)
-                for i, collection in enumerate(column):
-                    drawn = ctx.raw_member_list(collection)
-                    charged += len(drawn)
+            for i, key in enumerate(self._keys(ctx, batch)):
+                if key is NOVALUE:
+                    continue
+                if not same(key, last):
+                    last, drawn = key, draw(key)
+                if drawn:
                     take.extend([i] * len(drawn))
                     values.extend(drawn)
-                ctx.charge(charged)
-            yield from _expand(batch, take, var, values, batch_size)
+            ctx.charge(len(values))
+            yield from _expand(batch, take, self.var, values, batch_size)
 
     def children(self):
         return (self.child,)
+
+
+class BindScan(_Draw):
+    """Dependent product: bind *var* to each member of *source*.
+
+    The source expression may use variables bound upstream, which is how
+    the calculus's dependent binders (``m ∈ d!Managers``) execute.  A row
+    reuses the previous row's members only when its collection is the
+    very same object: two equal labeled sets (or Python sets) may list
+    their members in different orders.  A literal or lifted source is one
+    object on every row, so it is drawn once per execution.
+    """
+
+    _same = staticmethod(operator.is_)
+
+    def __init__(self, child: Plan, var: str, source: Expr) -> None:
+        super().__init__(child, var)
+        self.source = source
+
+    def _keys(self, ctx, batch):
+        return self.source.evaluate_column(ctx, batch)
+
+    def _drawer(self, ctx):
+        return ctx.raw_member_list
 
     def describe(self):
         return f"BindScan {self.var} ∈ {self.source!r}"
 
 
-class IndexEq(Plan):
+class IndexEq(_Draw):
     """Associative access: bind *var* to members whose key equals a value.
 
     When *value* refers to earlier variables, this is the probe side of
@@ -214,55 +251,22 @@ class IndexEq(Plan):
     """
 
     def __init__(self, child: Plan, var: str, directory, value: Expr) -> None:
-        super().__init__()
-        self.child = child
-        self.var = var
+        super().__init__(child, var)
         self.directory = directory
         self.value = value
 
-    def _probe_oids(self, ctx, key) -> Sequence[int]:
-        if key is NOVALUE:
-            return ()  # no-value fails every comparison, = included
-        try:
-            return self.directory.lookup(key, ctx.time)
-        except DirectoryError:
-            return ()  # unindexable probe value: = can never hold
+    def _keys(self, ctx, batch):
+        return self.value.evaluate_column(ctx, batch)
 
-    def _batches(self, ctx, batch_size):
-        store_objects = ctx.store.objects
-        value = self.value
-        constant = not value.free_vars()
-        const_members: Optional[list[Any]] = None
-        last_key: Any = _UNSET
-        last_members: Optional[list[Any]] = None
-        for batch in self.child.batches(ctx, batch_size):
-            if constant:
-                if const_members is None:
-                    key = value.evaluate(ctx, {})
-                    const_members = store_objects(self._probe_oids(ctx, key))
-                keys = None
-            else:
-                keys = value.evaluate_column(ctx, batch)
-            take: list[int] = []
-            values: list[Any] = []
-            for i in range(batch.size):
-                if constant:
-                    matched = const_members
-                else:
-                    key = keys[i]
-                    if last_members is not None and _same_key(key, last_key):
-                        matched = last_members  # consecutive-key reuse
-                    else:
-                        matched = store_objects(self._probe_oids(ctx, key))
-                        last_key, last_members = key, matched
-                if matched:
-                    take.extend([i] * len(matched))
-                    values.extend(matched)
-            ctx.charge(len(values))  # index probes bypass members(): meter here
-            yield from _expand(batch, take, self.var, values, batch_size)
+    def _drawer(self, ctx):
+        objects, lookup = ctx.store.objects, self.directory.lookup
 
-    def children(self):
-        return (self.child,)
+        def draw(key):
+            try:
+                return objects(lookup(key, ctx.time))
+            except DirectoryError:
+                return []  # unindexable probe value: = can never hold
+        return draw
 
     def describe(self):
         return (
@@ -271,7 +275,7 @@ class IndexEq(Plan):
         )
 
 
-class IndexRange(Plan):
+class IndexRange(_Draw):
     """Associative access by key range (open bounds allowed).
 
     With both bounds set this is one bracket probe: the directory reads
@@ -300,17 +304,16 @@ class IndexRange(Plan):
         include_low: bool = True,
         include_high: bool = True,
     ) -> None:
-        super().__init__()
-        self.child = child
-        self.var = var
+        super().__init__(child, var)
         self.directory = directory
         self.low = low
         self.high = high
         self.include_low = include_low
         self.include_high = include_high
 
-    def _bounds(self, ctx, batch) -> list:
-        """Each row's ``(low, high)`` (None = open), or None for no rows.
+    def _keys(self, ctx, batch) -> list:
+        """Each row's ``(low, high)`` (None = open), or no-value for a
+        row whose bracket matches nothing.
 
         The high bound is read only on the rows whose low bound leaves
         them open, as a row that fails its low bound never asks for it.
@@ -328,7 +331,7 @@ class IndexRange(Plan):
                 for open_, high in zip(live, highs)
             ]
         return [
-            (low, high) if open_ else None
+            (low, high) if open_ else NOVALUE
             for open_, low, high in zip(live, lows, highs)
         ]
 
@@ -343,31 +346,9 @@ class IndexRange(Plan):
             return []
         return [first, *stream]
 
-    def _batches(self, ctx, batch_size):
-        store_objects = ctx.store.objects
-        last_bounds: Any = _UNSET
-        cached: Optional[list[Any]] = None
-        for batch in self.child.batches(ctx, batch_size):
-            take: list[int] = []
-            values: list[Any] = []
-            for i, bounds in enumerate(self._bounds(ctx, batch)):
-                if bounds is None:
-                    continue
-                if cached is not None and _same_key(bounds, last_bounds):
-                    # identical consecutive bounds reuse the previous probe
-                    matched = cached
-                else:
-                    last_bounds = bounds
-                    oids = self._probe(ctx, *bounds)
-                    matched = cached = store_objects(oids) if oids else []
-                if matched:
-                    take.extend([i] * len(matched))
-                    values.extend(matched)
-            ctx.charge(len(values))
-            yield from _expand(batch, take, self.var, values, batch_size)
-
-    def children(self):
-        return (self.child,)
+    def _drawer(self, ctx):
+        objects = ctx.store.objects
+        return lambda bounds: objects(self._probe(ctx, *bounds))
 
     def describe(self):
         lo = "(" if not self.include_low else "["
@@ -380,7 +361,7 @@ class IndexRange(Plan):
         )
 
 
-class HashJoin(Plan):
+class HashJoin(_Draw):
     """Fused equality join: build the inner side once, probe per row.
 
     The optimizer rewrites a dependent ``BindScan`` + ``Filter`` pair
@@ -390,7 +371,8 @@ class HashJoin(Plan):
     materialized and keyed once per execution, charging one fuel unit
     per member (one scan of the build side); each input row then emits
     its matches in member order, charging one unit per emitted candidate
-    (the ``IndexEq`` precedent: probes bypass ``members()``).
+    (the ``IndexEq`` precedent: probes bypass ``members()``).  The table
+    belongs to the execution, never to the plan, which sessions share.
 
     Keys follow ``value_equal``: objects/Refs join by oid, NOVALUE and
     NaN match nothing, and unhashable key values fall back to a linear
@@ -406,15 +388,16 @@ class HashJoin(Plan):
         member_key: Expr,
         conjunct: Optional[Expr] = None,
     ) -> None:
-        super().__init__()
-        self.child = child
-        self.var = var
+        super().__init__(child, var)
         self.source = source
         self.probe_key = probe_key
         self.member_key = member_key
         self.conjunct = conjunct
 
-    def _build(self, ctx):
+    def _keys(self, ctx, batch):
+        return self.probe_key.evaluate_column(ctx, batch)
+
+    def _drawer(self, ctx):
         collection = self.source.evaluate(ctx, {})
         members = list(ctx.members(collection))  # one charged build-side scan
         batch = BindingBatch({self.var: members}, len(members))
@@ -431,7 +414,7 @@ class HashJoin(Plan):
                 fallback.append((pos, member, key))
             else:
                 table.setdefault(hkey, []).append((pos, member))
-        return table, fallback, pairs
+        return partial(self._matches, (table, fallback, pairs))
 
     def _matches(self, built, key) -> Sequence[Any]:
         """Members joining *key*, in member (build) order."""
@@ -443,40 +426,10 @@ class HashJoin(Plan):
             # unhashable probe: the nested loop's answer is a full scan
             return [m for _pos, m, k in pairs if value_equal(key, k)]
         bucket = table.get(hkey, ())
-        if not fallback:
-            return [m for _pos, m in bucket]
-        extra = [
-            (pos, m) for pos, m, k in fallback if value_equal(key, k)
-        ]
-        if not extra:
-            return [m for _pos, m in bucket]
-        merged = sorted([*bucket, *extra], key=lambda pm: pm[0])
-        return [m for _pos, m in merged]
-
-    def _batches(self, ctx, batch_size):
-        built = None
-        last_key: Any = _UNSET
-        last_matches: Optional[Sequence[Any]] = None
-        for batch in self.child.batches(ctx, batch_size):
-            if built is None:
-                built = self._build(ctx)  # lazy: no input rows, no build
-            keys = self.probe_key.evaluate_column(ctx, batch)
-            take: list[int] = []
-            values: list[Any] = []
-            for i, key in enumerate(keys):
-                if last_matches is not None and _same_key(key, last_key):
-                    matched = last_matches
-                else:
-                    matched = self._matches(built, key)
-                    last_key, last_matches = key, matched
-                if matched:
-                    take.extend([i] * len(matched))
-                    values.extend(matched)
-            ctx.charge(len(values))
-            yield from _expand(batch, take, self.var, values, batch_size)
-
-    def children(self):
-        return (self.child,)
+        extra = [(pos, m) for pos, m, k in fallback if value_equal(key, k)]
+        if extra:
+            bucket = sorted([*bucket, *extra], key=lambda pm: pm[0])
+        return [m for _pos, m in bucket]
 
     def describe(self):
         return (
@@ -523,27 +476,17 @@ class ConstructResult(Plan):
 
     def _batches(self, ctx, batch_size):
         result = self.result
-        if isinstance(result, dict):
-            items = list(result.items())
-            labels = [label for label, _ in items]
-            for batch in self.child.batches(ctx, batch_size):
-                columns = [
-                    expr.evaluate_column(ctx, batch) for _, expr in items
-                ]
+        for batch in self.child.batches(ctx, batch_size):
+            if not isinstance(result, dict):
+                built = list(result.evaluate_column(ctx, batch))
+            elif result:
+                columns = [e.evaluate_column(ctx, batch) for e in result.values()]
                 # dict(zip(...)) builds each row at C speed — far cheaper
                 # than a per-row dict comprehension indexing the columns
-                if columns:
-                    built = [
-                        dict(zip(labels, row_values))
-                        for row_values in zip(*columns)
-                    ]
-                else:
-                    built = [{} for _ in range(batch.size)]
-                yield BindingBatch({RESULT_COLUMN: built}, batch.size)
-        else:
-            for batch in self.child.batches(ctx, batch_size):
-                column = result.evaluate_column(ctx, batch)
-                yield BindingBatch({RESULT_COLUMN: list(column)}, batch.size)
+                built = [dict(zip(result, row)) for row in zip(*columns)]
+            else:
+                built = [{} for _ in range(batch.size)]
+            yield BindingBatch({RESULT_COLUMN: built}, batch.size)
 
     def children(self):
         return (self.child,)

@@ -113,12 +113,6 @@ class QueryContext:
         self.params = params
         self.examined = 0
 
-    def at(self, time: Optional[int]) -> "QueryContext":
-        """A context like this one, dialed to *time*."""
-        return QueryContext(
-            self.store, time, self.directory_manager, self.budget, self.params
-        )
-
     def charge(self, units: int = 1) -> None:
         """Count examined candidates; spend fuel when a budget is attached."""
         self.examined += units
@@ -126,45 +120,35 @@ class QueryContext:
             self.budget.charge_steps(units)
 
     def members(self, collection: Any) -> Iterator[Any]:
-        """Iterate the members of any set-like value.
-
-        GSDM set objects yield their live element values (dereferenced);
-        labeled sets yield their values; plain Python iterables pass
-        through.  Each member drawn costs one unit of query fuel.
-        """
-        if self.budget is None:
-            for member in self._raw_members(collection):
-                self.examined += 1
-                yield member
-            return
-        for member in self._raw_members(collection):
+        """Iterate the members of any set-like value (see
+        :meth:`raw_member_list`); each member drawn costs one unit of
+        query fuel, charged as it is drawn."""
+        budget = self.budget
+        for member in self.raw_member_list(collection):
             self.examined += 1
-            self.budget.charge_steps()
+            if budget is not None:
+                budget.charge_steps()
             yield member
 
     def raw_member_list(self, collection: Any) -> list[Any]:
-        """Materialize members without charging — bulk callers charge once."""
+        """The members of any set-like value, without charging — bulk
+        callers charge once.
+
+        GSDM set objects give their live element values (dereferenced);
+        labeled sets give their values; plain Python collections pass
+        through; no-value and nil have no members.
+        """
         if isinstance(collection, Ref):
             collection = self.store.deref(collection)
         if isinstance(collection, GemObject):
             return self.store.members_of(collection, self.read_time)
+        if isinstance(collection, LabeledSet):
+            return collection.values()
         if isinstance(collection, (list, tuple, set, frozenset)):
             return list(collection)
-        return list(self._raw_members(collection))
-
-    def _raw_members(self, collection: Any) -> Iterator[Any]:
-        if isinstance(collection, Ref):
-            collection = self.store.deref(collection)
-        if isinstance(collection, GemObject):
-            yield from self.store.members_of(collection, self.read_time)
-        elif isinstance(collection, LabeledSet):
-            yield from collection.values()
-        elif isinstance(collection, (list, tuple, set, frozenset)):
-            yield from collection
-        elif collection is NOVALUE or collection is None:
-            return
-        else:
-            raise CalculusError(f"{collection!r} is not a set-like value")
+        if collection is NOVALUE or collection is None:
+            return []
+        raise CalculusError(f"{collection!r} is not a set-like value")
 
 
 class BindingBatch:
@@ -505,48 +489,37 @@ class PathApply(Expr):
                 return cached
         current = self.base.evaluate_column(ctx, batch)
         store = ctx.store
-        deref = store.deref
-        values_at_column = store.values_at_column
         if not self.path_expr.steps:
-            return [deref(v) if isinstance(v, Ref) else v for v in current]
+            return store.deref_column(current)
         for step in self.path_expr.steps:
             time = step.at if step.at is not None else ctx.read_time
-            if set(map(type, current)) <= _NAVIGABLE_TYPES:
-                # every row is already a navigable object (the common
-                # case right after a scan): no gather/scatter needed.
-                # ``set(map(type, ...))`` runs at C speed, unlike an
-                # ``all(isinstance(...))`` pass over the column.
-                values = values_at_column(current, step.name, time)
-                value_types = set(map(type, values))
-                if _MISSING_TYPE in value_types:
-                    values = [
-                        NOVALUE if value is MISSING else value
-                        for value in values
-                    ]
-                if Ref in value_types:
-                    values = store.deref_column(values)
+            # ``set(map(type, ...))`` runs at C speed, unlike an
+            # ``all(isinstance(...))`` pass over the column: when every
+            # row is already a navigable object (the common case right
+            # after a scan) the whole column is read as it stands
+            positions = None
+            targets = current
+            if not set(map(type, current)) <= _NAVIGABLE_TYPES:
+                # gather the rows that are still objects or Refs; every
+                # other row becomes NOVALUE (a path that fails to resolve
+                # fails every condition, §5.2)
+                positions = [
+                    i for i, value in enumerate(current)
+                    if isinstance(value, (GemObject, Ref))
+                ]
+                targets = store.deref_column([current[i] for i in positions])
+            values = store.values_at_column(targets, step.name, time)
+            value_types = set(map(type, values))
+            if _MISSING_TYPE in value_types:
+                values = [NOVALUE if value is MISSING else value for value in values]
+            if Ref in value_types:
+                values = store.deref_column(values)
+            if positions is not None:
+                current = [NOVALUE] * len(current)
+                for pos, value in zip(positions, values):
+                    current[pos] = value
+            else:
                 current = values
-                continue
-            # Gather the rows that are still navigable objects, read the
-            # whole column through the store in one call, scatter back;
-            # everything else becomes NOVALUE (a path that fails to
-            # resolve fails every condition, §5.2).
-            positions: list[int] = []
-            targets: list[Any] = []
-            nxt: list[Any] = [NOVALUE] * len(current)
-            for i, value in enumerate(current):
-                if isinstance(value, GemObject):
-                    positions.append(i)
-                    targets.append(value)
-                elif isinstance(value, Ref):
-                    positions.append(i)
-                    targets.append(deref(value))
-            for pos, value in zip(
-                positions, values_at_column(targets, step.name, time)
-            ):
-                if value is not MISSING:
-                    nxt[pos] = deref(value)
-            current = nxt
         if key is not None:
             batch._expr_cache[key] = current
         return current

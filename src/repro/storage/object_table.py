@@ -125,10 +125,6 @@ class ObjectTable:
         """Forget dirty-page tracking (after a successful commit)."""
         self._dirty_pages.clear()
 
-    def all_pages(self) -> set[int]:
-        """Every page that has at least one entry."""
-        return {self.page_of(oid) for oid in self._entries}
-
     def encode_page(self, page: int) -> bytes:
         """Serialize one page: entries for oids in [page*SPAN, …+SPAN).
 

@@ -35,6 +35,7 @@ from repro.stdm import (
 )
 from repro.stdm.algebra import DEFAULT_BATCH_SIZE, collect_operators
 from repro.stdm.calculus import And
+from repro.stdm.sets import LabeledSet
 
 
 def plan_and_reference(query, om):
@@ -338,6 +339,74 @@ class TestAcrossStores:
             records[how] = (om.read_pairs(), set(om.enum_reads))
         assert records["plan"] == records["reference"]
         assert records["plan"][0] and employees.oid in records["plan"][1]
+
+
+class TestDrawing:
+    """Every binding operator draws through one loop, which reuses the
+    previous row's members while the key repeats; a scan's key repeats
+    only when its collection is the very same object."""
+
+    def test_a_repeated_collection_is_drawn_once_per_run(self, monkeypatch):
+        om, _stable = _clean_session()
+        staff = [
+            om.instantiate("Object", Name=name, Salary=salary)
+            for name, salary in (("ann", 10), ("bob", 20), ("cy", 30))
+        ]
+        crews = [om.instantiate("Object"), om.instantiate("Object")]
+        om.bind(crews[0], om.new_alias(), staff[0])
+        om.bind(crews[0], om.new_alias(), staff[1])
+        om.bind(crews[1], om.new_alias(), staff[2])
+        departments = om.instantiate("Object")
+        for crew in (0, 0, 0, 1, 1, 0):  # three runs of one crew object
+            om.bind(departments, om.new_alias(),
+                    om.instantiate("Object", Crew=crews[crew]))
+        om.commit()
+        d, e = variables("d", "e")
+        query = SetQuery(
+            result={"who": e.path("Name"), "pay": e.path("Salary")},
+            binders=[(d, Const(om.object(departments.oid))), (e, d.path("Crew"))],
+        )
+        drawn = []
+        members_of = om.members_of
+
+        def counted(target, time=None):
+            drawn.append(target.oid)
+            return members_of(target, time)
+
+        monkeypatch.setattr(om, "members_of", counted)
+        records, calls = {}, {}
+        for how, run in (("plan", lambda ctx: translate(query).run(ctx)),
+                         ("reference", query.evaluate)):
+            om.reads.clear()
+            om.enum_reads.clear()
+            drawn.clear()
+            ctx = QueryContext(om)
+            rows = sorted(run(ctx), key=lambda row: row["who"])
+            records[how] = (rows, ctx.examined, om.read_pairs(), set(om.enum_reads))
+            calls[how] = list(drawn)
+        assert records["plan"] == records["reference"]
+        assert records["plan"][1] == 6 + 2 + 2 + 2 + 1 + 1 + 2  # d, then each crew
+        # the reference asks the store for every row's crew; the plan,
+        # once for each run of one crew object
+        runs = {how: [departments.oid, *[crews[c].oid for c in crew]]
+                for how, crew in (("reference", (0, 0, 0, 1, 1, 0)),
+                                  ("plan", (0, 1, 0)))}
+        assert calls == runs
+
+    @pytest.mark.parametrize("kind", ("labeled", "python"))
+    def test_equal_sets_each_draw_in_their_own_order(self, kind):
+        if kind == "labeled":
+            first, second = LabeledSet({"a": 1, "b": 9}), LabeledSet({"b": 9, "a": 1})
+            orders = first.values() + second.values()
+        else:
+            first, second = set(), set()
+            first.add(1), first.add(9), second.add(9), second.add(1)
+            orders = list(first) + list(second)
+        assert first == second and orders == [1, 9, 9, 1]
+        s, m = variables("s", "m")
+        query = SetQuery(result=m, binders=[(s, Const([first, second])), (m, s)])
+        plan, reference = plan_and_reference(query, MemoryObjectManager())
+        assert plan == reference == [1, 9, 9, 1]
 
 
 class TestBindingBatch:
