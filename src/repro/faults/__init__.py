@@ -5,9 +5,10 @@ scenarios as you can imagine"), built on three rules:
 
 * every fault schedule is a pure function of a seed (no wall clock, no
   hidden state) — see :mod:`~repro.faults.plan`;
-* fault wrappers (:class:`FaultyDisk`, :class:`FaultyLink`) preserve the
-  exact interfaces of the components they wrap, so the whole stack runs
-  over them unchanged;
+* fault wrappers (:class:`FaultyDisk`, :class:`FaultyLink`,
+  :class:`FaultyAsyncLink`) preserve the exact interfaces of the
+  components they wrap, so the whole stack runs over them unchanged —
+  every link fault, frame or socket, is one :class:`FaultPlan` draw;
 * resilience policies (:class:`ResilientDisk`, the Executor protocol's
   sequence envelopes) consume the faults and are tested by exhaustive
   sweeps — :mod:`~repro.faults.soak`, the ``crash`` kind of
@@ -16,11 +17,10 @@ scenarios as you can imagine"), built on three rules:
 """
 
 from .disk import FaultyDisk
-from .link import FaultyLink, make_faulty_link
+from .link import FaultyAsyncLink, FaultyLink, make_faulty_link
 from .plan import FaultClock, FaultEvent, FaultPlan, FaultSpec
 from .resilience import ResilientDisk
 from .soak import CrashSweep, build_workload
-from .transport import FaultyTransport, SocketFaultSpec, TransportFaults
 
 __all__ = [
     "CrashSweep",
@@ -28,12 +28,10 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultSpec",
+    "FaultyAsyncLink",
     "FaultyDisk",
     "FaultyLink",
-    "FaultyTransport",
     "ResilientDisk",
-    "SocketFaultSpec",
-    "TransportFaults",
     "build_workload",
     "make_faulty_link",
 ]

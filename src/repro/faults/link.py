@@ -1,4 +1,4 @@
-"""A host-link wrapper that injects planned frame faults.
+"""Host-link wrappers that inject planned frame and socket faults.
 
 :class:`FaultyLink` mirrors the :class:`~repro.executor.link.LinkEnd`
 interface, so either side of a connection can be wrapped without the
@@ -20,6 +20,10 @@ peer noticing.  Outgoing frames consult the plan:
 
 from __future__ import annotations
 
+import asyncio
+from contextlib import suppress
+
+from ..errors import ProtocolError
 from ..executor.link import LinkEnd, make_link
 from .plan import FaultPlan
 
@@ -29,10 +33,10 @@ class LinkFaults:
 
     Holds the plan, the partition state, the reorder hold slot and the
     counters; :meth:`deliveries` turns one outgoing frame into the
-    frames that actually reach the wire.  The blocking
-    :class:`FaultyLink` and the awaitable
-    :class:`~repro.frontdoor.alink.FaultyAsyncLink` are each a loop over
-    that result, so both stacks face byte-identical fault schedules.
+    decision and the frames that actually reach the wire.  The blocking
+    :class:`FaultyLink` and the awaitable :class:`FaultyAsyncLink` are
+    each a loop over that result, so both stacks face byte-identical
+    fault schedules.
     Everything but ``send`` (``receive``, ``close``, ``peer_closed``,
     the traffic counters) is the wrapped end's own.
     """
@@ -49,25 +53,26 @@ class LinkFaults:
         #: next frame that actually reaches the wire
         self._held: bytes | None = None
 
-    def deliveries(self, frame: bytes) -> list[bytes]:
-        """The frames to put on the wire, in order, for one send."""
+    def deliveries(self, frame: bytes) -> tuple[str, list[bytes]]:
+        """One send's decision and the frames it puts on the wire (a
+        socket outcome delivers as "none" does)."""
         if self.partitioned:
             self.dropped += 1
-            return []
+            return "partition", []
         fault = self.plan.link_fault(len(frame))
         if fault == "drop":
             self.dropped += 1
-            return []
+            return fault, []
         if fault == "truncate" and len(frame) > 1:
             self.truncated += 1
-            return [frame[: max(1, len(frame) // 2)]]
+            return fault, [frame[: max(1, len(frame) // 2)]]
         if fault == "reorder" and self._held is None:
             # hold this frame; it rides out behind the next delivery
             # (a held frame with no successor is simply a drop, which
             # the sender's retry loop already covers)
             self.reordered += 1
             self._held = frame
-            return []
+            return fault, []
         wire = [frame]
         if self._held is not None:
             wire.append(self._held)
@@ -75,7 +80,7 @@ class LinkFaults:
         if fault == "duplicate":
             self.duplicated += 1
             wire.append(frame)
-        return wire
+        return fault, wire
 
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
@@ -93,8 +98,39 @@ class FaultyLink(LinkFaults):
     """Injects a :class:`FaultPlan`'s link faults on one link endpoint."""
 
     def send(self, frame: bytes) -> None:
-        for wire in self.deliveries(frame):
+        for wire in self.deliveries(frame)[1]:
             self.inner.send(wire)
+
+
+class FaultyAsyncLink(LinkFaults):
+    """The awaitable :class:`FaultyLink`, plus the socket outcomes: a
+    stall sleeps, then sends; through a ``StreamLink``'s raw ``write`` a
+    dribble goes a byte at a time and a disconnect sends a seeded prefix
+    (an end with no ``write`` takes a dribble whole, a cut not at all)."""
+
+    async def send(self, frame: bytes) -> None:
+        fault, wires = self.deliveries(frame)
+        write = getattr(self.inner, "write", None)
+        if fault == "stall":
+            await asyncio.sleep(self.plan.spec.stall_seconds)
+        elif fault == "disconnect":
+            data = len(frame).to_bytes(4, "little") + frame
+            cut = self.plan.cut_point(len(data))
+            if write is not None:
+                with suppress(ProtocolError):
+                    await write(data[:cut])
+            self.inner.abort()
+            raise ProtocolError("link is closed")
+        for wire in wires:
+            if fault != "dribble" or write is None:
+                await self.inner.send(wire)
+                continue
+            data = len(wire).to_bytes(4, "little") + wire
+            for i in range(len(data)):
+                await write(data[i : i + 1])
+                await asyncio.sleep(0)
+            self.inner.frames_sent += 1
+            self.inner.bytes_sent += len(data)
 
 
 def make_faulty_link(

@@ -6,16 +6,16 @@ consistent across failures.  To *walk* every one of those recovery paths
 — rather than assume them — this module produces fault schedules that
 are a pure function of a seed and the operation sequence:
 
-* :class:`FaultClock` is the only notion of time (simulated units; never
-  the wall clock), so backoff and latency are deterministic;
+* :class:`FaultClock` is the only notion of time (simulated units), so
+  backoff and latency are deterministic (a socket stall sleeps);
 * :class:`FaultSpec` declares the fault mix (rates and costs);
 * :class:`FaultPlan` turns a seed + spec into per-operation decisions,
   recording every decision so two runs can be compared byte for byte.
 
 Wrapper classes consume the plan: :class:`~repro.faults.disk.FaultyDisk`
-injects disk faults, :class:`~repro.faults.link.FaultyLink` injects link
-faults, and :class:`~repro.faults.resilience.ResilientDisk` is the
-policy layer that masks what can be masked.
+injects disk faults, :mod:`~repro.faults.link` frame and socket faults,
+and :class:`~repro.faults.resilience.ResilientDisk` is the policy layer
+that masks what can be masked.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ class FaultSpec:
     #: link: probability an outgoing frame is *reordered* — held back and
     #: delivered after the next frame on the same direction
     reorder_rate: float = 0.0
+    #: socket: probability a send is cut mid-frame (then the link is
+    #: aborted), dribbled one byte per write, or first sleeps
+    #: ``stall_seconds`` of wall-clock time
+    disconnect_rate: float = 0.0
+    dribble_rate: float = 0.0
+    stall_rate: float = 0.0
+    stall_seconds: float = 0.02
     #: cap on injected faults (None = unbounded)
     max_faults: int | None = None
 
@@ -138,14 +145,21 @@ class FaultPlan:
         return self._record("disk", operation, track, self._draw(choices))
 
     def link_fault(self, frame_length: int) -> str:
-        """Decide the fate of one outgoing link frame."""
+        """Decide the fate of one outgoing link frame (one roll)."""
         choices = (
             ("drop", self.spec.drop_rate),
             ("duplicate", self.spec.duplicate_rate),
             ("truncate", self.spec.truncate_rate),
             ("reorder", self.spec.reorder_rate),
+            ("disconnect", self.spec.disconnect_rate),
+            ("dribble", self.spec.dribble_rate),
+            ("stall", self.spec.stall_rate),
         )
         return self._record("link", "send", frame_length, self._draw(choices))
+
+    def cut_point(self, length: int) -> int:
+        """Where a "disconnect" cuts *length* wire bytes (1 … length-1)."""
+        return self._rng.randrange(1, length)
 
     def _draw(self, choices) -> str:
         roll = self._rng.random()

@@ -8,7 +8,7 @@ bounded ``(channel, seq)`` replay window for pipelined exactly-once.
 See ``docs/frontdoor.md``.
 """
 
-from .alink import AsyncLinkEnd, FaultyAsyncLink, make_async_link
+from .alink import AsyncLinkEnd, make_async_link
 from .client import AsyncHostConnection
 from .server import DEFAULT_SESSION_WINDOW, FrontDoor
 
@@ -16,7 +16,6 @@ __all__ = [
     "AsyncHostConnection",
     "AsyncLinkEnd",
     "DEFAULT_SESSION_WINDOW",
-    "FaultyAsyncLink",
     "FrontDoor",
     "make_async_link",
 ]

@@ -9,12 +9,7 @@ reader drains.  That back-pressure is the outermost layer of the front
 door's overload story: a client that will not read its responses
 eventually stops being able to write requests.
 
-:class:`FaultyAsyncLink` is the async twin of
-:class:`~repro.faults.link.FaultyLink`: both loop over the one
-:class:`~repro.faults.link.LinkFaults` decision (drop, duplicate,
-truncate, reorder, partition), so the pipelined exactly-once property
-tests drive the event-loop stack through precisely the fault schedules
-the synchronous stack already survives.
+Its seeded fault wrapper is :class:`repro.faults.link.FaultyAsyncLink`.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ import struct
 
 from ..errors import ProtocolError
 from ..executor.link import pop_frame
-from ..faults.link import LinkFaults
 
 #: default per-direction buffer (bytes) before senders block
 DEFAULT_CAPACITY = 256 * 1024
@@ -134,11 +128,3 @@ def make_async_link(
     a_to_b = _AsyncPipe(capacity)
     b_to_a = _AsyncPipe(capacity)
     return AsyncLinkEnd(a_to_b, b_to_a), AsyncLinkEnd(b_to_a, a_to_b)
-
-
-class FaultyAsyncLink(LinkFaults):
-    """Seeded frame faults on one async endpoint (plan-driven)."""
-
-    async def send(self, frame: bytes) -> None:
-        for wire in self.deliveries(frame):
-            await self.inner.send(wire)

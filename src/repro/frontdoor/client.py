@@ -100,17 +100,7 @@ class AsyncHostConnection:
         if connection.host_end is None:
             if connection.link_factory is None:
                 raise ValueError("host_end or link_factory is required")
-            # the wire can die during the HELLO itself (a faulty
-            # transport wraps the handshake too): same short redial
-            # ladder as _reconnect before giving up
-            for attempt in range(3):
-                try:
-                    connection.host_end = await connection.link_factory()
-                    break
-                except GemStoneError:
-                    if attempt == 2:
-                        raise
-                    await asyncio.sleep(0.02 * (attempt + 1))
+            connection.host_end = await connection._redial()
         connection._receiver = asyncio.get_running_loop().create_task(
             connection._receive_loop()
         )
@@ -161,6 +151,18 @@ class AsyncHostConnection:
 
     # -- transport replacement ------------------------------------------------
 
+    async def _redial(self):
+        """A fresh transport from ``link_factory``: three tries, 20 then
+        40 ms apart (the wire can die during the HELLO itself — a faulty
+        transport wraps the handshake too); the last failure escapes."""
+        for attempt in range(3):
+            try:
+                return await self.link_factory()
+            except GemStoneError:
+                if attempt == 2:
+                    raise
+                await asyncio.sleep(0.02 * (attempt + 1))
+
     async def _reconnect(self, seen_epoch: int) -> bool:
         """Replace a dead transport; True once a live link is installed.
 
@@ -177,13 +179,9 @@ class AsyncHostConnection:
                 self.host_end.close()
             except GemStoneError:
                 pass
-            for attempt in range(3):
-                try:
-                    self.host_end = await self.link_factory()
-                    break
-                except GemStoneError:
-                    await asyncio.sleep(0.02 * (attempt + 1))
-            else:
+            try:
+                self.host_end = await self._redial()
+            except GemStoneError:
                 return False
             self._link_epoch += 1
             self.reconnects += 1
@@ -204,6 +202,7 @@ class AsyncHostConnection:
         frame (retrying under the same seq as needed).
         """
         await self._window.acquire()
+        future: Optional[asyncio.Future] = None
         try:
             async with self._send_lock:
                 self._seq += 1
@@ -211,9 +210,7 @@ class AsyncHostConnection:
                 envelope = protocol.encode_seq(
                     seq, inner, deadline=self._deadline(), channel=self.channel
                 )
-                future: asyncio.Future = (
-                    asyncio.get_running_loop().create_future()
-                )
+                future = asyncio.get_running_loop().create_future()
                 self._pending[seq] = future
                 # the fresh link may die under the very first send too
                 # (disconnect-mid-frame), so the initial transmission
@@ -223,17 +220,21 @@ class AsyncHostConnection:
                     try:
                         await self.host_end.send(envelope)
                         break
-                    except GemStoneError:
+                    except GemStoneError as error:
                         if self.link_factory is None or not await self._reconnect(
                             epoch
                         ):
-                            raise
+                            raise LinkTimeout(
+                                f"link closed while sending seq {seq}"
+                            ) from error
                 else:
                     raise LinkTimeout(
                         f"link kept dying while sending seq {seq} "
                         f"({self.max_attempts} attempts)"
                     )
         except BaseException:
+            if future is not None:
+                self._pending.pop(seq, None)
             self._window.release()
             raise
         return asyncio.get_running_loop().create_task(

@@ -134,7 +134,7 @@ class StreamLink(asyncio.Protocol):
 
     async def write(self, data: bytes) -> None:
         """Put raw bytes on the wire, below the framing (``send``'s
-        body; the socket-fault wrapper cuts frames with it)."""
+        body; ``FaultyAsyncLink`` cuts and dribbles frames with it)."""
         if self._closed or self._lost:
             self._closed = True
             raise ProtocolError("link is closed")
@@ -250,8 +250,9 @@ def stream_link_factory(
     The factory is what ``AsyncHostConnection`` calls on every
     (re)connect, so each new connection re-handshakes into the same
     server-side session.  *wrap* (link → link) interposes a transport
-    wrapper — e.g. ``repro.faults.FaultyTransport`` — before the HELLO,
-    so even the handshake rides the faulty wire.
+    wrapper — e.g. ``lambda link: repro.faults.FaultyAsyncLink(link,
+    plan)``, one plan across every reconnection — before the HELLO, so
+    even the handshake rides the faulty wire.
     """
 
     async def factory() -> StreamLink:

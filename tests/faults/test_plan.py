@@ -1,8 +1,12 @@
 """FaultPlan and FaultClock: determinism is the whole point."""
 
+import asyncio
+
 import pytest
 
-from repro.faults import FaultClock, FaultPlan, FaultSpec
+from repro.errors import ProtocolError
+from repro.faults import FaultClock, FaultPlan, FaultSpec, FaultyAsyncLink
+from repro.frontdoor import make_async_link
 
 
 def drive(plan, operations=60):
@@ -42,6 +46,56 @@ class TestDeterminism:
         drive(plan, operations=30)
         assert len(plan.events) == 30
         assert [e.index for e in plan.events] == list(range(30))
+
+
+class TestLinkSchedule:
+    def test_frame_fault_draw_order_is_pinned(self):
+        """The four frame faults keep their edges: socket rates were
+        added after them, so a frame-only plan draws as it always has."""
+        plan = FaultPlan(17, FaultSpec(
+            drop_rate=0.1, duplicate_rate=0.1, truncate_rate=0.1,
+            reorder_rate=0.1,
+        ))
+        for index in range(200):
+            plan.link_fault(32 + index)
+        assert plan.schedule_digest() == (
+            "b497fe40bd15ea7c614a6f5dfc4de8ad54dded76af1cba4ffcfa0a46ef9b332f"
+        )
+
+    def test_frame_and_socket_faults_share_one_schedule(self):
+        """All seven link outcomes come from one plan: a fixed send
+        sequence over in-memory links (a fresh one after each cut, as a
+        reconnect would dial) replays byte for byte."""
+        spec = FaultSpec(
+            drop_rate=0.05, duplicate_rate=0.05, truncate_rate=0.05,
+            reorder_rate=0.05, disconnect_rate=0.05, dribble_rate=0.05,
+            stall_rate=0.05, stall_seconds=0.0,
+        )
+
+        async def send_all(plan):
+            link = FaultyAsyncLink(make_async_link()[0], plan)
+            for index in range(300):
+                try:
+                    await link.send(bytes(8 + index % 40))
+                except ProtocolError:
+                    link = FaultyAsyncLink(make_async_link()[0], plan)
+            return plan
+
+        first = asyncio.run(send_all(FaultPlan(2026, spec)))
+        second = asyncio.run(send_all(FaultPlan(2026, spec)))
+        assert first.schedule_bytes() == second.schedule_bytes()
+        faults = {event.fault for event in first.events}
+        assert {"disconnect", "dribble", "stall"} <= faults
+
+    def test_a_capped_disconnect_schedule_does_not_dribble(self):
+        """Past ``max_faults`` a roll is "none": the disconnect share
+        never turns into a fault nobody asked for."""
+        plan = FaultPlan(1, FaultSpec(disconnect_rate=0.12, max_faults=6))
+        for _ in range(1_000):
+            plan.link_fault(64)
+        faults = [event.fault for event in plan.events]
+        assert faults.count("disconnect") == 6
+        assert faults.count("dribble") == 0
 
 
 class TestCrashPoints:

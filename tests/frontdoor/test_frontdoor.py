@@ -9,12 +9,14 @@ import pathlib
 import pytest
 
 from repro import GemStone
-from repro.errors import AuthorizationError, OverloadedError
+from repro.errors import (
+    AuthorizationError, LinkTimeout, OverloadedError, ProtocolError,
+)
 from repro.executor import protocol
 from repro.executor.executor import Executor
 from repro.executor.protocol import FrameType
 from repro.faults.plan import FaultClock
-from repro.frontdoor import AsyncHostConnection, FrontDoor
+from repro.frontdoor import AsyncHostConnection, FrontDoor, make_async_link
 from repro.govern.admission import AdmissionController
 
 SCHEMA_PATH = (
@@ -51,6 +53,29 @@ class TestConstruction:
         database = fresh_db()
         door = FrontDoor(database)
         assert door in database.obs._frontdoors
+
+
+class TestDeadLink:
+    def test_send_on_a_dead_link_is_link_timeout_and_frees_its_seq(self):
+        """A first send fails and there is no factory to replace the
+        link: the caller gets the retryable ``LinkTimeout`` the
+        stop-and-wait client raises, nothing stays pending, and the
+        window slot comes back."""
+
+        async def scenario():
+            host_end, _gem_end = make_async_link()
+            host_end.close()
+            connection = await AsyncHostConnection.open(host_end, window=1)
+            try:
+                for _ in range(2):
+                    with pytest.raises(LinkTimeout) as caught:
+                        await connection.execute("1 + 1")
+                    assert isinstance(caught.value.__cause__, ProtocolError)
+                    assert connection._pending == {}
+            finally:
+                await connection.close()
+
+        run(scenario())
 
 
 class TestHappyPath:

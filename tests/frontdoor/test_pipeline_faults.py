@@ -16,13 +16,8 @@ import pytest
 
 from repro import GemStone
 from repro.errors import GemStoneError
-from repro.faults import FaultPlan, FaultSpec
-from repro.frontdoor import (
-    AsyncHostConnection,
-    FaultyAsyncLink,
-    FrontDoor,
-    make_async_link,
-)
+from repro.faults import FaultPlan, FaultSpec, FaultyAsyncLink
+from repro.frontdoor import AsyncHostConnection, FrontDoor, make_async_link
 
 #: the full mix: every fault class the link layer can produce
 FULL_MIX = FaultSpec(

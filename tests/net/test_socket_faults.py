@@ -1,14 +1,15 @@
 """Seeded socket-fault schedules over real TCP: exactly-once survives.
 
-The link-level fault plans (`repro.faults.link`) perturb whole frames;
-these schedules fail *under* the framing layer the way sockets really
-do — disconnect mid-frame (a seeded prefix of the length-prefixed
-bytes, then RST), stalled reads, and 1-byte dribbles that exercise
-every partial-read path.  The property is unchanged from the in-memory
-suite: N pipelined increments committed over the faulty wire must read
-back as exactly N — the HELLO resume handshake plus the SEQ replay
-window keep reconnect-resends exactly-once — and the run must end with
-zero untyped failures.
+The frame faults of a `FaultPlan` perturb whole frames; its socket
+rates fail *under* the framing layer the way sockets really do —
+disconnect mid-frame (a seeded prefix of the length-prefixed bytes,
+then RST), stalled sends, and 1-byte dribbles that exercise every
+partial-read path.  One plan spans every reconnection, and what fired
+is read off its decision log.  The property is unchanged from the
+in-memory suite: N pipelined increments committed over the faulty wire
+must read back as exactly N — the HELLO resume handshake plus the SEQ
+replay window keep reconnect-resends exactly-once — and the run must
+end with zero untyped failures.
 """
 
 from __future__ import annotations
@@ -18,19 +19,20 @@ import asyncio
 import pytest
 
 from repro.db import GemStone
-from repro.faults import SocketFaultSpec, TransportFaults
+from repro.faults import FaultPlan, FaultSpec, FaultyAsyncLink
 from repro.frontdoor.client import AsyncHostConnection
 from repro.frontdoor.server import FrontDoor
 from repro.net import serve_frontdoor, server_port, stream_link_factory
 
 #: the three socket-native failure modes, alone and together
 SCHEDULES = {
-    "disconnect": SocketFaultSpec(disconnect_rate=0.12, max_disconnects=6),
-    "stall": SocketFaultSpec(stall_rate=0.35, stall_seconds=0.01),
-    "dribble": SocketFaultSpec(dribble_rate=0.3),
-    "mixed": SocketFaultSpec(
+    "disconnect": FaultSpec(disconnect_rate=0.12, max_faults=6),
+    "stall": FaultSpec(stall_rate=0.35, stall_seconds=0.01),
+    "dribble": FaultSpec(dribble_rate=0.3),
+    # max_faults caps faults of every kind; 12 still bounds the redials
+    "mixed": FaultSpec(
         disconnect_rate=0.08, stall_rate=0.2, dribble_rate=0.2,
-        stall_seconds=0.01, max_disconnects=4,
+        stall_seconds=0.01, max_faults=12,
     ),
 }
 
@@ -41,10 +43,11 @@ async def _exactly_once_over_faulty_tcp(spec, seed, window=4):
     database = GemStone.create(track_count=2_048, track_size=1024)
     door = FrontDoor(database)
     server = await serve_frontdoor(door, registry=database.obs.registry)
-    faults = TransportFaults(spec, seed=seed)
+    plan = FaultPlan(seed, spec)
     factory = stream_link_factory(
         "127.0.0.1", server_port(server), f"flt{seed}",
-        registry=database.obs.registry, wrap=faults.wrap,
+        registry=database.obs.registry,
+        wrap=lambda link: FaultyAsyncLink(link, plan),
     )
     connection = await AsyncHostConnection.open(
         None, link_factory=factory, window=window,
@@ -68,41 +71,45 @@ async def _exactly_once_over_faulty_tcp(spec, seed, window=4):
         server.close()
         await server.wait_closed()
         await door.close()
-    return total, faults, connection, door
+    return total, plan, connection, door
+
+
+def fired(plan, fault):
+    """How many sends the plan decided *fault* for."""
+    return sum(event.fault == fault for event in plan.events)
 
 
 class TestSocketFaultSchedules:
     @pytest.mark.parametrize("mode", sorted(SCHEDULES))
     @pytest.mark.parametrize("seed", [1, 7, 2026])
     def test_n_increments_read_back_as_n(self, mode, seed):
-        total, faults, connection, door = asyncio.run(
+        total, plan, connection, door = asyncio.run(
             _exactly_once_over_faulty_tcp(SCHEDULES[mode], seed)
         )
         assert total == INCREMENTS, (
             f"{mode}/{seed}: exactly-once broken "
-            f"(disconnects={faults.disconnects} stalls={faults.stalls} "
-            f"dribbles={faults.dribbles})"
+            f"(disconnects={fired(plan, 'disconnect')} "
+            f"stalls={fired(plan, 'stall')} dribbles={fired(plan, 'dribble')})"
         )
 
     def test_each_schedule_actually_fired_its_fault(self):
         """The property is vacuous on a clean wire; prove each seeded
         schedule injected its failure mode and forced real recovery."""
-        fired = {name: 0 for name in SCHEDULES}
+        counts = {"disconnect": 0, "stall": 0, "dribble": 0}
         reconnects = 0
         for seed in (1, 7, 2026):
             for name, spec in SCHEDULES.items():
-                total, faults, connection, door = asyncio.run(
+                total, plan, connection, door = asyncio.run(
                     _exactly_once_over_faulty_tcp(spec, seed)
                 )
                 assert total == INCREMENTS
-                fired["disconnect"] += faults.disconnects
-                fired["stall"] += faults.stalls
-                fired["dribble"] += faults.dribbles
+                for fault in counts:
+                    counts[fault] += fired(plan, fault)
                 if name in ("disconnect", "mixed"):
                     reconnects += connection.reconnects
-        assert fired["disconnect"] > 0
-        assert fired["stall"] > 0
-        assert fired["dribble"] > 0
+        assert counts["disconnect"] > 0
+        assert counts["stall"] > 0
+        assert counts["dribble"] > 0
         # disconnect-mid-frame forced redials that re-HELLO'd the session
         assert reconnects > 0
 
