@@ -1,7 +1,8 @@
 """The replication log: self-delimiting, CRC-framed records.
 
 Disaster recovery (docs/recovery.md) rests on one byte format.  Every
-record is framed exactly like the root track the Commit Manager writes —
+record is framed by the same code as the root track the Commit Manager
+writes (:func:`~repro.storage.codec.crc_frame`) —
 
     <u32 payload length> <payload> <u32 crc32(payload)>
 
@@ -25,13 +26,11 @@ are concatenations of records, stored verbatim on
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterator, Union
-from zlib import crc32
 
-from ..errors import CodecError, TornLogRecord
-from ..storage.codec import Reader, Writer
+from ..errors import ChecksumError, CodecError, TornLogRecord
+from ..storage.codec import Reader, Writer, crc_frame, crc_unframe
 
 #: payload kind bytes
 RECORD_DELTA = 1
@@ -90,10 +89,7 @@ def encode_record(record: LogRecord) -> bytes:
             writer.raw(image)
     else:
         raise CodecError(f"cannot encode {type(record).__name__} as a log record")
-    payload = writer.getvalue()
-    return struct.pack("<I", len(payload)) + payload + struct.pack(
-        "<I", crc32(payload)
-    )
+    return crc_frame(writer.getvalue())
 
 
 def decode_record(data: bytes) -> LogRecord:
@@ -116,20 +112,14 @@ def iter_records(data: bytes) -> Iterator[LogRecord]:
 
 
 def _decode_at(data: bytes, offset: int) -> tuple[LogRecord, int]:
-    if len(data) - offset < FRAME_OVERHEAD:
-        raise TornLogRecord("log record shorter than its framing")
-    (length,) = struct.unpack_from("<I", data, offset)
-    if length == 0 or offset + length + FRAME_OVERHEAD > len(data):
-        raise TornLogRecord("log record has implausible length")
-    payload = data[offset + 4 : offset + 4 + length]
-    (stored_crc,) = struct.unpack_from("<I", data, offset + 4 + length)
-    if crc32(payload) != stored_crc:
-        raise TornLogRecord("log record failed its CRC")
     try:
-        record = _decode_payload(payload)
+        payload, end = crc_unframe(data, offset)
+    except (CodecError, ChecksumError) as error:
+        raise TornLogRecord(f"log {error}") from error
+    try:
+        return _decode_payload(payload), end - offset
     except CodecError as error:
         raise TornLogRecord(f"log record payload malformed: {error}") from error
-    return record, length + FRAME_OVERHEAD
 
 
 def _decode_payload(payload: bytes) -> LogRecord:

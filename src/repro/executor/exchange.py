@@ -156,9 +156,10 @@ class ExactlyOnceClient:
         skipped; any other unsequenced reply (the peer could not read
         our envelope) answers whatever is in flight.
         """
-        stashed = self.stash.pop(seq, None)
-        if stashed is not None:
-            return stashed
+        if self.stash:
+            stashed = self.stash.pop(seq, None)
+            if stashed is not None:
+                return stashed
         while True:
             try:
                 raw = self.link.receive()

@@ -28,7 +28,11 @@ apply, because work can expire while it waits.
 examples and tests (the "user interface program on the host machine"):
 the host flavour of :class:`~repro.executor.exchange.ExactlyOnceClient`,
 whose link that never answers surfaces as the typed
-:class:`~repro.errors.LinkTimeout`.
+:class:`~repro.errors.LinkTimeout`.  It builds an :class:`Executor` only
+to pump an in-memory link; over a socket the server is across the wire.
+Its session verbs, reply decoding and OVERLOADED backoff are
+:class:`HostSession`'s, shared with the pipelined
+:class:`~repro.frontdoor.client.AsyncHostConnection`.
 """
 
 from __future__ import annotations
@@ -240,15 +244,94 @@ class Executor(ReplayingServer):
         return protocol.encode_result(value, display)
 
 
-class HostConnection(ExactlyOnceClient):
+#: the request frames with nothing in them but their type
+_COMMIT = protocol.encode_simple(FrameType.COMMIT)
+_ABORT = protocol.encode_simple(FrameType.ABORT)
+_LOGOUT = protocol.encode_simple(FrameType.LOGOUT)
+
+
+def _unread(reply: Frame) -> None:
+    """An ABORT's or a LOGOUT's reply is not read (an ERROR included)."""
+
+
+class HostSession:
+    """What both host clients decide alike, written once.
+
+    Each session verb is one request frame and the function that reads
+    its reply (``protocol.login_reply`` and kin).  A flavour sets
+    ``clock`` and ``overload_attempts`` and supplies ``_request(frame,
+    read)``: resubmit *frame* under a new seq while it is shed (each
+    OVERLOADED answer waited out by :meth:`_overload_wait`, then
+    :meth:`_still_shedding` raised) and answer ``read(reply)`` — at once
+    (:class:`HostConnection`) or as a coroutine
+    (:class:`~repro.frontdoor.client.AsyncHostConnection`).
+    """
+
+    session_id: Optional[int] = None
+    overload_backoffs = 0
+
+    def login(self, user: str, password: str):
+        """Authenticate; the session id."""
+        return self._request(protocol.encode_login(user, password), self._logged_in)
+
+    def execute(self, source: str):
+        """Run a block of OPAL; (wire value, display string).
+
+        The wire value is an immediate or a
+        :class:`~repro.core.values.Ref`; hosts dereference through
+        further OPAL, as the paper's hosts did.
+        """
+        return self._request(protocol.encode_execute(source), protocol.execute_reply)
+
+    def commit(self):
+        """Commit; the transaction time, or None on conflict."""
+        return self._request(_COMMIT, protocol.commit_reply)
+
+    def abort(self):
+        """Abort the current transaction."""
+        return self._request(_ABORT, _unread)
+
+    def logout(self):
+        """End the session."""
+        return self._request(_LOGOUT, self._logged_out)
+
+    def _logged_in(self, reply: Frame) -> int:
+        self.session_id = protocol.login_reply(reply)
+        return self.session_id
+
+    def _logged_out(self, reply: Frame) -> None:
+        self.session_id = None
+
+    def _overload_wait(self, reply: Frame) -> float:
+        """Wait out one OVERLOADED *reply*: charge the retry-after (at
+        least half a unit) to the shared clock, or, without one, return
+        the 1–50 ms of wall time the caller still sleeps."""
+        retry_after = reply.fields["retry_after"]
+        self.overload_backoffs += 1
+        if self.clock is not None:
+            self.clock.advance(max(retry_after, 0.5))
+            return 0.0
+        return min(max(retry_after, 0.001), 0.05)
+
+    def _still_shedding(self, reply: Frame) -> OverloadedError:
+        """The typed error after the last OVERLOADED *reply*."""
+        return OverloadedError(
+            f"still shedding after {self.overload_attempts} backoffs",
+            retry_after=reply.fields["retry_after"],
+        )
+
+
+class HostConnection(HostSession, ExactlyOnceClient):
     """Host-side client: login, execute blocks of OPAL, commit, logout.
 
     The host flavour of the exactly-once exchange: *link_factory* builds
     the (host_end, gem_end) pair — pass
     :func:`~repro.faults.link.make_faulty_link` partials to interpose a
     lossy link — so the connection can always reconnect, and exhaustion
-    is :class:`~repro.errors.LinkTimeout`.  What it adds is the session
-    verbs and the OVERLOADED resubmit loop.
+    is :class:`~repro.errors.LinkTimeout`.  Given a *database*, it builds
+    the :class:`Executor` that serves the in-memory gem end and pumps it
+    after each send; a socket client (*database* None, gem end None) has
+    its server on the far side of the wire and holds no Executor.
     """
 
     def __init__(
@@ -263,12 +346,12 @@ class HostConnection(ExactlyOnceClient):
         if overload_attempts < 1:
             raise ValueError("overload_attempts must be at least 1")
         self._link_factory = link_factory
-        self.executor = Executor(database, admission=admission)
+        self.executor = (
+            None if database is None else Executor(database, admission=admission)
+        )
         self.admission = admission
-        self.session_id: Optional[int] = None
         #: OVERLOADED answers tolerated (each backed off) per request
         self.overload_attempts = overload_attempts
-        self.overload_backoffs = 0
         super().__init__(
             clock=admission.clock if admission is not None else None,
             link_factory=self._dial,
@@ -291,66 +374,13 @@ class HostConnection(ExactlyOnceClient):
         """The host's end of the current link (replaced on reconnect)."""
         return self.link
 
-    def _request(self, frame: bytes) -> Frame:
-        """One logical request: exchanges + typed overload backoff.
-
-        An OVERLOADED answer is not a failure of the link, so it gets its
-        own (bounded) retry loop: back off for the carried retry-after —
-        on the shared deterministic clock when there is one, in real
-        time (1–50 ms) over a socket — then try again under a *new*
-        sequence number: the shed request was never applied, so replay
-        protection is not wanted.  Exhaustion surfaces as the typed,
-        retryable :class:`~repro.errors.OverloadedError`.
-        """
-        retry_after = 0.0
+    def _request(self, frame: bytes, read: Callable[[Frame], Any]) -> Any:
+        """Exchange *frame* until it is not shed; ``read(reply)``."""
         for _attempt in range(self.overload_attempts):
-            response = self.request(frame)
-            if response.type is not FrameType.OVERLOADED:
-                return response
-            retry_after = response.fields["retry_after"]
-            self.overload_backoffs += 1
-            if self.clock is not None:
-                self.clock.advance(max(retry_after, 0.5))
-            else:
-                time.sleep(min(max(retry_after, 0.001), 0.05))
-        raise OverloadedError(
-            f"still shedding after {self.overload_attempts} backoffs",
-            retry_after=retry_after,
-        )
-
-    def _call(self, frame: bytes) -> Frame:
-        """:meth:`_request`, with an ERROR answer raised as its typed
-        exception (:func:`~repro.executor.protocol.rehydrate_error`)."""
-        return protocol.raise_if_error(self._request(frame))
-
-    def login(self, user: str, password: str) -> int:
-        """Authenticate; returns the session id."""
-        response = self._call(protocol.encode_login(user, password))
-        self.session_id = response.fields["session_id"]
-        return self.session_id
-
-    def execute(self, source: str) -> tuple[Any, str]:
-        """Run a block of OPAL; returns (wire value, display string).
-
-        The wire value is an immediate or a
-        :class:`~repro.core.values.Ref`; hosts dereference through
-        further OPAL, as the paper's hosts did.
-        """
-        response = self._call(protocol.encode_execute(source))
-        return response.fields["value"], response.fields["display"]
-
-    def commit(self) -> Optional[int]:
-        """Commit; returns the transaction time, or None on conflict."""
-        response = self._call(protocol.encode_simple(FrameType.COMMIT))
-        if response.type is FrameType.CONFLICT:
-            return None
-        return response.fields["tx_time"]
-
-    def abort(self) -> None:
-        """Abort the current transaction."""
-        self._request(protocol.encode_simple(FrameType.ABORT))
-
-    def logout(self) -> None:
-        """End the session."""
-        self._request(protocol.encode_simple(FrameType.LOGOUT))
-        self.session_id = None
+            reply = self.request(frame)
+            if reply.type is not FrameType.OVERLOADED:
+                return read(reply)
+            wait = self._overload_wait(reply)
+            if wait:
+                time.sleep(wait)
+        raise self._still_shedding(reply)

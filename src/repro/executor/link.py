@@ -14,6 +14,7 @@ import struct
 
 from ..errors import ProtocolError
 
+#: the u32 length prefix: written by :func:`framed`, read by :func:`pop_frame`
 _HEADER = struct.Struct("<I")
 
 #: the longest frame any link end will buffer.  The length prefix is
@@ -31,6 +32,11 @@ _HEADER = struct.Struct("<I")
 #: written more than the bound could not be bootstrapped in one frame
 #: and would be refused with the typed error.  Fixed, not an option.
 MAX_FRAME_BYTES = 128 * 1024 * 1024
+
+
+def framed(frame: bytes) -> bytes:
+    """*frame* as every link end and fault wrapper puts it on the wire."""
+    return _HEADER.pack(len(frame)) + frame
 
 
 def pop_frame(buffer: bytearray, closed: bool) -> bytes | None:
@@ -79,6 +85,8 @@ class _Pipe:
     def read_frame(self) -> bytes | None:
         """Pop one complete frame, or None if none is buffered
         (:func:`pop_frame`); an oversized length closes the pipe."""
+        if not self._buffer:
+            return None
         try:
             return pop_frame(self._buffer, self._closed)
         except ProtocolError:
@@ -104,7 +112,7 @@ class LinkEnd:
 
     def send(self, frame: bytes) -> None:
         """Send one frame (length-prefixed on the wire)."""
-        self._out.write(_HEADER.pack(len(frame)) + frame)
+        self._out.write(framed(frame))
         self.frames_sent += 1
         self.bytes_sent += 4 + len(frame)
 

@@ -339,6 +339,24 @@ def raise_if_error(frame: Frame) -> Frame:
     return frame
 
 
+def login_reply(frame: Frame) -> int:
+    """A LOGIN's answer: the session id (an ERROR raises, typed)."""
+    return raise_if_error(frame).fields["session_id"]
+
+
+def execute_reply(frame: Frame) -> tuple[Any, str]:
+    """An EXECUTE's answer: (wire value, display string)."""
+    fields = raise_if_error(frame).fields
+    return fields["value"], fields["display"]
+
+
+def commit_reply(frame: Frame) -> int | None:
+    """A COMMIT's answer: the transaction time, or None on CONFLICT."""
+    if frame.type is FrameType.CONFLICT:
+        return None
+    return raise_if_error(frame).fields["tx_time"]
+
+
 #: SEQ flags-byte bits
 _SEQ_HAS_DEADLINE = 0x01
 _SEQ_HAS_REQUEST_ID = 0x02

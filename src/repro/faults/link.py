@@ -24,7 +24,7 @@ import asyncio
 from contextlib import suppress
 
 from ..errors import ProtocolError
-from ..executor.link import LinkEnd, make_link
+from ..executor.link import LinkEnd, framed, make_link
 from .plan import FaultPlan
 
 
@@ -114,7 +114,7 @@ class FaultyAsyncLink(LinkFaults):
         if fault == "stall":
             await asyncio.sleep(self.plan.spec.stall_seconds)
         elif fault == "disconnect":
-            data = len(frame).to_bytes(4, "little") + frame
+            data = framed(frame)
             cut = self.plan.cut_point(len(data))
             if write is not None:
                 with suppress(ProtocolError):
@@ -125,7 +125,7 @@ class FaultyAsyncLink(LinkFaults):
             if fault != "dribble" or write is None:
                 await self.inner.send(wire)
                 continue
-            data = len(wire).to_bytes(4, "little") + wire
+            data = framed(wire)
             for i in range(len(data)):
                 await write(data[i : i + 1])
                 await asyncio.sleep(0)

@@ -15,10 +15,9 @@ Its seeded fault wrapper is :class:`repro.faults.link.FaultyAsyncLink`.
 from __future__ import annotations
 
 import asyncio
-import struct
 
 from ..errors import ProtocolError
-from ..executor.link import pop_frame
+from ..executor.link import framed, pop_frame
 
 #: default per-direction buffer (bytes) before senders block
 DEFAULT_CAPACITY = 256 * 1024
@@ -95,7 +94,7 @@ class AsyncLinkEnd:
 
     async def send(self, frame: bytes) -> None:
         """Send one frame; parks when the peer's buffer is full."""
-        await self._out.write(struct.pack("<I", len(frame)) + frame)
+        await self._out.write(framed(frame))
         self.frames_sent += 1
         self.bytes_sent += 4 + len(frame)
 

@@ -17,6 +17,12 @@ window), which makes two disciplines mandatory:
   (the shed request was never applied, so replay protection is not
   wanted) after backing off for the carried retry-after.
 
+The session verbs, how each reply is read and how an OVERLOADED answer
+is waited out are :class:`~repro.executor.executor.HostSession`'s,
+shared with the stop-and-wait client; every verb is awaited here.  Its
+own is the send ladder (:meth:`AsyncHostConnection._send`), which the
+first transmission and every resend go through.
+
 Requests are sent in submission order — the window semaphore and a send
 lock keep the wire order equal to the sequence order — but loss can
 still deliver them to the dispatcher out of order; callers that need
@@ -29,16 +35,13 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Optional
 
-from ..errors import (
-    GemStoneError,
-    LinkTimeout,
-    OverloadedError,
-)
+from ..errors import GemStoneError, LinkTimeout
 from ..executor import protocol
+from ..executor.executor import HostSession
 from ..executor.protocol import Frame, FrameType
 
 
-class AsyncHostConnection:
+class AsyncHostConnection(HostSession):
     """Pipelined client over one async link (build with :meth:`open`)."""
 
     def __init__(
@@ -76,10 +79,8 @@ class AsyncHostConnection:
         #: re-sends the HELLO resume handshake); None = in-memory link,
         #: no reconnect possible
         self.link_factory = link_factory
-        self.session_id: Optional[int] = None
         self.retries = 0
         self.reconnects = 0
-        self.overload_backoffs = 0
         self._seq = 0
         self._window = asyncio.Semaphore(window)
         self._send_lock = asyncio.Lock()
@@ -194,6 +195,29 @@ class AsyncHostConnection:
             return None
         return self.clock.now + self.request_deadline
 
+    async def _send(self, seq: int, envelope: bytes, redials: int) -> bool:
+        """Put *envelope* on the wire, redialing a dead link up to
+        *redials* times; True once it went out, False if every try died.
+
+        The one send ladder of the first transmission and of every
+        resend; the caller holds ``_send_lock`` across all of it,
+        redials included, so submission order stays wire order.  A dead
+        link that cannot be replaced — no ``link_factory``, or a redial
+        that fails — is :class:`~repro.errors.LinkTimeout`.
+        """
+        for redial in range(redials + 1):
+            epoch = self._link_epoch
+            try:
+                await self.host_end.send(envelope)
+                return True
+            except GemStoneError as error:
+                if redial == redials:
+                    return False
+                if self.link_factory is None or not await self._reconnect(epoch):
+                    raise LinkTimeout(
+                        f"link closed while sending seq {seq}"
+                    ) from error
+
     async def _post(self, inner: bytes) -> "asyncio.Task[Frame]":
         """Claim a window slot and send; returns the completion task.
 
@@ -212,25 +236,12 @@ class AsyncHostConnection:
                 )
                 future = asyncio.get_running_loop().create_future()
                 self._pending[seq] = future
-                # the fresh link may die under the very first send too
-                # (disconnect-mid-frame), so the initial transmission
-                # gets the same bounded reconnect ladder as resends
-                for _attempt in range(self.max_attempts):
-                    epoch = self._link_epoch
-                    try:
-                        await self.host_end.send(envelope)
-                        break
-                    except GemStoneError as error:
-                        if self.link_factory is None or not await self._reconnect(
-                            epoch
-                        ):
-                            raise LinkTimeout(
-                                f"link closed while sending seq {seq}"
-                            ) from error
-                else:
+                # a fresh link may die under its very first send too
+                # (disconnect-mid-frame): the first send may redial most
+                if not await self._send(seq, envelope, self.max_attempts):
                     raise LinkTimeout(
                         f"link kept dying while sending seq {seq} "
-                        f"({self.max_attempts} attempts)"
+                        f"({self.max_attempts} redials)"
                     )
         except BaseException:
             if future is not None:
@@ -249,22 +260,10 @@ class AsyncHostConnection:
             for attempt in range(self.max_attempts):
                 if attempt:
                     self.retries += 1
-                    epoch = self._link_epoch
-                    try:
-                        async with self._send_lock:
-                            await self.host_end.send(envelope)
-                    except GemStoneError as error:
-                        if self.link_factory is None or not await self._reconnect(
-                            epoch
-                        ):
-                            raise LinkTimeout(
-                                f"link closed while retrying seq {seq}"
-                            ) from error
-                        try:
-                            async with self._send_lock:
-                                await self.host_end.send(envelope)
-                        except GemStoneError:
-                            continue  # next attempt redials again
+                    async with self._send_lock:
+                        sent = await self._send(seq, envelope, 1)
+                    if not sent:
+                        continue  # next attempt redials again
                 try:
                     return await asyncio.wait_for(
                         asyncio.shield(future), self.reply_timeout
@@ -280,110 +279,39 @@ class AsyncHostConnection:
             self._window.release()
 
     async def _submit(
-        self, inner: bytes, decode: Callable[[Frame], Any]
+        self, inner: bytes, read: Callable[[Frame], Any]
     ) -> "asyncio.Task":
-        """Pipeline one logical request; resolves to ``decode(frame)``.
+        """Pipeline one logical request; resolves to ``read(reply)``.
 
         The first transmission is on the wire before this returns.
-        OVERLOADED answers are resubmitted under fresh sequence numbers
-        inside the returned task, after the carried backoff.
+        OVERLOADED answers are waited out and resubmitted under fresh
+        sequence numbers inside the returned task.
         """
         first = await self._post(inner)
         return asyncio.get_running_loop().create_task(
-            self._finish(first, inner, decode)
+            self._finish(first, inner, read)
         )
 
     async def _finish(
         self,
         in_flight: "asyncio.Task[Frame]",
         inner: bytes,
-        decode: Callable[[Frame], Any],
+        read: Callable[[Frame], Any],
     ) -> Any:
-        retry_after = 0.0
-        for _attempt in range(self.overload_attempts):
-            frame = await in_flight
-            if frame.type is not FrameType.OVERLOADED:
-                return decode(frame)
-            retry_after = frame.fields["retry_after"]
-            self.overload_backoffs += 1
-            await self._backoff(retry_after)
-            in_flight = await self._post(inner)
-        raise OverloadedError(
-            f"still shedding after {self.overload_attempts} backoffs",
-            retry_after=retry_after,
-        )
+        for attempt in range(self.overload_attempts):
+            if attempt:
+                in_flight = await self._post(inner)
+            reply = await in_flight
+            if reply.type is not FrameType.OVERLOADED:
+                return read(reply)
+            await asyncio.sleep(self._overload_wait(reply))
+        raise self._still_shedding(reply)
 
-    async def _backoff(self, retry_after: float) -> None:
-        if self.clock is not None:
-            # simulated time: advance the shared clock so the leaky
-            # bucket drains, then yield so the loop makes progress
-            self.clock.advance(max(retry_after, 0.5))
-            await asyncio.sleep(0)
-        else:
-            await asyncio.sleep(min(max(retry_after, 0.001), 0.05))
-
-    async def _request(self, inner: bytes, decode: Callable[[Frame], Any]) -> Any:
-        return await (await self._submit(inner, decode))
-
-    # -- response decoders ----------------------------------------------------
-
-    @staticmethod
-    def _decode_execute(frame: Frame) -> tuple[Any, str]:
-        protocol.raise_if_error(frame)
-        return frame.fields["value"], frame.fields["display"]
-
-    @staticmethod
-    def _decode_commit(frame: Frame) -> Optional[int]:
-        if frame.type is FrameType.CONFLICT:
-            return None
-        return protocol.raise_if_error(frame).fields["tx_time"]
-
-    @staticmethod
-    def _decode_any(frame: Frame) -> Frame:
-        return frame
-
-    # -- session protocol -----------------------------------------------------
-
-    async def login(self, user: str, password: str) -> int:
-        """Authenticate; returns the session id."""
-        frame = await self._request(
-            protocol.encode_login(user, password), self._decode_any
-        )
-        self.session_id = protocol.raise_if_error(frame).fields["session_id"]
-        return self.session_id
-
-    async def execute(self, source: str) -> tuple[Any, str]:
-        """Run a block of OPAL; returns (wire value, display string)."""
-        return await self._request(
-            protocol.encode_execute(source), self._decode_execute
-        )
+    async def _request(self, inner: bytes, read: Callable[[Frame], Any]) -> Any:
+        return await (await self._submit(inner, read))
 
     async def post_execute(self, source: str) -> "asyncio.Task":
         """Pipelined :meth:`execute`: sent now, awaited later."""
         return await self._submit(
-            protocol.encode_execute(source), self._decode_execute
+            protocol.encode_execute(source), protocol.execute_reply
         )
-
-    async def commit(self) -> Optional[int]:
-        """Commit; the transaction time, or None on conflict."""
-        return await self._request(
-            protocol.encode_simple(FrameType.COMMIT), self._decode_commit
-        )
-
-    async def post_commit(self) -> "asyncio.Task":
-        """Pipelined :meth:`commit`: sent now, awaited later."""
-        return await self._submit(
-            protocol.encode_simple(FrameType.COMMIT), self._decode_commit
-        )
-
-    async def abort(self) -> None:
-        await self._request(
-            protocol.encode_simple(FrameType.ABORT), self._decode_any
-        )
-
-    async def logout(self) -> None:
-        """End the session (the link stays open until :meth:`close`)."""
-        await self._request(
-            protocol.encode_simple(FrameType.LOGOUT), self._decode_any
-        )
-        self.session_id = None

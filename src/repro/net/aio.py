@@ -19,15 +19,12 @@ while too many whole frames sit untaken (``_UNREAD_HIGH``).
 from __future__ import annotations
 
 import asyncio
-import struct
 from collections import deque
 
 from ..errors import LinkTimeout, ProtocolError
 from ..executor import protocol
-from ..executor.link import pop_frame
+from ..executor.link import framed, pop_frame
 from .tcp import traffic_counters
-
-_HEADER = struct.Struct("<I")
 
 #: bytes asked of the socket per read.  asyncio's selector transport
 #: asks for 256 KiB and shrinks the result, and an allocation that size
@@ -151,7 +148,7 @@ class StreamLink(asyncio.Protocol):
     async def send(self, frame: bytes) -> None:
         """Send one length-prefixed frame (flow-controlled)."""
         size = 4 + len(frame)
-        await self.write(_HEADER.pack(len(frame)) + frame)
+        await self.write(framed(frame))
         self.frames_sent += 1
         self.bytes_sent += size
         if self._sent is not None:

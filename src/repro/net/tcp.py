@@ -15,11 +15,10 @@ completes raises ``LinkTimeout``.
 from __future__ import annotations
 
 import socket
-import struct
 import time
 
 from ..errors import LinkTimeout, ProtocolError
-from ..executor.link import pop_frame
+from ..executor.link import framed, pop_frame
 
 #: default per-receive budget, seconds; small so retry loops stay live
 DEFAULT_RECEIVE_TIMEOUT = 0.25
@@ -27,8 +26,6 @@ DEFAULT_RECEIVE_TIMEOUT = 0.25
 #: default send budget, seconds — only hit when the peer's socket
 #: buffer is full and it has stopped draining (a wedged peer)
 DEFAULT_SEND_TIMEOUT = 10.0
-
-_HEADER = struct.Struct("<I")
 
 
 def traffic_counters(registry):
@@ -95,7 +92,7 @@ class TcpLinkEnd:
         """
         if self._closed:
             raise ProtocolError("link is closed")
-        data = _HEADER.pack(len(frame)) + frame
+        data = framed(frame)
         deadline = time.monotonic() + self.send_timeout
         self._arm(self.send_timeout)
         owed = data

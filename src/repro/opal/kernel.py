@@ -41,7 +41,7 @@ def _check_number(value: Any, what: str = "argument") -> Any:
     return value
 
 
-def _call(om, block, *args):
+def _evaluate(om, block, *args):
     selector = "value" if not args else "value:" * len(args)
     return _engine(om).send(block, selector, *args)
 
@@ -170,9 +170,9 @@ def _install_object(om, object_class: GemClass) -> None:
     d("error:", _prim_error)
     d("->", lambda om, r, o: _make_association(om, r, o))
     d("ifNil:", lambda om, r, b: r)  # non-nil receiver: answer self
-    d("ifNotNil:", lambda om, r, b: _call(om, b, r))
-    d("ifNil:ifNotNil:", lambda om, r, nb, b: _call(om, b, r))
-    d("ifNotNil:ifNil:", lambda om, r, b, nb: _call(om, b, r))
+    d("ifNotNil:", lambda om, r, b: _evaluate(om, b, r))
+    d("ifNil:ifNotNil:", lambda om, r, nb, b: _evaluate(om, b, r))
+    d("ifNotNil:ifNil:", lambda om, r, b, nb: _evaluate(om, b, r))
     d("perform:", lambda om, r, s: _engine(om).send(r, str(s)))
     d("perform:with:", lambda om, r, s, a: _engine(om).send(r, str(s), a))
     d(
@@ -233,7 +233,7 @@ def _prim_element_at_if_absent(om, receiver, name, absent_block):
     obj = _require_object(om, receiver, "at:ifAbsent:")
     value = om.value_at(obj, name)
     if value is MISSING:
-        return _call(om, absent_block)
+        return _evaluate(om, absent_block)
     return om.deref(value)
 
 
@@ -351,17 +351,17 @@ def _install_boolean(om) -> None:
     d("&", lambda om, r, o: check(r) and check(o))
     d("|", lambda om, r, o: check(r) or check(o))
     d("xor:", lambda om, r, o: check(r) != check(o))
-    d("and:", lambda om, r, b: _call(om, b) if check(r) else False)
-    d("or:", lambda om, r, b: True if check(r) else _call(om, b))
-    d("ifTrue:", lambda om, r, b: _call(om, b) if check(r) else None)
-    d("ifFalse:", lambda om, r, b: None if check(r) else _call(om, b))
+    d("and:", lambda om, r, b: _evaluate(om, b) if check(r) else False)
+    d("or:", lambda om, r, b: True if check(r) else _evaluate(om, b))
+    d("ifTrue:", lambda om, r, b: _evaluate(om, b) if check(r) else None)
+    d("ifFalse:", lambda om, r, b: None if check(r) else _evaluate(om, b))
     d(
         "ifTrue:ifFalse:",
-        lambda om, r, t, f: _call(om, t) if check(r) else _call(om, f),
+        lambda om, r, t, f: _evaluate(om, t) if check(r) else _evaluate(om, f),
     )
     d(
         "ifFalse:ifTrue:",
-        lambda om, r, f, t: _call(om, t) if check(r) else _call(om, f),
+        lambda om, r, f, t: _evaluate(om, t) if check(r) else _evaluate(om, f),
     )
 
 
@@ -369,10 +369,10 @@ def _install_nil(om) -> None:
     d = om.class_named("UndefinedObject").define_primitive
     d("isNil", lambda om, r: True)
     d("notNil", lambda om, r: False)
-    d("ifNil:", lambda om, r, b: _call(om, b))
+    d("ifNil:", lambda om, r, b: _evaluate(om, b))
     d("ifNotNil:", lambda om, r, b: None)
-    d("ifNil:ifNotNil:", lambda om, r, nb, b: _call(om, nb))
-    d("ifNotNil:ifNil:", lambda om, r, b, nb: _call(om, nb))
+    d("ifNil:ifNotNil:", lambda om, r, nb, b: _evaluate(om, nb))
+    d("ifNotNil:ifNil:", lambda om, r, b, nb: _evaluate(om, nb))
     d("printString", lambda om, r: "nil")
 
 
@@ -455,7 +455,7 @@ def _prim_to_do(om, start, stop, block):
     _check_number(stop)
     index = start
     while index <= stop:
-        _call(om, block, index)
+        _evaluate(om, block, index)
         index += 1
     return start
 
@@ -467,18 +467,18 @@ def _prim_to_by_do(om, start, stop, step, block):
     index = start
     if step > 0:
         while index <= stop:
-            _call(om, block, index)
+            _evaluate(om, block, index)
             index += step
     else:
         while index >= stop:
-            _call(om, block, index)
+            _evaluate(om, block, index)
             index += step
     return start
 
 
 def _prim_times_repeat(om, count, block):
     for _ in range(int(count)):
-        _call(om, block)
+        _evaluate(om, block)
     return count
 
 
@@ -588,14 +588,14 @@ def _install_collections(om) -> None:
 
 def _prim_do(om, receiver, block):
     for member in members(om, _require_object(om, receiver, "do:")):
-        _call(om, block, member)
+        _evaluate(om, block, member)
     return receiver
 
 
 def _prim_collect(om, receiver, block):
     result = om.instantiate_transient("Bag")
     obj = _require_object(om, receiver, "collect:")
-    om.add_members(result, [_call(om, block, m) for m in members(om, obj)])
+    om.add_members(result, [_evaluate(om, block, m) for m in members(om, obj)])
     return result
 
 
@@ -614,7 +614,7 @@ def _prim_select(om, receiver, block):
     if chosen is None:
         chosen = [
             m for m in members(om, obj)
-            if _truthy(_call(om, block, m))
+            if _truthy(_evaluate(om, block, m))
         ]
     result = _new_like(om, obj)
     om.add_members(result, chosen)
@@ -629,7 +629,7 @@ def _prim_reject(om, receiver, block):
     if chosen is None:
         chosen = [
             m for m in members(om, obj)
-            if not _truthy(_call(om, block, m))
+            if not _truthy(_evaluate(om, block, m))
         ]
     result = _new_like(om, obj)
     om.add_members(result, chosen)
@@ -644,35 +644,35 @@ def _truthy(value):
 
 def _prim_detect(om, receiver, block):
     for member in members(om, _require_object(om, receiver, "detect:")):
-        if _truthy(_call(om, block, member)):
+        if _truthy(_evaluate(om, block, member)):
             return member
     raise OpalRuntimeError("detect: found no matching member")
 
 
 def _prim_detect_if_none(om, receiver, block, none_block):
     for member in members(om, _require_object(om, receiver, "detect:")):
-        if _truthy(_call(om, block, member)):
+        if _truthy(_evaluate(om, block, member)):
             return member
-    return _call(om, none_block)
+    return _evaluate(om, none_block)
 
 
 def _prim_inject(om, receiver, initial, block):
     accumulator = initial
     for member in members(om, _require_object(om, receiver, "inject:into:")):
-        accumulator = _call(om, block, accumulator, member)
+        accumulator = _evaluate(om, block, accumulator, member)
     return accumulator
 
 
 def _prim_any(om, receiver, block):
     return any(
-        _truthy(_call(om, block, m))
+        _truthy(_evaluate(om, block, m))
         for m in members(om, _require_object(om, receiver, "anySatisfy:"))
     )
 
 
 def _prim_all(om, receiver, block):
     return all(
-        _truthy(_call(om, block, m))
+        _truthy(_evaluate(om, block, m))
         for m in members(om, _require_object(om, receiver, "allSatisfy:"))
     )
 
@@ -772,7 +772,7 @@ def _prim_count(om, receiver, block):
     return sum(
         1
         for member in members(om, _require_object(om, receiver, "count:"))
-        if _truthy(_call(om, block, member))
+        if _truthy(_evaluate(om, block, member))
     )
 
 
@@ -836,7 +836,7 @@ def _prim_array_do(om, receiver, block):
     obj = _require_object(om, receiver, "do:")
     for index in range(1, size + 1):
         value = om.value_at(obj, index)
-        _call(om, block, None if value is MISSING else om.deref(value))
+        _evaluate(om, block, None if value is MISSING else om.deref(value))
     return receiver
 
 
@@ -864,7 +864,7 @@ def _install_dictionaries(om) -> None:
 
 def _prim_keys_values_do(om, receiver, block):
     for name, value in om.live_items_of(_require_object(om, receiver, "do:")):
-        _call(om, block, name, om.deref(value))
+        _evaluate(om, block, name, om.deref(value))
     return receiver
 
 

@@ -520,6 +520,29 @@ def decode_catalog(data: bytes) -> dict[str, int]:
     return catalog
 
 
+_U32 = struct.Struct("<I")
+
+
+def crc_frame(payload: bytes) -> bytes:
+    """``<u32 len> payload <u32 crc32>``: a root track or a log record."""
+    return b"".join((_U32.pack(len(payload)), payload, _U32.pack(crc32(payload))))
+
+
+def crc_unframe(data: bytes, offset: int = 0) -> tuple[bytes, int]:
+    """(payload, end) of the :func:`crc_frame` record at *offset*: bad
+    framing is a :class:`CodecError`, a bad CRC a :class:`ChecksumError`."""
+    if len(data) - offset < 8:
+        raise CodecError("record shorter than its framing")
+    (length,) = _U32.unpack_from(data, offset)
+    end = offset + 4 + length
+    if length == 0 or end + 4 > len(data):
+        raise CodecError("record has implausible length")
+    payload = data[offset + 4 : end]
+    if crc32(payload) != _U32.unpack_from(data, end)[0]:
+        raise ChecksumError("record failed its CRC")
+    return payload, end + 4
+
+
 # --------------------------------------------------------------------------
 # the note
 # --------------------------------------------------------------------------

@@ -23,12 +23,10 @@ on real hardware).
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Optional
-from zlib import crc32
 
 from ..errors import ChecksumError, CodecError, RecoveryError
-from .codec import decode_root, encode_root
+from .codec import crc_frame, crc_unframe, decode_root, encode_root
 from .tracks import TrackManager
 
 #: the two alternating root slots
@@ -36,25 +34,15 @@ ROOT_SLOTS = (0, 1)
 
 
 def encode_root_track(fields: dict[str, Any]) -> bytes:
-    """Frame a root record for a track: length, payload, CRC32."""
-    payload = encode_root(fields)
-    return struct.pack("<I", len(payload)) + payload + struct.pack(
-        "<I", crc32(payload)
-    )
+    """Frame a root record for a track: length, payload, CRC32
+    (:func:`~repro.storage.codec.crc_frame`)."""
+    return crc_frame(encode_root(fields))
 
 
 def decode_root_track(data: bytes) -> dict[str, Any]:
-    """Unframe and validate a root track; raises on any damage."""
-    if len(data) < 8:
-        raise CodecError("root track too short")
-    (length,) = struct.unpack_from("<I", data, 0)
-    if length == 0 or length + 8 > len(data):
-        raise CodecError("root track has implausible length")
-    payload = data[4 : 4 + length]
-    (stored_crc,) = struct.unpack_from("<I", data, 4 + length)
-    if crc32(payload) != stored_crc:
-        raise ChecksumError("root record CRC mismatch")
-    return decode_root(payload)
+    """Unframe and validate a root track; raises on any damage
+    (:class:`CodecError` or :class:`ChecksumError`)."""
+    return decode_root(crc_unframe(data)[0])
 
 
 class CommitManager:

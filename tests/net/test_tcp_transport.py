@@ -230,6 +230,20 @@ class TestSyncClientOverTcp:
         finally:
             served.close()
 
+    def test_a_socket_client_holds_no_executor(self):
+        """Its server is across the wire: the client builds no Executor
+        of its own and pumps nothing, and still runs a whole session."""
+        served = _DoorServer()
+        try:
+            connection = TcpHostConnection("127.0.0.1", served.port)
+            assert connection.executor is None and connection.pump is None
+            connection.login("DataCurator", "swordfish")
+            assert connection.execute("6 * 7")[0] == 42
+            connection.logout()
+            connection.close()
+        finally:
+            served.close()
+
     def test_reconnect_resumes_the_same_session(self):
         """Yank the transport between requests: the next request
         re-dials, the HELLO token rebinds the same executor, and

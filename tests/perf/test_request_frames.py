@@ -10,8 +10,8 @@ of a ``HostConnection`` over the in-memory link:
 ===================  ========  =======  =====
 round trip           c413601   now      bound
 ===================  ========  =======  =====
-no-op ``ABORT``      176       96       130
-``World!k0012``      319       216      250
+no-op ``ABORT``      176       95       130
+``World!k0012``      319       214      250
 ===================  ========  =======  =====
 
 The async twin drives a ``FrontDoor`` over ``make_async_link``: a lone
