@@ -22,7 +22,9 @@ report the same thing to the slow-query log: the same source text, the
 same plan — the ``explain`` lines, with this execution's literals in
 them — and the same candidate and result counts.  A warm run that was
 meant to hit the compiled-block cache and did not is itself a failure:
-the oracle would be comparing nothing.
+the oracle would be comparing nothing.  So is one of a text that lifts
+only strings and digit-written ints and shares its sibling's skeleton,
+unless the sibling left that skeleton admitted (``skeleton_hits``).
 
 The generated selects draw two-sided brackets from
 :func:`~repro.check.generate.bracket_bounds` (proper, single-key,
@@ -30,8 +32,10 @@ empty, int bracketed by a float) over an indexed and an unindexed
 collection of the same members, some of which have ``n`` nil or unbound;
 the edge table adds what a generator would rarely place: a string bound
 on a numeric directory, ``x > -5`` beside ``x -5``, one literal in two
-places, a time pin and a literal array (both stay in the shape), and a
-block kept in a workspace variable across later texts of its own shape.
+places, a time pin and a literal array (both stay in the shape), a
+block kept in a workspace variable across later texts of its own shape,
+and what a skeleton must cut or leave to the scan (a sign, a float, a
+radix, strings holding digits, ``!`` or ``[``, ``x = 5`` and ``x = '5'``).
 Failures print ``python -m repro.check --seed N --case K --oracle
 lifting`` reproducers, like every other oracle here.
 """
@@ -42,6 +46,7 @@ import random
 from typing import Any, Callable
 
 from ..db import GemStone
+from ..opal.interpreter import skeleton
 from ..opal.lexer import Lexer
 from .generate import bracket_bounds
 
@@ -107,51 +112,74 @@ def _generated_shapes(pinned: int) -> list[Shape]:
     ]
 
 
-#: (text, the same shape with other literals) — what a generator would
-#: rarely place; ``{bag}`` is each collection in turn
-_EDGES = [
+#: (block, the same shape with other literals) of ``{bag} select: […]``
+#: — what a generator would rarely place
+_BLOCKS = [
     # int and float bounds of one bracket, either way round
-    ("{bag} select: [:e | (e!n >= 10) & (e!n < 30.5)]",
-     "{bag} select: [:e | (e!n >= 20) & (e!n < 45.5)]"),
-    ("{bag} select: [:e | (e!n >= 9.5) & (e!n < 30)]",
-     "{bag} select: [:e | (e!n >= 0.5) & (e!n < 10)]"),
+    ("(e!n >= 10) & (e!n < 30.5)", "(e!n >= 20) & (e!n < 45.5)"),
+    ("(e!n >= 9.5) & (e!n < 30)", "(e!n >= 0.5) & (e!n < 10)"),
     # a bound the numeric directory cannot key
-    ("{bag} select: [:e | e!n > 'abc']", "{bag} select: [:e | e!n > 'z']"),
-    ("{bag} select: [:e | (e!n > 5) & (e!n < 'abc')]",
-     "{bag} select: [:e | (e!n > 0) & (e!n < 'z')]"),
+    ("e!n > 'abc'", "e!n > 'z'"),
+    ("(e!n > 5) & (e!n < 'abc')", "(e!n > 0) & (e!n < 'z')"),
     # an empty bracket: inverted, and one key with an exclusive side
-    ("{bag} select: [:e | (e!n >= 40) & (e!n <= 10)]",
-     "{bag} select: [:e | (e!n >= 10) & (e!n <= 40)]"),
-    ("{bag} select: [:e | (e!n > 20) & (e!n <= 20)]",
-     "{bag} select: [:e | (e!n > 10) & (e!n <= 35)]"),
+    ("(e!n >= 40) & (e!n <= 10)", "(e!n >= 10) & (e!n <= 40)"),
+    ("(e!n > 20) & (e!n <= 20)", "(e!n > 10) & (e!n <= 35)"),
     # the sign of a number against the minus of a subtraction
-    ("{bag} select: [:e | e!n > -5]", "{bag} select: [:e | e!n > 5]"),
-    ("{bag} select: [:e | e!n -5 > 0]", "{bag} select: [:e | e!n -20 > 5]"),
-    ("{bag} select: [:e | e!n - -5 > 30]",
-     "{bag} select: [:e | e!n - 5 > 30]"),
+    ("e!n > -5", "e!n > 5"),
+    ("e!n -5 > 0", "e!n -20 > 5"),
+    ("e!n - -5 > 30", "e!n - 5 > 30"),
     # a path that is nil on some members and unbound on others
-    ("{bag} select: [:e | e!n isNil]", "{bag} select: [:e | e!n isNil]"),
-    ("{bag} reject: [:e | e!n = nil]", "{bag} reject: [:e | e!n = nil]"),
-    ("{bag} select: [:e | e!n < 15]", "{bag} select: [:e | e!n < 50]"),
+    ("e!n isNil", "e!n isNil"),
+    ("e!n < 15", "e!n < 50"),
     # one literal in two places is two slots, not one
-    ("{bag} select: [:e | (e!n >= 20) & (e!n <= 20)]",
-     "{bag} select: [:e | (e!n >= 10) & (e!n <= 40)]"),
-    ("{bag} select: [:e | (e!name = 'ada') | (e!name = 'ada')]",
-     "{bag} select: [:e | (e!name = 'bob') | (e!name = 'cy')]"),
+    ("(e!n >= 20) & (e!n <= 20)", "(e!n >= 10) & (e!n <= 40)"),
+    ("(e!name = 'ada') | (e!name = 'ada')", "(e!name = 'bob') | (e!name = 'cy')"),
     # what stays in the shape: a time pin, a literal array
-    ("{bag} select: [:e | e!n@{pinned} > 20]",
-     "{bag} select: [:e | e!n@{pinned} > 40]"),
-    ("{bag} select: [:e | e!n@({pinned}) > 20]",
-     "{bag} select: [:e | e!n@({pinned}) > 40]"),
-    ("{bag} select: [:e | #(10 20) includes: e!n]",
-     "{bag} select: [:e | #(10 20) includes: e!n]"),
-    ("{bag} select: [:e | (#(10 20) includes: e!n) & (e!n > 10)]",
-     "{bag} select: [:e | (#(10 20) includes: e!n) & (e!n > 15)]"),
+    ("e!n@{pinned} > 20", "e!n@{pinned} > 40"),
+    ("e!n@({pinned}) > 20", "e!n@({pinned}) > 40"),
+    ("#(10 20) includes: e!n", "#(10 20) includes: e!n"),
+    ("(#(10 20) includes: e!n) & (e!n > 10)", "(#(10 20) includes: e!n) & (e!n > 15)"),
     # strings with a quote in them, and the empty string
-    ("{bag} select: [:e | e!name = 'it''s']",
-     "{bag} select: [:e | e!name = 'ada']"),
-    ("{bag} select: [:e | e!name > '']", "{bag} select: [:e | e!name > 'c']"),
+    ("e!name = 'it''s'", "e!name = 'ada'"),
+    ("e!name > ''", "e!name > 'c'"),
+    # what a skeleton cuts: an int and a string in one place (one warm
+    # session sees both), strings holding what a cut looks for
+    ("e!n = 5", "e!n = 7"),
+    ("e!n = '5'", "e!n = '7'"),
+    ("e!name ~= 'a1'", "e!name ~= '22'"),
+    ("e!name ~= '!n'", "e!name ~= '['"),
+    # a cut that is not one lifted token: a sign, a float, a radix, `1 e5`
+    ("e!n > -5", "e!n > -20"),
+    ("e!n > (30 - -1)", "e!n > (3 - -10)"),
+    ("e!n > 10.5", "e!n > 25.5"),
+    ("e!n < 16r1F", "e!n < 16r2A"),
+    ("e!n < 1e5", "e!n < 2e5"),
+    # what only a scan reads: comments, a character
+    ('"5" e!n > 5', 'e!n > 15 "x"'),
+    ("(e!name includes: $') | (e!n > 5)", "(e!name includes: $') | (e!n > 15)"),
 ]
+
+#: (text, the same shape with other literals); ``{bag}`` is each
+#: collection in turn
+_EDGES = [
+    *((f"{{bag}} select: [:e | {block}]", f"{{bag}} select: [:e | {sibling}]")
+      for block, sibling in _BLOCKS),
+    ("{bag} reject: [:e | e!n = nil]", "{bag} reject: [:e | e!n = nil]"),
+    # a path name, a path digit; blanks; a non-ASCII name
+    ("(World!indexed) size", "(World!scanned) size"),
+    ("(World!3) isNil", "(World!4) isNil"),
+    ("(World!k1) isNil", "(World!k22) isNil"),
+    ("(World!indexed) size + '[7' size", "(World!scanned) size + '' size"),
+    ("{bag} select: [:e | e!n > 5]", "{bag}  select:[:e|e!n>15 ]"),
+    ("| é | é := 5. ({bag} select: [:e | e!n > é]) size",
+     "| é | é := 15. ({bag} select: [:e | e!n > é]) size"),
+]
+
+
+def _plain(text: str) -> bool:
+    """Whether *text* lifts only strings and digit-written ints."""
+    literals = Lexer(text).literals
+    return all(type(v) is str or type(v) is int and v >= 0 for v in literals)
 
 
 def _load(database: GemStone, rng: random.Random) -> int:
@@ -222,9 +250,12 @@ class _ThreeWays:
         # a select's result is a new bag: compare what it holds
         return sorted(member.oid for member in store.members_of(value, None))
 
-    def compare(self, text: str, sibling: str) -> tuple[list[tuple[str, str]], bool]:
+    def compare(
+        self, text: str, sibling: str
+    ) -> tuple[list[tuple[str, str]], bool, bool, bool]:
         """*text* all three ways — warm after *sibling*; the differences
-        found, and whether the warm run hit the compiled-block cache."""
+        found, whether the warm run hit the compiled-block cache, whether
+        the two share a skeleton, and whether the sibling left it admitted."""
         warm = self.sessions["warm"]
         cold = self.sessions["cold"]
         cold.session.perf.compile_entries.clear()
@@ -232,11 +263,14 @@ class _ThreeWays:
             warm.execute(sibling)
         except Exception:
             pass  # only here to warm the shape; its answer is not the point
-        hits = warm.session.perf.compile_hits
+        perf = warm.session.perf
+        hits, (_, cut) = perf.compile_hits, skeleton(text)
+        shared = cut is not None and cut == skeleton(sibling)[1]
+        served = shared and perf.compile_skeletons.get(cut) is not None
         seen = {way: self.observe(way, text) for way in WAYS}
-        hit = warm.session.perf.compile_hits == hits + 1
+        hit = perf.compile_hits == hits + 1
         what = f"{text!r} (warm after {sibling!r})"
-        return _differences(seen, what), hit
+        return _differences(seen, what), hit, shared, served
 
 
 def _differences(seen: dict[str, Any], what: str) -> list[tuple[str, str]]:
@@ -276,7 +310,7 @@ def _kept_block(ways: _ThreeWays, bag: str) -> list[tuple[str, str]]:
 class Lifting:
     """Every select agrees unlifted, lifted cold and lifted warm."""
 
-    COUNTS = ("selects", "warm_hits")
+    COUNTS = ("selects", "warm_hits", "skeleton_hits")
     PREFIX, FAILED = "lifting", "problems"
     #: generated selects per case, beside the whole edge table
     SELECTS = 40
@@ -311,13 +345,19 @@ class Lifting:
                 )
         try:
             for text, sibling, same_shape in pairs:
-                problems, hit = ways.compare(text, sibling)
+                problems, hit, shared, served = ways.compare(text, sibling)
                 counts["selects"] += 1
                 counts["warm_hits"] += hit
+                counts["skeleton_hits"] += served
                 if same_shape and not hit:
                     problems.append((
                         f"warm run of {text!r} after {sibling!r} missed the "
                         "compiled-block cache: nothing was compared", "",
+                    ))
+                elif hit and shared and not served and _plain(text):
+                    problems.append((
+                        f"warm run of {text!r} after {sibling!r} was not "
+                        "served by its skeleton: it was scanned", "",
                     ))
                 for problem in problems:
                     fail(*problem)

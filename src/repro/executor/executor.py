@@ -250,10 +250,6 @@ _ABORT = protocol.encode_simple(FrameType.ABORT)
 _LOGOUT = protocol.encode_simple(FrameType.LOGOUT)
 
 
-def _unread(reply: Frame) -> None:
-    """An ABORT's or a LOGOUT's reply is not read (an ERROR included)."""
-
-
 class HostSession:
     """What both host clients decide alike, written once.
 
@@ -288,8 +284,8 @@ class HostSession:
         return self._request(_COMMIT, protocol.commit_reply)
 
     def abort(self):
-        """Abort the current transaction."""
-        return self._request(_ABORT, _unread)
+        """Abort the current transaction (an ERROR raises, typed)."""
+        return self._request(_ABORT, self._aborted)
 
     def logout(self):
         """End the session."""
@@ -299,7 +295,11 @@ class HostSession:
         self.session_id = protocol.login_reply(reply)
         return self.session_id
 
+    def _aborted(self, reply: Frame) -> None:
+        protocol.raise_if_error(reply)
+
     def _logged_out(self, reply: Frame) -> None:
+        protocol.raise_if_error(reply)
         self.session_id = None
 
     def _overload_wait(self, reply: Frame) -> float:

@@ -17,8 +17,9 @@ declaratively, the evaluator reports:
 
 The log keeps only the ``capacity`` slowest entries (plus lifetime
 totals), so it is safe to leave on in production: recording is a lock,
-a comparison, and — only for a query slow enough to be kept — rendering
-its entry and one list insert.
+a comparison and — only for a query slow enough to be kept — one list
+insert.  An entry is rendered when it is first read, once; one evicted
+unread is never rendered.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class SlowQueryLog:
         #: queries faster than this are only counted, never kept
         self.threshold_ms = threshold_ms
         self._lock = threading.Lock()
-        self._entries: list[tuple[float, int, dict[str, Any]]] = []
+        #: [elapsed_ms, sequence, the entry or the callable that renders it]
+        self._entries: list[list[Any]] = []
         self._sequence = 0
         self.total_queries = 0
 
@@ -57,11 +59,11 @@ class SlowQueryLog:
     def offer(
         self, elapsed_ms: float, render: Callable[[], dict[str, Any]]
     ) -> None:
-        """Count one finished query; build its entry only if it is kept.
+        """Count one finished query; keep *render* if it earns a place.
 
-        Most queries are faster than everything a full log already
-        holds, so *render* (unparse the block, describe the plan) runs
-        only for the few that earn a place.
+        *render* (unparse the block, describe the plan) runs only when
+        :meth:`slowest` first reads the entry, so it must capture by
+        value whatever could change before then.
         """
         with self._lock:
             self.total_queries += 1
@@ -73,17 +75,18 @@ class SlowQueryLog:
             ):
                 return  # faster than everything we already keep
             self._sequence += 1
-            insort(self._entries, (elapsed_ms, self._sequence, render()))
+            insort(self._entries, [elapsed_ms, self._sequence, render])
             if len(self._entries) > self.capacity:
                 del self._entries[0]
 
     def slowest(self, n: Optional[int] = None) -> list[dict[str, Any]]:
-        """The slowest queries, slowest first."""
+        """The slowest queries, slowest first, each rendered once."""
         with self._lock:
-            picked = self._entries[::-1]
-        if n is not None:
-            picked = picked[:n]
-        return [entry for _, _, entry in picked]
+            picked = self._entries[::-1][:n]
+            for kept in picked:
+                if callable(kept[2]):
+                    kept[2] = kept[2]()
+            return [entry for _, _, entry in picked]
 
     def __len__(self) -> int:
         with self._lock:

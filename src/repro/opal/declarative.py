@@ -366,21 +366,23 @@ def _log_query(
     from ..obs.slowlog import describe_plan, render_block
 
     elapsed_ms = (_time.perf_counter() - started) * 1e3
+    # rendered only if read, later: take now what could change by then
+    params, examined = tuple(context.params), context.examined
+    request_id = obs.tracer.current_request
 
     def render() -> dict:
         # the block and the plan serve every text of their shape: print
         # both with the literals of the execution being reported
-        params = context.params
         entry = {
             "source": render_block(block_ast, params),
             "plan": describe_plan(plan, params),
-            "candidates": context.examined,
+            "candidates": examined,
             "elapsed_ms": elapsed_ms,
             "negate": negate,
             "translation": translation_provenance,
             "plan_cache": plan_provenance,
             "outcome": outcome,
-            "request_id": obs.tracer.current_request,
+            "request_id": request_id,
         }
         if result_count is not None:
             entry["result_count"] = result_count

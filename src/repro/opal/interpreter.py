@@ -14,6 +14,7 @@ primitives intermix freely on the same classes.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Optional
 
 from ..core.history import MISSING
@@ -30,8 +31,8 @@ from ..perf.epochs import class_epoch
 from .bytecodes import CompiledBlock, CompiledMethod, Op
 from .compiler import Compiler
 from .declarative import COMPILE_CACHE_MAX
-from .lexer import Lexer
-from .tokens import Slot
+from .lexer import _STRING, Lexer
+from .tokens import Slot, TokenType
 
 #: immediate receiver types whose Python type identifies their Gem class
 #: exactly — safe as a monomorphic inline-cache key.  ``type()`` keeps
@@ -39,6 +40,45 @@ from .tokens import Slot
 _INLINE_CACHEABLE = frozenset(
     (int, float, str, bool, Symbol, Char, type(None))
 )
+
+#: what a skeleton cuts, one group per class: a string, a whole digit run
+#: not after ``!`` and, with no block, the name after ``!``; per group,
+#: the lifted token it must be and its reader
+_CUT = rf"({_STRING})|(?<![\w!])([0-9]+)(?!\w)|"
+_SPLIT = {True: re.compile(rf"(?=['0-9]|(?<=!))(?:{_CUT}(?<=!)([A-Za-z_]\w*))").split,
+          False: re.compile(rf"(?=['0-9])(?:{_CUT}(?!)())").split}
+_CUT_AS = {1: (TokenType.STRING, lambda text: text[1:-1].replace("''", "'")),
+           2: (TokenType.INTEGER, int), 3: (TokenType.IDENTIFIER, str)}
+_SCAN_ONLY = '"#$@'  # comments, symbols and arrays, characters, time pins
+
+
+def skeleton(source: str, names: tuple[str, ...] = ()) -> tuple[Optional[list], Any]:
+    """*source* split at its cuts, and its key: what is left, each cut's
+    class and *names* — or (None, None) where only a scan reads it."""
+    if not source.isascii() or any(map(source.__contains__, _SCAN_ONLY)):
+        return None, None
+    parts = _SPLIT["[" not in source](source)
+    return parts, (tuple(parts[0::4]), tuple(map(type, parts[1::4])),
+                   tuple(map(type, parts[2::4])), names)
+
+
+def _refill(lexed: Lexer, parts: list) -> Optional[tuple]:
+    """Per literal of *lexed*, (place in *parts*, reader) — a constant if
+    the skeleton kept it — or None unless each cut is one lifted token
+    (same start, type and value), so all texts of the key scan alike."""
+    lifted = lexed.lifted
+    slots = {start: slot for slot, (_, _, start) in enumerate(lifted)}
+    fill = [(0, lambda _, value=value: value) for _, value, _ in lifted]
+    offset = 0
+    for place, part in enumerate(parts):
+        if place % 4 and part is not None:
+            type_, read = _CUT_AS[place % 4]
+            slot = slots.get(offset)
+            if slot is None or lifted[slot][:2] != (type_, read(part)):
+                return None
+            fill[slot] = (place, read)
+        offset += len(part or "")
+    return tuple(fill)
 
 
 class _NonLocalReturn(Exception):
@@ -363,9 +403,11 @@ class OpalEngine:
     ) -> tuple[CompiledMethod, list[Any]]:
         """An ad-hoc block compiled once per *shape*, and its literals.
 
-        The text is scanned once; the scan's shape — the tokens, without
-        the literals no stage before ``execute`` reads (see
-        :mod:`.lexer`) — and the binding names are the key.  A miss
+        A :func:`skeleton` hit reads the literals out of the cut parts.
+        Otherwise the text is scanned once; the scan's shape — the
+        tokens, without the literals no stage before ``execute`` reads
+        (see :mod:`.lexer`) — and the binding names are the key, and the
+        skeleton is memoized as :func:`_refill` admits it.  A miss
         compiles the tokens with a :class:`Slot` in each lifted place,
         so the method reads those from its frame's first slots; a hit
         hands back the same :class:`CompiledMethod`, and with it its
@@ -377,28 +419,42 @@ class OpalEngine:
         perf = getattr(self.store, "perf", None)
         if perf is None or not perf.enabled:
             return Compiler().compile_source(source, names), []
+        entries, skeletons = perf.compile_entries, perf.compile_skeletons
+        parts, cut = skeleton(source, names)
+        if parts is not None:
+            key, fill = skeletons.get(cut) or (None, ())
+            method = entries.get(key)
+            if method is not None:
+                perf.compile_hits += 1
+                entries.move_to_end(key)
+                skeletons.move_to_end(cut)
+                return method, [read(parts[place]) for place, read in fill]
         lexed = Lexer(source)
         literals = lexed.literals
-        entries = perf.compile_entries
         key = (lexed.shape, names)
         method = entries.get(key)
         if method is not None:
             perf.compile_hits += 1
             entries.move_to_end(key)
-            return method, literals
-        perf.compile_misses += 1
-        hidden = tuple(Slot(index).name for index in range(len(literals)))
-        try:
-            method = Compiler().compile_source(
-                lexed.tokens(lifted=True), hidden + names
-            )
-        except (ParseError, CompileError):
-            # raise it about the text as written: a message may quote a
-            # token, and a lifted one would print as its slot
-            return Compiler().compile_source(lexed.tokens(), names), []
-        entries[key] = method
-        if len(entries) > COMPILE_CACHE_MAX:
-            entries.popitem(last=False)  # least recently used
+        else:
+            perf.compile_misses += 1
+            hidden = tuple(Slot(index).name for index in range(len(literals)))
+            try:
+                method = Compiler().compile_source(
+                    lexed.tokens(lifted=True), hidden + names
+                )
+            except (ParseError, CompileError):
+                # raise it about the text as written: a message may quote
+                # a token, and a lifted one would print as its slot
+                return Compiler().compile_source(lexed.tokens(), names), []
+            entries[key] = method
+            if len(entries) > COMPILE_CACHE_MAX:
+                entries.popitem(last=False)  # least recently used
+        if parts is not None and cut not in skeletons:
+            fill = _refill(lexed, parts)
+            skeletons[cut] = None if fill is None else (key, fill)
+            if len(skeletons) > COMPILE_CACHE_MAX:
+                skeletons.popitem(last=False)
         return method, literals
 
     def _execute(self, source: str, bindings: dict[str, Any]) -> Any:

@@ -20,6 +20,9 @@ every ``[ ]`` (``World!k0123``); inside a block a path stays in the
 shape, because directory matching reads it.  Kept as written are the
 time pin after ``@`` (a literal one is baked into the translated path:
 everything inside ``@( … )`` stays) and everything inside ``#( … )``.
+A warm text is not scanned: ``OpalEngine`` finds its block by the
+*skeleton* one C-level split leaves, and scans only on a miss, where
+:attr:`Lexer.lifted` admits a skeleton whose cuts are lifted tokens.
 """
 
 from __future__ import annotations
@@ -119,12 +122,13 @@ class Lexer:
                 type_, _, start = scanned[position]
                 scanned[position] = (type_, Slot(index), start)
         where = self._where
-        result = [
-            Token(type_, value, *where(start))
-            for type_, value, start in scanned
-        ]
-        result.append(Token(TokenType.END, None, *where(len(self.source))))
-        return result
+        scanned = [*scanned, (TokenType.END, None, len(self.source))]
+        return [Token(type_, value, *where(start)) for type_, value, start in scanned]
+
+    @property
+    def lifted(self) -> list[tuple[TokenType, Any, int]]:
+        """(type, value, offset) of the token of each of :attr:`literals`."""
+        return [self._scanned[position] for position in self._lifted_at]
 
     # -- internals --------------------------------------------------------------
 
@@ -234,10 +238,6 @@ class Lexer:
             return LexError("unterminated comment", *self._where(len(source)))
         if char == "'" or source.startswith("#'", offset):
             return LexError("unterminated string", *self._where(len(source)))
-        if char == "$":
-            message = "character literal at end of input"
-        elif char == "#":
-            message = "malformed symbol literal"
-        else:
-            message = f"unexpected character {char!r}"
-        return LexError(message, *self._where(offset))
+        message = {"$": "character literal at end of input",
+                   "#": "malformed symbol literal"}.get(char)
+        return LexError(message or f"unexpected character {char!r}", *self._where(offset))

@@ -57,6 +57,7 @@ class StoreCaches:
         "plan_hits",
         "plan_misses",
         "compile_entries",
+        "compile_skeletons",
         "compile_hits",
         "compile_misses",
     )
@@ -76,6 +77,8 @@ class StoreCaches:
         self.plan_hits = 0
         self.plan_misses = 0
         self.compile_entries: OrderedDict[Any, Any] = OrderedDict()
+        #: skeleton -> (the key above, how to read its literals) or None
+        self.compile_skeletons: OrderedDict[Any, Any] = OrderedDict()
         self.compile_hits = 0
         self.compile_misses = 0
 

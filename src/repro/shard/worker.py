@@ -203,7 +203,8 @@ class ShardWorker:
         if session is None:
             session = self.db.login()
             if self._idle_blocks:
-                session.session.perf.compile_entries = self._idle_blocks.pop()
+                perf = session.session.perf
+                perf.compile_entries, perf.compile_skeletons = self._idle_blocks.pop()
             self._sessions[gtid] = session
         return session
 
@@ -211,7 +212,8 @@ class ShardWorker:
         session = self._sessions.pop(gtid, None)
         if session is not None:
             session.close()
-            self._idle_blocks.append(session.session.perf.compile_entries)
+            perf = session.session.perf
+            self._idle_blocks.append((perf.compile_entries, perf.compile_skeletons))
         self._pending.pop(gtid, None)
 
     def _exec(self, gtid: str, source: str) -> bytes:

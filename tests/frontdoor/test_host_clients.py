@@ -13,7 +13,7 @@ import asyncio
 import pytest
 
 from repro import GemStone
-from repro.errors import LinkTimeout, OverloadedError
+from repro.errors import LinkTimeout, OverloadedError, ProtocolError
 from repro.executor.executor import HostConnection
 from repro.faults.plan import FaultClock
 from repro.frontdoor import AsyncHostConnection, FrontDoor, make_async_link
@@ -125,3 +125,25 @@ def test_a_first_send_redials_max_attempts_times_then_gives_up():
             await client.close()
 
     assert asyncio.run(scenario()) == (1 + 3, 3)
+
+
+def test_abort_and_logout_raise_an_error_reply_on_both_clients():
+    """Before login the server answers ABORT and LOGOUT with ``ERROR
+    ProtocolError: not logged in``; neither client may drop it."""
+    blocking = HostConnection(fresh_db())
+    for verb in (blocking.abort, blocking.logout):
+        with pytest.raises(ProtocolError, match="not logged in"):
+            verb()
+
+    async def pipelined():
+        door = FrontDoor(fresh_db())
+        client = await AsyncHostConnection.open(door.connect())
+        try:
+            for verb in (client.abort, client.logout):
+                with pytest.raises(ProtocolError, match="not logged in"):
+                    await verb()
+        finally:
+            await client.close()
+            await door.close()
+
+    asyncio.run(pipelined())

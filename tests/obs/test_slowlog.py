@@ -98,10 +98,10 @@ def test_describe_plan_walks_the_operator_chain():
     assert describe_plan(Root(Leaf())) == ["Filter x > 1", "Unit"]
 
 
-# -- rendering is paid for only by entries the log keeps ---------------------
+# -- rendering is paid for only by entries the log keeps and is read ---------
 
 
-def test_offer_renders_only_what_it_keeps():
+def test_offer_renders_nothing_and_a_read_renders_each_kept_entry_once():
     log = SlowQueryLog(capacity=2, threshold_ms=1.0)
     rendered = []
 
@@ -112,13 +112,18 @@ def test_offer_renders_only_what_it_keeps():
         return build
 
     log.offer(0.5, render("under-threshold", 0.5))
-    log.offer(5.0, render("a", 5.0))
+    log.offer(5.0, render("evicted-unread", 5.0))
     log.offer(9.0, render("b", 9.0))
     log.offer(2.0, render("faster-than-all-kept", 2.0))
     log.offer(7.0, render("c", 7.0))
-    assert rendered == ["a", "b", "c"]
+    assert rendered == []  # offer renders nothing
     assert log.total_queries == 5  # counted whether kept or not
     assert [e["tag"] for e in log.slowest()] == ["b", "c"]
+    assert rendered == ["b", "c"]  # the kept entries, the evicted one never
+    assert [e["tag"] for e in log.slowest(1)] == ["b"]
+    log.offer(8.0, render("d", 8.0))  # evicts c, which was read
+    assert [e["tag"] for e in log.slowest()] == ["b", "d"]
+    assert rendered == ["b", "c", "d"]  # each once, however often read
 
 
 def test_fast_select_against_a_full_log_renders_nothing(monkeypatch):
@@ -150,11 +155,13 @@ def test_fast_select_against_a_full_log_renders_nothing(monkeypatch):
     assert log.total_queries == counted_before + 1
     assert log.slowest() == kept_before
 
-    # the same query on a log with room is rendered and kept as before
+    # on a log with room the same query is kept, and rendered when read
     log.clear()
     assert session.execute("(World!things select: [:o | o!n > 2]) size") == 3
-    assert sorted(calls) == ["describe_plan", "render_block"]
+    assert calls == []
     kept, = log.slowest()
+    assert sorted(calls) == ["describe_plan", "render_block"]
+    assert log.slowest() == [kept] and len(calls) == 2
     assert kept["source"] == "[:o | o!n > 2]"
     assert kept["result_count"] == 3 and kept["outcome"] == "ok"
     assert any("BindScan" in step for step in kept["plan"])

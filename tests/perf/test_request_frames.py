@@ -7,12 +7,16 @@ Under ``cProfile`` (which also counts calls of builtins; exact per
 build, so the bounds leave room between interpreters), one round trip
 of a ``HostConnection`` over the in-memory link:
 
-===================  ========  =======  =====
-round trip           c413601   now      bound
-===================  ========  =======  =====
-no-op ``ABORT``      176       95       130
-``World!k0012``      319       214      250
-===================  ========  =======  =====
+===================  ========  =======  =======  =====
+round trip           c413601   149ebb0  now      bound
+===================  ========  =======  =======  =====
+no-op ``ABORT``      176       95       96       130
+``World!k0012``      319       214      184      220
+===================  ========  =======  =======  =====
+
+A warm read no longer scans its text: its block is found by the
+text's skeleton (``OpalEngine._compiled``); the ABORT now reads its
+reply.  The read's bound keeps the 36 calls of room it had.
 
 The async twin drives a ``FrontDoor`` over ``make_async_link``: a lone
 request is answered by the reader at arrival and never enters the
@@ -68,9 +72,9 @@ def test_a_noop_abort_stays_under_130_calls(connection):
     assert calls_of(connection.abort) <= 130
 
 
-def test_a_warm_point_read_stays_under_250_calls(connection):
+def test_a_warm_point_read_stays_under_220_calls(connection):
     assert connection.execute(READ) == (84, "84")
-    assert calls_of(lambda: connection.execute(READ)) <= 250
+    assert calls_of(lambda: connection.execute(READ)) <= 220
 
 
 # -- the front door: answered at arrival, or queued ----------------------------
