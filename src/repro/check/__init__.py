@@ -31,12 +31,13 @@ generated workloads instead of assuming them:
   with other literals): same members, same plan text, same logged
   source.
 
-Each oracle is a *kind* of one harness (:mod:`~repro.check.harness`):
-one seeded case loop, :func:`check`, one :class:`Failure` record, one
-CLI, and :func:`run_soak`, a loop over the kinds.  Every case is a pure
-function of its seed — the same conventions as :mod:`repro.faults.plan`
-— so any failure is reproducible with ``python -m repro.check --seed N
---case K [--oracle O]``.  See ``docs/testing.md``.
+Each oracle is a *kind* of one harness (:mod:`~repro.check.harness`),
+and so is each kill sweep of a recovery claim (``crash``, ``dr``,
+``shard``): one case loop, :func:`check`, one :class:`Failure` record,
+one CLI, and :func:`run_soak`, a loop over the oracles.  Every case is a
+pure function of its kind's options — the same conventions as
+:mod:`repro.faults.plan` — so any failure is reproducible with
+``python -m repro.check KIND [OPTIONS] --case K``.  See ``docs/testing.md``.
 """
 
 from .differential import PlanMemo
@@ -46,8 +47,8 @@ from .harness import (
     CheckFailure,
     Failure,
     Report,
+    UsageError,
     check,
-    oracle_database,
     reproducer,
     run_soak,
 )
@@ -55,6 +56,7 @@ from .reference import ShadowStore, evaluate_reference
 from .sharded import generate_shard_workload
 from .shrink import shrink_case
 from .spec import CaseSpec, CollectionSpec, QuerySpec, case_key, describe_case
+from .temporal import oracle_database
 
 __all__ = [
     "KINDS",
@@ -66,6 +68,7 @@ __all__ = [
     "QuerySpec",
     "Report",
     "ShadowStore",
+    "UsageError",
     "case_key",
     "check",
     "describe_case",

@@ -1,60 +1,73 @@
-"""The oracle CLI: ``python -m repro.check [--oracle O] --seed N (--case
-K | --cases N) [--bug B] [--shrink]``.
+"""``python -m repro.check KIND [OPTIONS] [--case K | --cases N | --stride S]
+[--json] [--shrink]``: one subcommand per kind, built from its ``OPTIONS``.
 
-Every oracle failure prints exactly such an invocation, so a reported bug
-can be replayed (and, for the differential, shrunk) with one copy-paste.
-Exit status is 0 when every case passes, 1 when one fails — so the
-reproducer doubles as a regression guard in shell pipelines — and 2 on a
-usage error: a flag the kind does not take.
+Every failure prints the invocation that replays its case.  Exit status
+is 0 when every case passes, 1 when one fails, and 2 on a usage error: a
+flag the kind does not take, or a run that would check nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from .harness import KINDS, check, kind_class
+from .harness import KINDS, UsageError, check, kind_class, option
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="python -m repro.check",
+                                     description="Check one claim case by case.")
+    commands = parser.add_subparsers(dest="kind", required=True)
+    for kind in KINDS:
+        cls = kind_class(kind)
+        sub = commands.add_parser(kind, help=cls.__doc__.splitlines()[0])
+        for name, default in cls.OPTIONS.items():
+            default, choices = option(default)
+            sub.add_argument(
+                "--" + name.replace("_", "-"), default=default,
+                type=str if default is None else type(default),
+                choices=choices and [value for value in choices if value is not None],
+            )
+        select = sub.add_mutually_exclusive_group()
+        select.add_argument("--case", type=int, help="run only case K (a reproducer)")
+        if hasattr(cls, "census"):
+            select.add_argument("--stride", type=int, default=1,
+                                help="run every Nth census instant (smoke runs)")
+        else:
+            select.add_argument("--cases", type=int, default=20,
+                                help="run cases 0 .. N-1")
+        if hasattr(cls, "shrink"):
+            sub.add_argument("--shrink", action="store_true",
+                             help="on failure, print each failing case shrunk")
+        sub.add_argument("--json", action="store_true", help="print the digest as JSON")
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check",
-        description="Run one oracle over one generated case or a range.",
-    )
-    parser.add_argument("--oracle", choices=KINDS, default="differential")
-    parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--case", type=int, default=None,
-                        help="case index (a reproducer); omit to run a range")
-    parser.add_argument("--cases", type=int, default=20,
-                        help="range size when --case is omitted")
-    parser.add_argument(
-        "--bug", choices=("stale-memo", "skip-maintenance"), default=None,
-        help="inject a known bug (test-only) so the oracle must fail",
-    )
-    parser.add_argument("--shrink", action="store_true",
-                        help="on failure, print each failing case shrunk")
-    args = parser.parse_args(argv)
-    cls = kind_class(args.oracle)
-    if (args.bug and args.bug not in getattr(cls, "BUGS", ())
-            or args.shrink and not hasattr(cls, "shrink")):
-        print(f"error: --oracle {args.oracle} takes no --bug or --shrink",
-              file=sys.stderr)
-        return 2
-    options = {"bug": args.bug} if args.bug else {}
-    report = check(args.oracle, args.seed, cases=args.cases, case=args.case,
-                   **options)
-    where = f"case={args.case}" if args.case is not None else f"range={args.cases}"
-    digest = f" digest={report.digest[:12]}" if report.digest else ""
-    print(f"{args.oracle}: seed={args.seed} {where} " + " ".join(
-        f"{name}={value}" for name, value in report.counts.items()
-    ) + digest)
+    parser = _parser()
+    options = vars(parser.parse_args(argv))
+    kind, as_json, shrink = (options.pop(name, False) for name in ("kind", "json", "shrink"))
+    try:
+        report = check(kind, **options)
+    except UsageError as error:
+        parser.exit(2, f"{parser.prog} {kind}: error: {error}\n")
+    digest = report.digest()
+    if as_json:
+        print(json.dumps(digest, indent=2, sort_keys=True))
+    else:
+        print(f"{kind}: " + " ".join(
+            f"{name}={value}" for name, value in digest.items()
+            if name not in ("kind", "ok")
+        ))
     for failure in report.failures:
         print(failure.describe())
+    cls = kind_class(kind)
     if report.ok:
-        print(f"ok: {cls.__doc__.splitlines()[0]}")
+        print(f"ok: {cls.__doc__.splitlines()[0].rstrip('.')} ({report.cases_run} cases)")
         return 0
-    if args.shrink:
-        runner = cls(args.seed, **options)
+    if shrink:
+        runner = cls(**{name: options[name] for name in cls.OPTIONS})
         for case in sorted({failure.case for failure in report.failures}):
             print(f"\nshrunk reproducer:\n{runner.shrink(case)}")
     print(f"FAILED: {len(report.failures)} failures")

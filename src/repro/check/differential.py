@@ -134,9 +134,10 @@ def _evaluate_paths(
 class Differential:
     """Reference, uncached, memoized and optimized plans agree on every query."""
 
+    #: ``bug`` injects a known one (test-only), so the oracle must fail
+    OPTIONS = {"seed": 2026, "bug": (None, "stale-memo", "skip-maintenance")}
     COUNTS = ("cases", "queries", "evaluations", "memo_hits", "memo_misses")
     PREFIX, FAILED = "diff", "mismatches"
-    BUGS = ("stale-memo", "skip-maintenance")
 
     def __init__(self, seed: int, bug: Optional[str] = None) -> None:
         self.seed, self.bug = seed, bug

@@ -1,16 +1,19 @@
-"""One oracle harness: seeded cases → one kind's invariants → failures.
+"""One harness for every correctness claim: cases → a kind's invariants → failures.
 
-An oracle checks an equivalence case by case; a case is a pure function
-of ``(seed, case index)``, so ``--seed N --case K`` is a complete
-reproducer.  A kind (:data:`KINDS`) is a class holding its fixed
-constants, ``COUNTS`` (the counters it reports), ``PREFIX`` and
-``FAILED`` (its registry and soak names: ``check.PREFIX.COUNT``,
-``check.PREFIX.FAILED``) and ``run(case, fail, counts)``; its
-``__init__(seed, ...)`` holds whatever its cases share.  One loop,
-:func:`check`, runs a kind over a case or a range; every violation is a
-:class:`Failure` carrying the command that replays its case.  A kind
-whose ``run`` returns a digest of what it observed (the schedule
-explorer's event log) gets them chained into :attr:`Report.digest`.
+A kind (:data:`KINDS`) is a class with ``OPTIONS`` (its flags and their
+defaults — a tuple is a choice, its first entry the default; ``seed``
+is one where the kind has a seed), ``COUNTS`` (the counters it reports)
+and ``run(case, fail, counts)``; its ``__init__(**options)`` holds what
+its cases share.  A kind *may* also have ``census(fail)``: a clean run
+returning the ordered ``(node, window)`` instants at which something can
+die, and its cases are those instants — the kill sweeps of the recovery
+claims.  Any other kind's cases are the seeded draws ``0 .. cases-1``
+(the oracles).  A case is a pure function of the options and its index.
+
+One loop, :func:`check`, runs a kind; every violation, a raising case
+among them, is a :class:`Failure` carrying ``python -m repro.check KIND
+[OPTIONS] --case K``, the command that replays exactly its case.  A run
+that would check nothing is a :class:`UsageError`.  See docs/testing.md.
 """
 
 from __future__ import annotations
@@ -20,53 +23,45 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Optional
 
-#: kind → (module, class) holding its generator and invariants
+#: kind → (module, class) holding its cases and invariants
 KINDS = {
-    "differential": ("differential", "Differential"),
-    "temporal": ("temporal", "Temporal"),
-    "schedule": ("schedule", "Schedule"),
-    "sharded": ("sharded", "Sharded"),
-    "cluster": ("sharded", "Cluster"),
-    "lifting": ("lifting", "Lifting"),
+    "differential": ("repro.check.differential", "Differential"),
+    "temporal": ("repro.check.temporal", "Temporal"),
+    "schedule": ("repro.check.schedule", "Schedule"),
+    "sharded": ("repro.check.sharded", "Sharded"),
+    "cluster": ("repro.check.sharded", "Cluster"),
+    "lifting": ("repro.check.lifting", "Lifting"),
+    "crash": ("repro.faults.soak", "CrashSweep"),
+    "dr": ("repro.dr.soak", "DrSweep"),
+    "shard": ("repro.shard.soak", "ShardSweep"),
 }
-
-#: ``World!padNN`` bindings the oracles' database starts with
-_PAD_KEYS = 64
 
 
 class CheckFailure(AssertionError):
     """An oracle found a divergence; the message embeds a reproducer."""
 
 
+class UsageError(ValueError):
+    """A run that would check nothing, or a case outside the census."""
+
+
 def kind_class(kind: str):
     module, name = KINDS[kind]
-    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    return getattr(importlib.import_module(module), name)
 
 
-def oracle_database():
-    """A fresh database for the temporal and schedule oracles.
-
-    512-byte tracks and a padded ``World``: its record spans tracks from
-    the first case on, so the oracles' one- and two-binding commits are
-    appended to its last fragment (and now and then spill a new one),
-    while the small objects they create beside it are written whole.
-    """
-    from ..db import GemStone
-
-    database = GemStone.create(track_count=2048, track_size=512)
-    with database.login() as loader:
-        for index in range(_PAD_KEYS):
-            loader.assign(f"pad{index:02d}", index)
-        loader.commit()
-    return database
+def option(default) -> tuple:
+    """``(default, choices)`` of one ``OPTIONS`` entry."""
+    return (default[0], default) if isinstance(default, tuple) else (default, None)
 
 
-def reproducer(kind: str, seed: int, case: int, bug: Optional[str] = None) -> str:
-    """The command that replays one case."""
-    command = f"python -m repro.check --seed {seed} --case {case}"
-    if kind != "differential":
-        command += f" --oracle {kind}"
-    return command + (f" --bug {bug}" if bug else "")
+def reproducer(kind: str, options: dict, case: int) -> str:
+    """The command that replays *case* (the clean run, for -1)."""
+    flags = "".join(
+        f" --{name.replace('_', '-')} {value}"
+        for name, value in options.items() if value is not None
+    )
+    return f"python -m repro.check {kind}{flags}" + (f" --case {case}" if case >= 0 else "")
 
 
 @dataclass(frozen=True)
@@ -74,14 +69,15 @@ class Failure:
     """One violated invariant in one case, with its reproducer."""
 
     kind: str
-    seed: int
-    case: int
+    case: int  #: case index — a census instant, or -1 for the clean run
     what: str
     detail: str
     reproducer: str
+    #: where a census kind's case is: `` (window of node)``
+    where: str = ""
 
     def describe(self) -> str:
-        lines = [f"{self.kind} seed={self.seed} case={self.case}: {self.what}"]
+        lines = [f"{self.kind} case={self.case}{self.where}: {self.what}"]
         lines += [f"  {line}" for line in self.detail.splitlines()]
         lines.append(f"  reproduce: {self.reproducer}")
         return "\n".join(lines)
@@ -92,44 +88,99 @@ class Report:
     """What one run of one kind observed."""
 
     kind: str
-    seed: int
+    options: dict
     counts: dict
     failures: list[Failure] = field(default_factory=list)
-    #: the chained digests the kind's cases returned ("" if none did)
-    digest: str = ""
+    #: case → what the kind's run returned for it, where anything
+    steps: dict = field(default_factory=dict)
+    #: a census kind's ordered ``(node, window)`` instants; a case indexes it
+    census: Optional[list] = None
+    cases_run: int = 0
+    #: the strings the cases returned (the schedule explorer's event-log
+    #: digests), chained into one ("" if none did)
+    chain: str = ""
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    def digest(self) -> dict:
+        """JSON-ready summary for CI and shell pipelines."""
+        summary = {"kind": self.kind} | {
+            name: value for name, value in self.options.items() if value is not None
+        }
+        if self.census is not None:
+            summary["census"] = len(self.census)
+            summary["census_sha256"] = sha256(repr(self.census).encode()).hexdigest()[:16]
+        summary |= {"cases_run": self.cases_run, **self.counts}
+        if self.chain:
+            summary["digest"] = self.chain[:12]
+        return summary | {"failures": len(self.failures), "ok": self.ok}
 
-def check(kind: str, seed: int, *, cases: int = 0, case: Optional[int] = None,
-          registry=None, **options) -> Report:
-    """Run *kind* over cases ``0 .. cases-1``, or only *case*.
 
-    *options* go to the kind's ``__init__`` (``bug`` for the
-    differential, ``database`` for temporal and schedule); *registry*
-    defaults to the kind's own (its database's), if it has one.
+def _selection(total: Optional[int], case, cases) -> range:
+    """Only *case*; else every census instant of *total*, or ``0 ..
+    cases-1`` for a kind without a census (*total* None)."""
+    if total == 0:
+        raise UsageError("the clean run has no instant to kill")
+    if case is not None and total is not None and not 0 <= case < total:
+        raise UsageError(f"case {case} outside the run's {total} instants")
+    if case is None and total is None and (cases is None or cases < 1):
+        raise UsageError(f"a range of {cases} cases checks nothing")
+    return range(case, case + 1) if case is not None else range(total or cases)
+
+
+def check(kind: str, *, case: Optional[int] = None, cases: Optional[int] = None,
+          stride: int = 1, registry=None, **options) -> Report:
+    """Run *kind* with *options* (its ``OPTIONS``, defaulted, and any
+    other keyword its ``__init__`` takes, such as an oracle's
+    ``database``): only *case*; else every *stride*-th census instant,
+    or cases ``0 .. cases-1``.  *registry* defaults to the kind's own
+    (its database's), if it has one.
     """
+    if stride < 1:
+        raise UsageError(f"stride {stride} is not positive")
     cls = kind_class(kind)
-    runner = cls(seed, **options)
+    options = {name: option(default)[0] for name, default in cls.OPTIONS.items()} | options
+    flags = {name: options[name] for name in cls.OPTIONS}
+    report = Report(kind, flags, dict.fromkeys(cls.COUNTS, 0))
+    runner, sweeping = cls(**options), hasattr(cls, "census")
     registry = registry if registry is not None else getattr(runner, "registry", None)
-    report = Report(kind, seed, dict.fromkeys(cls.COUNTS, 0))
-    for index in range(cases) if case is None else (case,):
-        command = reproducer(kind, seed, index, options.get("bug"))
+    prefix = f"check.{getattr(cls, 'PREFIX', kind)}"
+
+    def guarded(index: int, call):
+        where = ""
+        if sweeping:
+            where = " ({1} of {0})".format(*report.census[index]) if index >= 0 \
+                else " (the clean run)"
 
         def fail(what: str, detail: str = "") -> None:
-            report.failures.append(Failure(kind, seed, index, what, detail, command))
+            report.failures.append(Failure(
+                kind, index, what, detail, reproducer(kind, flags, index), where,
+            ))
+        try:
+            return call(fail)
+        except Exception as error:  # noqa: BLE001 — a raising case is a failure
+            fail("unexpected-exception", f"{type(error).__name__}: {error}")
 
+    if sweeping:
+        report.census = guarded(-1, runner.census) or []
+        if report.failures:
+            return report
+    total = len(report.census) if sweeping else None
+    for index in _selection(total, case, cases)[::stride]:
         before, failed = dict(report.counts), len(report.failures)
-        digest = runner.run(index, fail, report.counts)
-        if digest is not None:
-            report.digest = sha256((report.digest + digest).encode()).hexdigest()
+        step = guarded(index, lambda fail: runner.run(index, fail, report.counts))
+        report.cases_run += 1
+        if step is not None:
+            report.steps[index] = step
+        if isinstance(step, str):
+            report.chain = sha256((report.chain + step).encode()).hexdigest()
         if registry is not None:
             for name, value in report.counts.items():
-                registry.inc(f"check.{cls.PREFIX}.{name}", value - before[name])
+                registry.inc(f"{prefix}.{name}", value - before[name])
             if len(report.failures) > failed:
-                registry.inc(f"check.{cls.PREFIX}.{cls.FAILED}",
+                registry.inc(f"{prefix}.{getattr(cls, 'FAILED', 'failures')}",
                              len(report.failures) - failed)
     return report
 
@@ -137,13 +188,15 @@ def check(kind: str, seed: int, *, cases: int = 0, case: Optional[int] = None,
 def run_soak(seed: int, *, diff_cases: int = 40, temporal_cases: int = 10,
              schedule_cases: int = 6, sharded_cases: int = 3,
              lifting_cases: int = 4, registry=None) -> dict:
-    """Every kind but ``cluster`` over a range; raises
-    :class:`CheckFailure` on any failure, else returns metrics whose
-    ``digest`` is identical across runs of the same seed.
+    """Every oracle but ``cluster`` over a range (one given no cases is
+    skipped); raises :class:`CheckFailure` on any failure, else returns
+    metrics whose ``digest`` is identical across runs of the same seed.
 
     Temporal runs before schedule on one shared :func:`oracle_database`
     (the schedule digest depends on what the store already holds).
     """
+    from .temporal import oracle_database
+
     database = oracle_database()
     runs = {
         "differential": (diff_cases, {}),
@@ -153,7 +206,8 @@ def run_soak(seed: int, *, diff_cases: int = 40, temporal_cases: int = 10,
         "lifting": (lifting_cases, {}),
     }
     *digested, lifting = [
-        check(kind, seed, cases=cases, registry=registry, **options)
+        check(kind, seed=seed, cases=cases, registry=registry, **options) if cases
+        else Report(kind, {}, dict.fromkeys(kind_class(kind).COUNTS, 0))
         for kind, (cases, options) in runs.items()
     ]
     failures = [f.describe() for r in (*digested, lifting) for f in r.failures]
@@ -166,7 +220,7 @@ def run_soak(seed: int, *, diff_cases: int = 40, temporal_cases: int = 10,
     for report in digested:
         metrics |= prefixed(report)
     metrics["digest"] = sha256(
-        (repr(sorted(metrics.items())) + "".join(r.digest for r in digested)).encode()
+        (repr(sorted(metrics.items())) + "".join(r.chain for r in digested)).encode()
     ).hexdigest()
     # after the digest: it is compared across commits, and must not move
     # because an oracle was added (a lifting failure still moves it,

@@ -29,15 +29,16 @@ unless the sibling left that skeleton admitted (``skeleton_hits``).
 The generated selects draw two-sided brackets from
 :func:`~repro.check.generate.bracket_bounds` (proper, single-key,
 empty, int bracketed by a float) over an indexed and an unindexed
-collection of the same members, some of which have ``n`` nil or unbound;
-the edge table adds what a generator would rarely place: a string bound
-on a numeric directory, ``x > -5`` beside ``x -5``, one literal in two
-places, a time pin and a literal array (both stay in the shape), a
-block kept in a workspace variable across later texts of its own shape,
-and what a skeleton must cut or leave to the scan (a sign, a float, a
-radix, strings holding digits, ``!`` or ``[``, ``x = 5`` and ``x = '5'``).
-Failures print ``python -m repro.check --seed N --case K --oracle
-lifting`` reproducers, like every other oracle here.
+collection of the same members (a sibling mostly over its text's),
+some of which have ``n`` nil or unbound; the edge table adds what a
+generator would rarely place: a string bound on a numeric directory,
+``x > -5`` beside ``x -5``, one literal in two places, a time pin and
+a literal array (both stay in the shape), a block kept in a workspace
+variable across later texts of its own shape, and what a skeleton must
+cut or leave to the scan (a sign, a float, a radix, strings holding
+digits, ``!`` or ``[``, ``x = 5`` and ``x = '5'``).
+Failures print ``python -m repro.check lifting --seed N --case K``
+reproducers, like every other kind of the harness.
 """
 
 from __future__ import annotations
@@ -61,15 +62,13 @@ _COLLECTIONS = ("indexed", "scanned")
 _REPORTED = ("source", "plan", "candidates", "result_count", "negate",
              "outcome")
 
-Shape = Callable[[random.Random], str]
+Shape = Callable[[random.Random, str], str]
 
 
 def _generated_shapes(pinned: int) -> list[Shape]:
-    """Select texts as functions of a literal draw: one shape each
-    (apart from an int turned float), so a second draw is a sibling."""
-
-    def bag(rng):
-        return f"World!{rng.choice(_COLLECTIONS)}"
+    """Select texts as functions of a literal draw and a collection: one
+    shape each (apart from an int turned float), so a second draw is a
+    sibling."""
 
     def number(rng):
         return rng.choice(_NUMBERS)
@@ -82,33 +81,33 @@ def _generated_shapes(pinned: int) -> list[Shape]:
         return f"(e!n {low_op} {low}) & (e!n {high_op} {high})"
 
     return [
-        lambda r: f"{bag(r)} select: [:e | {bracket(r)}]",
-        lambda r: f"{bag(r)} reject: [:e | {bracket(r)}]",
-        lambda r: f"{bag(r)} select: [:e | e!n > {number(r)}]",
-        lambda r: f"{bag(r)} select: [:e | e!n = {number(r)}]",
-        lambda r: f"{bag(r)} select: [:e | {number(r)} <= e!n]",
-        lambda r: f"{bag(r)} detect: [:e | e!n = {number(r)}]",
-        lambda r: f"{bag(r)} select: [:e | (e!name = '{name(r)}') "
-                  f"| (e!name = '{name(r)}')]",
-        lambda r: f"{bag(r)} select: [:e | {bracket(r)} "
-                  f"& (e!n ~= {number(r)}) & (e!name ~= '{name(r)}')]",
-        lambda r: f"{bag(r)} select: [:e | e!n * {number(r)} > {number(r)}]",
-        lambda r: f"{bag(r)} select: [:e | e!n + {number(r)} "
-                  f"< ({number(r)} * {number(r)})]",
-        lambda r: f"{bag(r)} select: "
-                  f"[:e | e!n between: {number(r)} and: {number(r)}]",
-        lambda r: f"{bag(r)} select: "
-                  f"[:e | (e!n > {number(r)}) and: [e!name ~= '{name(r)}']]",
-        lambda r: f"{bag(r)} select: "
-                  f"[:e | #({number(r)} 20) includes: e!n]",
-        lambda r: f"{bag(r)} select: [:e | e!n@{pinned} >= {number(r)}]",
-        lambda r: f"{bag(r)} select: "
-                  f"[:e | e!n notNil and: [e!n > {number(r)}]]",
+        lambda r, b: f"{b} select: [:e | {bracket(r)}]",
+        lambda r, b: f"{b} reject: [:e | {bracket(r)}]",
+        lambda r, b: f"{b} select: [:e | e!n > {number(r)}]",
+        lambda r, b: f"{b} select: [:e | e!n = {number(r)}]",
+        lambda r, b: f"{b} select: [:e | {number(r)} <= e!n]",
+        lambda r, b: f"{b} detect: [:e | e!n = {number(r)}]",
+        lambda r, b: f"{b} select: [:e | (e!name = '{name(r)}') "
+                     f"| (e!name = '{name(r)}')]",
+        lambda r, b: f"{b} select: [:e | {bracket(r)} "
+                     f"& (e!n ~= {number(r)}) & (e!name ~= '{name(r)}')]",
+        lambda r, b: f"{b} select: [:e | e!n * {number(r)} > {number(r)}]",
+        lambda r, b: f"{b} select: [:e | e!n + {number(r)} "
+                     f"< ({number(r)} * {number(r)})]",
+        lambda r, b: f"{b} select: "
+                     f"[:e | e!n between: {number(r)} and: {number(r)}]",
+        lambda r, b: f"{b} select: "
+                     f"[:e | (e!n > {number(r)}) and: [e!name ~= '{name(r)}']]",
+        lambda r, b: f"{b} select: "
+                     f"[:e | #({number(r)} 20) includes: e!n]",
+        lambda r, b: f"{b} select: [:e | e!n@{pinned} >= {number(r)}]",
+        lambda r, b: f"{b} select: "
+                     f"[:e | e!n notNil and: [e!n > {number(r)}]]",
         # not declarative: the block runs member by member
-        lambda r: f"{bag(r)} select: [:e | | t | t := e!n. "
-                  f"t notNil and: [t > {number(r)}]]",
-        lambda r: f"{bag(r)} select: "
-                  f"[:e | (e!name , '{name(r)}') size > {number(r) // 5}]",
+        lambda r, b: f"{b} select: [:e | | t | t := e!n. "
+                     f"t notNil and: [t > {number(r)}]]",
+        lambda r, b: f"{b} select: "
+                     f"[:e | (e!name , '{name(r)}') size > {number(r) // 5}]",
     ]
 
 
@@ -310,6 +309,7 @@ def _kept_block(ways: _ThreeWays, bag: str) -> list[tuple[str, str]]:
 class Lifting:
     """Every select agrees unlifted, lifted cold and lifted warm."""
 
+    OPTIONS = {"seed": 2026}
     COUNTS = ("selects", "warm_hits", "skeleton_hits")
     PREFIX, FAILED = "lifting", "problems"
     #: generated selects per case, beside the whole edge table
@@ -329,10 +329,15 @@ class Lifting:
         pairs: list[tuple[str, str, bool]] = []
         for _ in range(self.SELECTS):
             shape = rng.choice(shapes)
-            text = shape(rng)
+            bag = rng.choice(_COLLECTIONS)
+            text = shape(rng, f"World!{bag}")
             wanted = Lexer(text).shape
+            # mostly the text's collection, whose name stays in the
+            # skeleton; one pair in four draws again (the shape path)
+            if rng.random() < 0.25:
+                bag = rng.choice(_COLLECTIONS)
             for _ in range(20):  # a sibling: the same shape, other literals
-                sibling = shape(rng)
+                sibling = shape(rng, f"World!{bag}")
                 same_shape = Lexer(sibling).shape == wanted
                 if same_shape and sibling != text:
                     break

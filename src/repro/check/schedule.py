@@ -33,7 +33,8 @@ from typing import Any, Optional
 
 from ..dr.verify import reopen_cold_diff
 from ..errors import OverloadedError, TransactionConflict
-from .harness import check, oracle_database
+from .harness import check
+from .temporal import oracle_database
 
 _MAX_ATTEMPTS = 8
 
@@ -91,6 +92,7 @@ def _expected_read(
 class Schedule:
     """Committed histories are serializable; aborts leave no partial state."""
 
+    OPTIONS = {"seed": 2026}
     COUNTS = ("samples", "steps", "commits", "aborts")
     PREFIX, FAILED = "schedule", "violations"
     #: shared counters per sample
@@ -307,6 +309,6 @@ def exhaustive_two_session_schedules(database, seed: int, *, registry=None):
     a stress test, with no luck involved.
     """
     return check(
-        "schedule", seed, cases=len(Schedule.SCHEDULES), registry=registry,
+        "schedule", seed=seed, cases=len(Schedule.SCHEDULES), registry=registry,
         database=database, exhaustive=True,
     )

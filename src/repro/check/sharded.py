@@ -8,7 +8,7 @@ This oracle checks that claim the same way the query oracle checks the
 calculus→algebra translation: generate a seeded workload, run it down
 every stack of a list, and demand byte-identical observations.  The
 first stack is always the baseline, one in-process GemStone; the
-``--oracle`` picks the rest:
+kind picks the rest:
 
 ``sharded``
     the cluster over in-memory hosts (``ShardedGemStone``);
@@ -34,8 +34,8 @@ when the workload is done every database this process holds live — the
 baseline, and each shard of the in-process cluster — is reopened cold
 from its platter and must read back object for object as the live store
 has it (:func:`~repro.dr.verify.reopen_cold_diff`).  Failures
-print ``python -m repro.check --seed N --case K --oracle
-sharded|cluster`` reproducers, like every other oracle here.
+print ``python -m repro.check sharded|cluster --seed N --case K``
+reproducers, like every other kind of the harness.
 """
 
 from __future__ import annotations
@@ -167,6 +167,7 @@ def _side_by_side(observed: dict[str, Any]) -> str:
 class Sharded:
     """The baseline and the in-process cluster agree statement by statement."""
 
+    OPTIONS = {"seed": 2026}
     COUNTS = ("statements", "commits", "cross_shard_commits")
     PREFIX, FAILED = "sharded", "mismatches"
     #: cluster width and transactions per workload (part of what a seed means)

@@ -27,15 +27,35 @@ from typing import Any, Optional
 
 from ..core.timedial import TimeDial
 from ..dr.verify import reopen_cold_diff
-from .harness import oracle_database
 
 #: resolve() default distinguishing "absent at T" from any real value
 ABSENT = object()
+#: ``World!padNN`` bindings the oracles' database starts with
+_PAD_KEYS = 64
+
+
+def oracle_database():
+    """A fresh database for the temporal and schedule oracles.
+
+    512-byte tracks and a padded ``World``: its record spans tracks from
+    the first case on, so the oracles' one- and two-binding commits are
+    appended to its last fragment (and now and then spill a new one),
+    while the small objects they create beside it are written whole.
+    """
+    from ..db import GemStone
+
+    database = GemStone.create(track_count=2048, track_size=512)
+    with database.login() as loader:
+        for index in range(_PAD_KEYS):
+            loader.assign(f"pad{index:02d}", index)
+        loader.commit()
+    return database
 
 
 class Temporal:
     """Every @T read, TimeDial pin and association-table read agrees with the shadow."""
 
+    OPTIONS = {"seed": 2026}
     COUNTS = ("histories", "commits", "reads", "clamps")
     PREFIX, FAILED = "temporal", "mismatches"
     #: commits per history

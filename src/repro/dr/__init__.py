@@ -8,8 +8,9 @@ link to a :class:`~repro.dr.store.ReplicaLogStore`
 GemStone from the log alone, to any requested epoch;
 :mod:`~repro.dr.verify` proves the rebuild byte-identical; and
 :mod:`~repro.dr.soak` kills the primary at every crash point to prove
-zero committed-transaction loss.  ``python -m repro.sweep dr --seed N``
-replays one seeded sweep.  See docs/recovery.md.
+zero committed-transaction loss: it is the ``dr`` kind of
+:mod:`repro.check`, and ``python -m repro.check dr --seed N --case K``
+replays one kill point.  See docs/recovery.md.
 """
 
 from .log import (

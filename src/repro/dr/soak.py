@@ -1,4 +1,4 @@
-"""The ``dr`` kind of :mod:`repro.sweep`: kill the primary everywhere, lose nothing.
+"""The ``dr`` kind of :mod:`repro.check`: kill the primary everywhere, lose nothing.
 
 The ZKAPAuthorizer recovery design states its acceptance as invariants —
 100% of committed state recovered, unaffected by the exact timing of the
@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from ..db import GemStone
 from ..errors import DiskCrashed
+from ..faults.plan import WindowKiller
 from ..storage.disk import DiskGeometry, SimulatedDisk
-from ..sweep import WindowKiller
 from .recover import recover_disk, replay_onto
 from .store import ReplicaLogStore
 from .verify import diff_disks, reopen_cold_diff

@@ -12,13 +12,13 @@ scenarios as you can imagine"), built on three rules:
 * resilience policies (:class:`ResilientDisk`, the Executor protocol's
   sequence envelopes) consume the faults and are tested by exhaustive
   sweeps — :mod:`~repro.faults.soak`, the ``crash`` kind of
-  :mod:`repro.sweep`, crashes a workload at *every* write index and
-  proves recovery each time.
+  :mod:`repro.check`, crashes a workload at *every* write index and
+  proves recovery each time; a :class:`WindowKiller` kills a node at one window.
 """
 
 from .disk import FaultyDisk
 from .link import FaultyAsyncLink, FaultyLink, make_faulty_link
-from .plan import FaultClock, FaultEvent, FaultPlan, FaultSpec
+from .plan import FaultClock, FaultEvent, FaultPlan, FaultSpec, WindowKiller
 from .resilience import ResilientDisk
 from .soak import CrashSweep, build_workload
 
@@ -32,6 +32,7 @@ __all__ = [
     "FaultyDisk",
     "FaultyLink",
     "ResilientDisk",
+    "WindowKiller",
     "build_workload",
     "make_faulty_link",
 ]

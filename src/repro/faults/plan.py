@@ -10,7 +10,9 @@ are a pure function of a seed and the operation sequence:
   backoff and latency are deterministic (a socket stall sleeps);
 * :class:`FaultSpec` declares the fault mix (rates and costs);
 * :class:`FaultPlan` turns a seed + spec into per-operation decisions,
-  recording every decision so two runs can be compared byte for byte.
+  recording every decision so two runs can be compared byte for byte;
+* :class:`WindowKiller` is the exact kind of plan: it counts one node's
+  windows and kills the node at one of them.
 
 Wrapper classes consume the plan: :class:`~repro.faults.disk.FaultyDisk`
 injects disk faults, :mod:`~repro.faults.link` frame and socket faults,
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 
 class FaultClock:
@@ -199,3 +201,44 @@ class FaultPlan:
     def schedule_digest(self) -> str:
         """SHA-256 of :meth:`schedule_bytes` (compact comparison key)."""
         return sha256(self.schedule_bytes()).hexdigest()
+
+
+class WindowKiller:
+    """Counts one node's windows; kills it at exactly one.
+
+    A kill sweep builds one as a *plan* — which node, at which of its
+    windows: a flat *kill_at* index (the sweep's case) or a named
+    *(window, nth)* pair (a test matrix's) — and hands it to what it
+    kills.  A cluster gives every node its own copy (:meth:`for_node`)
+    carrying the *kill* action of wherever that node runs: raise an
+    exception that is not a ``GemStoneError`` (so no retry layer can
+    swallow it), or SIGKILL the process.  A plan with no victim only
+    counts.
+    """
+
+    def __init__(
+        self,
+        victim=None,
+        kill_at: Optional[int] = None,
+        kill_window: Optional[tuple[str, int]] = None,
+        kill: Optional[Callable[[str, object], None]] = None,
+    ) -> None:
+        self.victim = victim
+        self.kill_at = kill_at
+        self.kill_window = kill_window
+        self.kill = kill
+        #: the names of the windows reached, in order
+        self.log: list[str] = []
+
+    def for_node(self, node, kill) -> "WindowKiller":
+        """This plan as *node* sees it: armed only if it is the victim."""
+        if node != self.victim:
+            return WindowKiller(node, kill=kill)
+        return WindowKiller(node, self.kill_at, self.kill_window, kill)
+
+    def window(self, name: str, victim) -> None:
+        """One window of *victim*, the node this copy counts."""
+        index, nth = len(self.log), self.log.count(name)
+        self.log.append(name)
+        if index == self.kill_at or (name, nth) == self.kill_window:
+            self.kill(name, victim)

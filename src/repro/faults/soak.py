@@ -1,4 +1,4 @@
-"""The ``crash`` kind of :mod:`repro.sweep`: the disk dies before every write.
+"""The ``crash`` kind of :mod:`repro.check`: the disk dies before every write.
 
 The Commit Manager's safe-write guarantee is all-or-nothing per commit;
 the only honest way to test it is to crash at *every* write index of a

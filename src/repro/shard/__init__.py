@@ -18,11 +18,11 @@ is the same class constructed over forked worker processes, each on
 its own ``FileDisk`` platter, every frame crossing real TCP.
 
 The fault story is swept, not sampled: the ``shard`` kind of
-:mod:`repro.sweep` kills the coordinator and each participant at every
+:mod:`repro.check` kills the coordinator and each participant at every
 protocol window — the same windows on either host — and proves, after
 the cluster's one ``recover()``, zero committed-transaction loss, zero
 half-committed cross-shard state, and nothing left in doubt.
-``python -m repro.sweep shard --host memory|process --seed N --kill K``
+``python -m repro.check shard --host memory|process --seed N --case K``
 replays any failure.
 
 See docs/sharding.md for the state machine and the recovery matrix,

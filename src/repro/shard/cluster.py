@@ -193,7 +193,7 @@ class ShardedGemStone:
     def _assemble(self, hosts, log_store, killer, generation, deadline) -> None:
         """The constructor proper, over whichever hosts were picked.
 
-        *killer* is a sweep's :class:`~repro.sweep.WindowKiller`
+        *killer* is a sweep's :class:`~repro.faults.plan.WindowKiller`
         plan (or None): every node gets its own copy, counting that
         node's windows and armed only on the plan's victim.
         """

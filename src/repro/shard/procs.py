@@ -10,7 +10,7 @@ runs its workers for real, and the constructor that picks it:
   dispatch over the exact ``repro.net`` TCP framing — one replaying
   server per accepted connection;
 * it dies by **SIGKILL**, not by exception: the worker's
-  :class:`~repro.sweep.WindowKiller` carries a kill action that
+  :class:`~repro.faults.plan.WindowKiller` carries a kill action that
   signals its own process mid-protocol — no unwinding, no destructors,
   no flushes — and a respawn is a new process reopening the platter
   file (``FileDisk.open`` → ``ShardWorker.reopen``);
@@ -20,9 +20,9 @@ runs its workers for real, and the constructor that picks it:
   constructed over these hosts, its decision log on a ``FileDisk`` of
   its own beside the worker directories.
 
-Everything else — sessions, 2PC, ``STATUS``, recovery, the kill sweep —
-is the cluster's and the sweep's own code, shared with the in-memory
-host.
+Everything else — sessions, 2PC, ``STATUS``, recovery, the kill sweep
+(the ``shard`` kind of :mod:`repro.check`) — is the cluster's and the
+sweep's own code, shared with the in-memory host.
 """
 
 from __future__ import annotations

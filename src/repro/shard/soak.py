@@ -1,4 +1,4 @@
-"""The ``shard`` kind of :mod:`repro.sweep`: kill everyone everywhere, leave nothing torn.
+"""The ``shard`` kind of :mod:`repro.check`: kill everyone everywhere, leave nothing torn.
 
 A seeded workload of single- and cross-shard transactions runs
 against a cluster whose nodes each count their own protocol windows —
@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 
 from ..errors import GemStoneError
-from ..sweep import WindowKiller
+from ..faults.plan import WindowKiller
 from .cluster import ShardedGemStone
 from .partition import shard_of
 

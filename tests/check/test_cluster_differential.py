@@ -7,7 +7,7 @@ from repro.check.__main__ import main as check_main
 
 
 def test_cluster_case_agrees_across_all_three_stacks():
-    report = check("cluster", 2026, case=0)
+    report = check("cluster", seed=2026, case=0)
     assert report.ok, [f.describe() for f in report.failures]
     assert report.counts["statements"] > 0
     assert report.counts["commits"] > 0
@@ -17,7 +17,7 @@ def test_cluster_case_agrees_across_all_three_stacks():
 
 def test_cluster_oracle_cli_reproducer_exits_zero(capsys):
     assert check_main(
-        ["--oracle", "cluster", "--seed", "2026", "--case", "1"]
+        ["cluster", "--seed", "2026", "--case", "1"]
     ) == 0
     out = capsys.readouterr().out
     assert "agree across" in out

@@ -14,7 +14,7 @@ SMOKE_CASES = 200
 
 
 def test_smoke_seed_range_has_zero_mismatches():
-    report = check("differential", SMOKE_SEED, cases=SMOKE_CASES)
+    report = check("differential", seed=SMOKE_SEED, cases=SMOKE_CASES)
     assert report.ok, report.failures[0].describe()
     counts = report.counts
     # the acceptance bar: hundreds of queries, each evaluated at least
@@ -25,7 +25,7 @@ def test_smoke_seed_range_has_zero_mismatches():
 
 
 def test_memo_path_actually_hits():
-    report = check("differential", SMOKE_SEED, cases=50)
+    report = check("differential", seed=SMOKE_SEED, cases=50)
     assert report.ok
     # queries re-evaluated at a later epoch with no directory churn in
     # between must be served from the memo, not re-planned
@@ -40,8 +40,8 @@ def test_generation_is_deterministic():
 
 
 def test_run_is_deterministic():
-    first = check("differential", SMOKE_SEED, cases=20).counts
-    second = check("differential", SMOKE_SEED, cases=20).counts
+    first = check("differential", seed=SMOKE_SEED, cases=20).counts
+    second = check("differential", seed=SMOKE_SEED, cases=20).counts
     assert (first["cases"], first["queries"], first["evaluations"]) == (
         second["cases"], second["queries"], second["evaluations"]
     )
@@ -51,7 +51,7 @@ def test_run_is_deterministic():
 
 def test_oracle_counters_reach_the_registry():
     registry = MetricsRegistry()
-    report = check("differential", SMOKE_SEED, cases=10, registry=registry)
+    report = check("differential", seed=SMOKE_SEED, cases=10, registry=registry)
     counters = registry.snapshot()["counters"]
     assert counters["check.diff.cases"] == report.counts["cases"] == 10
     assert counters["check.diff.evaluations"] == report.counts["evaluations"]

@@ -21,7 +21,7 @@ HUNT_CASES = 100
 
 
 def hunt(bug=None):
-    return check("differential", SMOKE_SEED, cases=HUNT_CASES, bug=bug)
+    return check("differential", seed=SMOKE_SEED, cases=HUNT_CASES, bug=bug)
 
 
 def test_clean_configuration_is_green():
@@ -32,7 +32,7 @@ def test_stale_plan_memo_is_caught():
     report = hunt(bug="stale-memo")
     assert not report.ok, "epoch-less memo keying must be detected"
     failure = report.failures[0]
-    assert failure.reproducer.endswith("--bug stale-memo")
+    assert " --bug stale-memo --case " in failure.reproducer
     assert "dropped directories" in failure.detail or \
         "differ from reference" in failure.what
 
@@ -41,7 +41,7 @@ def test_skipped_maintenance_is_caught():
     report = hunt(bug="skip-maintenance")
     assert not report.ok, "skipping directory maintenance must be detected"
     failure = report.failures[0]
-    assert failure.reproducer.endswith("--bug skip-maintenance")
+    assert " --bug skip-maintenance --case " in failure.reproducer
     # this bug diverges behaviorally: index-served rows disagree
     divergent = failure.what.partition(", ")[2]
     assert "memoized" in divergent or "optimized" in divergent

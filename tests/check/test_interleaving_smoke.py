@@ -26,7 +26,7 @@ def database():
 
 
 def test_three_session_samples_are_serializable(database):
-    report = check("schedule", SMOKE_SEED, cases=8, database=database)
+    report = check("schedule", seed=SMOKE_SEED, cases=8, database=database)
     assert report.ok, report.failures[0].describe()
     assert report.counts["samples"] == 8
     # the sampled schedules must actually exercise OCC: some sessions
@@ -47,18 +47,18 @@ def test_schedules_are_deterministic():
     # fresh database per run: oids, commit times, and therefore the
     # whole event log must reproduce exactly
     def sample(case):
-        return check("schedule", SMOKE_SEED, case=case, database=fresh_database())
+        return check("schedule", seed=SMOKE_SEED, case=case, database=fresh_database())
 
     first, second = sample(3), sample(3)
-    assert first.digest == second.digest
+    assert first.chain == second.chain
     assert first.counts == second.counts  # steps, commits, aborts
     other = sample(4)
-    assert other.digest != first.digest
+    assert other.chain != first.chain
 
 
 def test_schedule_counters_reach_the_registry(database):
     registry = MetricsRegistry()
-    report = check("schedule", SMOKE_SEED + 1, cases=2, database=database,
+    report = check("schedule", seed=SMOKE_SEED + 1, cases=2, database=database,
                    registry=registry)
     assert report.ok
     counters = registry.snapshot()["counters"]
@@ -74,6 +74,6 @@ def test_a_twin_that_shares_tables_naively_is_caught(monkeypatch):
     from repro.core.objects import GemObject
 
     monkeypatch.setattr(GemObject, "unshare_table", lambda self, name: None)
-    report = check("schedule", SMOKE_SEED, cases=8, database=fresh_database())
+    report = check("schedule", seed=SMOKE_SEED, cases=8, database=fresh_database())
     assert not report.ok
     assert any("expected" in failure.what for failure in report.failures)

@@ -1,8 +1,8 @@
 """Every oracle failure prints a copy-pasteable reproducer that re-fails.
 
-The contract: a failure report embeds ``python -m repro.check --seed N
---case K [--oracle O] [--bug B]``; running exactly that command reproduces the
-failure (exit 1), and running a passing case exits 0.
+The contract: a failure report embeds ``python -m repro.check KIND
+--seed N [--bug B] --case K``; running exactly that command reproduces
+the failure (exit 1), and running a passing case exits 0.
 """
 
 import os
@@ -27,13 +27,13 @@ def run_cli(args):
 
 
 def test_passing_case_exits_zero():
-    result = run_cli(["--seed", str(SMOKE_SEED), "--case", "0"])
+    result = run_cli(["differential", "--seed", str(SMOKE_SEED), "--case", "0"])
     assert result.returncode == 0, result.stdout + result.stderr
     assert "ok:" in result.stdout
 
 
 def test_failure_report_embeds_its_own_reproducer():
-    report = check("differential", SMOKE_SEED, cases=100, bug="stale-memo")
+    report = check("differential", seed=SMOKE_SEED, cases=100, bug="stale-memo")
     assert not report.ok, "injected stale-memo bug must produce a failure"
     description = report.failures[0].describe()
     assert "  reproduce: python -m repro.check" in description
@@ -43,7 +43,7 @@ def test_failure_report_embeds_its_own_reproducer():
 
 
 def test_printed_reproducer_re_fails():
-    report = check("differential", SMOKE_SEED, cases=100, bug="stale-memo")
+    report = check("differential", seed=SMOKE_SEED, cases=100, bug="stale-memo")
     command = re.search(
         r"python -m repro\.check ([^\n]+)",
         report.failures[0].describe(),
@@ -61,7 +61,7 @@ STALE_MEMO_CASE = 11
 
 def test_cli_shrink_prints_a_minimal_case():
     result = run_cli([
-        "--seed", str(SMOKE_SEED), "--case", str(STALE_MEMO_CASE),
+        "differential", "--seed", str(SMOKE_SEED), "--case", str(STALE_MEMO_CASE),
         "--bug", "stale-memo", "--shrink",
     ])
     assert result.returncode == 1
@@ -71,11 +71,11 @@ def test_cli_shrink_prints_a_minimal_case():
 
 def test_temporal_and_schedule_cli_modes():
     temporal = run_cli(
-        ["--seed", str(SMOKE_SEED), "--case", "1", "--oracle", "temporal"]
+        ["temporal", "--seed", str(SMOKE_SEED), "--case", "1"]
     )
     assert temporal.returncode == 0, temporal.stdout + temporal.stderr
     schedule = run_cli(
-        ["--seed", str(SMOKE_SEED), "--case", "1", "--oracle", "schedule"]
+        ["schedule", "--seed", str(SMOKE_SEED), "--case", "1"]
     )
     assert schedule.returncode == 0, schedule.stdout + schedule.stderr
     assert "serializable" in schedule.stdout

@@ -30,27 +30,26 @@ class TestWorkloadGenerator:
 
 class TestShardedOracle:
     def test_case_agrees_with_the_baseline(self):
-        report = check("sharded", 2026, case=0)
+        report = check("sharded", seed=2026, case=0)
         assert report.ok, [f.describe() for f in report.failures]
         assert report.counts["statements"] > 0
         assert report.counts["commits"] > 0
 
     def test_range_exercises_cross_shard_commits(self):
-        report = check("sharded", 2026, cases=3)
+        report = check("sharded", seed=2026, cases=3)
         assert report.ok, [f.describe() for f in report.failures]
         assert report.counts["cross_shard_commits"] > 0
 
     def test_failure_prints_a_reproducer(self):
-        report = check("sharded", 2026, case=1)
+        report = check("sharded", seed=2026, case=1)
         # fabricate a mismatch path check without breaking the store
         text = Failure(
-            "sharded", 2026, 1, "divergence in transaction 3: statement 0 value",
+            "sharded", 1, "divergence in transaction 3: statement 0 value",
             _side_by_side({"baseline": 1, "in-process": 2}),
-            reproducer("sharded", 2026, 1),
+            reproducer("sharded", {"seed": 2026}, 1),
         ).describe()
         assert "baseline:   1" in text and "in-process: 2" in text
-        assert "python -m repro.check --seed 2026 --case 1" in text
-        assert "--oracle sharded" in text
+        assert "python -m repro.check sharded --seed 2026 --case 1" in text
         assert report.ok
 
     def test_soak_folds_in_the_sharded_oracle(self):
@@ -80,7 +79,7 @@ class TestTheOraclesReachTheAppendPath:
             return real(database)
 
         monkeypatch.setattr(sharded, "reopen_cold_diff", recording)
-        report = check("sharded", 2026, case=0)
+        report = check("sharded", seed=2026, case=0)
         assert report.ok, [f.describe() for f in report.failures]
         assert len(spans) == 1 + Sharded.SHARDS  # baseline + each shard, cold
         assert min(spans.values()) >= 2
@@ -92,6 +91,6 @@ class TestTheOraclesReachTheAppendPath:
             sharded, "reopen_cold_diff",
             lambda database: ["reopened cold: oid 9: differs"],
         )
-        report = check("sharded", 2026, case=0)
+        report = check("sharded", seed=2026, case=0)
         assert not report.ok
         assert "reopened cold" in report.failures[0].describe()

@@ -21,7 +21,7 @@ def database():
 
 
 def test_fifty_histories_agree_with_the_shadow(database):
-    report = check("temporal", SMOKE_SEED, cases=50, database=database)
+    report = check("temporal", seed=SMOKE_SEED, cases=50, database=database)
     assert report.ok, report.failures[0].describe()
     counts = report.counts
     assert counts["histories"] == 50
@@ -33,7 +33,7 @@ def test_fifty_histories_agree_with_the_shadow(database):
 def test_probe_times_cover_boundaries(database):
     # a single case still probes before creation, at every commit time,
     # and just before/after each — the off-by-one surface
-    report = check("temporal", SMOKE_SEED, case=997, database=database)
+    report = check("temporal", seed=SMOKE_SEED, case=997, database=database)
     assert report.ok, report.failures[0].describe()
     assert report.counts["reads"] >= 3 * 6  # at minimum: one object, one field
 
@@ -42,7 +42,7 @@ def test_counters_flow_into_observability(database):
     before = database.observability()["counters"]["counters"].get(
         "check.temporal.histories", 0
     )
-    report = check("temporal", SMOKE_SEED, case=998, database=database)
+    report = check("temporal", seed=SMOKE_SEED, case=998, database=database)
     assert report.ok
     counters = database.observability()["counters"]["counters"]
     assert counters["check.temporal.histories"] == before + 1

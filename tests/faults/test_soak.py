@@ -9,27 +9,27 @@ from repro.faults import (
     build_workload,
 )
 from repro.storage import DiskGeometry, SimulatedDisk
-from repro.sweep import sweep
+from repro.check import check
 
 
 class TestCrashSweep:
     def test_exhaustive_sweep_never_tears(self):
-        report = sweep("crash", commits=6, writes_per_commit=2)
+        report = check("crash", commits=6, writes_per_commit=2)
         assert report.ok, [f.describe() for f in report.failures]  # nothing torn
-        assert report.counts["recoveries"] == report.points_run
-        assert report.points_run == len(report.census)
+        assert report.counts["recoveries"] == report.cases_run
+        assert report.cases_run == len(report.census)
         assert len(report.census) > 0
 
     def test_recovery_time_is_measured(self):
-        report = sweep("crash", stride=5, commits=4, writes_per_commit=2)
+        report = check("crash", stride=5, commits=4, writes_per_commit=2)
         times = [time for _survived, _epoch, time in report.steps.values()]
         assert max(times) > 0
         assert 0 < sum(times) / len(times) <= max(times)
         # strided sweep visits a subset of the write indexes
-        assert report.points_run < len(report.census)
+        assert report.cases_run < len(report.census)
 
     def test_steps_report_monotone_commit_progress(self):
-        report = sweep("crash", commits=5, writes_per_commit=2)
+        report = check("crash", commits=5, writes_per_commit=2)
         survived = [survived for survived, _epoch, _time in report.steps.values()]
         # later crash points can only preserve >= as many commits
         assert survived == sorted(survived)
@@ -60,7 +60,7 @@ class TestCrashSweep:
             return packed
 
         monkeypatch.setattr(Boxer, "pack", pack)
-        report = sweep("crash", commits=5, writes_per_commit=2)
+        report = check("crash", commits=5, writes_per_commit=2)
         assert report.counts["recoveries"] == len(report.census)
         assert min(seen["append"], seen["spill"], seen["whole"]) > 0
 

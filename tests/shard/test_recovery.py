@@ -22,9 +22,10 @@ from repro.errors import GemStoneError, TransactionInDoubt
 from repro.shard import ShardedGemStone
 from repro.shard.partition import shard_of
 from repro.shard.procs import ProcCluster
-from repro.sweep import WindowKiller, sweep
+from repro.check import check
+from repro.faults import WindowKiller
 
-#: what ``python -m repro.sweep shard --host`` calls each cluster class
+#: what ``python -m repro.check shard --host`` calls each cluster class
 HOSTS = {ShardedGemStone: "memory", ProcCluster: "process"}
 
 VICTIM = 0
@@ -218,18 +219,18 @@ def test_whole_cluster_crash_then_reopen_resolves_in_doubt(cluster_class):
 
 def test_sweep_smoke(cluster_class):
     """A strided slice of the full kill sweep stays invariant-clean."""
-    report = sweep("shard", stride=7, host=HOSTS[cluster_class])
+    report = check("shard", stride=7, host=HOSTS[cluster_class])
     assert report.ok, [f.describe() for f in report.failures]
-    assert report.points_run >= 5
-    assert report.counts["liveness_commits"] == report.points_run
+    assert report.cases_run >= 5
+    assert report.counts["liveness_commits"] == report.cases_run
 
 
 def test_both_hosts_census_the_same_windows():
     """Same seed, same ordered (node, window) list — so kill K means the
     same instant on either host."""
     censuses = [
-        sweep(
-            "shard", kill=0, host=host, seed=2026, shards=2, transactions=6
+        check(
+            "shard", case=0, host=host, seed=2026, shards=2, transactions=6
         ).census
         for host in ("memory", "process")
     ]
