@@ -20,13 +20,15 @@ time-pinned path steps, ∃/∀ brackets over second collections, equality
 join conjuncts between the two binders (exercising hash-join fusion and
 index nested-loop joins), two-sided brackets on one path (exercising the
 merged ``[lo, hi]`` index probe: proper, single-key, empty and
-int-against-float brackets), directory creation *mid-history*
+int-against-float brackets), runs of ``~=`` on one column (exercising
+residual-filter fusion), directory creation *mid-history*
 (exercising pre-build temporal fallbacks) and directory drops
 (exercising plan-memo invalidation).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Any, Optional
 
@@ -400,6 +402,37 @@ def _bracket_atom(
     return ("and", sides[0], sides[1])
 
 
+def _residual_run(
+    rng: random.Random, var: str, spec: CollectionSpec, collections,
+    max_epoch: int,
+) -> Optional[tuple]:
+    """2–4 ``~=`` conjuncts on one path of *var*, or on *var* itself: the
+    run ``optimize`` joins into one filter.  Constants may repeat, be Refs
+    or have another type; another path's ``~=`` may break the run."""
+    paths = _paths_by_type(spec, collections)
+    if not paths:
+        return None
+    steps, value_type = rng.choice(paths)
+    column = ("path", ("var", var), _maybe_pin(rng, steps, max_epoch))
+    if rng.random() < 0.15:
+        column, value_type = ("var", var), "ref"
+    constants: list[tuple] = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(("int", "str")) if rng.random() < 0.2 else value_type
+        constant = _const_for(rng, kind, collections)
+        constants.append(rng.choice(constants) if constants and rng.random() < 0.2
+                         else constant)
+    run = [  # some in the mirrored spelling, `const ~= column'
+        ("cmp", "!=", column, c) if rng.random() < 0.8 else ("cmp", "!=", c, column)
+        for c in constants
+    ]
+    if rng.random() < 0.3:
+        steps, other_type = rng.choice(paths)
+        run.insert(rng.randint(1, len(run) - 1), ("cmp", "!=", (
+            "path", ("var", var), steps), _const_for(rng, other_type, collections)))
+    return functools.reduce(lambda left, right: ("and", left, right), run)
+
+
 def _join_atom(
     rng: random.Random,
     var: str,
@@ -460,6 +493,12 @@ def _generate_query(
         )
         if bracket is not None:
             atoms.append(bracket)
+    if rng.random() < 0.35:
+        run = _residual_run(
+            rng, _VAR_NAMES[0], binder_specs[0], collections, max_epoch
+        )
+        if run is not None:
+            atoms.append(run)
     for b, spec in enumerate(binder_specs):
         var = _VAR_NAMES[b]
         # favor the indexable shape the optimizer looks for: var!path op const

@@ -69,6 +69,31 @@ class BPlusTree:
     def __contains__(self, key: Any) -> bool:
         return bool(self.search(key))
 
+    def range_leaves(
+        self,
+        low: Any = None,
+        high: Any = None,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> Iterator[tuple[list[Any], list[list[Any]]]]:
+        """Yield each leaf's in-range ``(keys, buckets)`` slices, in key
+        order: the one walk every range read makes, cut by ``bisect``."""
+        if low is None:
+            leaf, start = self._leftmost_leaf(), 0
+        else:
+            leaf = self._find_leaf(low)
+            cut = bisect_left if include_low else bisect_right
+            start = cut(leaf.keys, low)
+        cut = bisect_right if include_high else bisect_left
+        while leaf is not None:
+            keys = leaf.keys
+            stop = len(keys) if high is None else cut(keys, high)
+            if start < stop:
+                yield keys[start:stop], leaf.buckets[start:stop]
+            if stop < len(keys):
+                return
+            leaf, start = leaf.next, 0
+
     def range_scan(
         self,
         low: Any = None,
@@ -77,27 +102,10 @@ class BPlusTree:
         include_high: bool = True,
     ) -> Iterator[tuple[Any, Any]]:
         """Yield (key, value) pairs with low ≤/< key ≤/< high, key-ordered."""
-        if low is None:
-            leaf = self._leftmost_leaf()
-            index = 0
-        else:
-            leaf = self._find_leaf(low)
-            index = (
-                bisect_left(leaf.keys, low)
-                if include_low
-                else bisect_right(leaf.keys, low)
-            )
-        while leaf is not None:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if high is not None:
-                    if key > high or (key == high and not include_high):
-                        return
-                for value in leaf.buckets[index]:
+        for keys, buckets in self.range_leaves(low, high, include_low, include_high):
+            for key, bucket in zip(keys, buckets):
+                for value in bucket:
                     yield key, value
-                index += 1
-            leaf = leaf.next
-            index = 0
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """All (key, value) pairs in key order."""

@@ -22,6 +22,7 @@ object changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterator, Optional
 
 from ..core.objects import GemObject
@@ -217,7 +218,7 @@ class Directory:
         time: Optional[int] = None,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> Iterator[int]:
+    ) -> list[int]:
         """Member oids with low ≤ discriminator ≤ high at *time*, ordered.
 
         ``None`` bounds are open.  The :data:`UNKEYED` bucket never
@@ -231,7 +232,8 @@ class Directory:
             low_key > high_key
             or (low_key == high_key and not (include_low and include_high))
         ):
-            return
+            return []
+        oids: list[int] = []
         if self._predates_build(time):
             for key, oid in sorted(self._historical(time)):
                 if key == UNKEYED:
@@ -244,15 +246,19 @@ class Directory:
                     key > high_key or (key == high_key and not include_high)
                 ):
                     continue
-                yield oid
-            return
-        for key, entry in self.tree.range_scan(
+                oids.append(oid)
+            return oids
+        for keys, buckets in self.tree.range_leaves(
             low_key, high_key, include_low, include_high
         ):
-            if key == UNKEYED:
-                continue
-            if entry.alive_at(time):
-                yield entry.member_oid
+            if keys[-1] == UNKEYED:  # it ranks last: only the last leaf
+                buckets = buckets[:-1]
+            entries = chain.from_iterable(buckets)
+            if time is None:
+                oids += [e.member_oid for e in entries if e.t_end is None]
+            else:
+                oids += [e.member_oid for e in entries if e.alive_at(time)]
+        return oids
 
     def _predates_build(self, time: Optional[int]) -> bool:
         """True when *time* asks for a state older than the tree covers."""

@@ -46,12 +46,14 @@ from ..errors import DirectoryError
 from .calculus import (
     _UNHASHABLE,
     NOVALUE,
+    And,
     BindingBatch,
     Expr,
     QueryContext,
     _column_on,
     _hash_key,
     _MemberIndex,
+    _operands,
     _unmatchable,
     value_equal,
 )
@@ -338,13 +340,11 @@ class IndexRange(_Draw):
     def _probe(self, ctx, low, high) -> list[int]:
         """The bracket's oids: none when it is empty or unindexable."""
         try:
-            stream = self.directory.range(
+            return list(self.directory.range(
                 low, high, ctx.time, self.include_low, self.include_high
-            )
-            first = next(stream)
-        except (StopIteration, DirectoryError):
+            ))
+        except DirectoryError:
             return []
-        return [first, *stream]
 
     def _drawer(self, ctx):
         objects = ctx.store.objects
@@ -463,7 +463,9 @@ class Filter(Plan):
         return (self.child,)
 
     def describe(self):
-        return f"Filter {self.predicate!r}"
+        run = _operands(self.predicate, And)  # n > 1: the optimizer fused them
+        shown = " and ".join(map(repr, run))
+        return f"Filter[{len(run)}] {shown}" if len(run) > 1 else f"Filter {shown}"
 
 
 class ConstructResult(Plan):

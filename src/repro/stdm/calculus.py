@@ -733,7 +733,13 @@ class And(Expr):
     left: Expr
     right: Expr
 
+    #: what the tree fuses to, decided once per node (plans are cached)
+    _kernel = cached_property(lambda self: _kernel_shape(self))
+
     def evaluate_column(self, ctx, batch):
+        fused = _fused_column(self, ctx, batch)
+        if fused is not None:
+            return fused
         left = self.left.evaluate_column(ctx, batch)
         return _short_circuit(ctx, batch, left, self.right, True)
 
@@ -791,15 +797,16 @@ class Not(Expr):
 
 
 # --------------------------------------------------------------------------
-# predicate kernel: an equality disjunction over one column in one pass
+# predicate kernel: a run of one comparison over one column in one pass
 # --------------------------------------------------------------------------
 #
 # ``(e!name = 'a') | (e!name = 'b') | (e!name = 'c')`` interpreted node by
 # node scans the same column once per comparison and gathers a sub-batch
 # per connective.  An ``or`` whose leaves all compare one path column —
-# or one bare variable, ``[:x | (x = 1) | (x = 2)]`` over a set of values
-# — for equality with row-independent values, under any number of
-# ``not``s, is instead membership in one key set over that column.
+# or one bare variable, ``[:x | (x = 1) | (x = 2)]`` — for ``=`` with
+# row-independent values, under any number of ``not``s, is instead
+# membership in one key set over that column; an ``and`` of such ``~=``
+# is "none of" it, and fails the rows with no value, as ``~=`` does (§5.2).
 #
 # The column is the one the tree's leftmost comparison reads for the
 # whole batch in the node-by-node evaluation, and every other comparison
@@ -814,14 +821,16 @@ class Not(Expr):
 #: by identity and is never a key, so it misses, as it must)
 _HASHED_TYPES = frozenset((*IMMEDIATE_TYPES, Symbol, _NoValue))
 
-
-def _member_of(column: list, values: list) -> list:
-    """``column[i] = v1 or … or column[i] = vn`` for every row."""
-    # objects and Refs key by oid; NaN and NOVALUE are never keys
+def _member_of(column: list, values: list, no_value: bool = False) -> list:
+    """``column[i] = v1 or … or column[i] = vn`` for every row, or, with
+    *no_value*, the row has no value."""
+    # objects and Refs key by oid; NaN and NOVALUE are never keys ...
     index = _MemberIndex(values)
     keyed = index.keyed
+    if no_value:
+        keyed.add(NOVALUE)  # ... unless asked (it hashes by identity)
     if index.unkeyed:
-        return [x in index for x in column]
+        return [x in index or (no_value and x is NOVALUE) for x in column]
     if set(map(type, column)) <= _HASHED_TYPES:
         return [x in keyed for x in column]
     return [x in keyed if type(x) in _HASHED_TYPES else x in index for x in column]
@@ -835,10 +844,10 @@ def _column_key(node: Expr):
     return node._column_key if isinstance(node, PathApply) else None
 
 
-def _column_term(node: Expr):
-    """``(column, side)`` when *node* is ``=`` between a variable or path
+def _column_term(node: Expr, op: str):
+    """``(column, side)`` when *node* is *op* between a variable or path
     column and a row-independent *side*, either way round; else None."""
-    if type(node) is not Compare or node.op != "==":
+    if type(node) is not Compare or node.op != op:
         return None
     # the column is the variable or path side: the other one, when the
     # kernel takes it, is a constant and reads nothing
@@ -848,15 +857,16 @@ def _column_term(node: Expr):
     return None
 
 
-def _disjuncts(node: Expr) -> list:
-    """The operands of a run of ``or``, left to right."""
-    if type(node) is Or:
-        return _disjuncts(node.left) + _disjuncts(node.right)
+def _operands(node: Expr, connective: type) -> list:
+    """The operands of a run of *connective*, left to right."""
+    if type(node) is connective:
+        return _operands(node.left, connective) + _operands(node.right, connective)
     return [node]
 
 
 def _kernel_shape(node: Expr):
-    """``(column, sides, negated)`` for a tree that fuses, else None.
+    """``(column, sides, negated, guarded)`` for a tree that fuses, else
+    None; *guarded* is an ``and`` of ``~=``, which no-value rows fail.
 
     The *sides* are evaluated per execution, so one cached plan serves
     every literal vector.
@@ -864,15 +874,16 @@ def _kernel_shape(node: Expr):
     negated = False
     while type(node) is Not:
         node, negated = node.operand, not negated
-    if type(node) is not Or:
+    op = {Or: "==", And: "!="}.get(type(node))  # its leaves' comparison
+    if op is None:
         return None  # a lone comparison is already one pass
-    terms = [_column_term(leaf) for leaf in _disjuncts(node)]
+    terms = [_column_term(leaf, op) for leaf in _operands(node, type(node))]
     if any(term is None for term in terms):
         return None
     key = _column_key(terms[0][0])
     if any(_column_key(column) != key for column, _side in terms):
         return None
-    return terms[0][0], [side for _column, side in terms], negated
+    return terms[0][0], [side for _column, side in terms], negated, op == "!="
 
 
 def _fused_column(node: Expr, ctx, batch) -> Optional[list]:
@@ -880,17 +891,19 @@ def _fused_column(node: Expr, ctx, batch) -> Optional[list]:
     shape = node._kernel
     if shape is None:
         return None
-    column, sides, negated = shape
+    column, sides, negated, guarded = shape
     values = []
     for side in sides:
         constant, value = side.const_value(ctx)
-        if not constant:
+        # ``x ~= <no value>`` fails every row: left to the definition
+        if not constant or (guarded and value is NOVALUE):
             return None
         values.append(value)
-    truth = _posted_truth(column, ctx, batch, values)
+    # "none of" is the rows that have no value or are a key, negated
+    truth = None if guarded else _posted_truth(column, ctx, batch, values)
     if truth is None:
-        truth = _member_of(column.evaluate_column(ctx, batch), values)
-    return list(map(operator.not_, truth)) if negated else truth
+        truth = _member_of(column.evaluate_column(ctx, batch), values, guarded)
+    return list(map(operator.not_, truth)) if negated != guarded else truth
 
 
 def _posted_truth(column: Expr, ctx, batch, values: list) -> Optional[list]:

@@ -15,27 +15,18 @@ rather than being a separate rewrite.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from functools import reduce
+from itertools import groupby
+from typing import Callable, Iterator, Optional
 
 from ..errors import TranslationError
 from .algebra import BindScan, ConstructResult, Filter, Plan, Unit
-from .calculus import And, Compare, Expr, SetQuery
+from .calculus import And, Compare, Expr, SetQuery, _operands
 
 
 def conjuncts(condition: Expr | None) -> list[Expr]:
     """Flatten nested conjunctions into a list of conjuncts."""
-    if condition is None:
-        return []
-    flattened: list[Expr] = []
-    stack = [condition]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            flattened.append(node)
-    return flattened
+    return [] if condition is None else _operands(condition, And)
 
 
 def match_join_conjunct(
@@ -92,16 +83,17 @@ def translate(query: SetQuery) -> Plan:
 
 
 def _attach_ready_filters(
-    plan: Plan, remaining: list[Expr], bound: set[str]
+    plan: Plan, remaining: list[Expr], bound: set[str],
+    run_key: Callable[[Expr], object] = lambda _conjunct: None,
 ) -> tuple[Plan, list[Expr]]:
-    """Attach every conjunct whose variables are all bound."""
-    still_pending: list[Expr] = []
-    for conjunct in remaining:
-        if conjunct.free_vars() <= bound:
-            plan = Filter(plan, conjunct)
-        else:
-            still_pending.append(conjunct)
-    return plan, still_pending
+    """Attach every conjunct whose variables are all bound, in order; each
+    run of adjacent ones with one *run_key* (not None) as one filter over
+    their ``and``."""
+    ready = [c for c in remaining if c.free_vars() <= bound]
+    for key, run in groupby(ready, run_key):
+        for predicate in (run if key is None else [reduce(And, run)]):
+            plan = Filter(plan, predicate)
+    return plan, [c for c in remaining if not c.free_vars() <= bound]
 
 
 def filters_in(plan: Plan) -> Iterator[Filter]:

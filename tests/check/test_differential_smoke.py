@@ -60,13 +60,40 @@ def test_oracle_counters_reach_the_registry():
 
 
 def test_generated_universe_exercises_the_interesting_shapes():
-    """The stream must contain quantifiers, pins, drops, records and
-    every kind of two-sided bracket."""
+    """The stream must contain quantifiers, pins, drops, records, every
+    kind of two-sided bracket and runs of ``~=`` on one column, whole and
+    broken by another path."""
     has = {"exists_or_forall": False, "pins": False, "drop": False,
            "record": False, "two_binders": False,
            "proper_bracket": False, "single_key_bracket": False,
            "empty_bracket": False, "int_float_bracket": False,
-           "bracket_on_a_directory_path": False}
+           "bracket_on_a_directory_path": False,
+           "residual_run": False, "residual_run_on_the_variable": False,
+           "interleaved_run": False}
+
+    def residual_run(node):
+        """Classify a chain of ``and`` holding adjacent ``~=`` on one column."""
+        if node[0] != "and":
+            return
+        chain, stack = [], [node]
+        while stack:
+            item = stack.pop()
+            if item[0] == "and":
+                stack += [item[2], item[1]]
+            else:
+                chain.append(item)
+        columns = [
+            (item[2] if item[3][0] in ("const", "obj") else item[3])
+            if item[0] == "cmp" and item[1] == "!=" else None
+            for item in chain
+        ]
+        for a, b in zip(columns, columns[1:]):
+            if a is not None and a == b:
+                has["residual_run"] = True
+                has["residual_run_on_the_variable"] |= a[0] == "var"
+        for a, b, c in zip(columns, columns[1:], columns[2:]):
+            if a is not None and a == c and b is not None and b != a:
+                has["interleaved_run"] = True
 
     def bracket(node, dir_paths):
         """Classify ``(and, cmp, cmp)`` bounding one path from both sides."""
@@ -98,6 +125,7 @@ def test_generated_universe_exercises_the_interesting_shapes():
         if not isinstance(node, tuple) or not node:
             return
         bracket(node, dir_paths)
+        residual_run(node)
         if node[0] in ("exists", "forall"):
             has["exists_or_forall"] = True
         if node[0] == "path":

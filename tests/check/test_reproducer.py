@@ -56,7 +56,7 @@ def test_printed_reproducer_re_fails():
 #: first case of the smoke seed that trips the injected stale-memo bug
 #: (a directory drop followed by a re-query; re-pin when the generator
 #: stream changes)
-STALE_MEMO_CASE = 11
+STALE_MEMO_CASE = 31
 
 
 def test_cli_shrink_prints_a_minimal_case():

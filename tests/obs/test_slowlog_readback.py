@@ -26,8 +26,8 @@ OPS = 120
 
 #: seed -> sha256 of the sorted read-back entries, rendered at offer time
 DIGESTS = {
-    7: "1f8d6f0d7bf98cd143cdf16a02f5bed431895e5a8c686b54d0aeb4818e5a1f8d",
-    2026: "162164212c272356667d1d70070888552f0de99394ccd020772692a608ff110d",
+    7: "260ec7643c85638a4ed36387e460a4eb4424bb6f2e3519197e50cafbbd406a41",
+    2026: "6be40e0525da6e857d8904fefd2bf47ae9cf9bd467018bd21cd06e485cf2300c",
 }
 
 

@@ -329,7 +329,7 @@ class TestEdges:
         def refuse(*_args, **_kwargs):
             raise AssertionError("an empty bracket walked the tree")
 
-        monkeypatch.setattr(directory.tree, "range_scan", refuse)
+        monkeypatch.setattr(directory.tree, "range_leaves", refuse)
         monkeypatch.setattr(directory.tree, "_find_leaf", refuse)
 
     @pytest.mark.parametrize("low_op, low, high_op, high", [

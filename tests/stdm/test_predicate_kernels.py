@@ -3,9 +3,11 @@
 An ``or`` whose comparisons are all ``=`` between one column — a path,
 or the bare variable itself — and row-independent values, under any
 number of ``not``s, is evaluated as membership in one key set over that
-column (``calculus._fused_column``); every other tree by the connectives
-node by node.  Either way ``evaluate_column`` over a batch must say, row
-for row, what a naive per-row evaluator written here says — one that
+column (``calculus._fused_column``), and an ``and`` of ``~=`` over one
+column as "none of" that key set, failing the rows with no value; every
+other tree by the connectives node by node.  Either way
+``evaluate_column`` over a batch must say, row for row, what a naive
+per-row evaluator written here says — one that
 reads each row's value through ``session.value_at`` under the same time
 rules and compares with ``value_equal`` and the plain operators, in
 ``check.reference``'s style — and leave the access records (read pairs,
@@ -27,10 +29,11 @@ Nothing here is an expected value written by hand; hypothesis generates
 * a session that reads now, dialled back through its time dial or the
   query's time, and holds workspace twins it has not committed.
 
-Four bugs are known to fail it: three in the kernel (NaN not screened
-out of the key set, ``True`` / ``1`` keyed apart, and a negated run
-failing the rows with no value — ``not (x = c)`` taken for ``x ~= c``)
-and one in ``Compare``'s plain path (a no-value row let through it).
+Five bugs are known to fail it: four in the kernel (NaN not screened
+out of the key set, ``True`` / ``1`` keyed apart, a negated run failing
+the rows with no value — ``not (x = c)`` taken for ``x ~= c`` — and an
+``and`` of ``~=`` letting them through, its guard dropped) and one in
+``Compare``'s plain path (a no-value row let through it).
 
 The set nodes — ``In``, ``Subset``, ``Exists`` and ``ForAll`` — read
 their operands as columns but walk each row's members one at a time, so
@@ -190,14 +193,20 @@ def leaves(paths, constants, ops=OPS):
 
 
 @st.composite
-def runs(draw, paths, constants):
-    """An ``or`` of ``=`` over one path, perhaps negated: the shape the
-    kernel takes."""
+def runs(draw, paths, constants, mixed=False):
+    """An ``or`` of ``=`` or an ``and`` of ``~=`` over one path, perhaps
+    negated: the shapes the kernel takes — or, *mixed*, the same with one
+    leaf on another column, which it must refuse."""
     path = draw(st.sampled_from(paths))
-    items = draw(st.lists(leaves([path], constants, ("==",)), min_size=2, max_size=4))
+    connective, op = draw(st.sampled_from((("or", "=="), ("and", "!="))))
+    items = draw(st.lists(leaves([path], constants, (op,)), min_size=2, max_size=4))
+    if mixed:
+        at = draw(st.integers(0, len(items) - 1))
+        other = draw(st.sampled_from([p for p in (*PATHS, SELF) if p != path]))
+        items[at] = (op, other, *items[at][2:])
     while len(items) > 1:  # associate at a drawn place each time
         at = draw(st.integers(0, len(items) - 2))
-        items[at:at + 2] = [("or", items[at], items[at + 1])]
+        items[at:at + 2] = [(connective, items[at], items[at + 1])]
     return ("not", items[0]) if draw(st.booleans()) else items[0]
 
 
@@ -239,7 +248,9 @@ def cases(draw):
     )
     family = draw(st.sampled_from(sorted(WORLD.constants)))
     constants = WORLD.constants[family]
-    shape = draw(st.one_of(runs(paths, constants), trees(paths, constants)))
+    shape = draw(st.one_of(
+        runs(paths, constants), runs(paths, constants, mixed=True), trees(paths, constants)
+    ))
     return shape, draw(row_values()), draw(moments(WORLD.times[:3]))
 
 
@@ -450,7 +461,7 @@ def run_naive_set(tree, values, when, errors):
 
 
 def test_a_batch_answers_what_each_row_answers(monkeypatch):
-    # the net is only as good as what it catches: the kernel must be
+    # the net is only as good as what it catches: each kernel must be
     # reached, plain and negated, over a path and over the bare variable,
     # by the cases generated below
     reached = set()
@@ -462,8 +473,8 @@ def test_a_batch_answers_what_each_row_answers(monkeypatch):
             return None
         out = fused_column(node, ctx, batch)
         if out is not None:
-            column, _sides, negated = node._kernel
-            reached.add((type(column), negated))
+            column, _sides, negated, guarded = node._kernel
+            reached.add((type(column), negated, guarded))
         return out
 
     monkeypatch.setattr(calculus, "_fused_column", switchable)
@@ -485,7 +496,105 @@ def test_a_batch_answers_what_each_row_answers(monkeypatch):
             assert fused[1:] == node_by_node[1:] == expected[1:]
 
     batch_equals_rows()
-    assert reached == {(kind, negated) for kind in (PathApply, Var) for negated in (False, True)}
+    assert reached == {
+        (kind, negated, guarded)
+        for kind in (PathApply, Var)
+        for negated in (False, True)
+        for guarded in (False, True)
+    }
+
+
+# -- the fused ~= run, case by case ------------------------------------------
+
+
+def none_of(column, constants, params=()):
+    """``column ~= c1 and … and column ~= cn``, associated to the left as
+    ``optimize`` joins a run of residual conjuncts."""
+    tree = Compare("!=", column, constants[0])
+    for constant in constants[1:]:
+        tree = And(tree, Compare("!=", column, constant))
+    return tree
+
+
+#: members whose ``m`` is missing (no value), and immediates, which have
+#: no elements: the rows the run's guard must fail
+NO_VALUE_ROWS = [
+    ("value", NOVALUE), ("value", 5), ("value", "a"),
+    *(("object", oid) for oid in WORLD.members),
+    *(("ref", oid) for oid in WORLD.members[:6]),
+]
+
+
+def kernel_against_definition(tree, params, rows, monkeypatch):
+    """The run's truths with the kernel, without it, and by the naive
+    evaluator — with reads and fuel — now and dialled back."""
+    values = bases(rows)
+    fused_column = calculus._fused_column
+    for when in (("now", None), ("dial", WORLD.times[0])):
+        monkeypatch.setattr(calculus, "_fused_column", fused_column)
+        fused = run_batch(tree, values, when, params)
+        monkeypatch.setattr(calculus, "_fused_column", lambda *_: None)
+        node_by_node = run_batch(tree, values, when, params)
+        assert fused == node_by_node
+        monkeypatch.setattr(calculus, "_fused_column", fused_column)
+        yield when, values, fused[0]
+
+
+def test_a_run_of_ne_fails_the_rows_with_no_value(monkeypatch):
+    column = PathApply(Var("e"), "m")
+    # duplicates, ints and strings mixed, a Ref, nil, True against 1
+    constants = [Const(1), Param(0), Const("a"), Const(1), Const(WORLD.refs[0]),
+                 Const(None), Const(True)]
+    tree = none_of(column, constants)
+    assert tree._kernel[3], "an and of ~= over one column is the guarded kernel"
+    params = ["b"]
+    held = {1, "a", "b", None, True}
+    for when, values, truths in kernel_against_definition(
+        tree, params, NO_VALUE_ROWS, monkeypatch
+    ):
+        time = session_at(when)
+        cells = [naive_path(value, "m", time) for value in values]
+        session_at(("now", None))
+        assert truths == [
+            cell is not NOVALUE and not any(value_equal(cell, c) for c in
+                                            [*held, WORLD.refs[0]])
+            for cell in cells
+        ]
+        # the net reaches what it is about: rows without a value, which
+        # fail, and rows that hold one of the constants, which fail too
+        assert NOVALUE in cells and any(truths)
+        assert any(cell in held for cell in cells if cell is not NOVALUE)
+
+
+def test_a_run_over_the_bare_variable(monkeypatch):
+    tree = none_of(Var("e"), [Const(5), Const(Ref(WORLD.members[0])), Const("a")])
+    for _when, values, truths in kernel_against_definition(
+        tree, [], NO_VALUE_ROWS, monkeypatch
+    ):
+        assert truths == [
+            value is not NOVALUE and not any(
+                value_equal(value, c) for c in (5, Ref(WORLD.members[0]), "a")
+            )
+            for value in values
+        ]
+
+
+def test_what_does_not_fuse_falls_through_to_the_definition(monkeypatch):
+    e = Var("e")
+    batch = BindingBatch({"e": bases(NO_VALUE_ROWS)}, len(NO_VALUE_ROWS))
+    ctx = QueryContext(WORLD.session)
+    # a no-value constant: ``x ~= <no value>`` fails every row
+    no_value = none_of(PathApply(e, "m"), [Const(1), Const(NOVALUE)])
+    assert no_value._kernel is not None
+    assert calculus._fused_column(no_value, ctx, batch) is None
+    assert not any(no_value.evaluate_column(ctx, batch))
+    # a row-dependent side, two columns, or an = among the ~=
+    for tree in (
+        none_of(PathApply(e, "m"), [Const(1), PathApply(e, "n")]),
+        none_of(PathApply(e, "m"), [Const(1)]) & Compare("!=", PathApply(e, "n"), Const(2)),
+        none_of(PathApply(e, "m"), [Const(1)]) & Compare("==", PathApply(e, "m"), Const(2)),
+    ):
+        assert tree._kernel is None
 
 
 # -- the set nodes --------------------------------------------------------------
