@@ -33,7 +33,8 @@ generated workloads instead of assuming them:
 
 Each oracle is a *kind* of one harness (:mod:`~repro.check.harness`),
 and so is each kill sweep of a recovery claim (``crash``, ``dr``,
-``shard``): one case loop, :func:`check`, one :class:`Failure` record,
+``shard``) and the claim under load (``overload``,
+:mod:`~repro.check.overload`): one case loop, :func:`check`, one :class:`Failure` record,
 one CLI, and :func:`run_soak`, a loop over the oracles.  Every case is a
 pure function of its kind's options — the same conventions as
 :mod:`repro.faults.plan` — so any failure is reproducible with

@@ -1,9 +1,11 @@
 """``python -m repro.check KIND [OPTIONS] [--case K | --cases N | --stride S]
 [--json] [--shrink]``: one subcommand per kind, built from its ``OPTIONS``.
 
-Every failure prints the invocation that replays its case.  Exit status
-is 0 when every case passes, 1 when one fails, and 2 on a usage error: a
-flag the kind does not take, or a run that would check nothing.
+Every failure prints the invocation that replays its case; with ``--json``
+the digest is all of stdout, and the failures and the verdict go to
+stderr.  Exit status is 0 when every case passes, 1 when one fails, and 2
+on a usage error: a flag the kind does not take, or a run that would
+check nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +15,16 @@ import json
 import sys
 
 from .harness import KINDS, UsageError, check, kind_class, option
+
+
+def _number_or_text(text: str):
+    """The value of an option with no default: a number where it reads as one."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -26,7 +38,7 @@ def _parser() -> argparse.ArgumentParser:
             default, choices = option(default)
             sub.add_argument(
                 "--" + name.replace("_", "-"), default=default,
-                type=str if default is None else type(default),
+                type=_number_or_text if default is None else type(default),
                 choices=choices and [value for value in choices if value is not None],
             )
         select = sub.add_mutually_exclusive_group()
@@ -60,17 +72,20 @@ def main(argv=None) -> int:
             f"{name}={value}" for name, value in digest.items()
             if name not in ("kind", "ok")
         ))
+    # with --json, stdout is the one JSON document and the verdict goes aside
+    verdict = sys.stderr if as_json else sys.stdout
     for failure in report.failures:
-        print(failure.describe())
+        print(failure.describe(), file=verdict)
     cls = kind_class(kind)
     if report.ok:
-        print(f"ok: {cls.__doc__.splitlines()[0].rstrip('.')} ({report.cases_run} cases)")
+        print(f"ok: {cls.__doc__.splitlines()[0].rstrip('.')} ({report.cases_run} cases)",
+              file=verdict)
         return 0
     if shrink:
         runner = cls(**{name: options[name] for name in cls.OPTIONS})
         for case in sorted({failure.case for failure in report.failures}):
-            print(f"\nshrunk reproducer:\n{runner.shrink(case)}")
-    print(f"FAILED: {len(report.failures)} failures")
+            print(f"\nshrunk reproducer:\n{runner.shrink(case)}", file=verdict)
+    print(f"FAILED: {len(report.failures)} failures", file=verdict)
     return 1
 
 

@@ -34,6 +34,7 @@ KINDS = {
     "crash": ("repro.faults.soak", "CrashSweep"),
     "dr": ("repro.dr.soak", "DrSweep"),
     "shard": ("repro.shard.soak", "ShardSweep"),
+    "overload": ("repro.check.overload", "Overload"),
 }
 
 

@@ -171,7 +171,7 @@ class FrontDoor:
         return task
 
     async def close(self) -> None:
-        """Cancel every live link task (loadgen teardown)."""
+        """Cancel every live link task (the overload check's teardown)."""
         for task in list(self._tasks):
             task.cancel()
         for task in list(self._tasks):

@@ -8,9 +8,10 @@ Every layer defends itself under load, with typed, retryable errors:
 * :mod:`~repro.govern.backoff` — commit contention policy: jittered
   exponential backoff, abort-storm detection, starvation aging;
 * :mod:`~repro.govern.admission` — executor admission control: session
-  gate, bounded virtual queue with load shedding, circuit breaker;
-* :mod:`~repro.govern.soak` — the overload soak harness proving that a
-  herd of contending and adversarial sessions cannot wedge the system.
+  gate, bounded virtual queue with load shedding, circuit breaker.
+
+The ``overload`` kind of :mod:`repro.check` proves that a herd of
+contending and adversarial sessions cannot wedge the system.
 
 Everything is deterministic: backoff, retry-after and breaker resets are
 charged to the same :class:`~repro.faults.plan.FaultClock` the fault
@@ -27,19 +28,8 @@ __all__ = [
     "BudgetSpec",
     "CircuitBreaker",
     "CommitPolicy",
-    "OverloadReport",
     "QueryBudget",
     "QuotaSpec",
     "SessionQuota",
-    "run_overload_soak",
 ]
 
-
-def __getattr__(name):
-    # the soak harness imports the full database stack; loading it lazily
-    # keeps ``repro.db`` → sessions/transactions → repro.govern acyclic
-    if name in ("run_overload_soak", "OverloadReport"):
-        from . import soak
-
-        return getattr(soak, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,4 @@
-"""The one harness over its nine kinds: the CLI contract.
+"""The one harness over its ten kinds: the CLI contract.
 
 Every kind answers the same questions the same way: ``--case 0`` passes
 and prints ``ok:``; ``--json`` prints the digest; ``--case K`` runs
@@ -23,6 +23,9 @@ from repro.check.harness import kind_class
 from repro.concurrency import transactions
 from repro.core.timedial import TimeDial
 from repro.dr.ship import LogShipper
+from repro.errors import QueryBudgetExceeded
+from repro.executor.executor import Executor
+from repro.govern.budget import QueryBudget
 from repro.opal import interpreter
 from repro.shard.cluster import ShardedSession
 from repro.shard.decisions import DecisionLog
@@ -40,6 +43,7 @@ OPTIONS = {kind: {"seed": SEED} for kind in KINDS} | {
     "crash": {"commits": 2, "writes_per_commit": 1},
     "dr": {"seed": 11, "commits": 2, "writes_per_commit": 2},
     "shard": {"host": "memory", "seed": 11, "shards": 2, "transactions": 4},
+    "overload": {"host": "herd", "seed": SEED},
 }
 #: the kinds whose cases are the instants of a clean run
 CENSUS = [kind for kind in KINDS if hasattr(kind_class(kind), "census")]
@@ -69,7 +73,9 @@ def test_case_zero_passes(kind, capsys):
 @pytest.mark.parametrize("kind", KINDS)
 def test_json_digest_output(kind, capsys):
     assert main(argv(kind, "--case", "1", "--json")) == 0
-    digest = json.loads(capsys.readouterr().out.split("\nok:")[0])
+    out = capsys.readouterr()
+    digest = json.loads(out.out)
+    assert out.err.startswith("ok: ")
     assert digest["ok"] is True
     assert digest["kind"] == kind
     assert digest["cases_run"] == 1
@@ -148,7 +154,12 @@ def test_a_flag_the_kind_does_not_take_is_a_usage_error(flags, capsys):
     (["differential", "--cases", "0"], "a range of 0 cases checks nothing"),
     (["lifting", "--cases", "-1"], "a range of -1 cases checks nothing"),
     (["dr", "--commits", "1", "--stride", "0"], "stride 0 is not positive"),
-], ids=["empty-census", "no-cases", "negative-cases", "zero-stride"])
+    (["overload", "--host", "frontdoor", "--sessions", "0"],
+     "0 sessions at rate 600.0 offer no load"),
+    (["overload", "--sessions", "8"],
+     "the herd's size is fixed; --sessions and --rate size the front door's arrivals"),
+], ids=["empty-census", "no-cases", "negative-cases", "zero-stride", "no-arrivals",
+        "sized-herd"])
 def test_a_run_that_checks_nothing_is_a_usage_error(args, error, capsys):
     with pytest.raises(SystemExit) as exited:
         main(args)
@@ -256,6 +267,19 @@ def literals_of_the_first_text(monkeypatch):
     monkeypatch.setattr(interpreter.OpalEngine, "_compiled", compiled)
 
 
+def budget_kill_escapes_untyped(monkeypatch):
+    """A query past its step budget dies by a bare RuntimeError."""
+    real = QueryBudget.charge_steps
+
+    def charge_steps(self, count=1):
+        try:
+            real(self, count)
+        except QueryBudgetExceeded as error:
+            raise RuntimeError(str(error)) from None
+
+    monkeypatch.setattr(QueryBudget, "charge_steps", charge_steps)
+
+
 #: kind → (a defect it must catch, how many cases it gets to catch it
 #: in; a census kind runs its whole census)
 DEFECTS = {
@@ -268,6 +292,7 @@ DEFECTS = {
     "crash": (root_published_before_its_group, None),
     "dr": (commit_acknowledged_before_it_ships, None),
     "shard": (decision_not_forced_to_disk, None),
+    "overload": (budget_kill_escapes_untyped, 1),
 }
 
 
@@ -300,3 +325,25 @@ def test_the_differential_reproducer_re_fails_as_a_subprocess():
     )
     assert result.returncode == 1, result.stdout + result.stderr
     assert failure.describe() in result.stdout
+
+
+def test_a_raw_server_exception_fails_the_front_door(monkeypatch, capsys):
+    """The Executor answers a request with an exception the wire does not
+    know: the client sees it rehydrated, and that is not a typed shed."""
+    real, calls = Executor._execute, []
+
+    def execute(self, source):
+        calls.append(source)
+        if len(calls) % 300 == 7:
+            raise RuntimeError("boom")
+        return real(self, source)
+
+    monkeypatch.setattr(Executor, "_execute", execute)
+    options = {"host": "frontdoor", "seed": SEED}
+    report = check("overload", case=0, **options)
+    assert {failure.what for failure in report.failures} == {"untyped"}
+    assert "RuntimeError: boom" in report.failures[0].detail
+    assert report.failures[0].reproducer == reproducer("overload", options, 0)
+    calls.clear()
+    assert main(report.failures[0].reproducer.split()[3:]) == 1
+    assert "overload case=0: untyped" in capsys.readouterr().out

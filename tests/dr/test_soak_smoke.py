@@ -25,5 +25,5 @@ class TestCli:
     def test_json_digest_output(self, capsys):
         assert main(["dr", "--seed", "11", "--commits", "2",
                      "--case", "1", "--json"]) == 0
-        digest = json.loads(capsys.readouterr().out.split("\nok:")[0])
+        digest = json.loads(capsys.readouterr().out)
         assert digest["ok"] is True
