@@ -34,24 +34,23 @@ generated workloads instead of assuming them:
 Each oracle is a *kind* of one harness (:mod:`~repro.check.harness`),
 and so is each kill sweep of a recovery claim (``crash``, ``dr``,
 ``shard``) and the claim under load (``overload``,
-:mod:`~repro.check.overload`): one case loop, :func:`check`, one :class:`Failure` record,
-one CLI, and :func:`run_soak`, a loop over the oracles.  Every case is a
-pure function of its kind's options — the same conventions as
-:mod:`repro.faults.plan` — so any failure is reproducible with
-``python -m repro.check KIND [OPTIONS] --case K``.  See ``docs/testing.md``.
+:mod:`~repro.check.overload`): one case loop, :func:`check`, one
+:class:`Failure` record and one CLI.  Every case is a pure function of
+its kind's options — the same conventions as :mod:`repro.faults.plan` —
+so any failure is reproducible with ``python -m repro.check KIND
+[OPTIONS] --case K``, and ``tests/check/pinned.json`` holds what the
+runs CI makes observe.  See ``docs/testing.md``.
 """
 
 from .differential import PlanMemo
 from .generate import generate_case
 from .harness import (
     KINDS,
-    CheckFailure,
     Failure,
     Report,
     UsageError,
     check,
     reproducer,
-    run_soak,
 )
 from .reference import ShadowStore, evaluate_reference
 from .sharded import generate_shard_workload
@@ -62,7 +61,6 @@ from .temporal import oracle_database
 __all__ = [
     "KINDS",
     "CaseSpec",
-    "CheckFailure",
     "CollectionSpec",
     "Failure",
     "PlanMemo",
@@ -78,6 +76,5 @@ __all__ = [
     "generate_shard_workload",
     "oracle_database",
     "reproducer",
-    "run_soak",
     "shrink_case",
 ]

@@ -38,12 +38,8 @@ KINDS = {
 }
 
 
-class CheckFailure(AssertionError):
-    """An oracle found a divergence; the message embeds a reproducer."""
-
-
 class UsageError(ValueError):
-    """A run that would check nothing, or a case outside the census."""
+    """A run that would check nothing, or a case that is not one of the run's."""
 
 
 def kind_class(kind: str):
@@ -124,6 +120,8 @@ def _selection(total: Optional[int], case, cases) -> range:
     cases-1`` for a kind without a census (*total* None)."""
     if total == 0:
         raise UsageError("the clean run has no instant to kill")
+    if case is not None and case < 0:
+        raise UsageError(f"case {case} is negative")
     if case is not None and total is not None and not 0 <= case < total:
         raise UsageError(f"case {case} outside the run's {total} instants")
     if case is None and total is None and (cases is None or cases < 1):
@@ -184,53 +182,3 @@ def check(kind: str, *, case: Optional[int] = None, cases: Optional[int] = None,
                 registry.inc(f"{prefix}.{getattr(cls, 'FAILED', 'failures')}",
                              len(report.failures) - failed)
     return report
-
-
-def run_soak(seed: int, *, diff_cases: int = 40, temporal_cases: int = 10,
-             schedule_cases: int = 6, sharded_cases: int = 3,
-             lifting_cases: int = 4, registry=None) -> dict:
-    """Every oracle but ``cluster`` over a range (one given no cases is
-    skipped); raises :class:`CheckFailure` on any failure, else returns
-    metrics whose ``digest`` is identical across runs of the same seed.
-
-    Temporal runs before schedule on one shared :func:`oracle_database`
-    (the schedule digest depends on what the store already holds).
-    """
-    from .temporal import oracle_database
-
-    database = oracle_database()
-    runs = {
-        "differential": (diff_cases, {}),
-        "temporal": (temporal_cases, {"database": database}),
-        "schedule": (schedule_cases, {"database": database}),
-        "sharded": (sharded_cases, {}),
-        "lifting": (lifting_cases, {}),
-    }
-    *digested, lifting = [
-        check(kind, seed=seed, cases=cases, registry=registry, **options) if cases
-        else Report(kind, {}, dict.fromkeys(kind_class(kind).COUNTS, 0))
-        for kind, (cases, options) in runs.items()
-    ]
-    failures = [f.describe() for r in (*digested, lifting) for f in r.failures]
-
-    def prefixed(report: Report) -> dict:
-        prefix = kind_class(report.kind).PREFIX
-        return {f"{prefix}_{name}": value for name, value in report.counts.items()}
-
-    metrics = {"seed": seed, "problems": len(failures)}
-    for report in digested:
-        metrics |= prefixed(report)
-    metrics["digest"] = sha256(
-        (repr(sorted(metrics.items())) + "".join(r.chain for r in digested)).encode()
-    ).hexdigest()
-    # after the digest: it is compared across commits, and must not move
-    # because an oracle was added (a lifting failure still moves it,
-    # through ``problems``)
-    metrics |= prefixed(lifting)
-    metrics["problem_details"] = failures
-    if failures:
-        raise CheckFailure(
-            f"{len(failures)} oracle failure(s) at seed {seed}:\n"
-            + "\n\n".join(failures)
-        )
-    return metrics

@@ -56,12 +56,6 @@ class CollectionSpec:
     #: fields not listed start unbound (reads yield no-value)
     initial_values: tuple[tuple[int, str, Any], ...]
 
-    def field_kind(self, name: str) -> Any:
-        for field, kind in self.fields:
-            if field == name:
-                return kind
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class QuerySpec:

@@ -1,12 +1,12 @@
 """The one harness over its ten kinds: the CLI contract.
 
 Every kind answers the same questions the same way: ``--case 0`` passes
-and prints ``ok:``; ``--json`` prints the digest; ``--case K`` runs
-exactly case K, in every region of a census; a flag the kind does not
-take, and a run that would check nothing, are usage errors; and a real
-defect is reported as :class:`~repro.check.Failure` records whose
-reproducer names the kind, its options and the case, and fails again
-alone.
+and prints ``ok:``; ``--json`` prints the digest, the same on a second
+run; ``--case K`` runs exactly case K, in every region of a census; a
+flag the kind does not take, and a run that would check nothing, are
+usage errors; and a real defect is reported as
+:class:`~repro.check.Failure` records whose reproducer names the kind,
+its options and the case, and fails again alone.
 """
 
 import json
@@ -72,10 +72,16 @@ def test_case_zero_passes(kind, capsys):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_json_digest_output(kind, capsys):
-    assert main(argv(kind, "--case", "1", "--json")) == 0
-    out = capsys.readouterr()
-    digest = json.loads(out.out)
-    assert out.err.startswith("ok: ")
+    """The digest is JSON, and a pure function of the command: a second
+    run in the same process prints the same document."""
+    documents = []
+    for _ in range(2):
+        assert main(argv(kind, "--case", "1", "--json")) == 0
+        out = capsys.readouterr()
+        assert out.err.startswith("ok: ")
+        documents.append(json.loads(out.out))
+    digest, again = documents
+    assert again == digest
     assert digest["ok"] is True
     assert digest["kind"] == kind
     assert digest["cases_run"] == 1
@@ -152,14 +158,15 @@ def test_a_flag_the_kind_does_not_take_is_a_usage_error(flags, capsys):
     (["crash", "--commits", "0", "--writes-per-commit", "1"],
      "the clean run has no instant to kill"),
     (["differential", "--cases", "0"], "a range of 0 cases checks nothing"),
+    (["differential", "--case", "-1"], "case -1 is negative"),
     (["lifting", "--cases", "-1"], "a range of -1 cases checks nothing"),
     (["dr", "--commits", "1", "--stride", "0"], "stride 0 is not positive"),
     (["overload", "--host", "frontdoor", "--sessions", "0"],
      "0 sessions at rate 600.0 offer no load"),
     (["overload", "--sessions", "8"],
      "the herd's size is fixed; --sessions and --rate size the front door's arrivals"),
-], ids=["empty-census", "no-cases", "negative-cases", "zero-stride", "no-arrivals",
-        "sized-herd"])
+], ids=["empty-census", "no-cases", "negative-case", "negative-cases", "zero-stride",
+        "no-arrivals", "sized-herd"])
 def test_a_run_that_checks_nothing_is_a_usage_error(args, error, capsys):
     with pytest.raises(SystemExit) as exited:
         main(args)

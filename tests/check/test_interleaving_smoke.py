@@ -2,8 +2,9 @@
 
 Three-session sampled interleavings plus the exhaustive two-session
 enumeration: committed histories must replay serially to the same final
-state, aborted sessions must leave no partial state, and the whole
-exploration must be a pure function of its seed (digest-equal reruns).
+state, and aborted sessions must leave no partial state.  That the
+exploration is a pure function of its seed is held by the pinned rows
+(``tests/check/pinned.json``).
 """
 
 import pytest
@@ -44,16 +45,15 @@ def test_exhaustive_two_session_enumeration(database):
 
 
 def test_schedules_are_deterministic():
-    # fresh database per run: oids, commit times, and therefore the
-    # whole event log must reproduce exactly
+    """Different cases follow different schedules.  The other half, the
+    same case reproducing its event log, is the ``schedule`` row of
+    ``pinned.json`` and ``test_harness.py::test_json_digest_output``."""
+    # fresh database per run: oids and commit times alike, so only the
+    # case tells the two event logs apart
     def sample(case):
         return check("schedule", seed=SMOKE_SEED, case=case, database=fresh_database())
 
-    first, second = sample(3), sample(3)
-    assert first.chain == second.chain
-    assert first.counts == second.counts  # steps, commits, aborts
-    other = sample(4)
-    assert other.chain != first.chain
+    assert sample(4).chain != sample(3).chain
 
 
 def test_schedule_counters_reach_the_registry(database):

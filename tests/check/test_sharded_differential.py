@@ -2,7 +2,7 @@
 cluster front end must be observation-identical to one monolithic store.
 """
 
-from repro.check import Failure, check, oracle_database, reproducer, run_soak
+from repro.check import Failure, check, oracle_database, reproducer
 from repro.check.sharded import Sharded, _side_by_side, generate_shard_workload
 from repro.shard.partition import route_statement
 
@@ -51,14 +51,6 @@ class TestShardedOracle:
         assert "baseline:   1" in text and "in-process: 2" in text
         assert "python -m repro.check sharded --seed 2026 --case 1" in text
         assert report.ok
-
-    def test_soak_folds_in_the_sharded_oracle(self):
-        metrics = run_soak(
-            2026, diff_cases=2, temporal_cases=1,
-            schedule_cases=1, sharded_cases=1,
-        )
-        assert metrics["sharded_statements"] > 0
-        assert metrics["problems"] == 0
 
 
 class TestTheOraclesReachTheAppendPath:
