@@ -14,7 +14,9 @@ import random
 import pytest
 
 from repro import GemStone
-from repro.bench import Table, employee_database
+
+from harness import Table
+from workloads import employee_database
 
 
 OBJECTS = 400

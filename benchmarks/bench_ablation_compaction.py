@@ -16,7 +16,9 @@ import random
 import pytest
 
 from repro import GemStone
-from repro.bench import Table, ratio, traverse_tree, tree_database
+
+from harness import Table, ratio
+from workloads import traverse_tree, tree_database
 
 DEPTH, FANOUT = 4, 4
 

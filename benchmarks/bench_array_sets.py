@@ -11,10 +11,11 @@ Run the timings:   pytest benchmarks/bench_array_sets.py --benchmark-only
 import pytest
 
 from repro import GemStone
-from repro.bench import Table, stopwatch
 from repro.core import MemoryObjectManager
 from repro.stdm import LabeledSet, format_set
 from repro.stdm.algebra import intersection, union
+
+from harness import Table, stopwatch
 
 
 PAPER_ARRAY = {

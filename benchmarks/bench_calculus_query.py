@@ -15,7 +15,6 @@ Run the timings:   pytest benchmarks/bench_calculus_query.py --benchmark-only
 
 import pytest
 
-from repro.bench import Table, acme_fragment, ratio, stopwatch
 from repro.core import MemoryObjectManager
 from repro.directories import DirectoryManager
 from repro.opal import OpalEngine
@@ -31,6 +30,9 @@ from repro.stdm import (
     variables,
 )
 from repro.stdm.algebra import collect_operators
+
+from harness import Table, ratio, stopwatch
+from workloads import acme_fragment
 
 
 def paper_query(employees, departments) -> SetQuery:

@@ -18,13 +18,9 @@ Run the timings:   pytest benchmarks/bench_clustering.py --benchmark-only
 import pytest
 
 from repro import GemStone
-from repro.bench import (
-    Table,
-    ratio,
-    scattered_tree_database,
-    traverse_tree,
-    tree_database,
-)
+
+from harness import Table, ratio
+from workloads import scattered_tree_database, traverse_tree, tree_database
 
 DEPTH, FANOUT = 4, 4  # 341 nodes
 

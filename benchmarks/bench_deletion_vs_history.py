@@ -16,8 +16,9 @@ Run the timings:   pytest benchmarks/bench_deletion_vs_history.py --benchmark-on
 import pytest
 
 from repro import GemStone
-from repro.bench import Table
 from repro.storage import encode_object
+
+from harness import Table
 
 
 def run_order_mill(db, orders: int, batch: int = 10):

@@ -18,7 +18,9 @@ Run the timings:   pytest benchmarks/bench_directories.py --benchmark-only
 import pytest
 
 from repro import GemStone
-from repro.bench import Table, employee_database, ratio, stopwatch
+
+from harness import Table, ratio, stopwatch
+from workloads import employee_database
 
 
 def build(count: int, indexed: bool):

@@ -15,8 +15,9 @@ Run the timings:   pytest benchmarks/bench_executor.py --benchmark-only
 import pytest
 
 from repro import GemStone
-from repro.bench import Table, ratio, stopwatch
 from repro.executor import HostConnection
+
+from harness import Table, ratio, stopwatch
 
 
 @pytest.fixture(scope="module")

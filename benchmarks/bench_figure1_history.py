@@ -11,7 +11,9 @@ Run the timings:   pytest benchmarks/bench_figure1_history.py --benchmark-only
 import pytest
 
 from repro import GemStone
-from repro.bench import Table, figure1_database
+
+from harness import Table
+from workloads import figure1_database
 
 
 @pytest.fixture(scope="module")

@@ -11,12 +11,13 @@ Run the timings:   pytest benchmarks/bench_flattening.py --benchmark-only
 
 import pytest
 
-from repro.bench import Table
 from repro.stdm import (
     LabeledSet,
     flatten_set_valued,
     unflatten_to_sets,
 )
+
+from harness import Table
 
 
 def family(index: int, children: int) -> LabeledSet:

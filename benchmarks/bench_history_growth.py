@@ -17,9 +17,11 @@ Run the timings:   pytest benchmarks/bench_history_growth.py --benchmark-only
 import pytest
 
 from repro import GemStone
-from repro.bench import Table, history_churn, stopwatch
 from repro.core import AssociationTable, MemoryObjectManager
 from repro.storage import encode_object
+
+from harness import Table, stopwatch
+from workloads import history_churn
 
 
 def churned_object(updates: int):

@@ -12,9 +12,10 @@ Run the timings:   pytest benchmarks/bench_interpreter.py --benchmark-only
 
 import pytest
 
-from repro.bench import Table, stopwatch
 from repro.core import MemoryObjectManager
 from repro.opal import OpalEngine
+
+from harness import Table, stopwatch
 
 
 @pytest.fixture(scope="module")

@@ -20,8 +20,9 @@ import random
 import pytest
 
 from repro import GemStone
-from repro.bench import Table
 from repro.errors import OverloadedError, TransactionConflict
+
+from harness import Table
 
 
 def make_pool(db, size: int):

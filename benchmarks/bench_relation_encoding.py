@@ -9,8 +9,9 @@ Run the timings:   pytest benchmarks/bench_relation_encoding.py --benchmark-only
 
 import pytest
 
-from repro.bench import Table
 from repro.stdm import format_set, relation_to_set, set_to_relation
+
+from harness import Table
 
 PAPER_ATTRS = ["A", "B", "C"]
 PAPER_ROWS = [(1, 3, 4), (1, 5, 4)]

@@ -16,9 +16,10 @@ Run the timings:   pytest benchmarks/bench_safe_writes.py --benchmark-only
 import pytest
 
 from repro import GemStone
-from repro.bench import Table
 from repro.errors import DiskCrashed
 from repro.storage import DiskGeometry, SimulatedDisk, StableStore
+
+from harness import Table
 
 
 def fresh_db():

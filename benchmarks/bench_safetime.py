@@ -16,7 +16,8 @@ Run the timings:   pytest benchmarks/bench_safetime.py --benchmark-only
 import pytest
 
 from repro import GemStone
-from repro.bench import Table
+
+from harness import Table
 
 
 def make_pair_db():

@@ -15,8 +15,9 @@ Run the timings:   pytest benchmarks/bench_st80_limits.py --benchmark-only
 import pytest
 
 from repro import GemStone
-from repro.bench import Table, stopwatch
 from repro.core import MemoryObjectManager
+
+from harness import Table, stopwatch
 
 ST80_OBJECT_LIMIT = 32 * 1024
 ST80_SIZE_LIMIT = 64 * 1024

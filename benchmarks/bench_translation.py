@@ -15,7 +15,6 @@ Run the timings:   pytest benchmarks/bench_translation.py --benchmark-only
 
 import pytest
 
-from repro.bench import acme_fragment
 from repro.core import MemoryObjectManager
 from repro.directories import DirectoryManager
 from repro.stdm import (
@@ -31,6 +30,8 @@ from repro.stdm import (
     variables,
 )
 from repro.stdm.algebra import collect_operators
+
+from workloads import acme_fragment
 
 
 def query_suite(employees, departments):

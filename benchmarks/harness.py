@@ -2,7 +2,10 @@
 
 Every experiment module in ``benchmarks/`` uses these to print the rows
 and series it reproduces (EXPERIMENTS.md records the outcomes); the
-pytest-benchmark fixtures handle the statistical timing.
+pytest-benchmark fixtures handle the statistical timing.  Experiments
+import it by name (``from harness import Table``): a script run puts
+``benchmarks/`` first on ``sys.path``, and ``conftest.py`` does the
+same under pytest.
 """
 
 from __future__ import annotations

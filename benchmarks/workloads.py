@@ -9,8 +9,10 @@ sizes while keeping the paper's structure.
 from __future__ import annotations
 
 import random
-from ..core.objects import GemObject
-from ..db import GemSession, GemStone
+
+from repro.core.history import MISSING
+from repro.core.objects import GemObject
+from repro.db import GemSession, GemStone
 
 
 def acme_fragment(store, n_employees: int, n_departments: int,
@@ -167,8 +169,6 @@ def traverse_tree(store, root: GemObject, fanout: int) -> int:
         count += 1
         for index in range(fanout):
             child = store.value_at(node, f"c{index}")
-            from ..core.history import MISSING
-
             if child is not MISSING and child is not None:
                 stack.append(child)
     return count

@@ -30,7 +30,7 @@ from ..core.classes import GemClass
 from ..core.history import AssociationTable
 from ..core.objects import GemObject
 from ..core.values import Char, Ref, Symbol
-from ..errors import ChecksumError, CodecError
+from ..errors import ChecksumError, CodecError, TimeTravelError
 
 # value tags
 _TAG_NIL = 0
@@ -376,18 +376,23 @@ def decode_object_full(data: bytes) -> tuple[GemObject, list[tuple[str, str, str
     else:
         raise CodecError(f"unknown record kind {kind}")
     count = reader.uvarint()
-    for _ in range(count):
-        name = decode_value(reader)
-        obj.elements[name] = _decode_table(reader)
-    # appended associations, in commit order, until the record ends; two
-    # at one time on one element are one association (the later wins)
-    while reader.remaining():
-        name = decode_value(reader)
-        time = reader.uvarint()
-        table = obj.elements.get(name)
-        if table is None:
-            table = obj.elements[name] = AssociationTable()
-        table.record(time, decode_value(reader))
+    try:
+        for _ in range(count):
+            name = decode_value(reader)
+            obj.elements[name] = _decode_table(reader)
+        # appended associations, in commit order, until the record ends;
+        # two at one time on one element are one association (the later
+        # wins)
+        while reader.remaining():
+            name = decode_value(reader)
+            time = reader.uvarint()
+            table = obj.elements.get(name)
+            if table is None:
+                table = obj.elements[name] = AssociationTable()
+            table.record(time, decode_value(reader))
+    except TimeTravelError as exc:
+        # damage put an association before one already recorded
+        raise CodecError(f"object record {oid}: {exc}") from exc
     return obj, sources
 
 

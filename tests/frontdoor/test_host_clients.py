@@ -14,6 +14,7 @@ import pytest
 
 from repro import GemStone
 from repro.errors import LinkTimeout, OverloadedError, ProtocolError
+from repro.executor import protocol
 from repro.executor.executor import HostConnection
 from repro.faults.plan import FaultClock
 from repro.frontdoor import AsyncHostConnection, FrontDoor, make_async_link
@@ -96,6 +97,39 @@ def test_both_clients_wait_out_overload_alike():
     assert blocking["error"] == (
         OverloadedError, f"still shedding after {ATTEMPTS} backoffs", 4.0
     )
+
+
+def overloaded(retry_after: float):
+    return protocol.decode_frame(protocol.encode_overloaded(retry_after))
+
+
+def client_of(flavour: str, clock):
+    """A client of either flavour, its waits charged to *clock* (or not)."""
+    if flavour == "blocking":
+        admission = None if clock is None else AdmissionController(clock=clock)
+        return HostConnection(fresh_db(), admission=admission)
+    return AsyncHostConnection(None, clock=clock)
+
+
+@pytest.mark.parametrize("flavour", ["blocking", "pipelined"])
+def test_a_clocked_wait_charges_at_least_half_a_unit(flavour):
+    clock = FaultClock()
+    client = client_of(flavour, clock)
+    assert client._overload_wait(overloaded(0.1)) == 0.0
+    assert clock.now == 0.5
+    assert client._overload_wait(overloaded(2.0)) == 0.0
+    assert clock.now == 2.5
+    assert client.overload_backoffs == 2
+
+
+@pytest.mark.parametrize("flavour", ["blocking", "pipelined"])
+def test_an_unclocked_wait_sleeps_between_1_and_50_ms(flavour):
+    client = client_of(flavour, None)
+    waits = [
+        client._overload_wait(overloaded(retry_after))
+        for retry_after in (0.0, 0.0004, 0.02, 0.05, 3.0)
+    ]
+    assert waits == [0.001, 0.001, 0.02, 0.05, 0.05]
 
 
 def test_a_first_send_redials_max_attempts_times_then_gives_up():

@@ -1,7 +1,7 @@
 """Unit and property tests for the binary codec."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Char, GemClass, GemObject, PrimitiveMethod, Ref, Symbol
 from repro.errors import CodecError
@@ -12,7 +12,13 @@ from repro.storage import (
     encode_object,
     encode_root,
 )
-from repro.storage.codec import Reader, Writer, decode_value, encode_value
+from repro.storage.codec import (
+    Reader,
+    Writer,
+    decode_value,
+    encode_appends,
+    encode_value,
+)
 
 
 def roundtrip_value(value):
@@ -246,3 +252,37 @@ def test_object_roundtrip_property(obj):
     assert set(back.elements) == set(obj.elements)
     for name, table in obj.elements.items():
         assert list(back.elements[name].history()) == list(table.history())
+
+
+@st.composite
+def records_with_tails(draw):
+    """An object record with one to three commits' appended associations."""
+    record = encode_object(draw(gem_objects()))
+    time = 501  # after every time gem_objects binds at
+    for _ in range(draw(st.integers(1, 3))):
+        names = draw(st.lists(element_names, min_size=1, max_size=3, unique=True))
+        record += encode_appends([(name, draw(element_values)) for name in names], time)
+        time += draw(st.integers(1, 50))
+    return record
+
+
+def damaged(record: bytes):
+    """Every truncation and every single-bit flip of *record*."""
+    for end in range(len(record)):
+        yield record[:end]
+    for index, byte in enumerate(record):
+        for bit in range(8):
+            yield record[:index] + bytes([byte ^ (1 << bit)]) + record[index + 1:]
+
+
+@settings(max_examples=30)
+@given(records_with_tails())
+def test_a_damaged_record_decodes_or_raises_codec_error(record):
+    """A flipped time delta, in a base table or in the appended tail, can
+    repeat a time; that is a corrupt record, never a ``TimeTravelError``."""
+    decode_object_full(record)
+    for data in damaged(record):
+        try:
+            decode_object_full(data)
+        except CodecError:
+            pass
