@@ -175,8 +175,8 @@ def main() -> None:
         session.commit()
         cost.add(objects, db.disk.stats.writes - before_writes,
                  db.disk.stats.time_units - before_time)
-    cost.note("cost grows with the group, plus a constant metadata tail "
-              "(object-table pages, bitmap, catalog, root)")
+    cost.note("cost grows with the group, plus the contents record "
+              "(the table pages it moved) and the root")
     cost.show()
 
 

@@ -61,9 +61,12 @@ from ..net.aio import serve_frontdoor, server_port, stream_link_factory
 from ..storage.disk import DiskGeometry, SimulatedDisk
 from .harness import UsageError
 
-#: the herd: its size, and the disk faults active all the while
+#: the herd: its size, and the disk faults active all the while.  The
+#: rates are per track I/O; a herd run makes about 14 of them (a commit
+#: writes its data with the contents record behind it, and the root), so
+#: a transient rate of 0.3 gives most runs a retry to mask
 CLIENTS, ROUNDS = 32, 3
-TRANSIENT_RATE, LATENCY_RATE = 0.15, 0.1
+TRANSIENT_RATE, LATENCY_RATE = 0.3, 0.1
 #: the herd's admission queue: capacity and drain per clock unit
 HERD_QUEUE, HERD_DRAIN = 24.0, 1.0
 HERD_TRACKS = DiskGeometry(track_count=4096, track_size=512)

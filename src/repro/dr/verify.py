@@ -106,11 +106,19 @@ def reopen_cold_diff(database) -> List[str]:
     The live store answers from objects it has kept decoded since it
     wrote them; the reopened one has only the tracks.  Any difference is
     a record the write path put on the platter wrongly (or a reader
-    that cannot find it) — invisible until the process restarts.
+    that cannot find it) — invisible until the process restarts.  The
+    allocated tracks are compared too: the set the live store has kept
+    up commit by commit must be the one an open derives from the root.
     """
     from ..db import GemStone
 
-    return [
-        f"reopened cold: {problem}"
-        for problem in logical_diff(database, GemStone.open(database.disk))
-    ]
+    cold = GemStone.open(database.disk)
+    problems = logical_diff(database, cold)
+    live = database.store.tracks.allocated_tracks()
+    derived = cold.store.tracks.allocated_tracks()
+    if live != derived:
+        problems.append(
+            f"allocated tracks: only live {sorted(live - derived)[:10]}, "
+            f"only derived {sorted(derived - live)[:10]}"
+        )
+    return [f"reopened cold: {problem}" for problem in problems]

@@ -12,21 +12,22 @@ Classic presumed-abort 2PC logging discipline:
   ask again, so the log stays O(in-flight), not O(history).
 
 Durability is the storage layer's own: the decision set is a **note**
-(:func:`~repro.storage.stable.write_note`) on a small dedicated disk
-that holds nothing else — the same checksummed blob, on freshly
-allocated tracks, that a shard's store publishes its in-doubt set in,
-listed by the same root record and made current by the same atomic root
-flip.  A crash during :meth:`record_commit` leaves the previous decision
-set intact, so the "before/after decision persist" crash windows in the
-soak are exactly the two sides of one root-track write; an empty log is
-a root and no other track.
+on a small dedicated disk that holds nothing else — the same
+checksummed section, in a contents record of one section boxed onto
+freshly allocated tracks, that a shard's store publishes its in-doubt
+set in, listed by the same root record and made current by the same
+atomic root flip.  A crash during :meth:`record_commit` leaves the
+previous decision set intact, so the "before/after decision persist"
+crash windows in the soak are exactly the two sides of one root-track
+write; an empty log writes no record — a root and no other track.
 """
 
 from __future__ import annotations
 
-from ..storage.codec import Reader, Writer
+from ..storage.boxer import Boxer
+from ..storage.codec import Reader, Writer, decode_note, encode_note
 from ..storage.commit import CommitManager
-from ..storage.stable import read_note, write_note
+from ..storage.stable import pack_contents, read_blob, read_contents
 from ..storage.tracks import TrackManager
 
 #: the name the decision set goes by in the log disk's note
@@ -40,6 +41,7 @@ class DecisionLog:
         self.disk = disk
         self.tracks = TrackManager(disk)
         self.commit_manager = CommitManager(self.tracks)
+        self.boxer = Boxer(disk.track_size)
         #: gtid -> tuple of read-write participant shard ids
         self._decisions: dict[str, tuple[int, ...]] = {}
         self._data_tracks: list[int] = []
@@ -60,9 +62,16 @@ class DecisionLog:
         """Recover the decision set from *disk* (the restart path)."""
         log = cls(disk)
         fields = log.commit_manager.recover()
-        if "note_tracks" in fields:
+        payload = None
+        if "contents_tracks" in fields:
+            log._data_tracks = fields["contents_tracks"]
+            if log._data_tracks:
+                sections = read_contents(log.tracks.read, log._data_tracks)[1]
+                payload = decode_note(sections.get("note", b"")).get(NOTE_NAME)
+        elif "note_tracks" in fields:
             log._data_tracks = fields["note_tracks"]
-            payload = read_note(log.tracks, log._data_tracks).get(NOTE_NAME)
+            if log._data_tracks:
+                payload = decode_note(read_blob(log.tracks, log._data_tracks)).get(NOTE_NAME)
         else:
             # a log of the format before the note: raw track-size chunks
             # of one length-prefixed payload, behind ``catalog_tracks``
@@ -120,11 +129,17 @@ class DecisionLog:
         return decisions
 
     def _persist(self) -> None:
-        note = {NOTE_NAME: self._encode()} if self._decisions else {}
-        new_tracks, writes = write_note(self.tracks, note)
-        self.commit_manager.commit(writes, {"note_tracks": new_tracks})
+        pack, new_tracks = self.boxer.pack([]), []
+        record_tracks: list[int] = []
+        if self._decisions:
+            note = encode_note({NOTE_NAME: self._encode()})
+            record_tracks = pack_contents(
+                self.tracks, self.boxer, pack, new_tracks, {}, {"note": note}
+            )
+        writes = dict(zip(new_tracks, pack.images))
+        self.commit_manager.commit(writes, {"contents_tracks": record_tracks})
         self.tracks.release(self._data_tracks)
-        self._data_tracks = new_tracks
+        self._data_tracks = record_tracks
 
     def report(self) -> dict:
         """Counters for observability and the soak digest."""

@@ -292,7 +292,8 @@ class ShardWorker:
 
     def _publish(self, prepared: dict[str, list[str]]) -> None:
         """Force *prepared* to disk as the in-doubt set: one safe group
-        write of no objects — the note, the bitmap and the root."""
+        write of no objects — a contents record in which only the note
+        changed, and the root."""
         store = self.db.store
         store.persist([], store.last_tx_time, note=_note(prepared))
         self._durable_prepared = prepared

@@ -33,7 +33,7 @@ from .filedisk import FileDisk
 from .linker import Creation, Delta, Linker, Write
 from .object_table import Location, ObjectTable, PAGE_SPAN
 from .replication import ReplicaHealth, ReplicatedDisk
-from .stable import StableStore, read_blob, write_blob
+from .stable import StableStore
 from .tracks import RESERVED_TRACKS, TrackManager
 
 __all__ = [
@@ -69,7 +69,5 @@ __all__ = [
     "encode_object",
     "encode_root",
     "encode_root_track",
-    "read_blob",
     "read_entries",
-    "write_blob",
 ]

@@ -25,6 +25,10 @@ readers: ``frag_total`` is what the record had when the fragment was
 written (advisory — the object table's placements say how many there
 are now), and a sealed track may keep a superseded later fragment of
 the same oid, so fragment *i* is read from track *i* of the placements.
+
+The store's own tables ride the same tracks: each commit's contents
+record (oid 0, which no object has) is packed right behind its object
+records, into the last of their images while it fits.
 """
 
 from __future__ import annotations
@@ -115,6 +119,10 @@ class TrackImageBuilder:
         self._writer.uvarint(len(fragment.payload))
         self._writer.raw(fragment.payload)
 
+    def resume(self, image: bytes) -> None:
+        """Reopen an image :meth:`finish` sealed, to add more entries."""
+        self._writer.raw(image[:-1])
+
     def finish(self) -> bytes:
         """The final track payload, zero-terminated."""
         return self._writer.getvalue() + b"\x00"
@@ -185,10 +193,22 @@ class Boxer:
         only its record's tail, numbered from that fragment on; its
         placements then cover those fragments alone.
         """
+        return self.pack_into(PackResult(images=[], placements={}), records, first_seq)
+
+    def pack_into(
+        self,
+        result: PackResult,
+        records: Sequence[tuple[int, bytes]],
+        first_seq: Optional[Mapping[int, int]] = None,
+    ) -> PackResult:
+        """:meth:`pack` *records* behind *result*'s, starting in its last
+        image while they fit: the store numbers a commit's data tracks
+        first, then packs the contents record that names them behind."""
         first_seq = first_seq or {}
-        images: list[bytes] = []
-        placements: dict[int, list[int]] = {}
+        images, placements = result.images, result.placements
         builder = TrackImageBuilder(self.track_size)
+        if images:
+            builder.resume(images.pop())
 
         def flush() -> None:
             nonlocal builder
@@ -210,7 +230,7 @@ class Boxer:
                 builder.add(fragment)
             placements[oid] = spots
         flush()
-        return PackResult(images=images, placements=placements)
+        return result
 
 
 def assemble(fragments: Sequence[Fragment], count: int) -> bytes:

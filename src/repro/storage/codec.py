@@ -4,9 +4,10 @@ Section 6 describes the on-disk representation: "objects are broken into
 elements and associations, which are organized ... under a header for the
 object."  This module is the pure encoding half of that: it turns
 :class:`~repro.core.objects.GemObject` instances (headers, elements,
-association tables) and storage metadata (root records, object-table
-pages) into byte strings and back.  Fragmenting records into tracks is the
-Boxer's job; the codec knows nothing about tracks.
+association tables) and storage metadata (root records, the contents
+record, the catalog and the note) into byte strings and back.
+Fragmenting records into tracks is the Boxer's job; the codec knows
+nothing about tracks.
 
 Values are tagged; integers and times use unsigned LEB128 varints (zigzag
 for signed), so small values — the overwhelmingly common case — cost one
@@ -23,7 +24,7 @@ keeping the codec independent of the bytecode set.)
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 from zlib import crc32
 
 from ..core.classes import GemClass
@@ -439,41 +440,40 @@ def _decode_table(reader: Reader) -> AssociationTable:
 # root records
 # --------------------------------------------------------------------------
 
-#: written by this code: the root also lists the note's tracks
-ROOT_MAGIC = b"GSR3"
-#: formats still opened, neither of which has a note: "GSR2" (object
-#: records may carry appended associations) and "GSRT" (before that).
-#: The magic moves with every change of grammar so that *older* code —
-#: whose decoder would silently stop before a record's appended tail, or
-#: read this root one field short — finds no root it recognises and
-#: refuses the platter instead.
-_ROOT_MAGICS_BEFORE_NOTE = (b"GSR2", b"GSRT")
-
+#: written by this code: the root lists the contents record and no blob
+ROOT_MAGIC = b"GSR4"
+_BLOB_LISTS = ("object_table_tracks", "allocation_tracks", "catalog_tracks")
+#: each magic's track lists.  The formats still opened list blobs:
+#: "GSR3" (with a note), "GSR2" (object records may carry appended
+#: associations) and "GSRT" (before that).  The magic moves with every
+#: change of grammar so that *older* code — whose decoder would read
+#: this root as the lists it knows, or silently stop before a record's
+#: appended tail — finds no root it recognises and refuses the platter.
+_ROOT_LISTS = {
+    ROOT_MAGIC: ("contents_tracks",),
+    b"GSR3": (*_BLOB_LISTS, "note_tracks"),
+    b"GSR2": _BLOB_LISTS,
+    b"GSRT": _BLOB_LISTS,
+}
 _ROOT_COUNTERS = ("last_tx_time", "next_oid", "alias_counter")
-#: the last of these is the one only a :data:`ROOT_MAGIC` root carries
-_ROOT_TRACK_LISTS = (
-    "object_table_tracks", "allocation_tracks", "catalog_tracks", "note_tracks",
-)
 
 
 def encode_root(fields: dict[str, Any]) -> bytes:
     """Encode a root record: the single mutable anchor of the database.
 
     Fields: ``epoch``, the counters ``last_tx_time``, ``next_oid`` and
-    ``alias_counter``, and the track lists ``object_table_tracks``,
-    ``allocation_tracks``, ``catalog_tracks`` and ``note_tracks``; a
-    platter that keeps no objects (the coordinator's decision log) leaves
-    out what it has none of.  The catalog (name → well-known oid) is
-    large and the note is the caller's, so each lives in its own blob and
-    the root only points at it — the root must always fit a single track,
-    since its write is the atomic commit point.
+    ``alias_counter``, and ``contents_tracks``, the tracks of the
+    contents record (:func:`encode_contents`) that locates everything
+    else; a platter that keeps no objects (the coordinator's decision
+    log) leaves out what it has none of.  The root must always fit a
+    single track, since its write is the atomic commit point.
     """
     writer = Writer()
     writer.raw(ROOT_MAGIC)
     writer.uvarint(fields["epoch"])
     for key in _ROOT_COUNTERS:
         writer.uvarint(fields.get(key, 0))
-    for key in _ROOT_TRACK_LISTS:
+    for key in _ROOT_LISTS[ROOT_MAGIC]:
         tracks = fields.get(key, ())
         writer.uvarint(len(tracks))
         for track in tracks:
@@ -484,16 +484,13 @@ def encode_root(fields: dict[str, Any]) -> bytes:
 def decode_root(data: bytes) -> dict[str, Any]:
     """Decode a root record; raises :class:`CodecError` if malformed.
 
-    A root of an earlier format decodes without ``note_tracks`` — which
-    is how a reader tells "no note yet" from "an empty note".
+    A root of an earlier format decodes to the blob track lists it has —
+    ``note_tracks`` only from ``GSR3``, which is how a reader tells "no
+    note yet" from "an empty note".
     """
     reader = Reader(data)
-    magic = reader.raw(4)
-    if magic == ROOT_MAGIC:
-        lists = _ROOT_TRACK_LISTS
-    elif magic in _ROOT_MAGICS_BEFORE_NOTE:
-        lists = _ROOT_TRACK_LISTS[:-1]
-    else:
+    lists = _ROOT_LISTS.get(reader.raw(4))
+    if lists is None:
         raise CodecError("bad root magic")
     fields: dict[str, Any] = {"epoch": reader.uvarint()}
     for key in _ROOT_COUNTERS:
@@ -503,6 +500,80 @@ def decode_root(data: bytes) -> dict[str, Any]:
     if reader.remaining():
         raise CodecError("root record has trailing bytes")
     return fields
+
+
+# --------------------------------------------------------------------------
+# the contents record
+# --------------------------------------------------------------------------
+
+#: the oid the contents record is boxed under: bootstrap allocates from 1
+CONTENTS_OID = 0
+CONTENTS_MAGIC = b"GC"
+#: the sections that go by name; object-table page *p* is section *p*
+_NAMED_SECTIONS = ("catalog", "note")
+
+
+class ContentsEntry(NamedTuple):
+    """*length* bytes from *offset* of the body of the contents record on
+    *tracks*; no tracks, in an encoded record, is the record itself."""
+
+    tracks: tuple[int, ...]
+    offset: int
+    length: int
+
+
+def _section_code(section: Any) -> int:
+    if isinstance(section, str):
+        return _NAMED_SECTIONS.index(section)
+    return len(_NAMED_SECTIONS) + section
+
+
+def encode_contents(
+    directory: dict[Any, ContentsEntry], changed: Mapping[Any, bytes]
+) -> bytes:
+    """The contents record: *directory*, then the bytes of *changed*.
+
+    ``"GC" uvarint n  n × (uvarint section  uvarint n_tracks track*
+    uvarint offset  uvarint length)  body`` — sections ascending
+    (``catalog`` 0, ``note`` 1, object-table page *p* 2 + *p*), the body
+    the changed sections' bytes back to back.  *directory* holds the
+    entries of the sections left alone; it gains a self entry for each
+    section of *changed*.
+    """
+    offset = 0
+    for section, data in changed.items():
+        directory[section] = ContentsEntry((), offset, len(data))
+        offset += len(data)
+    writer = Writer()
+    writer.raw(CONTENTS_MAGIC)
+    writer.uvarint(len(directory))
+    for code, entry in sorted(
+        (_section_code(section), entry) for section, entry in directory.items()
+    ):
+        for value in (code, len(entry.tracks), *entry.tracks, entry.offset, entry.length):
+            writer.uvarint(value)
+    writer.raw(b"".join(changed.values()))
+    return writer.getvalue()
+
+
+def decode_contents(data: bytes) -> tuple[dict[Any, ContentsEntry], bytes]:
+    """(directory, body) of a record :func:`encode_contents` wrote, self
+    entries still without tracks; :class:`CodecError` on anything else."""
+    reader = Reader(data)
+    if reader.raw(2) != CONTENTS_MAGIC:
+        raise CodecError("bad contents record magic")
+    directory: dict[Any, ContentsEntry] = {}
+    previous = -1
+    for _ in range(reader.uvarint()):
+        code = reader.uvarint()
+        if code <= previous:
+            raise CodecError("contents sections out of order")
+        previous = code
+        tracks = tuple(reader.uvarint() for _ in range(reader.uvarint()))
+        named = code < len(_NAMED_SECTIONS)
+        section = _NAMED_SECTIONS[code] if named else code - len(_NAMED_SECTIONS)
+        directory[section] = ContentsEntry(tracks, reader.uvarint(), reader.uvarint())
+    return directory, data[reader.pos :]
 
 
 def encode_catalog(catalog: dict[str, int]) -> bytes:
@@ -557,8 +628,8 @@ def encode_note(note: Mapping[str, bytes]) -> bytes:
 
     The note is protocol state that must change atomically with a
     commit yet is not part of the database: no object holds it, no
-    history is kept of it.  An empty note is never encoded — its root
-    lists no tracks.
+    history is kept of it.  An empty note is never encoded — the
+    contents record then has no ``note`` section.
     """
     writer = Writer()
     writer.uvarint(len(note))

@@ -9,10 +9,10 @@ Mechanism: shadow paging with ping-pong root slots.
 
 1. Every track in the group is written to a *freshly allocated* track —
    never over live data.
-2. The root record (epoch, object-table pointers, allocation bitmap
-   pointers) is then written to whichever of tracks 0/1 does **not**
-   hold the current root, with the epoch incremented and a CRC over the
-   payload.
+2. The root record (epoch, counters, the tracks of the contents record
+   that locates everything else) is then written to whichever of tracks
+   0/1 does **not** hold the current root, with the epoch incremented
+   and a CRC over the payload.
 
 A crash anywhere before step 2 completes leaves the old root — and thus
 the entire old database state — intact; recovery picks the valid root

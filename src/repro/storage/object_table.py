@@ -12,9 +12,9 @@ database administrator has moved the object to other media (section 6's
 
 The table is paged: a page covers :data:`PAGE_SPAN` consecutive oids and
 serializes independently, so a commit rewrites only the pages its
-transaction touched (shadow-written like any other track).  A small page
-directory (page index → track) is persisted in whole tracks referenced
-from the root record.
+transaction touched — each a section of that commit's contents record
+(``docs/storage.md``).  A page keeps its entries encoded, so moving one
+entry re-encodes that entry and not the page.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from ..errors import CodecError, StorageError
-from .codec import Reader, Writer
+from .codec import Reader, uvarint_bytes
 
 #: oids covered by one object-table page
 PAGE_SPAN = 256
@@ -31,6 +31,9 @@ PAGE_SPAN = 256
 _KIND_ABSENT = 0
 _KIND_TRACKS = 1
 _KIND_ARCHIVED = 2
+
+_TRACKS = bytes((_KIND_TRACKS,))
+_ARCHIVED = bytes((_KIND_ARCHIVED,))
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,11 @@ class ObjectTable:
         self._dirty_pages: set[int] = set()
         #: track -> number of entries whose fragments live there
         self._track_refs: dict[int, int] = {}
+        #: page -> its PAGE_SPAN slots, each entry encoded (b"": absent)
+        self._pages: dict[int, list[bytes]] = {}
+        #: every track number's uvarint up to the highest yet placed, so
+        #: an entry of any number of tracks encodes in one join
+        self._track_varints: list[bytes] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -81,22 +89,35 @@ class ObjectTable:
         """Record that *oid* was moved to other media under *archive_key*."""
         self._set(oid, Location(archive_key=archive_key))
 
+    def restore(self, oid: int, location: Optional[Location]) -> None:
+        """Put back an entry as :meth:`get` returned it (``None``: none)."""
+        self._set(oid, location)
+
     def _set(self, oid: int, location: Optional[Location]) -> None:
+        # the reference counts move by the tracks that differ: a grown
+        # record keeps all but its tail, whatever its length
         old = self._entries.get(oid)
-        if old is not None:
-            for track in set(old.tracks):
-                count = self._track_refs.get(track, 0) - 1
-                if count <= 0:
-                    self._track_refs.pop(track, None)
-                else:
-                    self._track_refs[track] = count
+        before = set(old.tracks) if old is not None else set()
+        after = set(location.tracks) if location is not None else set()
+        refs = self._track_refs
+        for track in before - after:
+            count = refs[track] - 1
+            if count:
+                refs[track] = count
+            else:
+                del refs[track]
+        for track in after - before:
+            refs[track] = refs.get(track, 0) + 1
         if location is None:
             self._entries.pop(oid, None)
         else:
             self._entries[oid] = location
-            for track in set(location.tracks):
-                self._track_refs[track] = self._track_refs.get(track, 0) + 1
-        self._dirty_pages.add(self.page_of(oid))
+        page, slot = divmod(oid, PAGE_SPAN)
+        entries = self._pages.get(page)
+        if entries is None:
+            entries = self._pages[page] = [b""] * PAGE_SPAN
+        entries[slot] = self._encode_entry(slot, location)
+        self._dirty_pages.add(page)
 
     def oids(self) -> Iterator[int]:
         """All oids with entries."""
@@ -112,10 +133,9 @@ class ObjectTable:
 
     # -- pages --------------------------------------------------------------------
 
-    @staticmethod
-    def page_of(oid: int) -> int:
-        """The page index covering *oid*."""
-        return oid // PAGE_SPAN
+    def pages(self) -> set[int]:
+        """Every page that has held an entry."""
+        return set(self._pages)
 
     def dirty_pages(self) -> set[int]:
         """Pages changed since the last :meth:`clear_dirty`."""
@@ -128,72 +148,66 @@ class ObjectTable:
     def encode_page(self, page: int) -> bytes:
         """Serialize one page: entries for oids in [page*SPAN, …+SPAN).
 
-        Every field is a uvarint, nearly always of one byte, and a commit
-        re-encodes a whole page to move one entry — so the bytes are put
-        down here directly rather than through a :class:`Writer` call each.
+        ``uvarint(page)``, then for each oid with an entry, ascending,
+        ``uvarint(slot)`` and ``1 uvarint(n) track*`` or ``2 archive_key``
+        — the kept encodings, joined.  An absent oid costs nothing.
         """
-        out = bytearray()
-        _uvarint(out, page)
-        entries = self._entries
-        base = page * PAGE_SPAN
-        for oid in range(base, base + PAGE_SPAN):
-            location = entries.get(oid)
-            if location is None:
-                out.append(_KIND_ABSENT)
-            elif location.archive_key is not None:
-                out.append(_KIND_ARCHIVED)
-                _uvarint(out, location.archive_key)
-            else:
-                out.append(_KIND_TRACKS)
-                _uvarint(out, len(location.tracks))
-                for track in location.tracks:
-                    _uvarint(out, track)
-        return bytes(out)
+        entries = self._pages.get(page)
+        return uvarint_bytes(page) + (b"".join(entries) if entries else b"")
 
-    def load_page(self, data: bytes) -> int:
-        """Merge a serialized page into the table; returns its page index."""
+    def _encode_entry(self, slot: int, location: Optional[Location]) -> bytes:
+        """One page entry, as :meth:`encode_page` lays it down."""
+        if location is None:
+            return b""
+        if location.archive_key is not None:
+            return b"".join((uvarint_bytes(slot), _ARCHIVED, uvarint_bytes(location.archive_key)))
+        tracks, varints = location.tracks, self._track_varints
+        top = max(tracks)
+        if top >= len(varints):
+            varints.extend(map(uvarint_bytes, range(len(varints), top + 1)))
+        return b"".join((
+            uvarint_bytes(slot), _TRACKS, uvarint_bytes(len(tracks)),
+            *map(varints.__getitem__, tracks),
+        ))
+
+    def load_page(self, data: bytes, track_count: int, dense: bool = False) -> int:
+        """Merge a serialized page into the table; returns its page index.
+
+        An entry must name at least one track, each below *track_count*.
+        *dense* reads the page of a platter written before the contents
+        record: no slot numbers, every slot in order, ``0`` for absent.
+        """
         reader = Reader(data)
         page = reader.uvarint()
-        base = page * PAGE_SPAN
-        for oid in range(base, base + PAGE_SPAN):
+        slot = -1
+        while (slot + 1 < PAGE_SPAN) if dense else reader.remaining():
+            following = slot + 1 if dense else reader.uvarint()
+            if not slot < following < PAGE_SPAN:
+                raise CodecError(f"object-table page {page}: slot {following} out of order")
+            slot = following
             kind = reader.uvarint()
             if kind == _KIND_ABSENT:
-                self._set(oid, None)
+                location = None
             elif kind == _KIND_TRACKS:
-                count = reader.uvarint()
-                tracks = tuple(reader.uvarint() for _ in range(count))
-                self._set(oid, Location(tracks=tracks))
+                tracks = tuple(reader.uvarint() for _ in range(reader.uvarint()))
+                if not tracks or max(tracks) >= track_count:
+                    raise CodecError(
+                        f"object-table page {page}: slot {slot} names no track"
+                        f" or one past the disk's {track_count}"
+                    )
+                location = Location(tracks=tracks)
             elif kind == _KIND_ARCHIVED:
-                self._set(oid, Location(archive_key=reader.uvarint()))
+                location = Location(archive_key=reader.uvarint())
             else:
                 raise CodecError(f"unknown object-table entry kind {kind}")
+            self._set(page * PAGE_SPAN + slot, location)
         self._dirty_pages.discard(page)
         return page
 
 
-def _uvarint(out: bytearray, value: int) -> None:
-    """Append *value* as :meth:`Writer.uvarint` would."""
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def encode_page_directory(directory: dict[int, tuple[int, ...]]) -> bytes:
-    """Serialize the page directory (page index → tracks of its blob)."""
-    writer = Writer()
-    writer.uvarint(len(directory))
-    for page in sorted(directory):
-        writer.uvarint(page)
-        tracks = directory[page]
-        writer.uvarint(len(tracks))
-        for track in tracks:
-            writer.uvarint(track)
-    return writer.getvalue()
-
-
 def decode_page_directory(data: bytes) -> dict[int, tuple[int, ...]]:
-    """Deserialize :func:`encode_page_directory` output."""
+    """The page directory (page index → tracks of its blob) of a platter
+    written before the contents record; read only by the legacy open."""
     reader = Reader(data)
     count = reader.uvarint()
     directory: dict[int, tuple[int, ...]] = {}

@@ -13,14 +13,22 @@ Layout on disk:
 * tracks 0/1 — ping-pong root slots (Commit Manager);
 * object records — boxed fragments on shadow-allocated tracks, located
   via the paged object table;
-* object-table pages, the page directory, the catalog, the note and the
-  allocation bitmap — shadow-written tracks referenced from the root.
+* one *contents record* per commit (oid 0), boxed right behind that
+  commit's object records: a directory that says where each section —
+  every object-table page, the catalog, the note — lives, and the bytes
+  of the sections the commit changed.  A section the commit left alone
+  keeps pointing into the older record that holds it.  The root lists
+  the contents record's tracks and nothing else.
+
+Nothing records which tracks are allocated: that is what the root
+reaches (:meth:`StableStore._allocated`), derived at open and after
+every commit alike.
 
 The *note* is a small name → bytes map published by the same root flip
 as the data, for protocol state that must change atomically with a
 commit but is not database state (today: a 2PC participant's in-doubt
-set).  It is rewritten only when it changes, keeps no history, and an
-empty note costs no track.
+set).  It is a section rewritten only when it changes, keeps no
+history, and an empty note is no section at all.
 
 Every commit writes only new tracks and flips the root, so torn groups
 are invisible after recovery.  Tracks whose last resident moved are
@@ -37,11 +45,10 @@ the record's tables.
 
 from __future__ import annotations
 
-import struct
 import threading
 from collections import OrderedDict
 from operator import attrgetter
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..core.classes import GemClass
 from ..core.object_manager import FIRST_USER_OID, ObjectStore
@@ -50,51 +57,93 @@ from ..core.objects import GemObject, element_writes
 from ..core.values import Ref
 from ..errors import ArchiveError, CodecError, NoSuchObject
 from .archive import ArchiveDrive, ArchiveMedia
-from .boxer import Boxer, assemble, find_fragment
+from .boxer import Boxer, PackResult, assemble, find_fragment
 from .cache import ObjectCache
 from .codec import (
+    CONTENTS_OID,
+    ContentsEntry,
     decode_catalog,
+    decode_contents,
     decode_note,
     decode_object_full,
     encode_appends,
     encode_catalog,
+    encode_contents,
     encode_note,
     encode_object,
 )
 from .commit import CommitManager
 from .linker import Delta
-from .object_table import (
-    ObjectTable,
-    decode_page_directory,
-    encode_page_directory,
-)
-from .tracks import TrackManager
+from .object_table import ObjectTable, decode_page_directory
+from .tracks import RESERVED_TRACKS, TrackManager
 
 _CLASS_CATALOG_PREFIX = "class:"
 _segment_of = attrgetter("segment_id")
 
 
-def blob_images(data: bytes, track_size: int) -> list[bytes]:
-    """*data* as the track images of a blob: length-prefixed chunks of
-    ``track_size - 4`` bytes, and one empty chunk for no data."""
-    chunk_size = track_size - 4
-    chunks = [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)] or [b""]
-    return [struct.pack("<I", len(chunk)) + chunk for chunk in chunks]
+def read_record(
+    read_track: Callable[[int], bytes], oid: int, track_numbers: Sequence[int]
+) -> bytes:
+    """The record of *oid* whose fragments are on *track_numbers*.
 
-
-def write_blob(tracks: TrackManager, data: bytes) -> tuple[list[int], dict[int, bytes]]:
-    """Put :func:`blob_images` of *data* on fresh tracks.
-
-    Returns ``(track_numbers, pending_writes)``; the caller folds the
-    writes into its commit group.
+    Fragment i comes from track i of the placements and from nowhere
+    else: a tiny fragment can share a track with the one before it (the
+    placements then name that track twice), and once the record has
+    grown, that sealed track still holds the superseded copy.
     """
-    images = blob_images(data, tracks.track_size)
-    allocated = tracks.allocate(len(images))
-    return allocated, dict(zip(allocated, images))
+    fragments = [
+        find_fragment(read_track(track), oid, seq)
+        for seq, track in enumerate(track_numbers)
+    ]
+    return assemble(fragments, len(track_numbers))
+
+
+def read_contents(
+    read_track: Callable[[int], bytes], record_tracks: Sequence[int]
+) -> tuple[dict[Any, ContentsEntry], dict[Any, bytes]]:
+    """(directory, section bytes) of the contents record on *record_tracks*,
+    its self entries given those tracks; each older record an entry points
+    into is read once."""
+    own = tuple(record_tracks)
+    listed, body = decode_contents(read_record(read_track, CONTENTS_OID, own))
+    bodies = {own: body}
+    directory: dict[Any, ContentsEntry] = {}
+    sections: dict[Any, bytes] = {}
+    for section, entry in listed.items():
+        entry = directory[section] = entry if entry.tracks else entry._replace(tracks=own)
+        if entry.tracks not in bodies:
+            record = read_record(read_track, CONTENTS_OID, entry.tracks)
+            bodies[entry.tracks] = decode_contents(record)[1]
+        end = entry.offset + entry.length
+        data = sections[section] = bodies[entry.tracks][entry.offset : end]
+        if len(data) != entry.length:
+            raise CodecError(f"section {section!r} runs past its record")
+    return directory, sections
+
+
+def pack_contents(
+    tracks: TrackManager,
+    boxer: Boxer,
+    pack: PackResult,
+    numbered: list[int],
+    directory: dict[Any, ContentsEntry],
+    changed: Mapping[Any, bytes],
+) -> list[int]:
+    """Pack the contents record of *directory* and *changed* behind
+    *pack*, whose images so far go to *numbered*; allocate the images it
+    adds onto *numbered* and return the record's tracks.  *directory*
+    gains a self entry, on those tracks, for each section of *changed*."""
+    boxer.pack_into(pack, [(CONTENTS_OID, encode_contents(directory, changed))])
+    numbered += tracks.allocate(len(pack.images) - len(numbered))
+    own = tuple(numbered[i] for i in pack.placements[CONTENTS_OID])
+    for section in changed:
+        directory[section] = directory[section]._replace(tracks=own)
+    return list(own)
 
 
 def read_blob(tracks: TrackManager, track_numbers: Sequence[int]) -> bytes:
-    """Reassemble a blob written by :func:`write_blob`."""
+    """A blob of a platter written before the contents record: each track
+    ``u32 length`` and that many bytes."""
     parts = []
     for track in track_numbers:
         raw = tracks.read(track)
@@ -103,18 +152,6 @@ def read_blob(tracks: TrackManager, track_numbers: Sequence[int]) -> bytes:
             raise CodecError(f"track {track} does not hold a blob chunk")
         parts.append(raw[4 : 4 + length])
     return b"".join(parts)
-
-
-def write_note(
-    tracks: TrackManager, note: Mapping[str, bytes]
-) -> tuple[list[int], dict[int, bytes]]:
-    """:func:`write_blob` for a note; an empty one takes no track."""
-    return write_blob(tracks, encode_note(note)) if note else ([], {})
-
-
-def read_note(tracks: TrackManager, track_numbers: Sequence[int]) -> dict[str, bytes]:
-    """The note :func:`write_note` put on *track_numbers*."""
-    return decode_note(read_blob(tracks, track_numbers)) if track_numbers else {}
 
 
 class StableStore(ObjectStore):
@@ -134,19 +171,16 @@ class StableStore(ObjectStore):
         self._track_buffers: "OrderedDict[int, bytes]" = OrderedDict()
         self.track_buffer_capacity = 16
         self.archive_drive = ArchiveDrive()
-        self._page_directory: dict[int, tuple[int, ...]] = {}
-        self._page_directory_tracks: list[int] = []
-        self._bitmap_tracks: list[int] = []
-        #: tracks a bitmap blob takes: its length is the geometry's
-        self._bitmap_track_count = len(
-            blob_images(self.tracks.bitmap_bytes(), disk.track_size)
-        )
-        self._catalog_tracks: list[int] = []
-        #: the catalog blob those tracks hold (rewritten only when it changes)
+        #: section -> where the current contents record says it is
+        self._directory: dict[Any, ContentsEntry] = {}
+        self._contents_tracks: list[int] = []
+        #: the blob tracks a root of an earlier format lists, until this
+        #: store's first commit moves every section into a contents record
+        self._legacy_tracks: list[int] = []
+        #: the catalog section's bytes (rewritten only when they change)
         self._catalog_blob: Optional[bytes] = None
-        #: the note as the last root published it, and where
+        #: the note as the last root published it
         self.note: dict[str, bytes] = {}
-        self._note_tracks: list[int] = []
         #: False on a platter whose root predates the note (an earlier
         #: format), until this store's first commit gives it one
         self.root_has_note = True
@@ -207,22 +241,56 @@ class StableStore(ObjectStore):
         store.last_tx_time = fields["last_tx_time"]
         store._next_oid = fields["next_oid"]
         store._alias_counter = fields["alias_counter"]
-        store._page_directory_tracks = list(fields["object_table_tracks"])
-        store._bitmap_tracks = list(fields["allocation_tracks"])
-        store._catalog_tracks = list(fields["catalog_tracks"])
-        store.root_has_note = "note_tracks" in fields
-        store._note_tracks = list(fields.get("note_tracks", ()))
-        store.tracks.load_bitmap(read_blob(store.tracks, store._bitmap_tracks))
-        store._catalog_blob = read_blob(store.tracks, store._catalog_tracks)
+        legacy = "contents_tracks" not in fields  # a root that lists blobs
+        if legacy:
+            sections = store._legacy_sections(fields)
+        else:
+            store._contents_tracks = list(fields["contents_tracks"])
+            store._directory, sections = read_contents(
+                store._read_track_buffered, store._contents_tracks
+            )
+        store.root_has_note = not legacy or "note_tracks" in fields
+        store._catalog_blob = sections["catalog"]
         store.catalog = decode_catalog(store._catalog_blob)
-        store.note = read_note(store.tracks, store._note_tracks)
-        directory_blob = read_blob(store.tracks, store._page_directory_tracks)
-        store._page_directory = decode_page_directory(directory_blob)
-        for page, page_tracks in store._page_directory.items():
-            store.table.load_page(read_blob(store.tracks, page_tracks))
+        store.note = decode_note(sections["note"]) if "note" in sections else {}
+        for section, data in sections.items():
+            if isinstance(section, int):
+                store.table.load_page(data, store.tracks.track_count, dense=legacy)
         store.table.clear_dirty()
+        store.tracks.mark_allocated(store._allocated())
         store._load_class_registry()
         return store
+
+    def _legacy_sections(self, fields: dict[str, Any]) -> dict[Any, bytes]:
+        """The sections of a root that lists blobs (``GSR3`` and before);
+        their tracks stay allocated until the first commit replaces them."""
+        tracks = self.tracks
+        directory = decode_page_directory(read_blob(tracks, fields["object_table_tracks"]))
+        sections: dict[Any, bytes] = {
+            page: read_blob(tracks, page_tracks) for page, page_tracks in directory.items()
+        }
+        sections["catalog"] = read_blob(tracks, fields["catalog_tracks"])
+        if fields.get("note_tracks"):
+            sections["note"] = read_blob(tracks, fields["note_tracks"])
+        for key in ("object_table_tracks", "allocation_tracks", "catalog_tracks", "note_tracks"):
+            self._legacy_tracks.extend(fields.get(key, ()))
+        for page_tracks in directory.values():
+            self._legacy_tracks.extend(page_tracks)
+        return sections
+
+    def _allocated(self) -> set[int]:
+        """Every track the current root reaches: the root slots, every
+        track the object table references, every track a directory entry
+        references (an older record still holding a live section), and
+        the contents record's own.  Open takes it as the allocated set;
+        a commit frees what it no longer holds."""
+        reached = set(RESERVED_TRACKS)
+        reached.update(self.table.tracks_in_use())
+        for entry in self._directory.values():
+            reached.update(entry.tracks)
+        reached.update(self._contents_tracks)
+        reached.update(self._legacy_tracks)
+        return reached
 
     def _load_class_registry(self) -> None:
         for key, oid in self.catalog.items():
@@ -364,15 +432,7 @@ class StableStore(ObjectStore):
         return obj
 
     def _read_record(self, oid: int, track_numbers: Sequence[int]) -> bytes:
-        # fragment i comes from track i of the placements and from nowhere
-        # else: a tiny fragment can share a track with the one before it
-        # (the placements then name that track twice), and once the record
-        # has grown, that sealed track still holds the superseded copy
-        fragments = [
-            find_fragment(self._read_track_buffered(track), oid, seq)
-            for seq, track in enumerate(track_numbers)
-        ]
-        return assemble(fragments, len(track_numbers))
+        return read_record(self._read_track_buffered, oid, track_numbers)
 
     def _read_track_buffered(self, track: int) -> bytes:
         buffered = self._track_buffers.get(track)
@@ -443,9 +503,6 @@ class StableStore(ObjectStore):
         if catalog_updates:
             self.catalog.update(catalog_updates)
 
-        writes: dict[int, bytes] = {}
-        freed: set[int] = set()
-
         # 1. Boxer: encode and pack dirty objects into fresh tracks — whole
         #    records, or just the grown tail of one that spans tracks.
         records: list[tuple[int, bytes]] = []
@@ -459,97 +516,92 @@ class StableStore(ObjectStore):
                 records.append((obj.oid, payload))
         pack = self.boxer.pack(records, first_seq)
         new_tracks = self.tracks.allocate(len(pack.images))
-        for index, image in enumerate(pack.images):
-            writes[new_tracks[index]] = image
-        for oid, spots in pack.placements.items():
-            old = self.table.get(oid)
-            kept: tuple[int, ...] = ()
-            if old is not None and not old.archived:
-                kept = old.tracks[: first_seq.get(oid, 0)]
-                freed.update(old.tracks[len(kept) :])
-            self.table.set_tracks(oid, [*kept, *(new_tracks[i] for i in spots)])
+        previous = {oid: self.table.get(oid) for oid in pack.placements}
+        published = self.commit_manager.current_epoch
+        # what the store remembers of its sections moves with the root
+        # flip: a group that fails must not leave it pointing at
+        # unwritten tracks
+        directory, contents_tracks = self._directory, self._contents_tracks
+        try:
+            for oid, spots in pack.placements.items():
+                old = previous[oid]
+                kept: tuple[int, ...] = ()
+                if old is not None and not old.archived:
+                    kept = old.tracks[: first_seq.get(oid, 0)]
+                self.table.set_tracks(oid, [*kept, *(new_tracks[i] for i in spots)])
 
-        # 2. Shadow-write dirty object-table pages (multi-track blobs),
-        #    and the page directory if any of them moved.
-        dirty_pages = sorted(self.table.dirty_pages())
-        for page in dirty_pages:
-            old_tracks = self._page_directory.get(page)
-            if old_tracks:
-                freed.update(old_tracks)
-            page_tracks, page_writes = write_blob(
-                self.tracks, self.table.encode_page(page)
-            )
-            writes.update(page_writes)
-            self._page_directory[page] = tuple(page_tracks)
-        if dirty_pages or not self._page_directory_tracks:
-            freed.update(self._page_directory_tracks)
-            self._page_directory_tracks, directory_writes = write_blob(
-                self.tracks, encode_page_directory(self._page_directory)
-            )
-            writes.update(directory_writes)
-
-        # 3. Catalog and note blobs, each only if this commit changed it.
-        #    What the store remembers of them moves with the root flip: a
-        #    group that fails must not leave it pointing at unwritten tracks.
-        catalog_blob, catalog_tracks = self._catalog_blob, self._catalog_tracks
-        if new_classes or catalog_updates or catalog_blob is None:
-            catalog_blob = encode_catalog(self.catalog)
-            if catalog_blob != self._catalog_blob:
-                freed.update(catalog_tracks)
-                catalog_tracks, catalog_writes = write_blob(self.tracks, catalog_blob)
-                writes.update(catalog_writes)
-        new_note, note_tracks = self.note, self._note_tracks
-        if note:
-            new_note = {
-                name: data
-                for name, data in {**self.note, **note}.items()
-                if data
+            # 2. The sections this commit changed: the table pages it
+            #    moved, the catalog and the note if their bytes differ.  A
+            #    store with no contents record yet (formatting, or the
+            #    first commit on a platter of an earlier format) writes
+            #    every section.
+            everything = not self._directory
+            pages = self.table.pages() if everything else self.table.dirty_pages()
+            changed: dict[Any, bytes] = {
+                page: self.table.encode_page(page) for page in sorted(pages)
             }
-            if new_note != self.note:
-                freed.update(note_tracks)
-                note_tracks, note_writes = write_note(self.tracks, new_note)
-                writes.update(note_writes)
+            catalog_blob = self._catalog_blob
+            if new_classes or catalog_updates or everything:
+                catalog_blob = encode_catalog(self.catalog)
+                if everything or catalog_blob != self._catalog_blob:
+                    changed["catalog"] = catalog_blob
+            new_note = self.note
+            if note:
+                new_note = {
+                    name: data
+                    for name, data in {**self.note, **note}.items()
+                    if data
+                }
+            if new_note and (everything or new_note != self.note):
+                changed["note"] = encode_note(new_note)
+            dropped = not new_note and "note" in self._directory
 
-        # 4. Allocation bitmap of the post-commit state.  It lists its own
-        #    tracks, so they are taken before it is encoded.
-        freed.update(self._bitmap_tracks)
-        still_used = self.table.tracks_in_use()
-        still_used.update(self._page_directory_tracks, catalog_tracks, note_tracks)
-        for page_tracks in self._page_directory.values():
-            still_used.update(page_tracks)
-        freed -= still_used
-        bitmap_tracks = self.tracks.allocate(self._bitmap_track_count)
-        bitmap = self.tracks.bitmap_bytes(excluding=freed)
-        writes.update(zip(bitmap_tracks, blob_images(bitmap, self.tracks.track_size)))
-        self._bitmap_tracks = bitmap_tracks
+            # 3. The contents record, packed behind the object records
+            #    (the page entries it holds name their tracks, numbered
+            #    above).
+            if changed or dropped:
+                directory = dict(directory)
+                if dropped:
+                    del directory["note"]
+                contents_tracks = pack_contents(
+                    self.tracks, self.boxer, pack, new_tracks, directory, changed
+                )
+            writes = dict(zip(new_tracks, pack.images))
 
-        # 5. Commit Manager: safe-write the whole group, flip the root.
-        self.last_tx_time = max(self.last_tx_time, tx_time)
-        epoch = self.commit_manager.commit(
-            writes,
-            {
-                "last_tx_time": self.last_tx_time,
-                "next_oid": self._next_oid,
-                "alias_counter": self._alias_counter,
-                "object_table_tracks": self._page_directory_tracks,
-                "allocation_tracks": self._bitmap_tracks,
-                "catalog_tracks": catalog_tracks,
-                "note_tracks": note_tracks,
-            },
-        )
-
-        # 6. Durable: reclaim superseded shadow tracks, settle residents.
-        self._catalog_blob, self._catalog_tracks = catalog_blob, catalog_tracks
-        self.note, self._note_tracks = new_note, note_tracks
-        self.root_has_note = True
-        for track in writes:
-            self._track_buffers.pop(track, None)  # no stale buffers
-        self.tracks.release(freed)
-        self.table.clear_dirty()
-        for obj in dirty_objects:
-            self._resident_only.pop(obj.oid, None)
-            self.cache.put(obj)
-        return epoch
+            # 4. Commit Manager: safe-write the whole group, flip the root.
+            self.last_tx_time = max(self.last_tx_time, tx_time)
+            return self.commit_manager.commit(
+                writes,
+                {
+                    "last_tx_time": self.last_tx_time,
+                    "next_oid": self._next_oid,
+                    "alias_counter": self._alias_counter,
+                    "contents_tracks": contents_tracks,
+                },
+            )
+        finally:
+            # 5. Once the root is durable — even if shipping it to a
+            #    replica then failed — the store is what it says, and
+            #    every track no root reaches goes back.  Until then the
+            #    old root is the durable one: the table goes back to what
+            #    it names, and only this group's own tracks return.
+            if self.commit_manager.current_epoch != published:
+                self._directory, self._contents_tracks = directory, contents_tracks
+                self._catalog_blob = catalog_blob
+                self.note = new_note
+                self.root_has_note = True
+                self._legacy_tracks = []
+                for track in writes:
+                    self._track_buffers.pop(track, None)  # no stale buffers
+                self.table.clear_dirty()
+                for obj in dirty_objects:
+                    self._resident_only.pop(obj.oid, None)
+                    self.cache.put(obj)
+                self.tracks.release(self.tracks.allocated_tracks() - self._allocated())
+            else:
+                for oid, location in previous.items():
+                    self.table.restore(oid, location)
+                self.tracks.release(set(new_tracks) - self._allocated())
 
     def _grown_tail(
         self, obj: GemObject, deltas: Mapping[int, Delta] | None, tx_time: int
@@ -662,7 +714,8 @@ class StableStore(ObjectStore):
 
         The object stays conceptually in the database (its oid and the
         references to it remain); reading it requires the volume to be
-        mounted.  The table change becomes durable at the next commit.
+        mounted.  The table change becomes durable at the next commit,
+        which is also what frees the record's tracks.
         """
         location = self.table.get(oid)
         if location is None:
@@ -672,9 +725,6 @@ class StableStore(ObjectStore):
         data = self._read_record(oid, location.tracks)
         key = media.store(data)
         self.table.set_archived(oid, key)
-        self.tracks.release(
-            t for t in location.tracks if t not in self.table.tracks_in_use()
-        )
         self.cache.evict(oid)
         return key
 

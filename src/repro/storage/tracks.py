@@ -9,16 +9,17 @@ Responsibilities here:
   shadow tracks after a commit becomes durable.
 * **Scheduling** — group writes are issued in ascending track order
   (an elevator pass), which minimizes simulated seek cost.
-* **Bitmap persistence** — the allocation state serializes to a bitmap
-  small enough to live in a couple of tracks, pointed to by the root
-  record, so recovery restores it without scanning the disk.
+
+The allocation state is not written anywhere: the store derives it at
+open from what its root reaches (``StableStore._allocated``) and hands
+it to :meth:`TrackManager.mark_allocated`.
 
 Tracks 0 and 1 are reserved for the Commit Manager's two root slots.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import DiskError, StorageError
 
@@ -32,6 +33,8 @@ class TrackManager:
     def __init__(self, disk) -> None:
         self.disk = disk
         self._allocated: set[int] = set(RESERVED_TRACKS)
+        #: no track below this one is free: where a scan starts
+        self._floor = 0
 
     # -- allocation -----------------------------------------------------------
 
@@ -57,8 +60,10 @@ class TrackManager:
         """Allocate *count* tracks, contiguous when possible.
 
         A single contiguous run is searched first; if none is long
-        enough, the lowest-numbered free tracks are used.  Raises
-        :class:`StorageError` when the disk is full.
+        enough, the lowest-numbered free tracks are used.  Both scans
+        start at the floor — no track below it is free, so they choose
+        what a scan from track 0 would.  Raises :class:`StorageError`
+        when the disk is full.
         """
         if count <= 0:
             return []
@@ -66,21 +71,26 @@ class TrackManager:
             raise StorageError(
                 f"disk full: need {count} tracks, {self.free_count()} free"
             )
+        allocated = self._allocated
+        floor = self._floor
+        while floor in allocated:
+            floor += 1
+        self._floor = floor
         run = self._find_contiguous(count)
         if run is None:
             run = []
-            for track in range(self.track_count):
-                if track not in self._allocated:
+            for track in range(floor, self.track_count):
+                if track not in allocated:
                     run.append(track)
                     if len(run) == count:
                         break
-        self._allocated.update(run)
+        allocated.update(run)
         return run
 
     def _find_contiguous(self, count: int) -> list[int] | None:
         start = None
         length = 0
-        for track in range(self.track_count):
+        for track in range(self._floor, self.track_count):
             if track in self._allocated:
                 start = None
                 length = 0
@@ -99,6 +109,8 @@ class TrackManager:
             if track in RESERVED_TRACKS:
                 raise StorageError(f"cannot release reserved track {track}")
             self._allocated.discard(track)
+            if track < self._floor:
+                self._floor = track
 
     def mark_allocated(self, tracks: Iterable[int]) -> None:
         """Force tracks into the allocated set (used by recovery)."""
@@ -129,24 +141,3 @@ class TrackManager:
         """
         for track in sorted(writes):
             self.write(track, writes[track])
-
-    # -- bitmap persistence ---------------------------------------------------------
-
-    def bitmap_bytes(self, excluding: Collection[int] = ()) -> bytes:
-        """The allocation set as a bitmap, one bit per track.
-
-        *excluding* are left out: a commit records the state it leaves
-        behind, without the tracks it frees once it is durable.
-        """
-        bitmap = bytearray((self.track_count + 7) // 8)
-        for track in self._allocated.difference(excluding):
-            bitmap[track // 8] |= 1 << (track % 8)
-        return bytes(bitmap)
-
-    def load_bitmap(self, data: bytes) -> None:
-        """Restore the allocation set from :meth:`bitmap_bytes` output."""
-        allocated = set(RESERVED_TRACKS)
-        for track in range(min(self.track_count, len(data) * 8)):
-            if data[track // 8] & (1 << (track % 8)):
-                allocated.add(track)
-        self._allocated = allocated

@@ -8,11 +8,11 @@ import pytest
 
 from repro.errors import ChecksumError, CodecError, RecoveryError
 from repro.shard.decisions import NOTE_NAME, DecisionLog
-from repro.storage.codec import encode_note
+from repro.storage.codec import encode_contents, encode_note
 from repro.storage.commit import decode_root_track
 from repro.storage.disk import DiskGeometry, SimulatedDisk
 from repro.storage.filedisk import FileDisk
-from repro.storage.stable import read_note
+from repro.storage.stable import read_contents
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,8 +84,8 @@ class TestDurability:
 
 
 class TestSharedFraming:
-    """The log is a note on a disk of its own: the storage layer's blob
-    framing and root record, nothing private."""
+    """The log is a note on a disk of its own: the storage layer's
+    contents record and root record, nothing private."""
 
     def test_an_empty_log_is_a_root_and_no_other_track(self):
         disk = fresh_disk()
@@ -102,18 +102,20 @@ class TestSharedFraming:
         log = DecisionLog.create(disk)
         log.record_commit("g0.1", [0, 1])
         fields = decode_root_track(disk.read_track(log.commit_manager._current_slot))
-        tracks = fields.pop("note_tracks")
-        assert read_note(log.tracks, tracks) == {NOTE_NAME: log._encode()}
+        tracks = fields.pop("contents_tracks")
+        directory, sections = read_contents(log.tracks.read, tracks)
+        assert sections == {"note": encode_note({NOTE_NAME: log._encode()})}
         assert fields.pop("epoch") == 2 and not any(fields.values())
 
     @pytest.mark.parametrize("over", [0, 1])
     def test_a_payload_of_exactly_one_track_and_of_one_byte_more(self, over):
         disk = fresh_disk(size=64)
         log = DecisionLog.create(disk)
-        capacity = disk.track_size - 4  # a blob chunk's length prefix
+        capacity = log.boxer.max_payload()  # one fragment's worth
         for padding in range(capacity):
             log._decisions = {"g" * padding: (0, 1)}
-            if len(encode_note({NOTE_NAME: log._encode()})) == capacity + over:
+            note = encode_note({NOTE_NAME: log._encode()})
+            if len(encode_contents({}, {"note": note})) == capacity + over:
                 break
         else:
             raise AssertionError("no gtid length lands on the boundary")
@@ -133,6 +135,24 @@ class TestSharedFraming:
         log.forget("g0.2")  # the first write moves it onto the note
         assert DecisionLog.open(disk).pending() == {}
         assert log.tracks.allocated_tracks() == {0, 1}
+
+    def test_a_gsr3_log_still_answers_and_moves_into_a_contents_record(self, tmp_path):
+        path = tmp_path / "decisions.bin"
+        shutil.copy(DATA / "parent_gsr3_decisions.bin", path)
+        disk = FileDisk.open(str(path))
+        assert disk.read_track(disk.is_written(1) and 1 or 0)[4:8] == b"GSR3"
+        log = DecisionLog.open(disk)
+        assert log.pending() == {"g0.2": (0, 1)}
+        log.record_commit("g0.5", [1])
+        fields = decode_root_track(disk.read_track(log.commit_manager._current_slot))
+        assert "contents_tracks" in fields and "note_tracks" not in fields
+        disk.close()
+        again = DecisionLog.open(FileDisk.open(str(path)))
+        assert again.pending() == {"g0.2": (0, 1), "g0.5": (1,)}
+        assert again.tracks.allocated_tracks() == log.tracks.allocated_tracks()
+        again.forget("g0.2")
+        again.forget("g0.5")
+        assert again.tracks.allocated_tracks() == {0, 1}
 
 
 class TestHostileBytes:

@@ -1,8 +1,9 @@
 """The participant's in-doubt set lives in the store's note, not in history.
 
-PREPARE forces the set to disk with a group write of no objects (note +
-bitmap + root), DECIDE-commit publishes the note without the gtid in the
-same group as the data.  These tests pin what that costs (a constant,
+PREPARE forces the set to disk with a group write of no objects (a
+contents record whose one changed section is the note, and the root),
+DECIDE-commit publishes the note without the gtid in the same group as
+the data.  These tests pin what that costs (a constant,
 whatever the shard has been through), that nothing of it reaches the
 ``system`` object, and that a kill at any moment — any number of
 transactions in doubt, any write offset of either group — recovers to
@@ -23,8 +24,10 @@ from repro.shard import ShardedGemStone
 from repro.shard.partition import shard_of
 from repro.shard.worker import NOTE_NAME, ShardWorker
 from repro.storage.disk import DiskGeometry, SimulatedDisk
+from repro.storage.commit import decode_root_track
 from repro.storage.filedisk import FileDisk
 
+from ..storage.test_torn_writes import lose_one_write
 from .test_cluster import keys_on_distinct_shards
 
 DATA = Path(__file__).parent / "data"
@@ -101,9 +104,13 @@ class TestCostIsConstant:
             ])
         assert cluster.cross_shard_commits == 200
         for shard_id, seen in phases.items():
-            # each commit: one PREPARE (note, bitmap, root), one DECIDE
-            assert seen[2 * 199 : 2 * 200] == seen[2 * 9 : 2 * 10]
-            assert seen[2 * 199] == ("prepare", 3)
+            # each commit: one PREPARE (the note's contents record and
+            # the root), one DECIDE (the data with its contents record
+            # behind it, and the root: a third track when the data's
+            # last track has no room left for the record)
+            assert seen[2 * 199] == seen[2 * 9] == ("prepare", 2)
+            decides = {written for phase, written in seen[2 * 9 :] if phase == "decide"}
+            assert decides <= {2, 3}
         # no 2PC traffic ever touched the history-keeping system object
         assert [system_of(worker) for worker in workers] == before
         # what the platters hold is the data's own history, nothing of the
@@ -154,7 +161,7 @@ class TestKillAndReopen:
 
         assert reopen_cold_diff(worker.db) == []
         store = ShardWorker.reopen(0, worker.disk).db.store
-        assert store.note == {} and store._note_tracks == []
+        assert store.note == {} and "note" not in store._directory
         assert worker.in_doubt() == [] == worker.status()["durable_prepared"]
 
     def test_an_abort_for_a_gtid_never_seen_is_acknowledged(self):
@@ -166,16 +173,19 @@ class TestKillAndReopen:
 
 # -- a crash at every write offset of both group writes ----------------------
 
+#: values long enough that both swept groups span several tracks
+_A, _B = "A" * 1200, "B" * 600
+
 
 def _base():
     """A platter with g0.1 in doubt, and the write counts of the PREPARE
     of a second transaction and of g0.1's DECIDE-commit after it."""
     worker = fresh_worker()
-    execute(worker, "g0.1", "World!a := 'A'")
+    execute(worker, "g0.1", f"World!a := '{_A}'")
     prepare(worker, "g0.1")
     base = worker.disk.clone()
     probe = ShardWorker.reopen(0, base.clone())
-    execute(probe, "g0.2", "World!b := 'B'")
+    execute(probe, "g0.2", f"World!b := '{_B}'")
     before = probe.disk.stats.writes
     prepare(probe, "g0.2")
     prepare_writes = probe.disk.stats.writes - before
@@ -189,14 +199,18 @@ _ONE_IN_DOUBT, _TWO_IN_DOUBT, _PREPARE_WRITES, _DECIDE_WRITES = _base()
 
 
 def test_the_swept_groups_are_the_sizes_the_design_says():
-    assert _PREPARE_WRITES == 3  # note, bitmap, root
-    assert _DECIDE_WRITES >= 4  # data, table page, directory, note, bitmap, root
+    # the contents record, in which nothing but the note changed (both
+    # transactions' statements: four tracks of it here), and the root
+    assert _PREPARE_WRITES == 5
+    # g0.1's record, the contents record behind it (a table page and the
+    # note), the root
+    assert _DECIDE_WRITES == 6
 
 
 @pytest.mark.parametrize("crash_at", range(_PREPARE_WRITES + 1))
 def test_a_crash_inside_prepare_leaves_old_note_or_new(crash_at):
     worker = ShardWorker.reopen(0, _ONE_IN_DOUBT.clone())
-    execute(worker, "g0.2", "World!b := 'B'")
+    execute(worker, "g0.2", f"World!b := '{_B}'")
     worker.disk.crash_after(crash_at)
     if crash_at < _PREPARE_WRITES:
         with pytest.raises(DiskCrashed):
@@ -230,8 +244,35 @@ def test_a_crash_inside_decide_commit_moves_note_and_data_together(crash_at):
     decide(recovered, "g0.2", False)
     if not applied:
         decide(recovered, "g0.1", False)
-    assert read(recovered, "World!a") == ("A" if applied else None)
+    assert read(recovered, "World!a") == (_A if applied else None)
     assert reopen_cold_diff(recovered.db) == []
+
+
+@pytest.mark.parametrize("fail_at", range(_DECIDE_WRITES))
+def test_a_decide_whose_write_fails_then_whose_retry_crashes_keeps_both_in_doubt(
+    fail_at,
+):
+    """The failed try gives back no track the old root reaches, so a
+    crash anywhere in the retry still recovers both in doubt, and a retry
+    that lands applies g0.1."""
+    for crash_at in (*range(_DECIDE_WRITES), None):
+        worker = ShardWorker.reopen(0, _TWO_IN_DOUBT.clone())
+        lose_one_write(worker.disk, fail_at)
+        with pytest.raises(TransientDiskError):
+            decide(worker, "g0.1", True)
+        applied = crash_at is None
+        if applied:
+            decide(worker, "g0.1", True)
+        else:
+            worker.disk.crash_after(crash_at)
+            with pytest.raises(DiskCrashed):
+                decide(worker, "g0.1", True)
+            worker.disk.restart()
+        recovered = ShardWorker.reopen(0, worker.disk)
+        assert recovered.in_doubt() == (["g0.2"] if applied else ["g0.1", "g0.2"])
+        assert reopen_cold_diff(recovered.db) == []
+        if applied:
+            assert read(recovered, "World!a") == _A
 
 
 _ONE_IN_DOUBT_EPOCH = ShardWorker.reopen(
@@ -323,3 +364,31 @@ class TestPlatterFromBeforeTheNote:
         worker = ShardWorker.reopen(0, disk)
         assert worker.in_doubt() == [] and not worker.db.store.root_has_note
         assert disk.stats.writes == 0 and disk_digest(disk) == digest
+
+
+class TestPlatterOfTheLastBlobFormat:
+    """A worker killed in doubt on a ``GSR3`` platter, its note a blob."""
+
+    def test_its_in_doubt_set_re_prepares_and_resolves(self, tmp_path):
+        path = tmp_path / "parent_gsr3_in_doubt.platter"
+        shutil.copy(DATA / "parent_gsr3_in_doubt.platter", path)
+        meta = json.loads((DATA / "parent_gsr3_in_doubt.json").read_text())
+        disk = FileDisk.open(str(path))
+        worker = ShardWorker.reopen(0, disk)
+        assert worker.in_doubt() == meta["in_doubt"] == ["g0.2", "g0.3"]
+        assert json.loads(worker.db.store.note[NOTE_NAME]) == meta["statements"]
+        assert reopen_cold_diff(worker.db) == []
+        decide(worker, "g0.3", False)
+        worker = ShardWorker.reopen(0, disk)
+        assert worker.in_doubt() == ["g0.2"]
+        assert "contents_tracks" in decode_root_track(
+            disk.read_track(worker.db.store.commit_manager._current_slot)
+        )
+        decide(worker, "g0.2", True)
+        worker = ShardWorker.reopen(0, disk)
+        assert worker.in_doubt() == [] and worker.db.store.note == {}
+        assert read(worker, "World!a") == "A2"
+        assert read(worker, "World!a2") == "also A2"
+        assert read(worker, "World!b") is None
+        assert read(worker, "World!settled") == "before"
+        assert reopen_cold_diff(worker.db) == []

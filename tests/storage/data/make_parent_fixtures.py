@@ -1,4 +1,12 @@
-"""Write the parent-format fixtures.  Run with PYTHONPATH=<parent>/src."""
+"""Write the parent-format fixtures.  Run with PYTHONPATH=<parent>/src.
+
+The three cases: a database platter (here), a shard worker killed with
+two transactions in doubt and a coordinator's decision log with one
+commit pending (both in ``tests/shard/data``).  The last run, at commit
+fbf0cb7, wrote the ``gsr3`` set; the ``gsr2`` platter and the
+``parent_in_doubt`` / ``parent_decisions`` pair came from earlier runs
+of the same cases at commit 45cd1a3.
+"""
 import json, os, sys
 from repro import GemStone
 from repro.executor import protocol
@@ -7,11 +15,12 @@ from repro.shard.worker import ShardWorker
 from repro.storage.disk import DiskGeometry
 from repro.storage.filedisk import FileDisk
 
-out = sys.argv[1]
-WRITTEN_BY = "commit 45cd1a3 (root magic GSR2, append-form records, no note)"
+here = os.path.dirname(os.path.abspath(__file__))
+shard = os.path.join(here, "..", "..", "shard", "data")
+WRITTEN_BY = "commit fbf0cb7 (root magic GSR3: page blobs, page directory, bitmap, catalog and note blobs)"
 
 # 1. a plain database platter
-path = os.path.join(out, "parent_gsr2.platter")
+path = os.path.join(here, "parent_gsr3.platter")
 disk = FileDisk.create(path, DiskGeometry(track_count=128, track_size=512))
 db = GemStone.create(disk=disk)
 s = db.login()
@@ -36,10 +45,10 @@ meta = {
     "expected": expected,
 }
 disk.close()
-json.dump(meta, open(os.path.join(out, "parent_gsr2.json"), "w"), indent=1, sort_keys=True)
+json.dump(meta, open(os.path.join(here, "parent_gsr3.json"), "w"), indent=1, sort_keys=True)
 
 # 2. a shard worker killed with two transactions in doubt
-path = os.path.join(out, "parent_in_doubt.platter")
+path = os.path.join(shard, "parent_gsr3_in_doubt.platter")
 disk = FileDisk.create(path, DiskGeometry(track_count=256, track_size=512))
 worker = ShardWorker(0, disk=disk, fresh=True)
 def frame(raw):
@@ -55,14 +64,13 @@ meta = {
     "written_by": WRITTEN_BY,
     "in_doubt": worker.in_doubt(),
     "statements": worker._durable_prepared,
-    "legacy_record": worker._system().value_at("prepared_2pc"),
     "epoch": worker.db.store.commit_manager.current_epoch,
 }
 disk.close()  # the "kill": nothing else reaches the platter
-json.dump(meta, open(os.path.join(out, "parent_in_doubt.json"), "w"), indent=1, sort_keys=True)
+json.dump(meta, open(os.path.join(shard, "parent_gsr3_in_doubt.json"), "w"), indent=1, sort_keys=True)
 
 # 3. a coordinator's decision log with one commit still pending
-path = os.path.join(out, "parent_decisions.bin")
+path = os.path.join(shard, "parent_gsr3_decisions.bin")
 disk = FileDisk.create(path, DiskGeometry(track_count=128, track_size=512))
 log = DecisionLog.create(disk)
 log.record_commit("g0.2", [0, 1])

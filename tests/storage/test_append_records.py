@@ -31,7 +31,9 @@ from repro.storage import (
     Write,
     stable,
 )
+from repro.storage.boxer import entry_size, find_fragment
 from repro.storage.codec import (
+    CONTENTS_OID,
     ROOT_MAGIC,
     decode_object,
     decode_root,
@@ -143,9 +145,10 @@ class TestCommitCostsTheDelta:
             after = store.table.get(wide.oid).tracks
             # every fragment but the last stayed where it was
             assert after[:-1] == before[:-1] and after[-1] != before[-1]
-            # the tail, an object-table page, the page directory, the
-            # allocation bitmap and the root — the catalog did not change
-            assert disk.stats.writes - writes_before == 5
+            # the tail, the contents record (a table page, no catalog:
+            # it did not change) on the tail's track, and the root
+            assert disk.stats.writes - writes_before == 2
+            assert store._contents_tracks == [after[-1]]
         assert encodes == []
         assert len(encode_object(wide)) > whole  # the live object did grow
         assert_reopens_as_live(store, disk)
@@ -183,6 +186,28 @@ class TestCommitCostsTheDelta:
             tx_time,
         )
         assert [oid for oid, _ in encodes] == [wide.oid]
+        assert_reopens_as_live(store, disk)
+
+    def test_one_binding_writes_two_tracks_and_three_when_the_tail_is_full(self):
+        store, disk = make_store()
+        wide = wide_object(store, elements=200)
+        seen = set()
+        for n in range(80):
+            before = store.table.get(wide.oid).tracks
+            writes_before = disk.stats.writes
+            commit(store, [], [Write(wide.oid, f"k{n % 200:04d}", n)])
+            after = store.table.get(wide.oid).tracks
+            fresh = len(after) - len(before) + 1  # the tail, and what spilled
+            image = store.tracks.read(after[-1])
+            tail = find_fragment(image, wide.oid, len(after) - 1).payload
+            record = store._read_record(CONTENTS_OID, store._contents_tracks)
+            room = disk.track_size - 1 - entry_size(wide.oid, 0, len(after), len(tail))
+            fits = entry_size(CONTENTS_OID, 0, 1, len(record)) <= room
+            written = disk.stats.writes - writes_before
+            assert written == 1 + fresh + (0 if fits else 1)
+            seen.add((fresh, fits, written))
+        # room on the tail's track: 2; the tail's track full: 3
+        assert {(1, True, 2), (1, False, 3)} <= seen
         assert_reopens_as_live(store, disk)
 
     def test_a_full_tail_is_sealed_and_the_rest_spills(self, encodes):
@@ -340,6 +365,7 @@ class TestFormatHonesty:
         session.execute("World!k03 := 'appended'")
         session.commit()
         assert encodes == []
+        assert reopen_cold_diff(db) == []
         disk.close()
         cold = GemStone.open(FileDisk.open(disk.path)).login()
         assert cold.execute("World!k03") == "appended"
@@ -384,19 +410,19 @@ class TestSmallWastes:
     def test_the_catalog_is_rewritten_only_when_it_changes(self):
         store, disk = make_store()
         wide = wide_object(store, elements=20)
-        kept = list(store._catalog_tracks)
+        kept = store._directory["catalog"]
         commit(store, [], [Write(wide.oid, "k0001", 1)])
-        assert store._catalog_tracks == kept
+        assert store._directory["catalog"] == kept
         tx_time = store.last_tx_time + 1
         store.persist([], tx_time, catalog_updates={"extra": wide.oid})
-        assert store._catalog_tracks != kept
+        assert store._directory["catalog"] != kept
         assert reopened(disk).catalog["extra"] == wide.oid
 
     def test_a_reopened_store_keeps_its_catalog_tracks_too(self):
         store, disk = make_store()
         wide = wide_object(store, elements=20)
         again = reopened(disk)
-        kept = list(again._catalog_tracks)
+        kept = again._directory["catalog"]
         commit(again, [], [Write(wide.oid, "k0001", 1)])
-        assert again._catalog_tracks == kept
+        assert again._directory["catalog"] == kept
         assert reopened(disk).catalog == again.catalog

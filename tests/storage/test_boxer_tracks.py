@@ -1,5 +1,7 @@
 """Unit tests for the Boxer and the Track Manager."""
 
+import random
+
 import pytest
 
 from repro.errors import DiskError, StorageError
@@ -60,6 +62,22 @@ class TestBoxerPacking:
         for seq, image_index in enumerate(result.placements[7]):
             found = find_fragment(result.images[image_index], 7, seq)
             assert found.total == len(result.placements[7])
+
+    def test_a_second_pack_continues_the_open_last_image(self):
+        boxer = Boxer(track_size=256)
+        first = boxer.pack([(1, b"xx"), (2, bytes(100))])
+        alone = boxer.pack([(1, b"xx"), (2, bytes(100)), (0, b"contents")])
+        result = boxer.pack_into(first, [(0, b"contents")])
+        assert result is first
+        assert result.images == alone.images and result.placements == alone.placements
+        assert result.placements[0] == [0]  # shares the data's track
+
+    def test_what_does_not_fit_the_open_image_starts_a_new_one(self):
+        boxer = Boxer(track_size=256)
+        result = boxer.pack([(1, bytes(200))])
+        sealed = result.images[0]
+        boxer.pack_into(result, [(0, bytes(100))])
+        assert result.images[0] == sealed and result.placements[0] == [1]
 
     def test_duplicate_oid_rejected(self):
         boxer = Boxer(track_size=256)
@@ -148,18 +166,24 @@ class TestTrackManager:
         assert tm.disk.read_track(3).startswith(b"a")
         assert tm.disk.stats.writes == 3
 
-    def test_bitmap_roundtrip(self, tm):
-        tm.allocate(5)
-        saved = tm.bitmap_bytes()
-        fresh = TrackManager(SimulatedDisk(DiskGeometry(track_count=32, track_size=128)))
-        fresh.load_bitmap(saved)
-        assert fresh.allocated_tracks() == tm.allocated_tracks()
+    def test_the_floor_chooses_what_a_scan_from_track_zero_would(self, tm):
+        def reference(allocated, count):
+            free = [t for t in range(tm.track_count) if t not in allocated]
+            for start in free:
+                if all(t not in allocated for t in range(start, start + count)) \
+                        and start + count <= tm.track_count:
+                    return list(range(start, start + count))
+            return free[:count]
 
-    def test_bitmap_leaves_out_excluded_tracks(self, tm):
-        run = tm.allocate(7)
-        fresh = TrackManager(SimulatedDisk(DiskGeometry(track_count=32, track_size=128)))
-        fresh.load_bitmap(tm.bitmap_bytes(excluding={run[2], run[5]}))
-        assert fresh.allocated_tracks() == tm.allocated_tracks() - {run[2], run[5]}
+        rng = random.Random(48)
+        for _ in range(400):
+            if rng.random() < 0.55 and tm.free_count() >= 4:
+                count = rng.randint(1, 4)
+                expected = reference(tm.allocated_tracks(), count)
+                assert tm.allocate(count) == expected
+            else:
+                held = sorted(tm.allocated_tracks() - {0, 1})
+                tm.release(rng.sample(held, min(len(held), rng.randint(1, 3))))
 
     def test_read_many_deduplicates(self, tm):
         run = tm.allocate(2)

@@ -13,9 +13,12 @@ from repro.storage import (
     encode_root,
 )
 from repro.storage.codec import (
+    ContentsEntry,
     Reader,
     Writer,
+    decode_contents,
     decode_value,
+    encode_contents,
     encode_appends,
     encode_value,
 )
@@ -187,17 +190,14 @@ class TestRoots:
     def test_roundtrip(self):
         fields = {
             "epoch": 7, "last_tx_time": 123, "next_oid": 5000,
-            "alias_counter": 12,
-            "object_table_tracks": [5, 9], "allocation_tracks": [11],
-            "catalog_tracks": [13, 14], "note_tracks": [15],
+            "alias_counter": 12, "contents_tracks": [15, 16],
         }
         assert decode_root(encode_root(fields)) == fields
 
     def test_empty_track_lists(self):
         fields = {
             "epoch": 1, "last_tx_time": 1, "next_oid": 1, "alias_counter": 0,
-            "object_table_tracks": [], "allocation_tracks": [],
-            "catalog_tracks": [], "note_tracks": [],
+            "contents_tracks": [],
         }
         assert decode_root(encode_root(fields)) == fields
 
@@ -205,12 +205,69 @@ class TestRoots:
         with pytest.raises(CodecError):
             decode_root(b"XXXX....")
 
+    def test_a_gsr3_root_decodes_to_its_blob_lists(self):
+        lists = {
+            "object_table_tracks": [5, 9], "allocation_tracks": [11],
+            "catalog_tracks": [13, 14], "note_tracks": [15],
+        }
+        writer = Writer()
+        writer.raw(b"GSR3")
+        for counter in (7, 123, 5000, 12):
+            writer.uvarint(counter)
+        for tracks in lists.values():
+            writer.uvarint(len(tracks))
+            for track in tracks:
+                writer.uvarint(track)
+        assert decode_root(writer.getvalue()) == {
+            "epoch": 7, "last_tx_time": 123, "next_oid": 5000,
+            "alias_counter": 12, **lists,
+        }
+
+    def test_a_gsr3_reader_refuses_a_gsr4_root(self):
+        # the GSR3 grammar on these bytes wants four lists, and finds one
+        payload = encode_root({"epoch": 3, "contents_tracks": [40, 41, 42]})
+        assert payload[:4] == b"GSR4"
+        with pytest.raises(CodecError):
+            decode_root(b"GSR3" + payload[4:])
+
     def test_catalog_blob_roundtrip(self):
         from repro.storage.codec import decode_catalog, encode_catalog
 
         catalog = {"world": 2048, "class:Object": 1, "class:Integer": 8}
         assert decode_catalog(encode_catalog(catalog)) == catalog
         assert decode_catalog(encode_catalog({})) == {}
+
+
+class TestContents:
+    def test_roundtrip_leaves_self_entries_without_tracks(self):
+        older = ContentsEntry((9, 10), 4, 30)
+        directory = {"catalog": older}
+        record = encode_contents(directory, {3: b"page three", "note": b"nn"})
+        assert directory == {
+            "catalog": older,
+            3: ContentsEntry((), 0, 10),
+            "note": ContentsEntry((), 10, 2),
+        }
+        assert decode_contents(record) == (directory, b"page threenn")
+
+    def test_every_truncation_is_refused_or_runs_a_section_past_the_body(self):
+        record = encode_contents({"catalog": ContentsEntry((9,), 0, 5)}, {0: b"x" * 20})
+        for length in range(len(record)):
+            try:
+                directory, body = decode_contents(record[:length])
+            except CodecError:
+                continue
+            assert directory[0].offset + directory[0].length > len(body)
+
+    def test_out_of_order_sections_are_refused(self):
+        writer = Writer()
+        writer.raw(b"GC")
+        writer.uvarint(2)
+        for code in (3, 2):
+            for value in (code, 0, 0, 0):
+                writer.uvarint(value)
+        with pytest.raises(CodecError):
+            decode_contents(writer.getvalue())
 
 
 # -- property-based: any storable object round-trips ------------------------

@@ -72,34 +72,38 @@ class TestAnEmptyNoteCostsNothing:
         allocated = len(store.tracks.allocated_tracks())
         before = disk.stats.writes
         commit(store, writes=[Write(obj.oid, "v", 1)])
-        # the object's track, its table page, the directory, bitmap, root
-        assert disk.stats.writes - before == 5
+        # the object's track, which the contents record shares, and the root
+        assert disk.stats.writes - before == 2
         assert len(store.tracks.allocated_tracks()) == allocated
-        assert store.note == {} and store._note_tracks == []
-        assert root_fields(disk, store)["note_tracks"] == []
+        assert store.note == {} and "note" not in store._directory
+        assert sorted(root_fields(disk, store)) == [
+            "alias_counter", "contents_tracks", "epoch", "last_tx_time", "next_oid",
+        ]
 
     def test_nor_is_one_read_when_the_platter_is_opened(self):
         store, disk = make_store()
         an_object(store)
-        listed = root_fields(disk, store)
         cold_disk = disk.clone()
         cold = StableStore.open(cold_disk)
-        expected = 1 + sum(  # the root, then every track it leads to
-            len(listed[key])
-            for key in ("object_table_tracks", "allocation_tracks", "catalog_tracks")
-        ) + sum(len(tracks) for tracks in cold._page_directory.values())
-        assert cold_disk.stats.reads <= expected + 1  # at most both root slots
+        records = {*cold._contents_tracks}  # the root, then every record it leads to
+        for entry in cold._directory.values():
+            records.update(entry.tracks)
+        assert cold_disk.stats.reads <= 1 + len(records) + 1  # at most both root slots
         assert cold.note == {}
 
     def test_dropping_the_last_name_gives_the_tracks_back(self):
         store, disk = make_store()
         allocated = len(store.tracks.allocated_tracks())
         store.persist([], store.last_tx_time, note={"a": b"x" * 700})
-        assert len(store._note_tracks) == 2  # 700 bytes on 512-byte tracks
+        held = store._directory["note"].tracks
+        assert len(held) == 2  # 700 bytes on 512-byte tracks
         assert len(store.tracks.allocated_tracks()) == allocated + 2
         store.persist([], store.last_tx_time, note={"a": b""})
-        assert store.note == {} and store._note_tracks == []
-        assert len(store.tracks.allocated_tracks()) == allocated
+        assert store.note == {} and "note" not in store._directory
+        # both come back; what stays is the one track of the directory
+        # that no longer lists the note
+        assert store.tracks.allocated_tracks().isdisjoint(held)
+        assert len(store.tracks.allocated_tracks()) == allocated + 1
         assert StableStore.open(disk).note == {}
 
 
@@ -119,24 +123,26 @@ class TestTheNoteRidesTheRootFlip:
         store, disk = make_store()
         obj = an_object(store)
         store.persist([], store.last_tx_time, note={"2pc": b"g1", "other": b"kept"})
-        kept = list(store._note_tracks)
+        kept = store._directory["note"]
         commit(store, writes=[Write(obj.oid, "v", 2)])
         commit(store, writes=[Write(obj.oid, "v", 3)], note={"2pc": b"g1"})  # same
-        assert store._note_tracks == kept
-        assert root_fields(disk, store)["note_tracks"] == kept
+        assert store._directory["note"] == kept
+        assert StableStore.open(disk.clone())._directory["note"] == kept
         # an update replaces one name and leaves the others
         store.persist([], store.last_tx_time, note={"2pc": b"g1 g2"})
-        assert store._note_tracks != kept
+        assert store._directory["note"] != kept
         assert StableStore.open(disk).note == {"2pc": b"g1 g2", "other": b"kept"}
 
-    def test_a_persist_of_no_objects_writes_note_bitmap_and_root(self):
+    def test_a_persist_of_no_objects_writes_the_contents_record_and_root(self):
         store, disk = make_store()
         an_object(store)
-        directory = list(store._page_directory_tracks)
+        pages = {s: e for s, e in store._directory.items() if isinstance(s, int)}
         before = disk.stats.writes
         store.persist([], store.last_tx_time, note={"2pc": b"g1"})
-        assert disk.stats.writes - before == 3
-        assert store._page_directory_tracks == directory  # no page moved
+        assert disk.stats.writes - before == 2
+        assert {
+            s: e for s, e in store._directory.items() if isinstance(s, int)
+        } == pages  # no page moved
         assert StableStore.open(disk).note == {"2pc": b"g1"}
 
     def test_it_is_not_history_and_not_an_object(self):
@@ -161,12 +167,12 @@ class TestTheNoteRidesTheRootFlip:
         store = StableStore.format(disk)
         obj = an_object(store)
         store.persist([], store.last_tx_time, note={"2pc": b"old"})
-        published = list(store._note_tracks)
+        published = store._directory["note"]
         healthy, disk.plan = disk.plan, FaultPlan(3, FaultSpec(transient_rate=1.0))
         with pytest.raises(TransientDiskError):
             store.persist([], store.last_tx_time, note={"2pc": b"never made it"})
         disk.plan = healthy
-        assert store.note == {"2pc": b"old"} and store._note_tracks == published
+        assert store.note == {"2pc": b"old"} and store._directory["note"] == published
         commit(store, writes=[Write(obj.oid, "v", 9)])
         cold = StableStore.open(disk)
         assert cold.note == {"2pc": b"old"}
@@ -208,7 +214,7 @@ class TestFormatHonesty:
 
     def test_older_code_finds_no_root_it_knows_in_a_new_platter(self):
         store, disk = make_store()
-        assert ROOT_MAGIC not in (b"GSR2", b"GSRT")
+        assert ROOT_MAGIC not in (b"GSR3", b"GSR2", b"GSRT")
         fields = root_fields(disk, store)
         # a root one field short is never what an older reader sees: with
         # the magic it knows, these bytes do not parse as its grammar
@@ -217,6 +223,52 @@ class TestFormatHonesty:
         for slot in (0, 1):
             if disk.is_written(slot):
                 assert disk.read_track(slot)[4:8] == ROOT_MAGIC
+
+
+class TestTheLastBlobFormat:
+    """A ``GSR3`` platter — page blobs, page directory, bitmap, catalog —
+    written by the commit before the contents record."""
+
+    def parent_platter(self, tmp_path):
+        path = tmp_path / "parent_gsr3.platter"
+        shutil.copy(DATA / "parent_gsr3.platter", path)
+        meta = json.loads((DATA / "parent_gsr3.json").read_text())
+        return FileDisk.open(str(path)), meta
+
+    def test_it_opens_and_reads_as_before_without_a_write(self, tmp_path):
+        disk, meta = self.parent_platter(tmp_path)
+        assert disk.read_track(0)[4:8] == b"GSR3" != ROOT_MAGIC
+        digest = disk_digest(disk)
+        db = GemStone.open(disk)
+        assert db.store.commit_manager.current_epoch == meta["epoch"]
+        assert db.store.root_has_note and db.store.note == {}
+        session = db.login()
+        for source, value in meta["expected"].items():
+            assert session.execute(source) == value
+        assert disk_digest(disk) == digest
+        assert reopen_cold_diff(db) == []
+
+    def test_its_first_commit_moves_every_section_and_frees_the_blobs(self, tmp_path):
+        disk, meta = self.parent_platter(tmp_path)
+        db = GemStone.open(disk)
+        blobs = set(db.store._legacy_tracks)
+        assert blobs and blobs <= db.store.tracks.allocated_tracks()
+        session = db.login()
+        session.execute("World!k03 := 'after the upgrade'")
+        session.commit()
+        assert set(db.store._directory) >= {"catalog", *db.store.table.pages()}
+        assert root_fields(disk, db.store)["contents_tracks"] == db.store._contents_tracks
+        assert blobs.isdisjoint(db.store.tracks.allocated_tracks())
+        assert reopen_cold_diff(db) == []
+        disk.close()
+        cold = GemStone.open(FileDisk.open(disk.path))
+        assert cold.login().execute("World!k03") == "after the upgrade"
+        assert cold.login().execute("World!k04") == meta["expected"]["World!k04"]
+        assert cold.login().execute("World!ellen salary") == 42
+        session = cold.login()
+        session.execute("World!k05 := 'and after that'")
+        session.commit()
+        assert reopen_cold_diff(cold) == []
 
 
 class TestHostileBytes:
@@ -266,8 +318,7 @@ class TestHostileBytes:
     def test_every_truncation_and_bit_flip_of_a_root_track_is_refused(self):
         fields = {
             "epoch": 9, "last_tx_time": 300, "next_oid": 5000, "alias_counter": 2,
-            "object_table_tracks": [5, 9], "allocation_tracks": [11],
-            "catalog_tracks": [13, 14], "note_tracks": [200, 201],
+            "contents_tracks": [200, 201],
         }
         track = encode_root_track(fields)
         assert decode_root_track(track) == fields
@@ -286,10 +337,22 @@ class TestHostileBytes:
         with pytest.raises(CodecError):
             decode_root(payload + b"\x00")
 
+    def test_a_page_entry_of_no_track_or_one_past_the_disk_is_refused(self):
+        # well-formed pages whose entry names no track, the disk's own
+        # size, or a number far past it: refused before any of it is kept
+        for tracks in ((), (64,), (5, 10**12)):
+            for dense in (False, True):
+                writer = Writer()
+                for value in (0, *(() if dense else (7,)), 1, len(tracks), *tracks):
+                    writer.uvarint(value)
+                with pytest.raises(CodecError):
+                    ObjectTable().load_page(writer.getvalue(), 64, dense=dense)
+        assert ObjectTable().load_page(bytes([0, 7, 1, 1, 63]), 64) == 0
+
     def test_a_damaged_note_track_fails_the_open_with_a_typed_error(self):
         store, disk = make_store()
         store.persist([], store.last_tx_time, note={"2pc": b"x" * 40})
-        (track,) = store._note_tracks
+        (track,) = store._directory["note"].tracks
         image = disk.read_track(track)
         rng = random.Random(7)
         for garbage in (b"", image[:3], image[:20], b"\xff" * 512,
@@ -321,14 +384,19 @@ class TestSmallWastes:
         assert StableStore.open(disk).catalog["extra"] == obj.oid
 
     def test_a_page_image_is_what_the_writer_would_have_produced(self):
-        def reference(table, page):
+        def reference(table, page, dense=False):
+            # dense: the page blob of a platter before the contents record
             writer = Writer()
             writer.uvarint(page)
-            for oid in range(page * PAGE_SPAN, (page + 1) * PAGE_SPAN):
-                location = table.get(oid)
+            for slot in range(PAGE_SPAN):
+                location = table.get(page * PAGE_SPAN + slot)
                 if location is None:
-                    writer.uvarint(0)
-                elif location.archived:
+                    if dense:
+                        writer.uvarint(0)
+                    continue
+                if not dense:
+                    writer.uvarint(slot)
+                if location.archived:
                     writer.uvarint(2)
                     writer.uvarint(location.archive_key)
                 else:
@@ -351,6 +419,9 @@ class TestSmallWastes:
                     ])
             image = table.encode_page(page)
             assert image == reference(table, page)
+            legacy = ObjectTable()
+            assert legacy.load_page(reference(table, page, dense=True), 2_000_001, dense=True) == page
+            assert legacy.encode_page(page) == image
             again = ObjectTable()
-            assert again.load_page(image) == page
+            assert again.load_page(image, 2_000_001) == page
             assert again.encode_page(page) == image

@@ -14,7 +14,8 @@ from repro.storage import (
     SimulatedDisk,
     StableStore,
 )
-from repro.storage.object_table import decode_page_directory, encode_page_directory
+from repro.storage.codec import Writer
+from repro.storage.object_table import decode_page_directory
 from repro.storage.replication import EPOCH_HEADER_SIZE
 
 
@@ -195,12 +196,21 @@ class TestObjectTable:
         table.set_archived(7, 99)
         data = table.encode_page(0)
         fresh = ObjectTable()
-        assert fresh.load_page(data) == 0
+        assert fresh.load_page(data, 16) == 0
         assert fresh.get(3) == Location(tracks=(5, 6))
         assert fresh.get(7) == Location(archive_key=99)
         assert fresh.get(4) is None
         assert fresh.tracks_in_use() == {5, 6}
 
     def test_page_directory_roundtrip(self):
+        # the blob a platter before the contents record holds: what its
+        # writer put down, decoded by the legacy open
         directory = {0: (5,), 3: (9, 10), 7: (12,)}
-        assert decode_page_directory(encode_page_directory(directory)) == directory
+        writer = Writer()
+        writer.uvarint(len(directory))
+        for page, tracks in directory.items():
+            writer.uvarint(page)
+            writer.uvarint(len(tracks))
+            for track in tracks:
+                writer.uvarint(track)
+        assert decode_page_directory(writer.getvalue()) == directory

@@ -3,13 +3,16 @@
 The parametrized sweep below is exhaustive, not sampled — the write
 count of the victim commit is measured at import time on a throwaway
 clone, and one test case crashes before each of those writes in turn.
-Recovery must land the previous epoch with every pre-crash value intact.
+Recovery must land the previous epoch with every pre-crash value intact,
+also when the crashed group is the retry of one that failed transiently.
 """
+
+import itertools
 
 import pytest
 
 from repro.core import GemObject
-from repro.errors import DiskCrashed
+from repro.errors import DiskCrashed, TransientDiskError
 from repro.storage import (
     DiskGeometry,
     Linker,
@@ -29,7 +32,9 @@ def _commit(store, creations=(), writes=()):
 
 
 def _update_writes(oids):
-    return [(oid, "v", f"new{i}") for i, oid in enumerate(oids)]
+    # a value that fills most of a track: each record gets one of its
+    # own, so the victim group spans several shadow tracks
+    return [(oid, "v", f"new{i}" + "x" * 400) for i, oid in enumerate(oids)]
 
 
 def _prepare():
@@ -83,5 +88,59 @@ def test_crash_after_final_write_lands_new_epoch():
     disk.restart()
     recovered = StableStore.open(disk)
     assert recovered.commit_manager.current_epoch == _BASE_EPOCH + 1
-    for index, oid in enumerate(_OIDS):
-        assert recovered.object(oid).value("v") == f"new{index}"
+    for oid, name, value in _update_writes(_OIDS):
+        assert recovered.object(oid).value(name) == value
+
+
+def lose_one_write(disk, at):
+    """The *at*-th write from now fails transiently, once; the rest land."""
+    write_track, count = disk.write_track, itertools.count()
+
+    def write(track, data):
+        if next(count) == at:
+            raise TransientDiskError(f"transient write failure on track {track}")
+        write_track(track, data)
+
+    disk.write_track = write
+
+
+def _spread():
+    """The base platter with each record moved to a track of its own, and
+    the write count of a commit that rewrites the first of them."""
+    disk = _DISK.clone()
+    _commit(StableStore.open(disk), writes=_update_writes(_OIDS))
+    probe = disk.clone()
+    before = probe.stats.writes
+    _commit(StableStore.open(probe), writes=_VICTIM)
+    return disk, probe.stats.writes - before
+
+
+#: a rewrite of the first record whose retry takes two tracks: were the
+#: track the record leaves freed by the failed try, the retry would take
+#: the free one below it and that one
+_VICTIM = [(_OIDS[0], "v", "again" + "x" * 150)]
+_SPREAD, _VICTIM_WRITES = _spread()
+
+
+@pytest.mark.parametrize("fail_at", range(_VICTIM_WRITES))
+def test_a_failed_group_then_a_crash_inside_its_retry_lands_previous_epoch(fail_at):
+    """A group that fails before its root frees no track the old root
+    reaches: the retry, which takes the lowest free track, cannot write
+    over the record that root still names."""
+    base = StableStore.open(_SPREAD.clone())
+    epoch, reached = base.commit_manager.current_epoch, base._allocated()
+    for crash_at in range(_VICTIM_WRITES):
+        disk = _SPREAD.clone()
+        store = StableStore.open(disk)
+        lose_one_write(disk, fail_at)
+        with pytest.raises(TransientDiskError):
+            _commit(store, writes=_VICTIM)
+        assert store.tracks.allocated_tracks() == reached
+        disk.crash_after(crash_at)
+        with pytest.raises(DiskCrashed):
+            _commit(store, writes=_VICTIM)
+        disk.restart()
+        recovered = StableStore.open(disk)
+        assert recovered.commit_manager.current_epoch == epoch
+        for oid, name, value in _update_writes(_OIDS):
+            assert recovered.object(oid).value(name) == value
