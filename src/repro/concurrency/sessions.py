@@ -49,7 +49,6 @@ from ..errors import (
     ClassProtocolError,
     NoSuchObject,
     SessionClosed,
-    StorageError,
 )
 from ..govern.quota import SessionQuota
 from ..perf.epochs import class_epoch
@@ -126,20 +125,12 @@ class SessionObjectManager(ObjectStore):
 
         A :class:`~repro.errors.StorageError` mid-commit (an injected
         crash, a degraded volume) also propagates, but the session
-        *survives* it: the unusable workspace is discarded and a fresh
-        transaction begins, so the same session can retry once the
-        store recovers.
+        *survives* it: the Transaction Manager detached the workspace
+        before applying it, and a fresh transaction begins, so the same
+        session can retry once the store recovers.
         """
         self._ensure_open()
-        try:
-            return self.transaction_manager.commit(self)
-        except StorageError:
-            # defense in depth: the Transaction Manager normally resets
-            # us before re-raising, but a half-torn workspace must never
-            # leak into the next transaction
-            if self.write_log or self.creations:
-                self.transaction_manager.abort(self)
-            raise
+        return self.transaction_manager.commit(self)
 
     def abort(self) -> None:
         """Discard the workspace wholesale and begin a new transaction."""

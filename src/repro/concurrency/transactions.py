@@ -21,14 +21,17 @@ Validation probes each committed write ``(oid, name)`` into
 ``reads[name]`` (writes are few, columns wide), unless the reads are the
 fewer.
 
-A successful commit drives the storage pipeline: Linker → (commit
-listeners, e.g. the Directory Manager) → Boxer/Commit Manager via
-``store.persist``.
+The Transaction Manager is the only writer of the stable store, and it
+has one apply path: a transaction time, the Linker, the commit listeners
+(e.g. the Directory Manager), ``store.persist`` (Boxer/Commit Manager),
+the commit log.  A local commit is validate + apply in one hold of the
+store's lock; PREPARE is validate + hold; DECIDE-commit and
+:meth:`TransactionManager.publish` (a durable group that is no session's
+transaction) are apply.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Callable, Mapping, Optional
@@ -63,6 +66,11 @@ def _read_conflicts(
     return {(oid, name) for oid, name in writes if oid in reads.get(name, ())}
 
 
+def _footprint(write_log) -> tuple[frozenset, frozenset]:
+    """The (oid, element name) pairs and the oids *write_log* binds."""
+    return frozenset((w.oid, w.name) for w in write_log), frozenset(w.oid for w in write_log)
+
+
 @dataclass
 class CommittedTransaction:
     """The validation footprint one commit leaves behind."""
@@ -74,18 +82,19 @@ class CommittedTransaction:
 
 @dataclass
 class PreparedTransaction:
-    """Phase one of a cross-shard commit: a validated, detached workspace.
+    """A validated workspace detached from its session.
 
-    Between PREPARE and DECIDE the transaction is *in doubt*: it has
-    voted yes and must remain committable, so its full read/write
-    footprint stays registered with the Transaction Manager and every
-    concurrent validation treats it as a lock — any overlap (read-write,
-    write-read, or write-write) conflicts the later committer.  The
-    workspace content (creations, writes, new classes) is detached from
-    the session, which immediately begins a fresh transaction.
+    A local commit detaches one and applies it at once.  A PREPARE (phase
+    one of a cross-shard commit) holds it under its *gtid*: between
+    PREPARE and DECIDE the transaction is *in doubt* — it has voted yes
+    and must remain committable, so its full read/write footprint stays
+    registered with the Transaction Manager and every concurrent
+    validation treats it as a lock: any overlap (read-write, write-read,
+    or write-write) conflicts the later committer.  Only a held one
+    keeps its reads.
     """
 
-    gtid: str
+    gtid: Optional[str]
     session_id: int
     creations: list
     write_log: list
@@ -149,7 +158,8 @@ class TransactionManager:
         #: optional :class:`~repro.obs.Observability` (wired by GemStone):
         #: commit spans + commit/abort/retry counters land there
         self.obs = None
-        self._lock = threading.RLock()
+        #: the store's commit lock: validation and apply run in one hold
+        self._lock = store.lock
         self._log: list[CommittedTransaction] = []
         self._active: dict[int, int] = {}  # session_id -> start time
         #: in-doubt cross-shard transactions, keyed by global txn id
@@ -238,52 +248,19 @@ class TransactionManager:
                 self.stats.read_only_commits += 1
                 self.begin(session)
                 return self.clock.latest
-
             self._enforce_priority(session)
-            conflicts = self._validate(session)
-            if conflicts:
-                self.stats.aborts += 1
-                delay = self._record_abort(session)
-                self.abort(session)
-                error = TransactionConflict(
-                    f"validation failed on {len(conflicts)} element(s)",
-                    conflicts=tuple(sorted(conflicts, key=repr)),
-                )
-                error.retry_after = delay
-                raise error
-
-            tx_time = self.clock.assign()
-            creations = list(session.creations)
-            writes = list(session.write_log)
-            dirty = self.linker.incorporate(creations, writes, tx_time)
-            for listener in self._listeners:
-                listener(tx_time, dirty, writes, creations)
+            work = self._detach(session, "validation")
             try:
-                self.store.persist(
-                    dirty,
-                    tx_time,
-                    new_classes=session.new_classes(),
-                    deltas=self.linker.deltas,
-                )
+                tx_time = self._apply(work.creations, work.write_log, work.new_classes)
             except StorageError:
-                # the storage stack failed mid-pipeline (injected crash,
-                # degraded volume): nothing became durable, so discard
-                # the workspace and begin fresh — the session object
-                # survives the failure and can retry after recovery
+                # nothing became durable and the workspace is already
+                # gone: the session survives and can retry after recovery
                 self.stats.storage_failures += 1
-                self.abort(session)
+                self.begin(session)
                 raise
-            self._log.append(
-                CommittedTransaction(
-                    tx_time=tx_time,
-                    writes=frozenset((w.oid, w.name) for w in writes),
-                    written_oids=frozenset(w.oid for w in writes),
-                )
-            )
-            self._trim_log()
             self.stats.commits += 1
             self._record_success(session)
-            session.reset_transaction_state()
+            # after the apply: the next transaction starts at this commit
             self.begin(session)
             return tx_time
 
@@ -307,35 +284,10 @@ class TransactionManager:
             if not session.has_uncommitted_changes:
                 self.begin(session)
                 return None
-            conflicts = self._validate(session)
-            if conflicts:
-                self.stats.aborts += 1
-                delay = self._record_abort(session)
-                self.abort(session)
-                error = TransactionConflict(
-                    f"prepare failed on {len(conflicts)} element(s)",
-                    conflicts=tuple(sorted(conflicts, key=repr)),
-                )
-                error.retry_after = delay
-                raise error
-            prepared = PreparedTransaction(
-                gtid=gtid,
-                session_id=session.session_id,
-                creations=list(session.creations),
-                write_log=list(session.write_log),
-                new_classes=session.new_classes(),
-                writes=frozenset((w.oid, w.name) for w in session.write_log),
-                written_oids=frozenset(w.oid for w in session.write_log),
-                reads={
-                    name: frozenset(oids) for name, oids in session.reads.items()
-                },
-                enum_reads=frozenset(session.enum_reads),
-            )
-            self._prepared[gtid] = prepared
+            prepared = self._prepared[gtid] = self._detach(session, "prepare", gtid)
             self.stats.prepares += 1
             if self.obs is not None:
                 self.obs.registry.inc("txn.prepares")
-            session.reset_transaction_state()
             self.begin(session)
             return prepared
 
@@ -350,19 +302,9 @@ class TransactionManager:
         """
         with self._lock:
             prepared = self._prepared[gtid]
-            tx_time = self.clock.assign()
-            dirty = self.linker.incorporate(
-                prepared.creations, prepared.write_log, tx_time
-            )
-            for listener in self._listeners:
-                listener(tx_time, dirty, prepared.write_log, prepared.creations)
             try:
-                self.store.persist(
-                    dirty,
-                    tx_time,
-                    new_classes=prepared.new_classes,
-                    deltas=self.linker.deltas,
-                    note=note,
+                tx_time = self._apply(
+                    prepared.creations, prepared.write_log, prepared.new_classes, note
                 )
             except StorageError:
                 # nothing became durable; the transaction stays prepared
@@ -370,19 +312,21 @@ class TransactionManager:
                 self.stats.storage_failures += 1
                 raise
             del self._prepared[gtid]
-            self._log.append(
-                CommittedTransaction(
-                    tx_time=tx_time,
-                    writes=prepared.writes,
-                    written_oids=prepared.written_oids,
-                )
-            )
-            self._trim_log()
             self.stats.commits += 1
             self.stats.prepared_commits += 1
             if self.obs is not None:
                 self.obs.registry.inc("txn.prepared_commits")
             return tx_time
+
+    def publish(self, writes=(), note=None) -> int:
+        """Make *writes* and *note* durable as one group that is no
+        session's transaction (the DBA's ``system`` bindings, a shard
+        worker's in-doubt set, the table after an archive); returns its
+        transaction time.  *writes* are Linker ``Write`` records,
+        replayed like any commit's.
+        """
+        with self._lock:
+            return self._apply((), list(writes), None, note)
 
     def abort_prepared(self, gtid: str) -> bool:
         """Phase two, abort side: drop the prepared workspace and its locks."""
@@ -399,6 +343,63 @@ class TransactionManager:
         """Gtids prepared but not yet decided, in prepare order."""
         with self._lock:
             return list(self._prepared)
+
+    # -- the one apply path ----------------------------------------------------
+
+    def _detach(
+        self, session, verb: str, gtid: Optional[str] = None
+    ) -> PreparedTransaction:
+        """Validate *session*'s transaction and take its workspace away.
+
+        On conflict the transaction is aborted and
+        :class:`TransactionConflict` ("*verb* failed on ...") is raised.
+        The session is left empty, not yet begun again.  Only a held
+        PREPARE (*gtid*) keeps the read set: as locks for later
+        validations.
+        """
+        conflicts = self._validate(session)
+        if conflicts:
+            self.stats.aborts += 1
+            delay = self._record_abort(session)
+            self.abort(session)
+            error = TransactionConflict(
+                f"{verb} failed on {len(conflicts)} element(s)",
+                conflicts=tuple(sorted(conflicts, key=repr)),
+            )
+            error.retry_after = delay
+            raise error
+        work = PreparedTransaction(
+            gtid,
+            session.session_id,
+            list(session.creations),
+            list(session.write_log),
+            session.new_classes(),
+            *_footprint(session.write_log),
+            reads={} if gtid is None else {
+                name: frozenset(oids) for name, oids in session.reads.items()
+            },
+            enum_reads=frozenset(() if gtid is None else session.enum_reads),
+        )
+        session.reset_transaction_state()
+        return work
+
+    def _apply(self, creations, writes, new_classes, note=None) -> int:
+        """Incorporate one group and make it durable; return its time.
+
+        The caller holds the lock.  A group that binds nothing takes no
+        new transaction time.  Runs the Linker, the commit listeners and
+        ``store.persist``, then leaves the group's footprint in the log.
+        """
+        tx_time = self.clock.assign() if creations or writes else self.store.last_tx_time
+        dirty = self.linker.incorporate(creations, writes, tx_time)
+        for listener in self._listeners:
+            listener(tx_time, dirty, writes, creations)
+        self.store.persist(
+            dirty, tx_time, new_classes=new_classes, deltas=self.linker.deltas, note=note
+        )
+        self._log.append(CommittedTransaction(tx_time, *_footprint(writes)))
+        self._trim_log()
+        return tx_time
 
     # -- contention policy -------------------------------------------------------
 
@@ -512,12 +513,7 @@ class TransactionManager:
             for oid in committed.written_oids & session.enum_reads:
                 conflicts.add((oid, "<enumeration>"))
         if self._prepared:
-            session_writes = frozenset(
-                (w.oid, w.name) for w in session.write_log
-            )
-            session_written_oids = frozenset(
-                w.oid for w in session.write_log
-            )
+            session_writes, session_written_oids = _footprint(session.write_log)
             for prepared in self._prepared.values():
                 conflicts |= _read_conflicts(prepared.writes, reads, read_count)
                 conflicts |= prepared.writes & session_writes

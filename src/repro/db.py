@@ -38,6 +38,7 @@ from .opal.interpreter import OpalEngine
 from .opal.kernel import print_string
 from .storage.archive import ArchiveMedia
 from .storage.disk import DiskGeometry, SimulatedDisk
+from .storage.linker import Write
 from .storage.replication import ReplicatedDisk
 from .storage.stable import StableStore
 
@@ -308,8 +309,7 @@ class GemStone:
     def archive_object(self, oid: int, media: ArchiveMedia) -> int:
         """DBA: move an object's record to archival media."""
         key = self.store.archive_object(oid, media)
-        tx_time = self.transaction_manager.clock.assign()
-        self.store.persist([], tx_time)
+        self.transaction_manager.publish()
         return key
 
     def archive_history(self, media: ArchiveMedia) -> list[int]:
@@ -325,27 +325,27 @@ class GemStone:
 
         Returns the archived oids.
         """
-        reachable: set[int] = set()
-        stack = [oid for oid in self.store.catalog.values()]
-        stack.extend(self.store.classes.values())
-        while stack:
-            oid = stack.pop()
-            if oid in reachable:
-                continue
-            location = self.store.table.get(oid)
-            if location is None or location.archived:
-                continue
-            reachable.add(oid)
-            stack.extend(self.store.object(oid).referenced_oids())
-        archived = []
-        for oid in sorted(set(self.store.table.oids()) - reachable):
-            if not self.store.table.get(oid).archived:
-                self.store.archive_object(oid, media)
-                archived.append(oid)
-        if archived:
-            tx_time = self.transaction_manager.clock.assign()
-            self.store.persist([], tx_time)
-        return archived
+        with self.store.lock:  # no commit may make one reachable meanwhile
+            reachable: set[int] = set()
+            stack = [oid for oid in self.store.catalog.values()]
+            stack.extend(self.store.classes.values())
+            while stack:
+                oid = stack.pop()
+                if oid in reachable:
+                    continue
+                location = self.store.table.get(oid)
+                if location is None or location.archived:
+                    continue
+                reachable.add(oid)
+                stack.extend(self.store.object(oid).referenced_oids())
+            archived = []
+            for oid in sorted(set(self.store.table.oids()) - reachable):
+                if not self.store.table.get(oid).archived:
+                    self.store.archive_object(oid, media)
+                    archived.append(oid)
+            if archived:
+                self.transaction_manager.publish()
+            return archived
 
     def compact(self) -> int:
         """DBA: re-box every object into fresh clustered tracks.
@@ -354,12 +354,11 @@ class GemStone:
         parent-first clustering from the world root outward.  Returns
         the number of tracks reclaimed.
         """
-        tx_time = self.transaction_manager.clock.assign()
         world_first = [
             self.store.catalog[_WORLD_KEY],
             self.store.catalog[_SYSTEM_KEY],
         ] + sorted(self.store.classes.values())
-        return self.store.compact(tx_time, world_first)
+        return self.store.compact(world_first)
 
     # ------------------------------------------------------------------
     # disaster recovery (repro.dr)
@@ -467,15 +466,16 @@ class GemStone:
         return self.store.object(self.store.catalog[_SYSTEM_KEY])
 
     def _persist_system_state(self) -> None:
-        system = self._system_object()
-        tx_time = self.transaction_manager.clock.assign()
-        system.bind("security", json.dumps(self.authorizer.export_state()), tx_time)
-        system.bind(
-            "directories",
-            json.dumps(self.directory_manager.export_definitions()),
-            tx_time,
-        )
-        self.store.persist([system], tx_time)
+        system = self.store.catalog[_SYSTEM_KEY]
+        with self.store.lock:  # export what every earlier DBA call left
+            self.transaction_manager.publish([
+                Write(system, "security", json.dumps(self.authorizer.export_state())),
+                Write(
+                    system,
+                    "directories",
+                    json.dumps(self.directory_manager.export_definitions()),
+                ),
+            ])
 
     def _load_system_state(self) -> None:
         system = self._system_object()

@@ -294,8 +294,7 @@ class ShardWorker:
         """Force *prepared* to disk as the in-doubt set: one safe group
         write of no objects — a contents record in which only the note
         changed, and the root."""
-        store = self.db.store
-        store.persist([], store.last_tx_time, note=_note(prepared))
+        self.db.transaction_manager.publish(note=_note(prepared))
         self._durable_prepared = prepared
 
     # -- reporting -------------------------------------------------------------

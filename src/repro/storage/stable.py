@@ -186,6 +186,9 @@ class StableStore(ObjectStore):
         self.root_has_note = True
         self._next_oid = FIRST_USER_OID
         self._oid_lock = threading.Lock()
+        #: the commit lock: one writer of the platter and the tables at a
+        #: time (the Transaction Manager holds it across validate + apply)
+        self.lock = threading.RLock()
         self.last_tx_time = 0
         #: well-known oids (world, system dictionary, directory catalog)
         self.catalog: dict[str, int] = {}
@@ -459,15 +462,15 @@ class StableStore(ObjectStore):
         dirty_objects: Sequence[GemObject],
         tx_time: int,
         new_classes: dict[str, int] | None = None,
-        catalog_updates: dict[str, int] | None = None,
         deltas: Mapping[int, Delta] | None = None,
         note: Mapping[str, bytes] | None = None,
     ) -> int:
         """Make *dirty_objects* durable as one safe-written commit group.
 
-        The caller (the Transaction Manager, or :meth:`format`) has
-        already merged the transaction via the Linker; objects arrive
-        parent-first for clustering.  *deltas* (``Linker.deltas``) says,
+        The caller (the Transaction Manager; :meth:`format` and
+        :meth:`compact` for the store's own groups) has already merged
+        the transaction via the Linker; objects arrive parent-first for
+        clustering.  *deltas* (``Linker.deltas``) says,
         per oid, exactly what the transaction bound: an object whose
         record spans tracks then has those associations appended to its
         last fragment rather than being encoded again.  *note* updates
@@ -476,23 +479,19 @@ class StableStore(ObjectStore):
         the new root epoch.
         """
         obs = self.obs
-        if obs is not None and obs.tracer.enabled:
+        with self.lock:
+            if obs is None or not obs.tracer.enabled:
+                return self._persist(dirty_objects, tx_time, new_classes, deltas, note)
             with obs.tracer.span(
                 "storage.persist", objects=len(dirty_objects), tx_time=tx_time
             ):
-                return self._persist(
-                    dirty_objects, tx_time, new_classes, catalog_updates, deltas, note
-                )
-        return self._persist(
-            dirty_objects, tx_time, new_classes, catalog_updates, deltas, note
-        )
+                return self._persist(dirty_objects, tx_time, new_classes, deltas, note)
 
     def _persist(
         self,
         dirty_objects: Sequence[GemObject],
         tx_time: int,
         new_classes: dict[str, int] | None = None,
-        catalog_updates: dict[str, int] | None = None,
         deltas: Mapping[int, Delta] | None = None,
         note: Mapping[str, bytes] | None = None,
     ) -> int:
@@ -500,8 +499,6 @@ class StableStore(ObjectStore):
             for name, oid in new_classes.items():
                 self.classes[name] = oid
                 self.catalog[_CLASS_CATALOG_PREFIX + name] = oid
-        if catalog_updates:
-            self.catalog.update(catalog_updates)
 
         # 1. Boxer: encode and pack dirty objects into fresh tracks — whole
         #    records, or just the grown tail of one that spans tracks.
@@ -541,7 +538,7 @@ class StableStore(ObjectStore):
                 page: self.table.encode_page(page) for page in sorted(pages)
             }
             catalog_blob = self._catalog_blob
-            if new_classes or catalog_updates or everything:
+            if new_classes or everything:
                 catalog_blob = encode_catalog(self.catalog)
                 if everything or catalog_blob != self._catalog_blob:
                     changed["catalog"] = catalog_blob
@@ -658,7 +655,7 @@ class StableStore(ObjectStore):
     # compaction
     # ------------------------------------------------------------------
 
-    def compact(self, tx_time: int, root_oids: Sequence[int] = ()) -> int:
+    def compact(self, root_oids: Sequence[int] = ()) -> int:
         """Rewrite every on-disk object into fresh, clustered tracks.
 
         Shadow paging never overwrites live tracks, so long-lived tracks
@@ -667,18 +664,20 @@ class StableStore(ObjectStore):
         *root_oids* (default: the catalog's well-known objects) go first
         in parent-first order — restoring the Boxer's clustering — and
         unreachable objects follow (no GC: they are rewritten, never
-        dropped).  Archived objects keep their archive locations.
+        dropped).  Archived objects keep their archive locations.  The
+        group binds nothing, so it takes no new transaction time.
 
         Returns the number of tracks reclaimed.
         """
-        roots = list(root_oids) or [
-            oid for oid in self.catalog.values() if isinstance(oid, int)
-        ]
-        order = self._compaction_order(roots)
-        objects = [self.object(oid) for oid in order]
-        before = len(self.tracks.allocated_tracks())
-        self.persist(objects, tx_time)
-        return before - len(self.tracks.allocated_tracks())
+        with self.lock:
+            roots = list(root_oids) or [
+                oid for oid in self.catalog.values() if isinstance(oid, int)
+            ]
+            order = self._compaction_order(roots)
+            objects = [self.object(oid) for oid in order]
+            before = len(self.tracks.allocated_tracks())
+            self.persist(objects, self.last_tx_time)
+            return before - len(self.tracks.allocated_tracks())
 
     def _compaction_order(self, roots: Sequence[int]) -> list[int]:
         on_disk = {
@@ -717,16 +716,17 @@ class StableStore(ObjectStore):
         mounted.  The table change becomes durable at the next commit,
         which is also what frees the record's tracks.
         """
-        location = self.table.get(oid)
-        if location is None:
-            raise NoSuchObject(oid)
-        if location.archived:
-            raise ArchiveError(f"oid {oid} is already archived")
-        data = self._read_record(oid, location.tracks)
-        key = media.store(data)
-        self.table.set_archived(oid, key)
-        self.cache.evict(oid)
-        return key
+        with self.lock:
+            location = self.table.get(oid)
+            if location is None:
+                raise NoSuchObject(oid)
+            if location.archived:
+                raise ArchiveError(f"oid {oid} is already archived")
+            data = self._read_record(oid, location.tracks)
+            key = media.store(data)
+            self.table.set_archived(oid, key)
+            self.cache.evict(oid)
+            return key
 
     # ------------------------------------------------------------------
     # statistics

@@ -414,9 +414,9 @@ class TestSmallWastes:
         commit(store, [], [Write(wide.oid, "k0001", 1)])
         assert store._directory["catalog"] == kept
         tx_time = store.last_tx_time + 1
-        store.persist([], tx_time, catalog_updates={"extra": wide.oid})
+        store.persist([], tx_time, new_classes={"Extra": store.classes["Object"]})
         assert store._directory["catalog"] != kept
-        assert reopened(disk).catalog["extra"] == wide.oid
+        assert reopened(disk).classes["Extra"] == store.classes["Object"]
 
     def test_a_reopened_store_keeps_its_catalog_tracks_too(self):
         store, disk = make_store()

@@ -93,8 +93,8 @@ class TestTheDerivedAllocation:
         # a catalog-only record sits on a track of its own; a small
         # platter recycles every other track many times over around it
         db = small_db(track_count=48)
-        world = db.store.catalog["world"]
-        db.store.persist([], db.store.last_tx_time, catalog_updates={"extra": world})
+        alias = {"Extra": db.store.classes["Object"]}
+        db.store.persist([], db.store.last_tx_time, new_classes=alias)
         held = db.store._directory["catalog"].tracks
         assert not set(held) & db.store.table.tracks_in_use()
         session = db.login()

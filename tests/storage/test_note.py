@@ -379,9 +379,9 @@ class TestSmallWastes:
             commit(store, writes=[Write(obj.oid, "v", i)])
         store.persist([], store.last_tx_time, note={"2pc": b"g1"})
         assert calls == []
-        commit(store, catalog_updates={"extra": obj.oid})
+        commit(store, new_classes={"Extra": store.classes["Object"]})
         assert calls == [1]
-        assert StableStore.open(disk).catalog["extra"] == obj.oid
+        assert StableStore.open(disk).classes["Extra"] == store.classes["Object"]
 
     def test_a_page_image_is_what_the_writer_would_have_produced(self):
         def reference(table, page, dense=False):
