@@ -156,7 +156,7 @@ class TransactionManager:
         #: deterministic clock all contention backoff is charged to
         self.backoff_clock = backoff_clock
         #: optional :class:`~repro.obs.Observability` (wired by GemStone):
-        #: commit spans + commit/abort/retry counters land there
+        #: commit spans land there; the counts are :attr:`stats`
         self.obs = None
         #: the store's commit lock: validation and apply run in one hold
         self._lock = store.lock
@@ -225,21 +225,18 @@ class TransactionManager:
         carrying the conflicting (oid, element) pairs.
         """
         obs = self.obs
-        if obs is None:
+        if obs is None or not obs.tracer.enabled:
             return self._commit(session)
         with obs.tracer.span("txn.commit") as span:
             try:
                 tx_time = self._commit(session)
             except TransactionConflict:
-                obs.registry.inc("txn.aborts")
                 span.note(outcome="conflict")
                 raise
             except StorageError:
-                obs.registry.inc("txn.storage_failures")
                 span.note(outcome="storage_failure")
                 raise
             span.note(tx_time=tx_time)
-        obs.registry.inc("txn.commits")
         return tx_time
 
     def _commit(self, session) -> int:
@@ -286,8 +283,6 @@ class TransactionManager:
                 return None
             prepared = self._prepared[gtid] = self._detach(session, "prepare", gtid)
             self.stats.prepares += 1
-            if self.obs is not None:
-                self.obs.registry.inc("txn.prepares")
             self.begin(session)
             return prepared
 
@@ -314,8 +309,6 @@ class TransactionManager:
             del self._prepared[gtid]
             self.stats.commits += 1
             self.stats.prepared_commits += 1
-            if self.obs is not None:
-                self.obs.registry.inc("txn.prepared_commits")
             return tx_time
 
     def publish(self, writes=(), note=None) -> int:
@@ -335,8 +328,6 @@ class TransactionManager:
             if prepared is None:
                 return False
             self.stats.prepared_aborts += 1
-            if self.obs is not None:
-                self.obs.registry.inc("txn.prepared_aborts")
             return True
 
     def in_doubt(self) -> list[str]:
@@ -480,8 +471,6 @@ class TransactionManager:
             except TransactionConflict as error:
                 last_error = error
                 self.stats.conflict_retries += 1
-                if self.obs is not None:
-                    self.obs.registry.inc("txn.conflict_retries")
             except OverloadedError as error:
                 last_error = error
                 self.backoff_clock.advance(

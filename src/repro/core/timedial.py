@@ -18,7 +18,7 @@ layer.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 class TimeDial:
@@ -30,8 +30,7 @@ class TimeDial:
     """
 
     __slots__ = (
-        "time", "_safe_time_provider", "_commit_time_provider",
-        "clamps", "on_clamp",
+        "time", "_safe_time_provider", "_commit_time_provider", "clamps",
     )
 
     def __init__(
@@ -44,10 +43,9 @@ class TimeDial:
         #: the commit-clock ceiling SafeTime may never exceed (§5.4);
         #: ``None`` trusts the SafeTime provider unconditionally
         self._commit_time_provider = commit_time_provider
-        #: times :meth:`set_safe` had to clamp a too-new SafeTime
+        #: times :meth:`set_safe` had to clamp a too-new SafeTime (the
+        #: snapshot's ``governance.safetime_clamps`` sums every dial's)
         self.clamps = 0
-        #: optional observability hook, called once per clamp
-        self.on_clamp: Optional[Callable[[], Any]] = None
 
     def __repr__(self) -> str:
         setting = "now" if self.time is None else str(self.time)
@@ -86,8 +84,6 @@ class TimeDial:
             if safe > ceiling:
                 safe = ceiling
                 self.clamps += 1
-                if self.on_clamp is not None:
-                    self.on_clamp()
         self.time = safe
         return safe
 

@@ -76,9 +76,6 @@ class GemSession:
         )
         self.engine.system.database = database  # enable DBA system messages
         self.engine.obs = database.obs
-        self.session.time_dial.on_clamp = (
-            lambda: database.obs.registry.inc("safetime.clamps")
-        )
         database.obs.register_session(self)
 
     # -- language interface ---------------------------------------------------
@@ -400,11 +397,10 @@ class GemStone:
         if link_wrapper is not None:
             link = link_wrapper(link)
         store = replica_store if replica_store is not None else ReplicaLogStore()
-        receiver = LogReceiver(store, obs=self.obs)
+        receiver = LogReceiver(store)
         shipper = LogShipper(
             link,
             pump=lambda: receiver.serve(replica_end),
-            obs=self.obs,
             sync=sync,
             clock=clock,
             frame_deadline=frame_deadline,

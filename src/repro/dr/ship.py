@@ -48,17 +48,13 @@ class LogReceiver(ReplayingServer):
     and one receiver without their sequence spaces colliding.
     """
 
-    def __init__(self, store: ReplicaLogStore, obs=None) -> None:
+    def __init__(self, store: ReplicaLogStore) -> None:
         super().__init__(self._handle)
         self.store = store
-        self.obs = obs
 
     def _handle(self, frame: Frame) -> bytes:
         if frame.type in (FrameType.SHIP, FrameType.SNAPSHOT):
-            acked = self.store.append(frame.fields["record"])
-            if self.obs is not None:
-                self.obs.registry.inc("dr.records_received")
-            return protocol.encode_ship_ack(acked)
+            return protocol.encode_ship_ack(self.store.append(frame.fields["record"]))
         if frame.type is FrameType.SHIP_STATUS:
             return protocol.encode_ship_ack(self.store.acked_epoch)
         raise ProtocolError(f"unexpected frame {frame.type.name}")
@@ -71,7 +67,6 @@ class LogShipper(ExactlyOnceClient):
         self,
         link,
         pump: Callable[[], None],
-        obs=None,
         sync: bool = True,
         max_attempts: int = 8,
         clock=None,
@@ -87,7 +82,6 @@ class LogShipper(ExactlyOnceClient):
             deadline=frame_deadline, retry_delay=retry_delay,
             max_attempts=max_attempts, unavailable=ReplicaNotAcknowledged,
         )
-        self.obs = obs
         #: sync: a commit is not acknowledged until its record is; async
         #: (False) buffers into history for a later :meth:`catch_up`
         self.sync = sync
@@ -115,15 +109,12 @@ class LogShipper(ExactlyOnceClient):
         self.history[epoch] = record
         self.local_epoch = epoch
         if self.suspended or not self.sync:
-            self._publish_gauges()
             return
         try:
             self._ship(protocol.encode_ship(record))
         except ReplicationError:
             self.ship_failures += 1
-            self._publish_gauges()
             raise
-        self._publish_gauges()
 
     # -- bootstrap and catch-up ------------------------------------------------
 
@@ -132,9 +123,7 @@ class LogShipper(ExactlyOnceClient):
         record = encode_record(snapshot_of(disk, epoch))
         self._bootstrap = (epoch, record)
         self.local_epoch = max(self.local_epoch, epoch)
-        acked = self._ship(protocol.encode_snapshot(record))
-        self._publish_gauges()
-        return acked
+        return self._ship(protocol.encode_snapshot(record))
 
     def checkpoint(self, disk, epoch: int) -> int:
         """Ship a fresh snapshot segment (recent recovery stays local
@@ -155,27 +144,17 @@ class LogShipper(ExactlyOnceClient):
         for epoch in sorted(self.history):
             if epoch > acked:
                 acked = self._ship(protocol.encode_ship(self.history[epoch]))
-        self._publish_gauges()
         return acked
 
     # -- the wire --------------------------------------------------------------
 
     def _ship(self, frame: bytes) -> int:
         """One exactly-once exchange; the epoch the replica acknowledged."""
-        retries_before = self.retries
-        try:
-            reply = protocol.raise_if_error(self.request(frame))
-        finally:
-            if self.obs is not None and self.retries > retries_before:
-                self.obs.registry.inc(
-                    "dr.ship_retries", self.retries - retries_before
-                )
+        reply = protocol.raise_if_error(self.request(frame))
         if reply.type is not FrameType.SHIP_ACK:
             raise ReplicationError(f"unexpected reply {reply.type.name}")
         self.acked_epoch = max(self.acked_epoch, reply.fields["epoch"])
         self.records_shipped += 1
-        if self.obs is not None:
-            self.obs.registry.inc("dr.records_shipped")
         return reply.fields["epoch"]
 
     # -- reporting -------------------------------------------------------------
@@ -184,14 +163,6 @@ class LogShipper(ExactlyOnceClient):
     def replication_lag(self) -> int:
         """Epochs the replica is behind the primary (0 when in step)."""
         return max(0, self.local_epoch - self.acked_epoch)
-
-    def _publish_gauges(self) -> None:
-        if self.obs is None:
-            return
-        registry = self.obs.registry
-        registry.set_gauge("dr.last_shipped_epoch", self.acked_epoch)
-        registry.set_gauge("dr.local_epoch", self.local_epoch)
-        registry.set_gauge("dr.replication_lag", self.replication_lag)
 
     def report(self) -> dict:
         """Shipping counters for dashboards and ``replication_report``."""

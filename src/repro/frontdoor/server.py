@@ -123,13 +123,11 @@ class FrontDoor:
         self.obs = getattr(database, "obs", None)
         if self.obs is not None:
             self.obs.register_frontdoor(self)
-            # what every request touches, resolved once; the rare
-            # counters are looked up by name where they happen
+            # what every request touches, resolved once
             registry = self.obs.registry
-            self._requests_counter = registry.counter("frontdoor.requests")
             self._depth_gauge = registry.gauge("frontdoor.queue_depth")
             self._latency = registry.histogram("frontdoor.latency_ms")
-        # lifetime counters (also mirrored into the obs registry)
+        # lifetime counters: the ``frontdoor`` snapshot section
         self.links_served = 0
         self.active_links = 0
         self.requests = 0
@@ -219,8 +217,6 @@ class FrontDoor:
         backlog = _Backlog(self.window)
         self.links_served += 1
         self.active_links += 1
-        if self.obs is not None:
-            self.obs.registry.set_gauge("frontdoor.active_links", self.active_links)
         dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch(executor, gem_end, backlog)
         )
@@ -243,10 +239,6 @@ class FrontDoor:
                 executor.hangup()  # a dead link must free its session slot
             gem_end.close()
             self.active_links -= 1
-            if self.obs is not None:
-                self.obs.registry.set_gauge(
-                    "frontdoor.active_links", self.active_links
-                )
 
     def _parse_hello(self, raw: bytes) -> tuple[Optional[str], Optional[bytes]]:
         """Split a link's first frame into (resume token, leftover frame)."""
@@ -362,8 +354,6 @@ class FrontDoor:
                     return
                 continue
             self.requests += 1
-            if obs is not None:
-                self._requests_counter.inc()
             cached = executor.lookup_replay(frame)
             if cached is not None:
                 # answered from the replay window without re-entering
@@ -377,8 +367,6 @@ class FrontDoor:
                 # already coming, and admitting it again would apply it
                 # twice — the in-flight gap the replay window can't see
                 self.suppressed_duplicates += 1
-                if obs is not None:
-                    obs.registry.inc("frontdoor.suppressed_duplicates")
                 continue
             refused = executor.gate(frame)
             if refused is not None:
@@ -433,8 +421,6 @@ class FrontDoor:
         late = executor.deadline_frame(frame)
         if late is not None:
             self.shed_deadline += 1
-            if self.obs is not None:
-                self.obs.registry.inc("frontdoor.shed_deadline")
             response, request_id = late, None
         else:
             response, request_id = executor.apply(frame)
@@ -454,12 +440,8 @@ class FrontDoor:
         kind = refused[0] if refused else 0
         if kind == FrameType.OVERLOADED:
             self.shed_overload += 1
-            if self.obs is not None:
-                self.obs.registry.inc("frontdoor.shed_overload")
         else:
             self.shed_deadline += 1
-            if self.obs is not None:
-                self.obs.registry.inc("frontdoor.shed_deadline")
 
     # -- reporting -----------------------------------------------------------
 

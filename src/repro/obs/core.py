@@ -3,8 +3,8 @@
 One :class:`Observability` belongs to each :class:`~repro.db.GemStone`
 (instance-scoped by default — nothing here is process-global).  It owns
 
-* the :class:`~repro.obs.registry.MetricsRegistry` every layer reports
-  native counters to (request totals, SafeTime clamps, span timings);
+* the :class:`~repro.obs.registry.MetricsRegistry` for the numbers no
+  section carries (request totals, span timings, ``net.*``);
 * the :class:`~repro.obs.tracing.Tracer` (request IDs + span ring);
 * the :class:`~repro.obs.slowlog.SlowQueryLog`;
 * the roster of things worth aggregating at snapshot time: admission
@@ -18,6 +18,7 @@ One :class:`Observability` belongs to each :class:`~repro.db.GemStone`
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from typing import Any, Optional
 
@@ -263,16 +264,7 @@ class Observability:
         if database is not None:
             tx_stats = database.transaction_manager.stats
             transactions = {
-                "commits": tx_stats.commits,
-                "aborts": tx_stats.aborts,
-                "read_only_commits": tx_stats.read_only_commits,
-                "validations": tx_stats.validations,
-                "storage_failures": tx_stats.storage_failures,
-                "conflict_retries": tx_stats.conflict_retries,
-                "backoff_units": tx_stats.backoff_units,
-                "storms_detected": tx_stats.storms_detected,
-                "priority_grants": tx_stats.priority_grants,
-                "priority_rejections": tx_stats.priority_rejections,
+                **dataclasses.asdict(tx_stats),
                 "abort_rate": tx_stats.abort_rate,
                 "active_transactions": database.transaction_manager.active_count(),
             }

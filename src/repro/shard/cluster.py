@@ -220,9 +220,7 @@ class ShardedGemStone:
         if killer is not None:
             killer = killer.for_node("coord", _coordinator_dies)
         self._log_store = log_store
-        self.coordinator = TwoPhaseCoordinator(
-            log_store.load(), killer=killer, obs=self.obs
-        )
+        self.coordinator = TwoPhaseCoordinator(log_store.load(), killer=killer)
         self._links: list = [None] * self.shard_count
         self.exec_channels: list = [None] * self.shard_count
         for shard_id in range(self.shard_count):
@@ -302,11 +300,14 @@ class ShardedGemStone:
         The in-memory log is discarded and re-read from its platter —
         exactly the state a restarted coordinator would see — and every
         live worker is reconnected so the new coordinator's channels
-        start on fresh replay windows.
+        start on fresh replay windows.  The new coordinator carries on
+        its predecessor's lifetime totals.
         """
-        self.coordinator = TwoPhaseCoordinator(
-            self._log_store.load(), obs=self.obs
-        )
+        old = self.coordinator
+        self.coordinator = TwoPhaseCoordinator(self._log_store.load())
+        self.coordinator.commits = old.commits
+        self.coordinator.aborts = old.aborts
+        self.coordinator.resolutions = old.resolutions
         for shard_id, host in enumerate(self.hosts):
             if host.alive:
                 self._wire(shard_id)
@@ -361,17 +362,7 @@ class ShardedGemStone:
 
     def observability(self) -> dict[str, Any]:
         """A cluster-level snapshot: counters plus the shard section."""
-        report = self.shard_report()
-        registry = self.obs.registry
-        registry.set_gauge("shard.in_doubt", report["in_doubt"])
-        registry.set_gauge(
-            "shard.decision_log_pending", report["coordinator"]["pending"]
-        )
-        for worker in report["per_shard"]:
-            registry.set_gauge(
-                f"shard.{worker['shard_id']}.commits", worker["commits"]
-            )
-        return {"counters": registry.snapshot(), "shard": report}
+        return {"counters": self.obs.registry.snapshot(), "shard": self.shard_report()}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -456,7 +447,6 @@ class ShardedSession:
                 protocol.encode_shard_commit(gtid)
             )
             cluster.single_shard_commits += 1
-            cluster.obs.registry.inc("shard.single_shard_commits")
             cluster._commit_counter += 1
             return reply.fields["tx_time"]
         try:
@@ -465,7 +455,6 @@ class ShardedSession:
             cluster.coordinator.alive = False
             raise in_doubt_error(gtid)
         cluster.cross_shard_commits += 1
-        cluster.obs.registry.inc("shard.cross_shard_commits")
         cluster._commit_counter += 1
         return cluster._commit_counter
 

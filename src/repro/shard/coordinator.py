@@ -46,10 +46,9 @@ from .rpc import CoordinatorKilled, RequestChannel
 class TwoPhaseCoordinator:
     """Drives cross-shard commits against the durable decision log."""
 
-    def __init__(self, decision_log: DecisionLog, killer=None, obs=None) -> None:
+    def __init__(self, decision_log: DecisionLog, killer=None) -> None:
         self.log = decision_log
         self.killer = killer
-        self.obs = obs
         self.alive = True
         #: shard id -> RequestChannel for 2PC control frames
         self.channels: dict[int, RequestChannel] = {}
@@ -65,10 +64,6 @@ class TwoPhaseCoordinator:
     def _window(self, name: str) -> None:
         if self.killer is not None:
             self.killer.window(name, "coord")
-
-    def _inc(self, counter: str) -> None:
-        if self.obs is not None:
-            self.obs.registry.inc(counter)
 
     # -- the commit protocol -------------------------------------------------
 
@@ -106,13 +101,11 @@ class TwoPhaseCoordinator:
             # every participant was read-only: nothing to decide, log,
             # or fan out — the transaction is trivially committed
             self.commits += 1
-            self._inc("shard.coordinator_commits")
             return True
         self._window("coord.before_decision_persist")
         self.log.record_commit(gtid, writers)
         self._window("coord.after_decision_persist")
         self.commits += 1
-        self._inc("shard.coordinator_commits")
         self._fan_out_decide(gtid, writers)
         return True
 
@@ -126,7 +119,6 @@ class TwoPhaseCoordinator:
         resolved to abort after its restart (the gtid is not in the log).
         """
         self.aborts += 1
-        self._inc("shard.coordinator_aborts")
         for shard_id in participants:
             if votes.get(shard_id):
                 continue
@@ -181,7 +173,6 @@ class TwoPhaseCoordinator:
                 protocol.encode_decide(gtid, self.log.decision(gtid))
             )
             self.resolutions += 1
-            self._inc("shard.in_doubt_resolutions")
         return len(gtids)
 
     # -- reporting --------------------------------------------------------------

@@ -35,6 +35,10 @@ _KIND_ARCHIVED = 2
 _TRACKS = bytes((_KIND_TRACKS,))
 _ARCHIVED = bytes((_KIND_ARCHIVED,))
 
+#: track numbers below this (the 1- and 2-byte uvarints) have their
+#: encodings memoised; a larger one is encoded where it is named
+_VARINT_MEMO = 1 << 14
+
 
 @dataclass(frozen=True)
 class Location:
@@ -63,8 +67,8 @@ class ObjectTable:
         self._track_refs: dict[int, int] = {}
         #: page -> its PAGE_SPAN slots, each entry encoded (b"": absent)
         self._pages: dict[int, list[bytes]] = {}
-        #: every track number's uvarint up to the highest yet placed, so
-        #: an entry of any number of tracks encodes in one join
+        #: every track number's uvarint up to the highest yet placed
+        #: (below ``_VARINT_MEMO``), so an entry encodes in one join
         self._track_varints: list[bytes] = []
 
     def __len__(self) -> int:
@@ -163,11 +167,11 @@ class ObjectTable:
             return b"".join((uvarint_bytes(slot), _ARCHIVED, uvarint_bytes(location.archive_key)))
         tracks, varints = location.tracks, self._track_varints
         top = max(tracks)
-        if top >= len(varints):
-            varints.extend(map(uvarint_bytes, range(len(varints), top + 1)))
+        if top >= len(varints) < _VARINT_MEMO:
+            varints.extend(map(uvarint_bytes, range(len(varints), min(top + 1, _VARINT_MEMO))))
+        encode = varints.__getitem__ if top < len(varints) else uvarint_bytes
         return b"".join((
-            uvarint_bytes(slot), _TRACKS, uvarint_bytes(len(tracks)),
-            *map(varints.__getitem__, tracks),
+            uvarint_bytes(slot), _TRACKS, uvarint_bytes(len(tracks)), *map(encode, tracks),
         ))
 
     def load_page(self, data: bytes, track_count: int, dense: bool = False) -> int:

@@ -218,10 +218,25 @@ class TestObservability:
         assert replication["replica"]["torn_rejected"] == 0
 
     def test_gauges_track_the_shipped_epochs(self):
-        db, shipper, _, _ = build_primary(commits=2)
-        gauges = db.observability()["counters"]["gauges"]
-        assert gauges["dr.last_shipped_epoch"] == shipper.acked_epoch
-        assert gauges["dr.replication_lag"] == 0
+        # the epochs live in the replication section only: the registry
+        # carries no copy of them
+        db, shipper, session, _ = build_primary(commits=2)
+        report = db.replication_report()
+        assert report["acked_epoch"] == shipper.acked_epoch == report["local_epoch"]
+        assert report["replication_lag"] == 0
+        shipper.suspend()
+        session.execute("World!late := 1")
+        session.commit()
+        report = db.replication_report()
+        assert report["local_epoch"] == shipper.acked_epoch + 1
+        assert report["replication_lag"] == 1
+        shipper.catch_up()
+        assert db.replication_report()["replication_lag"] == 0
+        assert not any(
+            name.startswith("dr.")
+            for names in db.observability()["counters"].values()
+            for name in names
+        )
 
     def test_disabled_databases_report_enabled_false(self):
         db = GemStone.create(track_count=256, track_size=512)

@@ -1,7 +1,7 @@
 """The ``shard`` observability section: schema-pinned and rendered.
 
-The sharded cluster publishes ``shard.*`` counters/gauges plus a
-structured ``shard`` section; its shape is pinned by the optional
+The sharded cluster publishes a structured ``shard`` section (its
+registry keeps only the ``net.*`` traffic of the worker links); its shape is pinned by the optional
 ``shard`` property in ``docs/observability_schema.json`` and the text
 dashboard renders it next to the single-store sections.  One cluster,
 so one snapshot: the same document whether the workers run in this
@@ -57,14 +57,19 @@ class TestShardSection:
         assert "shard" not in schema["required"]
 
     def test_counters_and_gauges_are_published(self, worked_cluster):
+        # each number once: in the shard section, never in the registry
         snapshot = worked_cluster.observability()
-        counters = snapshot["counters"]["counters"]
-        gauges = snapshot["counters"]["gauges"]
-        assert counters["shard.single_shard_commits"] == 1
-        assert counters["shard.cross_shard_commits"] == 1
-        assert gauges["shard.in_doubt"] == 0
-        assert gauges["shard.decision_log_pending"] == 0
-        assert "shard.0.commits" in gauges
+        shard = snapshot["shard"]
+        assert shard["single_shard_commits"] == 1
+        assert shard["cross_shard_commits"] == 1
+        assert shard["in_doubt"] == 0
+        assert shard["coordinator"]["pending"] == 0
+        assert shard["per_shard"][0]["commits"] >= 1
+        assert not any(
+            name.startswith("shard.")
+            for names in snapshot["counters"].values()
+            for name in names
+        )
 
     def test_dashboard_renders_the_shard_section(self, worked_cluster):
         text = render_snapshot(worked_cluster.observability())

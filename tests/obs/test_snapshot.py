@@ -153,9 +153,10 @@ def test_tracing_section_carries_request_ids_from_the_executor(
 
 
 def test_counters_absorb_layer_native_totals(worked_database):
-    counters = worked_database.observability()["counters"]["counters"]
-    assert counters["txn.commits"] >= 3
-    assert counters["txn.aborts"] >= 1
+    snapshot = worked_database.observability()
+    assert snapshot["transactions"]["commits"] >= 3
+    assert snapshot["transactions"]["aborts"] >= 1
+    counters = snapshot["counters"]["counters"]
     assert counters["executor.requests"] >= 4
     assert counters["query.declarative"] >= 3
 
@@ -173,10 +174,12 @@ def test_two_databases_do_not_share_metrics():
     first = GemStone.create()
     second = GemStone.create()
     session = first.login()
-    session.execute("World!x := 1")
+    session.execute("World!x := Set new")
     session.commit()
+    session.execute("(World!x) select: [:e | e > 1]")
     session.close()
     assert first.observability()["transactions"]["commits"] == 1
     assert second.observability()["transactions"]["commits"] == 0
     assert second.observability()["governance"]["sessions"]["opened"] == 0
-    assert second.obs.registry.count_of("txn.commits") == 0
+    assert first.obs.registry.count_of("query.declarative") == 1
+    assert second.obs.registry.count_of("query.declarative") == 0
